@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoeffExact, numeric_str
+from .coeff import CoeffExact, numeric_str, scalar_str
 from .fock import BasisIndex, Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
 from .presentation import E, F, H, GenSymbol, HBracket, build_relations
 from .realize import DYSON, HP, realization, tilde_ops
@@ -77,12 +77,9 @@ def materialize(
     if not isinstance(p, int) or p < 0:
         raise ValueError("materialization needs an integer p >= 0")
     real = realization(kind, sig, mutation)
-    if q is None:
-        eng = Engine(sig, mode="exact", convention="monomial", p=p)
-        if convention == "orthonormal":
-            raise ValueError("orthonormal matrices need a numeric q")
-    else:
-        eng = Engine(sig, mode="numeric", convention=convention, q=q, p=p)
+    if q is None and convention == "orthonormal":
+        raise ValueError("orthonormal matrices need a numeric q")
+    eng = Engine(sig, convention=convention, q=q, p=p)
     basis = _subspace_basis(sig, p, subspace, cap)
     out = {}
     for g, expr in real.images.items():
@@ -147,11 +144,10 @@ def check_invariance(
         cap = p + 4
     real = realization(kind, sig)
     if kind == DYSON:
-        eng = Engine(sig, mode="exact", convention="monomial", p=p)
-    else:
-        if q is None:
-            raise ValueError("numeric q required for this realization")
-        eng = Engine(sig, mode="numeric", convention="orthonormal", q=q, p=p)
+        q = None  # the Dyson images stay exact
+    elif q is None:
+        raise ValueError("numeric q required for this realization")
+    eng = Engine(sig, convention="monomial" if q is None else "orthonormal", q=q, p=p)
     f0, f1 = split_F0_F1(sig, p, cap)
     f1_ok, f1_wit = _stable(eng, real, f1.states, lambda s: total(s) > p, tolerance)
     f0_ok, f0_wit = _stable(eng, real, f0.states, lambda s: total(s) <= p, tolerance)
@@ -167,8 +163,7 @@ def _stable(eng, real, states, keep, tolerance):
                     continue
                 if eng.mode == "numeric" and abs(v) <= tolerance:
                     continue
-                val = v.canonical_str() if isinstance(v, CoeffExact) else numeric_str(v)
-                return False, f"{g} maps {s} to {s2} with coefficient {val}"
+                return False, f"{g} maps {s} to {s2} with coefficient {scalar_str(v)}"
     return True, ""
 
 
@@ -241,24 +236,19 @@ def highest_weight(sig: Signature, p: int) -> tuple[int, ...]:
     """Eigenvalues of all h_i on the vacuum, which is a highest-weight
     vector: every e image annihilates it (each ends in a lowering atom)."""
     real = realization(DYSON, sig)
-    eng = Engine(sig, mode="exact", convention="monomial", p=p)
+    eng = Engine(sig, p=p)
     vac = vacuum(sig)
     weights = []
     for i in range(1, sig.r + 1):
-        vec = eng.apply(real.images[GenSymbol(H, i)], vac)
-        coeff = vec.get(vac, CoeffExact.zero())
-        weights.append(_as_int(coeff))
+        c = eng.apply(real.images[GenSymbol(H, i)], vac).get(vac, CoeffExact.zero())
+        k = c.num.terms.get((0, 0, 0), 0)
+        if not (c.den.is_one() and c.num.terms.keys() <= {(0, 0, 0)} and k.denominator == 1):
+            raise ValueError(f"weight eigenvalue {c.canonical_str()} is not an integer")
+        weights.append(int(k))
     for i in range(1, sig.r):
         if eng.apply(real.images[GenSymbol(E, i)], vac):
             raise AssertionError(f"e_{i} does not annihilate the vacuum")
     return tuple(weights)
-
-
-def _as_int(c: CoeffExact) -> int:
-    for k in range(-10000, 10001):
-        if c == CoeffExact.from_int(k):
-            return k
-    raise ValueError("weight eigenvalue is not a small integer")
 
 
 @dataclass
@@ -510,7 +500,7 @@ def deformed_ops_check(
     """
     from .weyl import Diag, affine_mode
 
-    eng = Engine(sig, mode="numeric", convention="orthonormal", q=q, p=p)
+    eng = Engine(sig, convention="orthonormal", q=q, p=p)
     ops = tilde_ops(sig)
     states = list(enumerate_up_to(sig, cap))
 

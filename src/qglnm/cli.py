@@ -28,7 +28,7 @@ from .analyze import (
     inequivalence,
     materialize,
 )
-from .coeff import CoeffExact, numeric_str
+from .coeff import scalar_str
 from .fock import Signature
 from .presentation import E, F, H, GenSymbol, render_relation, build_relations
 from .realize import DYSON, HP, HP_DEFORMED, realization
@@ -209,8 +209,7 @@ def format_matrix_export(sig: Signature, kind: str, p, q, convention: str,
         triplets = gm.triplets()
         lines.append(f"generator {g} entries {len(triplets)}")
         for (r, c), v in triplets:
-            val = v.canonical_str() if isinstance(v, CoeffExact) else numeric_str(v)
-            lines.append(f"{r} {c} {val}")
+            lines.append(f"{r} {c} {scalar_str(v)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -412,8 +411,7 @@ def _cmd_reimport(args) -> int:
     rendered = {}
     for g in _gen_order(sig):
         rendered[str(g)] = [
-            (r, c, v.canonical_str() if isinstance(v, CoeffExact) else numeric_str(v))
-            for (r, c), v in mats[g].triplets()
+            (r, c, scalar_str(v)) for (r, c), v in mats[g].triplets()
         ]
     ok = parsed["generators"] == rendered and parsed["basis"] == list(
         next(iter(mats.values())).basis.states
@@ -436,20 +434,14 @@ def _cmd_eval(args) -> int:
     if len(state) != sig.num_modes:
         raise UsageError(f"state needs {sig.num_modes} occupation numbers")
     conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
-    if q is None:
-        eng = Engine(sig, mode="exact", convention=conv, p=p)
-    else:
-        if isinstance(q, list):
-            raise UsageError("eval takes a single q value")
-        eng = Engine(sig, mode="numeric", convention=conv, q=q, p=p)
-    vec = eng.apply(expr, state)
+    if isinstance(q, list):
+        raise UsageError("eval takes a single q value")
+    vec = Engine(sig, convention=conv, q=q, p=p).apply(expr, state)
     if not vec:
         print("0")
         return 0
     for s in sorted(vec, key=lambda t: (sum(t), t)):
-        v = vec[s]
-        val = v.canonical_str() if isinstance(v, CoeffExact) else numeric_str(v)
-        print(f"state {','.join(map(str, s))}: {val}")
+        print(f"state {','.join(map(str, s))}: {scalar_str(vec[s])}")
     return 0
 
 

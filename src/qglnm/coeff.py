@@ -357,3 +357,9 @@ def numeric_str(value) -> str:
             return repr(float(value.real))
         return repr(complex(value))
     return repr(float(value))
+
+
+def scalar_str(value) -> str:
+    """Canonical string of an exact coefficient, shortest round-trip
+    decimal of a numeric one."""
+    return value.canonical_str() if isinstance(value, CoeffExact) else numeric_str(value)

@@ -97,10 +97,6 @@ def word_parity(sig: Signature, word) -> int:
     return sum(letter_parity(sig, a) for a in word) % 2
 
 
-def _one() -> CoeffExact:
-    return CoeffExact.one()
-
-
 def _w(scalar, *letters) -> GenTerm:
     if isinstance(scalar, int):
         scalar = CoeffExact.from_int(scalar)

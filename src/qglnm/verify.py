@@ -162,12 +162,9 @@ def _term_scale(eng: Engine, compiled: list, state: FockState) -> float:
 
 def _engines(sig, kind, p, q, convention, classical):
     """One engine per q sample (a single exact engine when q is formal)."""
-    if q is None:
-        return [Engine(sig, mode="exact", convention=convention or "monomial",
-                       p=p, classical=classical)]
-    qs = [q] if isinstance(q, (int, float)) else list(q)
+    qs = [None] if q is None else [float(q)] if isinstance(q, (int, float)) else [float(v) for v in q]
     conv = convention or ("orthonormal" if kind != DYSON else "monomial")
-    return [Engine(sig, mode="numeric", convention=conv, q=float(qv), p=p) for qv in qs]
+    return [Engine(sig, convention=conv, q=qv, p=p, classical=classical) for qv in qs]
 
 
 def verify_all(

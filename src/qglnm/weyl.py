@@ -4,7 +4,9 @@ fermionic oscillator pairs.
 Operators are formal sums of words in raising/lowering atoms and diagonal
 factors, applied lazily to individual occupation states.  Lazy action keeps
 every computation exact with no truncation: a word may pass through states
-of higher degree than any fixed matrix cap would allow.
+of higher degree than any fixed matrix cap would allow.  Every atom sends
+a basis state to at most one basis state, so a word is a monomial
+operator: it maps a state to one (scalar, state) pair or to zero.
 
 Words are written left to right as in printed operator products and are
 applied right to left, so a diagonal factor written to the left of a
@@ -18,11 +20,13 @@ coefficient l; all coefficients stay in the exact fraction field.  In the
 numeric.  Fermionic modes anticommute: raising or lowering mode i picks
 up the sign (-1)**(number of occupied fermionic modes strictly left of i).
 
-Numeric scalars are complex: with integer p, square-root factors such as
-sqrt([p - N]) have negative radicands on states far enough above the
-occupation threshold, and the principal branch keeps all operator
-identities valid (the radical pairs inside any defining relation match
-up, so relation residuals are real up to rounding).
+The scalar domain follows from q alone: formal q (None) gives exact
+Laurent-fraction scalars, a numeric q gives float/complex ones.  They are
+complex because, with integer p, square-root factors such as sqrt([p - N])
+have negative radicands on states far enough above the occupation
+threshold, and the principal branch keeps all operator identities valid
+(the radical pairs inside any defining relation match up, so relation
+residuals are real up to rounding).
 """
 
 from __future__ import annotations
@@ -217,66 +221,81 @@ class EngineError(ValueError):
     pass
 
 
-class Engine:
-    """Evaluation context: exact or numeric arithmetic, basis convention,
-    and the values (or formal status) of q and p.
+class ExactScalars:
+    """Laurent-fraction scalars: q formal, p formal (None) or an integer.
+    classical=True specializes q = 1, turning every bracket into its plain
+    affine argument."""
 
-    mode="exact" works over the fraction field with q formal and p either
-    formal or an integer; classical=True specializes q = 1 there, turning
-    every bracket into its plain affine argument.  mode="numeric" fixes
-    real q > 0 (q = 1 gets the same classical bracket limit) and real p.
-    The orthonormal convention introduces square roots and therefore
-    requires numeric mode.
-    """
+    mode = "exact"
 
-    def __init__(self, sig: Signature, mode="exact", convention="monomial",
-                 q=None, p=None, classical=False):
-        if mode not in ("exact", "numeric"):
-            raise EngineError(f"unknown mode {mode!r}")
-        if convention not in ("monomial", "orthonormal"):
-            raise EngineError(f"unknown convention {convention!r}")
-        if mode == "exact":
-            if q is not None:
-                raise EngineError("exact mode keeps q formal; use numeric mode for a q value")
-            if convention == "orthonormal":
-                raise EngineError("orthonormal convention needs square roots; use numeric mode")
-            if p is not None and not isinstance(p, int):
-                raise EngineError("exact mode accepts only formal (None) or integer p")
-        else:
-            if q is None:
-                raise EngineError("numeric mode requires a value for q")
-            if q <= 0:
-                raise EngineError("q must be positive")
-            if classical:
-                raise EngineError("classical flag applies to exact mode; use q=1 numerically")
-        self.sig = sig
-        self.mode = mode
-        self.convention = convention
-        self.q = q
+    def __init__(self, p, classical):
+        if p is not None and not isinstance(p, int):
+            raise EngineError("exact mode accepts only formal (None) or integer p")
         self.p = p
         self.classical = classical
+        self.one = CoeffExact.one()
 
-    # -- scalar domain -------------------------------------------------
+    from_int = staticmethod(CoeffExact.from_int)
 
-    def one(self):
-        return CoeffExact.one() if self.mode == "exact" else 1.0
+    def from_coeff(self, c: CoeffExact) -> CoeffExact:
+        if self.p is not None:
+            c = c.subst_p_int(self.p)
+        return c.subst_q1() if self.classical else c
 
-    def from_int(self, k: int):
-        return CoeffExact.from_int(k) if self.mode == "exact" else float(k)
+    def is_zero(self, v: CoeffExact) -> bool:
+        return v.is_zero()
 
-    def from_coeff(self, c: CoeffExact):
-        """Bring an exact coefficient into this engine's scalar domain."""
-        if self.mode == "exact":
-            if self.p is not None:
-                c = c.subst_p_int(self.p)
-            return c.subst_q1() if self.classical else c
+    def affine(self, c: int, pc: int) -> CoeffExact:
+        if self.p is not None:
+            return CoeffExact.from_int(c + pc * self.p)
+        return CoeffExact(LaurentPoly({(0, 0, 0): Fraction(c), (0, 0, 1): Fraction(pc)}))
+
+    def bracket(self, c: int, pc: int) -> CoeffExact:
+        if self.classical:
+            return self.affine(c, pc)
+        return bracket_affine(c, pc, p_value=self.p)
+
+    def bracket_ratio(self, v: int) -> CoeffExact:
+        return self.one if self.classical else bracket_int(v) / v
+
+    def angle(self, v: int) -> CoeffExact:
+        if self.classical:
+            return self.one
+        raise EngineError("angle brackets on bosonic modes are numeric only")
+
+    def sqrt_bracket(self, c: int, pc: int):
+        raise EngineError("sqrt brackets are numeric only")
+
+    def qpow(self, c: int, pc: int) -> CoeffExact:
+        if self.classical:
+            return self.one
+        if self.p is not None:
+            return CoeffExact(LaurentPoly.monomial(q_exp=c + pc * self.p))
+        return CoeffExact(LaurentPoly.monomial(q_exp=c, P_exp=pc))
+
+
+class NumericScalars:
+    """Float/complex scalars at a real q > 0 (q = 1 takes the classical
+    bracket limit) and a real p, which may stay unset while no evaluation
+    needs it."""
+
+    mode = "numeric"
+    one = 1.0
+
+    def __init__(self, q, p):
+        if q <= 0:
+            raise EngineError("q must be positive")
+        self.q = q
+        self.p = p
+
+    from_int = staticmethod(float)
+
+    def from_coeff(self, c: CoeffExact) -> float:
         needs_p = any(b or pw for (_, b, pw) in list(c.num.terms) + list(c.den.terms))
         return c.eval_numeric(self.q, self._p_value(allow_missing=not needs_p))
 
-    def is_zero(self, scalar) -> bool:
-        if self.mode == "exact":
-            return scalar.is_zero()
-        return scalar == 0
+    def is_zero(self, v) -> bool:
+        return v == 0
 
     def _p_value(self, allow_missing=False) -> float:
         if self.p is None:
@@ -285,72 +304,83 @@ class Engine:
             raise EngineError("this evaluation needs a numeric value for p")
         return float(self.p)
 
+    def affine(self, c: int, pc: int) -> float:
+        return c + pc * self._p_value(allow_missing=pc == 0)
+
+    def bracket(self, c: int, pc: int) -> float:
+        return bracket_value(self.affine(c, pc), self.q)
+
+    def bracket_ratio(self, v: int) -> float:
+        return bracket_value(v, self.q) / v
+
+    def angle(self, v: int) -> float:
+        return math.sqrt(bracket_value(v, self.q) / v)
+
+    def sqrt_bracket(self, c: int, pc: int):
+        x = self.affine(c, pc)
+        if x == 0:
+            return 0.0
+        val = bracket_value(x, self.q)
+        if val < 0:
+            return cmath.sqrt(val)
+        return math.sqrt(val)
+
+    def qpow(self, c: int, pc: int) -> float:
+        return self.q ** self.affine(c, pc)
+
+
+class Engine:
+    """Evaluation context: basis convention, the values (or formal status)
+    of q and p, and the scalar domain they imply.
+
+    Formal q (None) means exact arithmetic over the fraction field, with p
+    formal or an integer; classical=True specializes q = 1 there, turning
+    every bracket into its plain affine argument.  A numeric q > 0 means
+    float/complex arithmetic with real p (q = 1 gets the same classical
+    bracket limit).  The orthonormal convention introduces square roots
+    and therefore needs a numeric q.
+    """
+
+    def __init__(self, sig: Signature, convention="monomial", q=None, p=None,
+                 classical=False):
+        if convention not in ("monomial", "orthonormal"):
+            raise EngineError(f"unknown convention {convention!r}")
+        if q is None:
+            if convention == "orthonormal":
+                raise EngineError("orthonormal convention needs square roots; use numeric mode")
+            self.scalars = ExactScalars(p, classical)
+        elif classical:
+            raise EngineError("classical flag applies to exact mode; use q=1 numerically")
+        else:
+            self.scalars = NumericScalars(q, p)
+        self.sig = sig
+        self.convention = convention
+        self.q = q
+
+    @property
+    def mode(self) -> str:
+        """The scalar regime implied by q: "exact" or "numeric"."""
+        return self.scalars.mode
+
+    def one(self):
+        return self.scalars.one
+
     # -- diagonal factors ----------------------------------------------
 
     def eval_diag(self, d: Diag, state: FockState):
         kind = d.kind
-        if kind == "affine":
+        if kind in ("affine", "bracket", "sqrt_bracket", "qpow"):
             c, pc = d.affine.eval_parts(state)
-            return self._affine_scalar(c, pc)
-        if kind == "bracket":
-            c, pc = d.affine.eval_parts(state)
-            if self.mode == "exact":
-                if self.classical:
-                    return self._affine_scalar(c, pc)
-                return bracket_affine(c, pc, p_value=self.p)
-            return bracket_value(c + pc * self._p_value(allow_missing=pc == 0), self.q)
-        if kind == "bracket_ratio":
+            return getattr(self.scalars, kind)(c, pc)
+        if kind == "angle" and self.sig.is_fermionic(d.mode):
+            return self.scalars.one
+        if kind in ("bracket_ratio", "angle"):
             v = state[d.mode - 1] + d.shift
             if v == 0:
-                raise ZeroDivisionError("bracket ratio evaluated at argument 0")
-            if self.mode == "exact":
-                if self.classical:
-                    return CoeffExact.one()
-                return bracket_int(v) / v
-            return bracket_value(v, self.q) / v
-        if kind == "angle":
-            if self.sig.is_fermionic(d.mode):
-                return self.one()
-            v = state[d.mode - 1] + d.shift
-            if v == 0:
-                raise ZeroDivisionError("angle bracket evaluated at argument 0")
-            if self.mode == "exact":
-                if self.classical:
-                    return CoeffExact.one()
-                raise EngineError("angle brackets on bosonic modes are numeric only")
-            return math.sqrt(bracket_value(v, self.q) / v)
-        if kind == "sqrt_bracket":
-            if self.mode == "exact":
-                raise EngineError("sqrt brackets are numeric only")
-            c, pc = d.affine.eval_parts(state)
-            x = c + pc * self._p_value(allow_missing=pc == 0)
-            if x == 0:
-                return 0.0
-            val = bracket_value(x, self.q)
-            if val == 0.0:
-                return 0.0
-            if val < 0:
-                return cmath.sqrt(val)
-            return math.sqrt(val)
-        if kind == "qpow":
-            c, pc = d.affine.eval_parts(state)
-            if self.mode == "exact":
-                if self.classical:
-                    return CoeffExact.one()
-                if self.p is not None:
-                    return CoeffExact(LaurentPoly.monomial(q_exp=c + pc * self.p))
-                return CoeffExact(LaurentPoly.monomial(q_exp=c, P_exp=pc))
-            return self.q ** (c + pc * self._p_value(allow_missing=pc == 0))
+                what = "bracket ratio" if kind == "bracket_ratio" else "angle bracket"
+                raise ZeroDivisionError(f"{what} evaluated at argument 0")
+            return getattr(self.scalars, kind)(v)
         raise EngineError(f"unknown diagonal kind {kind!r}")
-
-    def _affine_scalar(self, c: int, pc: int):
-        if self.mode == "numeric":
-            return c + pc * self._p_value(allow_missing=pc == 0)
-        if self.p is not None:
-            return CoeffExact.from_int(c + pc * self.p)
-        if pc == 0:
-            return CoeffExact.from_int(c)
-        return CoeffExact(LaurentPoly({(0, 0, 0): Fraction(c), (0, 0, 1): Fraction(pc)}))
 
     # -- state action ---------------------------------------------------
 
@@ -359,70 +389,60 @@ class Engine:
         when the result is zero."""
         if isinstance(atom, Diag):
             val = self.eval_diag(atom, state)
-            if self.is_zero(val):
+            if self.scalars.is_zero(val):
                 return None
             return val, state
         i = atom.mode
         li = state[i - 1]
         if self.sig.is_fermionic(i):
-            if isinstance(atom, Raise):
-                if li == 1:
-                    return None
-                new_occ = 1
-            else:
-                if li == 0:
-                    return None
-                new_occ = 0
-            sign = -1 if self._fermi_count_left(state, i) % 2 else 1
-            new = state[: i - 1] + (new_occ,) + state[i:]
-            return self.from_int(sign), new
+            # raising needs an empty mode, lowering a filled one; both flip it
+            if li != isinstance(atom, Lower):
+                return None
+            # the sign counts the occupied fermionic modes strictly left of i
+            sign = -1 if sum(state[self.sig.n - 1 : i - 1]) % 2 else 1
+            return self.scalars.from_int(sign), state[: i - 1] + (1 - li,) + state[i:]
         if isinstance(atom, Raise):
             new = state[: i - 1] + (li + 1,) + state[i:]
             if self.convention == "monomial":
-                return self.one(), new
+                return self.scalars.one, new
             return math.sqrt(li + 1), new
         if li == 0:
             return None
         new = state[: i - 1] + (li - 1,) + state[i:]
         if self.convention == "monomial":
-            return self.from_int(li), new
+            return self.scalars.from_int(li), new
         return math.sqrt(li), new
 
-    def _fermi_count_left(self, state: FockState, i: int) -> int:
-        return sum(state[k - 1] for k in range(self.sig.n, i))
-
-    def apply_word(self, word: Word, state: FockState) -> dict:
-        """Apply a word (atoms right to left) to a single state."""
-        vec = {state: self.one()}
+    def apply_word(self, word: Word, state: FockState):
+        """Apply a word (atoms right to left) to a single state.  Every atom
+        sends a basis state to at most one basis state, so the result is a
+        single (scalar, state) pair, or None when the image is zero."""
+        scalar = self.scalars.one
         for atom in reversed(word):
-            nxt: dict = {}
-            for s, c in vec.items():
-                res = self.apply_atom(atom, s)
-                if res is None:
-                    continue
-                a, s2 = res
-                acc = nxt.get(s2)
-                nxt[s2] = c * a if acc is None else acc + c * a
-            vec = nxt
-            if not vec:
-                break
-        return vec
+            res = self.apply_atom(atom, state)
+            if res is None:
+                return None
+            a, state = res
+            scalar = scalar * a
+        return scalar, state
 
     def compile(self, expr: OperatorExpr) -> list:
         """Specialize the term scalars of an expression into this engine's
-        scalar domain once, for repeated application."""
-        return [(self.from_coeff(c), w) for c, w in expr.terms]
+        scalar domain once, for repeated application; zero terms drop."""
+        dom = self.scalars
+        compiled = [(dom.from_coeff(c), w) for c, w in expr.terms]
+        return [(c, w) for c, w in compiled if not dom.is_zero(c)]
 
     def apply_compiled(self, compiled: list, state: FockState) -> dict:
         out: dict = {}
         for c, w in compiled:
-            if self.is_zero(c):
+            res = self.apply_word(w, state)
+            if res is None:
                 continue
-            for s, a in self.apply_word(w, state).items():
-                acc = out.get(s)
-                v = c * a if acc is None else acc + c * a
-                out[s] = v
-        return {s: v for s, v in out.items() if not self.is_zero(v)}
+            a, s = res
+            acc = out.get(s)
+            out[s] = c * a if acc is None else acc + c * a
+        return {s: v for s, v in out.items() if not self.scalars.is_zero(v)}
 
     def apply(self, expr: OperatorExpr, target) -> dict:
         """Apply an expression to a state or to a {state: coeff} vector."""
@@ -433,9 +453,8 @@ class Engine:
         for state, coeff in target.items():
             for s, v in self.apply_compiled(compiled, state).items():
                 acc = out.get(s)
-                w = coeff * v if acc is None else acc + coeff * v
-                out[s] = w
-        return {s: v for s, v in out.items() if not self.is_zero(v)}
+                out[s] = coeff * v if acc is None else acc + coeff * v
+        return {s: v for s, v in out.items() if not self.scalars.is_zero(v)}
 
     def max_abs(self, vec: dict) -> float:
         """Largest coefficient magnitude of a numeric state vector."""

@@ -132,6 +132,9 @@ class TestWeights:
     def test_zero_threshold(self):
         assert highest_weight(SIG21, 0) == (0, 0, 0)
 
+    def test_large_threshold(self):
+        assert highest_weight(SIG21, 10001) == (10001, 0, 0)
+
 
 class TestTypicality:
     def test_fock_weight_fails_criterion(self):

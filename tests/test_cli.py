@@ -17,6 +17,7 @@ from qglnm.analyze import materialize
 from qglnm.fock import Signature
 from qglnm.presentation import GenSymbol
 from qglnm.realize import dyson
+from qglnm.verify import verify_all
 from qglnm.weyl import Engine
 
 SIG21 = Signature(2, 1)
@@ -79,7 +80,7 @@ class TestParser:
 
     def test_evaluates_like_direct_image(self):
         real = dyson(SIG21)
-        eng = Engine(SIG21, mode="exact", convention="monomial", p=2)
+        eng = Engine(SIG21, convention="monomial", p=2)
         expr = ast_to_operator(parse_expr("e1*f1 - f1*e1", SIG21), real)
         direct = (
             real.image(GenSymbol("e", 1)) * real.image(GenSymbol("f", 1))
@@ -107,6 +108,80 @@ class TestMatrixExport:
         parsed = parse_matrix_export(text)
         (row, col, val) = parsed["generators"]["f1"][0]
         assert val == "1*q^0"
+
+
+# Exact-format outputs pinned byte for byte: the canonical coefficient
+# strings of the report witness and of the matrix export must not drift.
+GOLDEN_MUTATION_REPORT = (
+    "# qglnm verification report v1\n"
+    "# realization=dyson n=2 m=1 p=formal q=formal convention=monomial mode=exact cap=4 "
+    "tolerance=exact mutation=shift_e1_bracket\n"
+    + "".join(f"CK{k}[i={i},j={j}]\texact-pass\t0\t-\n"
+              for i in (1, 2, 3) for j in (1, 2) for k in (1, 2))
+    + "CK3[i=1,j=2]\texact-pass\t0\t-\n"
+    "CK4[i=1]\tfail\t0.0\tstate=(0,0) coeff=(-1*q^-1*P^-1 + 1*q^0*P^-1 + -1*q^0*P^1 "
+    "+ 1*q^1*P^1)/(-1*q^-1 + 1*q^1)\n"
+    "CK3[i=2,j=1]\texact-pass\t0\t-\n"
+    "CK5\texact-pass\t0\t-\n"
+    "S6e_sq[i=2]\texact-pass\t0\t-\n"
+    "S7e[i=1]\texact-pass\t0\t-\n"
+    "S6f_sq[i=2]\texact-pass\t0\t-\n"
+    "S7f[i=1]\texact-pass\t0\t-\n"
+)
+
+GOLDEN_QUOTIENT_EXPORT = """\
+# qglnm matrix export v1
+signature n=2 m=1
+realization dyson
+p 2
+q formal
+convention monomial
+subspace quotient-F0
+basis 5
+0,0
+0,1
+1,0
+1,1
+2,0
+generator h1 entries 3
+0 0 2*q^0
+1 1 1*q^0
+2 2 1*q^0
+generator h2 entries 3
+2 2 1*q^0
+3 3 1*q^0
+4 4 2*q^0
+generator h3 entries 2
+1 1 1*q^0
+3 3 1*q^0
+generator e1 entries 3
+0 2 1*q^-1 + 1*q^1
+1 3 1*q^0
+2 4 1*q^-1 + 1*q^1
+generator e2 entries 2
+2 1 1*q^0
+4 3 1*q^0
+generator f1 entries 3
+2 0 1*q^0
+3 1 1*q^0
+4 2 1*q^0
+generator f2 entries 2
+1 2 1*q^0
+3 4 1*q^-1 + 1*q^1
+end
+"""
+
+
+class TestGoldenBytes:
+    def test_mutation_report(self):
+        report = verify_all(SIG21, "dyson", None, cap=4, mutation="shift_e1_bracket")
+        assert report.format_machine() == GOLDEN_MUTATION_REPORT
+
+    def test_exact_quotient_export(self, capsys):
+        code = run(["matrices", "--n", "2", "--m", "1", "--realization", "dyson", "--p", "2",
+                    "--subspace", "quotient-F0", "--convention", "exact"])
+        assert code == 0
+        assert capsys.readouterr().out == GOLDEN_QUOTIENT_EXPORT
 
 
 class TestCommands:

@@ -12,7 +12,7 @@ from qglnm.verify import (
     substitute,
     verify_all,
 )
-from qglnm.weyl import Engine, Lower, Raise
+from qglnm.weyl import Engine, EngineError, Lower, Raise
 
 SIG21 = Signature(2, 1)
 
@@ -39,14 +39,14 @@ class TestSubstitute:
         diff = substitute(rel, real)
         assert diff.degree_shifts() == {0}
         # the substituted difference annihilates a probe state
-        eng = Engine(SIG21, mode="exact", convention="monomial")
+        eng = Engine(SIG21, convention="monomial")
         assert eng.apply(diff, (2, 1)) == {}
 
     def test_empty_relation_sides(self):
         real = dyson(SIG21)
         rel = rel_by_name(SIG21, "CK1[i=3,j=1]")  # [h3, e1] = 0
         diff = substitute(rel, real)
-        eng = Engine(SIG21, mode="exact", convention="monomial")
+        eng = Engine(SIG21, convention="monomial")
         for s in enumerate_up_to(SIG21, 3):
             assert eng.apply(diff, s) == {}
 
@@ -127,6 +127,10 @@ class TestVerifyAll:
         report = verify_all(SIG21, kind="dyson", p=None, cap=5, classical=True)
         assert report.all_pass
         assert report.meta["mode"] == "classical"
+
+    def test_classical_rejects_numeric_q(self):
+        with pytest.raises(EngineError):
+            verify_all(SIG21, kind="dyson", p=2, q=1.3, cap=4, classical=True)
 
     @pytest.mark.parametrize(
         "mutation,sig,expected",

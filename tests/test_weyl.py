@@ -23,11 +23,11 @@ SIG22 = Signature(2, 2)
 
 
 def exact_engine(sig, p=None):
-    return Engine(sig, mode="exact", convention="monomial", p=p)
+    return Engine(sig, convention="monomial", p=p)
 
 
 def numeric_engine(sig, q=1.3, p=2.0, convention="orthonormal"):
-    return Engine(sig, mode="numeric", convention=convention, q=q, p=p)
+    return Engine(sig, convention=convention, q=q, p=p)
 
 
 def probe(sig, cap=4):
@@ -252,23 +252,15 @@ class TestSuperCommutator:
 class TestEngineValidation:
     def test_orthonormal_requires_numeric(self):
         with pytest.raises(EngineError):
-            Engine(SIG21, mode="exact", convention="orthonormal")
-
-    def test_exact_rejects_q(self):
-        with pytest.raises(EngineError):
-            Engine(SIG21, mode="exact", q=1.3)
-
-    def test_numeric_requires_q(self):
-        with pytest.raises(EngineError):
-            Engine(SIG21, mode="numeric")
+            Engine(SIG21, convention="orthonormal")
 
     def test_numeric_rejects_negative_q(self):
         with pytest.raises(EngineError):
-            Engine(SIG21, mode="numeric", q=-2.0)
+            Engine(SIG21, q=-2.0)
 
     def test_exact_rejects_float_p(self):
         with pytest.raises(EngineError):
-            Engine(SIG21, mode="exact", p=1.5)
+            Engine(SIG21, p=1.5)
 
     def test_sqrt_is_numeric_only(self):
         eng = exact_engine(SIG21, p=2)
@@ -277,7 +269,7 @@ class TestEngineValidation:
             eng.eval_diag(d, (0, 0))
 
     def test_numeric_p_required_when_p_appears(self):
-        eng = Engine(SIG21, mode="numeric", convention="orthonormal", q=1.3)
+        eng = Engine(SIG21, convention="orthonormal", q=1.3)
         with_p = Diag("bracket", affine=Affine(0, 1, (-1, -1)))
         with pytest.raises(EngineError):
             eng.eval_diag(with_p, (0, 0))
@@ -285,7 +277,7 @@ class TestEngineValidation:
         assert eng.eval_diag(without_p, (1, 0)) == pytest.approx(1.0)
 
     def test_classical_brackets_become_affine(self):
-        eng = Engine(SIG21, mode="exact", convention="monomial", p=3, classical=True)
+        eng = Engine(SIG21, convention="monomial", p=3, classical=True)
         d = Diag("bracket", affine=Affine(0, 1, (-1, -1)))
         assert eng.eval_diag(d, (1, 0)) == CoeffExact.from_int(2)
         ratio = Diag("bracket_ratio", mode=1, shift=1)
