@@ -27,6 +27,11 @@ from .weyl import Engine, OperatorExpr, super_commutator
 SUBSPACES = ("F0", "F1-slice", "quotient-F0")
 
 
+class SubspaceLeakError(ValueError):
+    """A generator image leaves the chosen subspace: an analysis outcome
+    about the realization, not a malformed request."""
+
+
 @dataclass
 class GeneratorMatrix:
     """Sparse matrix of one realized generator on an explicit basis."""
@@ -93,7 +98,7 @@ def materialize(
                         continue
                     if subspace == "F1-slice" and cap is not None and total(s) > cap:
                         continue
-                    raise ValueError(
+                    raise SubspaceLeakError(
                         f"image of {g} leaves the {subspace} subspace at state {state} "
                         f"(reached {s}); use quotient-F0 for the Dyson realization"
                     )

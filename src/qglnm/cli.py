@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from .analyze import (
+    SubspaceLeakError,
     check_invariance,
     check_unitarity,
     cyclicity,
@@ -527,6 +528,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except SubspaceLeakError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,12 +27,25 @@ have negative radicands on states far enough above the occupation
 threshold, and the principal branch keeps all operator identities valid
 (the radical pairs inside any defining relation match up, so relation
 residuals are real up to rounding).
+
+A word's scalar is formed in two parts.  The ladder atoms multiply one
+plain running number: per bosonic step 1 or l in the monomial convention
+and sqrt(l + 1) or sqrt(l) in the orthonormal one, per fermionic step the
+sign.  Each diagonal factor
+is looked up by what its value depends on: the kind with the affine
+argument's (occupation part, p coefficient), or the kind with the mode
+argument.  The product of a word's diagonal values is looked up by the
+sorted tuple of those keys, since scalars commute, so each distinct
+product is multiplied once; it then meets the ladder number once.  Both
+caches belong to the engine and last as long as it does, which bounds
+them by the distinct keys of the states it is applied to.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,8 +63,7 @@ class Affine:
 
     def eval_parts(self, state: FockState) -> tuple[int, int]:
         """Return (occupation part evaluated on the state, coefficient of p)."""
-        c = self.const + sum(k * l for k, l in zip(self.mode_coeffs, state))
-        return c, self.p_coeff
+        return self.const + sum(map(operator.mul, self.mode_coeffs, state)), self.p_coeff
 
     def __add__(self, other: "Affine") -> "Affine":
         return Affine(
@@ -103,6 +115,10 @@ def affine_p_minus_total(sig: Signature, shift: int = 0) -> Affine:
 #                 modes, identically 1 on fermionic modes
 #   sqrt_bracket  sqrt([affine]), numeric only
 #   qpow          q ** affine
+_AFFINE_KINDS = frozenset(("affine", "bracket", "sqrt_bracket", "qpow"))
+_MODE_KINDS = frozenset(("bracket_ratio", "angle"))
+
+
 @dataclass(frozen=True)
 class Diag:
     kind: str
@@ -230,12 +246,10 @@ class ExactScalars:
 
     def __init__(self, p, classical):
         if p is not None and not isinstance(p, int):
-            raise EngineError("exact mode accepts only formal (None) or integer p")
+            raise EngineError("a formal q takes only a formal or integer p")
         self.p = p
         self.classical = classical
         self.one = CoeffExact.one()
-
-    from_int = staticmethod(CoeffExact.from_int)
 
     def from_coeff(self, c: CoeffExact) -> CoeffExact:
         if self.p is not None:
@@ -287,8 +301,6 @@ class NumericScalars:
             raise EngineError("q must be positive")
         self.q = q
         self.p = p
-
-    from_int = staticmethod(float)
 
     def from_coeff(self, c: CoeffExact) -> float:
         needs_p = any(b or pw for (_, b, pw) in list(c.num.terms) + list(c.den.terms))
@@ -347,7 +359,7 @@ class Engine:
             raise EngineError(f"unknown convention {convention!r}")
         if q is None:
             if convention == "orthonormal":
-                raise EngineError("orthonormal convention needs square roots; use numeric mode")
+                raise EngineError("orthonormal convention needs square roots; give a numeric q")
             self.scalars = ExactScalars(p, classical)
         elif classical:
             raise EngineError("classical flag applies to exact mode; use q=1 numerically")
@@ -356,6 +368,10 @@ class Engine:
         self.sig = sig
         self.convention = convention
         self.q = q
+        # diagonal key -> value, None for a zero value
+        self._diag_values: dict = {}
+        # sorted tuple of diagonal keys -> product of their values
+        self._diag_products: dict = {}
 
     @property
     def mode(self) -> str:
@@ -369,12 +385,12 @@ class Engine:
 
     def eval_diag(self, d: Diag, state: FockState):
         kind = d.kind
-        if kind in ("affine", "bracket", "sqrt_bracket", "qpow"):
+        if kind in _AFFINE_KINDS:
             c, pc = d.affine.eval_parts(state)
             return getattr(self.scalars, kind)(c, pc)
         if kind == "angle" and self.sig.is_fermionic(d.mode):
             return self.scalars.one
-        if kind in ("bracket_ratio", "angle"):
+        if kind in _MODE_KINDS:
             v = state[d.mode - 1] + d.shift
             if v == 0:
                 what = "bracket ratio" if kind == "bracket_ratio" else "angle bracket"
@@ -382,7 +398,47 @@ class Engine:
             return getattr(self.scalars, kind)(v)
         raise EngineError(f"unknown diagonal kind {kind!r}")
 
+    def _diag_key(self, d: Diag, state: FockState):
+        """What the value of a diagonal factor on a state depends on:
+        (kind, c, pc) for the affine kinds, (kind, v) for the mode kinds,
+        None for a fermionic angle (identically one)."""
+        kind = d.kind
+        if kind in _AFFINE_KINDS:
+            c, pc = d.affine.eval_parts(state)
+            return kind, c, pc
+        if kind in _MODE_KINDS:
+            if kind == "angle" and self.sig.is_fermionic(d.mode):
+                return None
+            return kind, state[d.mode - 1] + d.shift
+        raise EngineError(f"unknown diagonal kind {kind!r}")
+
     # -- state action ---------------------------------------------------
+
+    def _ladder(self, atom: Raise | Lower, state: FockState):
+        """Apply a raising or lowering atom; returns (plain number, state)
+        or None when the result is zero.  On a boson of occupation l the
+        number is 1 for raising and l for lowering (monomial), or the square
+        root of the larger occupation (orthonormal); on a fermion, the sign."""
+        i = atom.mode
+        li = state[i - 1]
+        lower = isinstance(atom, Lower)
+        if self.sig.is_fermionic(i):
+            # raising needs an empty mode, lowering a filled one; both flip it
+            if li != lower:
+                return None
+            # the sign counts the occupied fermionic modes strictly left of i
+            sign = -1 if sum(state[self.sig.n - 1 : i - 1]) % 2 else 1
+            return sign, state[: i - 1] + (1 - li,) + state[i:]
+        if lower:
+            if li == 0:
+                return None
+            k, new = li, li - 1
+        else:
+            k = new = li + 1
+        new_state = state[: i - 1] + (new,) + state[i:]
+        if self.convention == "monomial":
+            return (k if lower else 1), new_state
+        return math.sqrt(k), new_state
 
     def apply_atom(self, atom: Atom, state: FockState):
         """Apply one atom to a basis state; returns (scalar, state) or None
@@ -392,39 +448,59 @@ class Engine:
             if self.scalars.is_zero(val):
                 return None
             return val, state
-        i = atom.mode
-        li = state[i - 1]
-        if self.sig.is_fermionic(i):
-            # raising needs an empty mode, lowering a filled one; both flip it
-            if li != isinstance(atom, Lower):
-                return None
-            # the sign counts the occupied fermionic modes strictly left of i
-            sign = -1 if sum(state[self.sig.n - 1 : i - 1]) % 2 else 1
-            return self.scalars.from_int(sign), state[: i - 1] + (1 - li,) + state[i:]
-        if isinstance(atom, Raise):
-            new = state[: i - 1] + (li + 1,) + state[i:]
-            if self.convention == "monomial":
-                return self.scalars.one, new
-            return math.sqrt(li + 1), new
-        if li == 0:
+        res = self._ladder(atom, state)
+        if res is None:
             return None
-        new = state[: i - 1] + (li - 1,) + state[i:]
-        if self.convention == "monomial":
-            return self.scalars.from_int(li), new
-        return math.sqrt(li), new
+        k, state = res
+        return self.scalars.one * k, state
 
     def apply_word(self, word: Word, state: FockState):
         """Apply a word (atoms right to left) to a single state.  Every atom
         sends a basis state to at most one basis state, so the result is a
-        single (scalar, state) pair, or None when the image is zero."""
-        scalar = self.scalars.one
+        single (scalar, state) pair, or None when the image is zero.
+
+        The ladder numbers multiply as plain numbers; the diagonal values
+        and their product come from the engine's caches, and the two meet
+        once at the end."""
+        values = self._diag_values
+        keys = []
+        ladder = 1
         for atom in reversed(word):
-            res = self.apply_atom(atom, state)
-            if res is None:
-                return None
-            a, state = res
-            scalar = scalar * a
-        return scalar, state
+            if isinstance(atom, Diag):
+                key = self._diag_key(atom, state)
+                if key is None:
+                    continue
+                try:
+                    val = values[key]
+                except KeyError:
+                    # a ZeroDivisionError at argument 0 propagates uncached
+                    val = self.eval_diag(atom, state)
+                    if self.scalars.is_zero(val):
+                        val = None
+                    values[key] = val
+                if val is None:
+                    return None
+                keys.append(key)
+            else:
+                res = self._ladder(atom, state)
+                if res is None:
+                    return None
+                step, state = res
+                ladder *= step
+        if not keys:
+            scalar = self.scalars.one
+        elif len(keys) == 1:
+            scalar = values[keys[0]]
+        else:
+            keys.sort()
+            keys = tuple(keys)
+            scalar = self._diag_products.get(keys)
+            if scalar is None:
+                scalar = values[keys[0]]
+                for key in keys[1:]:
+                    scalar = scalar * values[key]
+                self._diag_products[keys] = scalar
+        return (scalar if ladder == 1 else scalar * ladder), state
 
     def compile(self, expr: OperatorExpr) -> list:
         """Specialize the term scalars of an expression into this engine's

@@ -1,5 +1,7 @@
 """Tests for the command-line surface and the expression parser."""
 
+from pathlib import Path
+
 import pytest
 
 from qglnm.cli import (
@@ -16,12 +18,13 @@ from qglnm.cli import (
 from qglnm.analyze import materialize
 from qglnm.fock import Signature
 from qglnm.presentation import GenSymbol
-from qglnm.realize import dyson
+from qglnm.realize import MUTATIONS, dyson
 from qglnm.verify import verify_all
 from qglnm.weyl import Engine
 
 SIG21 = Signature(2, 1)
 SIG22 = Signature(2, 2)
+GOLDEN = Path(__file__).with_name("golden")
 
 
 class TestParser:
@@ -177,6 +180,12 @@ class TestGoldenBytes:
         report = verify_all(SIG21, "dyson", None, cap=4, mutation="shift_e1_bracket")
         assert report.format_machine() == GOLDEN_MUTATION_REPORT
 
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_mutation_witnesses_32(self, mutation):
+        report = verify_all(Signature(3, 2), "dyson", None, cap=4, mutation=mutation)
+        golden = GOLDEN / f"verify-dyson-3-2-cap4-{mutation}.txt"
+        assert report.format_machine() == golden.read_text()
+
     def test_exact_quotient_export(self, capsys):
         code = run(["matrices", "--n", "2", "--m", "1", "--realization", "dyson", "--p", "2",
                     "--subspace", "quotient-F0", "--convention", "exact"])
@@ -312,6 +321,20 @@ class TestCommands:
         run(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_subspace_leak_is_analysis_failure(self, capsys):
+        code = run(["matrices", "--n", "2", "--m", "1", "--realization", "dyson", "--p", "2",
+                    "--subspace", "F0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: image of f1 leaves the F0 subspace at state (1, 1) (reached (2, 1)); "
+            "use quotient-F0 for the Dyson realization\n")
+
+    def test_eval_real_p_with_formal_q_is_usage_error(self, capsys):
+        code = run(["eval", "--n", "2", "--m", "1", "--p", "2.5", "--expr", "f1",
+                    "--state", "0,0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: a formal q takes only a formal or integer p\n"
 
     def test_bad_signature_is_usage_error(self, capsys):
         code = run(["relations", "--n", "1", "--m", "1"])

@@ -2,8 +2,11 @@
 
 import pytest
 
-from qglnm.coeff import CoeffExact, LaurentPoly, bracket_int
+from qglnm.coeff import CoeffExact, LaurentPoly, bracket_int, bracket_value
 from qglnm.fock import Signature, enumerate_up_to
+from qglnm.presentation import build_relations
+from qglnm.realize import realization
+from qglnm.verify import substitute
 from qglnm.weyl import (
     Affine,
     Diag,
@@ -251,7 +254,7 @@ class TestSuperCommutator:
 
 class TestEngineValidation:
     def test_orthonormal_requires_numeric(self):
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="square roots; give a numeric q$"):
             Engine(SIG21, convention="orthonormal")
 
     def test_numeric_rejects_negative_q(self):
@@ -259,7 +262,7 @@ class TestEngineValidation:
             Engine(SIG21, q=-2.0)
 
     def test_exact_rejects_float_p(self):
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="^a formal q takes only a formal or integer p$"):
             Engine(SIG21, p=1.5)
 
     def test_sqrt_is_numeric_only(self):
@@ -282,6 +285,99 @@ class TestEngineValidation:
         assert eng.eval_diag(d, (1, 0)) == CoeffExact.from_int(2)
         ratio = Diag("bracket_ratio", mode=1, shift=1)
         assert eng.eval_diag(ratio, (1, 0)) == CoeffExact.one()
+
+
+def fold_atoms(eng, word, state):
+    """Reference word action: apply_atom folded right to left, one
+    domain-scalar product per atom."""
+    scalar = eng.one()
+    for atom in reversed(word):
+        res = eng.apply_atom(atom, state)
+        if res is None:
+            return None
+        a, state = res
+        scalar = scalar * a
+    return scalar, state
+
+
+def close_rel(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+class TestWordReference:
+    """apply_word (plain ladder numbers, cached diagonal values and
+    products) against the atom-by-atom fold on every term of every
+    substituted relation."""
+
+    @staticmethod
+    def _check(sig, kind, eng, same):
+        real = realization(kind, sig)
+        states = probe(sig, 4)
+        checked = 0
+        for rel in build_relations(sig):
+            for _, word in substitute(rel, real).terms:
+                for s in states:
+                    got, want = eng.apply_word(word, s), fold_atoms(eng, word, s)
+                    assert (got is None) == (want is None), (rel.name, word, s)
+                    if got is not None:
+                        assert got[1] == want[1], (rel.name, word, s)
+                        assert same(got[0], want[0]), (rel.name, word, s, got, want)
+                        checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
+    @pytest.mark.parametrize("p, classical", [(None, False), (3, False), (None, True)])
+    def test_exact_dyson(self, sig, p, classical):
+        eng = Engine(sig, convention="monomial", p=p, classical=classical)
+        self._check(sig, "dyson", eng, lambda a, b: a == b)
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.3])
+    def test_numeric_hp(self, sig, q):
+        eng = Engine(sig, convention="orthonormal", q=q, p=3)
+        self._check(sig, "hp", eng, close_rel)
+
+
+class TestWordCaches:
+    # e1-like word [p - N] a_1 (the bracket is read on the lowered state)
+    WORD = (Diag("bracket", affine=Affine(0, 1, (-1, -1))), Lower(1))
+
+    def test_engines_differing_in_p_keep_their_values(self):
+        e3, e4 = exact_engine(SIG21, p=3), exact_engine(SIG21, p=4)
+        for _ in range(2):
+            assert e3.apply_word(self.WORD, (2, 0)) == (bracket_int(2) * 2, (1, 0))
+            assert e4.apply_word(self.WORD, (2, 0)) == (bracket_int(3) * 2, (1, 0))
+
+    def test_engines_differing_in_q_keep_their_values(self):
+        word = (Diag("bracket", affine=affine_total(SIG21)),
+                Diag("qpow", affine=affine_mode(SIG21, 1)), Raise(1))
+        engines = {q: numeric_engine(SIG21, q=q, convention="monomial") for q in (0.7, 1.3)}
+        for _ in range(2):
+            for q, eng in engines.items():
+                coeff, state = eng.apply_word(word, (1, 1))
+                assert state == (2, 1)
+                assert close_rel(coeff, bracket_value(3, q) * q**2)
+
+    def test_zero_image_is_cached_as_zero(self):
+        eng = exact_engine(SIG21, p=1)
+        assert eng.apply_word(self.WORD, (1, 0)) == (CoeffExact.one(), (0, 0))  # [1 - 0]
+        for _ in range(2):
+            assert eng.apply_word(self.WORD, (2, 0)) is None  # [1 - 1] = 0
+
+    def test_bracket_ratio_at_zero_raises_every_time(self):
+        eng = exact_engine(SIG21)
+        ratio = (Diag("bracket_ratio", mode=1),)
+        assert eng.apply_word(ratio, (1, 0)) == (CoeffExact.one(), (1, 0))
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="argument 0"):
+                eng.apply_word(ratio, (0, 0))
+
+    def test_fermionic_angle_is_one(self):
+        angle = Diag("angle", mode=2)  # mode 2 of (2,1) is fermionic
+        bracket = Diag("bracket", affine=affine_total(SIG21))
+        for eng in (exact_engine(SIG21), numeric_engine(SIG21)):
+            assert eng.apply_word((angle,), (0, 1)) == (eng.one(), (0, 1))
+            assert eng.apply_word((angle, bracket), (1, 1)) == eng.apply_word((bracket,), (1, 1))
 
 
 def test_word_degree_shift():
