@@ -20,6 +20,7 @@ denominator q - q**(-1).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 # A monomial is keyed by (exponent of q, exponent of P, power of p).
@@ -268,13 +269,22 @@ class CoeffExact:
             raise ZeroDivisionError("division by exact zero")
         return CoeffExact(self.num * other.den, self.den * other.num)
 
+    def mentions_p(self) -> bool:
+        """Whether the value depends on p, through P = q**p or a power of p."""
+        return any(b or c for (_, b, c) in [*self.num.terms, *self.den.terms])
+
     def eval_numeric(self, q: float, p: float = 0.0) -> float:
-        """Evaluate at real q and p.  Raises ZeroDivisionError when the
-        denominator vanishes at the sample point (caller resamples q)."""
-        d = self.den.eval(q, p)
+        """Evaluate at real q and p.  An integral p is substituted exactly
+        first, so a coefficient that vanishes at that p evaluates to 0.
+        Raises ZeroDivisionError when the denominator vanishes at the
+        sample point (caller resamples q)."""
+        c = self
+        if float(p).is_integer() and self.mentions_p():
+            c = self.subst_p_int(int(p))
+        d = c.den.eval(q, p)
         if d == 0.0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}, p={p}")
-        return self.num.eval(q, p) / d
+        return c.num.eval(q, p) / d
 
     def subst_q1(self) -> "CoeffExact":
         """Specialize q = 1 exactly, keeping p formal."""
@@ -329,11 +339,21 @@ def bracket_affine(c0: int, cp: int, shift_by_state: int = 0, p_value: int | Non
 
 
 def bracket_value(x: float, q: float) -> float:
-    """Numeric q-bracket [x].  At q = 1 the 0/0 form is replaced by its
-    limit, which is x itself."""
+    """Numeric q-bracket [x] to a few ulps for every q > 0.
+
+    The difference form (q**x - q**-x) / (q - 1/q) cancels as q approaches
+    1, and sinh(x ln q) / sinh(ln q) amplifies the rounding of x ln q when
+    that is large.  For x > 0 and h = ln q > 0 this evaluates
+    q**(x-1) * (1 - q**-2x) / (1 - q**-2) with expm1, which has neither
+    problem; q < 1 uses the same form in 1/q, and [-x] = -[x].  At q = 1
+    the 0/0 form is replaced by its limit, which is x itself."""
     if q == 1.0:
         return float(x)
-    return (q**x - q ** (-x)) / (q - 1.0 / q)
+    a = abs(x)
+    h = abs(math.log(q))
+    s = 1 if q > 1.0 else -1
+    value = q ** (s * (a - 1)) * (math.expm1(-2 * h * a) / math.expm1(-2 * h))
+    return value if x >= 0 else -value
 
 
 def eval_numeric(c: CoeffExact, q: float, p: float = 0.0) -> float:

@@ -3,10 +3,12 @@ defining relation and confirm the difference annihilates a probe basis.
 
 Verification is exact for the Dyson realization (formal or integer p) and
 numeric for the Holstein-Primakoff realizations.  Probes are all states
-up to a degree cap plus a deterministic sample of higher-degree states;
-because every relation difference has bounded word length and its
-diagonal coefficients depend only on occupations, exact annihilation of
-the probe set extends to the whole space by linearity.
+up to a degree cap plus a deterministic sample of higher-degree states.
+A pass is evidence on those probes, not a proof for the whole space:
+the diagonal coefficients are exponential-polynomial in the occupations,
+so agreement on finitely many states does not extend by linearity.
+Numeric verification applies each relation to every probe state at every
+q sample at once (``weyl.ProbeBatch``).
 
 Each substituted difference is audited for degree homogeneity: all of
 its words must shift the total occupation by the same amount, which
@@ -18,10 +20,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
-from .weyl import Diag, Engine, OperatorExpr
+from .weyl import Diag, Engine, OperatorExpr, ProbeBatch
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
@@ -150,14 +154,36 @@ def extra_probe_states(sig: Signature, cap: int, extra: int = 4, seed: int = 0) 
     return out
 
 
-def _term_scale(eng: Engine, compiled: list, state: FockState) -> float:
-    """Largest coefficient magnitude produced by any single term of a
-    compiled expression on a state (the scale against which cancellation
-    error is measured)."""
-    scale = 0.0
-    for term in compiled:
-        scale = max(scale, eng.max_abs(eng.apply_compiled([term], state)))
-    return scale
+def _exact_result(name: str, eng: Engine, diff: OperatorExpr, states: list) -> RelationResult:
+    """Exact pass only if every probe coefficient is the exact zero; the
+    first probe state with a nonzero image is the witness."""
+    compiled = eng.compile(diff)
+    for s in states:
+        image = eng.apply_compiled(compiled, s)
+        if image:
+            state_str = ",".join(map(str, s))
+            coeff = next(iter(image.values()))
+            return RelationResult(name, "fail", 0.0,
+                                  f"state=({state_str}) coeff={coeff.canonical_str()}")
+    return RelationResult(name, "exact-pass")
+
+
+def _numeric_result(name: str, batch: ProbeBatch, diff: OperatorExpr, above_cap: np.ndarray,
+                    tolerance: float) -> RelationResult:
+    """Numeric pass if the largest coefficient magnitude over every
+    (q sample, probe state) stays within the tolerance; above the cap the
+    magnitude is taken relative to the largest single-term image.  The
+    witness is the first worst pair in q-sample, then state order."""
+    peak, scale = batch.max_abs_images(batch.compile(diff))
+    residual = np.where(above_cap, peak / np.maximum(1.0, scale), peak)
+    k = int(np.argmax(residual))
+    worst = float(residual.flat[k])
+    if worst <= tolerance:
+        return RelationResult(name, "numeric-pass", worst)
+    qi, si = divmod(k, len(batch.states))
+    state_str = ",".join(map(str, batch.states[si].tolist()))
+    witness = f"state=({state_str}) residual={worst!r} q={batch.engines[qi].q}"
+    return RelationResult(name, "fail", worst, witness)
 
 
 def _engines(sig, kind, p, q, convention, classical):
@@ -198,46 +224,20 @@ def verify_all(
         raise ValueError("probe cap must be at least 4 to cover the quartic relation words")
     engines = _engines(sig, kind, p, q, convention, classical)
     exact = engines[0].mode == "exact"
-    main_states = list(enumerate_up_to(sig, cap))
-    # On the extra high-degree probes coefficient magnitudes grow like
-    # bracket products, so the meaningful measure there is the residual
-    # relative to the size of the individual term images.
-    extra_states = extra_probe_states(sig, cap, extra=extra_probes)
+    states = probe_states(sig, cap, extra=extra_probes)
+    if not exact:
+        batch = ProbeBatch(engines, states)
+        # On the extra high-degree probes coefficient magnitudes grow like
+        # bracket products, so the meaningful measure there is the residual
+        # relative to the size of the individual term images.
+        above_cap = np.array([sum(s) > cap for s in states])
     results = []
     for rel in build_relations(sig):
         diff = substitute(rel, real)
-        worst = 0.0
-        witness = ""
-        failed = False
-        for eng in engines:
-            compiled = eng.compile(diff)
-            for s in main_states + extra_states:
-                image = eng.apply_compiled(compiled, s)
-                if exact:
-                    if image:
-                        state_str = ",".join(map(str, s))
-                        coeff = next(iter(image.values()))
-                        witness = f"state=({state_str}) coeff={coeff.canonical_str()}"
-                        failed = True
-                        break
-                else:
-                    res = eng.max_abs(image)
-                    if sum(s) > cap:
-                        res /= max(1.0, _term_scale(eng, compiled, s))
-                    if res > worst:
-                        worst = res
-                        if res > tolerance:
-                            state_str = ",".join(map(str, s))
-                            witness = f"state=({state_str}) residual={res!r} q={eng.q}"
-            if failed:
-                break
         if exact:
-            status = "fail" if failed else "exact-pass"
+            results.append(_exact_result(rel.name, engines[0], diff, states))
         else:
-            failed = worst > tolerance
-            status = "fail" if failed else "numeric-pass"
-        results.append(RelationResult(rel.name, status, 0.0 if exact else worst,
-                                      witness if failed else ""))
+            results.append(_numeric_result(rel.name, batch, diff, above_cap, tolerance))
     meta = {
         "realization": kind,
         "n": sig.n,

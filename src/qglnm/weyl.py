@@ -39,6 +39,11 @@ sorted tuple of those keys, since scalars commute, so each distinct
 product is multiplied once; it then meets the ladder number once.  Both
 caches belong to the engine and last as long as it does, which bounds
 them by the distinct keys of the states it is applied to.
+
+``ProbeBatch`` applies the same words to a whole list of probe states at
+every q sample at once, with numpy: states are rows of an integer array,
+q samples a second axis, and each scalar is formed from the same factors
+in the same order as above, so it equals the per-state engine's.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .coeff import CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value
 from .fock import EVEN, FockState, Signature, mode_parity
@@ -117,6 +124,10 @@ def affine_p_minus_total(sig: Signature, shift: int = 0) -> Affine:
 #   qpow          q ** affine
 _AFFINE_KINDS = frozenset(("affine", "bracket", "sqrt_bracket", "qpow"))
 _MODE_KINDS = frozenset(("bracket_ratio", "angle"))
+# A diagonal key (kind, argument[, p coefficient]) packed into one int64
+# that orders like the tuple, for arguments below 2**20 in magnitude.
+_KIND_RANK = {kind: rank for rank, kind in enumerate(sorted(_AFFINE_KINDS | _MODE_KINDS))}
+_CODE_BIAS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,11 @@ class EngineError(ValueError):
     pass
 
 
+def _zero_argument(kind: str) -> ZeroDivisionError:
+    what = "bracket ratio" if kind == "bracket_ratio" else "angle bracket"
+    return ZeroDivisionError(f"{what} evaluated at argument 0")
+
+
 class ExactScalars:
     """Laurent-fraction scalars: q formal, p formal (None) or an integer.
     classical=True specializes q = 1, turning every bracket into its plain
@@ -303,8 +319,7 @@ class NumericScalars:
         self.p = p
 
     def from_coeff(self, c: CoeffExact) -> float:
-        needs_p = any(b or pw for (_, b, pw) in list(c.num.terms) + list(c.den.terms))
-        return c.eval_numeric(self.q, self._p_value(allow_missing=not needs_p))
+        return c.eval_numeric(self.q, self._p_value(allow_missing=not c.mentions_p()))
 
     def is_zero(self, v) -> bool:
         return v == 0
@@ -393,8 +408,7 @@ class Engine:
         if kind in _MODE_KINDS:
             v = state[d.mode - 1] + d.shift
             if v == 0:
-                what = "bracket ratio" if kind == "bracket_ratio" else "angle bracket"
-                raise ZeroDivisionError(f"{what} evaluated at argument 0")
+                raise _zero_argument(kind)
             return getattr(self.scalars, kind)(v)
         raise EngineError(f"unknown diagonal kind {kind!r}")
 
@@ -535,3 +549,173 @@ class Engine:
     def max_abs(self, vec: dict) -> float:
         """Largest coefficient magnitude of a numeric state vector."""
         return max((abs(v) for v in vec.values()), default=0.0)
+
+
+class ProbeBatch:
+    """Numeric engines, one per q sample, applied to a fixed list of probe
+    states at once.
+
+    The states are the rows of an (S, modes) integer array and the q
+    samples a second axis, so applying a word costs one column operation
+    per atom instead of one walk per state and q.  A ladder atom shifts one
+    column and multiplies a per-row plain number, exactly the numbers of
+    ``Engine._ladder``; rows whose image is zero drop out at once, so every
+    later atom sees only live rows and never raises or warns on a dead one.
+    Each diagonal factor is evaluated once per distinct argument and q
+    sample by the engines' own scalar methods, so every factor is the
+    float the per-state engine uses, and the products are taken in its
+    order.  The engines share one signature and convention.
+    """
+
+    def __init__(self, engines: list, states: list):
+        if any(e.mode != "numeric" for e in engines):
+            raise EngineError("batched application needs a numeric q")
+        self.engines = engines
+        self.sig = engines[0].sig
+        self.convention = engines[0].convention
+        self.states = np.array(states, dtype=np.int64).reshape(len(states), self.sig.num_modes)
+        # diagonal key -> values over the q samples
+        self._values: dict = {}
+
+    def compile(self, expr: OperatorExpr) -> list:
+        """Specialize the term scalars at every q sample once: a list of
+        (values over q, word); a term that is zero at every q drops."""
+        compiled = []
+        for c, w in expr.terms:
+            values = np.array([e.scalars.from_coeff(c) for e in self.engines], dtype=complex)
+            if values.any():
+                compiled.append((values, w))
+        return compiled
+
+    def _diag(self, d: Diag, states: np.ndarray):
+        """Values of a diagonal factor on the given rows at every q sample,
+        shape (rows, q), after a per-row code that orders like the factor's
+        key in ``Engine._diag_key``; None for a fermionic angle
+        (identically one)."""
+        kind = d.kind
+        pc = ()  # the p coefficient, which ends the key of an affine kind
+        if kind in _AFFINE_KINDS:
+            coeffs = np.array(d.affine.mode_coeffs, dtype=np.int64)
+            args = d.affine.const + states[:, : len(coeffs)] @ coeffs
+            pc = (d.affine.p_coeff,)
+        elif kind in _MODE_KINDS:
+            if kind == "angle" and self.sig.is_fermionic(d.mode):
+                return None
+            args = states[:, d.mode - 1] + d.shift
+            if not args.all():
+                raise _zero_argument(kind)
+        else:
+            raise EngineError(f"unknown diagonal kind {kind!r}")
+        distinct, inverse = np.unique(args, return_inverse=True)
+        table = []
+        for v in distinct.tolist():
+            key = (kind, v) + pc
+            values = self._values.get(key)
+            if values is None:
+                values = np.array([getattr(e.scalars, kind)(v, *pc) for e in self.engines],
+                                  dtype=complex)
+                self._values[key] = values
+            table.append(values)
+        rank = _KIND_RANK[kind] << 42
+        codes = rank + ((args + _CODE_BIAS) << 21) + (pc[0] if pc else 0) + _CODE_BIAS
+        return codes, np.array(table)[inverse]
+
+    def _ladder(self, atom: Raise | Lower, states: np.ndarray):
+        """Column form of ``Engine._ladder``: (live mask, or None when no
+        row dies; per-row plain number, or None when it is 1; image
+        states).  Rows that die get a number too, which the caller drops."""
+        i = atom.mode - 1
+        col = states[:, i]
+        lower = isinstance(atom, Lower)
+        out = states.copy()
+        if self.sig.is_fermionic(atom.mode):
+            # raising needs an empty mode, lowering a filled one; both flip it
+            out[:, i] = 1 - col
+            # the sign counts the occupied fermionic modes strictly left of i
+            sign = 1 - 2 * (states[:, self.sig.n - 1 : i].sum(axis=1) % 2)
+            return col == lower, sign, out
+        if lower:
+            live, k = col > 0, col
+            out[:, i] = col - 1
+        else:
+            live, k = None, col + 1
+            out[:, i] = k
+        if self.convention == "orthonormal":
+            return live, np.sqrt(k), out
+        return live, (k if lower else None), out
+
+    def apply_word(self, word: Word):
+        """Apply a word (atoms right to left) to every probe state at every
+        q sample.  Returns (rows, images, values): the indices of the probe
+        states whose image is not zero at every q, their image states, and
+        the scalars, shape (rows, q).
+
+        As in ``Engine.apply_word`` the ladder numbers multiply in word
+        order and the diagonal values in the order of their keys, so
+        the scalars are the per-state engine's to the last bit."""
+        rows = np.arange(len(self.states))
+        states = self.states
+        ladder = None  # per-row plain number
+        codes, factors = [], []  # per diagonal factor: per-row key codes and values
+        for atom in reversed(word):
+            if isinstance(atom, Diag):
+                diag = self._diag(atom, states)
+                if diag is None:
+                    continue
+                code, value = diag
+                codes.append(code)
+                factors.append(value)
+                live = value.any(axis=1)
+            else:
+                live, step, states = self._ladder(atom, states)
+                if step is not None:
+                    ladder = step if ladder is None else ladder * step
+            if live is not None and not live.all():
+                rows, states = rows[live], states[live]
+                ladder = None if ladder is None else ladder[live]
+                codes = [c[live] for c in codes]
+                factors = [f[live] for f in factors]
+                if not len(rows):
+                    break
+        if not factors:
+            values = np.ones((len(rows), len(self.engines)), dtype=complex)
+        elif len(factors) == 1:
+            values = factors[0]
+        else:
+            order = np.argsort(np.array(codes), axis=0, kind="stable")
+            factors = np.take_along_axis(np.array(factors), order[:, :, None], axis=0)
+            values = factors[0]
+            for f in factors[1:]:
+                values = values * f
+        if ladder is not None:
+            values = values * ladder[:, None]
+        return rows, states, values
+
+    def max_abs_images(self, compiled: list):
+        """For every (q sample, probe state): the largest coefficient
+        magnitude of the image of a compiled expression, and the largest
+        magnitude any single term produces (the scale against which
+        cancellation error is measured).  Both have shape (q, states).
+
+        The image of a live row is the row shifted by the word's net
+        occupation change, so the terms sharing that change sum into one
+        dense (states, q) array."""
+        shape = (len(self.states), len(self.engines))
+        sums: dict = {}  # net occupation change -> summed term images
+        scale = np.zeros(shape)
+        for c, w in compiled:
+            rows, _, values = self.apply_word(w)
+            contrib = c * values
+            change = [0] * self.sig.num_modes
+            for atom in w:
+                if not isinstance(atom, Diag):
+                    change[atom.mode - 1] += 1 if isinstance(atom, Raise) else -1
+            acc = sums.get(tuple(change))
+            if acc is None:
+                acc = sums[tuple(change)] = np.zeros(shape, dtype=complex)
+            acc[rows] += contrib
+            scale[rows] = np.maximum(scale[rows], np.abs(contrib))
+        peak = np.zeros(shape)
+        for acc in sums.values():
+            np.maximum(peak, np.abs(acc), out=peak)
+        return peak.T, scale.T

@@ -186,6 +186,24 @@ class TestGoldenBytes:
         golden = GOLDEN / f"verify-dyson-3-2-cap4-{mutation}.txt"
         assert report.format_machine() == golden.read_text()
 
+    # (relation, witness state, witness q) of every failing row, captured
+    # before verification was batched over states and q samples
+    NUMERIC_MUTATION_WITNESSES = {
+        "drop_bracket_ratio": [("CK3[i=2,j=3]", "(0,4,0,0)", "0.7"), ("CK4[i=2]", "(0,4,0,0)", "0.7"),
+                               ("S7e[i=2]", "(0,3,1,0)", "0.7"), ("S9e", "(0,2,1,1)", "0.7")],
+        "flip_fermion_sign": [("CK5", "(0,3,1,0)", "0.7")],
+        "shift_e1_bracket": [("CK4[i=1]", "(4,0,0,0)", "0.7")],
+    }
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_numeric_mutation_witnesses_32(self, mutation, capsys):
+        code = run(["verify", "--n", "3", "--m", "2", "--p", "3", "--q", "0.7,1.3", "--cap", "4",
+                    "--mutation", mutation])
+        assert code == 1
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        failing = [(r[0], r[3][len("state="):], r[5][len("q="):]) for r in rows if r[1:2] == ["fail"]]
+        assert failing == self.NUMERIC_MUTATION_WITNESSES[mutation]
+
     def test_exact_quotient_export(self, capsys):
         code = run(["matrices", "--n", "2", "--m", "1", "--realization", "dyson", "--p", "2",
                     "--subspace", "quotient-F0", "--convention", "exact"])

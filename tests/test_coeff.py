@@ -16,6 +16,10 @@ from qglnm.coeff import (
     eval_numeric,
     numeric_str,
 )
+from qglnm.fock import Signature
+from qglnm.presentation import GenSymbol
+from qglnm.realize import dyson
+from qglnm.weyl import Engine
 
 
 def poly_div_bracket(k: int) -> dict:
@@ -115,6 +119,22 @@ class TestEvalNumeric:
     def test_bracket_value_q1_special_case(self):
         assert bracket_value(2.5, 1.0) == 2.5
         assert bracket_value(-3.0, 1.0) == -3.0
+
+    def test_integer_p_gives_exact_zero(self):
+        # the Dyson e1 image of (4,0,0,0) on (3,2) is 4 * [p - 3] * [4] / 4
+        sig = Signature(3, 2)
+        (coeff,) = Engine(sig).apply(dyson(sig).image(GenSymbol("e", 1)), (4, 0, 0, 0)).values()
+        assert coeff.eval_numeric(0.7, 3) == 0.0
+        assert coeff.eval_numeric(0.7, 3.0) == 0.0
+        assert coeff.eval_numeric(0.7, 4) == pytest.approx(bracket_value(4, 0.7))
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 1 - 1e-9, 1 + 1e-9, 1.0001, 1.3, 2.0, 5.0])
+    def test_bracket_value_within_a_few_ulps(self, q):
+        qf = Fraction(q)
+        for x in range(-24, 25):
+            exact = sum(qf ** (abs(x) - 1 - 2 * j) for j in range(abs(x))) * (1 if x > 0 else -1)
+            err = abs(Fraction(bracket_value(x, q)) - exact)
+            assert err <= 4 * 2.0**-53 * abs(exact), (x, q)
 
     def test_division_by_zero_signal(self):
         c = bracket_affine(0, 1, 0)  # denominator q - 1/q vanishes at q = 1

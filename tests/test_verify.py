@@ -157,6 +157,16 @@ class TestVerifyAll:
         report = verify_all(SIG21, kind="dyson", p=2, q=1.3, convention="orthonormal", cap=5)
         assert report.all_pass
 
+    @pytest.mark.parametrize("p", range(9))
+    def test_hp_passes_next_to_q1(self, p):
+        # the bracket's difference form lost about 1e-7 here to cancellation
+        report = verify_all(SIG21, kind="hp", p=p, q=[1 - 1e-9, 1 + 1e-9])
+        assert report.all_pass, [(r.name, r.residual) for r in report.failures]
+
+    def test_numeric_dyson_rejects_formal_p(self):
+        with pytest.raises(EngineError, match="this evaluation needs a numeric value for p"):
+            verify_all(Signature(3, 2), kind="dyson", p=None, q=[0.7, 1.3], cap=4)
+
     def test_cap_minimum_enforced(self):
         with pytest.raises(ValueError):
             verify_all(SIG21, kind="dyson", p=None, cap=3)

@@ -6,7 +6,7 @@ from qglnm.coeff import CoeffExact, LaurentPoly, bracket_int, bracket_value
 from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import build_relations
 from qglnm.realize import realization
-from qglnm.verify import substitute
+from qglnm.verify import default_cap, probe_states, substitute
 from qglnm.weyl import (
     Affine,
     Diag,
@@ -14,6 +14,7 @@ from qglnm.weyl import (
     EngineError,
     Lower,
     OperatorExpr,
+    ProbeBatch,
     Raise,
     affine_mode,
     affine_total,
@@ -378,6 +379,79 @@ class TestWordCaches:
         for eng in (exact_engine(SIG21), numeric_engine(SIG21)):
             assert eng.apply_word((angle,), (0, 1)) == (eng.one(), (0, 1))
             assert eng.apply_word((angle, bracket), (1, 1)) == eng.apply_word((bracket,), (1, 1))
+
+
+class TestProbeBatch:
+    """The batched numeric path against the per-state engine as the
+    oracle: every term image, and every summed relation residual."""
+
+    QS = (0.7, 1.0, 1.3)
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2), Signature(4, 2)], ids=str)
+    @pytest.mark.parametrize("kind", ["hp", "dyson"])
+    def test_relations_match_engine(self, sig, kind):
+        convention = "orthonormal" if kind == "hp" else "monomial"
+        engines = [Engine(sig, convention=convention, q=q, p=3) for q in self.QS]
+        states = probe_states(sig, default_cap(3))
+        batch = ProbeBatch(engines, states)
+        real = realization(kind, sig)
+        for rel in build_relations(sig):
+            compiled = batch.compile(substitute(rel, real))
+            for c, word in compiled:
+                rows, images, values = batch.apply_word(word)
+                got = {r: (tuple(img), v) for r, img, v in zip(rows.tolist(), images.tolist(),
+                                                              c * values)}
+                for qi, eng in enumerate(engines):
+                    for r, s in enumerate(states):
+                        want = eng.apply_word(word, s)
+                        if want is None:
+                            assert r not in got or got[r][1][qi] == 0, (rel.name, word, s)
+                            continue
+                        image, v = got[r]
+                        assert image == want[1], (rel.name, word, s)
+                        ref = c[qi] * want[0]
+                        assert abs(v[qi] - ref) <= 1e-14 * abs(ref), (rel.name, word, s, v, ref)
+            peak, scale = batch.max_abs_images(compiled)
+            for qi, eng in enumerate(engines):
+                single = [(c[qi], w) for c, w in compiled if c[qi] != 0]
+                for r, s in enumerate(states):
+                    want = eng.max_abs(eng.apply_compiled(single, s))
+                    bound = 1e-12 * max(1.0, scale[qi, r])
+                    assert abs(peak[qi, r] - want) <= bound, (rel.name, s, peak[qi, r], want)
+
+    def test_zero_argument_raises_only_on_live_rows(self):
+        eng = numeric_engine(SIG21)
+        batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 1)])
+        ratio = Diag("bracket_ratio", mode=1)
+        with pytest.raises(ZeroDivisionError, match="bracket ratio evaluated at argument 0"):
+            batch.apply_word((ratio,))
+        with pytest.raises(ZeroDivisionError, match="angle bracket evaluated at argument 0"):
+            batch.apply_word((Diag("angle", mode=1),))
+        # (0, 0) dies at the lowering, then at the zero value of N_1
+        for killer in (Lower(1), Diag("affine", affine=affine_mode(SIG21, 1))):
+            rows, _, _ = batch.apply_word((ratio, killer))
+            assert rows.tolist() == [1, 2]
+            assert eng.apply_word((ratio, killer), (0, 0)) is None
+
+    @pytest.mark.parametrize("convention", ["monomial", "orthonormal"])
+    def test_ladder_words_match_engine(self, convention):
+        # three fermionic modes, so a sign can count an occupied mode that
+        # the word does not touch
+        sig = Signature(2, 3)
+        eng = numeric_engine(sig, convention=convention)
+        states = probe(sig, 4)
+        batch = ProbeBatch([eng], states)
+        ladders = [a(i) for i in range(1, sig.num_modes + 1) for a in (Raise, Lower)]
+        for word in [(a,) for a in ladders] + [(a, b) for a in ladders for b in ladders]:
+            rows, images, values = batch.apply_word(word)
+            got = dict(zip(rows.tolist(), zip(map(tuple, images.tolist()), values[:, 0])))
+            for r, s in enumerate(states):
+                want = eng.apply_word(word, s)
+                assert got.get(r) == (None if want is None else (want[1], want[0])), (word, s)
+
+    def test_requires_numeric_engines(self):
+        with pytest.raises(EngineError, match="numeric q"):
+            ProbeBatch([exact_engine(SIG21)], [(0, 0)])
 
 
 def test_word_degree_shift():
