@@ -246,8 +246,8 @@ def highest_weight(sig: Signature, p: int) -> tuple[int, ...]:
     weights = []
     for i in range(1, sig.r + 1):
         c = eng.apply(real.images[GenSymbol(H, i)], vac).get(vac, CoeffExact.zero())
-        k = c.num.terms.get((0, 0, 0), 0)
-        if not (c.den.is_one() and c.num.terms.keys() <= {(0, 0, 0)} and k.denominator == 1):
+        k = c.rational()
+        if k is None or k.denominator != 1:
             raise ValueError(f"weight eigenvalue {c.canonical_str()} is not an integer")
         weights.append(int(k))
     for i in range(1, sig.r):

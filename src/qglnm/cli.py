@@ -434,6 +434,11 @@ def _cmd_eval(args) -> int:
     state = tuple(int(x) for x in args.state.split(","))
     if len(state) != sig.num_modes:
         raise UsageError(f"state needs {sig.num_modes} occupation numbers")
+    for i, k in enumerate(state, 1):
+        if k < 0:
+            raise UsageError(f"occupation of mode {i} is negative: {k}")
+        if k > 1 and sig.is_fermionic(i):
+            raise UsageError(f"fermionic mode {i} holds at most one particle, not {k}")
     conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
     if isinstance(q, list):
         raise UsageError("eval takes a single q value")

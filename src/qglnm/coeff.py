@@ -3,9 +3,10 @@
 Exact scalars live in the fraction field of Laurent polynomials in the
 deformation parameter q, extended by a formal unit P standing for q**p
 (p a free parameter that is never specialized) and by polynomial powers
-of p itself.  Rational coefficients are exact ``fractions.Fraction``
-values.  Numeric scalars are plain Python floats obtained by
-specializing q and p to real numbers.
+of p itself.  A Laurent polynomial holds plain integer coefficients over
+one positive integer denominator, kept in lowest terms, so its arithmetic
+is integer arithmetic with a single gcd per result.  Numeric scalars are
+plain Python floats obtained by specializing q and p to real numbers.
 
 The central quantity is the q-bracket
 
@@ -21,6 +22,7 @@ denominator q - q**(-1).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 # A monomial is keyed by (exponent of q, exponent of P, power of p).
@@ -28,148 +30,189 @@ from fractions import Fraction
 # polynomially, through eigenvalues of diagonal operators such as p - N.
 Monomial = tuple[int, int, int]
 
-_ZERO = Fraction(0)
 _ONE_KEY: Monomial = (0, 0, 0)
+
+
+class _Terms(Mapping):
+    """Read-only {monomial: Fraction} view of a LaurentPoly."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "LaurentPoly"):
+        self._poly = poly
+
+    def __getitem__(self, key: Monomial) -> Fraction:
+        return Fraction(self._poly.coeffs[key], self._poly.denom)
+
+    def __iter__(self):
+        return iter(self._poly.coeffs)
+
+    def __len__(self) -> int:
+        return len(self._poly.coeffs)
+
+
+def _poly(coeffs: dict[Monomial, int], denom: int) -> "LaurentPoly":
+    """The polynomial coeffs/denom from a pair already in lowest terms."""
+    res = object.__new__(LaurentPoly)
+    res.coeffs = coeffs
+    res.denom = denom
+    return res
+
+
+def _lowest(coeffs: dict[Monomial, int], denom: int) -> "LaurentPoly":
+    """The polynomial coeffs/denom (denom > 0, no zero coefficient stored)
+    with the common factor of coefficients and denominator divided out."""
+    if denom != 1:
+        g = math.gcd(denom, *coeffs.values())
+        if g != 1:
+            coeffs = {k: v // g for k, v in coeffs.items()}
+            denom //= g
+    return _poly(coeffs, denom)
 
 
 class LaurentPoly:
     """Laurent polynomial in q and P = q**p with polynomial powers of p.
 
-    ``terms`` maps (q_exp, P_exp, p_pow) -> Fraction.  Zero coefficients
-    are never stored; the zero polynomial is the empty map.
+    ``coeffs`` maps (q_exp, P_exp, p_pow) -> int and ``denom`` is one
+    positive int; the polynomial is coeffs/denom.  Zero coefficients are
+    never stored, the pair is in lowest terms (no prime divides the
+    denominator and every coefficient), and the zero polynomial is the
+    empty map over 1.  So equal polynomials have equal representations.
+    Values are immutable once built.  ``terms`` is the same polynomial
+    as a read-only {monomial: Fraction} map.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeffs", "denom")
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {k: v for k, v in terms.items() if v != 0}
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        fracs = {k: Fraction(v) for k, v in (terms or {}).items() if v}
+        denom = math.lcm(*(v.denominator for v in fracs.values()))
+        # over the lcm of reduced denominators the pair is already lowest
+        self.coeffs = {k: v.numerator * (denom // v.denominator) for k, v in fracs.items()}
+        self.denom = denom
+
+    @property
+    def terms(self) -> Mapping[Monomial, Fraction]:
+        return _Terms(self)
 
     @classmethod
     def from_rational(cls, value) -> "LaurentPoly":
-        value = Fraction(value)
-        return cls({_ONE_KEY: value} if value else {})
+        return cls.monomial(coeff=value)
 
     @classmethod
     def monomial(cls, q_exp: int = 0, P_exp: int = 0, p_pow: int = 0, coeff=1) -> "LaurentPoly":
         coeff = Fraction(coeff)
-        return cls({(q_exp, P_exp, p_pow): coeff} if coeff else {})
+        key = (q_exp, P_exp, p_pow)
+        return _poly({key: coeff.numerator} if coeff else {}, coeff.denominator)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.terms == {_ONE_KEY: Fraction(1)}
-
-    def single_term(self) -> tuple[Monomial, Fraction] | None:
-        """The (key, coeff) pair if this is a monomial, else None."""
-        if len(self.terms) == 1:
-            return next(iter(self.terms.items()))
-        return None
+        return self.denom == 1 and self.coeffs == {_ONE_KEY: 1}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
+            return self.denom == other.denom and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             return self == LaurentPoly.from_rational(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.coeffs.items()), self.denom))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, _ZERO) + v
+        d1, d2 = self.denom, other.denom
+        if d1 == d2:
+            out = dict(self.coeffs)
+            m2 = 1
+        else:
+            g = math.gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            out = {k: v * m1 for k, v in self.coeffs.items()}
+            d1 *= m1
+        for k, v in other.coeffs.items():
+            s = out.get(k, 0) + v * m2
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        res = LaurentPoly()
-        res.terms = out
-        return res
+                del out[k]
+        return _lowest(out, d1)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly()
-        res.terms = {k: -v for k, v in self.terms.items()}
-        return res
+        return _poly({k: -v for k, v in self.coeffs.items()}, self.denom)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[Monomial, Fraction] = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        get = out.get
+        terms2 = other.coeffs.items()
+        for (a1, b1, c1), v1 in self.coeffs.items():
+            for (a2, b2, c2), v2 in terms2:
                 k = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(k, _ZERO) + v1 * v2
+                s = get(k, 0) + v1 * v2
                 if s:
                     out[k] = s
                 else:
-                    out.pop(k, None)
-        res = LaurentPoly()
-        res.terms = out
-        return res
+                    del out[k]
+        return _lowest(out, self.denom * other.denom)
 
     def scaled(self, value) -> "LaurentPoly":
-        value = Fraction(value)
-        res = LaurentPoly()
-        if value:
-            res.terms = {k: v * value for k, v in self.terms.items()}
-        return res
+        if not isinstance(value, int):
+            value = Fraction(value)
+        if not value:
+            return _LP_ZERO
+        n = value.numerator
+        return _lowest({k: v * n for k, v in self.coeffs.items()}, self.denom * value.denominator)
 
     def shifted(self, q_exp: int, P_exp: int, p_pow: int) -> "LaurentPoly":
         """Multiply by the monomial q**q_exp * P**P_exp * p**p_pow."""
-        res = LaurentPoly()
-        res.terms = {(a + q_exp, b + P_exp, c + p_pow): v for (a, b, c), v in self.terms.items()}
-        return res
+        coeffs = {(a + q_exp, b + P_exp, c + p_pow): v for (a, b, c), v in self.coeffs.items()}
+        return _poly(coeffs, self.denom)
 
     def eval(self, q: float, p: float) -> float:
-        """Specialize q and p to real numbers (P becomes q**p)."""
+        """Specialize q and p to real numbers (P becomes q**p).  Each
+        coefficient is the correctly rounded quotient v / denom."""
+        d = self.denom
         total = 0.0
-        for (a, b, c), v in self.terms.items():
-            total += float(v) * q ** (a + p * b) * p**c
+        for (a, b, c), v in self.coeffs.items():
+            total += v / d * q ** (a + p * b) * p**c
         return total
 
     def subst_q1(self) -> "LaurentPoly":
         """Set q = 1 (hence P = 1), keeping p formal."""
-        out: dict[Monomial, Fraction] = {}
-        for (_, _, c), v in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for (_, _, c), v in self.coeffs.items():
             k = (0, 0, c)
-            s = out.get(k, _ZERO) + v
+            s = out.get(k, 0) + v
             if s:
                 out[k] = s
             else:
-                out.pop(k, None)
-        res = LaurentPoly()
-        res.terms = out
-        return res
+                del out[k]
+        return _lowest(out, self.denom)
 
     def subst_p_int(self, p: int) -> "LaurentPoly":
         """Substitute an integer value for p (P becomes q**p)."""
-        out: dict[Monomial, Fraction] = {}
-        for (a, b, c), v in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for (a, b, c), v in self.coeffs.items():
             k = (a + p * b, 0, 0)
-            s = out.get(k, _ZERO) + v * p**c
+            s = out.get(k, 0) + v * p**c
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-        res = LaurentPoly()
-        res.terms = out
-        return res
+        return _lowest(out, self.denom)
 
     def canonical_str(self) -> str:
         """Render terms as ``c*q^a`` (with ``*P^b``, ``*p^c`` when nonzero),
         joined by " + ", exponents ascending."""
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         parts = []
-        for (a, b, c) in sorted(self.terms):
-            v = self.terms[(a, b, c)]
-            s = f"{v}*q^{a}"
+        for (a, b, c) in sorted(self.coeffs):
+            s = f"{Fraction(self.coeffs[(a, b, c)], self.denom)}*q^{a}"
             if b:
                 s += f"*P^{b}"
             if c:
@@ -185,13 +228,24 @@ _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly.from_rational(1)
 
 
+def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b, without a product when either factor is the shared one."""
+    if a is _LP_ONE:
+        return b
+    if b is _LP_ONE:
+        return a
+    return a * b
+
+
 class CoeffExact:
     """Quotient num/den of two Laurent polynomials.
 
     Equality is decided by cross-multiplication (num1*den2 == num2*den1),
     so no multivariate gcd machinery is needed.  Construction folds
     monomial denominators into the numerator (monomials are units in a
-    Laurent ring), which keeps e.g. integer q-brackets at denominator 1.
+    Laurent ring, and so are nonzero rationals), which keeps e.g. integer
+    q-brackets at denominator 1.  Every denominator 1 is the one shared
+    ``_LP_ONE``, so sums, products and equality tests skip it by identity.
     """
 
     __slots__ = ("num", "den")
@@ -199,17 +253,15 @@ class CoeffExact:
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
             den = _LP_ONE
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in exact coefficient")
-        single = den.single_term()
-        if single is not None and not (single[0] == _ONE_KEY and single[1] == 1):
-            (a, b, c), v = single
-            if c:
+        elif den is not _LP_ONE:
+            if den.is_zero():
+                raise ZeroDivisionError("zero denominator in exact coefficient")
+            if len(den.coeffs) == 1:
+                ((a, b, c), v), = den.coeffs.items()
                 # p is not invertible; only q/P monomial factors can be folded.
-                pass
-            else:
-                num = num.shifted(-a, -b, 0).scaled(Fraction(1) / v)
-                den = _LP_ONE
+                if not c:
+                    num = num.shifted(-a, -b, 0).scaled(Fraction(den.denom, v))
+                    den = _LP_ONE
         self.num = num
         self.den = den
 
@@ -233,7 +285,7 @@ class CoeffExact:
             other = CoeffExact.from_int(other)
         if not isinstance(other, CoeffExact):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return _times(self.num, other.den) == _times(other.num, self.den)
 
     def __hash__(self):
         raise TypeError("CoeffExact is not hashable (equality is by cross-multiplication)")
@@ -243,9 +295,10 @@ class CoeffExact:
             return other
         if other.num.is_zero():
             return self
-        if self.den == other.den:
-            return CoeffExact(self.num + other.num, self.den)
-        return CoeffExact(self.num * other.den + other.num * self.den, self.den * other.den)
+        d1, d2 = self.den, other.den
+        if d1 is d2 or d1 == d2:
+            return CoeffExact(self.num + other.num, d1)
+        return CoeffExact(_times(self.num, d2) + _times(other.num, d1), _times(d1, d2))
 
     def __neg__(self) -> "CoeffExact":
         return CoeffExact(-self.num, self.den)
@@ -258,7 +311,7 @@ class CoeffExact:
             return CoeffExact(self.num.scaled(other), self.den)
         if self.num.is_zero() or other.num.is_zero():
             return CoeffExact.zero()
-        return CoeffExact(self.num * other.num, self.den * other.den)
+        return CoeffExact(self.num * other.num, _times(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -267,11 +320,19 @@ class CoeffExact:
             return CoeffExact(self.num, self.den.scaled(other))
         if other.num.is_zero():
             raise ZeroDivisionError("division by exact zero")
-        return CoeffExact(self.num * other.den, self.den * other.num)
+        return CoeffExact(_times(self.num, other.den), _times(self.den, other.num))
 
     def mentions_p(self) -> bool:
         """Whether the value depends on p, through P = q**p or a power of p."""
-        return any(b or c for (_, b, c) in [*self.num.terms, *self.den.terms])
+        return any(b or c for (_, b, c) in [*self.num.coeffs, *self.den.coeffs])
+
+    def rational(self) -> Fraction | None:
+        """The value as a Fraction when it is written as a rational
+        constant (no q, P or p, denominator 1), else None."""
+        coeffs = self.num.coeffs
+        if self.den is not _LP_ONE or coeffs.keys() - {_ONE_KEY}:
+            return None
+        return Fraction(coeffs.get(_ONE_KEY, 0), self.num.denom)
 
     def eval_numeric(self, q: float, p: float = 0.0) -> float:
         """Evaluate at real q and p.  An integral p is substituted exactly
@@ -288,10 +349,12 @@ class CoeffExact:
 
     def subst_q1(self) -> "CoeffExact":
         """Specialize q = 1 exactly, keeping p formal."""
-        return CoeffExact(self.num.subst_q1(), self.den.subst_q1())
+        den = self.den
+        return CoeffExact(self.num.subst_q1(), den if den is _LP_ONE else den.subst_q1())
 
     def subst_p_int(self, p: int) -> "CoeffExact":
-        return CoeffExact(self.num.subst_p_int(p), self.den.subst_p_int(p))
+        den = self.den
+        return CoeffExact(self.num.subst_p_int(p), den if den is _LP_ONE else den.subst_p_int(p))
 
     def canonical_str(self) -> str:
         if self.den.is_one():
@@ -312,11 +375,10 @@ def bracket_int(k: int) -> CoeffExact:
         return CoeffExact.zero()
     sign = 1 if k > 0 else -1
     k = abs(k)
-    terms = {(k - 1 - 2 * j, 0, 0): Fraction(sign) for j in range(k)}
-    return CoeffExact(LaurentPoly(terms))
+    return CoeffExact(_poly({(k - 1 - 2 * j, 0, 0): sign for j in range(k)}, 1))
 
 
-_Q_MINUS_QBAR = LaurentPoly({(1, 0, 0): Fraction(1), (-1, 0, 0): Fraction(-1)})
+_Q_MINUS_QBAR = _poly({(1, 0, 0): 1, (-1, 0, 0): -1}, 1)
 
 
 def bracket_affine(c0: int, cp: int, shift_by_state: int = 0, p_value: int | None = None) -> CoeffExact:
@@ -334,7 +396,7 @@ def bracket_affine(c0: int, cp: int, shift_by_state: int = 0, p_value: int | Non
         return bracket_int(x)
     if p_value is not None:
         return bracket_int(x + p_value)
-    num = LaurentPoly({(x, 1, 0): Fraction(1), (-x, -1, 0): Fraction(-1)})
+    num = _poly({(x, 1, 0): 1, (-x, -1, 0): -1}, 1)
     return CoeffExact(num, _Q_MINUS_QBAR)
 
 

@@ -52,7 +52,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -278,7 +277,7 @@ class ExactScalars:
     def affine(self, c: int, pc: int) -> CoeffExact:
         if self.p is not None:
             return CoeffExact.from_int(c + pc * self.p)
-        return CoeffExact(LaurentPoly({(0, 0, 0): Fraction(c), (0, 0, 1): Fraction(pc)}))
+        return CoeffExact(LaurentPoly({(0, 0, 0): c, (0, 0, 1): pc}))
 
     def bracket(self, c: int, pc: int) -> CoeffExact:
         if self.classical:

@@ -354,6 +354,19 @@ class TestCommands:
         assert code == 2
         assert capsys.readouterr().err == "error: a formal q takes only a formal or integer p\n"
 
+    def test_eval_negative_occupation_is_usage_error(self, capsys):
+        code = run(["eval", "--n", "2", "--m", "1", "--realization", "hp", "--p", "2",
+                    "--q", "1.3", "--expr", "f1", "--state=-1,0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: occupation of mode 1 is negative: -1\n"
+
+    def test_eval_fermionic_occupation_above_one_is_usage_error(self, capsys):
+        code = run(["eval", "--n", "2", "--m", "1", "--realization", "hp", "--p", "2",
+                    "--q", "1.3", "--expr", "f1", "--state", "0,5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: fermionic mode 2 holds at most one particle, not 5\n")
+
     def test_bad_signature_is_usage_error(self, capsys):
         code = run(["relations", "--n", "1", "--m", "1"])
         assert code == 2

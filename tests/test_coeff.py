@@ -1,5 +1,6 @@
 """Tests for exact and numeric coefficient arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,155 @@ def test_eval_is_homomorphism(a, b, q, p):
     scale = max(1.0, abs(va), abs(vb))
     assert abs(vsum - (va + vb)) <= 1e-12 * scale * scale
     assert abs(vprod - va * vb) <= 1e-12 * scale * scale
+
+
+# -- integer-content LaurentPoly against plain Fraction dicts -------------
+#
+# The reference keeps {monomial: Fraction} dicts and drops a coefficient
+# the moment it cancels, so its key order is the order every result must
+# have: a float sum in ``eval`` is only reproducible in a fixed order.
+
+
+def _ref_accumulate(pairs) -> dict:
+    out = {}
+    for k, v in pairs:
+        s = out.get(k, 0) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def ref_add(x: dict, y: dict) -> dict:
+    return _ref_accumulate([*x.items(), *y.items()])
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    return _ref_accumulate(
+        ((a1 + a2, b1 + b2, c1 + c2), v1 * v2)
+        for (a1, b1, c1), v1 in x.items() for (a2, b2, c2), v2 in y.items()
+    )
+
+
+def ref_scaled(x: dict, value) -> dict:
+    return {k: v * value for k, v in x.items()} if value else {}
+
+
+def ref_subst_q1(x: dict) -> dict:
+    return _ref_accumulate(((0, 0, c), v) for (_, _, c), v in x.items())
+
+
+def ref_subst_p_int(x: dict, p: int) -> dict:
+    return _ref_accumulate(((a + p * b, 0, 0), v * p**c) for (a, b, c), v in x.items())
+
+
+def ref_eval(x: dict, q: float, p: float) -> float:
+    total = 0.0
+    for (a, b, c), v in x.items():
+        total += float(v) * q ** (a + p * b) * p**c
+    return total
+
+
+def ref_str(x: dict) -> str:
+    parts = []
+    for a, b, c in sorted(x):
+        parts.append(f"{x[(a, b, c)]}*q^{a}" + (f"*P^{b}" if b else "") + (f"*p^{c}" if c else ""))
+    return " + ".join(parts) or "0"
+
+
+def assert_matches(lp: LaurentPoly, ref: dict):
+    """Same terms in the same order, and the integer pair in lowest terms."""
+    assert list(lp.terms.items()) == list(ref.items())
+    assert all(type(v) is Fraction for v in lp.terms.values())
+    assert lp.denom > 0
+    assert all(type(v) is int and v for v in lp.coeffs.values())
+    assert math.gcd(lp.denom, *lp.coeffs.values()) == 1
+    if lp.is_zero():
+        assert lp.denom == 1
+    assert lp == LaurentPoly(ref)
+
+
+fraction_dict = st.dictionaries(monomial_key, small_fraction, max_size=5).map(
+    lambda d: {k: v for k, v in d.items() if v})
+scale_value = st.one_of(st.integers(-6, 6), small_fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_dict, fraction_dict)
+def test_laurent_ring_ops_match_reference(x, y):
+    a, b = LaurentPoly(x), LaurentPoly(y)
+    assert_matches(a, x)
+    assert_matches(a + b, ref_add(x, y))
+    assert_matches(-b, {k: -v for k, v in y.items()})
+    assert_matches(a - b, ref_add(x, {k: -v for k, v in y.items()}))
+    assert_matches(a * b, ref_mul(x, y))
+    assert_matches(a - a, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_dict, scale_value, st.integers(-3, 3), st.integers(-2, 2), st.integers(0, 2))
+def test_laurent_scaled_and_shifted_match_reference(x, value, da, db, dc):
+    a = LaurentPoly(x)
+    assert_matches(a.scaled(value), ref_scaled(x, value))
+    assert_matches(a.shifted(da, db, dc),
+                   {(k[0] + da, k[1] + db, k[2] + dc): v for k, v in x.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_dict, st.integers(-3, 3))
+def test_laurent_substitutions_match_reference(x, p):
+    a = LaurentPoly(x)
+    assert_matches(a.subst_q1(), ref_subst_q1(x))
+    assert_matches(a.subst_p_int(p), ref_subst_p_int(x, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_dict, fraction_dict, st.sampled_from([0.1, 0.5, 0.9, 1.0, 1.3, 2.0, 5.0]),
+       st.one_of(st.integers(-3, 3), st.floats(0.25, 3.0)))
+def test_laurent_eval_and_string_match_reference_to_the_bit(x, y, q, p):
+    a, b = LaurentPoly(x), LaurentPoly(y)
+    prod = ref_mul(x, y)
+    assert (a * b).eval(q, p) == ref_eval(prod, q, p)
+    assert a.eval(q, p) == ref_eval(x, q, p)
+    assert (a * b).canonical_str() == ref_str(prod)
+    assert a.canonical_str() == ref_str(x)
+
+
+def test_laurent_pinned_order_and_rounding():
+    # (-1 - q + q^2)^2: the q^2 coefficient cancels and returns after q^3
+    x = {(0, 0, 0): Fraction(-1), (1, 0, 0): Fraction(-1), (2, 0, 0): Fraction(1)}
+    square = LaurentPoly(x) * LaurentPoly(x)
+    assert list(square.terms) == [(0, 0, 0), (1, 0, 0), (3, 0, 0), (2, 0, 0), (4, 0, 0)]
+    assert_matches(square, ref_mul(x, x))
+    # a numerator beyond 2**53 is divided once, correctly rounded
+    v = Fraction(2**60 + 120, 3**20)
+    assert LaurentPoly({(0, 0, 0): v}).eval(1.0, 0.0) == float(v) == 330654658.27947164
+
+
+def test_laurent_zero_has_denominator_one():
+    half_p = LaurentPoly.monomial(p_pow=1, coeff=Fraction(1, 2))
+    assert half_p.denom == 2
+    for zero in (half_p - half_p, half_p.scaled(0), half_p * LaurentPoly(), LaurentPoly()):
+        assert zero.is_zero() and zero.denom == 1
+    # the field-axiom case 0 / (1/2 p): the numerator stays the canonical zero
+    c = CoeffExact.zero() / CoeffExact(half_p)
+    assert c.is_zero() and c.num.denom == 1
+    assert c + CoeffExact.zero() == CoeffExact.zero()
+
+
+def test_fractional_canonical_string():
+    assert (bracket_int(2) / 2).canonical_str() == "1/2*q^-1 + 1/2*q^1"
+    assert (bracket_int(2) / 2).num.denom == 2
+
+
+def test_rational_constant():
+    assert CoeffExact.zero().rational() == 0
+    assert bracket_int(1).rational() == 1
+    assert (CoeffExact.from_int(3) / 2).rational() == Fraction(3, 2)
+    assert bracket_int(2).rational() is None
+    assert bracket_affine(0, 1).rational() is None
+    assert CoeffExact(LaurentPoly.monomial(p_pow=1)).rational() is None
 
 
 # -- equality and serialization ------------------------------------------
