@@ -4,7 +4,8 @@ Finite generator matrices on the occupation-bounded subspace, invariance
 of the threshold subspaces, unitarizability via the transpose test in
 the orthonormal basis, highest weights, the essentially-typical
 criterion on integer weights, inequivalence of different thresholds, and
-cyclicity evidence for irreducibility.
+irreducibility as cyclicity of every basis vector, read off the support
+graph of the generator matrices (each weight space is a single state).
 
 Matrix columns follow the graded-lex basis order, so the block structure
 by total degree is visible in the sparse pattern: the first e generator
@@ -22,7 +23,7 @@ from .coeff import CoeffExact, numeric_str, scalar_str
 from .fock import BasisIndex, Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
 from .presentation import E, F, H, GenSymbol, HBracket, build_relations
 from .realize import DYSON, HP, realization, tilde_ops
-from .weyl import Engine, OperatorExpr, super_commutator
+from .weyl import Engine, OperatorExpr, ProbeBatch, super_commutator
 
 SUBSPACES = ("F0", "F1-slice", "quotient-F0")
 
@@ -86,25 +87,30 @@ def materialize(
         raise ValueError("orthonormal matrices need a numeric q")
     eng = Engine(sig, convention=convention, q=q, p=p)
     basis = _subspace_basis(sig, p, subspace, cap)
-    out = {}
-    for g, expr in real.images.items():
-        entries = {}
-        compiled = eng.compile(expr)
-        for col, state in enumerate(basis.states):
-            for s, v in eng.apply_compiled(compiled, state).items():
-                row = basis.index.get(s)
-                if row is None:
-                    if subspace == "quotient-F0" and total(s) > p:
-                        continue
-                    if subspace == "F1-slice" and cap is not None and total(s) > cap:
-                        continue
-                    raise SubspaceLeakError(
-                        f"image of {g} leaves the {subspace} subspace at state {state} "
-                        f"(reached {s}); use quotient-F0 for the Dyson realization"
-                    )
-                entries[(row, col)] = v
-        out[g] = GeneratorMatrix(g, basis, entries)
+    out = {g: GeneratorMatrix(g, basis, {}) for g in real.images}
+    for g, state, s, v in _images(eng, real, basis.states):
+        row = basis.index.get(s)
+        if row is None:
+            if subspace == "quotient-F0" and total(s) > p:
+                continue
+            if subspace == "F1-slice" and cap is not None and total(s) > cap:
+                continue
+            raise SubspaceLeakError(
+                f"image of {g} leaves the {subspace} subspace at state {state} "
+                f"(reached {s}); use quotient-F0 for the Dyson realization"
+            )
+        out[g].entries[(row, basis.index[state])] = v
     return out
+
+
+def _images(eng: Engine, real, states):
+    """Every nonzero image component: (generator, state, image state,
+    coefficient), in realization order, then state order."""
+    for g, expr in real.images.items():
+        compiled = eng.compile(expr)
+        for state in states:
+            for s, v in eng.apply_compiled(compiled, state).items():
+                yield g, state, s, v
 
 
 # -- invariance -------------------------------------------------------
@@ -133,17 +139,18 @@ class InvarianceReport:
 
 
 def check_invariance(
-    sig: Signature, kind: str, p: int, cap: int | None = None, q: float | None = None,
-    tolerance: float = 1e-10,
+    sig: Signature, kind: str, p: int, cap: int | None = None, q: float | None = None
 ) -> InvarianceReport:
     """Whether the two threshold subspaces are stable under all generator
-    images, by lazy application to every state of the probe window.
+    images, by lazy application to every state of the probe window; the
+    witness is the first escaping image component.
 
     The Dyson realization keeps only the high subspace invariant (the
     boundary bracket [p - N] evaluates to the exact zero [0] on the way
     down, while the bare raising image of the first f generator leaks
     upward out of the low subspace).  The Holstein-Primakoff realization
-    keeps both: the square-root boundary factor vanishes before any leak.
+    keeps both: the square-root boundary factor sqrt([0]) is exactly 0.0
+    before any leak, so no tolerance enters either verdict.
     """
     if cap is None:
         cap = p + 4
@@ -154,22 +161,16 @@ def check_invariance(
         raise ValueError("numeric q required for this realization")
     eng = Engine(sig, convention="monomial" if q is None else "orthonormal", q=q, p=p)
     f0, f1 = split_F0_F1(sig, p, cap)
-    f1_ok, f1_wit = _stable(eng, real, f1.states, lambda s: total(s) > p, tolerance)
-    f0_ok, f0_wit = _stable(eng, real, f0.states, lambda s: total(s) <= p, tolerance)
-    return InvarianceReport(kind, p, cap, f1_ok, f0_ok, f0_wit, f1_wit)
 
+    def escape(states, keep) -> str:
+        for g, state, s, v in _images(eng, real, states):
+            if not keep(s):
+                return f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
+        return ""
 
-def _stable(eng, real, states, keep, tolerance):
-    for g, expr in real.images.items():
-        compiled = eng.compile(expr)
-        for s in states:
-            for s2, v in eng.apply_compiled(compiled, s).items():
-                if keep(s2):
-                    continue
-                if eng.mode == "numeric" and abs(v) <= tolerance:
-                    continue
-                return False, f"{g} maps {s} to {s2} with coefficient {scalar_str(v)}"
-    return True, ""
+    f1_wit = escape(f1.states, lambda s: total(s) > p)
+    f0_wit = escape(f0.states, lambda s: total(s) <= p)
+    return InvarianceReport(kind, p, cap, not f1_wit, not f0_wit, f0_wit, f1_wit)
 
 
 # -- unitarity --------------------------------------------------------
@@ -328,46 +329,40 @@ class CyclicityReport:
         )
 
 
-def _scaled_rank(columns: np.ndarray, threshold: float) -> int:
-    """Numeric rank with max-norm column scaling."""
-    cols = []
-    for c in columns.T:
-        m = np.abs(c).max()
-        if m > 0:
-            cols.append(c / m)
-    if not cols:
-        return 0
-    sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
-    return int((sv > threshold * sv[0]).sum()) if sv.size else 0
+def cyclicity(sig: Signature, p: int, q: float) -> CyclicityReport:
+    """Irreducibility of the Holstein-Primakoff module on the low subspace
+    at the sampled q: the span of repeated generator images of every basis
+    vector is the whole module.  (If every vector is cyclic, no proper
+    invariant subspace exists.)
 
-
-def cyclicity(sig: Signature, p: int, q: float, threshold: float = 1e-8) -> CyclicityReport:
-    """Evidence of irreducibility: the span of repeated generator images
-    applied to a start vector reaches the whole module, for the vacuum and
-    for every basis vector.  (If every vector is cyclic, no proper
-    invariant subspace exists.)"""
+    h_1 acts as p - N and h_i as N_{i-1}, so the Cartan weight of a basis
+    state determines its occupations: each weight space is one state, and
+    each generator maps a basis state to a multiple of at most one basis
+    state.  The span of the images of a basis vector is therefore spanned
+    by the states reachable from it along nonzero matrix entries, and its
+    rank is their number: an exact statement about the support of the
+    matrices at this q, with no rank threshold.
+    """
     mats = materialize(sig, HP, p, q=q, subspace="F0")
-    gens = [m.to_numpy() for m in mats.values()]
     dim = len(next(iter(mats.values())).basis)
+    return _reachability(dim, ((c, r) for m in mats.values() for r, c in m.entries))
+
+
+def _reachability(dim: int, edges) -> CyclicityReport:
+    """Cyclicity report of a support graph on states 0..dim-1 given by
+    (source, target) edges: the rank from each start is the number of
+    states reachable from it, itself included."""
+    succ = [set() for _ in range(dim)]
+    for src, dst in edges:
+        succ[src].add(dst)
     ranks = {}
     for start in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[start] = 1.0
-        span = v.reshape(-1, 1)
-        rank = 1
-        while True:
-            new = [span] + [g @ span for g in gens]
-            span = np.hstack(new)
-            r = _scaled_rank(span, threshold)
-            # re-orthonormalize to keep the column count bounded
-            qmat, _ = np.linalg.qr(span)
-            span = qmat[:, :r]
-            if r == rank:
-                break
-            rank = r
-            if rank == dim:
-                break
-        ranks[start] = rank
+        seen, todo = {start}, [start]
+        while todo:
+            new = succ[todo.pop()] - seen
+            seen |= new
+            todo += new
+        ranks[start] = len(seen)
     return CyclicityReport(dim, ranks, all(r == dim for r in ranks.values()))
 
 
@@ -512,9 +507,10 @@ def deformed_ops_check(
     def qpow_n(i, sign):
         return OperatorExpr.from_word(Diag("qpow", affine=affine_mode(sig, i, sign)))
 
+    batch = ProbeBatch([eng], states)
+
     def max_res(expr):
-        compiled = eng.compile(expr)
-        return max((eng.max_abs(eng.apply_compiled(compiled, s)) for s in states), default=0.0)
+        return float(batch.max_abs_images(batch.compile(expr))[0].max())
 
     bos_res = 0.0
     ferm_plus = ferm_minus = 0.0

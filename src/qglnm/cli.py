@@ -351,8 +351,7 @@ def _cmd_analyze(args) -> int:
     if check == "invariance":
         p = _require_int_p(args)
         rep = check_invariance(sig, args.realization, p, cap=args.cap,
-                               q=_parse_q(args.q) if args.realization != DYSON else None,
-                               tolerance=args.tolerance)
+                               q=_parse_q(args.q) if args.realization != DYSON else None)
         print(rep.summary())
         expected = rep.f1_invariant and (rep.f0_invariant == (args.realization != DYSON))
         return 0 if expected else 1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qglnm.analyze import (
+    _images,
+    _reachability,
     check_invariance,
     check_unitarity,
     cyclicity,
@@ -15,8 +17,10 @@ from qglnm.analyze import (
     quotient_relations_check,
 )
 from qglnm.coeff import CoeffExact
-from qglnm.fock import Signature, dim_F0, total
+from qglnm.fock import Signature, dim_F0, enumerate_up_to, total
 from qglnm.presentation import GenSymbol
+from qglnm.realize import realization
+from qglnm.weyl import Engine
 
 SIG21 = Signature(2, 1)
 SIG22 = Signature(2, 2)
@@ -194,6 +198,66 @@ class TestCyclicity:
     def test_trivial_module(self):
         rep = cyclicity(SIG21, 0, 1.3)
         assert rep.dim == 1 and rep.full_from_all
+
+    @pytest.mark.parametrize("q", [0.9, 1.3])
+    @pytest.mark.parametrize("n,m,p", [(2, 1, 1), (2, 2, 2), (3, 2, 3)])
+    def test_ranks_match_krylov_oracle(self, n, m, p, q):
+        mats = materialize(Signature(n, m), "hp", p, q=q, subspace="F0")
+        assert cyclicity(Signature(n, m), p, q).ranks == krylov_ranks(mats)
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2)])
+    def test_one_image_state_per_column(self, n, m):
+        # the premise of counting reachable states: every generator maps a
+        # basis state to a multiple of at most one basis state
+        for p in range(4):
+            for g, gm in materialize(Signature(n, m), "hp", p, q=1.3, subspace="F0").items():
+                cols = [c for _, c in gm.entries]
+                assert len(cols) == len(set(cols)), (g, p)
+
+    @pytest.mark.parametrize("n,m,p", [(2, 1, 1), (3, 2, 2)])
+    def test_reducible_control_not_full(self, n, m, p):
+        # Dyson images on degree <= p + 2, components above dropped: the
+        # states of degree > p span an invariant subspace
+        sig = Signature(n, m)
+        basis = enumerate_up_to(sig, p + 2)
+        edges = [(basis.index[state], basis.index[s])
+                 for _, state, s, _ in _images(Engine(sig, p=p), realization("dyson", sig), basis.states)
+                 if total(s) <= p + 2]
+        rep = _reachability(len(basis), edges)
+        assert "NOT full" in rep.summary()
+        assert rep.ranks[basis.index[(0,) * sig.num_modes]] == len(basis)
+        high = next(s for s in basis.states if total(s) == p + 1)
+        assert rep.ranks[basis.index[high]] < len(basis)
+
+
+def krylov_ranks(mats, threshold=1e-8):
+    """Numeric span rank of repeated generator images from every basis
+    vector, by SVD with max-norm column scaling and QR re-orthonormalization:
+    the independent reference for the reachability count."""
+    gens = [m.to_numpy() for m in mats.values()]
+    dim = len(next(iter(mats.values())).basis)
+
+    def scaled_rank(columns):
+        cols = [c / np.abs(c).max() for c in columns.T if np.abs(c).max() > 0]
+        if not cols:
+            return 0
+        sv = np.linalg.svd(np.array(cols).T, compute_uv=False)
+        return int((sv > threshold * sv[0]).sum())
+
+    ranks = {}
+    for start in range(dim):
+        span = np.zeros((dim, 1), dtype=complex)
+        span[start] = 1.0
+        rank = 1
+        while True:
+            span = np.hstack([span] + [g @ span for g in gens])
+            r = scaled_rank(span)
+            span = np.linalg.qr(span)[0][:, :r]
+            if r == rank or r == dim:
+                break
+            rank = r
+        ranks[start] = r
+    return ranks
 
 
 class TestQuotientConsistency:

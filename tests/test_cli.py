@@ -195,20 +195,53 @@ class TestGoldenBytes:
         "shift_e1_bracket": [("CK4[i=1]", "(4,0,0,0)", "0.7")],
     }
 
+    # at the extreme samples every mutation fails on the same relations and
+    # states as at q = 0.7; at q = 0.1 the unmutated S8f[i=1] also fails at
+    # (4,0,0,0), a cancellation residual of 3.9e-9 above the absolute tolerance
+    EXTREME_Q = ("0.1", "0.5", "2", "5")
+    EXTREME_Q_EXTRA = {"0.1": [("S8f[i=1]", "(4,0,0,0)", "0.1")]}
+
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_numeric_mutation_witnesses_32(self, mutation, capsys):
-        code = run(["verify", "--n", "3", "--m", "2", "--p", "3", "--q", "0.7,1.3", "--cap", "4",
-                    "--mutation", mutation])
-        assert code == 1
-        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-        failing = [(r[0], r[3][len("state="):], r[5][len("q="):]) for r in rows if r[1:2] == ["fail"]]
-        assert failing == self.NUMERIC_MUTATION_WITNESSES[mutation]
+        def failing_rows(q):
+            code = run(["verify", "--n", "3", "--m", "2", "--p", "3", "--q", q, "--cap", "4",
+                        "--mutation", mutation])
+            assert code == 1
+            rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+            return [(r[0], r[3][len("state="):], r[5][len("q="):]) for r in rows if r[1:2] == ["fail"]]
+
+        assert failing_rows("0.7,1.3") == self.NUMERIC_MUTATION_WITNESSES[mutation]
+        for q in self.EXTREME_Q:
+            shown = str(float(q))
+            want = [(rel, state, shown) for rel, state, _ in self.NUMERIC_MUTATION_WITNESSES[mutation]]
+            assert failing_rows(q) == want + self.EXTREME_Q_EXTRA.get(q, []), q
 
     def test_exact_quotient_export(self, capsys):
         code = run(["matrices", "--n", "2", "--m", "1", "--realization", "dyson", "--p", "2",
                     "--subspace", "quotient-F0", "--convention", "exact"])
         assert code == 0
         assert capsys.readouterr().out == GOLDEN_QUOTIENT_EXPORT
+
+
+class TestGoldenAnalysis:
+    """Analysis reports pinned byte for byte with their exit codes."""
+
+    CASES = [
+        (name.format(n=n, m=m, p=p), ["analyze", "--n", str(n), "--m", str(m), "--p", str(p)] + argv)
+        for n, m, p in [(2, 1, 2), (3, 2, 3)]
+        for name, argv in [
+            ("analyze-invariance-dyson-{n}-{m}-p{p}", ["--check", "invariance", "--realization", "dyson"]),
+            ("analyze-invariance-hp-{n}-{m}-p{p}-q1.3",
+             ["--check", "invariance", "--realization", "hp", "--q", "1.3"]),
+            ("analyze-cyclicity-{n}-{m}-p{p}-q1.3", ["--check", "cyclicity", "--q", "1.3"]),
+            ("analyze-deformed-ops-{n}-{m}-p{p}-q1.3", ["--check", "deformed-ops", "--q", "1.3"]),
+        ]
+    ]
+
+    @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+    def test_report(self, name, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
 
 class TestCommands:
