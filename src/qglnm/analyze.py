@@ -51,12 +51,15 @@ class GeneratorMatrix:
         return sorted(self.entries.items())
 
 
-def _subspace_basis(sig: Signature, p: int, subspace: str, cap: int | None) -> BasisIndex:
+def _window_cap(p: int, cap: int | None) -> int:
+    """Top degree of the probe window above the threshold: p + 4 unless given."""
+    return p + 4 if cap is None else cap
+
+
+def _subspace_basis(sig: Signature, p: int, subspace: str, cap: int) -> BasisIndex:
     if subspace in ("F0", "quotient-F0"):
         return enumerate_up_to(sig, p)
     if subspace == "F1-slice":
-        if cap is None:
-            cap = p + 4
         return split_F0_F1(sig, p, cap)[1]
     raise ValueError(f"unknown subspace {subspace!r}; expected one of {SUBSPACES}")
 
@@ -77,8 +80,8 @@ def materialize(
     quotient by the invariant high-degree subspace); "F0" is the plain
     restriction and insists that nothing leaks out, which holds for the
     Holstein-Primakoff realizations but not for Dyson.  "F1-slice"
-    restricts to the degree window p < total <= cap, dropping components
-    above the cap.
+    restricts to the degree window p < total <= cap (p + 4 by default),
+    dropping components above the cap.
     """
     if not isinstance(p, int) or p < 0:
         raise ValueError("materialization needs an integer p >= 0")
@@ -86,6 +89,7 @@ def materialize(
     if q is None and convention == "orthonormal":
         raise ValueError("orthonormal matrices need a numeric q")
     eng = Engine(sig, convention=convention, q=q, p=p)
+    cap = _window_cap(p, cap)
     basis = _subspace_basis(sig, p, subspace, cap)
     out = {g: GeneratorMatrix(g, basis, {}) for g in real.images}
     for g, state, s, v in _images(eng, real, basis.states):
@@ -93,7 +97,7 @@ def materialize(
         if row is None:
             if subspace == "quotient-F0" and total(s) > p:
                 continue
-            if subspace == "F1-slice" and cap is not None and total(s) > cap:
+            if subspace == "F1-slice" and total(s) > cap:
                 continue
             raise SubspaceLeakError(
                 f"image of {g} leaves the {subspace} subspace at state {state} "
@@ -152,8 +156,7 @@ def check_invariance(
     keeps both: the square-root boundary factor sqrt([0]) is exactly 0.0
     before any leak, so no tolerance enters either verdict.
     """
-    if cap is None:
-        cap = p + 4
+    cap = _window_cap(p, cap)
     real = realization(kind, sig)
     if kind == DYSON:
         q = None  # the Dyson images stay exact

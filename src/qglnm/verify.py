@@ -7,8 +7,12 @@ up to a degree cap plus a deterministic sample of higher-degree states.
 A pass is evidence on those probes, not a proof for the whole space:
 the diagonal coefficients are exponential-polynomial in the occupations,
 so agreement on finitely many states does not extend by linearity.
-Numeric verification applies each relation to every probe state at every
-q sample at once (``weyl.ProbeBatch``).
+Both regimes apply each relation to every probe state at once
+(``weyl.ProbeBatch``): numerically at every q sample, exactly as one
+integer row per probe state over the relation's monomials, which is
+zero exactly when the state's image is.  The witness of an exact failure
+is the first such state, with its coefficient formed again by the
+per-state engine.
 
 Each substituted difference is audited for degree homogeneity: all of
 its words must shift the total occupation by the same amount, which
@@ -154,18 +158,18 @@ def extra_probe_states(sig: Signature, cap: int, extra: int = 4, seed: int = 0) 
     return out
 
 
-def _exact_result(name: str, eng: Engine, diff: OperatorExpr, states: list) -> RelationResult:
+def _exact_result(name: str, batch: ProbeBatch, diff: OperatorExpr) -> RelationResult:
     """Exact pass only if every probe coefficient is the exact zero; the
-    first probe state with a nonzero image is the witness."""
-    compiled = eng.compile(diff)
-    for s in states:
-        image = eng.apply_compiled(compiled, s)
-        if image:
-            state_str = ",".join(map(str, s))
-            coeff = next(iter(image.values()))
-            return RelationResult(name, "fail", 0.0,
-                                  f"state=({state_str}) coeff={coeff.canonical_str()}")
-    return RelationResult(name, "exact-pass")
+    first probe state with a nonzero image is the witness, whose
+    coefficient the per-state engine forms again for the report."""
+    compiled = batch.compile(diff)
+    failing = np.flatnonzero(batch.exact_images(compiled).any(axis=1))
+    if not len(failing):
+        return RelationResult(name, "exact-pass")
+    state = tuple(batch.states[failing[0]].tolist())
+    coeff = next(iter(batch.engines[0].apply_compiled(compiled, state).values()))
+    state_str = ",".join(map(str, state))
+    return RelationResult(name, "fail", 0.0, f"state=({state_str}) coeff={coeff.canonical_str()}")
 
 
 def _numeric_result(name: str, batch: ProbeBatch, diff: OperatorExpr, above_cap: np.ndarray,
@@ -208,9 +212,10 @@ def verify_all(
     """Check every defining relation of the signature against a realization.
 
     q may be None (formal; exact Dyson verification), a number, or a list
-    of sample values.  In exact mode a relation passes only if every probe
-    coefficient is the exact zero; in numeric mode the largest coefficient
-    magnitude over (state, q sample) must stay within the tolerance.
+    of sample values.  One probe batch serves both regimes.  In exact mode
+    a relation passes only if every probe coefficient is the exact zero;
+    in numeric mode the largest coefficient magnitude over (state,
+    q sample) must stay within the tolerance.
     """
     if kind != DYSON:
         if q is None:
@@ -223,21 +228,17 @@ def verify_all(
     if cap < 4:
         raise ValueError("probe cap must be at least 4 to cover the quartic relation words")
     engines = _engines(sig, kind, p, q, convention, classical)
-    exact = engines[0].mode == "exact"
     states = probe_states(sig, cap, extra=extra_probes)
-    if not exact:
-        batch = ProbeBatch(engines, states)
-        # On the extra high-degree probes coefficient magnitudes grow like
-        # bracket products, so the meaningful measure there is the residual
-        # relative to the size of the individual term images.
-        above_cap = np.array([sum(s) > cap for s in states])
+    batch = ProbeBatch(engines, states)
+    # On the extra high-degree probes coefficient magnitudes grow like
+    # bracket products, so the meaningful numeric measure there is the
+    # residual relative to the size of the individual term images.
+    above_cap = np.array([sum(s) > cap for s in states])
     results = []
     for rel in build_relations(sig):
         diff = substitute(rel, real)
-        if exact:
-            results.append(_exact_result(rel.name, engines[0], diff, states))
-        else:
-            results.append(_numeric_result(rel.name, batch, diff, above_cap, tolerance))
+        results.append(_exact_result(rel.name, batch, diff) if batch.exact
+                       else _numeric_result(rel.name, batch, diff, above_cap, tolerance))
     meta = {
         "realization": kind,
         "n": sig.n,
@@ -247,7 +248,7 @@ def verify_all(
         "convention": engines[0].convention,
         "mode": "classical" if classical else engines[0].mode,
         "cap": cap,
-        "tolerance": "exact" if exact else tolerance,
+        "tolerance": "exact" if batch.exact else tolerance,
     }
     if mutation:
         meta["mutation"] = mutation

@@ -41,14 +41,23 @@ caches belong to the engine and last as long as it does, which bounds
 them by the distinct keys of the states it is applied to.
 
 ``ProbeBatch`` applies the same words to a whole list of probe states at
-every q sample at once, with numpy: states are rows of an integer array,
-q samples a second axis, and each scalar is formed from the same factors
-in the same order as above, so it equals the per-state engine's.
+once, with numpy: states are rows of an integer array and each diagonal
+factor is named by an int64 key code, which holds arguments below 2**20
+in magnitude.  With numeric engines the q samples are a second axis and
+each scalar is formed from the same factors in the same order as above,
+so it equals the per-state engine's.  With one exact engine the image
+coefficients become integer rows over monomials in q, P and p: the
+ladder numbers are integers, each distinct diagonal product is formed
+once, and its multiple by a term scalar is brought over one common
+denominator.
+Those integers are int64 only under an explicit bound; past it they are
+Python ints.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -124,7 +133,8 @@ def affine_p_minus_total(sig: Signature, shift: int = 0) -> Affine:
 _AFFINE_KINDS = frozenset(("affine", "bracket", "sqrt_bracket", "qpow"))
 _MODE_KINDS = frozenset(("bracket_ratio", "angle"))
 # A diagonal key (kind, argument[, p coefficient]) packed into one int64
-# that orders like the tuple, for arguments below 2**20 in magnitude.
+# that orders like the tuple, for arguments and p coefficients below 2**20
+# in magnitude (``ProbeBatch._diag`` raises past that).
 _KIND_RANK = {kind: rank for rank, kind in enumerate(sorted(_AFFINE_KINDS | _MODE_KINDS))}
 _CODE_BIAS = 1 << 20
 
@@ -551,34 +561,58 @@ class Engine:
 
 
 class ProbeBatch:
-    """Numeric engines, one per q sample, applied to a fixed list of probe
-    states at once.
+    """Engines applied to a fixed list of probe states at once: numeric
+    engines, one per q sample, or a single exact engine.
 
-    The states are the rows of an (S, modes) integer array and the q
-    samples a second axis, so applying a word costs one column operation
+    The states are the rows of an (S, modes) integer array (and the q
+    samples a second axis), so applying a word costs one column operation
     per atom instead of one walk per state and q.  A ladder atom shifts one
     column and multiplies a per-row plain number, exactly the numbers of
     ``Engine._ladder``; rows whose image is zero drop out at once, so every
     later atom sees only live rows and never raises or warns on a dead one.
-    Each diagonal factor is evaluated once per distinct argument and q
-    sample by the engines' own scalar methods, so every factor is the
-    float the per-state engine uses, and the products are taken in its
-    order.  The engines share one signature and convention.
+    Each diagonal factor is evaluated once per distinct argument (and q
+    sample) by the engines' own scalar methods and named by a per-row code
+    that orders like its key in ``Engine._diag_key``.  The code packs the
+    kind, the argument and the p coefficient into one int64, so both must
+    lie below 2**20 in magnitude; a larger one raises ``EngineError``.
+
+    Numeric scalars are multiplied per row, in the per-state engine's
+    order, so they are its floats to the last bit.  Exact scalars are not
+    multiplied per row at all: the rows of a term that share a sorted code
+    tuple share ``X = c_t * product`` of the term scalar and the diagonal
+    values, whose product is formed once per batch, and a probe state's
+    image coefficient is the sum over terms of its integer ladder number
+    times ``X`` (see ``exact_images``).
+
+    Ladder numbers are int64 only while the word's bound (largest
+    occupation plus word length, to the number of lowering atoms) stays
+    below 2**63; past it they are Python ints in object arrays, since
+    int64 wraps silently.  The engines share one signature and convention.
     """
 
     def __init__(self, engines: list, states: list):
-        if any(e.mode != "numeric" for e in engines):
-            raise EngineError("batched application needs a numeric q")
+        modes = {e.mode for e in engines}
+        if modes == {"exact"} and len(engines) > 1:
+            raise EngineError("a probe batch takes a single exact engine")
+        if len(modes) > 1:
+            raise EngineError("a probe batch takes numeric engines or one exact engine, not both")
+        self.exact = modes == {"exact"}
         self.engines = engines
         self.sig = engines[0].sig
         self.convention = engines[0].convention
         self.states = np.array(states, dtype=np.int64).reshape(len(states), self.sig.num_modes)
-        # diagonal key -> values over the q samples
+        self._top = int(self.states.max(initial=0))
+        # key code -> values over the q samples (numeric) or exact value
         self._values: dict = {}
+        # sorted tuple of key codes -> product of their exact values
+        self._products: dict = {}
 
     def compile(self, expr: OperatorExpr) -> list:
-        """Specialize the term scalars at every q sample once: a list of
-        (values over q, word); a term that is zero at every q drops."""
+        """Specialize the term scalars once: a list of (values over q, word)
+        where a term that is zero at every q drops, or the exact engine's
+        compiled terms."""
+        if self.exact:
+            return self.engines[0].compile(expr)
         compiled = []
         for c, w in expr.terms:
             values = np.array([e.scalars.from_coeff(c) for e in self.engines], dtype=complex)
@@ -587,10 +621,9 @@ class ProbeBatch:
         return compiled
 
     def _diag(self, d: Diag, states: np.ndarray):
-        """Values of a diagonal factor on the given rows at every q sample,
-        shape (rows, q), after a per-row code that orders like the factor's
-        key in ``Engine._diag_key``; None for a fermionic angle
-        (identically one)."""
+        """A diagonal factor on the given rows: (per-row key codes, values
+        of shape (rows, q) or None when exact, live mask or None when no
+        row dies); None for a fermionic angle (identically one)."""
         kind = d.kind
         pc = ()  # the p coefficient, which ends the key of an affine kind
         if kind in _AFFINE_KINDS:
@@ -606,18 +639,29 @@ class ProbeBatch:
         else:
             raise EngineError(f"unknown diagonal kind {kind!r}")
         distinct, inverse = np.unique(args, return_inverse=True)
+        distinct = distinct.tolist()
+        if distinct and not (-_CODE_BIAS <= min(distinct[0], *pc, 0)
+                             <= max(distinct[-1], *pc, 0) < _CODE_BIAS):
+            raise EngineError(f"{kind} key out of the code range [-2**20, 2**20)")
+        base = (_KIND_RANK[kind] << 42) + (pc[0] if pc else 0) + _CODE_BIAS
         table = []
-        for v in distinct.tolist():
-            key = (kind, v) + pc
-            values = self._values.get(key)
+        for v in distinct:
+            code = base + ((v + _CODE_BIAS) << 21)
+            values = self._values.get(code)
             if values is None:
-                values = np.array([getattr(e.scalars, kind)(v, *pc) for e in self.engines],
-                                  dtype=complex)
-                self._values[key] = values
+                if self.exact:
+                    values = getattr(self.engines[0].scalars, kind)(v, *pc)
+                else:
+                    values = np.array([getattr(e.scalars, kind)(v, *pc) for e in self.engines],
+                                      dtype=complex)
+                self._values[code] = values
             table.append(values)
-        rank = _KIND_RANK[kind] << 42
-        codes = rank + ((args + _CODE_BIAS) << 21) + (pc[0] if pc else 0) + _CODE_BIAS
-        return codes, np.array(table)[inverse]
+        codes = base + ((args + _CODE_BIAS) << 21)
+        if self.exact:
+            live = np.array([not v.is_zero() for v in table])[inverse]
+            return codes, None, None if live.all() else live
+        values = np.array(table)[inverse]
+        return codes, values, values.any(axis=1)
 
     def _ladder(self, atom: Raise | Lower, states: np.ndarray):
         """Column form of ``Engine._ladder``: (live mask, or None when no
@@ -643,17 +687,17 @@ class ProbeBatch:
             return live, np.sqrt(k), out
         return live, (k if lower else None), out
 
-    def apply_word(self, word: Word):
-        """Apply a word (atoms right to left) to every probe state at every
-        q sample.  Returns (rows, images, values): the indices of the probe
-        states whose image is not zero at every q, their image states, and
-        the scalars, shape (rows, q).
-
-        As in ``Engine.apply_word`` the ladder numbers multiply in word
-        order and the diagonal values in the order of their keys, so
-        the scalars are the per-state engine's to the last bit."""
+    def _walk(self, word: Word):
+        """The column pass of a word (atoms right to left) over every probe
+        state: (indices of the live rows, their image states, per-row
+        ladder number or None when it is 1, per-row key codes of each
+        diagonal factor, and their values when numeric)."""
         rows = np.arange(len(self.states))
         states = self.states
+        # Every occupation met on the way is at most the largest probe
+        # occupation plus the word length, which bounds each lowering step.
+        wide = self.convention == "monomial" and (self._top + len(word)) ** sum(
+            isinstance(a, Lower) for a in word) >= 1 << 63
         ladder = None  # per-row plain number
         codes, factors = [], []  # per diagonal factor: per-row key codes and values
         for atom in reversed(word):
@@ -661,13 +705,15 @@ class ProbeBatch:
                 diag = self._diag(atom, states)
                 if diag is None:
                     continue
-                code, value = diag
+                code, value, live = diag
                 codes.append(code)
-                factors.append(value)
-                live = value.any(axis=1)
+                if value is not None:
+                    factors.append(value)
             else:
                 live, step, states = self._ladder(atom, states)
                 if step is not None:
+                    if wide:
+                        step = step.astype(object)
                     ladder = step if ladder is None else ladder * step
             if live is not None and not live.all():
                 rows, states = rows[live], states[live]
@@ -676,6 +722,20 @@ class ProbeBatch:
                 factors = [f[live] for f in factors]
                 if not len(rows):
                     break
+        return rows, states, ladder, codes, factors
+
+    def apply_word(self, word: Word):
+        """Apply a word (atoms right to left) to every probe state at every
+        q sample of a numeric batch.  Returns (rows, images, values): the
+        indices of the probe states whose image is not zero at every q,
+        their image states, and the scalars, shape (rows, q).
+
+        As in ``Engine.apply_word`` the ladder numbers multiply in word
+        order and the diagonal values in the order of their keys, so
+        the scalars are the per-state engine's to the last bit."""
+        if self.exact:
+            raise EngineError("an exact batch has no per-row scalars; use exact_images")
+        rows, states, ladder, codes, factors = self._walk(word)
         if not factors:
             values = np.ones((len(rows), len(self.engines)), dtype=complex)
         elif len(factors) == 1:
@@ -688,6 +748,8 @@ class ProbeBatch:
                 values = values * f
         if ladder is not None:
             values = values * ladder[:, None]
+            if ladder.dtype == object:
+                values = values.astype(complex)
         return rows, states, values
 
     def max_abs_images(self, compiled: list):
@@ -718,3 +780,73 @@ class ProbeBatch:
         for acc in sums.values():
             np.maximum(peak, np.abs(acc), out=peak)
         return peak.T, scale.T
+
+    def _product(self, key: tuple) -> CoeffExact:
+        """The product of the exact values behind a sorted code tuple, each
+        product formed once per batch from that of the tuple's prefix."""
+        product = self._products.get(key)
+        if product is None:
+            if len(key) > 1:
+                product = self._product(key[:-1]) * self._values[key[-1]]
+            else:
+                product = self._values[key[0]] if key else self.engines[0].one()
+            self._products[key] = product
+        return product
+
+    def exact_images(self, compiled: list) -> np.ndarray:
+        """Image coefficients of a compiled expression whose terms share one
+        net occupation change, on every probe state of an exact batch, as
+        integer rows over the expression's monomials (q, P and p
+        exponents): shape (states, monomials).  Every coefficient is
+        scaled by one common nonzero factor, so a row is all zero exactly
+        when that state's image is the exact zero.
+
+        A term's live rows are grouped by their sorted key-code tuple, and
+        ``X = c_t * product`` is formed once per group.  Each ``X`` is
+        brought over the product of the distinct denominators of all the
+        ``X`` and an integer lcm, and becomes an integer row; a state's
+        row is then the sum of ladder number times ``X`` row over terms.
+        The sum is taken in int64 only when the sum over terms of the
+        largest ladder number times the largest row entry stays below
+        2**63, and with Python ints otherwise."""
+        if not self.exact:
+            raise EngineError("exact images need an exact batch")
+        terms = []  # (live rows, ladder numbers, group of each row, X per group)
+        for c, w in compiled:
+            rows, _, ladder, codes, _ = self._walk(w)
+            if not len(rows):
+                continue
+            groups: dict = {}  # sorted code tuple -> group
+            keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
+            group = np.array([groups.setdefault(key, len(groups)) for key in keys])
+            xs = [c * self._product(key) for key in groups]
+            terms.append((rows, ladder, group, xs))
+        # X = num / den becomes num * (the other distinct denominators)
+        dens = dict.fromkeys(x.den for _, _, _, xs in terms for x in xs)
+        for den in dens:
+            others = [d for d in dens if d is not den and not d.is_one()]
+            dens[den] = functools.reduce(operator.mul, others) if others else None
+        polys = [[x.num if dens[x.den] is None else x.num * dens[x.den] for x in xs]
+                 for _, _, _, xs in terms]
+        scale = math.lcm(*(f.denom for fs in polys for f in fs))
+        columns: dict = {}  # monomial -> column
+        bound = 0
+        for (_, ladder, _, _), fs in zip(terms, polys):
+            for f in fs:
+                for k in f.coeffs:
+                    columns.setdefault(k, len(columns))
+            top = max(max(map(abs, f.coeffs.values())) * (scale // f.denom) for f in fs)
+            bound += top * (1 if ladder is None else int(np.abs(ladder).max()))
+        dtype = np.int64 if bound < 1 << 63 else object
+        out = np.zeros((len(self.states), len(columns)), dtype=dtype)
+        for (rows, ladder, group, _), fs in zip(terms, polys):
+            table = np.zeros((len(fs), len(columns)), dtype=dtype)
+            for g, f in enumerate(fs):
+                m = scale // f.denom
+                for k, v in f.coeffs.items():
+                    table[g, columns[k]] = v * m
+            contrib = table[group]
+            if ladder is not None:
+                contrib = contrib * ladder.astype(dtype, copy=False)[:, None]
+            out[rows] += contrib
+        return out

@@ -381,6 +381,14 @@ class TestCommands:
             "error: image of f1 leaves the F0 subspace at state (1, 1) (reached (2, 1)); "
             "use quotient-F0 for the Dyson realization\n")
 
+    def test_f1_slice_default_cap_is_p_plus_4(self, capsys):
+        argv = ["matrices", "--n", "2", "--m", "1", "--realization", "hp", "--p", "1",
+                "--q", "1.3", "--subspace", "F1-slice"]
+        assert run(argv + ["--cap", "5"]) == 0
+        explicit = capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr() == explicit
+
     def test_eval_real_p_with_formal_q_is_usage_error(self, capsys):
         code = run(["eval", "--n", "2", "--m", "1", "--p", "2.5", "--expr", "f1",
                     "--state", "0,0"])

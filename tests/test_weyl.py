@@ -1,11 +1,12 @@
 """Tests for the lazy graded operator engine."""
 
+import numpy as np
 import pytest
 
 from qglnm.coeff import CoeffExact, LaurentPoly, bracket_int, bracket_value
 from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import build_relations
-from qglnm.realize import realization
+from qglnm.realize import MUTATIONS, realization
 from qglnm.verify import default_cap, probe_states, substitute
 from qglnm.weyl import (
     Affine,
@@ -382,8 +383,9 @@ class TestWordCaches:
 
 
 class TestProbeBatch:
-    """The batched numeric path against the per-state engine as the
-    oracle: every term image, and every summed relation residual."""
+    """The batched path against the per-state engine as the oracle: every
+    numeric term image and summed relation residual, and every exact
+    zero verdict."""
 
     QS = (0.7, 1.0, 1.3)
 
@@ -449,9 +451,108 @@ class TestProbeBatch:
                 want = eng.apply_word(word, s)
                 assert got.get(r) == (None if want is None else (want[1], want[0])), (word, s)
 
-    def test_requires_numeric_engines(self):
-        with pytest.raises(EngineError, match="numeric q"):
-            ProbeBatch([exact_engine(SIG21)], [(0, 0)])
+    @pytest.mark.parametrize("sig, cap", [(SIG21, 6), (Signature(3, 2), 5)], ids=str)
+    @pytest.mark.parametrize("p, classical", [(None, False), (3, False), (None, True)])
+    def test_exact_verdicts_match_engine(self, sig, cap, p, classical):
+        self._check_exact_verdicts(sig, cap, p, classical, None)
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("p, classical", [(None, False), (3, False), (None, True)])
+    def test_exact_mutation_verdicts_match_engine(self, mutation, p, classical):
+        failing = self._check_exact_verdicts(Signature(3, 2), 4, p, classical, mutation)
+        # the bracket ratio is 1 at q = 1, so that mutation changes nothing there
+        assert failing == (mutation != "drop_bracket_ratio" or not classical)
+
+    @staticmethod
+    def _check_exact_verdicts(sig, cap, p, classical, mutation):
+        """Assert that a probe row of exact_images is nonzero exactly where
+        the per-state image is; returns whether any relation failed."""
+        eng = Engine(sig, p=p, classical=classical)
+        states = probe_states(sig, cap)
+        batch = ProbeBatch([eng], states)
+        real = realization("dyson", sig, mutation)
+        failing = False
+        for rel in build_relations(sig):
+            compiled = batch.compile(substitute(rel, real))
+            images = batch.exact_images(compiled)
+            assert images.dtype == np.int64
+            nonzero = images.any(axis=1).tolist()
+            assert nonzero == [bool(eng.apply_compiled(compiled, s)) for s in states], rel.name
+            failing = failing or any(nonzero)
+        return failing
+
+    @pytest.mark.parametrize("other, zero", [(-1, True), (-2, False)])
+    def test_exact_terms_over_different_denominators(self, other, zero):
+        # (q - 1/q)/(q - 1/q) keeps its denominator, so the two terms meet
+        # only over the common one
+        b = LaurentPoly({(1, 0, 0): 1, (-1, 0, 0): -1})
+        eng = exact_engine(SIG21)
+        word = (Raise(1),)
+        batch = ProbeBatch([eng], [(0, 0), (3, 1)])
+        compiled = batch.compile(OperatorExpr([(CoeffExact(b, b), word),
+                                               (CoeffExact.from_int(other), word)]))
+        assert [c.den.is_one() for c, _ in compiled] == [False, True]
+        assert batch.exact_images(compiled).any(axis=1).tolist() == [not zero] * 2
+        assert (eng.apply_compiled(compiled, (0, 0)) == {}) == zero
+
+    def test_exact_python_int_fallback(self):
+        # four lowerings from an occupation of 10**5 multiply past 2**63,
+        # so int64 would wrap; the Python-int rows hold the exact number
+        top = 10**5
+        eng = Engine(SIG21)
+        batch = ProbeBatch([eng], [(top, 0), (top, 1), (2, 0)])
+        word = (Lower(1),) * 4
+        images = batch.exact_images(eng.compile(OperatorExpr.from_word(*word)))
+        assert images.dtype == object
+        want = top * (top - 1) * (top - 2) * (top - 3)
+        assert want > 2**63
+        assert images[:, 0].tolist() == [want, want, 0]
+        numeric = Engine(SIG21, convention="monomial", q=1.3, p=3)
+        rows, _, values = ProbeBatch([numeric], [(top, 0)]).apply_word(word)
+        assert values[0, 0] == numeric.apply_word(word, (top, 0))[0]
+        # the Serre relations of (3,2) at two bosonic occupations near
+        # 10**5 sum terms past 2**63 to an exact zero
+        sig = Signature(3, 2)
+        states = [(top, top, 0, 0), (top, top - 7, 1, 0), (top - 3, 5, 1, 1)]
+        for mutation in (None, "shift_e1_bracket"):
+            real = realization("dyson", sig, mutation)
+            eng = Engine(sig, p=3, classical=True)
+            batch = ProbeBatch([eng], states)
+            wide = 0
+            for rel in build_relations(sig):
+                compiled = batch.compile(substitute(rel, real))
+                images = batch.exact_images(compiled)
+                wide += images.dtype == object
+                nonzero = images.any(axis=1).tolist()
+                assert nonzero == [bool(eng.apply_compiled(compiled, s)) for s in states], rel.name
+            assert wide
+
+    # at q = 1 a bracket of N_1 = 2**20 would take the bracket_ratio kind rank;
+    # the exact check uses the affine kind, whose value stays small to build
+    @pytest.mark.parametrize("engine, kind", [(Engine(SIG21, q=1.0, p=3), "bracket"),
+                                              (Engine(SIG21), "affine")], ids=["numeric", "exact"])
+    def test_key_code_bound(self, engine, kind):
+        word = (Diag(kind, affine=affine_mode(SIG21, 1)),)
+        expr = OperatorExpr.from_word(*word)
+        inside = ProbeBatch([engine], [(2**20 - 1, 0)])
+        if inside.exact:
+            assert inside.exact_images(inside.compile(expr)).tolist() == [[2**20 - 1]]
+        else:
+            assert inside.apply_word(word)[2][0, 0] == engine.apply_word(word, (2**20 - 1, 0))[0]
+        batch = ProbeBatch([engine], [(1, 0), (2**20, 0)])
+        with pytest.raises(EngineError, match="code range"):
+            batch.exact_images(batch.compile(expr)) if batch.exact else batch.apply_word(word)
+
+    def test_refuses_mixed_or_several_exact_engines(self):
+        with pytest.raises(EngineError, match="not both"):
+            ProbeBatch([exact_engine(SIG21), numeric_engine(SIG21)], [(0, 0)])
+        with pytest.raises(EngineError, match="single exact engine"):
+            ProbeBatch([exact_engine(SIG21), exact_engine(SIG21, p=3)], [(0, 0)])
+        exact = ProbeBatch([exact_engine(SIG21)], [(0, 0)])
+        with pytest.raises(EngineError, match="exact_images"):
+            exact.apply_word((Raise(1),))
+        with pytest.raises(EngineError, match="exact batch"):
+            ProbeBatch([numeric_engine(SIG21)], [(0, 0)]).exact_images([])
 
 
 def test_word_degree_shift():
