@@ -6,6 +6,9 @@ the orthonormal basis, highest weights, the essentially-typical
 criterion on integer weights, inequivalence of different thresholds, and
 irreducibility as cyclicity of every basis vector, read off the support
 graph of the generator matrices (each weight space is a single state).
+Generator images reach every state of a subspace through one probe batch
+(``weyl.ProbeBatch.images``); the quotient relations compose the sparse
+matrix columns.
 
 Matrix columns follow the graded-lex basis order, so the block structure
 by total degree is visible in the sparse pattern: the first e generator
@@ -19,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoeffExact, numeric_str, scalar_str
+from .coeff import CoeffExact, LaurentPoly, bracket_int, numeric_str, scalar_str
 from .fock import BasisIndex, Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
 from .presentation import E, F, H, GenSymbol, HBracket, build_relations
-from .realize import DYSON, HP, realization, tilde_ops
-from .weyl import Engine, OperatorExpr, ProbeBatch, super_commutator
+from .realize import DYSON, HP, HP_DEFORMED, realization, tilde_ops
+from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, affine_mode, super_commutator
 
 SUBSPACES = ("F0", "F1-slice", "quotient-F0")
 
@@ -92,12 +95,11 @@ def materialize(
     cap = _window_cap(p, cap)
     basis = _subspace_basis(sig, p, subspace, cap)
     out = {g: GeneratorMatrix(g, basis, {}) for g in real.images}
+    top = {"quotient-F0": p, "F1-slice": cap}.get(subspace)  # components above it drop
     for g, state, s, v in _images(eng, real, basis.states):
         row = basis.index.get(s)
         if row is None:
-            if subspace == "quotient-F0" and total(s) > p:
-                continue
-            if subspace == "F1-slice" and total(s) > cap:
+            if top is not None and total(s) > top:
                 continue
             raise SubspaceLeakError(
                 f"image of {g} leaves the {subspace} subspace at state {state} "
@@ -109,11 +111,12 @@ def materialize(
 
 def _images(eng: Engine, real, states):
     """Every nonzero image component: (generator, state, image state,
-    coefficient), in realization order, then state order."""
+    coefficient), in realization order, then state order, from one probe
+    batch over the states."""
+    batch = ProbeBatch([eng], states)
     for g, expr in real.images.items():
-        compiled = eng.compile(expr)
-        for state in states:
-            for s, v in eng.apply_compiled(compiled, state).items():
+        for state, image in zip(states, batch.images(batch.compile(expr))):
+            for s, v in image.items():
                 yield g, state, s, v
 
 
@@ -166,10 +169,8 @@ def check_invariance(
     f0, f1 = split_F0_F1(sig, p, cap)
 
     def escape(states, keep) -> str:
-        for g, state, s, v in _images(eng, real, states):
-            if not keep(s):
-                return f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
-        return ""
+        return next((f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
+                     for g, state, s, v in _images(eng, real, states) if not keep(s)), "")
 
     f1_wit = escape(f1.states, lambda s: total(s) > p)
     f0_wit = escape(f0.states, lambda s: total(s) <= p)
@@ -223,11 +224,8 @@ def check_unitarity(sig: Signature, p: int, q: float, tolerance: float = 1e-10) 
 
     hp_res, _ = transpose_residual(hp_mats)
     dy_res, dy_wit = transpose_residual(dy_mats)
-    h_real = True
-    for i in range(1, sig.r + 1):
-        hm = hp_mats[GenSymbol(H, i)].to_numpy()
-        if np.abs(hm - np.diag(np.diag(hm).real)).max() > tolerance:
-            h_real = False
+    h_mats = (hp_mats[GenSymbol(H, i)].to_numpy() for i in range(1, sig.r + 1))
+    h_real = not any(np.abs(hm - np.diag(np.diag(hm).real)).max() > tolerance for hm in h_mats)
     return UnitarityReport(
         hp_max_residual=hp_res,
         hp_pass=hp_res <= tolerance,
@@ -372,86 +370,56 @@ def _reachability(dim: int, edges) -> CyclicityReport:
 # -- quotient consistency (exact matrix relations) --------------------
 
 
-def _exact_matmul(a, b):
-    size = len(a)
-    zero = CoeffExact.zero()
-    out = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for k in range(size):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            row_b = b[k]
-            row_o = out[i]
-            for j in range(size):
-                if not row_b[j].is_zero():
-                    row_o[j] = row_o[j] + aik * row_b[j]
-    return out
-
-
-def _exact_dense(gm: GeneratorMatrix):
-    size = len(gm.basis)
-    zero = CoeffExact.zero()
-    out = [[zero for _ in range(size)] for _ in range(size)]
-    for (r, c), v in gm.entries.items():
-        out[r][c] = v
-    return out
-
-
 def quotient_relations_check(sig: Signature, p: int) -> list[str]:
     """Exact check that the quotient matrices of the Dyson realization on
     the low subspace satisfy every defining relation; returns the names of
-    failing relations (empty when the quotient is a representation)."""
-    mats = materialize(sig, DYSON, p, subspace="quotient-F0", convention="monomial")
-    basis = next(iter(mats.values())).basis
-    size = len(basis)
-    dense = {g: _exact_dense(m) for g, m in mats.items()}
+    failing relations (empty when the quotient is a representation).
+
+    Each side of a relation is applied to every basis column by composing
+    the sparse matrix columns right to left, which forms the columns of
+    the same matrix products without any dense product."""
+    return _relation_failures(
+        sig, p, materialize(sig, DYSON, p, subspace="quotient-F0", convention="monomial"))
+
+
+def _relation_failures(sig: Signature, p: int, mats: dict) -> list[str]:
+    """Names of the relations the given exact matrices violate: from every
+    start column, each word carries a sparse {row: coefficient} vector
+    through its letters, a bracket-of-h letter acting as the q-bracket of
+    its Cartan eigenvalue at threshold p."""
+    states = next(iter(mats.values())).basis.states
+    columns = {g: {} for g in mats}  # generator -> column -> [(row, coefficient)]
+    for g, m in mats.items():
+        for (r, c), v in m.entries.items():
+            columns[g].setdefault(c, []).append((r, v))
     real = realization(DYSON, sig)
-    failures = []
-    for rel in build_relations(sig):
-        acc = [[CoeffExact.zero() for _ in range(size)] for _ in range(size)]
-        for sign, side in ((1, rel.lhs), (-1, rel.rhs)):
-            for scalar, word in side:
-                term = None
-                for letter in word:
-                    if isinstance(letter, HBracket):
-                        m = _hbracket_matrix(sig, letter, basis, p)
-                    else:
-                        m = dense[letter]
-                    term = m if term is None else _exact_matmul(term, m)
-                if term is None:
-                    term = _exact_identity(size)
-                s = scalar * sign if sign == 1 else -scalar
-                for i in range(size):
-                    for j in range(size):
-                        if not term[i][j].is_zero():
-                            acc[i][j] = acc[i][j] + s * term[i][j]
-        if any(not acc[i][j].is_zero() for i in range(size) for j in range(size)):
-            failures.append(rel.name)
-    return failures
+
+    def column(letter, c):
+        if isinstance(letter, HBracket):
+            arg, pc = real.h_bracket(letter).eval_parts(states[c])
+            return [(c, bracket_int(arg + pc * p))]
+        return columns[letter].get(c, ())
+
+    def image(scalar, word, start) -> dict:
+        vec = {start: scalar}
+        for letter in reversed(word):
+            vec = _sparse_sum((r, m * v) for c, v in vec.items() for r, m in column(letter, c))
+        return vec
+
+    def violated(rel, start) -> bool:
+        terms = [*rel.lhs, *((-scalar, word) for scalar, word in rel.rhs)]
+        residual = _sparse_sum(kv for t in terms for kv in image(*t, start).items())
+        return any(not v.is_zero() for v in residual.values())
+
+    return [rel.name for rel in build_relations(sig)
+            if any(violated(rel, start) for start in range(len(states)))]
 
 
-def _exact_identity(size):
-    zero, one = CoeffExact.zero(), CoeffExact.one()
-    return [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-
-def _hbracket_matrix(sig, letter: HBracket, basis: BasisIndex, p: int):
-    from .realize import h_affine
-    from .coeff import bracket_int
-
-    size = len(basis)
-    zero = CoeffExact.zero()
-    out = [[zero for _ in range(size)] for _ in range(size)]
-    for k, s in enumerate(basis.states):
-        arg = 0
-        for i in letter.plus:
-            c, pc = h_affine(sig, i).eval_parts(s)
-            arg += c + pc * p
-        for j in letter.minus:
-            c, pc = h_affine(sig, j).eval_parts(s)
-            arg -= c + pc * p
-        out[k][k] = bracket_int(arg)
+def _sparse_sum(pairs) -> dict:
+    """Sum (row, coefficient) pairs into a sparse vector."""
+    out: dict = {}
+    for r, v in pairs:
+        out[r] = out[r] + v if r in out else v
     return out
 
 
@@ -501,8 +469,6 @@ def deformed_ops_check(
     cross-mode relations are exponent-independent; their residuals are
     folded into the first figure.
     """
-    from .weyl import Diag, affine_mode
-
     eng = Engine(sig, convention="orthonormal", q=q, p=p)
     ops = tilde_ops(sig)
     states = list(enumerate_up_to(sig, cap))
@@ -517,40 +483,28 @@ def deformed_ops_check(
 
     bos_res = 0.0
     ferm_plus = ferm_minus = 0.0
-    qfac = _q_factor()
+    qfac = CoeffExact(LaurentPoly.monomial(q_exp=1))  # specialized by the engine
     for i in range(1, sig.num_modes + 1):
-        fermionic = sig.is_fermionic(i)
-        mode_rel_minus = super_commutator(sig, ops[("-", i)], ops[("+", i)], qfactor=qfac) - qpow_n(i, -1)
-        mode_rel_plus = super_commutator(sig, ops[("-", i)], ops[("+", i)], qfactor=qfac) - qpow_n(i, +1)
-        if fermionic:
-            ferm_minus = max(ferm_minus, max_res(mode_rel_minus))
-            ferm_plus = max(ferm_plus, max_res(mode_rel_plus))
+        bracket = super_commutator(sig, ops[("-", i)], ops[("+", i)], qfactor=qfac)
+        if sig.is_fermionic(i):
+            ferm_minus = max(ferm_minus, max_res(bracket - qpow_n(i, -1)))
+            ferm_plus = max(ferm_plus, max_res(bracket - qpow_n(i, +1)))
         else:
-            bos_res = max(bos_res, max_res(mode_rel_minus))
+            bos_res = max(bos_res, max_res(bracket - qpow_n(i, -1)))
         for j in range(1, sig.num_modes + 1):
-            number_rel = (
-                ops[("N", i)] * ops[("+", j)]
-                - ops[("+", j)] * ops[("N", i)]
-                - (ops[("+", j)] if i == j else OperatorExpr.zero())
-            )
-            bos_res = max(bos_res, max_res(number_rel))
-            number_rel = (
-                ops[("N", i)] * ops[("-", j)]
-                - ops[("-", j)] * ops[("N", i)]
-                + (ops[("-", j)] if i == j else OperatorExpr.zero())
-            )
-            bos_res = max(bos_res, max_res(number_rel))
+            up, down = ops[("+", j)], ops[("-", j)]
+            bos_res = max(bos_res, max_res(ops[("N", i)] * up - up * ops[("N", i)]
+                                           - (up if i == j else OperatorExpr.zero())))
+            bos_res = max(bos_res, max_res(ops[("N", i)] * down - down * ops[("N", i)]
+                                           + (down if i == j else OperatorExpr.zero())))
             if i != j:
                 for a in ("+", "-"):
                     for b in ("+", "-"):
                         bos_res = max(bos_res, max_res(super_commutator(sig, ops[(a, i)], ops[(b, j)])))
 
-    hp_real = realization(HP, sig)
-    hpd_real = realization("hp-deformed", sig)
-    agree = 0.0
-    for g, expr in hp_real.images.items():
-        diff = expr - hpd_real.images[g]
-        agree = max(agree, max_res(diff))
+    deformed = realization(HP_DEFORMED, sig).images
+    agree = max(0.0, *(max_res(expr - deformed[g])
+                       for g, expr in realization(HP, sig).images.items()))
 
     if sig.m == 0:
         exponent = "n/a"
@@ -569,10 +523,3 @@ def deformed_ops_check(
         agreement_residual=agree,
         agreement_pass=agree <= tolerance,
     )
-
-
-def _q_factor() -> CoeffExact:
-    """The symbolic scalar q (specialized by whichever engine evaluates it)."""
-    from .coeff import LaurentPoly
-
-    return CoeffExact(LaurentPoly.monomial(q_exp=1))

@@ -329,14 +329,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_matrices(args) -> int:
     sig = _signature(args)
-    p, q = _parse_p(args.p), _parse_q(args.q)
+    p, q = _parse_p(args.p), _single_q(args)
     _validate_realization(args.realization, p, q)
     if not isinstance(p, int):
         raise UsageError("matrix export needs an integer --p")
-    conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
-    mats = materialize(sig, args.realization, p, q=q, subspace=args.subspace,
-                       cap=args.cap, convention=conv)
-    text = format_matrix_export(sig, args.realization, p, q, conv, args.subspace, mats)
+    _, text = _export(args, sig, p, q, args.subspace)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -345,13 +342,21 @@ def _cmd_matrices(args) -> int:
     return 0
 
 
+def _export(args, sig: Signature, p: int, q, subspace: str):
+    """The generator matrices on the subspace and their export text."""
+    conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
+    mats = materialize(sig, args.realization, p, q=q, subspace=subspace, cap=args.cap,
+                       convention=conv)
+    return mats, format_matrix_export(sig, args.realization, p, q, conv, subspace, mats)
+
+
 def _cmd_analyze(args) -> int:
     sig = _signature(args)
     check = args.check
     if check == "invariance":
         p = _require_int_p(args)
         rep = check_invariance(sig, args.realization, p, cap=args.cap,
-                               q=_parse_q(args.q) if args.realization != DYSON else None)
+                               q=_single_q(args) if args.realization != DYSON else None)
         print(rep.summary())
         expected = rep.f1_invariant and (rep.f0_invariant == (args.realization != DYSON))
         return 0 if expected else 1
@@ -388,7 +393,7 @@ def _cmd_analyze(args) -> int:
         return 0 if rep.full_from_all else 1
     if check == "deformed-ops":
         p = _require_int_p(args)
-        rep = deformed_ops_check(sig, p, _require_q(args), cap=args.cap or 6)
+        rep = deformed_ops_check(sig, p, _require_q(args), cap=6 if args.cap is None else args.cap)
         print(rep.summary())
         ok = rep.bosonic_pass and rep.agreement_pass and rep.fermionic_exponent != "neither"
         return 0 if ok else 1
@@ -400,22 +405,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_reimport(args) -> int:
     sig = _signature(args)
     p = _require_int_p(args)
-    q = _parse_q(args.q) if args.q else None
+    q = _single_q(args)
     _validate_realization(args.realization, p, q)
-    conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
-    subspace = args.subspace or "F0"
-    mats = materialize(sig, args.realization, p, q=q, subspace=subspace, cap=args.cap,
-                       convention=conv)
-    text = format_matrix_export(sig, args.realization, p, q, conv, subspace, mats)
+    mats, text = _export(args, sig, p, q, args.subspace or "F0")
     parsed = parse_matrix_export(text)
-    rendered = {}
-    for g in _gen_order(sig):
-        rendered[str(g)] = [
-            (r, c, scalar_str(v)) for (r, c), v in mats[g].triplets()
-        ]
-    ok = parsed["generators"] == rendered and parsed["basis"] == list(
-        next(iter(mats.values())).basis.states
-    )
+    rendered = {str(g): [(r, c, scalar_str(v)) for (r, c), v in mats[g].triplets()]
+                for g in _gen_order(sig)}
+    ok = (parsed["generators"] == rendered
+          and parsed["basis"] == list(next(iter(mats.values())).basis.states))
     print(f"round-trip of matrix export: {'identical' if ok else 'MISMATCH'}")
     if args.out:
         with open(args.out, "w") as fh:
@@ -425,7 +422,7 @@ def _cmd_reimport(args) -> int:
 
 def _cmd_eval(args) -> int:
     sig = _signature(args)
-    p, q = _parse_p(args.p), _parse_q(args.q)
+    p, q = _parse_p(args.p), _single_q(args)
     _validate_realization(args.realization, p, q)
     real = realization(args.realization, sig)
     ast = parse_expr(args.expr, sig)
@@ -439,8 +436,6 @@ def _cmd_eval(args) -> int:
         if k > 1 and sig.is_fermionic(i):
             raise UsageError(f"fermionic mode {i} holds at most one particle, not {k}")
     conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
-    if isinstance(q, list):
-        raise UsageError("eval takes a single q value")
     vec = Engine(sig, convention=conv, q=q, p=p).apply(expr, state)
     if not vec:
         print("0")
@@ -458,6 +453,14 @@ def _require_int_p(args) -> int:
     if not isinstance(p, int):
         raise UsageError("this command needs an integer --p")
     return p
+
+
+def _single_q(args) -> float | None:
+    """--q as one number, or None when formal; a comma list is a usage error."""
+    q = _parse_q(args.q)
+    if isinstance(q, list):
+        raise UsageError(f"{args.command} takes a single q value")
+    return q
 
 
 def _require_q(args) -> float:

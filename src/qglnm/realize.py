@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fock import Signature
-from .presentation import E, F, H, GenSymbol, generator_parity
+from .presentation import E, F, H, GenSymbol, HBracket, generator_parity
 from .weyl import (
     Affine,
     Diag,
@@ -67,6 +67,12 @@ class Realization:
             return self.images[g]
         except KeyError:
             raise KeyError(f"no image for generator {g}") from None
+
+    def h_bracket(self, letter: HBracket) -> Affine:
+        """The argument of a bracket-of-h letter as an affine expression:
+        the Cartan eigenvalues it adds minus those it subtracts."""
+        return (sum((self.h_affines[i] for i in letter.plus), Affine())
+                - sum((self.h_affines[j] for j in letter.minus), Affine()))
 
 
 def h_affine(sig: Signature, i: int) -> Affine:

@@ -59,12 +59,7 @@ def _side_image(side, real: Realization) -> OperatorExpr:
         expr = OperatorExpr.identity()
         for letter in word:
             if isinstance(letter, HBracket):
-                aff = None
-                for i in letter.plus:
-                    aff = real.h_affines[i] if aff is None else aff + real.h_affines[i]
-                for j in letter.minus:
-                    aff = (-real.h_affines[j]) if aff is None else aff - real.h_affines[j]
-                factor = OperatorExpr.from_word(Diag("bracket", affine=aff))
+                factor = OperatorExpr.from_word(Diag("bracket", affine=real.h_bracket(letter)))
             else:
                 factor = real.image(letter)
             expr = expr * factor

@@ -31,33 +31,29 @@ residuals are real up to rounding).
 A word's scalar is formed in two parts.  The ladder atoms multiply one
 plain running number: per bosonic step 1 or l in the monomial convention
 and sqrt(l + 1) or sqrt(l) in the orthonormal one, per fermionic step the
-sign.  Each diagonal factor
-is looked up by what its value depends on: the kind with the affine
-argument's (occupation part, p coefficient), or the kind with the mode
-argument.  The product of a word's diagonal values is looked up by the
-sorted tuple of those keys, since scalars commute, so each distinct
-product is multiplied once; it then meets the ladder number once.  Both
-caches belong to the engine and last as long as it does, which bounds
-them by the distinct keys of the states it is applied to.
+sign.  The diagonal values multiply in the sorted order of their keys
+(the kind with the affine argument's occupation part and p coefficient,
+or with the mode argument), and the product meets the ladder number once.
 
-``ProbeBatch`` applies the same words to a whole list of probe states at
-once, with numpy: states are rows of an integer array and each diagonal
-factor is named by an int64 key code, which holds arguments below 2**20
-in magnitude.  With numeric engines the q samples are a second axis and
-each scalar is formed from the same factors in the same order as above,
-so it equals the per-state engine's.  With one exact engine the image
-coefficients become integer rows over monomials in q, P and p: the
-ladder numbers are integers, each distinct diagonal product is formed
-once, and its multiple by a term scalar is brought over one common
-denominator.
-Those integers are int64 only under an explicit bound; past it they are
-Python ints.
+``Engine`` is the plain per-state reference: it serves the single-state
+callers (the witness of a failed exact relation, the vacuum weights,
+``qglnm eval``) and is the oracle for ``ProbeBatch``, which serves every
+multi-state caller (relation verification and the module analysis).  A
+batch applies words to a list of probe states at once, with numpy:
+states are rows of an integer array and each diagonal factor is named by
+an int64 key code, which holds arguments below 2**20 in magnitude.
+Numeric scalars are formed from the same factors in the same order as
+above, over a second axis of q samples, so they equal the per-state
+engine's.  Exact ones are formed once per distinct diagonal product;
+verification brings them over one common denominator as integer rows,
+int64 only under an explicit bound and Python ints past it.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -98,11 +94,7 @@ class Affine:
 
 
 def _zip_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a = a + (0,) * (len(b) - len(a))
-    elif len(b) < len(a):
-        b = b + (0,) * (len(a) - len(b))
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
 
 
 def affine_mode(sig: Signature, i: int, coeff: int = 1) -> Affine:
@@ -375,6 +367,9 @@ class Engine:
     float/complex arithmetic with real p (q = 1 gets the same classical
     bracket limit).  The orthonormal convention introduces square roots
     and therefore needs a numeric q.
+
+    Words apply to one state at a time, with nothing cached between calls;
+    callers with many states use ``ProbeBatch``.
     """
 
     def __init__(self, sig: Signature, convention="monomial", q=None, p=None,
@@ -392,10 +387,6 @@ class Engine:
         self.sig = sig
         self.convention = convention
         self.q = q
-        # diagonal key -> value, None for a zero value
-        self._diag_values: dict = {}
-        # sorted tuple of diagonal keys -> product of their values
-        self._diag_products: dict = {}
 
     @property
     def mode(self) -> str:
@@ -408,32 +399,28 @@ class Engine:
     # -- diagonal factors ----------------------------------------------
 
     def eval_diag(self, d: Diag, state: FockState):
-        kind = d.kind
-        if kind in _AFFINE_KINDS:
-            c, pc = d.affine.eval_parts(state)
-            return getattr(self.scalars, kind)(c, pc)
-        if kind == "angle" and self.sig.is_fermionic(d.mode):
-            return self.scalars.one
-        if kind in _MODE_KINDS:
-            v = state[d.mode - 1] + d.shift
-            if v == 0:
-                raise _zero_argument(kind)
-            return getattr(self.scalars, kind)(v)
-        raise EngineError(f"unknown diagonal kind {kind!r}")
+        key = self._diag_key(d, state)
+        return self.scalars.one if key is None else self._diag_value(key)
 
     def _diag_key(self, d: Diag, state: FockState):
-        """What the value of a diagonal factor on a state depends on:
-        (kind, c, pc) for the affine kinds, (kind, v) for the mode kinds,
-        None for a fermionic angle (identically one)."""
+        """What the value of a diagonal factor on a state depends on, as the
+        scalar method and its arguments: (kind, c, pc) for the affine kinds,
+        (kind, v) for the mode kinds, None for a fermionic angle
+        (identically one).  A mode kind at argument 0 raises."""
         kind = d.kind
         if kind in _AFFINE_KINDS:
-            c, pc = d.affine.eval_parts(state)
-            return kind, c, pc
+            return (kind, *d.affine.eval_parts(state))
         if kind in _MODE_KINDS:
             if kind == "angle" and self.sig.is_fermionic(d.mode):
                 return None
-            return kind, state[d.mode - 1] + d.shift
+            v = state[d.mode - 1] + d.shift
+            if v == 0:
+                raise _zero_argument(kind)
+            return kind, v
         raise EngineError(f"unknown diagonal kind {kind!r}")
+
+    def _diag_value(self, key: tuple):
+        return getattr(self.scalars, key[0])(*key[1:])
 
     # -- state action ---------------------------------------------------
 
@@ -482,47 +469,32 @@ class Engine:
         sends a basis state to at most one basis state, so the result is a
         single (scalar, state) pair, or None when the image is zero.
 
-        The ladder numbers multiply as plain numbers; the diagonal values
-        and their product come from the engine's caches, and the two meet
-        once at the end."""
-        values = self._diag_values
-        keys = []
+        The ladder numbers multiply as plain numbers, the diagonal values
+        in the sorted order of their keys, and the two meet once at the
+        end: the order ``ProbeBatch`` keeps, so numeric scalars agree to
+        the last bit."""
+        diags = []  # (key, value) per diagonal factor
         ladder = 1
         for atom in reversed(word):
             if isinstance(atom, Diag):
                 key = self._diag_key(atom, state)
                 if key is None:
                     continue
-                try:
-                    val = values[key]
-                except KeyError:
-                    # a ZeroDivisionError at argument 0 propagates uncached
-                    val = self.eval_diag(atom, state)
-                    if self.scalars.is_zero(val):
-                        val = None
-                    values[key] = val
-                if val is None:
+                val = self._diag_value(key)
+                if self.scalars.is_zero(val):
                     return None
-                keys.append(key)
+                diags.append((key, val))
             else:
                 res = self._ladder(atom, state)
                 if res is None:
                     return None
                 step, state = res
                 ladder *= step
-        if not keys:
-            scalar = self.scalars.one
-        elif len(keys) == 1:
-            scalar = values[keys[0]]
+        if diags:
+            diags.sort(key=operator.itemgetter(0))
+            scalar = functools.reduce(operator.mul, [v for _, v in diags])
         else:
-            keys.sort()
-            keys = tuple(keys)
-            scalar = self._diag_products.get(keys)
-            if scalar is None:
-                scalar = values[keys[0]]
-                for key in keys[1:]:
-                    scalar = scalar * values[key]
-                self._diag_products[keys] = scalar
+            scalar = self.scalars.one
         return (scalar if ladder == 1 else scalar * ladder), state
 
     def compile(self, expr: OperatorExpr) -> list:
@@ -582,7 +554,9 @@ class ProbeBatch:
     tuple share ``X = c_t * product`` of the term scalar and the diagonal
     values, whose product is formed once per batch, and a probe state's
     image coefficient is the sum over terms of its integer ladder number
-    times ``X`` (see ``exact_images``).
+    times ``X``.  ``images`` returns the image of every probe state as a
+    {state: coefficient} dict (the module analysis); ``exact_images`` and
+    ``max_abs_images`` reduce it to what relation verification needs.
 
     Ladder numbers are int64 only while the word's bound (largest
     occupation plus word length, to the number of lowering atoms) stays
@@ -793,6 +767,48 @@ class ProbeBatch:
             self._products[key] = product
         return product
 
+    def _exact_terms(self, compiled: list):
+        """Per term of a compiled expression with a live row on an exact
+        batch: (live rows, their image states, per-row ladder numbers or
+        None when they are 1, the group of each row, ``X = c_t * product``
+        per group), where a group is the rows sharing a sorted key-code
+        tuple and so one diagonal product."""
+        for c, w in compiled:
+            rows, states, ladder, codes, _ = self._walk(w)
+            if not len(rows):
+                continue
+            groups: dict = {}  # sorted code tuple -> group
+            keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
+            group = np.array([groups.setdefault(key, len(groups)) for key in keys])
+            yield rows, states, ladder, group, [c * self._product(key) for key in groups]
+
+    def images(self, compiled: list) -> list[dict]:
+        """The image of a compiled expression on every probe state of a
+        single-engine batch: {image state: coefficient} dicts equal to
+        ``Engine.apply_compiled``'s, terms summed in order and zeros
+        dropped.  Numeric coefficients are ``c_t`` times the scalars of
+        ``apply_word``, the per-state engine's to the last bit; exact ones
+        are the ladder number times the row group's ``X``."""
+        if len(self.engines) > 1:
+            raise EngineError("images need a single-engine batch")
+        terms = []  # (live rows, image states, coefficient per row)
+        if self.exact:
+            for rows, states, ladder, group, xs in self._exact_terms(compiled):
+                ks = itertools.repeat(1) if ladder is None else ladder.tolist()
+                terms.append((rows, states, [xs[g] if k == 1 else xs[g] * k
+                                             for g, k in zip(group.tolist(), ks)]))
+        else:
+            for c, w in compiled:
+                rows, states, values = self.apply_word(w)
+                terms.append((rows, states, (c[0] * values[:, 0]).tolist()))
+        out = [{} for _ in range(len(self.states))]
+        for rows, states, values in terms:
+            for r, s, v in zip(rows.tolist(), map(tuple, states.tolist()), values):
+                image = out[r]
+                image[s] = image[s] + v if s in image else v
+        is_zero = self.engines[0].scalars.is_zero
+        return [{s: v for s, v in image.items() if not is_zero(v)} for image in out]
+
     def exact_images(self, compiled: list) -> np.ndarray:
         """Image coefficients of a compiled expression whose terms share one
         net occupation change, on every probe state of an exact batch, as
@@ -801,37 +817,27 @@ class ProbeBatch:
         scaled by one common nonzero factor, so a row is all zero exactly
         when that state's image is the exact zero.
 
-        A term's live rows are grouped by their sorted key-code tuple, and
-        ``X = c_t * product`` is formed once per group.  Each ``X`` is
-        brought over the product of the distinct denominators of all the
-        ``X`` and an integer lcm, and becomes an integer row; a state's
-        row is then the sum of ladder number times ``X`` row over terms.
+        Each ``X`` of ``_exact_terms`` is brought over the product of the
+        distinct denominators of all the ``X`` and an integer lcm, and
+        becomes an integer row; a state's row is then the sum of ladder
+        number times ``X`` row over terms.
         The sum is taken in int64 only when the sum over terms of the
         largest ladder number times the largest row entry stays below
         2**63, and with Python ints otherwise."""
         if not self.exact:
             raise EngineError("exact images need an exact batch")
-        terms = []  # (live rows, ladder numbers, group of each row, X per group)
-        for c, w in compiled:
-            rows, _, ladder, codes, _ = self._walk(w)
-            if not len(rows):
-                continue
-            groups: dict = {}  # sorted code tuple -> group
-            keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
-            group = np.array([groups.setdefault(key, len(groups)) for key in keys])
-            xs = [c * self._product(key) for key in groups]
-            terms.append((rows, ladder, group, xs))
+        terms = list(self._exact_terms(compiled))
         # X = num / den becomes num * (the other distinct denominators)
-        dens = dict.fromkeys(x.den for _, _, _, xs in terms for x in xs)
+        dens = dict.fromkeys(x.den for *_, xs in terms for x in xs)
         for den in dens:
             others = [d for d in dens if d is not den and not d.is_one()]
             dens[den] = functools.reduce(operator.mul, others) if others else None
         polys = [[x.num if dens[x.den] is None else x.num * dens[x.den] for x in xs]
-                 for _, _, _, xs in terms]
+                 for *_, xs in terms]
         scale = math.lcm(*(f.denom for fs in polys for f in fs))
         columns: dict = {}  # monomial -> column
         bound = 0
-        for (_, ladder, _, _), fs in zip(terms, polys):
+        for (_, _, ladder, _, _), fs in zip(terms, polys):
             for f in fs:
                 for k in f.coeffs:
                     columns.setdefault(k, len(columns))
@@ -839,7 +845,7 @@ class ProbeBatch:
             bound += top * (1 if ladder is None else int(np.abs(ladder).max()))
         dtype = np.int64 if bound < 1 << 63 else object
         out = np.zeros((len(self.states), len(columns)), dtype=dtype)
-        for (rows, ladder, group, _), fs in zip(terms, polys):
+        for (rows, _, ladder, group, _), fs in zip(terms, polys):
             table = np.zeros((len(fs), len(columns)), dtype=dtype)
             for g, f in enumerate(fs):
                 m = scale // f.denom

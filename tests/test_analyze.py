@@ -6,6 +6,7 @@ import pytest
 from qglnm.analyze import (
     _images,
     _reachability,
+    _relation_failures,
     check_invariance,
     check_unitarity,
     cyclicity,
@@ -16,10 +17,10 @@ from qglnm.analyze import (
     materialize,
     quotient_relations_check,
 )
-from qglnm.coeff import CoeffExact
+from qglnm.coeff import CoeffExact, bracket_int
 from qglnm.fock import Signature, dim_F0, enumerate_up_to, total
-from qglnm.presentation import GenSymbol
-from qglnm.realize import realization
+from qglnm.presentation import GenSymbol, HBracket, build_relations
+from qglnm.realize import MUTATIONS, h_affine, realization
 from qglnm.weyl import Engine
 
 SIG21 = Signature(2, 1)
@@ -264,6 +265,77 @@ class TestQuotientConsistency:
     @pytest.mark.parametrize("n,m,p", [(2, 1, 1), (2, 1, 2), (2, 2, 2)])
     def test_quotient_matrices_satisfy_relations_exactly(self, n, m, p):
         assert quotient_relations_check(Signature(n, m), p) == []
+
+    CASES = [(n, m, p, mutation)
+             for n, m in [(2, 1), (2, 2), (3, 1), (3, 2)]
+             for p in (1, 2, 3)
+             for mutation in (None, *MUTATIONS)
+             if mutation != "drop_bracket_ratio" or n >= 3]
+
+    @pytest.mark.parametrize("n,m,p,mutation", CASES)
+    def test_sparse_check_matches_dense_products(self, n, m, p, mutation):
+        sig = Signature(n, m)
+        mats = materialize(sig, "dyson", p, subspace="quotient-F0", convention="monomial",
+                           mutation=mutation)
+        failures = _relation_failures(sig, p, mats)
+        assert failures == dense_relation_failures(sig, p, mats)
+        # the negative controls fail; at p = 1 every bracket ratio the
+        # quotient meets is [1]/1, so dropping one changes nothing
+        assert bool(failures) == (mutation is not None
+                                  and (mutation != "drop_bracket_ratio" or p >= 2))
+
+    def test_case_count(self):
+        assert len(self.CASES) == 42
+
+
+def dense_relation_failures(sig, p, mats):
+    """Names of the relations the exact matrices violate, by dense matrix
+    products: the independent reference for the sparse column check."""
+    basis = next(iter(mats.values())).basis
+    size = len(basis)
+    zero, one = CoeffExact.zero(), CoeffExact.one()
+
+    def dense(entries):
+        out = [[zero] * size for _ in range(size)]
+        for (r, c), v in entries.items():
+            out[r][c] = v
+        return out
+
+    def matmul(a, b):
+        out = [[zero] * size for _ in range(size)]
+        for i in range(size):
+            for k in range(size):
+                if not a[i][k].is_zero():
+                    for j in range(size):
+                        if not b[k][j].is_zero():
+                            out[i][j] = out[i][j] + a[i][k] * b[k][j]
+        return out
+
+    def h_value(i, state):
+        c, pc = h_affine(sig, i).eval_parts(state)
+        return c + pc * p
+
+    def hbracket(letter):
+        return dense({(k, k): bracket_int(sum(h_value(i, s) for i in letter.plus)
+                                          - sum(h_value(j, s) for j in letter.minus))
+                      for k, s in enumerate(basis.states)})
+
+    mats = {g: dense(m.entries) for g, m in mats.items()}
+    failures = []
+    for rel in build_relations(sig):
+        acc = [[zero] * size for _ in range(size)]
+        for sign, side in ((1, rel.lhs), (-1, rel.rhs)):
+            for scalar, word in side:
+                term = dense({(k, k): one for k in range(size)})
+                for letter in word:
+                    term = matmul(term, hbracket(letter) if isinstance(letter, HBracket)
+                                  else mats[letter])
+                for i in range(size):
+                    for j in range(size):
+                        acc[i][j] = acc[i][j] + (scalar if sign == 1 else -scalar) * term[i][j]
+        if any(not v.is_zero() for row in acc for v in row):
+            failures.append(rel.name)
+    return failures
 
 
 class TestDeformedOps:

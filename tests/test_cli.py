@@ -15,7 +15,7 @@ from qglnm.cli import (
     parse_matrix_export,
     run,
 )
-from qglnm.analyze import materialize
+from qglnm.analyze import deformed_ops_check, materialize
 from qglnm.fock import Signature
 from qglnm.presentation import GenSymbol
 from qglnm.realize import MUTATIONS, dyson
@@ -224,7 +224,8 @@ class TestGoldenBytes:
 
 
 class TestGoldenAnalysis:
-    """Analysis reports pinned byte for byte with their exit codes."""
+    """Analysis reports, matrix exports and evaluations pinned byte for
+    byte with their exit codes."""
 
     CASES = [
         (name.format(n=n, m=m, p=p), ["analyze", "--n", str(n), "--m", str(m), "--p", str(p)] + argv)
@@ -235,7 +236,29 @@ class TestGoldenAnalysis:
              ["--check", "invariance", "--realization", "hp", "--q", "1.3"]),
             ("analyze-cyclicity-{n}-{m}-p{p}-q1.3", ["--check", "cyclicity", "--q", "1.3"]),
             ("analyze-deformed-ops-{n}-{m}-p{p}-q1.3", ["--check", "deformed-ops", "--q", "1.3"]),
+            ("analyze-unitarity-{n}-{m}-p{p}-q1.3", ["--check", "unitarity", "--q", "1.3"]),
         ]
+    ] + [
+        (name.format(n=n, m=m, p=p), ["matrices", "--n", str(n), "--m", str(m), "--p", str(p),
+                                      "--q", "1.3"] + argv)
+        for name, n, m, p, argv in [
+            ("matrices-hp-{n}-{m}-p{p}-q1.3-F0", 2, 1, 2, ["--realization", "hp"]),
+            ("matrices-hp-{n}-{m}-p{p}-q1.3-F0", 3, 2, 2, ["--realization", "hp"]),
+            # above the threshold sqrt([p - N]) has negative radicands
+            ("matrices-hp-{n}-{m}-p{p}-q1.3-F1-slice", 2, 1, 1,
+             ["--realization", "hp", "--subspace", "F1-slice"]),
+            ("matrices-dyson-{n}-{m}-p{p}-q1.3-quotient-F0", 2, 1, 2,
+             ["--realization", "dyson", "--subspace", "quotient-F0"]),
+            ("matrices-dyson-{n}-{m}-p{p}-q1.3-quotient-F0-monomial", 3, 2, 2,
+             ["--realization", "dyson", "--subspace", "quotient-F0", "--convention", "monomial"]),
+        ]
+    ] + [
+        ("eval-dyson-3-2-formal", ["eval", "--n", "3", "--m", "2", "--realization", "dyson",
+                                   "--p", "formal", "--expr", "e1*e2*f2*f1 - f1*e1 + 2*h1*e2*f2",
+                                   "--state", "2,1,1,0"]),
+        ("eval-hp-3-2-p3-q1.3", ["eval", "--n", "3", "--m", "2", "--realization", "hp", "--p", "3",
+                                 "--q", "1.3", "--expr", "f1*e2*f2 + e1*f1*f3 + f4*e1 - 2*h2*f1",
+                                 "--state", "2,1,0,1"]),
     ]
 
     @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
@@ -407,6 +430,26 @@ class TestCommands:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: fermionic mode 2 holds at most one particle, not 5\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["matrices"],
+        ["analyze", "--check", "reimport"],
+        ["analyze", "--check", "invariance"],
+    ], ids=["matrices", "reimport", "invariance"])
+    def test_q_list_is_usage_error(self, argv, capsys):
+        code = run(argv + ["--n", "2", "--m", "1", "--realization", "hp", "--p", "1",
+                           "--q", "0.5,1.3"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {argv[0]} takes a single q value\n"
+
+    def test_deformed_ops_honours_cap_0(self, capsys):
+        code = run(["analyze", "--n", "2", "--m", "1", "--check", "deformed-ops", "--p", "2",
+                    "--q", "1.3", "--cap", "0"])
+        # the vacuum alone tells neither fermionic exponent variant apart
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == deformed_ops_check(SIG21, 2, 1.3, cap=0).summary() + "\n"
+        assert "NEITHER holds" in out and err == ""
 
     def test_bad_signature_is_usage_error(self, capsys):
         code = run(["relations", "--n", "1", "--m", "1"])

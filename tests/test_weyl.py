@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qglnm.coeff import CoeffExact, LaurentPoly, bracket_int, bracket_value
+from qglnm.coeff import CoeffExact, LaurentPoly, bracket_int, bracket_value, scalar_str
 from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import build_relations
 from qglnm.realize import MUTATIONS, realization
@@ -307,8 +307,8 @@ def close_rel(a, b, rel=1e-12):
 
 
 class TestWordReference:
-    """apply_word (plain ladder numbers, cached diagonal values and
-    products) against the atom-by-atom fold on every term of every
+    """apply_word (plain ladder numbers, diagonal values multiplied in key
+    order) against the atom-by-atom fold on every term of every
     substituted relation."""
 
     @staticmethod
@@ -341,6 +341,9 @@ class TestWordReference:
 
 
 class TestWordCaches:
+    """Repeated application on engines that differ in p or q, zero images,
+    zero arguments and fermionic angles."""
+
     # e1-like word [p - N] a_1 (the bracket is read on the lowered state)
     WORD = (Diag("bracket", affine=Affine(0, 1, (-1, -1))), Lower(1))
 
@@ -542,6 +545,64 @@ class TestProbeBatch:
         batch = ProbeBatch([engine], [(1, 0), (2**20, 0)])
         with pytest.raises(EngineError, match="code range"):
             batch.exact_images(batch.compile(expr)) if batch.exact else batch.apply_word(word)
+
+    @staticmethod
+    def _check_images(eng, states, exprs) -> int:
+        """Assert that ``images`` equals the per-state engine's image of
+        every (name, expression) on every state, with equal printed
+        coefficients (for floats, equal bits); returns the number of zero
+        images."""
+        batch = ProbeBatch([eng], states)
+        empty = 0
+        for name, expr in exprs:
+            compiled = eng.compile(expr)
+            for s, got in zip(states, batch.images(batch.compile(expr))):
+                want = eng.apply_compiled(compiled, s)
+                assert list(got) == list(want), (name, s)
+                for v, w in zip(got.values(), want.values()):
+                    assert v == w and scalar_str(v) == scalar_str(w), (name, s, v, w)
+                empty += not got
+        return empty
+
+    @staticmethod
+    def _generator_images(sig, kinds):
+        for kind in kinds:
+            for mutation in (None, *MUTATIONS) if kind == "dyson" else (None,):
+                if mutation != "drop_bracket_ratio" or sig.n >= 3:
+                    for g, expr in realization(kind, sig, mutation).images.items():
+                        yield f"{kind} {mutation} {g}", expr
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
+    @pytest.mark.parametrize("p, classical", [(None, False), (3, False), (None, True)])
+    def test_images_match_engine_exact(self, sig, p, classical):
+        self._check_images(Engine(sig, p=p, classical=classical), probe(sig, 7),
+                           self._generator_images(sig, ["dyson"]))
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
+    @pytest.mark.parametrize("q", [0.7, 1.0, 1.3])
+    @pytest.mark.parametrize("convention", ["monomial", "orthonormal"])
+    def test_images_match_engine_bits(self, sig, q, convention):
+        self._check_images(Engine(sig, convention=convention, q=q, p=3), probe(sig, 7),
+                           self._generator_images(sig, ["dyson", "hp", "hp-deformed"]))
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
+    @pytest.mark.parametrize("q", [None, 0.7], ids=["exact", "numeric"])
+    def test_relation_images_match_engine(self, sig, q):
+        # relation residuals sum many terms, cancel to zero on most states
+        # and carry words with several diagonal factors
+        if q is None:
+            eng, real = Engine(sig), realization("dyson", sig, "shift_e1_bracket")
+        else:
+            eng, real = Engine(sig, convention="orthonormal", q=q, p=3), realization("hp", sig)
+        rels = build_relations(sig)
+        states = probe(sig, 4)
+        empty = self._check_images(eng, states, ((r.name, substitute(r, real)) for r in rels))
+        assert 0 < empty < len(states) * len(rels)
+
+    def test_images_need_a_single_engine(self):
+        batch = ProbeBatch([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)], [(0, 0)])
+        with pytest.raises(EngineError, match="single-engine"):
+            batch.images(batch.compile(OperatorExpr.from_word(Raise(1))))
 
     def test_refuses_mixed_or_several_exact_engines(self):
         with pytest.raises(EngineError, match="not both"):
