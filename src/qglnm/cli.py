@@ -464,8 +464,8 @@ def _single_q(args) -> float | None:
 
 
 def _require_q(args) -> float:
-    q = _parse_q(args.q)
-    if not isinstance(q, float):
+    q = _single_q(args)
+    if q is None:
         raise UsageError("this command needs a single numeric --q")
     return q
 
@@ -478,20 +478,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p_, realization=True):
+    def common(p_, *reads):
+        """Shared options, and of --cap, --tolerance and --out those in reads."""
         p_.add_argument("--n", type=int, required=True, help="number of even labels (n >= 2)")
         p_.add_argument("--m", type=int, required=True, help="number of odd labels (m >= 0)")
-        if realization:
-            p_.add_argument("--realization", choices=REALIZATIONS, default=DYSON)
-            p_.add_argument("--p", default="formal",
-                            help="occupation threshold: integer, real, or 'formal'")
-            p_.add_argument("--q", default=None,
-                            help="deformation parameter: real, comma list, or 'formal' "
-                                 "(unset: formal for dyson, default samples for verify hp)")
+        p_.add_argument("--realization", choices=REALIZATIONS, default=DYSON)
+        p_.add_argument("--p", default="formal",
+                        help="occupation threshold: integer, real, or 'formal'")
+        p_.add_argument("--q", default=None,
+                        help="deformation parameter: real, comma list, or 'formal' "
+                             "(unset: formal for dyson, default samples for verify hp)")
+        if "cap" in reads:
             p_.add_argument("--cap", type=int, default=None, help="probe degree cap")
-            p_.add_argument("--convention", choices=("exact", "monomial", "orthonormal"),
-                            default=None, help="basis convention ('exact' = monomial)")
+        p_.add_argument("--convention", choices=("exact", "monomial", "orthonormal"),
+                        default=None, help="basis convention ('exact' = monomial)")
+        if "tolerance" in reads:
             p_.add_argument("--tolerance", type=float, default=1e-10)
+        if "out" in reads:
             p_.add_argument("--out", default=None, help="write the report/export here")
 
     p_rel = sub.add_parser("relations", help="print the defining relation list")
@@ -501,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rel.set_defaults(func=_cmd_relations)
 
     p_ver = sub.add_parser("verify", help="verify all defining relations under a realization")
-    common(p_ver)
+    common(p_ver, "cap", "tolerance", "out")
     p_ver.add_argument("--mutation", default=None,
                        help="seeded defect for verifier sensitivity testing")
     p_ver.add_argument("--classical", action="store_true",
@@ -509,12 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_mat = sub.add_parser("matrices", help="export generator matrices on a finite subspace")
-    common(p_mat)
+    common(p_mat, "cap", "out")
     p_mat.add_argument("--subspace", choices=("F0", "F1-slice", "quotient-F0"), default="F0")
     p_mat.set_defaults(func=_cmd_matrices)
 
     p_ana = sub.add_parser("analyze", help="run a representation-level check")
-    common(p_ana)
+    common(p_ana, "cap", "tolerance", "out")
     p_ana.add_argument("--check", required=True,
                        choices=("invariance", "unitarity", "highest-weight", "typicality",
                                 "inequivalence", "cyclicity", "deformed-ops", "reimport"))

@@ -1,12 +1,13 @@
 """Exact and numeric coefficient arithmetic for q-deformed algebra.
 
-Exact scalars live in the fraction field of Laurent polynomials in the
-deformation parameter q, extended by a formal unit P standing for q**p
-(p a free parameter that is never specialized) and by polynomial powers
-of p itself.  A Laurent polynomial holds plain integer coefficients over
-one positive integer denominator, kept in lowest terms, so its arithmetic
-is integer arithmetic with a single gcd per result.  Numeric scalars are
-plain Python floats obtained by specializing q and p to real numbers.
+Exact scalars live in the ring of Laurent polynomials in the deformation
+parameter q and a formal unit P standing for q**p (p a free parameter that
+is never specialized), extended by polynomial powers of p itself and
+localized at q - q**(-1), each held in one canonical form.  A Laurent
+polynomial holds plain integer coefficients over one positive integer
+denominator, kept in lowest terms, so its arithmetic is integer arithmetic
+with a single gcd per result.  Numeric scalars are plain
+Python floats obtained by specializing q and p to real numbers.
 
 The central quantity is the q-bracket
 
@@ -15,12 +16,13 @@ The central quantity is the q-bracket
 which reduces to x in the limit q -> 1.  ``bracket_int`` expands [k] for
 integer k directly as a Laurent polynomial, so no division is ever
 performed for integer arguments.  ``bracket_affine`` handles arguments
-of the form c + p, producing P and P**(-1) monomials over the
-denominator q - q**(-1).
+of the form c + p, producing P and P**(-1) monomials over the first
+power of q - q**(-1), the only denominator exact scalars ever get.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -96,10 +98,6 @@ class LaurentPoly:
         return _Terms(self)
 
     @classmethod
-    def from_rational(cls, value) -> "LaurentPoly":
-        return cls.monomial(coeff=value)
-
-    @classmethod
     def monomial(cls, q_exp: int = 0, P_exp: int = 0, p_pow: int = 0, coeff=1) -> "LaurentPoly":
         coeff = Fraction(coeff)
         key = (q_exp, P_exp, p_pow)
@@ -108,14 +106,11 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.denom == 1 and self.coeffs == {_ONE_KEY: 1}
-
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self.denom == other.denom and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.from_rational(other)
+            return self == LaurentPoly.monomial(coeff=other)
         return NotImplemented
 
     def __hash__(self):
@@ -166,11 +161,6 @@ class LaurentPoly:
             return _LP_ZERO
         n = value.numerator
         return _lowest({k: v * n for k, v in self.coeffs.items()}, self.denom * value.denominator)
-
-    def shifted(self, q_exp: int, P_exp: int, p_pow: int) -> "LaurentPoly":
-        """Multiply by the monomial q**q_exp * P**P_exp * p**p_pow."""
-        coeffs = {(a + q_exp, b + P_exp, c + p_pow): v for (a, b, c), v in self.coeffs.items()}
-        return _poly(coeffs, self.denom)
 
     def eval(self, q: float, p: float) -> float:
         """Specialize q and p to real numbers (P becomes q**p).  Each
@@ -225,141 +215,168 @@ class LaurentPoly:
 
 
 _LP_ZERO = LaurentPoly()
-_LP_ONE = LaurentPoly.from_rational(1)
 
 
-def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a * b, without a product when either factor is the shared one."""
-    if a is _LP_ONE:
-        return b
-    if b is _LP_ONE:
-        return a
-    return a * b
+@functools.cache
+def q_minus_qbar_power(k: int) -> LaurentPoly:
+    """(q - q**-1)**k = sum over i of (-1)**i * binomial(k, i) * q**(k - 2i)."""
+    return _poly({(k - 2 * i, 0, 0): (-1) ** i * math.comb(k, i) for i in range(k + 1)}, 1)
+
+
+def _divided(num: LaurentPoly) -> LaurentPoly | None:
+    """num / (q - q**-1) when that is a Laurent polynomial, else None: when
+    every (P, p) column of num vanishes at q = 1 and at q = -1.  The column
+    of the first term is summed at q = 1 first, which rejects almost every
+    candidate.  Each column is then divided from its top exponent down; the
+    quotient's content is num's, so it stays in lowest terms."""
+    coeffs = num.coeffs
+    if not coeffs:
+        return num
+    _, b0, c0 = next(iter(coeffs))
+    if sum(v for (_, b, c), v in coeffs.items() if b == b0 and c == c0):
+        return None
+    columns: dict = {}
+    for (a, b, c), v in coeffs.items():
+        columns.setdefault((b, c), {})[a] = v
+    for col in columns.values():
+        if sum(col.values()) or sum(-v if a & 1 else v for a, v in col.items()):
+            return None
+    out: dict[Monomial, int] = {}
+    for (b, c), col in columns.items():
+        d_a = d_up = 0  # d_a and d_(a+1) at the top exponent a
+        for a in range(max(col), min(col) + 1, -1):
+            d_a, d_up = col.get(a, 0) + d_up, d_a  # now d_(a-1) and d_a
+            if d_a:
+                out[a - 1, b, c] = d_a
+    return _poly(out, num.denom)
+
+
+def _coeff(num: LaurentPoly, k: int) -> "CoeffExact":
+    """The value num / (q - q**-1)**k from a pair already canonical."""
+    res = object.__new__(CoeffExact)
+    res.num = num
+    res.k = k
+    return res
 
 
 class CoeffExact:
-    """Quotient num/den of two Laurent polynomials.
+    """The value num / (q - q**-1)**k, q - q**-1 being the only denominator
+    the formal-p bracket [p - N + c] brings in.  The pair is canonical: when
+    k > 0, q - q**-1 does not divide num, and zero has k = 0.  So equal
+    values have equal fields (``LaurentPoly`` is canonical too), equality is
+    a field compare and the pair hashes.  Construction divides out every
+    factor q - q**-1 that num carries."""
 
-    Equality is decided by cross-multiplication (num1*den2 == num2*den1),
-    so no multivariate gcd machinery is needed.  Construction folds
-    monomial denominators into the numerator (monomials are units in a
-    Laurent ring, and so are nonzero rationals), which keeps e.g. integer
-    q-brackets at denominator 1.  Every denominator 1 is the one shared
-    ``_LP_ONE``, so sums, products and equality tests skip it by identity.
-    """
+    __slots__ = ("num", "k")
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = _LP_ONE
-        elif den is not _LP_ONE:
-            if den.is_zero():
-                raise ZeroDivisionError("zero denominator in exact coefficient")
-            if len(den.coeffs) == 1:
-                ((a, b, c), v), = den.coeffs.items()
-                # p is not invertible; only q/P monomial factors can be folded.
-                if not c:
-                    num = num.shifted(-a, -b, 0).scaled(Fraction(den.denom, v))
-                    den = _LP_ONE
+    def __init__(self, num: LaurentPoly, k: int = 0):
+        if k < 0:
+            raise ValueError("the power of q - q**-1 must not be negative")
+        while k and (quotient := _divided(num)) is not None:
+            num, k = quotient, k - 1
         self.num = num
-        self.den = den
+        self.k = k
 
     @classmethod
-    def from_int(cls, k) -> "CoeffExact":
-        return cls(LaurentPoly.from_rational(k))
+    def from_int(cls, value) -> "CoeffExact":
+        return _coeff(LaurentPoly.monomial(coeff=value), 0)
 
     @classmethod
     def zero(cls) -> "CoeffExact":
-        return cls(_LP_ZERO)
+        return _coeff(_LP_ZERO, 0)
 
     @classmethod
     def one(cls) -> "CoeffExact":
-        return cls(_LP_ONE)
+        return cls.from_int(1)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = CoeffExact.from_int(other)
+            return not self.k and self.num == other
         if not isinstance(other, CoeffExact):
             return NotImplemented
-        return _times(self.num, other.den) == _times(other.num, self.den)
+        return self.k == other.k and self.num == other.num
 
     def __hash__(self):
-        raise TypeError("CoeffExact is not hashable (equality is by cross-multiplication)")
+        return hash((self.num, self.k))
 
     def __add__(self, other: "CoeffExact") -> "CoeffExact":
         if self.num.is_zero():
             return other
         if other.num.is_zero():
             return self
-        d1, d2 = self.den, other.den
-        if d1 is d2 or d1 == d2:
-            return CoeffExact(self.num + other.num, d1)
-        return CoeffExact(_times(self.num, d2) + _times(other.num, d1), _times(d1, d2))
+        k1, k2 = self.k, other.k
+        if k1 == k2:
+            return CoeffExact(self.num + other.num, k1)
+        # q - q**-1 divides the numerator brought up to the larger power, not the other
+        if k1 < k2:
+            return _coeff(self.num * q_minus_qbar_power(k2 - k1) + other.num, k2)
+        return _coeff(self.num + other.num * q_minus_qbar_power(k1 - k2), k1)
 
     def __neg__(self) -> "CoeffExact":
-        return CoeffExact(-self.num, self.den)
+        return _coeff(-self.num, self.k)
 
     def __sub__(self, other: "CoeffExact") -> "CoeffExact":
         return self + (-other)
 
     def __mul__(self, other) -> "CoeffExact":
         if isinstance(other, int):
-            return CoeffExact(self.num.scaled(other), self.den)
-        if self.num.is_zero() or other.num.is_zero():
+            return _coeff(self.num.scaled(other), self.k if other else 0)
+        n1, n2 = self.num, other.num
+        if n1.is_zero() or n2.is_zero():
             return CoeffExact.zero()
-        return CoeffExact(self.num * other.num, _times(self.den, other.den))
+        k1, k2 = self.k, other.k
+        # a monomial is prime to q - q**-1: times a reduced numerator it stays reduced
+        if (k2 and len(n1.coeffs) == 1) or (k1 and len(n2.coeffs) == 1):
+            return _coeff(n1 * n2, k1 + k2)
+        return CoeffExact(n1 * n2, k1 + k2)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "CoeffExact") -> "CoeffExact":
-        if isinstance(other, int):
-            return CoeffExact(self.num, self.den.scaled(other))
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by exact zero")
-        return CoeffExact(_times(self.num, other.den), _times(self.den, other.num))
+    def __truediv__(self, other: int) -> "CoeffExact":
+        return _coeff(self.num.scaled(Fraction(1, other)), self.k)
 
     def mentions_p(self) -> bool:
         """Whether the value depends on p, through P = q**p or a power of p."""
-        return any(b or c for (_, b, c) in [*self.num.coeffs, *self.den.coeffs])
+        return any(b or c for (_, b, c) in self.num.coeffs)
 
     def rational(self) -> Fraction | None:
-        """The value as a Fraction when it is written as a rational
-        constant (no q, P or p, denominator 1), else None."""
+        """The value as a Fraction when it is a rational constant, else None."""
         coeffs = self.num.coeffs
-        if self.den is not _LP_ONE or coeffs.keys() - {_ONE_KEY}:
+        if self.k or coeffs.keys() - {_ONE_KEY}:
             return None
         return Fraction(coeffs.get(_ONE_KEY, 0), self.num.denom)
 
     def eval_numeric(self, q: float, p: float = 0.0) -> float:
-        """Evaluate at real q and p.  An integral p is substituted exactly
-        first, so a coefficient that vanishes at that p evaluates to 0.
-        Raises ZeroDivisionError when the denominator vanishes at the
-        sample point (caller resamples q)."""
+        """Evaluate at real q > 0 and real p (P becomes q**p).  An integral
+        p is substituted exactly first, so a value that vanishes or is finite
+        at q = 1 for that p evaluates as such.  Raises ZeroDivisionError when
+        q - q**-1 vanishes under a remaining power (caller resamples q)."""
+        if q <= 0:
+            raise ValueError("q must be positive")
         c = self
         if float(p).is_integer() and self.mentions_p():
             c = self.subst_p_int(int(p))
-        d = c.den.eval(q, p)
+        d = (q - q**-1) ** c.k
         if d == 0.0:
             raise ZeroDivisionError(f"denominator vanishes at q={q}, p={p}")
         return c.num.eval(q, p) / d
 
     def subst_q1(self) -> "CoeffExact":
         """Specialize q = 1 exactly, keeping p formal."""
-        den = self.den
-        return CoeffExact(self.num.subst_q1(), den if den is _LP_ONE else den.subst_q1())
+        if self.k:
+            raise ZeroDivisionError("q - q**-1 vanishes at q = 1")
+        return _coeff(self.num.subst_q1(), 0)
 
     def subst_p_int(self, p: int) -> "CoeffExact":
-        den = self.den
-        return CoeffExact(self.num.subst_p_int(p), den if den is _LP_ONE else den.subst_p_int(p))
+        return CoeffExact(self.num.subst_p_int(p), self.k)
 
     def canonical_str(self) -> str:
-        if self.den.is_one():
+        if not self.k:
             return self.num.canonical_str()
-        return f"({self.num.canonical_str()})/({self.den.canonical_str()})"
+        return f"({self.num.canonical_str()})/({q_minus_qbar_power(self.k).canonical_str()})"
 
     def __repr__(self):
         return f"CoeffExact({self.canonical_str()})"
@@ -369,35 +386,28 @@ def bracket_int(k: int) -> CoeffExact:
     """The q-bracket [k] for integer k, expanded as a Laurent polynomial.
 
     [k] = q**(k-1) + q**(k-3) + ... + q**(1-k) for k > 0, [0] = 0, and
-    [-k] = -[k].  The denominator is 1 by construction.
+    [-k] = -[k].
     """
-    if k == 0:
-        return CoeffExact.zero()
     sign = 1 if k > 0 else -1
     k = abs(k)
-    return CoeffExact(_poly({(k - 1 - 2 * j, 0, 0): sign for j in range(k)}, 1))
+    return _coeff(_poly({(k - 1 - 2 * j, 0, 0): sign for j in range(k)}, 1), 0)
 
 
-_Q_MINUS_QBAR = _poly({(1, 0, 0): 1, (-1, 0, 0): -1}, 1)
-
-
-def bracket_affine(c0: int, cp: int, shift_by_state: int = 0, p_value: int | None = None) -> CoeffExact:
-    """The q-bracket [c0 + cp*p + shift_by_state].
+def bracket_affine(c0: int, cp: int, p_value: int | None = None) -> CoeffExact:
+    """The q-bracket [c0 + cp*p].
 
     With cp = 0 this is an integer bracket.  With cp = 1 and formal p the
-    result is (P*q**x - P**(-1)*q**(-x)) / (q - q**(-1)) where
-    x = c0 + shift_by_state.  Passing an integer ``p_value`` substitutes
-    it and reduces to an integer bracket.
+    result is (P*q**c0 - P**(-1)*q**(-c0)) / (q - q**(-1)), already reduced.
+    Passing an integer ``p_value`` substitutes it and reduces to an integer
+    bracket.
     """
     if cp not in (0, 1):
         raise ValueError("p coefficient must be 0 or 1")
-    x = c0 + shift_by_state
     if cp == 0:
-        return bracket_int(x)
+        return bracket_int(c0)
     if p_value is not None:
-        return bracket_int(x + p_value)
-    num = _poly({(x, 1, 0): 1, (-x, -1, 0): -1}, 1)
-    return CoeffExact(num, _Q_MINUS_QBAR)
+        return bracket_int(c0 + p_value)
+    return _coeff(_poly({(c0, 1, 0): 1, (-c0, -1, 0): -1}, 1), 1)
 
 
 def bracket_value(x: float, q: float) -> float:
@@ -416,19 +426,6 @@ def bracket_value(x: float, q: float) -> float:
     s = 1 if q > 1.0 else -1
     value = q ** (s * (a - 1)) * (math.expm1(-2 * h * a) / math.expm1(-2 * h))
     return value if x >= 0 else -value
-
-
-def eval_numeric(c: CoeffExact, q: float, p: float = 0.0) -> float:
-    """Specialize an exact coefficient at real q > 0 and real p (P := q**p)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    return c.eval_numeric(q, p)
-
-
-def bracket_recurrence_check(x: int) -> bool:
-    """Exact check of [x+1] - (q + q**-1)[x] + [x-1] = 0."""
-    lhs = bracket_int(x + 1) - bracket_int(2) * bracket_int(x) + bracket_int(x - 1)
-    return lhs.is_zero()
 
 
 def numeric_str(value) -> str:

@@ -33,6 +33,7 @@ from .weyl import Diag, Engine, OperatorExpr, ProbeBatch
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
+EXTRA_PROBES = 4
 
 
 def default_cap(p) -> int:
@@ -122,10 +123,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def probe_states(sig: Signature, cap: int, extra: int = 4, seed: int = 0) -> list[FockState]:
+def probe_states(sig: Signature, cap: int) -> list[FockState]:
     """All states of degree <= cap plus a deterministic random sample of
-    states with degree in (cap, cap + 4]."""
-    return list(enumerate_up_to(sig, cap)) + extra_probe_states(sig, cap, extra, seed)
+    ``EXTRA_PROBES`` states with degree in (cap, cap + 4]."""
+    return list(enumerate_up_to(sig, cap)) + extra_probe_states(sig, cap, EXTRA_PROBES)
 
 
 def extra_probe_states(sig: Signature, cap: int, extra: int = 4, seed: int = 0) -> list[FockState]:
@@ -202,7 +203,6 @@ def verify_all(
     tolerance: float = DEFAULT_TOLERANCE,
     mutation: str | None = None,
     classical: bool = False,
-    extra_probes: int = 4,
 ) -> VerificationReport:
     """Check every defining relation of the signature against a realization.
 
@@ -223,7 +223,7 @@ def verify_all(
     if cap < 4:
         raise ValueError("probe cap must be at least 4 to cover the quartic relation words")
     engines = _engines(sig, kind, p, q, convention, classical)
-    states = probe_states(sig, cap, extra=extra_probes)
+    states = probe_states(sig, cap)
     batch = ProbeBatch(engines, states)
     # On the extra high-degree probes coefficient magnitudes grow like
     # bracket products, so the meaningful numeric measure there is the

@@ -60,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value
+from .coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value,
+                    q_minus_qbar_power)
 from .fock import EVEN, FockState, Signature, mode_parity
 
 
@@ -255,7 +256,7 @@ def _zero_argument(kind: str) -> ZeroDivisionError:
 
 
 class ExactScalars:
-    """Laurent-fraction scalars: q formal, p formal (None) or an integer.
+    """Exact scalars (``CoeffExact``): q formal, p formal (None) or an integer.
     classical=True specializes q = 1, turning every bracket into its plain
     affine argument."""
 
@@ -817,9 +818,9 @@ class ProbeBatch:
         scaled by one common nonzero factor, so a row is all zero exactly
         when that state's image is the exact zero.
 
-        Each ``X`` of ``_exact_terms`` is brought over the product of the
-        distinct denominators of all the ``X`` and an integer lcm, and
-        becomes an integer row; a state's row is then the sum of ladder
+        Each ``X`` of ``_exact_terms`` is brought over the largest power
+        of q - q**-1 among all the ``X`` and an integer lcm, and becomes
+        an integer row; a state's row is then the sum of ladder
         number times ``X`` row over terms.
         The sum is taken in int64 only when the sum over terms of the
         largest ladder number times the largest row entry stays below
@@ -827,12 +828,9 @@ class ProbeBatch:
         if not self.exact:
             raise EngineError("exact images need an exact batch")
         terms = list(self._exact_terms(compiled))
-        # X = num / den becomes num * (the other distinct denominators)
-        dens = dict.fromkeys(x.den for *_, xs in terms for x in xs)
-        for den in dens:
-            others = [d for d in dens if d is not den and not d.is_one()]
-            dens[den] = functools.reduce(operator.mul, others) if others else None
-        polys = [[x.num if dens[x.den] is None else x.num * dens[x.den] for x in xs]
+        # X = num / (q - q**-1)**k becomes num * (q - q**-1)**(top - k)
+        top = max((x.k for *_, xs in terms for x in xs), default=0)
+        polys = [[x.num if x.k == top else x.num * q_minus_qbar_power(top - x.k) for x in xs]
                  for *_, xs in terms]
         scale = math.lcm(*(f.denom for fs in polys for f in fs))
         columns: dict = {}  # monomial -> column

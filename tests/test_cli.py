@@ -435,12 +435,34 @@ class TestCommands:
         ["matrices"],
         ["analyze", "--check", "reimport"],
         ["analyze", "--check", "invariance"],
-    ], ids=["matrices", "reimport", "invariance"])
+        ["analyze", "--check", "cyclicity"],
+        ["analyze", "--check", "unitarity"],
+        ["analyze", "--check", "deformed-ops"],
+    ], ids=["matrices", "reimport", "invariance", "cyclicity", "unitarity", "deformed-ops"])
     def test_q_list_is_usage_error(self, argv, capsys):
         code = run(argv + ["--n", "2", "--m", "1", "--realization", "hp", "--p", "1",
                            "--q", "0.5,1.3"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {argv[0]} takes a single q value\n"
+
+    def test_formal_q_where_a_number_is_needed(self, capsys):
+        code = run(["analyze", "--n", "2", "--m", "1", "--p", "1", "--check", "cyclicity"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: this command needs a single numeric --q\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--expr", "e1", "--state", "0,0", "--cap", "4"],
+        ["eval", "--expr", "e1", "--state", "0,0", "--tolerance", "1e-9"],
+        ["eval", "--expr", "e1", "--state", "0,0", "--out", "x.txt"],
+        ["matrices", "--tolerance", "1e-9"],
+    ], ids=["eval-cap", "eval-tolerance", "eval-out", "matrices-tolerance"])
+    def test_unread_option_is_usage_error(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--n", "2", "--m", "1", "--p", "2", "--q", "1.3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_deformed_ops_honours_cap_0(self, capsys):
         code = run(["analyze", "--n", "2", "--m", "1", "--check", "deformed-ops", "--p", "2",

@@ -12,10 +12,9 @@ from qglnm.coeff import (
     LaurentPoly,
     bracket_affine,
     bracket_int,
-    bracket_recurrence_check,
     bracket_value,
-    eval_numeric,
     numeric_str,
+    q_minus_qbar_power,
 )
 from qglnm.fock import Signature
 from qglnm.presentation import GenSymbol
@@ -40,7 +39,7 @@ def poly_div_bracket(k: int) -> dict:
 
 
 def as_q_dict(c: CoeffExact) -> dict:
-    assert c.den.is_one()
+    assert c.k == 0
     return {a: v for (a, b, p), v in c.num.terms.items() if v}
 
 
@@ -70,27 +69,27 @@ class TestBracketInt:
 
     @pytest.mark.parametrize("k", range(-8, 9))
     def test_denominator_one(self, k):
-        assert bracket_int(k).den.is_one()
+        assert bracket_int(k).k == 0
 
 
 class TestBracketAffine:
     def test_formal_p_structure(self):
         # [p - d] = (P q^-d - P^-1 q^d) / (q - q^-1)
-        c = bracket_affine(0, 1, -3)
+        c = bracket_affine(-3, 1)
         assert c.num.terms == {(-3, 1, 0): Fraction(1), (3, -1, 0): Fraction(-1)}
-        assert c.den.terms == {(1, 0, 0): Fraction(1), (-1, 0, 0): Fraction(-1)}
+        assert c.k == 1
 
     def test_numeric_specialization(self):
         # [p] with p=2 at q=2 is [2] = 2.5
-        assert eval_numeric(bracket_affine(0, 1, 0), 2.0, 2.0) == pytest.approx(2.5)
+        assert bracket_affine(0, 1).eval_numeric(2.0, 2.0) == pytest.approx(2.5)
 
     def test_p_value_substitution(self):
-        assert bracket_affine(0, 1, -1, p_value=1).is_zero()
-        assert bracket_affine(0, 1, 0, p_value=2) == bracket_int(2)
+        assert bracket_affine(-1, 1, p_value=1).is_zero()
+        assert bracket_affine(0, 1, p_value=2) == bracket_int(2)
 
     def test_constant_case(self):
-        assert bracket_affine(0, 0, 0).is_zero()
-        assert bracket_affine(3, 0, -1) == bracket_int(2)
+        assert bracket_affine(0, 0).is_zero()
+        assert bracket_affine(2, 0) == bracket_int(2)
 
     def test_rejects_bad_p_coefficient(self):
         with pytest.raises(ValueError):
@@ -101,21 +100,21 @@ class TestBracketAffine:
         # oracle: direct numeric evaluation of (q^x - q^-x)/(q - 1/q)
         x = p - d
         direct = (q**x - q ** (-x)) / (q - 1 / q)
-        assert eval_numeric(bracket_affine(0, 1, -d), q, p) == pytest.approx(direct, rel=1e-13)
+        assert bracket_affine(-d, 1).eval_numeric(q, p) == pytest.approx(direct, rel=1e-13)
 
 
 class TestEvalNumeric:
     def test_bracket_two_at_q_two(self):
-        assert eval_numeric(bracket_int(2), 2.0) == pytest.approx(2.5)
+        assert bracket_int(2).eval_numeric(2.0) == pytest.approx(2.5)
 
     def test_bracket_one_anywhere(self):
         for q in (0.5, 0.9, 1.3, 2.0):
-            assert eval_numeric(bracket_int(1), q) == 1.0
+            assert bracket_int(1).eval_numeric(q) == 1.0
 
     def test_q1_limit_of_integer_brackets(self):
         # polynomial form evaluates through q = 1 with no special casing
         for k in range(-20, 21):
-            assert eval_numeric(bracket_int(k), 1.0) == pytest.approx(float(k))
+            assert bracket_int(k).eval_numeric(1.0) == pytest.approx(float(k))
 
     def test_bracket_value_q1_special_case(self):
         assert bracket_value(2.5, 1.0) == 2.5
@@ -138,21 +137,31 @@ class TestEvalNumeric:
             assert err <= 4 * 2.0**-53 * abs(exact), (x, q)
 
     def test_division_by_zero_signal(self):
-        c = bracket_affine(0, 1, 0)  # denominator q - 1/q vanishes at q = 1
+        c = bracket_affine(0, 1)  # denominator q - 1/q vanishes at q = 1
         with pytest.raises(ZeroDivisionError):
-            c.eval_numeric(1.0, 2.0)
+            c.eval_numeric(1.0, 2.5)
+
+    @pytest.mark.parametrize("p", [-2, 0, 1, 2, 5])
+    def test_integral_p_gives_q1_limit(self, p):
+        # [p] at an integral p reduces to a Laurent polynomial, whose value
+        # at q = 1 is the classical limit p
+        assert bracket_affine(0, 1).eval_numeric(1.0, p) == p
+        assert bracket_affine(0, 1).eval_numeric(1.0, float(p)) == p
 
     def test_rejects_nonpositive_q(self):
         with pytest.raises(ValueError):
-            eval_numeric(bracket_int(2), -1.0)
+            bracket_int(2).eval_numeric(-1.0)
+        with pytest.raises(ValueError):
+            bracket_affine(0, 1).eval_numeric(0.0, 2.5)
 
 
 @pytest.mark.parametrize("x", range(-10, 11))
 def test_bracket_recurrence(x):
-    assert bracket_recurrence_check(x)
+    # [x+1] - (q + q^-1)[x] + [x-1] = 0
+    assert (bracket_int(x + 1) - bracket_int(2) * bracket_int(x) + bracket_int(x - 1)).is_zero()
 
 
-# -- field axioms on random small Laurent polynomials --------------------
+# -- ring axioms on random values num / (q - q^-1)^k ----------------------
 
 small_fraction = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
@@ -161,16 +170,35 @@ monomial_key = st.tuples(
     st.integers(-3, 3), st.integers(-1, 1), st.integers(0, 1)
 )
 laurent = st.dictionaries(monomial_key, small_fraction, max_size=4).map(LaurentPoly)
+# num * (q - q^-1)^j over (q - q^-1)^k, so construction has factors to divide out
 coeff = st.builds(
-    lambda n, d: CoeffExact(n, d),
+    lambda num, j, k: CoeffExact(num * q_minus_qbar_power(j), k),
     laurent,
-    laurent.filter(lambda lp: not lp.is_zero()),
+    st.integers(0, 2),
+    st.integers(0, 3),
 )
+
+
+def divisible_by_q_minus_qbar(num: LaurentPoly) -> bool:
+    """Whether q - q^-1 = q^-1 (q - 1)(q + 1) divides num: every (P, p)
+    column vanishes at q = 1 and at q = -1."""
+    sums: dict = {}
+    for (a, b, c), v in num.terms.items():
+        for q in (1, -1):
+            sums[b, c, q] = sums.get((b, c, q), 0) + v * q**a
+    return not any(sums.values())
+
+
+def fields(c: CoeffExact):
+    return c.num.coeffs, c.num.denom, c.k
 
 
 @settings(max_examples=60, deadline=None)
 @given(coeff, coeff, coeff)
 def test_field_associativity_and_distributivity(a, b, c):
+    for x in (a, b, c, a + b, a * b):
+        assert x.k == 0 or not divisible_by_q_minus_qbar(x.num)
+        assert x.k == 0 or not x.is_zero()
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
@@ -184,11 +212,31 @@ def test_field_commutativity(a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(coeff)
-def test_field_inverses(a):
+@given(coeff, st.integers(-5, 5).filter(bool))
+def test_field_inverses(a, n):
     assert (a + (-a)).is_zero()
-    if not a.is_zero():
-        assert a / a == CoeffExact.one()
+    assert (a + (-a)).k == 0
+    assert (a * n) / n == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeff, coeff)
+def test_equal_values_have_equal_fields(a, b):
+    c = (a + b) - b
+    assert c == a
+    assert fields(c) == fields(a)
+    assert hash(c) == hash(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent, st.integers(0, 3), st.integers(0, 3))
+def test_construction_divides_out_q_minus_qbar(num, j, k):
+    a = CoeffExact(num, k)
+    b = CoeffExact(num * q_minus_qbar_power(j), k + j)
+    assert fields(a) == fields(b)
+    assert a.k == 0 or not divisible_by_q_minus_qbar(a.num)
+    if not num.is_zero() and not divisible_by_q_minus_qbar(num):
+        assert a.k == k and a.num == num
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,7 +342,8 @@ def test_laurent_ring_ops_match_reference(x, y):
 def test_laurent_scaled_and_shifted_match_reference(x, value, da, db, dc):
     a = LaurentPoly(x)
     assert_matches(a.scaled(value), ref_scaled(x, value))
-    assert_matches(a.shifted(da, db, dc),
+    # a shift is the product with a monomial
+    assert_matches(a * LaurentPoly.monomial(da, db, dc),
                    {(k[0] + da, k[1] + db, k[2] + dc): v for k, v in x.items()})
 
 
@@ -334,10 +383,10 @@ def test_laurent_zero_has_denominator_one():
     assert half_p.denom == 2
     for zero in (half_p - half_p, half_p.scaled(0), half_p * LaurentPoly(), LaurentPoly()):
         assert zero.is_zero() and zero.denom == 1
-    # the field-axiom case 0 / (1/2 p): the numerator stays the canonical zero
-    c = CoeffExact.zero() / CoeffExact(half_p)
-    assert c.is_zero() and c.num.denom == 1
-    assert c + CoeffExact.zero() == CoeffExact.zero()
+    # a zero product keeps the canonical zero numerator and k = 0
+    for c in (CoeffExact.zero() * CoeffExact(half_p, 2), CoeffExact(half_p, 2) * 0):
+        assert c.is_zero() and c.num.denom == 1 and c.k == 0
+        assert c + CoeffExact.zero() == CoeffExact.zero()
 
 
 def test_fractional_canonical_string():
@@ -357,26 +406,25 @@ def test_rational_constant():
 # -- equality and serialization ------------------------------------------
 
 
-def test_equality_by_cross_multiplication():
-    # (q + q^-1) == (q^2 + 1) / q without any canonical reduction
-    lhs = bracket_int(2)
-    num = LaurentPoly({(2, 0, 0): Fraction(1), (0, 0, 0): Fraction(1)})
-    den = LaurentPoly({(1, 0, 0): Fraction(1)})
-    assert lhs == CoeffExact(num, den)
-
-
-def test_monomial_denominator_folds():
-    num = LaurentPoly({(2, 0, 0): Fraction(1)})
-    den = LaurentPoly({(1, 0, 0): Fraction(2)})
-    c = CoeffExact(num, den)
-    assert c.den.is_one()
-    assert c.num.terms == {(1, 0, 0): Fraction(1, 2)}
+def test_equality_after_reduction():
+    # (q^2 - q^-2) / (q - q^-1) is held as q + q^-1 = [2]
+    num = LaurentPoly({(2, 0, 0): 1, (-2, 0, 0): -1})
+    c = CoeffExact(num, 1)
+    assert c == bracket_int(2)
+    assert c.k == 0 and c.num == bracket_int(2).num
+    assert hash(c) == hash(bracket_int(2))
+    # [p] at p = 3 reduces the same way
+    assert bracket_affine(0, 1).subst_p_int(3) == bracket_int(3)
+    assert bracket_affine(0, 1).subst_p_int(3).k == 0
 
 
 def test_canonical_string():
     assert bracket_int(2).canonical_str() == "1*q^-1 + 1*q^1"
     assert bracket_int(0).canonical_str() == "0"
     assert bracket_affine(0, 1).canonical_str() == "(-1*q^0*P^-1 + 1*q^0*P^1)/(-1*q^-1 + 1*q^1)"
+    square = bracket_affine(0, 1) * bracket_affine(0, 1)
+    assert square.canonical_str() == (
+        "(1*q^0*P^-2 + -2*q^0 + 1*q^0*P^2)/(1*q^-2 + -2*q^0 + 1*q^2)")
 
 
 def test_numeric_str_round_trip():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qglnm.coeff import CoeffExact, LaurentPoly, bracket_int, bracket_value, scalar_str
+from qglnm.coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value,
+                         scalar_str)
 from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import build_relations
 from qglnm.realize import MUTATIONS, realization
@@ -486,15 +487,17 @@ class TestProbeBatch:
 
     @pytest.mark.parametrize("other, zero", [(-1, True), (-2, False)])
     def test_exact_terms_over_different_denominators(self, other, zero):
-        # (q - 1/q)/(q - 1/q) keeps its denominator, so the two terms meet
-        # only over the common one
-        b = LaurentPoly({(1, 0, 0): 1, (-1, 0, 0): -1})
+        # [p] over (q - 1/q), [p]**2 over its square and [2] over 1 meet
+        # only over the largest power, where the last term cancels them
+        # when other = -1
+        bp = bracket_affine(0, 1)
+        terms = [bp, bp * bp, bracket_int(2)]
         eng = exact_engine(SIG21)
         word = (Raise(1),)
         batch = ProbeBatch([eng], [(0, 0), (3, 1)])
-        compiled = batch.compile(OperatorExpr([(CoeffExact(b, b), word),
-                                               (CoeffExact.from_int(other), word)]))
-        assert [c.den.is_one() for c, _ in compiled] == [False, True]
+        compiled = batch.compile(OperatorExpr([(c, word) for c in terms]
+                                              + [(sum(terms, CoeffExact.zero()) * other, word)]))
+        assert [c.k for c, _ in compiled] == [1, 2, 0, 2]
         assert batch.exact_images(compiled).any(axis=1).tolist() == [not zero] * 2
         assert (eng.apply_compiled(compiled, (0, 0)) == {}) == zero
 
