@@ -273,6 +273,13 @@ def _convention(name: str | None) -> str:
     raise ValueError(f"unknown convention {name!r}")
 
 
+def _default_convention(args, q) -> str:
+    """--convention, else monomial for a formal q and orthonormal for a numeric one."""
+    if args.convention:
+        return _convention(args.convention)
+    return "monomial" if q is None else "orthonormal"
+
+
 class UsageError(ValueError):
     pass
 
@@ -344,7 +351,7 @@ def _cmd_matrices(args) -> int:
 
 def _export(args, sig: Signature, p: int, q, subspace: str):
     """The generator matrices on the subspace and their export text."""
-    conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
+    conv = _default_convention(args, q)
     mats = materialize(sig, args.realization, p, q=q, subspace=subspace, cap=args.cap,
                        convention=conv)
     return mats, format_matrix_export(sig, args.realization, p, q, conv, subspace, mats)
@@ -352,27 +359,24 @@ def _export(args, sig: Signature, p: int, q, subspace: str):
 
 def _cmd_analyze(args) -> int:
     sig = _signature(args)
+    p = _require_int_p(args)
     check = args.check
     if check == "invariance":
-        p = _require_int_p(args)
         rep = check_invariance(sig, args.realization, p, cap=args.cap,
                                q=_single_q(args) if args.realization != DYSON else None)
         print(rep.summary())
         expected = rep.f1_invariant and (rep.f0_invariant == (args.realization != DYSON))
         return 0 if expected else 1
     if check == "unitarity":
-        p = _require_int_p(args)
         rep = check_unitarity(sig, p, _require_q(args), tolerance=args.tolerance)
         print(rep.summary())
         return 0 if rep.hp_pass and rep.h_diagonal_real and rep.dyson_fails else 1
     if check == "highest-weight":
-        p = _require_int_p(args)
         weight = highest_weight(sig, p)
         print(f"vacuum weight: {weight}")
         expected = tuple([p] + [0] * (sig.r - 1))
         return 0 if weight == expected else 1
     if check == "typicality":
-        p = _require_int_p(args)
         weight = tuple([p] + [0] * (sig.r - 1))
         rep = essentially_typical(sig, weight)
         print(f"weight {weight}: sets {list(rep.left_set)} and {list(rep.right_set)}, "
@@ -380,31 +384,26 @@ def _cmd_analyze(args) -> int:
               f"{rep.essentially_typical}")
         return 0
     if check == "inequivalence":
-        p = _require_int_p(args)
         if args.p2 is None:
             raise UsageError("--p2 required for the inequivalence check")
         rep = inequivalence(sig, p, args.p2)
         print(rep.summary())
         return 0 if rep.inequivalent else 1
     if check == "cyclicity":
-        p = _require_int_p(args)
         rep = cyclicity(sig, p, _require_q(args))
         print(rep.summary())
         return 0 if rep.full_from_all else 1
     if check == "deformed-ops":
-        p = _require_int_p(args)
         rep = deformed_ops_check(sig, p, _require_q(args), cap=6 if args.cap is None else args.cap)
         print(rep.summary())
         ok = rep.bosonic_pass and rep.agreement_pass and rep.fermionic_exponent != "neither"
         return 0 if ok else 1
     if check == "reimport":
-        return _cmd_reimport(args)
+        return _cmd_reimport(args, sig, p)
     raise UsageError(f"unknown check {check!r}")
 
 
-def _cmd_reimport(args) -> int:
-    sig = _signature(args)
-    p = _require_int_p(args)
+def _cmd_reimport(args, sig: Signature, p: int) -> int:
     q = _single_q(args)
     _validate_realization(args.realization, p, q)
     mats, text = _export(args, sig, p, q, args.subspace or "F0")
@@ -435,8 +434,7 @@ def _cmd_eval(args) -> int:
             raise UsageError(f"occupation of mode {i} is negative: {k}")
         if k > 1 and sig.is_fermionic(i):
             raise UsageError(f"fermionic mode {i} holds at most one particle, not {k}")
-    conv = _convention(args.convention) if args.convention else ("monomial" if q is None else "orthonormal")
-    vec = Engine(sig, convention=conv, q=q, p=p).apply(expr, state)
+    vec = Engine(sig, convention=_default_convention(args, q), q=q, p=p).apply(expr, state)
     if not vec:
         print("0")
         return 0

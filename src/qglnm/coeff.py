@@ -114,6 +114,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant compares equal to its int or Fraction, so hashes like it
+        if self.coeffs.keys() <= {_ONE_KEY}:
+            return hash(Fraction(self.coeffs.get(_ONE_KEY, 0), self.denom))
         return hash((frozenset(self.coeffs.items()), self.denom))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -264,8 +267,9 @@ class CoeffExact:
     the formal-p bracket [p - N + c] brings in.  The pair is canonical: when
     k > 0, q - q**-1 does not divide num, and zero has k = 0.  So equal
     values have equal fields (``LaurentPoly`` is canonical too), equality is
-    a field compare and the pair hashes.  Construction divides out every
-    factor q - q**-1 that num carries."""
+    a field compare and the pair hashes; a rational constant compares equal
+    to its int or Fraction and hashes like it.  Construction divides out
+    every factor q - q**-1 that num carries."""
 
     __slots__ = ("num", "k")
 
@@ -293,14 +297,14 @@ class CoeffExact:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return not self.k and self.num == other
         if not isinstance(other, CoeffExact):
             return NotImplemented
         return self.k == other.k and self.num == other.num
 
     def __hash__(self):
-        return hash((self.num, self.k))
+        return hash((self.num, self.k)) if self.k else hash(self.num)
 
     def __add__(self, other: "CoeffExact") -> "CoeffExact":
         if self.num.is_zero():

@@ -15,6 +15,13 @@ Both send h_1 to p - N and h_i to N_{i-1}; the first e/f pair moves
 quanta in and out of the implicit zeroth column, all other generators
 hop quanta between adjacent modes.
 
+Every diagonal factor is a function of one affine argument in the
+occupations and p: [p - N], [N_i + c]/(N_i + c), <N_i + c>.  Wherever
+an angle bracket of a fermionic mode acts in these words, it sees the
+filled mode of a raising or the empty mode of a lowering with c = 1, so
+its argument is 1 and it equals one; it is left out of the words.  Each
+generator image moves the occupations by one fixed vector.
+
 The deformed oscillators Atilde_i^- = <N_i+1> A_i^-, Atilde_i^+ =
 <N_i> A_i^+ (with Ntilde_i = N_i) are also provided, together with the
 alternative form of the Holstein-Primakoff map written purely in terms
@@ -92,12 +99,17 @@ def _base(kind: str, sig: Signature, mutation: str | None = None) -> Realization
     return real
 
 
-def _ratio(i: int, shift: int) -> Diag:
-    return Diag("bracket_ratio", mode=i, shift=shift)
+def _ratio(sig: Signature, i: int, shift: int) -> Diag:
+    """The bracket ratio [N_i + shift] / (N_i + shift)."""
+    return Diag("bracket_ratio", affine=affine_mode(sig, i).shift(shift))
 
 
-def _angle(i: int, shift: int) -> Diag:
-    return Diag("angle", mode=i, shift=shift)
+def _angle(sig: Signature, i: int, shift: int) -> tuple[Diag, ...]:
+    """The angle bracket <N_i + shift> as a word fragment: empty on a
+    fermionic mode, where the factor is identically one."""
+    if sig.is_fermionic(i):
+        return ()
+    return (Diag("angle", affine=affine_mode(sig, i).shift(shift)),)
 
 
 def dyson(sig: Signature, mutation: str | None = None) -> Realization:
@@ -109,10 +121,10 @@ def dyson(sig: Signature, mutation: str | None = None) -> Realization:
 
     e1_bracket = affine_p_minus_total(sig, 1 if mutation == "shift_e1_bracket" else 0)
     real.images[GenSymbol(E, 1)] = OperatorExpr.from_word(
-        _ratio(1, 1), Diag("bracket", affine=e1_bracket), Lower(1)
+        _ratio(sig, 1, 1), Diag("bracket", affine=e1_bracket), Lower(1)
     )
     for i in range(2, n):
-        atoms = [_ratio(i, 1), Raise(i - 1), Lower(i)]
+        atoms = [_ratio(sig, i, 1), Raise(i - 1), Lower(i)]
         if i == 2 and mutation == "drop_bracket_ratio":
             atoms = atoms[1:]
         real.images[GenSymbol(E, i)] = OperatorExpr.from_word(*atoms)
@@ -126,7 +138,7 @@ def dyson(sig: Signature, mutation: str | None = None) -> Realization:
     for i in range(2, n + 1):
         if i <= r - 1:
             real.images[GenSymbol(F, i)] = OperatorExpr.from_word(
-                _ratio(i - 1, 1), Raise(i), Lower(i - 1)
+                _ratio(sig, i - 1, 1), Raise(i), Lower(i - 1)
             )
     for i in range(n + 1, r):
         real.images[GenSymbol(F, i)] = OperatorExpr.from_word(Raise(i), Lower(i - 1))
@@ -144,17 +156,17 @@ def hp(sig: Signature) -> Realization:
     n, r = sig.n, sig.r
     real = _base(HP, sig)
     real.images[GenSymbol(E, 1)] = OperatorExpr.from_word(
-        Diag("sqrt_bracket", affine=affine_p_minus_total(sig)), _angle(1, 1), Lower(1)
+        Diag("sqrt_bracket", affine=affine_p_minus_total(sig)), *_angle(sig, 1, 1), Lower(1)
     )
     real.images[GenSymbol(F, 1)] = OperatorExpr.from_word(
-        Diag("sqrt_bracket", affine=affine_p_minus_total(sig, 1)), _angle(1, 0), Raise(1)
+        Diag("sqrt_bracket", affine=affine_p_minus_total(sig, 1)), *_angle(sig, 1, 0), Raise(1)
     )
     for i in range(2, r):
         real.images[GenSymbol(E, i)] = OperatorExpr.from_word(
-            _angle(i - 1, 0), _angle(i, 1), Raise(i - 1), Lower(i)
+            *_angle(sig, i - 1, 0), *_angle(sig, i, 1), Raise(i - 1), Lower(i)
         )
         real.images[GenSymbol(F, i)] = OperatorExpr.from_word(
-            _angle(i - 1, 1), _angle(i, 0), Raise(i), Lower(i - 1)
+            *_angle(sig, i - 1, 1), *_angle(sig, i, 0), Raise(i), Lower(i - 1)
         )
     _check_parities(real)
     return real
@@ -162,12 +174,12 @@ def hp(sig: Signature) -> Realization:
 
 def tilde_minus(sig: Signature, i: int) -> OperatorExpr:
     """Deformed annihilation operator for mode i."""
-    return OperatorExpr.from_word(_angle(i, 1), Lower(i))
+    return OperatorExpr.from_word(*_angle(sig, i, 1), Lower(i))
 
 
 def tilde_plus(sig: Signature, i: int) -> OperatorExpr:
     """Deformed creation operator for mode i."""
-    return OperatorExpr.from_word(_angle(i, 0), Raise(i))
+    return OperatorExpr.from_word(*_angle(sig, i, 0), Raise(i))
 
 
 def tilde_number(sig: Signature, i: int) -> OperatorExpr:

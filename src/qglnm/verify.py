@@ -14,9 +14,10 @@ zero exactly when the state's image is.  The witness of an exact failure
 is the first such state, with its coefficient formed again by the
 per-state engine.
 
-Each substituted difference is audited for degree homogeneity: all of
-its words must shift the total occupation by the same amount, which
-catches substitution bugs before any state is probed.
+Each substituted difference is audited for weight homogeneity: all of
+its words must change every mode's occupation by the same amount (the
+one net occupation change a probe batch takes), which catches
+substitution bugs before any state is probed.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ def substitute(rel: Relation, real: Realization) -> OperatorExpr:
     """lhs - rhs with every generator replaced by its image.  Bracket-of-h
     atoms become diagonal brackets of the substituted Cartan eigenvalues."""
     diff = _side_image(rel.lhs, real) - _side_image(rel.rhs, real)
-    shifts = diff.degree_shifts()
-    if len(shifts) > 1:
-        raise AssertionError(f"substituted relation {rel.name} mixes degree shifts {shifts}")
+    changes = diff.changes(real.sig)
+    if len(changes) > 1:
+        raise AssertionError(
+            f"substituted relation {rel.name} mixes occupation changes {sorted(changes)}")
     return diff
 
 
@@ -126,17 +128,18 @@ class VerificationReport:
 def probe_states(sig: Signature, cap: int) -> list[FockState]:
     """All states of degree <= cap plus a deterministic random sample of
     ``EXTRA_PROBES`` states with degree in (cap, cap + 4]."""
-    return list(enumerate_up_to(sig, cap)) + extra_probe_states(sig, cap, EXTRA_PROBES)
+    return list(enumerate_up_to(sig, cap)) + extra_probe_states(sig, cap)
 
 
-def extra_probe_states(sig: Signature, cap: int, extra: int = 4, seed: int = 0) -> list[FockState]:
-    """Deterministic random states of degree in (cap, cap + 4], used as a
-    belt-and-suspenders sample beyond the systematic probe set."""
-    rng = random.Random(seed)
+def extra_probe_states(sig: Signature, cap: int) -> list[FockState]:
+    """``EXTRA_PROBES`` deterministic random states of degree in
+    (cap, cap + 4], used as a belt-and-suspenders sample beyond the
+    systematic probe set."""
+    rng = random.Random(0)
     out: list[FockState] = []
     seen: set[FockState] = set()
-    for _ in range(extra * 8):
-        if len(out) >= extra:
+    for _ in range(EXTRA_PROBES * 8):
+        if len(out) >= EXTRA_PROBES:
             break
         d = rng.randint(cap + 1, cap + 4)
         occ = [0] * sig.num_modes

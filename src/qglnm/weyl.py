@@ -28,18 +28,24 @@ threshold, and the principal branch keeps all operator identities valid
 (the radical pairs inside any defining relation match up, so relation
 residuals are real up to rounding).
 
-A word's scalar is formed in two parts.  The ladder atoms multiply one
-plain running number: per bosonic step 1 or l in the monomial convention
-and sqrt(l + 1) or sqrt(l) in the orthonormal one, per fermionic step the
-sign.  The diagonal values multiply in the sorted order of their keys
-(the kind with the affine argument's occupation part and p coefficient,
-or with the mode argument), and the product meets the ladder number once.
+Every diagonal factor is one kind of function of one integer affine
+argument in the occupations and p (``Diag(kind, affine)``), and every
+ladder atom moves the occupations by a fixed unit vector, so a word has
+one net occupation change (``word_change``).  A word's scalar is formed
+in two parts.  The ladder atoms multiply one plain running number: per
+bosonic step 1 or l in the monomial convention and sqrt(l + 1) or sqrt(l)
+in the orthonormal one, per fermionic step the sign.  The diagonal values
+multiply in the sorted order of their keys (the kind with the argument's
+occupation part and p coefficient), and the product meets the ladder
+number once.
 
 ``Engine`` is the plain per-state reference: it serves the single-state
 callers (the witness of a failed exact relation, the vacuum weights,
 ``qglnm eval``) and is the oracle for ``ProbeBatch``, which serves every
 multi-state caller (relation verification and the module analysis).  A
-batch applies words to a list of probe states at once, with numpy:
+batch takes only expressions whose terms share one net occupation change,
+so a probe state's image is a single state.  It applies words to a list
+of probe states at once, with numpy:
 states are rows of an integer array and each diagonal factor is named by
 an int64 key code, which holds arguments below 2**20 in magnitude.
 Numeric scalars are formed from the same factors in the same order as
@@ -105,39 +111,41 @@ def affine_mode(sig: Signature, i: int, coeff: int = 1) -> Affine:
     return Affine(0, 0, tuple(coeffs))
 
 
-def affine_total(sig: Signature) -> Affine:
-    """The total occupation N = N_1 + ... + N_{r-1}."""
-    return Affine(0, 0, (1,) * sig.num_modes)
-
-
 def affine_p_minus_total(sig: Signature, shift: int = 0) -> Affine:
     """p - N + shift, the recurring first-mode diagonal argument."""
     return Affine(shift, 1, (-1,) * sig.num_modes)
 
 
-# Diagonal factor kinds:
-#   affine        value of the affine expression itself
-#   bracket       q-bracket [affine]
-#   bracket_ratio [N_mode + shift] / (N_mode + shift)
-#   angle         ([N_mode + shift] / (N_mode + shift)) ** 1/2 on bosonic
-#                 modes, identically 1 on fermionic modes
-#   sqrt_bracket  sqrt([affine]), numeric only
-#   qpow          q ** affine
-_AFFINE_KINDS = frozenset(("affine", "bracket", "sqrt_bracket", "qpow"))
-_MODE_KINDS = frozenset(("bracket_ratio", "angle"))
-# A diagonal key (kind, argument[, p coefficient]) packed into one int64
-# that orders like the tuple, for arguments and p coefficients below 2**20
-# in magnitude (``ProbeBatch._diag`` raises past that).
-_KIND_RANK = {kind: rank for rank, kind in enumerate(sorted(_AFFINE_KINDS | _MODE_KINDS))}
+class EngineError(ValueError):
+    pass
+
+
+# Diagonal factor kinds, each a function of one affine argument x:
+#   affine        x itself
+#   bracket       the q-bracket [x]
+#   bracket_ratio [x] / x, for x free of p
+#   angle         ([x] / x) ** 1/2, for x free of p; the realizations
+#                 place it on bosonic modes only
+#   sqrt_bracket  sqrt([x]), numeric only
+#   qpow          q ** x
+# A diagonal key (kind, occupation part, p coefficient) packed into one
+# int64 that orders like the tuple, for both parts below 2**20 in
+# magnitude (``ProbeBatch._diag`` raises past that).
+_KIND_RANK = {kind: rank for rank, kind in enumerate(
+    sorted(("affine", "bracket", "bracket_ratio", "angle", "sqrt_bracket", "qpow")))}
 _CODE_BIAS = 1 << 20
 
 
 @dataclass(frozen=True)
 class Diag:
     kind: str
-    affine: Affine | None = None
-    mode: int | None = None
-    shift: int = 0
+    affine: Affine
+
+    def __post_init__(self):
+        if self.kind not in _KIND_RANK:
+            raise EngineError(f"unknown diagonal kind {self.kind!r}")
+        if self.kind in ("bracket_ratio", "angle") and self.affine.p_coeff:
+            raise EngineError(f"a {self.kind} argument must not depend on p")
 
 
 @dataclass(frozen=True)
@@ -164,9 +172,13 @@ def word_parity(sig: Signature, word: Word) -> int:
     return sum(atom_parity(sig, a) for a in word) % 2
 
 
-def word_degree_shift(word: Word) -> int:
-    """Net change in total occupation caused by the word."""
-    return sum(1 if isinstance(a, Raise) else -1 if isinstance(a, Lower) else 0 for a in word)
+def word_change(sig: Signature, word: Word) -> tuple[int, ...]:
+    """Net change of every mode's occupation caused by the word."""
+    change = [0] * sig.num_modes
+    for a in word:
+        if not isinstance(a, Diag):
+            change[a.mode - 1] += 1 if isinstance(a, Raise) else -1
+    return tuple(change)
 
 
 class OperatorExpr:
@@ -215,21 +227,15 @@ class OperatorExpr:
             scalar = CoeffExact.from_int(scalar)
         return OperatorExpr([(scalar * c, w) for c, w in self.terms])
 
-    def collect(self) -> "OperatorExpr":
-        """Merge terms with identical words, dropping exact zeros."""
-        merged: dict[Word, CoeffExact] = {}
-        for c, w in self.terms:
-            merged[w] = merged[w] + c if w in merged else c
-        return OperatorExpr([(c, w) for w, c in merged.items() if not c.is_zero()])
-
     def parity(self, sig: Signature) -> int:
         parities = {word_parity(sig, w) for _, w in self.terms}
         if len(parities) > 1:
             raise ValueError("expression is not parity-homogeneous")
         return parities.pop() if parities else EVEN
 
-    def degree_shifts(self) -> set[int]:
-        return {word_degree_shift(w) for _, w in self.terms}
+    def changes(self, sig: Signature) -> set[tuple[int, ...]]:
+        """The distinct net occupation changes of the words."""
+        return {word_change(sig, w) for _, w in self.terms}
 
     def __repr__(self):
         return f"OperatorExpr({len(self.terms)} terms)"
@@ -246,13 +252,12 @@ def super_commutator(
     return x * y - yx
 
 
-class EngineError(ValueError):
-    pass
-
-
-def _zero_argument(kind: str) -> ZeroDivisionError:
-    what = "bracket ratio" if kind == "bracket_ratio" else "angle bracket"
-    return ZeroDivisionError(f"{what} evaluated at argument 0")
+def _nonzero(kind: str, v: int) -> int:
+    """The argument of a bracket ratio or angle bracket, which must not be 0."""
+    if v == 0:
+        what = "bracket ratio" if kind == "bracket_ratio" else "angle bracket"
+        raise ZeroDivisionError(f"{what} evaluated at argument 0")
+    return v
 
 
 class ExactScalars:
@@ -287,13 +292,16 @@ class ExactScalars:
             return self.affine(c, pc)
         return bracket_affine(c, pc, p_value=self.p)
 
-    def bracket_ratio(self, v: int) -> CoeffExact:
+    # ``Diag`` keeps p out of the ratio kinds' arguments, so pc is 0 there
+    def bracket_ratio(self, v: int, pc: int) -> CoeffExact:
+        _nonzero("bracket_ratio", v)
         return self.one if self.classical else bracket_int(v) / v
 
-    def angle(self, v: int) -> CoeffExact:
+    def angle(self, v: int, pc: int) -> CoeffExact:
+        _nonzero("angle", v)
         if self.classical:
             return self.one
-        raise EngineError("angle brackets on bosonic modes are numeric only")
+        raise EngineError("angle brackets are numeric only")
 
     def sqrt_bracket(self, c: int, pc: int):
         raise EngineError("sqrt brackets are numeric only")
@@ -339,11 +347,11 @@ class NumericScalars:
     def bracket(self, c: int, pc: int) -> float:
         return bracket_value(self.affine(c, pc), self.q)
 
-    def bracket_ratio(self, v: int) -> float:
-        return bracket_value(v, self.q) / v
+    def bracket_ratio(self, v: int, pc: int) -> float:
+        return bracket_value(v, self.q) / _nonzero("bracket_ratio", v)
 
-    def angle(self, v: int) -> float:
-        return math.sqrt(bracket_value(v, self.q) / v)
+    def angle(self, v: int, pc: int) -> float:
+        return math.sqrt(bracket_value(v, self.q) / _nonzero("angle", v))
 
     def sqrt_bracket(self, c: int, pc: int):
         x = self.affine(c, pc)
@@ -400,25 +408,14 @@ class Engine:
     # -- diagonal factors ----------------------------------------------
 
     def eval_diag(self, d: Diag, state: FockState):
-        key = self._diag_key(d, state)
-        return self.scalars.one if key is None else self._diag_value(key)
+        return self._diag_value(self._diag_key(d, state))
 
-    def _diag_key(self, d: Diag, state: FockState):
+    @staticmethod
+    def _diag_key(d: Diag, state: FockState) -> tuple:
         """What the value of a diagonal factor on a state depends on, as the
-        scalar method and its arguments: (kind, c, pc) for the affine kinds,
-        (kind, v) for the mode kinds, None for a fermionic angle
-        (identically one).  A mode kind at argument 0 raises."""
-        kind = d.kind
-        if kind in _AFFINE_KINDS:
-            return (kind, *d.affine.eval_parts(state))
-        if kind in _MODE_KINDS:
-            if kind == "angle" and self.sig.is_fermionic(d.mode):
-                return None
-            v = state[d.mode - 1] + d.shift
-            if v == 0:
-                raise _zero_argument(kind)
-            return kind, v
-        raise EngineError(f"unknown diagonal kind {kind!r}")
+        scalar method and its arguments: (kind, occupation part, p
+        coefficient) of the argument."""
+        return (d.kind, *d.affine.eval_parts(state))
 
     def _diag_value(self, key: tuple):
         return getattr(self.scalars, key[0])(*key[1:])
@@ -479,8 +476,6 @@ class Engine:
         for atom in reversed(word):
             if isinstance(atom, Diag):
                 key = self._diag_key(atom, state)
-                if key is None:
-                    continue
                 val = self._diag_value(key)
                 if self.scalars.is_zero(val):
                     return None
@@ -516,30 +511,21 @@ class Engine:
             out[s] = c * a if acc is None else acc + c * a
         return {s: v for s, v in out.items() if not self.scalars.is_zero(v)}
 
-    def apply(self, expr: OperatorExpr, target) -> dict:
-        """Apply an expression to a state or to a {state: coeff} vector."""
-        compiled = self.compile(expr)
-        if isinstance(target, tuple):
-            return self.apply_compiled(compiled, target)
-        out: dict = {}
-        for state, coeff in target.items():
-            for s, v in self.apply_compiled(compiled, state).items():
-                acc = out.get(s)
-                out[s] = coeff * v if acc is None else acc + coeff * v
-        return {s: v for s, v in out.items() if not self.scalars.is_zero(v)}
-
-    def max_abs(self, vec: dict) -> float:
-        """Largest coefficient magnitude of a numeric state vector."""
-        return max((abs(v) for v in vec.values()), default=0.0)
+    def apply(self, expr: OperatorExpr, state: FockState) -> dict:
+        """The image of a state under an expression, as {state: coeff}."""
+        return self.apply_compiled(self.compile(expr), state)
 
 
 class ProbeBatch:
     """Engines applied to a fixed list of probe states at once: numeric
     engines, one per q sample, or a single exact engine.
 
-    The states are the rows of an (S, modes) integer array (and the q
-    samples a second axis), so applying a word costs one column operation
-    per atom instead of one walk per state and q.  A ladder atom shifts one
+    ``compile`` takes only an expression whose terms share one net
+    occupation change, so each probe state's image is a single state,
+    the state shifted by that change.  The states are the rows of an
+    (S, modes) integer array (and the q samples a second axis), so
+    applying a word costs one column operation per atom instead of one
+    walk per state and q.  A ladder atom shifts one
     column and multiplies a per-row plain number, exactly the numbers of
     ``Engine._ladder``; rows whose image is zero drop out at once, so every
     later atom sees only live rows and never raises or warns on a dead one.
@@ -585,7 +571,13 @@ class ProbeBatch:
     def compile(self, expr: OperatorExpr) -> list:
         """Specialize the term scalars once: a list of (values over q, word)
         where a term that is zero at every q drops, or the exact engine's
-        compiled terms."""
+        compiled terms.  An expression whose words differ in their net
+        occupation change raises ``EngineError``: its terms would land on
+        different states, which the batch's reductions do not keep apart."""
+        changes = expr.changes(self.sig)
+        if len(changes) > 1:
+            raise EngineError(
+                f"a probe batch takes one net occupation change, not {sorted(changes)}")
         if self.exact:
             return self.engines[0].compile(expr)
         compiled = []
@@ -598,36 +590,26 @@ class ProbeBatch:
     def _diag(self, d: Diag, states: np.ndarray):
         """A diagonal factor on the given rows: (per-row key codes, values
         of shape (rows, q) or None when exact, live mask or None when no
-        row dies); None for a fermionic angle (identically one)."""
-        kind = d.kind
-        pc = ()  # the p coefficient, which ends the key of an affine kind
-        if kind in _AFFINE_KINDS:
-            coeffs = np.array(d.affine.mode_coeffs, dtype=np.int64)
-            args = d.affine.const + states[:, : len(coeffs)] @ coeffs
-            pc = (d.affine.p_coeff,)
-        elif kind in _MODE_KINDS:
-            if kind == "angle" and self.sig.is_fermionic(d.mode):
-                return None
-            args = states[:, d.mode - 1] + d.shift
-            if not args.all():
-                raise _zero_argument(kind)
-        else:
-            raise EngineError(f"unknown diagonal kind {kind!r}")
+        row dies)."""
+        kind, aff = d.kind, d.affine
+        coeffs = np.array(aff.mode_coeffs, dtype=np.int64)
+        args = aff.const + states[:, : len(coeffs)] @ coeffs
+        pc = aff.p_coeff
         distinct, inverse = np.unique(args, return_inverse=True)
         distinct = distinct.tolist()
-        if distinct and not (-_CODE_BIAS <= min(distinct[0], *pc, 0)
-                             <= max(distinct[-1], *pc, 0) < _CODE_BIAS):
+        if distinct and not (-_CODE_BIAS <= min(distinct[0], pc) <= max(distinct[-1], pc)
+                             < _CODE_BIAS):
             raise EngineError(f"{kind} key out of the code range [-2**20, 2**20)")
-        base = (_KIND_RANK[kind] << 42) + (pc[0] if pc else 0) + _CODE_BIAS
+        base = (_KIND_RANK[kind] << 42) + pc + _CODE_BIAS
         table = []
         for v in distinct:
             code = base + ((v + _CODE_BIAS) << 21)
             values = self._values.get(code)
             if values is None:
                 if self.exact:
-                    values = getattr(self.engines[0].scalars, kind)(v, *pc)
+                    values = getattr(self.engines[0].scalars, kind)(v, pc)
                 else:
-                    values = np.array([getattr(e.scalars, kind)(v, *pc) for e in self.engines],
+                    values = np.array([getattr(e.scalars, kind)(v, pc) for e in self.engines],
                                       dtype=complex)
                 self._values[code] = values
             table.append(values)
@@ -677,10 +659,7 @@ class ProbeBatch:
         codes, factors = [], []  # per diagonal factor: per-row key codes and values
         for atom in reversed(word):
             if isinstance(atom, Diag):
-                diag = self._diag(atom, states)
-                if diag is None:
-                    continue
-                code, value, live = diag
+                code, value, live = self._diag(atom, states)
                 codes.append(code)
                 if value is not None:
                     factors.append(value)
@@ -733,28 +712,17 @@ class ProbeBatch:
         magnitude any single term produces (the scale against which
         cancellation error is measured).  Both have shape (q, states).
 
-        The image of a live row is the row shifted by the word's net
-        occupation change, so the terms sharing that change sum into one
-        dense (states, q) array."""
+        Every term moves a probe state to the same image state, so the
+        terms sum into one dense (states, q) array."""
         shape = (len(self.states), len(self.engines))
-        sums: dict = {}  # net occupation change -> summed term images
+        image = np.zeros(shape, dtype=complex)
         scale = np.zeros(shape)
         for c, w in compiled:
             rows, _, values = self.apply_word(w)
             contrib = c * values
-            change = [0] * self.sig.num_modes
-            for atom in w:
-                if not isinstance(atom, Diag):
-                    change[atom.mode - 1] += 1 if isinstance(atom, Raise) else -1
-            acc = sums.get(tuple(change))
-            if acc is None:
-                acc = sums[tuple(change)] = np.zeros(shape, dtype=complex)
-            acc[rows] += contrib
+            image[rows] += contrib
             scale[rows] = np.maximum(scale[rows], np.abs(contrib))
-        peak = np.zeros(shape)
-        for acc in sums.values():
-            np.maximum(peak, np.abs(acc), out=peak)
-        return peak.T, scale.T
+        return np.abs(image).T, scale.T
 
     def _product(self, key: tuple) -> CoeffExact:
         """The product of the exact values behind a sorted code tuple, each
@@ -811,12 +779,13 @@ class ProbeBatch:
         return [{s: v for s, v in image.items() if not is_zero(v)} for image in out]
 
     def exact_images(self, compiled: list) -> np.ndarray:
-        """Image coefficients of a compiled expression whose terms share one
-        net occupation change, on every probe state of an exact batch, as
-        integer rows over the expression's monomials (q, P and p
-        exponents): shape (states, monomials).  Every coefficient is
-        scaled by one common nonzero factor, so a row is all zero exactly
-        when that state's image is the exact zero.
+        """Image coefficients of a compiled expression on every probe state
+        of an exact batch, as integer rows over the expression's monomials
+        (q, P and p exponents): shape (states, monomials).  ``compile``
+        lets through one net occupation change only, so every term sends a
+        state to the same image state and the terms' rows may be summed.
+        Every coefficient is scaled by one common nonzero factor, so a row
+        is all zero exactly when that state's image is the exact zero.
 
         Each ``X`` of ``_exact_terms`` is brought over the largest power
         of q - q**-1 among all the ``X`` and an integer lcm, and becomes

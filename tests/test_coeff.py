@@ -229,6 +229,40 @@ def test_equal_values_have_equal_fields(a, b):
 
 
 @settings(max_examples=100, deadline=None)
+@given(coeff, coeff, small_fraction, st.integers(0, 2))
+def test_equal_values_hash_equal(a, b, r, j):
+    # exact scalars, their numerators and rationals, a constant also built
+    # over (q - q^-1)^j: whatever compares equal hashes equal
+    constant = CoeffExact(LaurentPoly.monomial(coeff=r) * q_minus_qbar_power(j), j)
+    values = [a, b, a.num, (a + b) - b, r, constant, constant.num, LaurentPoly.monomial(coeff=r)]
+    if r.denominator == 1:
+        values.append(int(r))
+    for x in values:
+        for y in values:
+            assert (x == y) == (y == x), (x, y)
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert constant == r and hash(constant) == hash(r)
+
+
+class TestHashing:
+    def test_constants_hash_like_their_rationals(self):
+        assert len({CoeffExact.one(), 1}) == 1
+        assert len({LaurentPoly.monomial(coeff=1), 1}) == 1
+        assert len({CoeffExact.zero(), 0, Fraction(0)}) == len({LaurentPoly(), 0}) == 1
+        half = Fraction(1, 2)
+        for x in (CoeffExact.from_int(half), LaurentPoly.monomial(coeff=half)):
+            assert x == half and half == x
+            assert hash(x) == hash(half)
+        assert {CoeffExact.from_int(half): "x"}[half] == "x"
+
+    def test_non_constants_differ_from_rationals(self):
+        for x in (bracket_int(2), bracket_affine(0, 1), CoeffExact(LaurentPoly.monomial(p_pow=1))):
+            assert x != 2 and x != Fraction(2) and 2 != x
+        assert bracket_int(1) == 1 and bracket_int(-1) == Fraction(-1)
+
+
+@settings(max_examples=100, deadline=None)
 @given(laurent, st.integers(0, 3), st.integers(0, 3))
 def test_construction_divides_out_q_minus_qbar(num, j, k):
     a = CoeffExact(num, k)

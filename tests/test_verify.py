@@ -12,7 +12,7 @@ from qglnm.verify import (
     substitute,
     verify_all,
 )
-from qglnm.weyl import Engine, EngineError, Lower, Raise
+from qglnm.weyl import Engine, EngineError, Lower, OperatorExpr, Raise
 
 SIG21 = Signature(2, 1)
 
@@ -31,13 +31,13 @@ class TestSubstitute:
         diff = substitute(rel, real)
         # two words: image(e1)image(f2) and -image(f2)image(e1)
         assert len(diff.terms) == 2
-        assert diff.degree_shifts() == {-1}
+        assert diff.changes(SIG21) == {(-2, 1)}
 
     def test_bracket_right_side_becomes_diagonal(self):
         real = dyson(SIG21)
         rel = rel_by_name(SIG21, "CK5")
         diff = substitute(rel, real)
-        assert diff.degree_shifts() == {0}
+        assert diff.changes(SIG21) == {(0, 0)}
         # the substituted difference annihilates a probe state
         eng = Engine(SIG21, convention="monomial")
         assert eng.apply(diff, (2, 1)) == {}
@@ -55,11 +55,19 @@ class TestSubstitute:
         rel = rel_by_name(SIG21, "CK4[i=1]")
         # sabotage: replace the image of f1 by a lowering word so the
         # two commutator words shift degree differently
-        from qglnm.weyl import OperatorExpr
-
         real.images[GenSymbol("f", 1)] = OperatorExpr.from_word(Lower(1), Lower(1), Raise(1))
         with pytest.raises(AssertionError):
             substitute(rel, real)
+
+    def test_audit_rejects_mixed_mode_changes(self):
+        # sabotage: f1 raises the fermionic mode instead of mode 1, so
+        # [e1, f1] keeps the total occupation like its Cartan right side
+        # but moves a quantum between modes
+        real = dyson(SIG21)
+        real.images[GenSymbol("f", 1)] = OperatorExpr.from_word(Raise(2))
+        mixed = r"mixes occupation changes \[\(-1, 1\), \(0, 0\)\]"
+        with pytest.raises(AssertionError, match=mixed):
+            substitute(rel_by_name(SIG21, "CK4[i=1]"), real)
 
 
 class TestProbeStates:
@@ -68,15 +76,15 @@ class TestProbeStates:
         assert set(enumerate_up_to(SIG21, 3)) <= set(states)
 
     def test_extra_states_above_cap(self):
-        extras = extra_probe_states(SIG21, 3, extra=4, seed=0)
-        assert extras
+        extras = extra_probe_states(SIG21, 3)
+        assert len(extras) == 4
         assert all(3 < sum(s) <= 7 for s in extras)
 
     def test_deterministic(self):
         assert probe_states(SIG21, 4) == probe_states(SIG21, 4)
 
     def test_respects_fermionic_bound(self):
-        for s in extra_probe_states(Signature(2, 2), 4, extra=6):
+        for s in extra_probe_states(Signature(2, 2), 4):
             assert s[1] <= 1 and s[2] <= 1
 
 

@@ -1,5 +1,7 @@
 """Tests for the lazy graded operator engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,13 @@ from qglnm.weyl import (
     ProbeBatch,
     Raise,
     affine_mode,
-    affine_total,
     super_commutator,
-    word_degree_shift,
+    word_change,
 )
 
 SIG21 = Signature(2, 1)
 SIG22 = Signature(2, 2)
+TOTAL21 = Affine(0, 0, (1, 1))  # N = N_1 + N_2 on (2,1)
 
 
 def exact_engine(sig, p=None):
@@ -40,6 +42,11 @@ def probe(sig, cap=4):
     return list(enumerate_up_to(sig, cap))
 
 
+def max_abs(vec: dict) -> float:
+    """Largest coefficient magnitude of a numeric state vector."""
+    return max((abs(v) for v in vec.values()), default=0.0)
+
+
 def expect_zero(eng, expr, states):
     compiled = eng.compile(expr)
     for s in states:
@@ -47,7 +54,7 @@ def expect_zero(eng, expr, states):
         if eng.mode == "exact":
             assert not image, (s, image)
         else:
-            assert eng.max_abs(image) < 1e-12, (s, image)
+            assert max_abs(image) < 1e-12, (s, image)
 
 
 class TestApplyAtom:
@@ -93,7 +100,7 @@ class TestApplyAtom:
 
     def test_diag_bracket_of_total(self):
         eng = exact_engine(SIG21)
-        d = Diag("bracket", affine=affine_total(SIG21))
+        d = Diag("bracket", affine=TOTAL21)
         coeff, state = eng.apply_atom(d, (1, 1))
         assert state == (1, 1)
         assert coeff == bracket_int(2)
@@ -126,11 +133,12 @@ class TestApply:
         assert eng.apply(after, (3, 0)) == {(2, 0): CoeffExact.from_int(6)}
 
     def test_linearity(self):
+        # the image of a combination is the combination of the term images
         eng = exact_engine(SIG21)
-        expr = OperatorExpr.from_word(Raise(1), Lower(1))
-        vec = {(1, 0): CoeffExact.from_int(3), (2, 0): CoeffExact.from_int(-1)}
-        out = eng.apply(expr, vec)
-        assert out == {(1, 0): CoeffExact.from_int(3), (2, 0): CoeffExact.from_int(-2)}
+        number = OperatorExpr.from_word(Raise(1), Lower(1))
+        hop = OperatorExpr.from_word(Raise(2), Lower(1))
+        out = eng.apply(number.scaled(3) - hop, (2, 0))
+        assert out == {(2, 0): CoeffExact.from_int(6), (1, 1): CoeffExact.from_int(-2)}
 
     def test_formal_p_affine_eigenvalue(self):
         eng = exact_engine(SIG21)
@@ -200,7 +208,7 @@ class TestNumberAndShiftIdentities:
             dn = OperatorExpr.from_word(Lower(i))
             expect_zero(eng, ni * up - up * ni - up, states)
             expect_zero(eng, ni * dn - dn * ni + dn, states)
-        n_tot = OperatorExpr.from_word(Diag("affine", affine=affine_total(sig)))
+        n_tot = OperatorExpr.from_word(Diag("affine", affine=Affine(0, 0, (1,) * sig.num_modes)))
         for i in range(1, sig.num_modes + 1):
             for j in range(1, sig.num_modes + 1):
                 hop = OperatorExpr.from_word(Raise(i), Lower(j))
@@ -214,9 +222,8 @@ class TestNumberAndShiftIdentities:
         eng = exact_engine(sig)
 
         def factor(shift):
-            if kind == "bracket_ratio":
-                # keep the argument positive on the probed states
-                return Diag("bracket_ratio", mode=1, shift=shift + 2)
+            # keep the bracket ratio's argument positive on the probed states
+            shift += 2 * (kind == "bracket_ratio")
             return Diag(kind, affine=affine_mode(sig, 1).shift(shift))
 
         up, dn = Raise(1), Lower(1)
@@ -252,7 +259,7 @@ class TestSuperCommutator:
         eng = numeric_engine(SIG21, q=2.0)
         out = eng.apply(br, (1, 0))
         # A^- A^+ - q A^+ A^- on |1>: 2 - 2*1 ... orthonormal: (sqrt2)^2 - 2*1 = 0
-        assert eng.max_abs(out) == pytest.approx(0.0, abs=1e-14)
+        assert max_abs(out) == pytest.approx(0.0, abs=1e-14)
 
 
 class TestEngineValidation:
@@ -286,8 +293,15 @@ class TestEngineValidation:
         eng = Engine(SIG21, convention="monomial", p=3, classical=True)
         d = Diag("bracket", affine=Affine(0, 1, (-1, -1)))
         assert eng.eval_diag(d, (1, 0)) == CoeffExact.from_int(2)
-        ratio = Diag("bracket_ratio", mode=1, shift=1)
+        ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(1))
         assert eng.eval_diag(ratio, (1, 0)) == CoeffExact.one()
+
+    def test_diag_kind_and_argument_checked_when_built(self):
+        with pytest.raises(EngineError, match="unknown diagonal kind 'sqrt'"):
+            Diag("sqrt", affine=affine_mode(SIG21, 1))
+        for kind in ("bracket_ratio", "angle"):
+            with pytest.raises(EngineError, match="must not depend on p"):
+                Diag(kind, affine=Affine(1, 1, (-1, 0)))
 
 
 def fold_atoms(eng, word, state):
@@ -355,7 +369,7 @@ class TestWordCaches:
             assert e4.apply_word(self.WORD, (2, 0)) == (bracket_int(3) * 2, (1, 0))
 
     def test_engines_differing_in_q_keep_their_values(self):
-        word = (Diag("bracket", affine=affine_total(SIG21)),
+        word = (Diag("bracket", affine=TOTAL21),
                 Diag("qpow", affine=affine_mode(SIG21, 1)), Raise(1))
         engines = {q: numeric_engine(SIG21, q=q, convention="monomial") for q in (0.7, 1.3)}
         for _ in range(2):
@@ -372,18 +386,21 @@ class TestWordCaches:
 
     def test_bracket_ratio_at_zero_raises_every_time(self):
         eng = exact_engine(SIG21)
-        ratio = (Diag("bracket_ratio", mode=1),)
+        ratio = (Diag("bracket_ratio", affine=affine_mode(SIG21, 1)),)
         assert eng.apply_word(ratio, (1, 0)) == (CoeffExact.one(), (1, 0))
         for _ in range(2):
             with pytest.raises(ZeroDivisionError, match="argument 0"):
                 eng.apply_word(ratio, (0, 0))
 
-    def test_fermionic_angle_is_one(self):
-        angle = Diag("angle", mode=2)  # mode 2 of (2,1) is fermionic
-        bracket = Diag("bracket", affine=affine_total(SIG21))
-        for eng in (exact_engine(SIG21), numeric_engine(SIG21)):
-            assert eng.apply_word((angle,), (0, 1)) == (eng.one(), (0, 1))
-            assert eng.apply_word((angle, bracket), (1, 1)) == eng.apply_word((bracket,), (1, 1))
+    def test_angle_is_evaluated_on_every_mode(self):
+        # the engine treats the angle of mode 2, fermionic on (2,1), like any
+        # other: the realizations leave it out of their words instead
+        angle = (Diag("angle", affine=affine_mode(SIG21, 2).shift(1)),)
+        eng = numeric_engine(SIG21, q=2.0)
+        assert eng.apply_word(angle, (0, 0)) == (1.0, (0, 0))  # <1> = 1
+        assert eng.apply_word(angle, (0, 1)) == (math.sqrt(bracket_value(2, 2.0) / 2), (0, 1))
+        assert ProbeBatch([eng], [(0, 0), (0, 1)]).apply_word(angle)[2][:, 0].tolist() == [
+            1.0, math.sqrt(bracket_value(2, 2.0) / 2)]
 
 
 class TestProbeBatch:
@@ -421,18 +438,18 @@ class TestProbeBatch:
             for qi, eng in enumerate(engines):
                 single = [(c[qi], w) for c, w in compiled if c[qi] != 0]
                 for r, s in enumerate(states):
-                    want = eng.max_abs(eng.apply_compiled(single, s))
+                    want = max_abs(eng.apply_compiled(single, s))
                     bound = 1e-12 * max(1.0, scale[qi, r])
                     assert abs(peak[qi, r] - want) <= bound, (rel.name, s, peak[qi, r], want)
 
     def test_zero_argument_raises_only_on_live_rows(self):
         eng = numeric_engine(SIG21)
         batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 1)])
-        ratio = Diag("bracket_ratio", mode=1)
+        ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1))
         with pytest.raises(ZeroDivisionError, match="bracket ratio evaluated at argument 0"):
             batch.apply_word((ratio,))
         with pytest.raises(ZeroDivisionError, match="angle bracket evaluated at argument 0"):
-            batch.apply_word((Diag("angle", mode=1),))
+            batch.apply_word((Diag("angle", affine=affine_mode(SIG21, 1)),))
         # (0, 0) dies at the lowering, then at the zero value of N_1
         for killer in (Lower(1), Diag("affine", affine=affine_mode(SIG21, 1))):
             rows, _, _ = batch.apply_word((ratio, killer))
@@ -602,6 +619,19 @@ class TestProbeBatch:
         empty = self._check_images(eng, states, ((r.name, substitute(r, real)) for r in rels))
         assert 0 < empty < len(states) * len(rels)
 
+    def test_refuses_two_net_occupation_changes(self):
+        # both words keep the total occupation but move different modes; at
+        # (1, 1) their images (2, 0) and (0, 2) must not sum to a false zero
+        sig = Signature(3, 0)
+        hops = (OperatorExpr.from_word(Raise(1), Lower(2))
+                - OperatorExpr.from_word(Raise(2), Lower(1)))
+        eng = exact_engine(sig)
+        assert eng.apply(hops, (1, 1)) == {(2, 0): CoeffExact.one(),
+                                           (0, 2): CoeffExact.from_int(-1)}
+        for batch in (ProbeBatch([eng], [(1, 1)]), ProbeBatch([numeric_engine(sig)], [(1, 1)])):
+            with pytest.raises(EngineError, match="one net occupation change"):
+                batch.compile(hops)
+
     def test_images_need_a_single_engine(self):
         batch = ProbeBatch([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)], [(0, 0)])
         with pytest.raises(EngineError, match="single-engine"):
@@ -619,9 +649,10 @@ class TestProbeBatch:
             ProbeBatch([numeric_engine(SIG21)], [(0, 0)]).exact_images([])
 
 
-def test_word_degree_shift():
-    assert word_degree_shift((Raise(1), Lower(2), Lower(1))) == -1
-    assert word_degree_shift(()) == 0
+def test_word_change():
+    diag = Diag("bracket", affine=TOTAL21)
+    assert word_change(SIG21, (Raise(1), diag, Lower(2), Lower(1))) == (0, -1)
+    assert word_change(SIG21, (diag,)) == word_change(SIG21, ()) == (0, 0)
 
 
 def test_parity_homogeneity_enforced():
@@ -629,11 +660,3 @@ def test_parity_homogeneity_enforced():
     with pytest.raises(ValueError):
         mixed.parity(SIG21)
 
-
-def test_collect_merges_words():
-    expr = OperatorExpr.from_word(Raise(1)) + OperatorExpr.from_word(Raise(1))
-    collected = expr.collect()
-    assert len(collected.terms) == 1
-    assert collected.terms[0][0] == CoeffExact.from_int(2)
-    cancel = OperatorExpr.from_word(Raise(1)) - OperatorExpr.from_word(Raise(1))
-    assert cancel.collect().terms == ()
