@@ -7,8 +7,8 @@ criterion on integer weights, inequivalence of different thresholds, and
 irreducibility as cyclicity of every basis vector, read off the support
 graph of the generator matrices (each weight space is a single state).
 Generator images reach every state of a subspace through one probe batch
-(``weyl.ProbeBatch.images``); the quotient relations compose the sparse
-matrix columns.
+(``weyl.ProbeBatch.images``, one image state per state); the quotient
+relations carry one (row, coefficient) pair through each word.
 
 Matrix columns follow the graded-lex basis order, so the block structure
 by total degree is visible in the sparse pattern: the first e generator
@@ -110,14 +110,14 @@ def materialize(
 
 
 def _images(eng: Engine, real, states):
-    """Every nonzero image component: (generator, state, image state,
-    coefficient), in realization order, then state order, from one probe
-    batch over the states."""
+    """Every nonzero image: (generator, state, image state, coefficient),
+    in realization order, then state order, from one probe batch over the
+    states."""
     batch = ProbeBatch([eng], states)
     for g, expr in real.images.items():
-        for state, image in zip(states, batch.images(batch.compile(expr))):
-            for s, v in image.items():
-                yield g, state, s, v
+        rows, images, coeffs = batch.images(batch.compile(expr))
+        for r, s, v in zip(rows.tolist(), images.tolist(), coeffs):
+            yield g, states[r], tuple(s), v
 
 
 # -- invariance -------------------------------------------------------
@@ -376,51 +376,47 @@ def quotient_relations_check(sig: Signature, p: int) -> list[str]:
     failing relations (empty when the quotient is a representation).
 
     Each side of a relation is applied to every basis column by composing
-    the sparse matrix columns right to left, which forms the columns of
-    the same matrix products without any dense product."""
+    the matrix columns right to left, which forms the columns of the same
+    matrix products without any dense product."""
     return _relation_failures(
         sig, p, materialize(sig, DYSON, p, subspace="quotient-F0", convention="monomial"))
 
 
 def _relation_failures(sig: Signature, p: int, mats: dict) -> list[str]:
-    """Names of the relations the given exact matrices violate: from every
-    start column, each word carries a sparse {row: coefficient} vector
-    through its letters, a bracket-of-h letter acting as the q-bracket of
-    its Cartan eigenvalue at threshold p."""
+    """Names of the relations the given exact matrices violate.  A basis
+    state's image is one state, so a generator column holds at most one
+    entry, and from every start column a word carries one (row,
+    coefficient) pair through its letters, a bracket-of-h letter acting as
+    the q-bracket of its Cartan eigenvalue at threshold p."""
     states = next(iter(mats.values())).basis.states
-    columns = {g: {} for g in mats}  # generator -> column -> [(row, coefficient)]
-    for g, m in mats.items():
-        for (r, c), v in m.entries.items():
-            columns[g].setdefault(c, []).append((r, v))
+    # generator -> column -> its one (row, coefficient)
+    columns = {g: {c: (r, v) for (r, c), v in m.entries.items()} for g, m in mats.items()}
     real = realization(DYSON, sig)
 
-    def column(letter, c):
-        if isinstance(letter, HBracket):
-            arg, pc = real.h_bracket(letter).eval_parts(states[c])
-            return [(c, bracket_int(arg + pc * p))]
-        return columns[letter].get(c, ())
-
-    def image(scalar, word, start) -> dict:
-        vec = {start: scalar}
+    def image(scalar, word, r):
+        """Yield the word's image of column r as one (row, coefficient),
+        or nothing when it is zero."""
         for letter in reversed(word):
-            vec = _sparse_sum((r, m * v) for c, v in vec.items() for r, m in column(letter, c))
-        return vec
+            if isinstance(letter, HBracket):
+                arg, pc = real.h_bracket(letter).eval_parts(states[r])
+                m = bracket_int(arg + pc * p)
+            elif r in columns[letter]:
+                r, m = columns[letter][r]
+            else:
+                return
+            scalar = m * scalar
+        yield r, scalar
 
     def violated(rel, start) -> bool:
-        terms = [*rel.lhs, *((-scalar, word) for scalar, word in rel.rhs)]
-        residual = _sparse_sum(kv for t in terms for kv in image(*t, start).items())
+        # keyed by row, so terms landing on different rows never cancel
+        residual: dict = {}
+        for scalar, word in [*rel.lhs, *((-scalar, word) for scalar, word in rel.rhs)]:
+            for r, v in image(scalar, word, start):
+                residual[r] = residual[r] + v if r in residual else v
         return any(not v.is_zero() for v in residual.values())
 
     return [rel.name for rel in build_relations(sig)
             if any(violated(rel, start) for start in range(len(states)))]
-
-
-def _sparse_sum(pairs) -> dict:
-    """Sum (row, coefficient) pairs into a sparse vector."""
-    out: dict = {}
-    for r, v in pairs:
-        out[r] = out[r] + v if r in out else v
-    return out
 
 
 # -- deformed oscillator checks ---------------------------------------

@@ -315,17 +315,9 @@ def _cmd_verify(args) -> int:
     else:
         q = _parse_q(args.q)
     _validate_realization(args.realization, p, q)
-    report = verify_all(
-        sig,
-        kind=args.realization,
-        p=p,
-        q=q,
-        cap=args.cap,
-        convention=_convention(args.convention) if args.convention else None,
-        tolerance=args.tolerance,
-        mutation=args.mutation,
-        classical=args.classical,
-    )
+    report = verify_all(sig, kind=args.realization, p=p, q=q, cap=args.cap,
+                        convention=_convention(args.convention) if args.convention else None,
+                        mutation=args.mutation, classical=args.classical, **_tolerance(args))
     print(report.format_table())
     if args.out:
         with open(args.out, "w") as fh:
@@ -368,7 +360,7 @@ def _cmd_analyze(args) -> int:
         expected = rep.f1_invariant and (rep.f0_invariant == (args.realization != DYSON))
         return 0 if expected else 1
     if check == "unitarity":
-        rep = check_unitarity(sig, p, _require_q(args), tolerance=args.tolerance)
+        rep = check_unitarity(sig, p, _require_q(args), **_tolerance(args))
         print(rep.summary())
         return 0 if rep.hp_pass and rep.h_diagonal_real and rep.dyson_fails else 1
     if check == "highest-weight":
@@ -394,7 +386,8 @@ def _cmd_analyze(args) -> int:
         print(rep.summary())
         return 0 if rep.full_from_all else 1
     if check == "deformed-ops":
-        rep = deformed_ops_check(sig, p, _require_q(args), cap=6 if args.cap is None else args.cap)
+        rep = deformed_ops_check(sig, p, _require_q(args), cap=6 if args.cap is None else args.cap,
+                                 **_tolerance(args))
         print(rep.summary())
         ok = rep.bosonic_pass and rep.agreement_pass and rep.fermionic_exponent != "neither"
         return 0 if ok else 1
@@ -468,6 +461,11 @@ def _require_q(args) -> float:
     return q
 
 
+def _tolerance(args) -> dict:
+    """An explicit --tolerance as a keyword; unset, each check keeps its own default."""
+    return {} if args.tolerance is None else {"tolerance": args.tolerance}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qglnm",
@@ -491,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--convention", choices=("exact", "monomial", "orthonormal"),
                         default=None, help="basis convention ('exact' = monomial)")
         if "tolerance" in reads:
-            p_.add_argument("--tolerance", type=float, default=1e-10)
+            p_.add_argument("--tolerance", type=float, default=None)
         if "out" in reads:
             p_.add_argument("--out", default=None, help="write the report/export here")
 

@@ -297,7 +297,7 @@ class CoeffExact:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, LaurentPoly)):
             return not self.k and self.num == other
         if not isinstance(other, CoeffExact):
             return NotImplemented

@@ -541,9 +541,10 @@ class ProbeBatch:
     tuple share ``X = c_t * product`` of the term scalar and the diagonal
     values, whose product is formed once per batch, and a probe state's
     image coefficient is the sum over terms of its integer ladder number
-    times ``X``.  ``images`` returns the image of every probe state as a
-    {state: coefficient} dict (the module analysis); ``exact_images`` and
-    ``max_abs_images`` reduce it to what relation verification needs.
+    times ``X``.  ``images`` returns per row the one image state and its
+    coefficient (the module analysis), never a {state: coefficient} map;
+    ``exact_images`` and ``max_abs_images`` reduce the images to what
+    relation verification needs.
 
     Ladder numbers are int64 only while the word's bound (largest
     occupation plus word length, to the number of lowering atoms) stays
@@ -738,45 +739,47 @@ class ProbeBatch:
 
     def _exact_terms(self, compiled: list):
         """Per term of a compiled expression with a live row on an exact
-        batch: (live rows, their image states, per-row ladder numbers or
-        None when they are 1, the group of each row, ``X = c_t * product``
-        per group), where a group is the rows sharing a sorted key-code
-        tuple and so one diagonal product."""
+        batch: (live rows, per-row ladder numbers or None when they are 1,
+        the group of each row, ``X = c_t * product`` per group), where a
+        group is the rows sharing a sorted key-code tuple and so one
+        diagonal product."""
         for c, w in compiled:
-            rows, states, ladder, codes, _ = self._walk(w)
+            rows, _, ladder, codes, _ = self._walk(w)
             if not len(rows):
                 continue
             groups: dict = {}  # sorted code tuple -> group
             keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
             group = np.array([groups.setdefault(key, len(groups)) for key in keys])
-            yield rows, states, ladder, group, [c * self._product(key) for key in groups]
+            yield rows, ladder, group, [c * self._product(key) for key in groups]
 
-    def images(self, compiled: list) -> list[dict]:
+    def images(self, compiled: list):
         """The image of a compiled expression on every probe state of a
-        single-engine batch: {image state: coefficient} dicts equal to
-        ``Engine.apply_compiled``'s, terms summed in order and zeros
-        dropped.  Numeric coefficients are ``c_t`` times the scalars of
-        ``apply_word``, the per-state engine's to the last bit; exact ones
-        are the ladder number times the row group's ``X``."""
+        single-engine batch: (rows, images, coefficients), the ascending
+        probe rows whose image is not zero, their image states (the row's
+        state shifted by the one net occupation change) and a coefficient
+        list.  A row's terms sum in term order from its first term, as in
+        ``Engine.apply_compiled``, so numeric coefficients are the
+        per-state engine's to the last bit."""
         if len(self.engines) > 1:
             raise EngineError("images need a single-engine batch")
-        terms = []  # (live rows, image states, coefficient per row)
+        terms = []  # (live rows, coefficient per row)
         if self.exact:
-            for rows, states, ladder, group, xs in self._exact_terms(compiled):
+            for rows, ladder, group, xs in self._exact_terms(compiled):
                 ks = itertools.repeat(1) if ladder is None else ladder.tolist()
-                terms.append((rows, states, [xs[g] if k == 1 else xs[g] * k
-                                             for g, k in zip(group.tolist(), ks)]))
+                terms.append((rows, [xs[g] if k == 1 else xs[g] * k
+                                     for g, k in zip(group.tolist(), ks)]))
         else:
             for c, w in compiled:
-                rows, states, values = self.apply_word(w)
-                terms.append((rows, states, (c[0] * values[:, 0]).tolist()))
-        out = [{} for _ in range(len(self.states))]
-        for rows, states, values in terms:
-            for r, s, v in zip(rows.tolist(), map(tuple, states.tolist()), values):
-                image = out[r]
-                image[s] = image[s] + v if s in image else v
+                rows, _, values = self.apply_word(w)
+                terms.append((rows, (c[0] * values[:, 0]).tolist()))
+        sums = [None] * len(self.states)
+        for rows, values in terms:
+            for r, v in zip(rows.tolist(), values):
+                sums[r] = v if sums[r] is None else sums[r] + v
         is_zero = self.engines[0].scalars.is_zero
-        return [{s: v for s, v in image.items() if not is_zero(v)} for image in out]
+        rows = [r for r, v in enumerate(sums) if v is not None and not is_zero(v)]
+        change = word_change(self.sig, compiled[0][1]) if compiled else 0
+        return np.array(rows, dtype=np.intp), self.states[rows] + change, [sums[r] for r in rows]
 
     def exact_images(self, compiled: list) -> np.ndarray:
         """Image coefficients of a compiled expression on every probe state
@@ -797,14 +800,14 @@ class ProbeBatch:
         if not self.exact:
             raise EngineError("exact images need an exact batch")
         terms = list(self._exact_terms(compiled))
-        # X = num / (q - q**-1)**k becomes num * (q - q**-1)**(top - k)
-        top = max((x.k for *_, xs in terms for x in xs), default=0)
-        polys = [[x.num if x.k == top else x.num * q_minus_qbar_power(top - x.k) for x in xs]
+        # X = num / (q - q**-1)**k becomes num * (q - q**-1)**(power - k)
+        power = max((x.k for *_, xs in terms for x in xs), default=0)
+        polys = [[x.num if x.k == power else x.num * q_minus_qbar_power(power - x.k) for x in xs]
                  for *_, xs in terms]
         scale = math.lcm(*(f.denom for fs in polys for f in fs))
         columns: dict = {}  # monomial -> column
         bound = 0
-        for (_, _, ladder, _, _), fs in zip(terms, polys):
+        for (_, ladder, _, _), fs in zip(terms, polys):
             for f in fs:
                 for k in f.coeffs:
                     columns.setdefault(k, len(columns))
@@ -812,7 +815,7 @@ class ProbeBatch:
             bound += top * (1 if ladder is None else int(np.abs(ladder).max()))
         dtype = np.int64 if bound < 1 << 63 else object
         out = np.zeros((len(self.states), len(columns)), dtype=dtype)
-        for (rows, _, ladder, group, _), fs in zip(terms, polys):
+        for (rows, ladder, group, _), fs in zip(terms, polys):
             table = np.zeros((len(fs), len(columns)), dtype=dtype)
             for g, f in enumerate(fs):
                 m = scale // f.denom

@@ -473,6 +473,17 @@ class TestCommands:
         assert out == deformed_ops_check(SIG21, 2, 1.3, cap=0).summary() + "\n"
         assert "NEITHER holds" in out and err == ""
 
+    def test_deformed_ops_honours_tolerance(self, capsys):
+        argv = ["analyze", "--n", "2", "--m", "1", "--check", "deformed-ops", "--p", "2",
+                "--q", "1.3"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == deformed_ops_check(SIG21, 2, 1.3).summary() + "\n"
+        # the residuals of about 5e-15 pass the default 1e-12 but not 1e-16
+        assert run(argv + ["--tolerance", "1e-16"]) == 1
+        out = capsys.readouterr().out
+        assert out == deformed_ops_check(SIG21, 2, 1.3, tolerance=1e-16).summary() + "\n"
+        assert "(FAIL)" in out
+
     def test_bad_signature_is_usage_error(self, capsys):
         code = run(["relations", "--n", "1", "--m", "1"])
         assert code == 2

@@ -256,6 +256,15 @@ class TestHashing:
             assert hash(x) == hash(half)
         assert {CoeffExact.from_int(half): "x"}[half] == "x"
 
+    def test_exact_scalars_of_both_classes_compare(self):
+        assert CoeffExact.zero() == LaurentPoly() and LaurentPoly() == CoeffExact.zero()
+        assert len({CoeffExact.zero(), LaurentPoly(), 0}) == 1
+        q = LaurentPoly.monomial(q_exp=1)
+        assert CoeffExact(q) == q and q == CoeffExact(q) and len({CoeffExact(q), q}) == 1
+        assert CoeffExact(q) != LaurentPoly.monomial(q_exp=2)
+        # over (q - q^-1)^1 no polynomial is equal
+        assert bracket_affine(0, 1) != bracket_affine(0, 1).num
+
     def test_non_constants_differ_from_rationals(self):
         for x in (bracket_int(2), bracket_affine(0, 1), CoeffExact(LaurentPoly.monomial(p_pow=1))):
             assert x != 2 and x != Fraction(2) and 2 != x

@@ -576,12 +576,15 @@ class TestProbeBatch:
         empty = 0
         for name, expr in exprs:
             compiled = eng.compile(expr)
-            for s, got in zip(states, batch.images(batch.compile(expr))):
-                want = eng.apply_compiled(compiled, s)
-                assert list(got) == list(want), (name, s)
-                for v, w in zip(got.values(), want.values()):
+            rows, images, coeffs = batch.images(batch.compile(expr))
+            assert (np.diff(rows) > 0).all(), name
+            got = {r: {tuple(s): v} for r, s, v in zip(rows.tolist(), images.tolist(), coeffs)}
+            for r, s in enumerate(states):
+                image, want = got.get(r, {}), eng.apply_compiled(compiled, s)
+                assert list(image) == list(want), (name, s)
+                for v, w in zip(image.values(), want.values()):
                     assert v == w and scalar_str(v) == scalar_str(w), (name, s, v, w)
-                empty += not got
+                empty += not image
         return empty
 
     @staticmethod
@@ -631,6 +634,25 @@ class TestProbeBatch:
         for batch in (ProbeBatch([eng], [(1, 1)]), ProbeBatch([numeric_engine(sig)], [(1, 1)])):
             with pytest.raises(EngineError, match="one net occupation change"):
                 batch.compile(hops)
+
+    @pytest.mark.parametrize("eng", [exact_engine(SIG21), numeric_engine(SIG21)],
+                             ids=["exact", "numeric"])
+    def test_images_of_nothing(self, eng):
+        rows, images, coeffs = ProbeBatch([eng], [(0, 0), (1, 1)]).images([])
+        assert rows.shape == (0,) and images.shape == (0, 2) and coeffs == []
+
+    @pytest.mark.parametrize("eng", [exact_engine(SIG21),
+                                     numeric_engine(SIG21, convention="monomial")],
+                             ids=["exact", "numeric"])
+    def test_image_rows_increase(self, eng):
+        # N_1 + N_2: the first term lives on rows 1 and 3, the second on rows
+        # 0 and 3, and on row 2 neither
+        states = [(0, 1), (2, 0), (0, 0), (1, 1)]
+        expr = OperatorExpr.from_word(Raise(1), Lower(1)) + OperatorExpr.from_word(Raise(2), Lower(2))
+        batch = ProbeBatch([eng], states)
+        rows, images, coeffs = batch.images(batch.compile(expr))
+        assert rows.tolist() == [0, 1, 3] and images.tolist() == [[0, 1], [2, 0], [1, 1]]
+        assert [c == k for c, k in zip(coeffs, [1, 2, 2])] == [True] * 3
 
     def test_images_need_a_single_engine(self):
         batch = ProbeBatch([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)], [(0, 0)])
