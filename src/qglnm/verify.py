@@ -12,7 +12,10 @@ Both regimes apply each relation to every probe state at once
 integer row per probe state over the relation's monomials, which is
 zero exactly when the state's image is.  The witness of an exact failure
 is the first such state, with its coefficient formed again by the
-per-state engine.
+per-state engine.  Every relation is substituted and compiled before any
+is probed, and all of them are declared to the batch at once
+(``ProbeBatch.plan``), so a word suffix that several relation terms share
+is applied to the probe states once.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
@@ -157,11 +160,10 @@ def extra_probe_states(sig: Signature, cap: int) -> list[FockState]:
     return out
 
 
-def _exact_result(name: str, batch: ProbeBatch, diff: OperatorExpr) -> RelationResult:
+def _exact_result(name: str, batch: ProbeBatch, compiled: list) -> RelationResult:
     """Exact pass only if every probe coefficient is the exact zero; the
     first probe state with a nonzero image is the witness, whose
     coefficient the per-state engine forms again for the report."""
-    compiled = batch.compile(diff)
     failing = np.flatnonzero(batch.exact_images(compiled).any(axis=1))
     if not len(failing):
         return RelationResult(name, "exact-pass")
@@ -171,13 +173,13 @@ def _exact_result(name: str, batch: ProbeBatch, diff: OperatorExpr) -> RelationR
     return RelationResult(name, "fail", 0.0, f"state=({state_str}) coeff={coeff.canonical_str()}")
 
 
-def _numeric_result(name: str, batch: ProbeBatch, diff: OperatorExpr, above_cap: np.ndarray,
+def _numeric_result(name: str, batch: ProbeBatch, compiled: list, above_cap: np.ndarray,
                     tolerance: float) -> RelationResult:
     """Numeric pass if the largest coefficient magnitude over every
     (q sample, probe state) stays within the tolerance; above the cap the
     magnitude is taken relative to the largest single-term image.  The
     witness is the first worst pair in q-sample, then state order."""
-    peak, scale = batch.max_abs_images(batch.compile(diff))
+    peak, scale = batch.max_abs_images(compiled)
     residual = np.where(above_cap, peak / np.maximum(1.0, scale), peak)
     k = int(np.argmax(residual))
     worst = float(residual.flat[k])
@@ -210,10 +212,12 @@ def verify_all(
     """Check every defining relation of the signature against a realization.
 
     q may be None (formal; exact Dyson verification), a number, or a list
-    of sample values.  One probe batch serves both regimes.  In exact mode
-    a relation passes only if every probe coefficient is the exact zero;
-    in numeric mode the largest coefficient magnitude over (state,
-    q sample) must stay within the tolerance.
+    of sample values.  One probe batch serves both regimes; every relation
+    is substituted and compiled up front and declared to it, so shared
+    word suffixes are walked once.  In exact mode a relation passes only
+    if every probe coefficient is the exact zero; in numeric mode the
+    largest coefficient magnitude over (state, q sample) must stay within
+    the tolerance.
     """
     if kind != DYSON:
         if q is None:
@@ -232,11 +236,12 @@ def verify_all(
     # bracket products, so the meaningful numeric measure there is the
     # residual relative to the size of the individual term images.
     above_cap = np.array([sum(s) > cap for s in states])
-    results = []
-    for rel in build_relations(sig):
-        diff = substitute(rel, real)
-        results.append(_exact_result(rel.name, batch, diff) if batch.exact
-                       else _numeric_result(rel.name, batch, diff, above_cap, tolerance))
+    relations = build_relations(sig)
+    compiled = [batch.compile(substitute(rel, real)) for rel in relations]
+    batch.plan(compiled)
+    results = [_exact_result(rel.name, batch, terms) if batch.exact
+               else _numeric_result(rel.name, batch, terms, above_cap, tolerance)
+               for rel, terms in zip(relations, compiled)]
     meta = {
         "realization": kind,
         "n": sig.n,

@@ -46,8 +46,11 @@ multi-state caller (relation verification and the module analysis).  A
 batch takes only expressions whose terms share one net occupation change,
 so a probe state's image is a single state.  It applies words to a list
 of probe states at once, with numpy:
-states are rows of an integer array and each diagonal factor is named by
-an int64 key code, which holds arguments below 2**20 in magnitude.
+states are rows of an integer array, each diagonal factor is named by an
+int64 key code, which holds arguments below 2**20 in magnitude, and its
+values are read from per-batch tables indexed by the argument.  A word
+is walked as its suffix plus one atom, and a suffix shared by the
+expressions declared to the batch is walked once.
 Numeric scalars are formed from the same factors in the same order as
 above, over a second axis of q samples, so they equal the per-state
 engine's.  Exact ones are formed once per distinct diagonal product;
@@ -516,6 +519,38 @@ class Engine:
         return self.apply_compiled(self.compile(expr), state)
 
 
+class _DiagTable:
+    """The diagonal values of one kind and p coefficient over a range of
+    integer arguments starting at ``start``: per argument, whether it is
+    known yet, whether its value is nonzero, and its values over the q
+    samples (numeric batches only; exact values live by key code in
+    ``ProbeBatch._values``).  An argument becomes known only once its value
+    was built without raising."""
+
+    def __init__(self, lo: int, hi: int, samples: int | None):
+        self.start = lo
+        self.known = np.zeros(hi + 1 - lo, dtype=bool)
+        self.nonzero = np.zeros(hi + 1 - lo, dtype=bool)
+        self.values = None if samples is None else np.zeros((hi + 1 - lo, samples), dtype=complex)
+
+    def cover(self, lo: int, hi: int):
+        """Grow the range, in either direction, to hold lo..hi."""
+        end = self.start + len(self.known)
+        if lo < self.start or hi >= end:
+            start, end = min(self.start, lo), max(end, hi + 1)
+            at = self.start - start
+
+            def grown(a):
+                out = np.zeros((end - start, *a.shape[1:]), dtype=a.dtype)
+                out[at : at + len(a)] = a
+                return out
+
+            self.known, self.nonzero = grown(self.known), grown(self.nonzero)
+            if self.values is not None:
+                self.values = grown(self.values)
+            self.start = start
+
+
 class ProbeBatch:
     """Engines applied to a fixed list of probe states at once: numeric
     engines, one per q sample, or a single exact engine.
@@ -529,11 +564,21 @@ class ProbeBatch:
     column and multiplies a per-row plain number, exactly the numbers of
     ``Engine._ladder``; rows whose image is zero drop out at once, so every
     later atom sees only live rows and never raises or warns on a dead one.
-    Each diagonal factor is evaluated once per distinct argument (and q
-    sample) by the engines' own scalar methods and named by a per-row code
-    that orders like its key in ``Engine._diag_key``.  The code packs the
-    kind, the argument and the p coefficient into one int64, so both must
-    lie below 2**20 in magnitude; a larger one raises ``EngineError``.
+    A diagonal factor's values are read from one table per kind and p
+    coefficient, which spans the arguments seen so far and holds, per
+    argument, whether it is known, whether it is nonzero and, numerically,
+    its values over the q samples.  A value is formed by the engines' own
+    scalar methods the first time a live row presents its argument.  Each
+    factor is also named by a per-row code that orders like its key in
+    ``Engine._diag_key``.  The code packs the kind, the argument and the p
+    coefficient into one int64, so both must lie below 2**20 in magnitude;
+    a larger one raises ``EngineError``.
+
+    A word's walk is the walk of its suffix ``word[1:]`` and one more atom.
+    ``plan`` declares the compiled expressions to be applied next (relation
+    verification declares every relation), and the batch then keeps the
+    walk of each suffix they share, read-only, until its last use, so each
+    suffix is walked once.  A batch with no plan keeps no walk.
 
     Numeric scalars are multiplied per row, in the per-state engine's
     order, so they are its floats to the last bit.  Exact scalars are not
@@ -564,10 +609,14 @@ class ProbeBatch:
         self.convention = engines[0].convention
         self.states = np.array(states, dtype=np.int64).reshape(len(states), self.sig.num_modes)
         self._top = int(self.states.max(initial=0))
-        # key code -> values over the q samples (numeric) or exact value
+        # (kind, p coefficient) -> _DiagTable
+        self._tables: dict = {}
+        # key code -> exact value
         self._values: dict = {}
         # sorted tuple of key codes -> product of their exact values
         self._products: dict = {}
+        # word -> [walks of it still to come, its walk once kept]
+        self._plan: dict = {}
 
     def compile(self, expr: OperatorExpr) -> list:
         """Specialize the term scalars once: a list of (values over q, word)
@@ -591,35 +640,41 @@ class ProbeBatch:
     def _diag(self, d: Diag, states: np.ndarray):
         """A diagonal factor on the given rows: (per-row key codes, values
         of shape (rows, q) or None when exact, live mask or None when no
-        row dies)."""
+        row dies); ``_step`` passes at least one row.  Values are read
+        from the batch's table of the kind and p coefficient; only the
+        arguments that these rows present for the first time are evaluated,
+        in ascending order."""
         kind, aff = d.kind, d.affine
         coeffs = np.array(aff.mode_coeffs, dtype=np.int64)
         args = aff.const + states[:, : len(coeffs)] @ coeffs
         pc = aff.p_coeff
-        distinct, inverse = np.unique(args, return_inverse=True)
-        distinct = distinct.tolist()
-        if distinct and not (-_CODE_BIAS <= min(distinct[0], pc) <= max(distinct[-1], pc)
-                             < _CODE_BIAS):
+        lo, hi = int(args.min()), int(args.max())
+        if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
             raise EngineError(f"{kind} key out of the code range [-2**20, 2**20)")
+        table = self._tables.get((kind, pc))
+        if table is None:
+            samples = None if self.exact else len(self.engines)
+            table = self._tables[kind, pc] = _DiagTable(lo, hi, samples)
+        else:
+            table.cover(lo, hi)
         base = (_KIND_RANK[kind] << 42) + pc + _CODE_BIAS
-        table = []
-        for v in distinct:
-            code = base + ((v + _CODE_BIAS) << 21)
-            values = self._values.get(code)
-            if values is None:
+        at = args - table.start
+        known = table.known[at]
+        if not known.all():
+            for v in sorted(set(args[~known].tolist())):
                 if self.exact:
-                    values = getattr(self.engines[0].scalars, kind)(v, pc)
+                    value = getattr(self.engines[0].scalars, kind)(v, pc)
+                    self._values[base + ((v + _CODE_BIAS) << 21)] = value
+                    nonzero = not value.is_zero()
                 else:
-                    values = np.array([getattr(e.scalars, kind)(v, pc) for e in self.engines],
-                                      dtype=complex)
-                self._values[code] = values
-            table.append(values)
+                    value = [getattr(e.scalars, kind)(v, pc) for e in self.engines]
+                    table.values[v - table.start] = value
+                    nonzero = any(value)
+                table.nonzero[v - table.start] = nonzero
+                table.known[v - table.start] = True
         codes = base + ((args + _CODE_BIAS) << 21)
-        if self.exact:
-            live = np.array([not v.is_zero() for v in table])[inverse]
-            return codes, None, None if live.all() else live
-        values = np.array(table)[inverse]
-        return codes, values, values.any(axis=1)
+        live = table.nonzero[at]
+        return codes, None if self.exact else table.values[at], None if live.all() else live
 
     def _ladder(self, atom: Raise | Lower, states: np.ndarray):
         """Column form of ``Engine._ladder``: (live mask, or None when no
@@ -645,45 +700,89 @@ class ProbeBatch:
             return live, np.sqrt(k), out
         return live, (k if lower else None), out
 
+    def plan(self, compiled_list: list):
+        """Declare the compiled expressions about to be applied, each once,
+        so that a word suffix their terms share is walked once.  A word's
+        uses are the terms whose word it is plus its distinct one-atom
+        extensions; its walk is kept, read-only, while another use remains.
+        Replaces any earlier plan.  Walks follow the same code path with or
+        without a plan: a batch with no plan keeps nothing, and a walk the
+        plan does not foresee is only formed again."""
+        plan: dict = {}
+        words = [word for compiled in compiled_list for _, word in compiled]
+        while words:
+            word = words.pop()
+            entry = plan.get(word)
+            if entry is None:
+                plan[word] = [1, None]
+                if word:
+                    words.append(word[1:])
+            else:
+                entry[0] += 1
+        self._plan = plan
+
     def _walk(self, word: Word):
         """The column pass of a word (atoms right to left) over every probe
         state: (indices of the live rows, their image states, per-row
-        ladder number or None when it is 1, per-row key codes of each
-        diagonal factor, and their values when numeric)."""
-        rows = np.arange(len(self.states))
-        states = self.states
-        # Every occupation met on the way is at most the largest probe
-        # occupation plus the word length, which bounds each lowering step.
-        wide = self.convention == "monomial" and (self._top + len(word)) ** sum(
-            isinstance(a, Lower) for a in word) >= 1 << 63
-        ladder = None  # per-row plain number
-        codes, factors = [], []  # per diagonal factor: per-row key codes and values
-        for atom in reversed(word):
-            if isinstance(atom, Diag):
-                code, value, live = self._diag(atom, states)
-                codes.append(code)
-                if value is not None:
-                    factors.append(value)
+        ladder number or None when it is 1, and per diagonal factor the
+        per-row key codes and, when numeric, values).  It is the walk of
+        the suffix ``word[1:]`` and one more atom, ``word[0]``."""
+        entry = self._plan.get(word)
+        walk = None if entry is None else entry[1]
+        if walk is None:
+            if word:
+                walk = self._step(self._walk(word[1:]), word)
             else:
-                live, step, states = self._ladder(atom, states)
-                if step is not None:
-                    if wide:
-                        step = step.astype(object)
-                    ladder = step if ladder is None else ladder * step
-            if live is not None and not live.all():
-                rows, states = rows[live], states[live]
-                ladder = None if ladder is None else ladder[live]
-                codes = [c[live] for c in codes]
-                factors = [f[live] for f in factors]
-                if not len(rows):
-                    break
+                walk = np.arange(len(self.states)), self.states, None, (), ()
+        if entry is not None:
+            entry[0] -= 1
+            if not entry[0]:
+                del self._plan[word]
+            elif entry[1] is None:
+                for a in (*walk[:3], *walk[3], *walk[4]):
+                    if a is not None:
+                        a.flags.writeable = False
+                entry[1] = walk
+        return walk
+
+    def _step(self, walk, word: Word):
+        """The walk of a word from that of its suffix ``word[1:]``: rows
+        whose image is zero drop out at once, so a suffix with no live row
+        is its own extension."""
+        rows, states, ladder, codes, factors = walk
+        if not len(rows):
+            return walk
+        atom = word[0]
+        if isinstance(atom, Diag):
+            code, value, live = self._diag(atom, states)
+            codes += (code,)
+            if value is not None:
+                factors += (value,)
+        else:
+            live, step, states = self._ladder(atom, states)
+            if step is not None:
+                # Every occupation met on the way is at most the largest
+                # probe occupation plus the word length, which bounds each
+                # lowering step.  Past 2**63 the step is in Python ints, and
+                # an int64 ladder of the suffix, exact below its own bound,
+                # turns into Python ints in the product.
+                if self.convention == "monomial" and (self._top + len(word)) ** sum(
+                        isinstance(a, Lower) for a in word) >= 1 << 63:
+                    step = step.astype(object)
+                ladder = step if ladder is None else ladder * step
+        if live is not None and not live.all():
+            rows, states = rows[live], states[live]
+            ladder = None if ladder is None else ladder[live]
+            codes = tuple(c[live] for c in codes)
+            factors = tuple(f[live] for f in factors)
         return rows, states, ladder, codes, factors
 
     def apply_word(self, word: Word):
         """Apply a word (atoms right to left) to every probe state at every
         q sample of a numeric batch.  Returns (rows, images, values): the
         indices of the probe states whose image is not zero at every q,
-        their image states, and the scalars, shape (rows, q).
+        their image states, and the scalars, shape (rows, q).  Under a plan
+        the arrays may be those of a kept walk, which are read-only.
 
         As in ``Engine.apply_word`` the ladder numbers multiply in word
         order and the diagonal values in the order of their keys, so

@@ -533,6 +533,25 @@ class TestProbeBatch:
         numeric = Engine(SIG21, convention="monomial", q=1.3, p=3)
         rows, _, values = ProbeBatch([numeric], [(top, 0)]).apply_word(word)
         assert values[0, 0] == numeric.apply_word(word, (top, 0))[0]
+        # two words share the suffix of three lowerings, which stays below
+        # the bound in int64; only the word with a fourth lowering is wide
+        suffix = (Lower(1),) * 3
+        words = [(Lower(1),) + suffix, (Raise(1),) + suffix]
+        batch = ProbeBatch([eng], [(top, 0), (top, 1), (2, 0)])
+        compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
+        batch.plan(compiled)
+        images = [batch.exact_images(compiled[0])]
+        assert batch._plan[suffix][1][2].dtype == np.int64
+        images.append(batch.exact_images(compiled[1]))
+        assert not batch._plan
+        assert [a.dtype for a in images] == [object, np.int64]
+        assert [a[:, 0].tolist() for a in images] == [[want, want, 0],
+                                                      [top * (top - 1) * (top - 2)] * 2 + [0]]
+        batch = ProbeBatch([numeric], [(top, 0)])
+        compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
+        batch.plan(compiled)
+        for w in words:
+            assert batch.apply_word(w)[2][0, 0] == numeric.apply_word(w, (top, 0))[0]
         # the Serre relations of (3,2) at two bosonic occupations near
         # 10**5 sum terms past 2**63 to an exact zero
         sig = Signature(3, 2)
@@ -565,6 +584,114 @@ class TestProbeBatch:
         batch = ProbeBatch([engine], [(1, 0), (2**20, 0)])
         with pytest.raises(EngineError, match="code range"):
             batch.exact_images(batch.compile(expr)) if batch.exact else batch.apply_word(word)
+
+    @pytest.mark.parametrize("eng", [exact_engine(SIG21),
+                                     numeric_engine(SIG21, convention="monomial")],
+                             ids=["exact", "numeric"])
+    def test_diag_table_grows_both_ways(self, eng):
+        # N_1 + shift over N_1 in 2..4: the arguments 2..4, then -3..-1 below
+        # them, 5..7 above them and 1..3 across the low end
+        batch = ProbeBatch([eng], [(2, 0), (3, 1), (4, 0)])
+        for shift in (0, -5, 3, -1):
+            word = (Diag("bracket", affine=affine_mode(SIG21, 1).shift(shift)),)
+            rows, _, coeffs = batch.images(batch.compile(OperatorExpr.from_word(*word)))
+            assert rows.tolist() == [0, 1, 2]
+            for s, v in zip(batch.states.tolist(), coeffs):
+                want = eng.apply_word(word, tuple(s))[0]
+                assert v == want and scalar_str(v) == scalar_str(want), (shift, s)
+        table = batch._tables["bracket", 0]
+        assert table.start == -3
+        assert table.known.tolist() == [v != 0 for v in range(-3, 8)]
+        assert table.nonzero[table.known].all()
+
+    @pytest.mark.parametrize("eng", [exact_engine(SIG21), numeric_engine(SIG21)],
+                             ids=["exact", "numeric"])
+    def test_zero_division_leaves_table_usable(self, eng):
+        # N_1 - 2 over N_1 in {0, 2, 3}: -2 is evaluated before 0 raises, and
+        # 1 is not reached
+        batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 1)])
+        ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(-2))
+        table = None
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="bracket ratio evaluated at argument 0"):
+                batch.images(batch.compile(OperatorExpr.from_word(ratio)))
+            table = batch._tables["bracket_ratio", 0]
+            assert [table.known[v - table.start] for v in (-2, 0, 1)] == [True, False, False]
+        word = (ratio, Raise(1))  # the arguments -1, 1 and 2
+        rows, _, coeffs = batch.images(batch.compile(OperatorExpr.from_word(*word)))
+        assert rows.tolist() == [0, 1, 2]
+        for s, v in zip(batch.states.tolist(), coeffs):
+            want = eng.apply_word(word, tuple(s))[0]
+            assert v == want and scalar_str(v) == scalar_str(want), s
+        assert not table.known[0 - table.start]
+
+    @pytest.mark.parametrize("sig", [Signature(3, 2), Signature(4, 2)], ids=str)
+    @pytest.mark.parametrize("kind", ["hp", "dyson"])
+    def test_planned_walks_match_unplanned(self, sig, kind):
+        # every term's walk, formed from kept suffixes, equals the walk an
+        # unplanned batch forms afresh, numeric values to the bit; after the
+        # last relation the planned batch keeps nothing
+        if kind == "hp":
+            engines = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
+        else:
+            engines = [Engine(sig, p=3)]
+        states = probe_states(sig, default_cap(3))
+        planned, fresh = ProbeBatch(engines, states), ProbeBatch(engines, states)
+        real = realization(kind, sig)
+        compiled = [planned.compile(substitute(rel, real)) for rel in build_relations(sig)]
+        planned.plan(compiled)
+        shared = 0
+        for terms in compiled:
+            for _, word in terms:
+                shared += word[1:] in planned._plan
+                got, want = planned._walk(word), fresh._walk(word)
+                for a, b in zip(got[:3], want[:3]):
+                    assert (a is None) == (b is None), word
+                    if a is not None:
+                        assert a.dtype == b.dtype and np.array_equal(a, b), word
+                for part in (3, 4):
+                    assert len(got[part]) == len(want[part]), word
+                    for a, b in zip(got[part], want[part]):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), word
+        assert shared
+        assert not planned._plan and not fresh._plan
+
+    def test_kept_walks_are_read_only(self):
+        eng = numeric_engine(SIG21, convention="monomial")
+        word = (Diag("bracket", affine=TOTAL21), Lower(1))
+        batch = ProbeBatch([eng], probe(SIG21))
+        compiled = batch.compile(OperatorExpr.from_word(*word))
+        batch.plan([compiled, compiled])
+        walk = batch._walk(word)
+        rows, states, ladder, (codes,), (values,) = walk
+        for a in (rows, states, ladder, codes, values):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert batch._walk(word) is walk
+        assert not batch._plan
+        assert batch._walk(word) is not batch._walk(word)
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
+    def test_generator_images_on_no_states(self, sig):
+        # every batch method on zero probe states returns empty results
+        modes, exact = sig.num_modes, ProbeBatch([Engine(sig, p=3)], [])
+        for name, expr in self._generator_images(sig, ["dyson"]):
+            compiled = exact.compile(expr)
+            assert exact.exact_images(compiled).shape[0] == 0, name
+            rows, images, coeffs = exact.images(compiled)
+            assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
+        engines = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
+        many, one = ProbeBatch(engines, []), ProbeBatch(engines[:1], [])
+        for name, expr in self._generator_images(sig, ["dyson", "hp", "hp-deformed"]):
+            compiled = many.compile(expr)
+            for _, word in compiled:
+                rows, images, values = many.apply_word(word)
+                assert rows.shape == (0,) and images.shape == (0, modes), name
+                assert values.shape == (0, len(engines)), name
+            peak, scale = many.max_abs_images(compiled)
+            assert peak.shape == scale.shape == (len(engines), 0), name
+            rows, images, coeffs = one.images(one.compile(expr))
+            assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
 
     @staticmethod
     def _check_images(eng, states, exprs) -> int:
