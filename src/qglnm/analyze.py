@@ -6,8 +6,10 @@ the orthonormal basis, highest weights, the essentially-typical
 criterion on integer weights, inequivalence of different thresholds, and
 irreducibility as cyclicity of every basis vector, read off the support
 graph of the generator matrices (each weight space is a single state).
-Generator images reach every state of a subspace through one probe batch
-(``weyl.ProbeBatch.images``, one image state per state); the quotient
+The matrices, invariance and highest weights read generator images from
+one function, ``_images``: one engine and one probe batch
+(``weyl.ProbeBatch.images``, one image state per state) over the states
+they need.  Every analysis works on the sparse entries; the quotient
 relations carry one (row, coefficient) pair through each word.
 
 Matrix columns follow the graded-lex basis order, so the block structure
@@ -20,11 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coeff import CoeffExact, LaurentPoly, bracket_int, numeric_str, scalar_str
 from .fock import BasisIndex, Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
-from .presentation import E, F, H, GenSymbol, HBracket, build_relations
+from .presentation import E, F, H, GenSymbol, HBracket, build_relations, generators
 from .realize import DYSON, HP, HP_DEFORMED, realization, tilde_ops
 from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, affine_mode, super_commutator
 
@@ -40,15 +40,8 @@ class SubspaceLeakError(ValueError):
 class GeneratorMatrix:
     """Sparse matrix of one realized generator on an explicit basis."""
 
-    symbol: GenSymbol
     basis: BasisIndex
     entries: dict  # (row, col) -> coefficient (exact or numeric)
-
-    def to_numpy(self) -> np.ndarray:
-        mat = np.zeros((len(self.basis), len(self.basis)), dtype=complex)
-        for (r, c), v in self.entries.items():
-            mat[r, c] = v
-        return mat
 
     def triplets(self):
         return sorted(self.entries.items())
@@ -88,15 +81,13 @@ def materialize(
     """
     if not isinstance(p, int) or p < 0:
         raise ValueError("materialization needs an integer p >= 0")
-    real = realization(kind, sig, mutation)
     if q is None and convention == "orthonormal":
         raise ValueError("orthonormal matrices need a numeric q")
-    eng = Engine(sig, convention=convention, q=q, p=p)
     cap = _window_cap(p, cap)
     basis = _subspace_basis(sig, p, subspace, cap)
-    out = {g: GeneratorMatrix(g, basis, {}) for g in real.images}
+    out = {g: GeneratorMatrix(basis, {}) for g in generators(sig)}
     top = {"quotient-F0": p, "F1-slice": cap}.get(subspace)  # components above it drop
-    for g, state, s, v in _images(eng, real, basis.states):
+    for g, state, s, v in _images(sig, kind, p, q, convention, basis.states, mutation):
         row = basis.index.get(s)
         if row is None:
             if top is not None and total(s) > top:
@@ -109,11 +100,13 @@ def materialize(
     return out
 
 
-def _images(eng: Engine, real, states):
-    """Every nonzero image: (generator, state, image state, coefficient),
-    in realization order, then state order, from one probe batch over the
-    states."""
-    batch = ProbeBatch([eng], states)
+def _images(sig: Signature, kind: str, p, q, convention: str, states, mutation=None):
+    """Every nonzero generator image of the realization on the states:
+    (generator, state, image state, coefficient), in realization order,
+    then state order, from one engine and one probe batch over the states.
+    Every module analysis reads its generator images here."""
+    real = realization(kind, sig, mutation)
+    batch = ProbeBatch([Engine(sig, convention=convention, q=q, p=p)], states)
     for g, expr in real.images.items():
         rows, images, coeffs = batch.images(batch.compile(expr))
         for r, s, v in zip(rows.tolist(), images.tolist(), coeffs):
@@ -149,8 +142,9 @@ def check_invariance(
     sig: Signature, kind: str, p: int, cap: int | None = None, q: float | None = None
 ) -> InvarianceReport:
     """Whether the two threshold subspaces are stable under all generator
-    images, by lazy application to every state of the probe window; the
-    witness is the first escaping image component.
+    images, by one pass of application to every state of the probe window;
+    each side's witness is its first escaping image component, in
+    realization order, then state order.
 
     The Dyson realization keeps only the high subspace invariant (the
     boundary bracket [p - N] evaluates to the exact zero [0] on the way
@@ -160,20 +154,20 @@ def check_invariance(
     before any leak, so no tolerance enters either verdict.
     """
     cap = _window_cap(p, cap)
-    real = realization(kind, sig)
     if kind == DYSON:
         q = None  # the Dyson images stay exact
     elif q is None:
         raise ValueError("numeric q required for this realization")
-    eng = Engine(sig, convention="monomial" if q is None else "orthonormal", q=q, p=p)
-    f0, f1 = split_F0_F1(sig, p, cap)
-
-    def escape(states, keep) -> str:
-        return next((f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
-                     for g, state, s, v in _images(eng, real, states) if not keep(s)), "")
-
-    f1_wit = escape(f1.states, lambda s: total(s) > p)
-    f0_wit = escape(f0.states, lambda s: total(s) <= p)
+    if cap < p + 1:
+        raise ValueError("cap must be at least p + 1")
+    window = enumerate_up_to(sig, cap).states
+    witness = {True: "", False: ""}  # by whether the source state is low (degree <= p)
+    for g, state, s, v in _images(sig, kind, p, q, "monomial" if q is None else "orthonormal",
+                                  window):
+        low = total(state) <= p
+        if not witness[low] and (total(s) <= p) != low:
+            witness[low] = f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
+    f0_wit, f1_wit = witness[True], witness[False]
     return InvarianceReport(kind, p, cap, not f1_wit, not f0_wit, f0_wit, f1_wit)
 
 
@@ -204,28 +198,31 @@ def check_unitarity(sig: Signature, p: int, q: float, tolerance: float = 1e-10) 
     """Transpose test on the low subspace in the orthonormal basis: for the
     Holstein-Primakoff matrices each e-matrix transposed equals the
     corresponding f-matrix and the h-matrices are real diagonal; the same
-    test on the (quotient) Dyson matrices fails, with a witness entry."""
+    test on the (quotient) Dyson matrices fails, with a witness entry: the
+    first, pair by pair and row-major, of largest |e^T - f|.  Both tests
+    read only the stored entries; an entry stored in neither matrix is 0."""
     hp_mats = materialize(sig, HP, p, q=q, subspace="F0")
     dy_mats = materialize(sig, DYSON, p, q=q, subspace="quotient-F0")
 
     def transpose_residual(mats):
         worst, wit = 0.0, ""
         for i in range(1, sig.r):
-            em = mats[GenSymbol(E, i)].to_numpy()
-            fm = mats[GenSymbol(F, i)].to_numpy()
-            diff = np.abs(em.T - fm)
-            r = float(diff.max()) if diff.size else 0.0
-            if r > worst:
-                worst = r
-                a, b = np.unravel_index(np.argmax(diff), diff.shape)
-                wit = (f"generator pair index {i}: entry ({a},{b}): "
-                       f"e^T={numeric_str(em.T[a, b])} f={numeric_str(fm[a, b])}")
+            et = {(c, r): v for (r, c), v in mats[GenSymbol(E, i)].entries.items()}
+            f = mats[GenSymbol(F, i)].entries
+            for a, b in sorted(et.keys() | f.keys()):
+                x, y = complex(et.get((a, b), 0)), complex(f.get((a, b), 0))
+                if abs(x - y) > worst:
+                    worst = abs(x - y)
+                    wit = (f"generator pair index {i}: entry ({a},{b}): "
+                           f"e^T={numeric_str(x)} f={numeric_str(y)}")
         return worst, wit
 
     hp_res, _ = transpose_residual(hp_mats)
     dy_res, dy_wit = transpose_residual(dy_mats)
-    h_mats = (hp_mats[GenSymbol(H, i)].to_numpy() for i in range(1, sig.r + 1))
-    h_real = not any(np.abs(hm - np.diag(np.diag(hm).real)).max() > tolerance for hm in h_mats)
+    # off the diagonal every entry must vanish, on it the imaginary part
+    h_real = not any(abs(complex(v).imag if r == c else v) > tolerance
+                     for i in range(1, sig.r + 1)
+                     for (r, c), v in hp_mats[GenSymbol(H, i)].entries.items())
     return UnitarityReport(
         hp_max_residual=hp_res,
         hp_pass=hp_res <= tolerance,
@@ -242,18 +239,16 @@ def check_unitarity(sig: Signature, p: int, q: float, tolerance: float = 1e-10) 
 def highest_weight(sig: Signature, p: int) -> tuple[int, ...]:
     """Eigenvalues of all h_i on the vacuum, which is a highest-weight
     vector: every e image annihilates it (each ends in a lowering atom)."""
-    real = realization(DYSON, sig)
-    eng = Engine(sig, p=p)
-    vac = vacuum(sig)
+    images = {g: v for g, _, _, v in _images(sig, DYSON, p, None, "monomial", [vacuum(sig)])}
     weights = []
     for i in range(1, sig.r + 1):
-        c = eng.apply(real.images[GenSymbol(H, i)], vac).get(vac, CoeffExact.zero())
+        c = images.get(GenSymbol(H, i), CoeffExact.zero())
         k = c.rational()
         if k is None or k.denominator != 1:
             raise ValueError(f"weight eigenvalue {c.canonical_str()} is not an integer")
         weights.append(int(k))
     for i in range(1, sig.r):
-        if eng.apply(real.images[GenSymbol(E, i)], vac):
+        if GenSymbol(E, i) in images:
             raise AssertionError(f"e_{i} does not annihilate the vacuum")
     return tuple(weights)
 

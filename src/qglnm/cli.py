@@ -15,6 +15,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .analyze import (
 )
 from .coeff import scalar_str
 from .fock import Signature
-from .presentation import E, F, H, GenSymbol, render_relation, build_relations
+from .presentation import H, GenSymbol, generators, render_relation, build_relations
 from .realize import DYSON, HP, HP_DEFORMED, realization
 from .verify import DEFAULT_Q_SAMPLES, verify_all
 from .weyl import Engine, OperatorExpr
@@ -180,14 +181,6 @@ def ast_to_operator(ast: ExprAst, real) -> OperatorExpr:
 # -- matrix export file ------------------------------------------------
 
 
-def _gen_order(sig: Signature):
-    return (
-        [GenSymbol(H, i) for i in range(1, sig.r + 1)]
-        + [GenSymbol(E, i) for i in range(1, sig.r)]
-        + [GenSymbol(F, i) for i in range(1, sig.r)]
-    )
-
-
 def format_matrix_export(sig: Signature, kind: str, p, q, convention: str,
                          subspace: str, matrices: dict) -> str:
     """Structured text document: header, basis list, then per-generator
@@ -205,7 +198,7 @@ def format_matrix_export(sig: Signature, kind: str, p, q, convention: str,
     ]
     for s in some.basis.states:
         lines.append(",".join(map(str, s)))
-    for g in _gen_order(sig):
+    for g in generators(sig):
         gm = matrices[g]
         triplets = gm.triplets()
         lines.append(f"generator {g} entries {len(triplets)}")
@@ -299,9 +292,7 @@ def _validate_realization(kind: str, p, q):
 def _cmd_relations(args) -> int:
     sig = _signature(args)
     text = "\n".join(render_relation(rel) for rel in build_relations(sig)) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_out(args, text)
     sys.stdout.write(text)
     return 0
 
@@ -317,11 +308,10 @@ def _cmd_verify(args) -> int:
     _validate_realization(args.realization, p, q)
     report = verify_all(sig, kind=args.realization, p=p, q=q, cap=args.cap,
                         convention=_convention(args.convention) if args.convention else None,
-                        mutation=args.mutation, classical=args.classical, **_tolerance(args))
+                        mutation=args.mutation, classical=args.classical,
+                        **_given(args, "tolerance"))
     print(report.format_table())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.format_machine())
+    _write_out(args, report.format_machine())
     print(f"{'all relations pass' if report.all_pass else 'FAILURES: ' + str(len(report.failures))}")
     return 0 if report.all_pass else 1
 
@@ -333,10 +323,7 @@ def _cmd_matrices(args) -> int:
     if not isinstance(p, int):
         raise UsageError("matrix export needs an integer --p")
     _, text = _export(args, sig, p, q, args.subspace)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not _write_out(args, text):
         sys.stdout.write(text)
     return 0
 
@@ -360,7 +347,7 @@ def _cmd_analyze(args) -> int:
         expected = rep.f1_invariant and (rep.f0_invariant == (args.realization != DYSON))
         return 0 if expected else 1
     if check == "unitarity":
-        rep = check_unitarity(sig, p, _require_q(args), **_tolerance(args))
+        rep = check_unitarity(sig, p, _require_q(args), **_given(args, "tolerance"))
         print(rep.summary())
         return 0 if rep.hp_pass and rep.h_diagonal_real and rep.dyson_fails else 1
     if check == "highest-weight":
@@ -386,8 +373,7 @@ def _cmd_analyze(args) -> int:
         print(rep.summary())
         return 0 if rep.full_from_all else 1
     if check == "deformed-ops":
-        rep = deformed_ops_check(sig, p, _require_q(args), cap=6 if args.cap is None else args.cap,
-                                 **_tolerance(args))
+        rep = deformed_ops_check(sig, p, _require_q(args), **_given(args, "cap", "tolerance"))
         print(rep.summary())
         ok = rep.bosonic_pass and rep.agreement_pass and rep.fermionic_exponent != "neither"
         return 0 if ok else 1
@@ -402,13 +388,11 @@ def _cmd_reimport(args, sig: Signature, p: int) -> int:
     mats, text = _export(args, sig, p, q, args.subspace or "F0")
     parsed = parse_matrix_export(text)
     rendered = {str(g): [(r, c, scalar_str(v)) for (r, c), v in mats[g].triplets()]
-                for g in _gen_order(sig)}
+                for g in generators(sig)}
     ok = (parsed["generators"] == rendered
           and parsed["basis"] == list(next(iter(mats.values())).basis.states))
     print(f"round-trip of matrix export: {'identical' if ok else 'MISMATCH'}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_out(args, text)
     return 0 if ok else 1
 
 
@@ -461,9 +445,29 @@ def _require_q(args) -> float:
     return q
 
 
-def _tolerance(args) -> dict:
-    """An explicit --tolerance as a keyword; unset, each check keeps its own default."""
-    return {} if args.tolerance is None else {"tolerance": args.tolerance}
+def _given(args, *names) -> dict:
+    """The named options that were given, as keywords; an unset one is left
+    out, so the called check keeps its own default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _write_out(args, text: str) -> bool:
+    """Write text to the --out file when one is given; whether it was."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    return bool(args.out)
+
+
+def _tolerance_arg(text: str) -> float:
+    """--tolerance: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_.add_argument("--convention", choices=("exact", "monomial", "orthonormal"),
                         default=None, help="basis convention ('exact' = monomial)")
         if "tolerance" in reads:
-            p_.add_argument("--tolerance", type=float, default=None)
+            p_.add_argument("--tolerance", type=_tolerance_arg, default=None)
         if "out" in reads:
             p_.add_argument("--out", default=None, help="write the report/export here")
 
@@ -539,6 +543,10 @@ def run(argv=None) -> int:
         return 1
     except (UsageError, ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a numeric factor overflows at this q and p: {exc.args[-1]}",
+              file=sys.stderr)
         return 2
 
 

@@ -87,6 +87,12 @@ def generator_parity(sig: Signature, g: GenSymbol) -> int:
     return (theta(sig, g.index - 1) + theta(sig, g.index)) % 2
 
 
+def generators(sig: Signature) -> list[GenSymbol]:
+    """Every generator: h_1..h_r, then e_1..e_{r-1}, then f_1..f_{r-1}."""
+    return ([GenSymbol(H, i) for i in range(1, sig.r + 1)]
+            + [GenSymbol(k, i) for k in (E, F) for i in range(1, sig.r)])
+
+
 def letter_parity(sig: Signature, letter: Letter) -> int:
     if isinstance(letter, HBracket):
         return EVEN

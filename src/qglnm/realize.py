@@ -63,11 +63,9 @@ class Realization:
     eigenvalue of each Cartan generator (used to substitute bracket-of-h
     right sides)."""
 
-    kind: str
     sig: Signature
     images: dict[GenSymbol, OperatorExpr] = field(default_factory=dict)
     h_affines: dict[int, Affine] = field(default_factory=dict)
-    mutation: str | None = None
 
     def image(self, g: GenSymbol) -> OperatorExpr:
         try:
@@ -90,8 +88,8 @@ def h_affine(sig: Signature, i: int) -> Affine:
     return affine_mode(sig, i - 1)
 
 
-def _base(kind: str, sig: Signature, mutation: str | None = None) -> Realization:
-    real = Realization(kind, sig, mutation=mutation)
+def _base(sig: Signature) -> Realization:
+    real = Realization(sig)
     for i in range(1, sig.r + 1):
         aff = h_affine(sig, i)
         real.h_affines[i] = aff
@@ -117,7 +115,7 @@ def dyson(sig: Signature, mutation: str | None = None) -> Realization:
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
     n, r = sig.n, sig.r
-    real = _base(DYSON, sig, mutation)
+    real = _base(sig)
 
     e1_bracket = affine_p_minus_total(sig, 1 if mutation == "shift_e1_bracket" else 0)
     real.images[GenSymbol(E, 1)] = OperatorExpr.from_word(
@@ -154,7 +152,7 @@ def dyson(sig: Signature, mutation: str | None = None) -> Realization:
 def hp(sig: Signature) -> Realization:
     """The Holstein-Primakoff-type homomorphism; numeric evaluation only."""
     n, r = sig.n, sig.r
-    real = _base(HP, sig)
+    real = _base(sig)
     real.images[GenSymbol(E, 1)] = OperatorExpr.from_word(
         Diag("sqrt_bracket", affine=affine_p_minus_total(sig)), *_angle(sig, 1, 1), Lower(1)
     )
@@ -202,7 +200,7 @@ def hp_deformed(sig: Signature) -> Realization:
     Agrees with ``hp`` as an operator map, via the diagonal shift
     identities, but with differently placed diagonal factors."""
     n, r = sig.n, sig.r
-    real = _base(HP_DEFORMED, sig)
+    real = _base(sig)
     sqrt_down = OperatorExpr.from_word(Diag("sqrt_bracket", affine=affine_p_minus_total(sig)))
     sqrt_up = OperatorExpr.from_word(Diag("sqrt_bracket", affine=affine_p_minus_total(sig, 1)))
     real.images[GenSymbol(E, 1)] = sqrt_down * tilde_minus(sig, 1)

@@ -318,16 +318,18 @@ class ExactScalars:
 
 
 class NumericScalars:
-    """Float/complex scalars at a real q > 0 (q = 1 takes the classical
-    bracket limit) and a real p, which may stay unset while no evaluation
-    needs it."""
+    """Float/complex scalars at a finite real q > 0 (q = 1 takes the
+    classical bracket limit) and a finite real p, which may stay unset
+    while no evaluation needs it."""
 
     mode = "numeric"
     one = 1.0
 
     def __init__(self, q, p):
-        if q <= 0:
-            raise EngineError("q must be positive")
+        if not (math.isfinite(q) and q > 0):
+            raise EngineError(f"q must be a finite positive number, not {q!r}")
+        if p is not None and not math.isfinite(p):
+            raise EngineError(f"p must be a finite number, not {p!r}")
         self.q = q
         self.p = p
 

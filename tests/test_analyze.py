@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qglnm import analyze
 from qglnm.analyze import (
     _images,
     _reachability,
@@ -17,20 +18,29 @@ from qglnm.analyze import (
     materialize,
     quotient_relations_check,
 )
-from qglnm.coeff import CoeffExact, bracket_int
-from qglnm.fock import Signature, dim_F0, enumerate_up_to, total
+from qglnm.coeff import CoeffExact, bracket_int, numeric_str, scalar_str
+from qglnm.fock import Signature, dim_F0, enumerate_up_to, split_F0_F1, total
 from qglnm.presentation import GenSymbol, HBracket, build_relations
-from qglnm.realize import MUTATIONS, h_affine, realization
-from qglnm.weyl import Engine
+from qglnm.realize import MUTATIONS, h_affine
 
 SIG21 = Signature(2, 1)
 SIG22 = Signature(2, 2)
+SIGS = [SIG21, SIG22, Signature(3, 2)]
+Q_SAMPLES = [0.5, 0.9, 1.3, 2.0]
+
+
+def dense(gm) -> np.ndarray:
+    """The generator matrix as a dense complex array."""
+    mat = np.zeros((len(gm.basis), len(gm.basis)), dtype=complex)
+    for (r, c), v in gm.entries.items():
+        mat[r, c] = v
+    return mat
 
 
 class TestMaterialize:
     def test_hp_h1_diagonal(self):
         mats = materialize(SIG21, "hp", p=1, q=1.3, subspace="F0")
-        h1 = mats[GenSymbol("h", 1)].to_numpy()
+        h1 = dense(mats[GenSymbol("h", 1)])
         basis = mats[GenSymbol("h", 1)].basis
         assert np.allclose(h1, np.diag([1 - total(s) for s in basis.states]))
         assert sorted(np.diag(h1).real) == [0.0, 0.0, 1.0]
@@ -55,12 +65,12 @@ class TestMaterialize:
         a = materialize(SIG21, "hp", p=2, q=1.3, subspace="F0")
         b = materialize(SIG21, "hp", p=2, q=1.3, subspace="quotient-F0")
         for g in a:
-            assert np.allclose(a[g].to_numpy(), b[g].to_numpy())
+            assert np.allclose(dense(a[g]), dense(b[g]))
 
     def test_h_matrices_nonneg_integer_diagonal(self):
         mats = materialize(SIG22, "hp", p=2, q=0.9, subspace="F0")
         for i in range(2, SIG22.r + 1):
-            hm = mats[GenSymbol("h", i)].to_numpy()
+            hm = dense(mats[GenSymbol("h", i)])
             diag = np.diag(hm).real
             assert np.allclose(hm, np.diag(diag))
             assert (diag >= 0).all()
@@ -113,6 +123,49 @@ class TestInvariance:
         with pytest.raises(ValueError):
             check_invariance(SIG21, "hp", 1)
 
+    def test_cap_below_threshold_rejected(self):
+        with pytest.raises(ValueError, match="cap must be at least p \\+ 1"):
+            check_invariance(SIG21, "dyson", 2, cap=2)
+
+    @pytest.mark.parametrize("kind", ["dyson", "hp"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("sig", SIGS, ids=lambda s: f"{s.n}-{s.m}")
+    def test_matches_two_pass_reference(self, sig, p, kind):
+        q = None if kind == "dyson" else 1.3
+        for cap in range(p + 1, p + 5):
+            rep = check_invariance(sig, kind, p, cap=cap, q=q)
+            assert (rep.f0_witness, rep.f1_witness) == two_pass_witnesses(sig, kind, p, cap, q)
+            assert (rep.f0_invariant, rep.f1_invariant) == (not rep.f0_witness, not rep.f1_witness)
+
+    def test_first_escape_from_each_side(self, monkeypatch):
+        # p = 1: (1, 0) is low, (2, 0) and (3, 0) are high
+        stream = [
+            ("e1", (2, 0), (3, 0), 1.0),
+            ("f1", (1, 0), (2, 0), 2.0),
+            ("e1", (3, 0), (1, 0), 3.0),
+            ("f1", (0, 0), (2, 0), 4.0),
+            ("e1", (2, 0), (0, 0), 5.0),
+        ]
+        monkeypatch.setattr(analyze, "_images", lambda *args: iter(stream))
+        rep = check_invariance(SIG21, "dyson", 1)
+        assert rep.f0_witness == "f1 maps (1, 0) to (2, 0) with coefficient 2.0"
+        assert rep.f1_witness == "e1 maps (3, 0) to (1, 0) with coefficient 3.0"
+
+
+def two_pass_witnesses(sig, kind, p, cap, q):
+    """The escape witnesses by definition: the first image, in realization
+    order then state order, that leaves the low half of the window, and
+    likewise for the high half, each half probed on its own."""
+    low, high = split_F0_F1(sig, p, cap)
+    convention = "monomial" if q is None else "orthonormal"
+
+    def escape(states, keep) -> str:
+        return next((f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
+                     for g, state, s, v in _images(sig, kind, p, q, convention, states)
+                     if not keep(s)), "")
+
+    return escape(low.states, lambda s: total(s) <= p), escape(high.states, lambda s: total(s) > p)
+
 
 class TestUnitarity:
     @pytest.mark.parametrize("q", [0.9, 1.3])
@@ -122,11 +175,89 @@ class TestUnitarity:
         assert rep.dyson_fails
         assert "entry" in rep.dyson_witness
 
+    @pytest.mark.parametrize("q", Q_SAMPLES)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("sig", SIGS, ids=lambda s: f"{s.n}-{s.m}")
+    def test_matches_dense_reference(self, sig, p, q):
+        rep = check_unitarity(sig, p, q)
+        hp_mats = materialize(sig, "hp", p, q=q, subspace="F0")
+        dy_mats = materialize(sig, "dyson", p, q=q, subspace="quotient-F0")
+        hp_res, _ = dense_transpose_residual(sig, hp_mats)
+        dy_res, dy_wit = dense_transpose_residual(sig, dy_mats)
+        assert rep.hp_max_residual.hex() == hp_res.hex()
+        assert rep.dyson_max_residual.hex() == dy_res.hex()
+        assert rep.dyson_witness == dy_wit
+        assert rep.h_diagonal_real == dense_h_diagonal_real(sig, hp_mats, 1e-10)
+
+    @pytest.mark.parametrize("entry,value,real", [
+        ((0, 1), 2e-10, False), ((1, 1), 1 + 2e-10j, False),
+        ((1, 1), 1 + 1e-11j, True), ((1, 0), 1e-11, True),
+    ])
+    def test_h_diagonal_verdict_matches_dense_reference(self, monkeypatch, entry, value, real):
+        built = materialize
+
+        def bent(sig, kind, p, **kw):
+            mats = built(sig, kind, p, **kw)
+            if kind == "hp":
+                mats[GenSymbol("h", 2)].entries[entry] = value
+            return mats
+
+        monkeypatch.setattr(analyze, "materialize", bent)
+        assert check_unitarity(SIG21, 2, 1.3).h_diagonal_real is real
+        assert dense_h_diagonal_real(SIG21, bent(SIG21, "hp", 2, q=1.3), 1e-10) is real
+
+    def test_witness_is_first_largest_entry(self, monkeypatch):
+        # ties within a pair and across pairs: the first pair wins, and in
+        # it the first entry in row-major order
+        fake = {("e", 1): {(0, 1): 2.0, (2, 2): 2.0, (1, 0): 1.0},
+                ("f", 1): {(0, 0): 1.0, (0, 2): -1.0},
+                ("e", 2): {(0, 0): 2.0}, ("f", 2): {}}
+        built = materialize
+
+        def bent(sig, kind, p, **kw):
+            mats = built(sig, kind, p, **kw)
+            if kind == "dyson":
+                for g, entries in fake.items():
+                    mats[GenSymbol(*g)].entries = dict(entries)
+            return mats
+
+        monkeypatch.setattr(analyze, "materialize", bent)
+        rep = check_unitarity(SIG21, 2, 1.3)
+        dense_ref = dense_transpose_residual(SIG21, bent(SIG21, "dyson", 2, q=1.3,
+                                                         subspace="quotient-F0"))
+        assert (rep.dyson_max_residual, rep.dyson_witness) == dense_ref == (
+            2.0, "generator pair index 1: entry (1,0): e^T=2.0 f=0.0")
+
     def test_transpose_entries_match_sqrt_pattern(self):
         mats = materialize(SIG21, "hp", p=2, q=1.3, subspace="F0")
-        e1 = mats[GenSymbol("e", 1)].to_numpy()
-        f1 = mats[GenSymbol("f", 1)].to_numpy()
+        e1 = dense(mats[GenSymbol("e", 1)])
+        f1 = dense(mats[GenSymbol("f", 1)])
         assert np.abs(e1.T - f1).max() < 1e-12
+
+
+def dense_transpose_residual(sig, mats):
+    """The largest |e_i^T - f_i| over the pairs i, from dense matrices, and
+    the witness entry where it first occurs: the reference for the sparse
+    entry walk of ``check_unitarity``."""
+    worst, wit = 0.0, ""
+    for i in range(1, sig.r):
+        em = dense(mats[GenSymbol("e", i)])
+        fm = dense(mats[GenSymbol("f", i)])
+        diff = np.abs(em.T - fm)
+        r = float(diff.max()) if diff.size else 0.0
+        if r > worst:
+            worst = r
+            a, b = np.unravel_index(np.argmax(diff), diff.shape)
+            wit = (f"generator pair index {i}: entry ({a},{b}): "
+                   f"e^T={numeric_str(em.T[a, b])} f={numeric_str(fm[a, b])}")
+    return worst, wit
+
+
+def dense_h_diagonal_real(sig, mats, tolerance) -> bool:
+    """Whether every h matrix is real diagonal within the tolerance, from
+    dense matrices."""
+    h_mats = (dense(mats[GenSymbol("h", i)]) for i in range(1, sig.r + 1))
+    return not any(np.abs(hm - np.diag(np.diag(hm).real)).max() > tolerance for hm in h_mats)
 
 
 class TestWeights:
@@ -139,6 +270,13 @@ class TestWeights:
 
     def test_large_threshold(self):
         assert highest_weight(SIG21, 10001) == (10001, 0, 0)
+
+    def test_e_image_of_vacuum_raises(self, monkeypatch):
+        images = analyze._images
+        monkeypatch.setattr(analyze, "_images", lambda *args: [
+            *images(*args), (GenSymbol("e", 2), (0, 0), (0, 1), CoeffExact.one())])
+        with pytest.raises(AssertionError, match="e_2 does not annihilate the vacuum"):
+            highest_weight(SIG21, 2)
 
 
 class TestTypicality:
@@ -222,7 +360,7 @@ class TestCyclicity:
         sig = Signature(n, m)
         basis = enumerate_up_to(sig, p + 2)
         edges = [(basis.index[state], basis.index[s])
-                 for _, state, s, _ in _images(Engine(sig, p=p), realization("dyson", sig), basis.states)
+                 for _, state, s, _ in _images(sig, "dyson", p, None, "monomial", basis.states)
                  if total(s) <= p + 2]
         rep = _reachability(len(basis), edges)
         assert "NOT full" in rep.summary()
@@ -235,7 +373,7 @@ def krylov_ranks(mats, threshold=1e-8):
     """Numeric span rank of repeated generator images from every basis
     vector, by SVD with max-norm column scaling and QR re-orthonormalization:
     the independent reference for the reachability count."""
-    gens = [m.to_numpy() for m in mats.values()]
+    gens = [dense(m) for m in mats.values()]
     dim = len(next(iter(mats.values())).basis)
 
     def scaled_rank(columns):

@@ -484,6 +484,38 @@ class TestCommands:
         assert out == deformed_ops_check(SIG21, 2, 1.3, tolerance=1e-16).summary() + "\n"
         assert "(FAIL)" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["analyze", "--check", "unitarity", "--p", "2", "--q", "nan"],
+         "q must be a finite positive number, not nan"),
+        (["analyze", "--check", "deformed-ops", "--p", "2", "--q", "inf"],
+         "q must be a finite positive number, not inf"),
+        (["analyze", "--check", "cyclicity", "--p", "2", "--q", "nan"],
+         "q must be a finite positive number, not nan"),
+        (["verify", "--realization", "hp", "--p", "2", "--q", "nan"],
+         "q must be a finite positive number, not nan"),
+        (["verify", "--realization", "hp", "--p", "inf"], "p must be a finite number, not inf"),
+        (["eval", "--realization", "hp", "--p", "2", "--q", "nan", "--expr", "e1",
+          "--state", "1,0"], "q must be a finite positive number, not nan"),
+        (["verify", "--realization", "hp", "--p", "2", "--q", "1e-300"],
+         "a numeric factor overflows at this q and p: Numerical result out of range"),
+        (["verify", "--realization", "hp", "--p", "2", "--q", "1e300"],
+         "a numeric factor overflows at this q and p: Numerical result out of range"),
+    ], ids=["unitarity-nan", "deformed-ops-inf", "cyclicity-nan", "verify-q-nan",
+            "verify-p-inf", "eval-nan", "verify-tiny-q", "verify-huge-q"])
+    def test_non_finite_or_overflowing_input_is_usage_error(self, argv, message, capsys):
+        assert run(argv + ["--n", "2", "--m", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "abc"])
+    def test_tolerance_must_be_finite_nonnegative(self, tolerance, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--n", "2", "--m", "1", "--realization", "hp", "--p", "2",
+                 "--q", "1.3", "--tolerance", tolerance])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --tolerance: must be a finite number >= 0, not {tolerance!r}\n")
+
     def test_bad_signature_is_usage_error(self, capsys):
         code = run(["relations", "--n", "1", "--m", "1"])
         assert code == 2

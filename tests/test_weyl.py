@@ -271,6 +271,16 @@ class TestEngineValidation:
         with pytest.raises(EngineError):
             Engine(SIG21, q=-2.0)
 
+    @pytest.mark.parametrize("q", [0.0, math.nan, math.inf, -math.inf])
+    def test_numeric_rejects_q_not_finite_positive(self, q):
+        with pytest.raises(EngineError, match="^q must be a finite positive number"):
+            Engine(SIG21, convention="orthonormal", q=q, p=2)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_numeric_rejects_p_not_finite(self, p):
+        with pytest.raises(EngineError, match="^p must be a finite number"):
+            Engine(SIG21, convention="orthonormal", q=1.3, p=p)
+
     def test_exact_rejects_float_p(self):
         with pytest.raises(EngineError, match="^a formal q takes only a formal or integer p$"):
             Engine(SIG21, p=1.5)
