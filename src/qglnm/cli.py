@@ -544,7 +544,7 @@ def run(argv=None) -> int:
     except (UsageError, ExprSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         print(f"error: a numeric factor overflows at this q and p: {exc.args[-1]}",
               file=sys.stderr)
         return 2

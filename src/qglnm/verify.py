@@ -12,10 +12,16 @@ Both regimes apply each relation to every probe state at once
 integer row per probe state over the relation's monomials, which is
 zero exactly when the state's image is.  The witness of an exact failure
 is the first such state, with its coefficient formed again by the
-per-state engine.  Every relation is substituted and compiled before any
-is probed, and all of them are declared to the batch at once
+per-state engine.
+
+The substituted relations depend only on the signature, the realization
+and the mutation, so they are substituted once per process for each such
+key and kept (a bounded memo of ``RELATION_SETS`` keys) for later calls.
+Each call compiles every relation before probing any, specializing each
+distinct term scalar once, and declares all of them to the batch at once
 (``ProbeBatch.plan``), so a word suffix that several relation terms share
-is applied to the probe states once.
+is applied to the probe states once.  Numeric probing raises on a float
+overflow instead of reporting an inf or nan residual.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
@@ -25,6 +31,7 @@ substitution bugs before any state is probed.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -33,11 +40,14 @@ import numpy as np
 from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
-from .weyl import Diag, Engine, OperatorExpr, ProbeBatch
+from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, float_errors_raise
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
 EXTRA_PROBES = 4
+# substituted relation sets kept per process, one per (signature,
+# realization, mutation)
+RELATION_SETS = 16
 
 
 def default_cap(p) -> int:
@@ -71,6 +81,17 @@ def _side_image(side, real: Realization) -> OperatorExpr:
             expr = expr * factor
         total = total + expr.scaled(scalar)
     return total
+
+
+@functools.lru_cache(maxsize=RELATION_SETS)
+def _relation_set(sig: Signature, kind: str, mutation: str | None) -> tuple:
+    """Every defining relation of the signature paired with its substituted
+    difference under the realization, as a tuple of (Relation,
+    OperatorExpr).  The pairs depend on nothing else (not on p, q, the
+    convention or the probes), so they are built, and audited by
+    ``substitute``, once per process per key; callers only read them."""
+    real = realization(kind, sig, mutation)
+    return tuple((rel, substitute(rel, real)) for rel in build_relations(sig))
 
 
 @dataclass
@@ -212,19 +233,20 @@ def verify_all(
     """Check every defining relation of the signature against a realization.
 
     q may be None (formal; exact Dyson verification), a number, or a list
-    of sample values.  One probe batch serves both regimes; every relation
-    is substituted and compiled up front and declared to it, so shared
-    word suffixes are walked once.  In exact mode a relation passes only
-    if every probe coefficient is the exact zero; in numeric mode the
-    largest coefficient magnitude over (state, q sample) must stay within
-    the tolerance.
+    of sample values.  The relations are substituted once per process per
+    (signature, realization, mutation) and reused by later calls.  One
+    probe batch serves both regimes; every relation is compiled up front
+    and declared to it, so shared word suffixes are walked once.  In exact
+    mode a relation passes only if every probe coefficient is the exact
+    zero; in numeric mode the largest coefficient magnitude over (state,
+    q sample) must stay within the tolerance.
     """
     if kind != DYSON:
         if q is None:
             raise ValueError(f"{kind} realization requires numeric q")
         if p is None:
             raise ValueError(f"{kind} realization requires a numeric p")
-    real = realization(kind, sig, mutation)
+    relations = _relation_set(sig, kind, mutation)
     if cap is None:
         cap = default_cap(p)
     if cap < 4:
@@ -236,12 +258,12 @@ def verify_all(
     # bracket products, so the meaningful numeric measure there is the
     # residual relative to the size of the individual term images.
     above_cap = np.array([sum(s) > cap for s in states])
-    relations = build_relations(sig)
-    compiled = [batch.compile(substitute(rel, real)) for rel in relations]
+    compiled = [batch.compile(diff) for _, diff in relations]
     batch.plan(compiled)
-    results = [_exact_result(rel.name, batch, terms) if batch.exact
-               else _numeric_result(rel.name, batch, terms, above_cap, tolerance)
-               for rel, terms in zip(relations, compiled)]
+    with float_errors_raise():
+        results = [_exact_result(rel.name, batch, terms) if batch.exact
+                   else _numeric_result(rel.name, batch, terms, above_cap, tolerance)
+                   for (rel, _), terms in zip(relations, compiled)]
     meta = {
         "realization": kind,
         "n": sig.n,

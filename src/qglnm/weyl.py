@@ -149,16 +149,33 @@ class Diag:
             raise EngineError(f"unknown diagonal kind {self.kind!r}")
         if self.kind in ("bracket_ratio", "angle") and self.affine.p_coeff:
             raise EngineError(f"a {self.kind} argument must not depend on p")
+        # Words are dictionary keys (``ProbeBatch.plan``), so the hash is
+        # formed once, here, and from ints only, so that it is the same in
+        # every process and survives copying and pickling.
+        aff = self.affine
+        object.__setattr__(self, "_hash", hash(
+            (_KIND_RANK[self.kind], aff.const, aff.p_coeff, aff.mode_coeffs)))
+
+    def __hash__(self):
+        return self._hash
 
 
+# A ladder atom hashes by its mode, negated for lowering; equality stays
+# field-based, and tells the two classes apart.
 @dataclass(frozen=True)
 class Raise:
     mode: int
+
+    def __hash__(self):
+        return self.mode
 
 
 @dataclass(frozen=True)
 class Lower:
     mode: int
+
+    def __hash__(self):
+        return -self.mode
 
 
 Atom = Raise | Lower | Diag
@@ -521,6 +538,14 @@ class Engine:
         return self.apply_compiled(self.compile(expr), state)
 
 
+def float_errors_raise():
+    """A context in which a numpy float overflow or invalid operation
+    raises ``FloatingPointError`` instead of warning, so that no inf or nan
+    reaches a numeric result; each top-level numeric probing call enters
+    it once."""
+    return np.errstate(over="raise", invalid="raise")
+
+
 class _DiagTable:
     """The diagonal values of one kind and p coefficient over a range of
     integer arguments starting at ``start``: per argument, whether it is
@@ -557,9 +582,10 @@ class ProbeBatch:
     """Engines applied to a fixed list of probe states at once: numeric
     engines, one per q sample, or a single exact engine.
 
-    ``compile`` takes only an expression whose terms share one net
-    occupation change, so each probe state's image is a single state,
-    the state shifted by that change.  The states are the rows of an
+    ``compile`` specializes each distinct term scalar once per batch.  It
+    takes only an expression whose terms share one net occupation change,
+    so each probe state's image is a single state, the state shifted by
+    that change.  The states are the rows of an
     (S, modes) integer array (and the q samples a second axis), so
     applying a word costs one column operation per atom instead of one
     walk per state and q.  A ladder atom shifts one
@@ -619,25 +645,45 @@ class ProbeBatch:
         self._products: dict = {}
         # word -> [walks of it still to come, its walk once kept]
         self._plan: dict = {}
+        # term scalar key -> its specialized value, None when zero
+        self._scalars: dict = {}
 
     def compile(self, expr: OperatorExpr) -> list:
-        """Specialize the term scalars once: a list of (values over q, word)
-        where a term that is zero at every q drops, or the exact engine's
-        compiled terms.  An expression whose words differ in their net
-        occupation change raises ``EngineError``: its terms would land on
-        different states, which the batch's reductions do not keep apart."""
+        """Specialize the term scalars: a list of (value, word), the value
+        being the exact engine's scalar or, numerically, the scalar's
+        values over q (read-only), where a term that is zero (at every q)
+        drops.  An expression whose words differ in their net occupation
+        change raises ``EngineError``: its terms would land on different
+        states, which the batch's reductions do not keep apart."""
         changes = expr.changes(self.sig)
         if len(changes) > 1:
             raise EngineError(
                 f"a probe batch takes one net occupation change, not {sorted(changes)}")
-        if self.exact:
-            return self.engines[0].compile(expr)
         compiled = []
         for c, w in expr.terms:
-            values = np.array([e.scalars.from_coeff(c) for e in self.engines], dtype=complex)
-            if values.any():
-                compiled.append((values, w))
+            value = self._scalar(c)
+            if value is not None:
+                compiled.append((value, w))
         return compiled
+
+    def _scalar(self, c: CoeffExact):
+        """A term scalar in the batch's domain, or None when it is zero (at
+        every q), each distinct scalar specialized once per batch.  The key
+        is the scalar's value with its terms in their stored order, which
+        is the order of the float sum in ``eval_numeric``, so a reused
+        value is bit for bit the one a fresh evaluation gives."""
+        key = (c.k, c.num.denom, *c.num.coeffs.items())
+        if key in self._scalars:
+            return self._scalars[key]
+        if self.exact:
+            value = self.engines[0].scalars.from_coeff(c)
+            value = None if value.is_zero() else value
+        else:
+            value = np.array([e.scalars.from_coeff(c) for e in self.engines], dtype=complex)
+            value.flags.writeable = False
+            value = value if value.any() else None
+        self._scalars[key] = value
+        return value
 
     def _diag(self, d: Diag, states: np.ndarray):
         """A diagonal factor on the given rows: (per-row key codes, values

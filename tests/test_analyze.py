@@ -493,3 +493,15 @@ class TestDeformedOps:
         rep = deformed_ops_check(SIG22, p=3, q=0.9)
         assert rep.agreement_pass
         assert rep.agreement_residual <= 1e-12
+
+    def test_large_q_judged_against_term_scale(self):
+        # at q = 5 the bosonic residual, about 3.8e-12, is rounding in terms
+        # of size [6] ~ 5**5, not a defect; the -N variant still fails
+        rep = deformed_ops_check(SIG21, p=3, q=5.0)
+        assert 1e-12 < rep.bosonic_max_residual < 1e-11
+        assert rep.bosonic_pass and rep.agreement_pass
+        assert rep.fermionic_exponent == "+"
+        assert rep.fermionic_plus_residual <= 1e-12
+        assert rep.fermionic_minus_residual > 1.0
+        # the relative rule still fails a residual above the tolerance
+        assert not deformed_ops_check(SIG21, p=3, q=5.0, tolerance=1e-17).bosonic_pass

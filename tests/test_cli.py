@@ -500,8 +500,11 @@ class TestCommands:
          "a numeric factor overflows at this q and p: Numerical result out of range"),
         (["verify", "--realization", "hp", "--p", "2", "--q", "1e300"],
          "a numeric factor overflows at this q and p: Numerical result out of range"),
+        # every factor is finite here, but their product overflows in numpy
+        (["verify", "--realization", "hp", "--p", "3", "--q", "1e20"],
+         "a numeric factor overflows at this q and p: overflow encountered in multiply"),
     ], ids=["unitarity-nan", "deformed-ops-inf", "cyclicity-nan", "verify-q-nan",
-            "verify-p-inf", "eval-nan", "verify-tiny-q", "verify-huge-q"])
+            "verify-p-inf", "eval-nan", "verify-tiny-q", "verify-huge-q", "verify-product-overflow"])
     def test_non_finite_or_overflowing_input_is_usage_error(self, argv, message, capsys):
         assert run(argv + ["--n", "2", "--m", "1"]) == 2
         out, err = capsys.readouterr()

@@ -2,10 +2,13 @@
 
 import pytest
 
+from qglnm import verify
 from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import GenSymbol, build_relations
-from qglnm.realize import dyson, hp
+from qglnm.realize import MUTATIONS, dyson, hp
 from qglnm.verify import (
+    RELATION_SETS,
+    _relation_set,
     default_cap,
     extra_probe_states,
     probe_states,
@@ -208,3 +211,75 @@ class TestReportFormats:
         (bad,) = [r for r in report.failures if r.name == "CK4[i=1]"]
         assert "coeff=" in bad.witness
         assert bad.status == "fail"
+
+
+SIG32 = Signature(3, 2)
+
+
+def fresh_rows(**kwargs) -> str:
+    """The report of a call made with no substituted relation set kept, as
+    in a fresh process."""
+    _relation_set.cache_clear()
+    return verify_all(**kwargs).format_machine()
+
+
+class TestRelationSets:
+    """Each (signature, realization, mutation) is substituted once per
+    process; nothing else about a call may leak into the kept set."""
+
+    CALLS = [
+        dict(sig=SIG32, kind="dyson", p=None, cap=5),
+        dict(sig=SIG32, kind="hp", p=2, q=[0.7, 1.3], cap=5),
+        dict(sig=SIG32, kind="hp", p=2, q=[0.5, 0.9, 2.0], cap=5),
+        *(dict(sig=SIG32, kind="dyson", p=p, cap=5) for p in (1, 2, 3)),
+        *(dict(sig=SIG32, kind="hp", p=p, q=[0.9, 1.3], cap=5) for p in (1, 2, 3)),
+    ]
+
+    def test_repeated_calls_identical(self):
+        fresh = [fresh_rows(**kwargs) for kwargs in self.CALLS]
+        _relation_set.cache_clear()
+        for _ in range(2):
+            assert [verify_all(**kwargs).format_machine() for kwargs in self.CALLS] == fresh
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("mutated_first", [False, True])
+    def test_mutation_and_plain_runs_in_either_order(self, mutation, mutated_first):
+        plain = dict(sig=SIG32, kind="dyson", p=None, cap=4)
+        mutated = dict(plain, mutation=mutation)
+        first, second = (mutated, plain) if mutated_first else (plain, mutated)
+        want = fresh_rows(**second)
+        _relation_set.cache_clear()
+        verify_all(**first)
+        assert verify_all(**second).format_machine() == want
+
+    def test_substituted_once_per_key(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "substitute",
+                            lambda rel, real: calls.append(rel.name) or substitute(rel, real))
+        _relation_set.cache_clear()
+        verify_all(SIG21, kind="dyson", p=None, cap=4)
+        assert len(calls) == len(build_relations(SIG21))
+        verify_all(SIG21, kind="dyson", p=2, cap=4)
+        verify_all(SIG21, kind="dyson", p=2, q=[0.7, 1.3], cap=4)
+        assert len(calls) == len(build_relations(SIG21))
+        verify_all(SIG21, kind="dyson", p=None, cap=4, mutation="shift_e1_bracket")
+        assert len(calls) == 2 * len(build_relations(SIG21))
+
+    def test_kept_sets_are_bounded(self):
+        _relation_set.cache_clear()
+        keys = [(Signature(n, m), kind, None) for n in (2, 3) for m in range(4)
+                for kind in ("dyson", "hp", "hp-deformed")]
+        assert len(keys) > RELATION_SETS
+        for key in keys:
+            _relation_set(*key)
+        info = _relation_set.cache_info()
+        assert info.currsize == info.maxsize == RELATION_SETS
+        assert _relation_set(*keys[-1]) is _relation_set(*keys[-1])
+        pairs = _relation_set(*keys[-1])
+        assert isinstance(pairs, tuple) and all(isinstance(pair, tuple) for pair in pairs)
+
+    def test_failed_build_is_not_kept(self):
+        _relation_set.cache_clear()
+        with pytest.raises(ValueError, match="unknown mutation"):
+            verify_all(SIG21, kind="dyson", p=None, cap=4, mutation="bogus")
+        assert _relation_set.cache_info().currsize == 0

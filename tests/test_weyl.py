@@ -1,10 +1,18 @@
 """Tests for the lazy graded operator engine."""
 
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qglnm
 from qglnm.coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value,
                          scalar_str)
 from qglnm.fock import Signature, enumerate_up_to
@@ -806,6 +814,57 @@ class TestProbeBatch:
             exact.apply_word((Raise(1),))
         with pytest.raises(EngineError, match="exact batch"):
             ProbeBatch([numeric_engine(SIG21)], [(0, 0)]).exact_images([])
+
+
+class TestAtomHashing:
+    """Words are dictionary keys, so atoms hash once and by value."""
+
+    ATOMS = [
+        lambda: Raise(2),
+        lambda: Lower(2),
+        lambda: Diag("bracket", affine=Affine(1, -1, (-1, -1))),
+        lambda: Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(1)),
+    ]
+
+    @pytest.mark.parametrize("make", ATOMS)
+    def test_equal_atoms_built_apart_hash_equal(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({(a, b), (b, a), (make(), make())}) == 1
+
+    def test_raise_and_lower_differ(self):
+        assert Raise(1) != Lower(1) and Lower(1) != Raise(1)
+        assert len({Raise(1), Lower(1), Raise(1)}) == 2
+        assert Diag("affine", affine=TOTAL21) != Diag("bracket", affine=TOTAL21)
+        assert Diag("affine", affine=TOTAL21) != Diag("affine", affine=TOTAL21.shift(1))
+
+    @pytest.mark.parametrize("make", ATOMS)
+    def test_copies_keep_hash_and_equality(self, make):
+        atom = make()
+        for other in (copy.copy(atom), copy.deepcopy(atom), pickle.loads(pickle.dumps(atom)),
+                      dataclasses.replace(atom)):
+            assert other == atom and hash(other) == hash(atom)
+            assert {atom: 1}[other] == 1
+
+    def test_replaced_field_rehashes(self):
+        d = Diag("bracket", affine=TOTAL21)
+        shifted = dataclasses.replace(d, affine=TOTAL21.shift(1))
+        assert shifted == Diag("bracket", affine=TOTAL21.shift(1))
+        assert hash(shifted) == hash(Diag("bracket", affine=TOTAL21.shift(1)))
+        assert dataclasses.replace(Lower(1), mode=2) == Lower(2)
+        assert hash(dataclasses.replace(Lower(1), mode=2)) == hash(Lower(2))
+
+    def test_hash_is_the_same_in_every_process(self):
+        # a pickled atom keeps its hash, so the hash must not depend on
+        # the process's string hashing
+        code = ("from qglnm.weyl import Affine, Diag\n"
+                "print(hash(Diag('sqrt_bracket', affine=Affine(1, 1, (-1, -1)))))")
+        src = str(Path(qglnm.__file__).parents[1])
+        outs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, timeout=60,
+                               env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)).stdout
+                for seed in ("1", "2")}
+        assert len(outs) == 1
 
 
 def test_word_change():
