@@ -7,6 +7,9 @@ Expression grammar (whitespace-insensitive, left-associative):
     term   := factor ('*' factor)*
     factor := INTEGER | GENERATOR | '(' expr ')'
     GENERATOR := ('e'|'f'|'h') INTEGER
+    INTEGER := ('0'..'9')+          (ASCII digits only)
+
+Nesting too deep for the parser is a syntax error like any other.
 
 Exit codes: 0 success / all checks pass, 1 verification or analysis
 failure, 2 usage error.
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .analyze import (
     SubspaceLeakError,
@@ -33,7 +35,7 @@ from .analyze import (
 from .coeff import scalar_str
 from .fock import Signature
 from .presentation import H, GenSymbol, generators, render_relation, build_relations
-from .realize import DYSON, HP, HP_DEFORMED, realization
+from .realize import DYSON, HP, HP_DEFORMED, Realization, realization
 from .verify import DEFAULT_Q_SAMPLES, verify_all
 from .weyl import Engine, OperatorExpr
 
@@ -49,26 +51,9 @@ class ExprSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class Gen:
-    symbol: GenSymbol
-    offset: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-ExprAst = Num | Gen | BinOp
+def _is_digit(ch: str) -> bool:
+    """An ASCII digit: ``str.isdigit`` also accepts other scripts and superscripts."""
+    return "0" <= ch <= "9"
 
 
 def _tokenize(src: str):
@@ -83,16 +68,16 @@ def _tokenize(src: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if _is_digit(ch):
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and _is_digit(src[j]):
                 j += 1
             tokens.append(("int", int(src[i:j]), i))
             i = j
             continue
         if ch in "efh":
             j = i + 1
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and _is_digit(src[j]):
                 j += 1
             if j == i + 1:
                 raise ExprSyntaxError(f"generator letter {ch!r} needs an index", i)
@@ -104,10 +89,12 @@ def _tokenize(src: str):
 
 
 class _Parser:
-    def __init__(self, tokens, sig: Signature, length: int):
+    """Recursive descent that combines the generator images as it parses."""
+
+    def __init__(self, tokens, real: Realization, length: int):
         self.tokens = tokens
         self.pos = 0
-        self.sig = sig
+        self.real = real
         self.length = length
 
     def peek(self):
@@ -118,64 +105,56 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self):
-        node = self.term()
+    def expr(self) -> OperatorExpr:
+        op = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            node = BinOp(op, node, self.term())
-        return node
+            if self.next()[0] == "+":
+                op = op + self.term()
+            else:
+                op = op - self.term()
+        return op
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> OperatorExpr:
+        op = self.factor()
         while self.peek()[0] == "*":
             self.next()
-            node = BinOp("*", node, self.factor())
-        return node
+            op = op * self.factor()
+        return op
 
-    def factor(self):
+    def factor(self) -> OperatorExpr:
         kind, value, offset = self.next()
         if kind == "int":
-            return Num(value, offset)
+            return OperatorExpr.identity().scaled(value)
         if kind == "gen":
             letter, index = value
-            top = self.sig.r if letter == H else self.sig.r - 1
+            top = self.real.sig.r if letter == H else self.real.sig.r - 1
             if not 1 <= index <= top:
                 raise ExprSyntaxError(
                     f"generator {letter}{index} out of range (1..{top})", offset
                 )
-            return Gen(GenSymbol(letter, index), offset)
+            return self.real.image(GenSymbol(letter, index))
         if kind == "(":
-            node = self.expr()
+            op = self.expr()
             k, _, off = self.next()
             if k != ")":
                 raise ExprSyntaxError("expected ')'", off)
-            return node
+            return op
         raise ExprSyntaxError("expected integer, generator, or '('", offset)
 
 
-def parse_expr(src: str, sig: Signature) -> ExprAst:
-    """Parse a generator expression, validating indices against the
-    signature.  Errors carry the byte offset of the offending token."""
-    parser = _Parser(_tokenize(src), sig, len(src))
-    node = parser.expr()
+def parse_expr(src: str, real: Realization) -> OperatorExpr:
+    """The operator of a generator expression under a realization, with
+    indices validated against its signature.  Errors carry the byte offset
+    of the offending token; nesting too deep to parse is one of them."""
+    parser = _Parser(_tokenize(src), real, len(src))
+    try:
+        op = parser.expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply", parser.peek()[2]) from None
     kind, _, offset = parser.peek()
     if kind is not None:
         raise ExprSyntaxError("unexpected trailing input", offset)
-    return node
-
-
-def ast_to_operator(ast: ExprAst, real) -> OperatorExpr:
-    if isinstance(ast, Num):
-        return OperatorExpr.identity().scaled(ast.value)
-    if isinstance(ast, Gen):
-        return real.image(ast.symbol)
-    left = ast_to_operator(ast.left, real)
-    right = ast_to_operator(ast.right, real)
-    if ast.op == "+":
-        return left + right
-    if ast.op == "-":
-        return left - right
-    return left * right
+    return op
 
 
 # -- matrix export file ------------------------------------------------
@@ -339,46 +318,46 @@ def _export(args, sig: Signature, p: int, q, subspace: str):
 def _cmd_analyze(args) -> int:
     sig = _signature(args)
     p = _require_int_p(args)
+    if args.check == "reimport":
+        return _cmd_reimport(args, sig, p)
+    report, ok = _analysis(args, sig, p)
+    print(report)
+    _write_out(args, report + "\n")
+    return 0 if ok else 1
+
+
+def _analysis(args, sig: Signature, p: int) -> tuple[str, bool]:
+    """The report of an analyze check and whether the check passed."""
     check = args.check
     if check == "invariance":
         rep = check_invariance(sig, args.realization, p, cap=args.cap,
                                q=_single_q(args) if args.realization != DYSON else None)
-        print(rep.summary())
         expected = rep.f1_invariant and (rep.f0_invariant == (args.realization != DYSON))
-        return 0 if expected else 1
+        return rep.summary(), expected
     if check == "unitarity":
         rep = check_unitarity(sig, p, _require_q(args), **_given(args, "tolerance"))
-        print(rep.summary())
-        return 0 if rep.hp_pass and rep.h_diagonal_real and rep.dyson_fails else 1
+        return rep.summary(), rep.hp_pass and rep.h_diagonal_real and rep.dyson_fails
     if check == "highest-weight":
         weight = highest_weight(sig, p)
-        print(f"vacuum weight: {weight}")
-        expected = tuple([p] + [0] * (sig.r - 1))
-        return 0 if weight == expected else 1
+        return f"vacuum weight: {weight}", weight == tuple([p] + [0] * (sig.r - 1))
     if check == "typicality":
         weight = tuple([p] + [0] * (sig.r - 1))
         rep = essentially_typical(sig, weight)
-        print(f"weight {weight}: sets {list(rep.left_set)} and {list(rep.right_set)}, "
-              f"intersection {list(rep.intersection)}; essentially typical: "
-              f"{rep.essentially_typical}")
-        return 0
+        return (f"weight {weight}: sets {list(rep.left_set)} and {list(rep.right_set)}, "
+                f"intersection {list(rep.intersection)}; essentially typical: "
+                f"{rep.essentially_typical}"), True
     if check == "inequivalence":
         if args.p2 is None:
             raise UsageError("--p2 required for the inequivalence check")
         rep = inequivalence(sig, p, args.p2)
-        print(rep.summary())
-        return 0 if rep.inequivalent else 1
+        return rep.summary(), rep.inequivalent
     if check == "cyclicity":
         rep = cyclicity(sig, p, _require_q(args))
-        print(rep.summary())
-        return 0 if rep.full_from_all else 1
+        return rep.summary(), rep.full_from_all
     if check == "deformed-ops":
         rep = deformed_ops_check(sig, p, _require_q(args), **_given(args, "cap", "tolerance"))
-        print(rep.summary())
         ok = rep.bosonic_pass and rep.agreement_pass and rep.fermionic_exponent != "neither"
-        return 0 if ok else 1
-    if check == "reimport":
-        return _cmd_reimport(args, sig, p)
+        return rep.summary(), ok
     raise UsageError(f"unknown check {check!r}")
 
 
@@ -401,8 +380,7 @@ def _cmd_eval(args) -> int:
     p, q = _parse_p(args.p), _single_q(args)
     _validate_realization(args.realization, p, q)
     real = realization(args.realization, sig)
-    ast = parse_expr(args.expr, sig)
-    expr = ast_to_operator(ast, real)
+    expr = parse_expr(args.expr, real)
     state = tuple(int(x) for x in args.state.split(","))
     if len(state) != sig.num_modes:
         raise UsageError(f"state needs {sig.num_modes} occupation numbers")

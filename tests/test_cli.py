@@ -1,15 +1,12 @@
 """Tests for the command-line surface and the expression parser."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
 from qglnm.cli import (
-    BinOp,
     ExprSyntaxError,
-    Gen,
-    Num,
-    ast_to_operator,
     format_matrix_export,
     parse_expr,
     parse_matrix_export,
@@ -18,9 +15,9 @@ from qglnm.cli import (
 from qglnm.analyze import deformed_ops_check, materialize
 from qglnm.fock import Signature
 from qglnm.presentation import GenSymbol
-from qglnm.realize import MUTATIONS, dyson
+from qglnm.realize import MUTATIONS, dyson, hp
 from qglnm.verify import verify_all
-from qglnm.weyl import Engine
+from qglnm.weyl import Engine, OperatorExpr
 
 SIG21 = Signature(2, 1)
 SIG22 = Signature(2, 2)
@@ -28,63 +25,96 @@ GOLDEN = Path(__file__).with_name("golden")
 
 
 class TestParser:
+    """The parser builds the operator as it reads: each test compares its
+    terms with the same operator built from the direct images."""
+
+    REAL21 = dyson(SIG21)
+
+    @staticmethod
+    def gens(real, *names):
+        return [real.image(GenSymbol(name[0], int(name[1:]))) for name in names]
+
     def test_commutator_word(self):
-        ast = parse_expr("e1*f1 - f1*e1", SIG21)
-        assert isinstance(ast, BinOp) and ast.op == "-"
-        assert isinstance(ast.left, BinOp) and ast.left.op == "*"
-        assert ast.left.left == Gen(GenSymbol("e", 1), 0)
+        e1, f1 = self.gens(self.REAL21, "e1", "f1")
+        assert parse_expr("e1*f1 - f1*e1", self.REAL21).terms == (e1 * f1 - f1 * e1).terms
 
     def test_quartic_word(self):
-        ast = parse_expr("e2*e1*e2*e3", SIG22)
-        # left-associative chain of products
-        assert isinstance(ast, BinOp) and ast.op == "*"
-        assert ast.right == Gen(GenSymbol("e", 3), 9)
+        real = hp(SIG22)
+        e1, e2, e3 = self.gens(real, "e1", "e2", "e3")
+        # a left-associative chain of products
+        assert parse_expr("e2*e1*e2*e3", real).terms == (((e2 * e1) * e2) * e3).terms
+
+    def test_product_binds_tighter_than_sum(self):
+        e1, f1, h1 = self.gens(self.REAL21, "e1", "f1", "h1")
+        assert parse_expr("e1 + f1*h1", self.REAL21).terms == (e1 + f1 * h1).terms
+        assert parse_expr("e1*f1 + h1", self.REAL21).terms == (e1 * f1 + h1).terms
+
+    def test_minus_is_left_associative(self):
+        e1, f1, h1 = self.gens(self.REAL21, "e1", "f1", "h1")
+        got = parse_expr("e1 - f1 - h1", self.REAL21).terms
+        assert got == ((e1 - f1) - h1).terms
+        assert got != (e1 - (f1 - h1)).terms
 
     def test_whitespace_insensitive(self):
-        def shape(node):
-            if isinstance(node, BinOp):
-                return (node.op, shape(node.left), shape(node.right))
-            if isinstance(node, Gen):
-                return node.symbol
-            return node.value
-
-        assert shape(parse_expr("e1 * f1", SIG21)) == shape(parse_expr("e1*f1", SIG21))
+        assert (parse_expr(" e1 *\tf1 ", self.REAL21).terms
+                == parse_expr("e1*f1", self.REAL21).terms)
 
     def test_integers_and_parens(self):
-        ast = parse_expr("2*(e1 + f1)", SIG21)
-        assert ast.left == Num(2, 0)
+        e1, f1 = self.gens(self.REAL21, "e1", "f1")
+        want = OperatorExpr.identity().scaled(2) * (e1 + f1)
+        assert parse_expr("2*(e1 + f1)", self.REAL21).terms == want.terms
 
     def test_syntax_error_offset(self):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_expr("g1", SIG21)
+            parse_expr("g1", self.REAL21)
         assert err.value.offset == 0
 
     def test_unknown_index(self):
         with pytest.raises(ExprSyntaxError) as err:
-            parse_expr("e1*e7", SIG21)
+            parse_expr("e1*e7", self.REAL21)
         assert err.value.offset == 3
 
     def test_h_index_range_is_wider(self):
-        parse_expr("h3", SIG21)
+        parse_expr("h3", self.REAL21)
         with pytest.raises(ExprSyntaxError):
-            parse_expr("e3", SIG21)
+            parse_expr("e3", self.REAL21)
 
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
-            parse_expr("e1 e2", SIG21)
+            parse_expr("e1 e2", self.REAL21)
 
     def test_unclosed_paren(self):
         with pytest.raises(ExprSyntaxError):
-            parse_expr("(e1", SIG21)
+            parse_expr("(e1", self.REAL21)
 
     def test_bare_letter(self):
         with pytest.raises(ExprSyntaxError):
-            parse_expr("e", SIG21)
+            parse_expr("e", self.REAL21)
+
+    # an Arabic-Indic one, a superscript two and an Arabic-Indic two
+    @pytest.mark.parametrize("src,message", [
+        ("e\u0661*f1", "generator letter 'e' needs an index"),
+        ("e\u00b2", "generator letter 'e' needs an index"),
+        ("\u0662*e1", "unexpected character '\u0662'"),
+    ], ids=["arabic-indic-index", "superscript-index", "arabic-indic-integer"])
+    def test_only_ascii_digits(self, src, message):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(src, self.REAL21)
+        assert err.value.offset == 0
+        assert str(err.value) == f"{message} (at offset 0)"
+
+    def test_deep_nesting_is_syntax_error(self):
+        depth = sys.getrecursionlimit()
+        src = "(" * depth + "e1" + ")" * depth
+        with pytest.raises(ExprSyntaxError, match="nests too deeply") as err:
+            parse_expr(src, self.REAL21)
+        # where parsing stopped: inside the run of opening parentheses
+        assert 0 < err.value.offset < depth
 
     def test_evaluates_like_direct_image(self):
-        real = dyson(SIG21)
+        real = self.REAL21
         eng = Engine(SIG21, convention="monomial", p=2)
-        expr = ast_to_operator(parse_expr("e1*f1 - f1*e1", SIG21), real)
+        expr = parse_expr("e1*f1 - f1*e1", real)
         direct = (
             real.image(GenSymbol("e", 1)) * real.image(GenSymbol("f", 1))
             - real.image(GenSymbol("f", 1)) * real.image(GenSymbol("e", 1))
@@ -266,6 +296,16 @@ class TestGoldenAnalysis:
         assert run(argv) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
 
+    ANALYZE_CASES = [(name, argv) for name, argv in CASES if argv[0] == "analyze"]
+
+    @pytest.mark.parametrize("name,argv", ANALYZE_CASES, ids=[name for name, _ in ANALYZE_CASES])
+    def test_analyze_out_file(self, name, argv, capsys, tmp_path):
+        out = tmp_path / "report.txt"
+        assert run(argv + ["--out", str(out)]) == 0
+        golden = (GOLDEN / f"{name}.txt").read_text()
+        assert capsys.readouterr().out == golden
+        assert out.read_text() == golden
+
 
 class TestCommands:
     def test_relations_lists_all(self, capsys):
@@ -386,6 +426,24 @@ class TestCommands:
                     "--realization", "hp", "--p", "1", "--q", "1.3"])
         assert code == 0
         assert "identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "highest-weight", "--p", "2"],
+        ["--check", "typicality", "--p", "2"],
+        ["--check", "inequivalence", "--p", "1", "--p2", "2"],
+    ], ids=["highest-weight", "typicality", "inequivalence"])
+    def test_analyze_out_is_the_printed_report(self, argv, capsys, tmp_path):
+        out = tmp_path / "report.txt"
+        assert run(["analyze", "--n", "2", "--m", "1", "--out", str(out)] + argv) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_analyze_reimport_out_is_the_export(self, capsys, tmp_path):
+        out = tmp_path / "export.txt"
+        argv = ["--n", "2", "--m", "1", "--realization", "hp", "--p", "1", "--q", "1.3"]
+        assert run(["analyze", "--check", "reimport", "--out", str(out)] + argv) == 0
+        assert capsys.readouterr().out == "round-trip of matrix export: identical\n"
+        assert run(["matrices"] + argv) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_deterministic_verify_output(self, capsys):
         argv = ["verify", "--n", "2", "--m", "1", "--realization", "hp",

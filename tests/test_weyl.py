@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import math
 import os
 import pickle
@@ -433,6 +434,9 @@ class TestProbeBatch:
     def test_relations_match_engine(self, sig, kind):
         convention = "orthonormal" if kind == "hp" else "monomial"
         engines = [Engine(sig, convention=convention, q=q, p=3) for q in self.QS]
+        for eng in engines:
+            # the residual pass below applies the same words again
+            eng.apply_word = functools.cache(eng.apply_word)
         states = probe_states(sig, default_cap(3))
         batch = ProbeBatch(engines, states)
         real = realization(kind, sig)
