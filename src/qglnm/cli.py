@@ -381,7 +381,7 @@ def _cmd_eval(args) -> int:
     _validate_realization(args.realization, p, q)
     real = realization(args.realization, sig)
     expr = parse_expr(args.expr, real)
-    state = tuple(int(x) for x in args.state.split(","))
+    state = _parse_state(args.state)
     if len(state) != sig.num_modes:
         raise UsageError(f"state needs {sig.num_modes} occupation numbers")
     for i, k in enumerate(state, 1):
@@ -399,6 +399,19 @@ def _cmd_eval(args) -> int:
 
 
 # -- argument parsing ---------------------------------------------------
+
+
+def _parse_state(text: str) -> tuple[int, ...]:
+    """--state as occupation numbers: comma-separated ASCII integers.  A
+    leading minus parses, so that ``_cmd_eval`` names the mode of a
+    negative occupation."""
+    state = []
+    for i, field in enumerate(text.split(","), 1):
+        digits = field[1:] if field.startswith("-") else field
+        if not digits or not all(map(_is_digit, digits)):
+            raise UsageError(f"--state field {i} is not an integer: {field!r}")
+        state.append(int(field))
+    return tuple(state)
 
 
 def _require_int_p(args) -> int:

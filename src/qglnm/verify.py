@@ -1,27 +1,35 @@
 """Relation verification: substitute realized generators into every
-defining relation and confirm the difference annihilates a probe basis.
+defining relation and confirm the difference is the zero operator.
 
 Verification is exact for the Dyson realization (formal or integer p) and
-numeric for the Holstein-Primakoff realizations.  Probes are all states
-up to a degree cap plus a deterministic sample of higher-degree states.
-A pass is evidence on those probes, not a proof for the whole space:
-the diagonal coefficients are exponential-polynomial in the occupations,
-so agreement on finitely many states does not extend by linearity.
-Both regimes apply each relation to every probe state at once
+numeric for the Holstein-Primakoff realizations.  A substituted relation
+first goes to normal order (``weyl.normal_ordered``): every word becomes
+a shift times factors taken at the start state, and terms with equal
+shift, sign mask and factors merge.  A Dyson relation whose merged terms
+all cancel holds on every state, for formal p and q, so exact
+verification passes it without probing.  Every other relation is checked
+on probe states: all states up to a degree cap plus a deterministic
+sample of higher-degree states.  There a pass is evidence on those
+probes, not a proof for the whole space: the diagonal coefficients are
+exponential-polynomial in the occupations, so agreement on finitely many
+states does not extend by linearity.  Numeric verification probes every
+relation, closed or not, and reports its rounding residual.
+Both regimes apply each probed relation to every probe state at once
 (``weyl.ProbeBatch``): numerically at every q sample, exactly as one
 integer row per probe state over the relation's monomials, which is
 zero exactly when the state's image is.  The witness of an exact failure
 is the first such state, with its coefficient formed again by the
 per-state engine.
 
-The substituted relations depend only on the signature, the realization
-and the mutation, so they are substituted once per process for each such
-key and kept (a bounded memo of ``RELATION_SETS`` keys) for later calls.
+The substituted relations, and whether each closes in normal order,
+depend only on the signature, the realization and the mutation, so they
+are built once per process for each such key and kept (a bounded memo of
+``RELATION_SETS`` keys) for later calls.
 Each call compiles every relation before probing any, specializing each
-distinct term scalar once, and declares all of them to the batch at once
-(``ProbeBatch.plan``), so a word suffix that several relation terms share
-is applied to the probe states once.  Numeric probing raises on a float
-overflow instead of reporting an inf or nan residual.
+distinct term scalar once, and declares the ones it probes to the batch
+at once (``ProbeBatch.plan``), so a word suffix that several relation
+terms share is applied to the probe states once.  Numeric probing raises
+on a float overflow instead of reporting an inf or nan residual.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
@@ -40,7 +48,7 @@ import numpy as np
 from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
-from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, float_errors_raise
+from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, float_errors_raise, normal_ordered
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
@@ -85,13 +93,20 @@ def _side_image(side, real: Realization) -> OperatorExpr:
 
 @functools.lru_cache(maxsize=RELATION_SETS)
 def _relation_set(sig: Signature, kind: str, mutation: str | None) -> tuple:
-    """Every defining relation of the signature paired with its substituted
-    difference under the realization, as a tuple of (Relation,
-    OperatorExpr).  The pairs depend on nothing else (not on p, q, the
-    convention or the probes), so they are built, and audited by
-    ``substitute``, once per process per key; callers only read them."""
+    """Every defining relation of the signature with its substituted
+    difference under the realization and whether that difference closes,
+    as a tuple of (Relation, OperatorExpr, bool).  A difference closes when
+    its normal-ordered terms cancel (``weyl.normal_ordered`` is empty): it
+    is then the zero operator for formal p and q.  Only exact verification
+    reads the flag, and only the Dyson realization is verified exactly, so
+    the flag is False for the others.  None of this depends on anything
+    else (not on p, q, the convention or the probes), so it is built, and
+    audited by ``substitute``, once per process per key; callers only read
+    it."""
     real = realization(kind, sig, mutation)
-    return tuple((rel, substitute(rel, real)) for rel in build_relations(sig))
+    diffs = [(rel, substitute(rel, real)) for rel in build_relations(sig)]
+    return tuple((rel, diff, kind == DYSON and not normal_ordered(sig, diff))
+                 for rel, diff in diffs)
 
 
 @dataclass
@@ -233,13 +248,16 @@ def verify_all(
     """Check every defining relation of the signature against a realization.
 
     q may be None (formal; exact Dyson verification), a number, or a list
-    of sample values.  The relations are substituted once per process per
-    (signature, realization, mutation) and reused by later calls.  One
-    probe batch serves both regimes; every relation is compiled up front
-    and declared to it, so shared word suffixes are walked once.  In exact
-    mode a relation passes only if every probe coefficient is the exact
-    zero; in numeric mode the largest coefficient magnitude over (state,
-    q sample) must stay within the tolerance.
+    of sample values.  The relations are substituted and normal-ordered
+    once per process per (signature, realization, mutation) and reused by
+    later calls.  Every relation is compiled up front.  In exact mode a
+    relation whose normal-ordered terms cancel holds on every state, for
+    formal p and q, and passes unprobed; every other relation passes only
+    if every probe coefficient is the exact zero.  In numeric mode every
+    relation is probed, and the largest coefficient magnitude over (state,
+    q sample) must stay within the tolerance.  The probed relations are
+    declared to one probe batch, so shared word suffixes are walked once.
+    The status strings are the same either way.
     """
     if kind != DYSON:
         if q is None:
@@ -258,12 +276,16 @@ def verify_all(
     # bracket products, so the meaningful numeric measure there is the
     # residual relative to the size of the individual term images.
     above_cap = np.array([sum(s) > cap for s in states])
-    compiled = [batch.compile(diff) for _, diff in relations]
-    batch.plan(compiled)
+    compiled = [batch.compile(diff) for _, diff, _ in relations]
+    # A closed relation is exactly zero on every state, so an exact batch
+    # does not probe it.  A numeric one does, and reports its rounding.
+    probed = [not (batch.exact and closed) for *_, closed in relations]
+    batch.plan([terms for terms, probe in zip(compiled, probed) if probe])
     with float_errors_raise():
-        results = [_exact_result(rel.name, batch, terms) if batch.exact
+        results = [RelationResult(rel.name, "exact-pass") if not probe
+                   else _exact_result(rel.name, batch, terms) if batch.exact
                    else _numeric_result(rel.name, batch, terms, above_cap, tolerance)
-                   for (rel, _), terms in zip(relations, compiled)]
+                   for (rel, *_), terms, probe in zip(relations, compiled, probed)]
     meta = {
         "realization": kind,
         "n": sig.n,

@@ -56,6 +56,13 @@ above, over a second axis of q samples, so they equal the per-state
 engine's.  Exact ones are formed once per distinct diagonal product;
 verification brings them over one common denominator as integer rows,
 int64 only under an explicit bound and Python ints past it.
+
+``normal_form`` writes a word as one shift times factors all taken at the
+start state (monomial convention), and ``normal_ordered`` merges the terms
+of an expression that share a shift, a fermionic sign mask and a factor
+multiset.  An expression whose merged terms all cancel is the zero
+operator for formal p and q, which relation verification uses to pass a
+relation without probing it.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,6 +267,76 @@ class OperatorExpr:
 
     def __repr__(self):
         return f"OperatorExpr({len(self.terms)} terms)"
+
+
+class NormalForm(NamedTuple):
+    """A word as one normal-ordered term, all taken at the start state N:
+    the word sends N to N + change with the scalar sign * (-1)**(mask . N)
+    times the product of the factors, where bit j - 1 of the mask is set
+    for the fermionic modes j whose occupation enters the sign."""
+
+    sign: int
+    change: tuple[int, ...]
+    mask: int
+    factors: tuple[Diag, ...]
+
+    @property
+    def key(self) -> tuple:
+        """What terms must share to merge: everything but the sign."""
+        return self.change, self.mask, self.factors
+
+
+def _diag_order(d: Diag) -> tuple:
+    aff = d.affine
+    return _KIND_RANK[d.kind], aff.const, aff.p_coeff, aff.mode_coeffs
+
+
+def normal_form(sig: Signature, word: Word) -> NormalForm:
+    """The word applied, right to left, to a symbolic state N, keeping the
+    running offset delta of the occupations (monomial convention).
+
+    A diagonal factor becomes the same kind of factor of its argument
+    shifted by delta.  A bosonic lowering on mode i contributes the factor
+    N_i + delta_i and a raising contributes 1.  A fermionic lowering
+    contributes N_i + delta_i and a raising 1 - N_i - delta_i, which is 1
+    where the step is allowed and 0 where it is not; both flip the mask
+    over the fermionic modes left of i and carry the constant sign
+    (-1)**(sum of delta over those modes).  So on a start state every
+    ladder step that meets a dead state makes its factor 0: a term with a
+    zero ladder factor is zero there, whatever its other factors are."""
+    delta = [0] * sig.num_modes
+    mask, sign, factors = 0, 1, []
+    for atom in reversed(word):
+        if isinstance(atom, Diag):
+            shift = sum(map(operator.mul, atom.affine.mode_coeffs, delta))
+            factors.append(Diag(atom.kind, atom.affine.shift(shift)))
+            continue
+        i = atom.mode
+        lower = isinstance(atom, Lower)
+        occupation = affine_mode(sig, i).shift(delta[i - 1])
+        if sig.is_fermionic(i):
+            factors.append(Diag("affine", occupation if lower else -occupation.shift(-1)))
+            for j in range(sig.n - 1, i - 1):
+                mask ^= 1 << j
+                sign *= -1 if delta[j] % 2 else 1
+        elif lower:
+            factors.append(Diag("affine", occupation))
+        delta[i - 1] += -1 if lower else 1
+    return NormalForm(sign, tuple(delta), mask, tuple(sorted(factors, key=_diag_order)))
+
+
+def normal_ordered(sig: Signature, expr: OperatorExpr) -> dict:
+    """An expression merged in normal form: {``NormalForm.key``: the sum of
+    its terms' signed scalars}, with every key whose sum is zero left out.
+    An empty result means the expression is the zero operator for formal
+    p and q, hence also at every integer p and q = 1."""
+    merged: dict = {}
+    for c, w in expr.terms:
+        nf = normal_form(sig, w)
+        c = c if nf.sign == 1 else -c
+        acc = merged.get(nf.key)
+        merged[nf.key] = c if acc is None else acc + c
+    return {key: c for key, c in merged.items() if not c.is_zero()}
 
 
 def super_commutator(
@@ -604,9 +682,11 @@ class ProbeBatch:
 
     A word's walk is the walk of its suffix ``word[1:]`` and one more atom.
     ``plan`` declares the compiled expressions to be applied next (relation
-    verification declares every relation), and the batch then keeps the
-    walk of each suffix they share, read-only, until its last use, so each
-    suffix is walked once.  A batch with no plan keeps no walk.
+    verification declares every relation it probes: on an exact batch,
+    only those whose normal-ordered terms do not cancel), and the batch
+    then keeps the walk of each suffix they share, read-only, until its
+    last use, so each suffix is walked once.  A batch with no plan keeps
+    no walk.
 
     Numeric scalars are multiplied per row, in the per-state engine's
     order, so they are its floats to the last bit.  Exact scalars are not

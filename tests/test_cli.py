@@ -482,6 +482,18 @@ class TestCommands:
         assert code == 2
         assert capsys.readouterr().err == "error: occupation of mode 1 is negative: -1\n"
 
+    @pytest.mark.parametrize("state, field", [
+        ("١,0", "1 is not an integer: '١'"),  # an Arabic-Indic one
+        ("a,b", "1 is not an integer: 'a'"),
+        ("1,,0", "2 is not an integer: ''"),
+        ("0,-", "2 is not an integer: '-'"),
+        ("0,+1", "2 is not an integer: '+1'"),
+    ])
+    def test_eval_state_field_must_be_ascii_integer(self, state, field, capsys):
+        code = run(["eval", "--n", "2", "--m", "1", "--expr", "e1", "--state", state])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --state field {field}\n")
+
     def test_eval_fermionic_occupation_above_one_is_usage_error(self, capsys):
         code = run(["eval", "--n", "2", "--m", "1", "--realization", "hp", "--p", "2",
                     "--q", "1.3", "--expr", "f1", "--state", "0,5"])

@@ -283,3 +283,61 @@ class TestRelationSets:
         with pytest.raises(ValueError, match="unknown mutation"):
             verify_all(SIG21, kind="dyson", p=None, cap=4, mutation="bogus")
         assert _relation_set.cache_info().currsize == 0
+
+
+def rows_or_error(**kwargs) -> str:
+    """The report of a call, or the exception it raises."""
+    try:
+        return verify_all(**kwargs).format_machine()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestClosedRelations:
+    """A relation whose normal-ordered terms cancel is not probed on an
+    exact batch; probing every relation stays the oracle for that."""
+
+    @pytest.fixture
+    def probe_all(self, monkeypatch):
+        """Run a call with every relation marked open, so every one is probed."""
+        kept = verify._relation_set
+
+        def all_open(*key):
+            return tuple((rel, diff, False) for rel, diff, _ in kept(*key))
+
+        def run(**kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(verify, "_relation_set", all_open)
+                return rows_or_error(**kwargs)
+
+        return run
+
+    @pytest.mark.parametrize("n, m", [(2, 0), (3, 0), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
+                                      (4, 2), (2, 3), (4, 3)])
+    def test_reports_match_probing_every_relation(self, n, m, probe_all):
+        for p in (None, 0, 1, 2, 5):
+            for mutation in (None, *MUTATIONS):
+                call = dict(sig=Signature(n, m), kind="dyson", p=p, cap=4, mutation=mutation)
+                assert rows_or_error(**call) == probe_all(**call), call
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_no_failing_relation_is_closed(self, mutation, probe_all):
+        closed = {rel.name for rel, _, shut in _relation_set(SIG32, "dyson", mutation) if shut}
+        failing = set()
+        for p in (None, 0, 1, 2, 5):
+            rows = probe_all(sig=SIG32, kind="dyson", p=p, cap=4, mutation=mutation)
+            failing |= {ln.split("\t")[0] for ln in rows.splitlines() if "\tfail\t" in ln}
+        assert failing and closed and not failing & closed
+
+    def test_closed_counts(self):
+        # Dyson relations that cancel by key alone, out of all relations
+        for sig, want in ((SIG21, (6, 20)), (SIG32, (40, 74)), (Signature(4, 3), (106, 160))):
+            flags = [shut for *_, shut in _relation_set(sig, "dyson", None)]
+            assert (sum(flags), len(flags)) == want
+
+    def test_numeric_batch_probes_closed_relations(self):
+        # a numeric batch reports every relation's probed residual
+        report = verify_all(SIG32, kind="dyson", p=3, q=[0.9, 1.3], cap=4)
+        closed = {rel.name for rel, _, shut in _relation_set(SIG32, "dyson", None) if shut}
+        assert closed and {r.status for r in report.results if r.name in closed} == {
+            "numeric-pass"}

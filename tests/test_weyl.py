@@ -30,6 +30,8 @@ from qglnm.weyl import (
     ProbeBatch,
     Raise,
     affine_mode,
+    normal_form,
+    normal_ordered,
     super_commutator,
     word_change,
 )
@@ -372,6 +374,100 @@ class TestWordReference:
     def test_numeric_hp(self, sig, q):
         eng = Engine(sig, convention="orthonormal", q=q, p=3)
         self._check(sig, "hp", eng, close_rel)
+
+
+def eval_normal_form(eng, nf, state):
+    """A normal form at a start state, as (scalar, image) or None when
+    zero.  The affine factors, which hold every ladder number, are read
+    first: a zero among them is a dead term, whose other factors may be
+    singular there and are not read."""
+    affine = [d for d in nf.factors if d.kind == "affine"]
+    others = [d for d in nf.factors if d.kind != "affine"]
+    values = []
+    for d in affine + others:
+        values.append(eng.eval_diag(d, state))
+        if eng.scalars.is_zero(values[-1]):
+            return None
+    scalar = math.prod(values, start=eng.one())
+    image = tuple(map(sum, zip(state, nf.change)))
+    return (scalar if nf.sign == (-1) ** masked_parity(nf, state) else -scalar), image
+
+
+def masked_parity(nf, state) -> int:
+    """The parity of the occupations under a normal form's sign mask."""
+    return sum(state[j] for j in range(len(state)) if nf.mask >> j & 1) % 2
+
+
+class TestNormalForm:
+    """Every relation word in normal form, evaluated at the start state,
+    against the per-state engine on every probe state of cap 4."""
+
+    @staticmethod
+    def _engine(sig, kind):
+        if kind == "dyson":
+            return Engine(sig, convention="monomial")
+        return Engine(sig, convention="monomial", q=1.3, p=3)
+
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2), Signature(4, 3)], ids=str)
+    @pytest.mark.parametrize("kind", ["dyson", "hp", "hp-deformed"])
+    def test_matches_engine(self, sig, kind):
+        eng = self._engine(sig, kind)
+        real = realization(kind, sig)
+        words = {w for rel in build_relations(sig) for _, w in substitute(rel, real).terms}
+        live = negated = singular = 0
+        for word in words:
+            nf = normal_form(sig, word)
+            assert nf.change == word_change(sig, word)
+            for s in probe_states(sig, 4):
+                got, want = eval_normal_form(eng, nf, s), eng.apply_word(word, s)
+                assert (got is None) == (want is None), (word, s)
+                if got is None:
+                    # a dead term whose ratio or angle factor is singular here
+                    singular += any(d.kind in ("bracket_ratio", "angle")
+                                    and d.affine.eval_parts(s)[0] == 0 for d in nf.factors)
+                    continue
+                assert got[1] == want[1], (word, s)
+                same = got[0] == want[0] if kind == "dyson" else close_rel(got[0], want[0])
+                assert same, (word, s, got, want)
+                live += 1
+                negated += masked_parity(nf, s)
+        assert live and singular and (negated or sig.m < 2)
+
+    def test_fermionic_sign(self):
+        # A_3^+ A_2^+ on (2,2): the raising of mode 3 sees mode 2 filled
+        nf = normal_form(SIG22, (Raise(3), Raise(2)))
+        assert nf.mask == 0b10 and nf.sign == -1 and nf.change == (0, 1, 1)
+        assert [d.affine for d in nf.factors] == [Affine(1, 0, (0, -1, 0)),
+                                                  Affine(1, 0, (0, 0, -1))]
+        eng = exact_engine(SIG22)
+        assert eval_normal_form(eng, nf, (0, 0, 0)) == eng.apply_word((Raise(3), Raise(2)),
+                                                                      (0, 0, 0))
+        assert eval_normal_form(eng, nf, (0, 1, 0)) is None
+
+    def test_dead_term_is_not_evaluated(self):
+        # [N_1] / N_1 after lowering an empty mode 1: the ratio's argument is
+        # 0 on the vacuum, where the ladder factor N_1 is 0 too
+        word = (Diag("bracket_ratio", affine_mode(SIG21, 1).shift(1)), Lower(1))
+        nf = normal_form(SIG21, word)
+        assert nf.factors == (Diag("affine", affine_mode(SIG21, 1)),
+                              Diag("bracket_ratio", affine_mode(SIG21, 1)))
+        eng = exact_engine(SIG21)
+        with pytest.raises(ZeroDivisionError):
+            eng.eval_diag(nf.factors[1], (0, 0))
+        assert eval_normal_form(eng, nf, (0, 0)) is None is eng.apply_word(word, (0, 0))
+
+    def test_merge_cancels_by_key(self):
+        # N_1 A_1^+ and A_1^+ (N_1 + 1) are one operator; A_1^+ N_1 is another
+        n1 = Diag("affine", affine_mode(SIG21, 1))
+        same = OperatorExpr.from_word(n1, Raise(1)) - OperatorExpr.from_word(
+            Raise(1), Diag("affine", affine_mode(SIG21, 1).shift(1)))
+        assert normal_ordered(SIG21, same) == {}
+        differ = OperatorExpr.from_word(n1, Raise(1)) - OperatorExpr.from_word(Raise(1), n1)
+        assert len(normal_ordered(SIG21, differ)) == 2
+        # the fermionic sign merges in: A_3^+ and A_2^+ anticommute
+        swap = (OperatorExpr.from_word(Raise(3), Raise(2))
+                + OperatorExpr.from_word(Raise(2), Raise(3)))
+        assert normal_ordered(SIG22, swap) == {}
 
 
 class TestWordCaches:
