@@ -5,7 +5,7 @@ Verification is exact for the Dyson realization (formal or integer p) and
 numeric for the Holstein-Primakoff realizations.  A substituted relation
 first goes to normal order (``weyl.normal_ordered``): every word becomes
 a shift times factors taken at the start state, and terms with equal
-shift, sign mask and factors merge.  A Dyson relation whose merged terms
+shift and factors merge.  A Dyson relation whose merged terms
 all cancel holds on every state, for formal p and q, so exact
 verification passes it without probing.  Every other relation is checked
 on probe states: all states up to a degree cap plus a deterministic
@@ -26,10 +26,10 @@ depend only on the signature, the realization and the mutation, so they
 are built once per process for each such key and kept (a bounded memo of
 ``RELATION_SETS`` keys) for later calls.
 Each call compiles every relation before probing any, specializing each
-distinct term scalar once, and declares the ones it probes to the batch
-at once (``ProbeBatch.plan``), so a word suffix that several relation
-terms share is applied to the probe states once.  Numeric probing raises
-on a float overflow instead of reporting an inf or nan residual.
+distinct term scalar once.  The batch reads every word at its start
+state and builds each factor the relation terms share once, as a column
+over the probe states.  Numeric probing raises on a float overflow
+instead of reporting an inf or nan residual.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
@@ -255,8 +255,8 @@ def verify_all(
     formal p and q, and passes unprobed; every other relation passes only
     if every probe coefficient is the exact zero.  In numeric mode every
     relation is probed, and the largest coefficient magnitude over (state,
-    q sample) must stay within the tolerance.  The probed relations are
-    declared to one probe batch, so shared word suffixes are walked once.
+    q sample) must stay within the tolerance.  All relations share one
+    probe batch, so a start-state factor their words share is built once.
     The status strings are the same either way.
     """
     if kind != DYSON:
@@ -280,7 +280,6 @@ def verify_all(
     # A closed relation is exactly zero on every state, so an exact batch
     # does not probe it.  A numeric one does, and reports its rounding.
     probed = [not (batch.exact and closed) for *_, closed in relations]
-    batch.plan([terms for terms, probe in zip(compiled, probed) if probe])
     with float_errors_raise():
         results = [RelationResult(rel.name, "exact-pass") if not probe
                    else _exact_result(rel.name, batch, terms) if batch.exact

@@ -45,24 +45,25 @@ callers (the witness of a failed exact relation, the vacuum weights,
 multi-state caller (relation verification and the module analysis).  A
 batch takes only expressions whose terms share one net occupation change,
 so a probe state's image is a single state.  It applies words to a list
-of probe states at once, with numpy:
-states are rows of an integer array, each diagonal factor is named by an
-int64 key code, which holds arguments below 2**20 in magnitude, and its
-values are read from per-batch tables indexed by the argument.  A word
-is walked as its suffix plus one atom, and a suffix shared by the
-expressions declared to the batch is walked once.
-Numeric scalars are formed from the same factors in the same order as
-above, over a second axis of q samples, so they equal the per-state
-engine's.  Exact ones are formed once per distinct diagonal product;
-verification brings them over one common denominator as integer rows,
-int64 only under an explicit bound and Python ints past it.
+of probe states, the rows of an integer array, at once with numpy.
+``start_form`` reads a word at its start state in one right-to-left pass
+that keeps the running occupation offset, so each of its items (a
+diagonal factor or a ladder step) is a function of the start state: a
+batch builds each distinct item once, as a column over all probe states.
+A diagonal factor is named by an int64 key code, which holds arguments
+below 2**20 in magnitude, and its values come from per-batch tables
+indexed by the argument.  Numeric scalars are formed from the same
+factors in the same order as above, over a second axis of q samples, so
+they equal the per-state engine's.  Exact ones are formed once per
+distinct diagonal product; verification brings them over one common
+denominator as integer rows, int64 only under an explicit bound and
+Python ints past it.
 
-``normal_form`` writes a word as one shift times factors all taken at the
-start state (monomial convention), and ``normal_ordered`` merges the terms
-of an expression that share a shift, a fermionic sign mask and a factor
-multiset.  An expression whose merged terms all cancel is the zero
-operator for formal p and q, which relation verification uses to pass a
-relation without probing it.
+``normal_form`` writes the start-state form as one shift times factors
+(monomial convention), and ``normal_ordered`` merges the terms of an
+expression that share a shift and a factor multiset.  An expression whose
+merged terms all cancel is the zero operator for formal p and q, which
+relation verification uses to pass a relation without probing it.
 """
 
 from __future__ import annotations
@@ -157,9 +158,10 @@ class Diag:
             raise EngineError(f"unknown diagonal kind {self.kind!r}")
         if self.kind in ("bracket_ratio", "angle") and self.affine.p_coeff:
             raise EngineError(f"a {self.kind} argument must not depend on p")
-        # Words are dictionary keys (``ProbeBatch.plan``), so the hash is
-        # formed once, here, and from ints only, so that it is the same in
-        # every process and survives copying and pickling.
+        # Words key the ``start_form`` memo and factors key a probe batch's
+        # columns, so the hash is formed once, here, and from ints only, so
+        # that it is the same in every process and survives copying and
+        # pickling.
         aff = self.affine
         object.__setattr__(self, "_hash", hash(
             (_KIND_RANK[self.kind], aff.const, aff.p_coeff, aff.mode_coeffs)))
@@ -202,11 +204,7 @@ def word_parity(sig: Signature, word: Word) -> int:
 
 def word_change(sig: Signature, word: Word) -> tuple[int, ...]:
     """Net change of every mode's occupation caused by the word."""
-    change = [0] * sig.num_modes
-    for a in word:
-        if not isinstance(a, Diag):
-            change[a.mode - 1] += 1 if isinstance(a, Raise) else -1
-    return tuple(change)
+    return start_form(sig, word)[1]
 
 
 class OperatorExpr:
@@ -269,6 +267,42 @@ class OperatorExpr:
         return f"OperatorExpr({len(self.terms)} terms)"
 
 
+class Step(NamedTuple):
+    """A ladder atom read at the start state: it meets mode ``mode`` at
+    offset ``offset``, and the offsets of the fermionic modes left of it
+    sum to ``parity`` mod 2 (0 on a bosonic mode)."""
+
+    mode: int
+    lower: bool
+    offset: int
+    parity: int
+
+
+# distinct (signature, word) pairs whose start-state form a process keeps
+START_FORMS = 4096
+
+
+@functools.lru_cache(maxsize=START_FORMS)
+def start_form(sig: Signature, word: Word) -> tuple:
+    """The word applied, right to left, to a symbolic start state N with
+    the running occupation offset delta: (its items in application order,
+    its net change).  A diagonal factor becomes the same kind of factor of
+    its argument shifted by delta, read at N; a ladder atom becomes a
+    ``Step``, from which its occupation and fermionic sign follow at N."""
+    delta = [0] * sig.num_modes
+    items = []
+    for atom in reversed(word):
+        if isinstance(atom, Diag):
+            shift = sum(map(operator.mul, atom.affine.mode_coeffs, delta))
+            items.append(Diag(atom.kind, atom.affine.shift(shift)) if shift else atom)
+        else:
+            i = atom.mode
+            lower = isinstance(atom, Lower)
+            items.append(Step(i, lower, delta[i - 1], sum(delta[sig.n - 1 : i - 1]) % 2))
+            delta[i - 1] += -1 if lower else 1
+    return tuple(items), tuple(delta)
+
+
 class NormalForm(NamedTuple):
     """A word as one normal-ordered term, all taken at the start state N:
     the word sends N to N + change with the scalar sign * (-1)**(mask . N)
@@ -282,8 +316,9 @@ class NormalForm(NamedTuple):
 
     @property
     def key(self) -> tuple:
-        """What terms must share to merge: everything but the sign."""
-        return self.change, self.mask, self.factors
+        """What terms must share to merge: the change and the factors (the
+        mask is a function of the change)."""
+        return self.change, self.factors
 
 
 def _diag_order(d: Diag) -> tuple:
@@ -292,37 +327,29 @@ def _diag_order(d: Diag) -> tuple:
 
 
 def normal_form(sig: Signature, word: Word) -> NormalForm:
-    """The word applied, right to left, to a symbolic state N, keeping the
-    running offset delta of the occupations (monomial convention).
-
-    A diagonal factor becomes the same kind of factor of its argument
-    shifted by delta.  A bosonic lowering on mode i contributes the factor
-    N_i + delta_i and a raising contributes 1.  A fermionic lowering
-    contributes N_i + delta_i and a raising 1 - N_i - delta_i, which is 1
-    where the step is allowed and 0 where it is not; both flip the mask
-    over the fermionic modes left of i and carry the constant sign
-    (-1)**(sum of delta over those modes).  So on a start state every
-    ladder step that meets a dead state makes its factor 0: a term with a
-    zero ladder factor is zero there, whatever its other factors are."""
-    delta = [0] * sig.num_modes
-    mask, sign, factors = 0, 1, []
-    for atom in reversed(word):
-        if isinstance(atom, Diag):
-            shift = sum(map(operator.mul, atom.affine.mode_coeffs, delta))
-            factors.append(Diag(atom.kind, atom.affine.shift(shift)))
-            continue
-        i = atom.mode
-        lower = isinstance(atom, Lower)
-        occupation = affine_mode(sig, i).shift(delta[i - 1])
-        if sig.is_fermionic(i):
-            factors.append(Diag("affine", occupation if lower else -occupation.shift(-1)))
-            for j in range(sig.n - 1, i - 1):
-                mask ^= 1 << j
-                sign *= -1 if delta[j] % 2 else 1
-        elif lower:
-            factors.append(Diag("affine", occupation))
-        delta[i - 1] += -1 if lower else 1
-    return NormalForm(sign, tuple(delta), mask, tuple(sorted(factors, key=_diag_order)))
+    """The word's ``start_form`` as one term (monomial convention).  A
+    bosonic lowering on mode i contributes the factor N_i + delta_i and a
+    raising 1.  A fermionic lowering contributes N_i + delta_i and a
+    raising 1 - N_i - delta_i, which is 1 where the step is allowed and 0
+    where not; both carry the sign (-1)**(delta summed over the fermionic
+    modes left of i) and flip the mask there, so bit j of the mask is the
+    parity of the net change right of j.  So a ladder step that meets a
+    dead state makes its factor 0 on that start state, and the term is
+    zero there whatever its other factors are."""
+    items, change = start_form(sig, word)
+    sign, factors = 1, []
+    for item in items:
+        if isinstance(item, Diag):
+            factors.append(item)
+        elif item.lower or sig.is_fermionic(item.mode):
+            occupation = affine_mode(sig, item.mode).shift(item.offset)
+            factors.append(Diag("affine", occupation if item.lower else -occupation.shift(-1)))
+            sign = -sign if item.parity else sign
+    mask = parity = 0
+    for j in reversed(range(sig.n - 1, sig.num_modes)):
+        mask |= parity << j
+        parity ^= change[j] & 1
+    return NormalForm(sign, change, mask, tuple(sorted(factors, key=_diag_order)))
 
 
 def normal_ordered(sig: Signature, expr: OperatorExpr) -> dict:
@@ -663,30 +690,26 @@ class ProbeBatch:
     ``compile`` specializes each distinct term scalar once per batch.  It
     takes only an expression whose terms share one net occupation change,
     so each probe state's image is a single state, the state shifted by
-    that change.  The states are the rows of an
-    (S, modes) integer array (and the q samples a second axis), so
-    applying a word costs one column operation per atom instead of one
-    walk per state and q.  A ladder atom shifts one
-    column and multiplies a per-row plain number, exactly the numbers of
-    ``Engine._ladder``; rows whose image is zero drop out at once, so every
-    later atom sees only live rows and never raises or warns on a dead one.
-    A diagonal factor's values are read from one table per kind and p
-    coefficient, which spans the arguments seen so far and holds, per
-    argument, whether it is known, whether it is nonzero and, numerically,
-    its values over the q samples.  A value is formed by the engines' own
-    scalar methods the first time a live row presents its argument.  Each
-    factor is also named by a per-row code that orders like its key in
-    ``Engine._diag_key``.  The code packs the kind, the argument and the p
-    coefficient into one int64, so both must lie below 2**20 in magnitude;
-    a larger one raises ``EngineError``.
+    that change.  The states are the rows of an (S, modes) integer array,
+    and the q samples a second axis.  A word is read at its start state
+    (``start_form``), and the batch keeps one column over all probe states
+    per distinct item: for a ladder step a live mask and the per-row plain
+    numbers of ``Engine._ladder``, for a diagonal factor a live mask, key
+    codes and, numerically, values.  A word's live rows are the AND of its
+    masks, and what it yields is gathered at those rows, so no returned
+    array shares memory with a column.  A column covers rows the word has
+    already killed, where the per-state engine never reads the item: a
+    bracket ratio or angle column leaves out the rows whose argument is 0
+    and raises only when one of them is live, and a column that raises
+    while it is built is built again over the word's live rows alone.
 
-    A word's walk is the walk of its suffix ``word[1:]`` and one more atom.
-    ``plan`` declares the compiled expressions to be applied next (relation
-    verification declares every relation it probes: on an exact batch,
-    only those whose normal-ordered terms do not cancel), and the batch
-    then keeps the walk of each suffix they share, read-only, until its
-    last use, so each suffix is walked once.  A batch with no plan keeps
-    no walk.
+    A diagonal factor's values are read from one table per kind and p
+    coefficient, which holds, per argument seen, whether it is known,
+    whether its value is nonzero and, numerically, its values over the q
+    samples, formed by the engines' own scalar methods.  A factor's per-row
+    code orders like its key in ``Engine._diag_key``: it packs the kind,
+    the argument and the p coefficient into one int64, so both must lie
+    below 2**20 in magnitude; a larger one raises ``EngineError``.
 
     Numeric scalars are multiplied per row, in the per-state engine's
     order, so they are its floats to the last bit.  Exact scalars are not
@@ -699,10 +722,10 @@ class ProbeBatch:
     ``exact_images`` and ``max_abs_images`` reduce the images to what
     relation verification needs.
 
-    Ladder numbers are int64 only while the word's bound (largest
-    occupation plus word length, to the number of lowering atoms) stays
-    below 2**63; past it they are Python ints in object arrays, since
-    int64 wraps silently.  The engines share one signature and convention.
+    Ladder numbers are int64 only while the bound of a word's atoms up to
+    its last ladder number (largest occupation plus their count, to the
+    number of lowerings) stays below 2**63, and Python ints in object
+    arrays past it.  The engines share one signature and convention.
     """
 
     def __init__(self, engines: list, states: list):
@@ -717,14 +740,15 @@ class ProbeBatch:
         self.convention = engines[0].convention
         self.states = np.array(states, dtype=np.int64).reshape(len(states), self.sig.num_modes)
         self._top = int(self.states.max(initial=0))
+        self._all_rows = np.ones(len(self.states), dtype=bool)
+        # start-state item (a ``Step`` or a ``Diag``) -> its column
+        self._columns: dict = {}
         # (kind, p coefficient) -> _DiagTable
         self._tables: dict = {}
         # key code -> exact value
         self._values: dict = {}
         # sorted tuple of key codes -> product of their exact values
         self._products: dict = {}
-        # word -> [walks of it still to come, its walk once kept]
-        self._plan: dict = {}
         # term scalar key -> its specialized value, None when zero
         self._scalars: dict = {}
 
@@ -765,17 +789,15 @@ class ProbeBatch:
         self._scalars[key] = value
         return value
 
-    def _diag(self, d: Diag, states: np.ndarray):
-        """A diagonal factor on the given rows: (per-row key codes, values
-        of shape (rows, q) or None when exact, live mask or None when no
-        row dies); ``_step`` passes at least one row.  Values are read
-        from the batch's table of the kind and p coefficient; only the
-        arguments that these rows present for the first time are evaluated,
-        in ascending order."""
-        kind, aff = d.kind, d.affine
-        coeffs = np.array(aff.mode_coeffs, dtype=np.int64)
-        args = aff.const + states[:, : len(coeffs)] @ coeffs
-        pc = aff.p_coeff
+    def _diag(self, d: Diag, args: np.ndarray, skip=None):
+        """A diagonal factor over every probe row, given its argument per
+        row: (key codes, values of shape (rows, q) or None when exact, live
+        mask or None when no row dies).  Rows in the mask ``skip`` (not all)
+        count as dead and are not evaluated; of the others, only arguments
+        met for the first time are, in ascending order."""
+        if skip is not None:
+            args = np.where(skip, args[~skip][0], args)
+        kind, pc = d.kind, d.affine.p_coeff
         lo, hi = int(args.min()), int(args.max())
         if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
             raise EngineError(f"{kind} key out of the code range [-2**20, 2**20)")
@@ -802,122 +824,99 @@ class ProbeBatch:
                 table.known[v - table.start] = True
         codes = base + ((args + _CODE_BIAS) << 21)
         live = table.nonzero[at]
+        if skip is not None:
+            live &= ~skip
         return codes, None if self.exact else table.values[at], None if live.all() else live
 
-    def _ladder(self, atom: Raise | Lower, states: np.ndarray):
-        """Column form of ``Engine._ladder``: (live mask, or None when no
-        row dies; per-row plain number, or None when it is 1; image
-        states).  Rows that die get a number too, which the caller drops."""
-        i = atom.mode - 1
-        col = states[:, i]
-        lower = isinstance(atom, Lower)
-        out = states.copy()
-        if self.sig.is_fermionic(atom.mode):
-            # raising needs an empty mode, lowering a filled one; both flip it
-            out[:, i] = 1 - col
-            # the sign counts the occupied fermionic modes strictly left of i
-            sign = 1 - 2 * (states[:, self.sig.n - 1 : i].sum(axis=1) % 2)
-            return col == lower, sign, out
-        if lower:
-            live, k = col > 0, col
-            out[:, i] = col - 1
-        else:
-            live, k = None, col + 1
-            out[:, i] = k
-        if self.convention == "orthonormal":
-            return live, np.sqrt(k), out
-        return live, (k if lower else None), out
+    def _diag_column(self, d: Diag, live: np.ndarray):
+        """A diagonal factor's column for a word whose rows ``live`` are
+        live before it: ``_diag``'s triple and the mask of the rows where
+        the factor is singular, or None.  Only a full column is kept."""
+        column = self._columns.get(d)
+        if column is not None and (column[3] is None or not (column[3] & live).any()):
+            return column
+        coeffs = np.array(d.affine.mode_coeffs, dtype=np.int64)
+        args = d.affine.const + self.states[:, : len(coeffs)] @ coeffs
+        zero = args == 0 if d.kind in ("bracket_ratio", "angle") else None
+        zero = zero if zero is not None and zero.any() else None
+        if zero is None or not (zero & live).any():
+            try:
+                column = self._columns[d] = (*self._diag(d, args, zero), zero)
+                return column
+            except (ArithmeticError, EngineError):
+                pass
+        # a live row is singular or some row does not build: read the live
+        # rows alone, which raises only as the engine does
+        return *self._diag(d, args, ~live), None
 
-    def plan(self, compiled_list: list):
-        """Declare the compiled expressions about to be applied, each once,
-        so that a word suffix their terms share is walked once.  A word's
-        uses are the terms whose word it is plus its distinct one-atom
-        extensions; its walk is kept, read-only, while another use remains.
-        Replaces any earlier plan.  Walks follow the same code path with or
-        without a plan: a batch with no plan keeps nothing, and a walk the
-        plan does not foresee is only formed again."""
-        plan: dict = {}
-        words = [word for compiled in compiled_list for _, word in compiled]
-        while words:
-            word = words.pop()
-            entry = plan.get(word)
-            if entry is None:
-                plan[word] = [1, None]
-                if word:
-                    words.append(word[1:])
+    def _ladder_column(self, step: Step):
+        """A ladder step's column: (live mask or None when no row dies,
+        per-row plain number of ``Engine._ladder`` or None when it is 1)."""
+        column = self._columns.get(step)
+        if column is None:
+            i = step.mode - 1
+            occupation = self.states[:, i] + step.offset
+            if self.sig.is_fermionic(step.mode):
+                # raising needs an empty mode, lowering a filled one; the sign
+                # counts the occupied fermionic modes strictly left of i
+                left = self.states[:, self.sig.n - 1 : i].sum(axis=1) + step.parity
+                column = occupation == step.lower, 1 - 2 * (left % 2)
+            elif self.convention == "orthonormal":
+                # a row that died earlier may meet a negative occupation here
+                k = occupation if step.lower else occupation + 1
+                column = (occupation > 0 if step.lower else None), np.sqrt(np.maximum(k, 0))
             else:
-                entry[0] += 1
-        self._plan = plan
+                column = (occupation > 0, occupation) if step.lower else (None, None)
+            self._columns[step] = column
+        return column
 
-    def _walk(self, word: Word):
-        """The column pass of a word (atoms right to left) over every probe
-        state: (indices of the live rows, their image states, per-row
-        ladder number or None when it is 1, and per diagonal factor the
-        per-row key codes and, when numeric, values).  It is the walk of
-        the suffix ``word[1:]`` and one more atom, ``word[0]``."""
-        entry = self._plan.get(word)
-        walk = None if entry is None else entry[1]
-        if walk is None:
-            if word:
-                walk = self._step(self._walk(word[1:]), word)
+    def _read(self, word: Word):
+        """A word over every probe state: (live rows, net change, ladder
+        number per row or None when it is 1, and per diagonal factor the
+        key codes and, numerically, values per row), gathered at the live
+        rows from the columns of the word's start-state items."""
+        items, change = start_form(self.sig, word)
+        live = self._all_rows
+        numbers, codes, factors = [], [], []
+        lowerings = 0
+        for k, item in enumerate(items):
+            if not live.any():
+                break
+            if isinstance(item, Diag):
+                code, value, mask, _ = self._diag_column(item, live)
+                codes.append(code)
+                if value is not None:
+                    factors.append(value)
             else:
-                walk = np.arange(len(self.states)), self.states, None, (), ()
-        if entry is not None:
-            entry[0] -= 1
-            if not entry[0]:
-                del self._plan[word]
-            elif entry[1] is None:
-                for a in (*walk[:3], *walk[3], *walk[4]):
-                    if a is not None:
-                        a.flags.writeable = False
-                entry[1] = walk
-        return walk
-
-    def _step(self, walk, word: Word):
-        """The walk of a word from that of its suffix ``word[1:]``: rows
-        whose image is zero drop out at once, so a suffix with no live row
-        is its own extension."""
-        rows, states, ladder, codes, factors = walk
-        if not len(rows):
-            return walk
-        atom = word[0]
-        if isinstance(atom, Diag):
-            code, value, live = self._diag(atom, states)
-            codes += (code,)
-            if value is not None:
-                factors += (value,)
-        else:
-            live, step, states = self._ladder(atom, states)
-            if step is not None:
-                # Every occupation met on the way is at most the largest
-                # probe occupation plus the word length, which bounds each
-                # lowering step.  Past 2**63 the step is in Python ints, and
-                # an int64 ladder of the suffix, exact below its own bound,
-                # turns into Python ints in the product.
-                if self.convention == "monomial" and (self._top + len(word)) ** sum(
-                        isinstance(a, Lower) for a in word) >= 1 << 63:
-                    step = step.astype(object)
-                ladder = step if ladder is None else ladder * step
-        if live is not None and not live.all():
-            rows, states = rows[live], states[live]
-            ladder = None if ladder is None else ladder[live]
-            codes = tuple(c[live] for c in codes)
-            factors = tuple(f[live] for f in factors)
-        return rows, states, ladder, codes, factors
+                mask, number = self._ladder_column(item)
+                lowerings += item.lower
+                if number is not None:
+                    numbers.append(number)
+                    reach = self._top + k + 1, lowerings
+            if mask is not None:
+                live = live & mask
+        rows = np.flatnonzero(live)
+        ladder = None
+        if numbers:
+            ladder = numbers[0][rows]
+            if self.convention == "monomial" and reach[0] ** reach[1] >= 1 << 63:
+                ladder = ladder.astype(object)
+            for number in numbers[1:]:
+                ladder = ladder * number[rows]
+        return rows, change, ladder, [c[rows] for c in codes], [f[rows] for f in factors]
 
     def apply_word(self, word: Word):
         """Apply a word (atoms right to left) to every probe state at every
         q sample of a numeric batch.  Returns (rows, images, values): the
         indices of the probe states whose image is not zero at every q,
-        their image states, and the scalars, shape (rows, q).  Under a plan
-        the arrays may be those of a kept walk, which are read-only.
+        their image states, and the scalars, shape (rows, q).
 
         As in ``Engine.apply_word`` the ladder numbers multiply in word
         order and the diagonal values in the order of their keys, so
         the scalars are the per-state engine's to the last bit."""
         if self.exact:
             raise EngineError("an exact batch has no per-row scalars; use exact_images")
-        rows, states, ladder, codes, factors = self._walk(word)
+        rows, change, ladder, codes, factors = self._read(word)
         if not factors:
             values = np.ones((len(rows), len(self.engines)), dtype=complex)
         elif len(factors) == 1:
@@ -932,7 +931,7 @@ class ProbeBatch:
             values = values * ladder[:, None]
             if ladder.dtype == object:
                 values = values.astype(complex)
-        return rows, states, values
+        return rows, self.states[rows] + change, values
 
     def max_abs_images(self, compiled: list):
         """For every (q sample, probe state): the largest coefficient
@@ -971,7 +970,7 @@ class ProbeBatch:
         group is the rows sharing a sorted key-code tuple and so one
         diagonal product."""
         for c, w in compiled:
-            rows, _, ladder, codes, _ = self._walk(w)
+            rows, _, ladder, codes, _ = self._read(w)
             if not len(rows):
                 continue
             groups: dict = {}  # sorted code tuple -> group

@@ -469,6 +469,22 @@ class TestNormalForm:
                 + OperatorExpr.from_word(Raise(2), Raise(3)))
         assert normal_ordered(SIG22, swap) == {}
 
+    def test_mask_follows_from_change(self):
+        # every fermionic step flips the mask over the fermionic modes left
+        # of it, and a mode's steps have the parity of its change, so the
+        # step-by-step mask is the one that normal_form reads off the change
+        words = [(sig, w) for sig in (SIG21, Signature(3, 2), Signature(4, 3), Signature(2, 3))
+                 for kind in ("dyson", "hp", "hp-deformed")
+                 for rel in build_relations(sig)
+                 for _, w in substitute(rel, realization(kind, sig)).terms]
+        for sig, word in words:
+            flips = 0
+            for atom in word:
+                if not isinstance(atom, Diag) and sig.is_fermionic(atom.mode):
+                    flips ^= sum(1 << j for j in range(sig.n - 1, atom.mode - 1))
+            assert normal_form(sig, word).mask == flips, (sig, word)
+        assert len(words) == 2340
+
 
 class TestWordCaches:
     """Repeated application on engines that differ in p or q, zero images,
@@ -657,17 +673,13 @@ class TestProbeBatch:
         words = [(Lower(1),) + suffix, (Raise(1),) + suffix]
         batch = ProbeBatch([eng], [(top, 0), (top, 1), (2, 0)])
         compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
-        batch.plan(compiled)
         images = [batch.exact_images(compiled[0])]
-        assert batch._plan[suffix][1][2].dtype == np.int64
         images.append(batch.exact_images(compiled[1]))
-        assert not batch._plan
         assert [a.dtype for a in images] == [object, np.int64]
         assert [a[:, 0].tolist() for a in images] == [[want, want, 0],
                                                       [top * (top - 1) * (top - 2)] * 2 + [0]]
         batch = ProbeBatch([numeric], [(top, 0)])
         compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
-        batch.plan(compiled)
         for w in words:
             assert batch.apply_word(w)[2][0, 0] == numeric.apply_word(w, (top, 0))[0]
         # the Serre relations of (3,2) at two bosonic occupations near
@@ -743,51 +755,83 @@ class TestProbeBatch:
             assert v == want and scalar_str(v) == scalar_str(want), s
         assert not table.known[0 - table.start]
 
-    @pytest.mark.parametrize("sig", [Signature(3, 2), Signature(4, 2)], ids=str)
-    @pytest.mark.parametrize("kind", ["hp", "dyson"])
-    def test_planned_walks_match_unplanned(self, sig, kind):
-        # every term's walk, formed from kept suffixes, equals the walk an
-        # unplanned batch forms afresh, numeric values to the bit; after the
-        # last relation the planned batch keeps nothing
-        if kind == "hp":
-            engines = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
-        else:
-            engines = [Engine(sig, p=3)]
-        states = probe_states(sig, default_cap(3))
-        planned, fresh = ProbeBatch(engines, states), ProbeBatch(engines, states)
-        real = realization(kind, sig)
-        compiled = [planned.compile(substitute(rel, real)) for rel in build_relations(sig)]
-        planned.plan(compiled)
-        shared = 0
-        for terms in compiled:
-            for _, word in terms:
-                shared += word[1:] in planned._plan
-                got, want = planned._walk(word), fresh._walk(word)
-                for a, b in zip(got[:3], want[:3]):
-                    assert (a is None) == (b is None), word
-                    if a is not None:
-                        assert a.dtype == b.dtype and np.array_equal(a, b), word
-                for part in (3, 4):
-                    assert len(got[part]) == len(want[part]), word
-                    for a, b in zip(got[part], want[part]):
-                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), word
-        assert shared
-        assert not planned._plan and not fresh._plan
+    @pytest.mark.parametrize("eng", [Engine(SIG21),
+                                     Engine(SIG21, convention="monomial", q=10.0, p=3)],
+                             ids=["exact", "numeric"])
+    def test_columns_raise_only_on_live_rows(self, eng):
+        # A column spans rows that a word killed before the factor, where
+        # the per-state engine never evaluates it: q**400 overflows a float
+        # on (1, 0), and 2**21 + 1 leaves the code range there, but Lower(2)
+        # has killed (1, 0) first
+        states = [(1, 0), (0, 1)]
+        for d in (Diag("qpow", Affine(0, 0, (400, 0))), Diag("affine", Affine(1, 0, (2**21, 0)))):
+            word = (d, Lower(2))
+            batch = ProbeBatch([eng], states)
+            compiled = batch.compile(OperatorExpr.from_word(*word))
+            rows, images, coeffs = batch.images(compiled)
+            assert rows.tolist() == [1] and images.tolist() == [[0, 0]]
+            assert coeffs == [eng.apply_word(word, (0, 1))[0]]
+            assert eng.apply_word(word, (1, 0)) is None
+            if batch.exact:
+                assert batch.exact_images(compiled).any(axis=1).tolist() == [False, True]
+        # the ratio is applied first, on the state (0, 0) that it sees
+        word = (Lower(1), Diag("bracket_ratio", affine_mode(SIG21, 1)))
+        batch = ProbeBatch([eng], [(2, 0), (0, 0)])
+        for apply in (lambda: batch.images(batch.compile(OperatorExpr.from_word(*word))),
+                      lambda: eng.apply_word(word, (0, 0))):
+            with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
+                apply()
 
-    def test_kept_walks_are_read_only(self):
-        eng = numeric_engine(SIG21, convention="monomial")
-        word = (Diag("bracket", affine=TOTAL21), Lower(1))
+    @pytest.mark.parametrize("eng", [Engine(SIG21), numeric_engine(SIG21)],
+                             ids=["exact", "numeric"])
+    def test_returned_arrays_are_copies(self, eng):
+        # mutating what a call returns does not reach the batch's columns,
+        # also where a word is one factor live on every row
         batch = ProbeBatch([eng], probe(SIG21))
-        compiled = batch.compile(OperatorExpr.from_word(*word))
-        batch.plan([compiled, compiled])
-        walk = batch._walk(word)
-        rows, states, ladder, (codes,), (values,) = walk
-        for a in (rows, states, ladder, codes, values):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 0
-        assert batch._walk(word) is walk
-        assert not batch._plan
-        assert batch._walk(word) is not batch._walk(word)
+        for word in [(Diag("qpow", TOTAL21),),
+                     (Diag("bracket", affine=TOTAL21), Raise(1), Lower(2), Diag("qpow", TOTAL21))]:
+            compiled = batch.compile(OperatorExpr.from_word(*word))
+            calls = [lambda: batch.images(compiled)]
+            calls.append((lambda: (batch.exact_images(compiled),)) if batch.exact
+                         else (lambda: batch.apply_word(word)))
+            for call in calls:
+                first = call()
+                want = [copy.deepcopy(a) for a in first]
+                for a in first:
+                    if isinstance(a, np.ndarray) and a.size:
+                        a[...] = a.flat[-1] + 7
+                assert all(np.array_equal(a, b) for a, b in zip(call(), want)), word
+
+    def test_second_pass_builds_no_column(self, monkeypatch):
+        # every start-state factor is built once per batch: applying every
+        # relation again reads only kept columns
+        calls = 0
+        diag = ProbeBatch._diag
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return diag(*args, **kwargs)
+
+        monkeypatch.setattr(ProbeBatch, "_diag", counted)
+        sig = Signature(3, 2)
+        states = probe_states(sig, 5)
+        hp = ProbeBatch([Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS], states)
+        dyson = ProbeBatch([Engine(sig, p=3)], states)
+        hp_real, dyson_real = realization("hp", sig), realization("dyson", sig)
+        diffs = [substitute(rel, dyson_real) for rel in build_relations(sig)]
+        runs = [(hp.max_abs_images, [hp.compile(substitute(rel, hp_real))
+                                     for rel in build_relations(sig)]),
+                (dyson.exact_images, [dyson.compile(diff) for diff in diffs
+                                      if normal_ordered(sig, diff)])]
+        for method, relations in runs:
+            passes, counts = [], []
+            for _ in range(2):
+                before = calls
+                passes.append([method(compiled) for compiled in relations])
+                counts.append(calls - before)
+            assert counts[0] and not counts[1], counts
+            assert all(np.array_equal(np.asarray(a), np.asarray(b)) for a, b in zip(*passes))
 
     @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
     def test_generator_images_on_no_states(self, sig):
