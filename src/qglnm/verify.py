@@ -5,9 +5,14 @@ Verification is exact for the Dyson realization (formal or integer p) and
 numeric for the Holstein-Primakoff realizations.  A substituted relation
 first goes to normal order (``weyl.normal_ordered``): every word becomes
 a shift times factors taken at the start state, and terms with equal
-shift and factors merge.  A Dyson relation whose merged terms
+shift and factors merge.  The affine stage then expands the integer
+``affine`` factors (the ladder numbers and arguments such as p - N) as
+polynomials in p and the occupations, keeps brackets and the other
+factors opaque, and merges again.  A Dyson relation whose merged terms
 all cancel holds on every state, for formal p and q, so exact
-verification passes it without probing.  Every other relation is checked
+verification passes it without probing: 62 of the 74 relations on (3,2)
+and 142 of 160 on (4,3), leaving the CK4, CK5 and S7-S9 families.  Every
+other relation is checked
 on probe states: all states up to a degree cap plus a deterministic
 sample of higher-degree states.  There a pass is evidence on those
 probes, not a proof for the whole space: the diagonal coefficients are
@@ -96,8 +101,10 @@ def _relation_set(sig: Signature, kind: str, mutation: str | None) -> tuple:
     """Every defining relation of the signature with its substituted
     difference under the realization and whether that difference closes,
     as a tuple of (Relation, OperatorExpr, bool).  A difference closes when
-    its normal-ordered terms cancel (``weyl.normal_ordered`` is empty): it
-    is then the zero operator for formal p and q.  Only exact verification
+    its normal-ordered terms cancel (``weyl.normal_ordered`` is empty,
+    after its merge by key and its affine stage): it is then the zero
+    operator for formal p and q, at every integer p and at q = 1, whatever
+    values the opaque brackets take.  Only exact verification
     reads the flag, and only the Dyson realization is verified exactly, so
     the flag is False for the others.  None of this depends on anything
     else (not on p, q, the convention or the probes), so it is built, and

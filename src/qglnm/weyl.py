@@ -60,10 +60,13 @@ denominator as integer rows, int64 only under an explicit bound and
 Python ints past it.
 
 ``normal_form`` writes the start-state form as one shift times factors
-(monomial convention), and ``normal_ordered`` merges the terms of an
-expression that share a shift and a factor multiset.  An expression whose
-merged terms all cancel is the zero operator for formal p and q, which
-relation verification uses to pass a relation without probing it.
+(monomial convention).  ``normal_ordered`` merges the terms of an
+expression that share a shift and a factor multiset, then expands their
+``affine`` factors as integer polynomials in p and the occupations (with
+N_f**2 = N_f on fermionic modes), keeps the other factors opaque and
+merges again.  An expression whose merged terms all cancel is the zero
+operator for formal p and q, which relation verification uses to pass a
+relation without probing it.
 """
 
 from __future__ import annotations
@@ -352,18 +355,68 @@ def normal_form(sig: Signature, word: Word) -> NormalForm:
     return NormalForm(sign, change, mask, tuple(sorted(factors, key=_diag_order)))
 
 
+def _expand_affine(sig: Signature, factors) -> dict:
+    """The product of ``affine`` factors as an integer polynomial in p and
+    the occupations: {(power of p, exponent of N_1, ..., of N_b): coefficient},
+    with N_f**2 = N_f on every fermionic mode f."""
+    fermionic = [False] + [sig.is_fermionic(i) for i in range(1, sig.num_modes + 1)]
+    poly = {(0,) * len(fermionic): 1}
+    for d in factors:
+        aff = d.affine
+        # the factor's nonconstant terms: p (index 0) and N_i (index i)
+        linear = [(j, c) for j, c in enumerate((aff.p_coeff, *aff.mode_coeffs)) if c]
+        out: dict = {}
+        for mono, v in poly.items():
+            if aff.const:
+                out[mono] = out.get(mono, 0) + v * aff.const
+            for j, c in linear:
+                bump = not (fermionic[j] and mono[j])
+                mono_j = mono[:j] + (mono[j] + 1,) + mono[j + 1 :] if bump else mono
+                out[mono_j] = out.get(mono_j, 0) + v * c
+        poly = {mono: v for mono, v in out.items() if v}
+    return poly
+
+
 def normal_ordered(sig: Signature, expr: OperatorExpr) -> dict:
-    """An expression merged in normal form: {``NormalForm.key``: the sum of
-    its terms' signed scalars}, with every key whose sum is zero left out.
-    An empty result means the expression is the zero operator for formal
-    p and q, hence also at every integer p and q = 1."""
+    """An expression merged in normal form, in two stages.
+
+    The merge by key sums the signed scalars of the terms that share a
+    ``NormalForm.key``.  The affine stage then expands each merged term's
+    ``affine`` factors (the ladder factors and arguments such as p - N) as
+    an integer polynomial in p and the occupations, with N_f**2 = N_f on
+    fermionic modes, folds the powers of p into the scalar and keeps every
+    other factor opaque.  The result is {(change, opaque factors, exponents
+    of N_1..N_b): scalar}, with every key whose sum is zero left out; it is
+    the same whatever order the factors expand in.
+
+    An empty result means the expression is the zero operator for formal p
+    and q, hence also at every integer p and q = 1: the cancellation holds
+    for any values of the opaque factors, and on a start state where a
+    term's word dies, one of its ladder factors is 0, so the term's
+    expanded product is 0 there whatever finite value a singular factor
+    (a bracket ratio at 0) is given."""
     merged: dict = {}
     for c, w in expr.terms:
         nf = normal_form(sig, w)
         c = c if nf.sign == 1 else -c
         acc = merged.get(nf.key)
         merged[nf.key] = c if acc is None else acc + c
-    return {key: c for key, c in merged.items() if not c.is_zero()}
+    expanded: dict = {}
+    for (change, factors), c in merged.items():
+        if c.is_zero():
+            continue
+        opaque = tuple(d for d in factors if d.kind != "affine")
+        # per occupation monomial, its polynomial in p
+        by_occupation: dict = {}
+        for (p_pow, *exponents), v in _expand_affine(
+                sig, [d for d in factors if d.kind == "affine"]).items():
+            by_occupation.setdefault(tuple(exponents), {})[0, 0, p_pow] = v
+        for exponents, in_p in by_occupation.items():
+            term = c * CoeffExact(LaurentPoly(in_p))
+            key = change, opaque, exponents
+            acc = expanded.get(key)
+            expanded[key] = term if acc is None else acc + term
+    return {key: c for key, c in expanded.items() if not c.is_zero()}
 
 
 def super_commutator(

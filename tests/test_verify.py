@@ -214,6 +214,7 @@ class TestReportFormats:
 
 
 SIG32 = Signature(3, 2)
+SIG43 = Signature(4, 3)
 
 
 def fresh_rows(**kwargs) -> str:
@@ -320,20 +321,43 @@ class TestClosedRelations:
                 call = dict(sig=Signature(n, m), kind="dyson", p=p, cap=4, mutation=mutation)
                 assert rows_or_error(**call) == probe_all(**call), call
 
+    @pytest.mark.parametrize("n, m", [(2, 0), (2, 1), (3, 1), (2, 2), (3, 2), (4, 3)])
+    def test_classical_reports_match_probing_every_relation(self, n, m, probe_all):
+        # a closed relation is zero at q = 1 too
+        for p in (None, 0, 2, 5):
+            for mutation in (None, *MUTATIONS):
+                call = dict(sig=Signature(n, m), kind="dyson", p=p, cap=4, mutation=mutation,
+                            classical=True)
+                assert rows_or_error(**call) == probe_all(**call), call
+
+    # the relations each mutation breaks at some p, on (3,2) and (4,3)
+    FAILING = {
+        "drop_bracket_ratio": ({"CK3[i=2,j=3]", "CK4[i=2]", "S7e[i=2]", "S9e"},
+                               {"CK3[i=2,j=3]", "CK4[i=2]", "S7e[i=2]", "S8e[i=2]"}),
+        "flip_fermion_sign": ({"CK5"}, {"CK5"}),
+        "shift_e1_bracket": ({"CK4[i=1]"}, {"CK4[i=1]"}),
+    }
+
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_no_failing_relation_is_closed(self, mutation, probe_all):
-        closed = {rel.name for rel, _, shut in _relation_set(SIG32, "dyson", mutation) if shut}
-        failing = set()
-        for p in (None, 0, 1, 2, 5):
-            rows = probe_all(sig=SIG32, kind="dyson", p=p, cap=4, mutation=mutation)
-            failing |= {ln.split("\t")[0] for ln in rows.splitlines() if "\tfail\t" in ln}
-        assert failing and closed and not failing & closed
+        for sig, want in zip((SIG32, SIG43), self.FAILING[mutation]):
+            closed = {rel.name for rel, _, shut in _relation_set(sig, "dyson", mutation) if shut}
+            failing = set()
+            for p in (None, 0, 1, 2, 5):
+                rows = probe_all(sig=sig, kind="dyson", p=p, cap=4, mutation=mutation)
+                failing |= {ln.split("\t")[0] for ln in rows.splitlines() if "\tfail\t" in ln}
+            assert failing == want, sig
+            assert closed and not failing & closed, sig
 
     def test_closed_counts(self):
-        # Dyson relations that cancel by key alone, out of all relations
-        for sig, want in ((SIG21, (6, 20)), (SIG32, (40, 74)), (Signature(4, 3), (106, 160))):
+        # Dyson relations that cancel in normal order, out of all relations
+        for sig, want in ((SIG21, (16, 20)), (SIG32, (62, 74)), (SIG43, (142, 160))):
             flags = [shut for *_, shut in _relation_set(sig, "dyson", None)]
             assert (sum(flags), len(flags)) == want
+        # what stays open on (3,2): the CK4, CK5 and S7-S9 families
+        assert [rel.name for rel, _, shut in _relation_set(SIG32, "dyson", None) if not shut] == [
+            "CK4[i=1]", "CK4[i=2]", "CK4[i=4]", "CK5", "S7e[i=1]", "S7e[i=2]", "S8e[i=1]", "S9e",
+            "S7f[i=1]", "S7f[i=2]", "S8f[i=1]", "S9f"]
 
     def test_numeric_batch_probes_closed_relations(self):
         # a numeric batch reports every relation's probed residual

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import pickle
@@ -29,6 +30,7 @@ from qglnm.weyl import (
     OperatorExpr,
     ProbeBatch,
     Raise,
+    _expand_affine,
     affine_mode,
     normal_form,
     normal_ordered,
@@ -462,12 +464,75 @@ class TestNormalForm:
         same = OperatorExpr.from_word(n1, Raise(1)) - OperatorExpr.from_word(
             Raise(1), Diag("affine", affine_mode(SIG21, 1).shift(1)))
         assert normal_ordered(SIG21, same) == {}
+        # N_1 A_1^+ - A_1^+ N_1 has two keys, and the affine stage takes
+        # (N_1 + 1) - N_1 to the single term A_1^+
         differ = OperatorExpr.from_word(n1, Raise(1)) - OperatorExpr.from_word(Raise(1), n1)
-        assert len(normal_ordered(SIG21, differ)) == 2
+        assert normal_ordered(SIG21, differ) == {((1, 0), (), (0, 0)): CoeffExact.one()}
+        assert normal_ordered(SIG21, differ - OperatorExpr.from_word(Raise(1))) == {}
         # the fermionic sign merges in: A_3^+ and A_2^+ anticommute
         swap = (OperatorExpr.from_word(Raise(3), Raise(2))
                 + OperatorExpr.from_word(Raise(2), Raise(3)))
         assert normal_ordered(SIG22, swap) == {}
+
+    def test_fermionic_square_is_the_number(self):
+        # N_f N_f - N_f closes on a fermionic mode, not on a bosonic one
+        for mode, closes in ((2, True), (1, False)):
+            n = Diag("affine", affine_mode(SIG21, mode))
+            expr = OperatorExpr.from_word(n, n) - OperatorExpr.from_word(n)
+            assert (normal_ordered(SIG21, expr) == {}) == closes, mode
+
+    def test_p_folds_into_the_scalar(self):
+        # (p - N_1) A_1^- cancels against its parts p A_1^- and N_1 A_1^-
+        n1 = Diag("affine", affine_mode(SIG21, 1))
+        p_minus = OperatorExpr.from_word(Diag("affine", Affine(0, 1, (-1, 0))), Lower(1))
+        parts = (OperatorExpr.from_word(Diag("affine", Affine(0, 1)), Lower(1))
+                 - OperatorExpr.from_word(n1, Lower(1)))
+        assert normal_ordered(SIG21, p_minus - parts) == {}
+        # (p - N_1) A_1^- + N_1 A_1^- is N_1 (p - N_1 + 1) + N_1 (N_1 - 1) = p N_1
+        # at the start state, with p in the scalar
+        assert normal_ordered(SIG21, p_minus + OperatorExpr.from_word(n1, Lower(1))) == {
+            ((-1, 0), (), (1, 0)): CoeffExact(LaurentPoly.monomial(p_pow=1))}
+
+    def test_opaque_bracket_identity_stays_open(self):
+        # [N_1 + 1] = q [N_1] + q**-N_1 holds, but brackets are opaque to
+        # the affine stage: it is sound, not complete
+        q = CoeffExact(LaurentPoly.monomial(q_exp=1))
+        expr = (OperatorExpr.from_word(Diag("bracket", affine_mode(SIG21, 1).shift(1)))
+                - OperatorExpr.from_word(Diag("bracket", affine_mode(SIG21, 1)), scalar=q)
+                - OperatorExpr.from_word(Diag("qpow", affine_mode(SIG21, 1, -1))))
+        assert len(normal_ordered(SIG21, expr)) == 3
+        expect_zero(exact_engine(SIG21), expr, probe(SIG21))
+
+    def test_singular_ratio_on_a_dead_term_closes(self):
+        # ratio(N_1 + 1) A_1^- (N_1 + 1) - ratio(N_1 + 1) A_1^- N_1 - ratio(N_1 + 1) A_1^-
+        # expands to N_1 (N_1 + 1 - N_1 - 1) [N_1] / N_1: it closes with no
+        # value formed, though on the vacuum the ratio's argument is 0
+        ratio = Diag("bracket_ratio", affine_mode(SIG21, 1).shift(1))
+        n1 = affine_mode(SIG21, 1)
+        expr = (OperatorExpr.from_word(ratio, Lower(1), Diag("affine", n1.shift(1)))
+                - OperatorExpr.from_word(ratio, Lower(1), Diag("affine", n1))
+                - OperatorExpr.from_word(ratio, Lower(1)))
+        assert normal_ordered(SIG21, expr) == {}
+        eng = exact_engine(SIG21)
+        with pytest.raises(ZeroDivisionError):
+            eng.eval_diag(Diag("bracket_ratio", n1), (0, 0))
+        expect_zero(eng, expr, probe(SIG21))
+
+    def test_expansion_order_does_not_matter(self):
+        # the affine factors of every Dyson (3,2) relation term, and a set
+        # mixing p, a boson and a fermion, expand alike in every order
+        sig = Signature(3, 2)
+        real = realization("dyson", sig)
+        sets = {tuple(d for d in normal_form(sig, w).factors if d.kind == "affine")
+                for rel in build_relations(sig) for _, w in substitute(rel, real).terms}
+        sets.add((Diag("affine", Affine(1, 1, (0, -1, 1, 0))),
+                  Diag("affine", Affine(0, 0, (2, 0, 1, -1))),
+                  Diag("affine", affine_mode(sig, 3)), Diag("affine", affine_mode(sig, 4))))
+        for factors in sets:
+            want = _expand_affine(sig, factors)
+            for order in itertools.islice(itertools.permutations(factors), 1, 24):
+                assert _expand_affine(sig, order) == want, factors
+        assert max(map(len, sets)) >= 4
 
     def test_mask_follows_from_change(self):
         # every fermionic step flips the mask over the fermionic modes left
