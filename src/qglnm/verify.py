@@ -30,10 +30,10 @@ The substituted relations, and whether each closes in normal order,
 depend only on the signature, the realization and the mutation, so they
 are built once per process for each such key and kept (a bounded memo of
 ``RELATION_SETS`` keys) for later calls.
-Each call compiles every relation before probing any, specializing each
-distinct term scalar once.  The batch reads every word at its start
-state and builds each factor the relation terms share once, as a column
-over the probe states.  Numeric probing raises on a float overflow
+Each call compiles a relation only when it probes it, specializing each
+distinct term scalar once per batch.  The batch reads every word at its
+start state and builds each factor the relation terms share once, as a
+column over the probe states.  Numeric probing raises on a float overflow
 instead of reporting an inf or nan residual.
 
 Each substituted difference is audited for weight homogeneity: all of
@@ -257,9 +257,9 @@ def verify_all(
     q may be None (formal; exact Dyson verification), a number, or a list
     of sample values.  The relations are substituted and normal-ordered
     once per process per (signature, realization, mutation) and reused by
-    later calls.  Every relation is compiled up front.  In exact mode a
-    relation whose normal-ordered terms cancel holds on every state, for
-    formal p and q, and passes unprobed; every other relation passes only
+    later calls.  In exact mode a relation whose normal-ordered terms
+    cancel holds on every state, for formal p and q, and passes unprobed
+    and uncompiled; every other relation is compiled and passes only
     if every probe coefficient is the exact zero.  In numeric mode every
     relation is probed, and the largest coefficient magnitude over (state,
     q sample) must stay within the tolerance.  All relations share one
@@ -283,15 +283,14 @@ def verify_all(
     # bracket products, so the meaningful numeric measure there is the
     # residual relative to the size of the individual term images.
     above_cap = np.array([sum(s) > cap for s in states])
-    compiled = [batch.compile(diff) for _, diff, _ in relations]
     # A closed relation is exactly zero on every state, so an exact batch
-    # does not probe it.  A numeric one does, and reports its rounding.
-    probed = [not (batch.exact and closed) for *_, closed in relations]
+    # neither compiles nor probes it.  A numeric one does, and reports its
+    # rounding.
     with float_errors_raise():
-        results = [RelationResult(rel.name, "exact-pass") if not probe
-                   else _exact_result(rel.name, batch, terms) if batch.exact
-                   else _numeric_result(rel.name, batch, terms, above_cap, tolerance)
-                   for (rel, *_), terms, probe in zip(relations, compiled, probed)]
+        results = [RelationResult(rel.name, "exact-pass") if batch.exact and closed
+                   else _exact_result(rel.name, batch, batch.compile(diff)) if batch.exact
+                   else _numeric_result(rel.name, batch, batch.compile(diff), above_cap, tolerance)
+                   for rel, diff, closed in relations]
     meta = {
         "realization": kind,
         "n": sig.n,

@@ -51,13 +51,13 @@ that keeps the running occupation offset, so each of its items (a
 diagonal factor or a ladder step) is a function of the start state: a
 batch builds each distinct item once, as a column over all probe states.
 A diagonal factor is named by an int64 key code, which holds arguments
-below 2**20 in magnitude, and its values come from per-batch tables
-indexed by the argument.  Numeric scalars are formed from the same
-factors in the same order as above, over a second axis of q samples, so
-they equal the per-state engine's.  Exact ones are formed once per
-distinct diagonal product; verification brings them over one common
-denominator as integer rows, int64 only under an explicit bound and
-Python ints past it.
+below 2**20 in magnitude, and each distinct key's value is built once per
+batch and kept in one memo by its code.  Numeric scalars are formed from
+the same factors in the same order as above, over a second axis of q
+samples, so they equal the per-state engine's.  Exact ones are formed
+once per distinct diagonal product; verification brings them over one
+common denominator as integer rows, int64 only under an explicit bound
+and Python ints past it.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -72,6 +72,7 @@ relation without probing it.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
@@ -143,12 +144,15 @@ class EngineError(ValueError):
 #                 place it on bosonic modes only
 #   sqrt_bracket  sqrt([x]), numeric only
 #   qpow          q ** x
-# A diagonal key (kind, occupation part, p coefficient) packed into one
-# int64 that orders like the tuple, for both parts below 2**20 in
-# magnitude (``ProbeBatch._diag`` raises past that).
 _KIND_RANK = {kind: rank for rank, kind in enumerate(
     sorted(("affine", "bracket", "bracket_ratio", "angle", "sqrt_bracket", "qpow")))}
 _CODE_BIAS = 1 << 20
+
+
+def _key_code(kind: str, v: int, pc: int) -> int:
+    """A diagonal key (kind, occupation part v, p coefficient pc) packed into
+    one int64 that orders like the tuple, for v and pc in [-2**20, 2**20)."""
+    return (_KIND_RANK[kind] << 42) + ((v + _CODE_BIAS) << 21) + pc + _CODE_BIAS
 
 
 @dataclass(frozen=True)
@@ -704,38 +708,6 @@ def float_errors_raise():
     return np.errstate(over="raise", invalid="raise")
 
 
-class _DiagTable:
-    """The diagonal values of one kind and p coefficient over a range of
-    integer arguments starting at ``start``: per argument, whether it is
-    known yet, whether its value is nonzero, and its values over the q
-    samples (numeric batches only; exact values live by key code in
-    ``ProbeBatch._values``).  An argument becomes known only once its value
-    was built without raising."""
-
-    def __init__(self, lo: int, hi: int, samples: int | None):
-        self.start = lo
-        self.known = np.zeros(hi + 1 - lo, dtype=bool)
-        self.nonzero = np.zeros(hi + 1 - lo, dtype=bool)
-        self.values = None if samples is None else np.zeros((hi + 1 - lo, samples), dtype=complex)
-
-    def cover(self, lo: int, hi: int):
-        """Grow the range, in either direction, to hold lo..hi."""
-        end = self.start + len(self.known)
-        if lo < self.start or hi >= end:
-            start, end = min(self.start, lo), max(end, hi + 1)
-            at = self.start - start
-
-            def grown(a):
-                out = np.zeros((end - start, *a.shape[1:]), dtype=a.dtype)
-                out[at : at + len(a)] = a
-                return out
-
-            self.known, self.nonzero = grown(self.known), grown(self.nonzero)
-            if self.values is not None:
-                self.values = grown(self.values)
-            self.start = start
-
-
 class ProbeBatch:
     """Engines applied to a fixed list of probe states at once: numeric
     engines, one per q sample, or a single exact engine.
@@ -750,19 +722,15 @@ class ProbeBatch:
     numbers of ``Engine._ladder``, for a diagonal factor a live mask, key
     codes and, numerically, values.  A word's live rows are the AND of its
     masks, and what it yields is gathered at those rows, so no returned
-    array shares memory with a column.  A column covers rows the word has
-    already killed, where the per-state engine never reads the item: a
-    bracket ratio or angle column leaves out the rows whose argument is 0
-    and raises only when one of them is live, and a column that raises
-    while it is built is built again over the word's live rows alone.
+    array shares memory with a column.
 
-    A diagonal factor's values are read from one table per kind and p
-    coefficient, which holds, per argument seen, whether it is known,
-    whether its value is nonzero and, numerically, its values over the q
-    samples, formed by the engines' own scalar methods.  A factor's per-row
-    code orders like its key in ``Engine._diag_key``: it packs the kind,
-    the argument and the p coefficient into one int64, so both must lie
-    below 2**20 in magnitude; a larger one raises ``EngineError``.
+    A factor's per-row code packs its key (``Engine._diag_key``) into one
+    int64 that orders like it, for an argument and p coefficient below
+    2**20 in magnitude; each distinct key's value is formed once per batch
+    and kept in one memo by its code.  A column covers rows the word has
+    already killed, so a row whose argument is out of the code range or
+    whose value raises fails: it counts as dead, and a word raises only
+    where a failing row is live (``_raise_failing``).
 
     Numeric scalars are multiplied per row, in the per-state engine's
     order, so they are its floats to the last bit.  Exact scalars are not
@@ -796,9 +764,7 @@ class ProbeBatch:
         self._all_rows = np.ones(len(self.states), dtype=bool)
         # start-state item (a ``Step`` or a ``Diag``) -> its column
         self._columns: dict = {}
-        # (kind, p coefficient) -> _DiagTable
-        self._tables: dict = {}
-        # key code -> exact value
+        # key code -> its exact value, or its values over the q samples
         self._values: dict = {}
         # sorted tuple of key codes -> product of their exact values
         self._products: dict = {}
@@ -842,92 +808,94 @@ class ProbeBatch:
         self._scalars[key] = value
         return value
 
-    def _diag(self, d: Diag, args: np.ndarray, skip=None):
-        """A diagonal factor over every probe row, given its argument per
-        row: (key codes, values of shape (rows, q) or None when exact, live
-        mask or None when no row dies).  Rows in the mask ``skip`` (not all)
-        count as dead and are not evaluated; of the others, only arguments
-        met for the first time are, in ascending order."""
-        if skip is not None:
-            args = np.where(skip, args[~skip][0], args)
-        kind, pc = d.kind, d.affine.p_coeff
-        lo, hi = int(args.min()), int(args.max())
-        if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
-            raise EngineError(f"{kind} key out of the code range [-2**20, 2**20)")
-        table = self._tables.get((kind, pc))
-        if table is None:
-            samples = None if self.exact else len(self.engines)
-            table = self._tables[kind, pc] = _DiagTable(lo, hi, samples)
-        else:
-            table.cover(lo, hi)
-        base = (_KIND_RANK[kind] << 42) + pc + _CODE_BIAS
-        at = args - table.start
-        known = table.known[at]
-        if not known.all():
-            for v in sorted(set(args[~known].tolist())):
-                if self.exact:
-                    value = getattr(self.engines[0].scalars, kind)(v, pc)
-                    self._values[base + ((v + _CODE_BIAS) << 21)] = value
-                    nonzero = not value.is_zero()
-                else:
-                    value = [getattr(e.scalars, kind)(v, pc) for e in self.engines]
-                    table.values[v - table.start] = value
-                    nonzero = any(value)
-                table.nonzero[v - table.start] = nonzero
-                table.known[v - table.start] = True
-        codes = base + ((args + _CODE_BIAS) << 21)
-        live = table.nonzero[at]
-        if skip is not None:
-            live &= ~skip
-        return codes, None if self.exact else table.values[at], None if live.all() else live
-
-    def _diag_column(self, d: Diag, live: np.ndarray):
-        """A diagonal factor's column for a word whose rows ``live`` are
-        live before it: ``_diag``'s triple and the mask of the rows where
-        the factor is singular, or None.  Only a full column is kept."""
-        column = self._columns.get(d)
-        if column is not None and (column[3] is None or not (column[3] & live).any()):
-            return column
+    def _args(self, d: Diag) -> np.ndarray:
+        """A diagonal factor's argument, less its p part, on every probe state."""
         coeffs = np.array(d.affine.mode_coeffs, dtype=np.int64)
-        args = d.affine.const + self.states[:, : len(coeffs)] @ coeffs
-        zero = args == 0 if d.kind in ("bracket_ratio", "angle") else None
-        zero = zero if zero is not None and zero.any() else None
-        if zero is None or not (zero & live).any():
-            try:
-                column = self._columns[d] = (*self._diag(d, args, zero), zero)
-                return column
-            except (ArithmeticError, EngineError):
-                pass
-        # a live row is singular or some row does not build: read the live
-        # rows alone, which raises only as the engine does
-        return *self._diag(d, args, ~live), None
+        return d.affine.const + self.states[:, : len(coeffs)] @ coeffs
+
+    def _value(self, kind: str, v: int, pc: int):
+        """A diagonal key's value by the engines' scalar methods: exact, or over q."""
+        values = [getattr(e.scalars, kind)(v, pc) for e in self.engines]
+        return values[0] if self.exact else np.array(values, dtype=complex)
+
+    def _diag_column(self, d: Diag):
+        """Build and keep a diagonal factor's column over every probe row:
+        (key codes, values (rows, q) or None when exact, live mask or None
+        when no row dies, failing mask or None when no row fails).  Each
+        distinct argument is read from the memo or built, in ascending order;
+        one out of the code range, or whose build raises, is not kept."""
+        kind, pc = d.kind, d.affine.p_coeff
+        args = self._args(d)
+        lo, hi = int(args.min()), int(args.max())
+        inside = None  # or the mask of the rows inside the code range
+        if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
+            inside = (-_CODE_BIAS <= args) & (args < _CODE_BIAS) & (-_CODE_BIAS <= pc < _CODE_BIAS)
+            lo = int(args[inside].min(initial=0))
+            args = np.where(inside, args, lo)
+        at = args - lo
+        seen = np.bincount(at if inside is None else at[inside], minlength=1) > 0
+        # entry 0 stands for the rows out of the code range, entry j > 0 for
+        # the j-th distinct argument; a failing one has no value
+        base = _key_code(kind, lo, pc)
+        values = [None]
+        for k in seen.nonzero()[0].tolist():
+            value = self._values.get(base + (k << 21))
+            if value is None:
+                with contextlib.suppress(ArithmeticError, ValueError):
+                    value = self._values[base + (k << 21)] = self._value(kind, lo + k, pc)
+            values.append(value)
+        entry = seen.cumsum()[at]
+        if inside is not None:
+            entry[~inside] = 0
+        fails = [v is None for v in values]
+        failing = np.array(fails)[entry] if inside is not None or True in fails[1:] else None
+        if self.exact:
+            nonzero = np.array([v is not None and not v.is_zero() for v in values])
+            values = None
+        else:
+            zero = np.zeros(len(self.engines))
+            table = np.array([zero if v is None else v for v in values], dtype=complex)
+            nonzero = table.any(axis=1)
+            values = table[entry]
+        live = nonzero[entry]
+        self._columns[d] = base + (at << 21), values, None if live.all() else live, failing
+        return self._columns[d]
+
+    def _raise_failing(self, d: Diag, rows: np.ndarray):
+        """Raise for the failing rows ``rows`` of a factor's column: the code
+        range error if an argument there, or the p coefficient, lies outside
+        it, else the scalar method's own error, building the smallest again."""
+        args = self._args(d)[rows]
+        lo, hi, pc = int(args.min()), int(args.max()), d.affine.p_coeff
+        if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
+            raise EngineError(f"{d.kind} key out of the code range [-2**20, 2**20)")
+        self._value(d.kind, lo, pc)
 
     def _ladder_column(self, step: Step):
-        """A ladder step's column: (live mask or None when no row dies,
-        per-row plain number of ``Engine._ladder`` or None when it is 1)."""
-        column = self._columns.get(step)
-        if column is None:
-            i = step.mode - 1
-            occupation = self.states[:, i] + step.offset
-            if self.sig.is_fermionic(step.mode):
-                # raising needs an empty mode, lowering a filled one; the sign
-                # counts the occupied fermionic modes strictly left of i
-                left = self.states[:, self.sig.n - 1 : i].sum(axis=1) + step.parity
-                column = occupation == step.lower, 1 - 2 * (left % 2)
-            elif self.convention == "orthonormal":
-                # a row that died earlier may meet a negative occupation here
-                k = occupation if step.lower else occupation + 1
-                column = (occupation > 0 if step.lower else None), np.sqrt(np.maximum(k, 0))
-            else:
-                column = (occupation > 0, occupation) if step.lower else (None, None)
-            self._columns[step] = column
+        """Build and keep a ladder step's column: (live mask or None when no
+        row dies, per-row plain number of ``Engine._ladder`` or None if 1)."""
+        i = step.mode - 1
+        occupation = self.states[:, i] + step.offset
+        if self.sig.is_fermionic(step.mode):
+            # raising needs an empty mode, lowering a filled one; the sign
+            # counts the occupied fermionic modes strictly left of i
+            left = self.states[:, self.sig.n - 1 : i].sum(axis=1) + step.parity
+            column = occupation == step.lower, 1 - 2 * (left % 2)
+        elif self.convention == "orthonormal":
+            # a row that died earlier may meet a negative occupation here
+            k = occupation if step.lower else occupation + 1
+            column = (occupation > 0 if step.lower else None), np.sqrt(np.maximum(k, 0))
+        else:
+            column = (occupation > 0, occupation) if step.lower else (None, None)
+        self._columns[step] = column
         return column
 
     def _read(self, word: Word):
         """A word over every probe state: (live rows, net change, ladder
         number per row or None when it is 1, and per diagonal factor the
         key codes and, numerically, values per row), gathered at the live
-        rows from the columns of the word's start-state items."""
+        rows from the columns of the word's start-state items, or raised
+        where a factor's failing row is live."""
         items, change = start_form(self.sig, word)
         live = self._all_rows
         numbers, codes, factors = [], [], []
@@ -936,12 +904,14 @@ class ProbeBatch:
             if not live.any():
                 break
             if isinstance(item, Diag):
-                code, value, mask, _ = self._diag_column(item, live)
+                code, value, mask, failing = self._columns.get(item) or self._diag_column(item)
+                if failing is not None and (failing & live).any():
+                    self._raise_failing(item, failing & live)
                 codes.append(code)
                 if value is not None:
                     factors.append(value)
             else:
-                mask, number = self._ladder_column(item)
+                mask, number = self._columns.get(item) or self._ladder_column(item)
                 lowerings += item.lower
                 if number is not None:
                     numbers.append(number)

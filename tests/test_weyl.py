@@ -31,6 +31,7 @@ from qglnm.weyl import (
     ProbeBatch,
     Raise,
     _expand_affine,
+    _key_code,
     affine_mode,
     normal_form,
     normal_ordered,
@@ -794,31 +795,31 @@ class TestProbeBatch:
             for s, v in zip(batch.states.tolist(), coeffs):
                 want = eng.apply_word(word, tuple(s))[0]
                 assert v == want and scalar_str(v) == scalar_str(want), (shift, s)
-        table = batch._tables["bracket", 0]
-        assert table.start == -3
-        assert table.known.tolist() == [v != 0 for v in range(-3, 8)]
-        assert table.nonzero[table.known].all()
+        # one memo entry per argument met
+        assert set(batch._values) == {_key_code("bracket", v, 0) for v in range(-3, 8) if v}
 
     @pytest.mark.parametrize("eng", [exact_engine(SIG21), numeric_engine(SIG21)],
                              ids=["exact", "numeric"])
     def test_zero_division_leaves_table_usable(self, eng):
-        # N_1 - 2 over N_1 in {0, 2, 3}: -2 is evaluated before 0 raises, and
-        # 1 is not reached
+        # N_1 - 2 over N_1 in {0, 2, 3}: the column is built whole, so -2 and
+        # 1 are kept before 0 raises, and the failing 0 never is
         batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 1)])
         ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(-2))
-        table = None
+
+        def kept():
+            return [_key_code("bracket_ratio", v, 0) in batch._values for v in (-2, 0, 1)]
+
         for _ in range(2):
             with pytest.raises(ZeroDivisionError, match="bracket ratio evaluated at argument 0"):
                 batch.images(batch.compile(OperatorExpr.from_word(ratio)))
-            table = batch._tables["bracket_ratio", 0]
-            assert [table.known[v - table.start] for v in (-2, 0, 1)] == [True, False, False]
+            assert kept() == [True, False, True]
         word = (ratio, Raise(1))  # the arguments -1, 1 and 2
         rows, _, coeffs = batch.images(batch.compile(OperatorExpr.from_word(*word)))
         assert rows.tolist() == [0, 1, 2]
         for s, v in zip(batch.states.tolist(), coeffs):
             want = eng.apply_word(word, tuple(s))[0]
             assert v == want and scalar_str(v) == scalar_str(want), s
-        assert not table.known[0 - table.start]
+        assert kept() == [True, False, True]
 
     @pytest.mark.parametrize("eng", [Engine(SIG21),
                                      Engine(SIG21, convention="monomial", q=10.0, p=3)],
@@ -846,6 +847,15 @@ class TestProbeBatch:
                       lambda: eng.apply_word(word, (0, 0))):
             with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
                 apply()
+        # among live failing rows, an argument out of the code range raises
+        # first (2**20 over the singular 0), else the smallest failing one
+        for ratio, states, error, match in [
+                (Affine(0, 0, (2**20, 0)), [(0, 0), (1, 0)], EngineError, "code range"),
+                (affine_mode(SIG21, 1).shift(-2), [(0, 0), (2, 0), (3, 1)], ZeroDivisionError,
+                 "^bracket ratio evaluated at argument 0$")]:
+            batch = ProbeBatch([eng], states)
+            with pytest.raises(error, match=match):
+                batch.images(batch.compile(OperatorExpr.from_word(Diag("bracket_ratio", ratio))))
 
     @pytest.mark.parametrize("eng", [Engine(SIG21), numeric_engine(SIG21)],
                              ids=["exact", "numeric"])
@@ -869,16 +879,18 @@ class TestProbeBatch:
 
     def test_second_pass_builds_no_column(self, monkeypatch):
         # every start-state factor is built once per batch: applying every
-        # relation again reads only kept columns
+        # relation again reads only kept columns, also a column that fails
+        # on a row its word has killed (q**400 overflows at q = 10, and
+        # 2**21 + 1 leaves the code range, on (1, 0))
         calls = 0
-        diag = ProbeBatch._diag
+        diag = ProbeBatch._diag_column
 
         def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
             return diag(*args, **kwargs)
 
-        monkeypatch.setattr(ProbeBatch, "_diag", counted)
+        monkeypatch.setattr(ProbeBatch, "_diag_column", counted)
         sig = Signature(3, 2)
         states = probe_states(sig, 5)
         hp = ProbeBatch([Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS], states)
@@ -889,6 +901,13 @@ class TestProbeBatch:
                                      for rel in build_relations(sig)]),
                 (dyson.exact_images, [dyson.compile(diff) for diff in diffs
                                       if normal_ordered(sig, diff)])]
+        dead = [(Diag("qpow", Affine(0, 0, (400, 0))), Lower(2)),
+                (Diag("affine", Affine(1, 0, (2**21, 0))), Lower(2))]
+        for eng, words in [(Engine(SIG21, convention="monomial", q=10.0, p=3), dead),
+                           (Engine(SIG21), dead[1:])]:
+            batch = ProbeBatch([eng], [(1, 0), (0, 1)])
+            method = batch.exact_images if batch.exact else batch.max_abs_images
+            runs.append((method, [batch.compile(OperatorExpr.from_word(*w)) for w in words]))
         for method, relations in runs:
             passes, counts = [], []
             for _ in range(2):
