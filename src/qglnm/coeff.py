@@ -400,17 +400,17 @@ def bracket_int(k: int) -> CoeffExact:
 def bracket_affine(c0: int, cp: int, p_value: int | None = None) -> CoeffExact:
     """The q-bracket [c0 + cp*p].
 
-    With cp = 0 this is an integer bracket.  With cp = 1 and formal p the
-    result is (P*q**c0 - P**(-1)*q**(-c0)) / (q - q**(-1)), already reduced.
-    Passing an integer ``p_value`` substitutes it and reduces to an integer
-    bracket.
+    With cp = 0 this is an integer bracket.  Passing an integer
+    ``p_value`` substitutes it, for any cp, and reduces to the integer
+    bracket [c0 + cp*p_value].  With formal p, cp must be 1, and the result
+    is (P*q**c0 - P**(-1)*q**(-c0)) / (q - q**(-1)), already reduced.
     """
-    if cp not in (0, 1):
-        raise ValueError("p coefficient must be 0 or 1")
     if cp == 0:
         return bracket_int(c0)
     if p_value is not None:
-        return bracket_int(c0 + p_value)
+        return bracket_int(c0 + cp * p_value)
+    if cp != 1:
+        raise ValueError("p coefficient must be 0 or 1 for a formal p")
     return _coeff(_poly({(c0, 1, 0): 1, (-c0, -1, 0): -1}, 1), 1)
 
 

@@ -31,10 +31,13 @@ depend only on the signature, the realization and the mutation, so they
 are built once per process for each such key and kept (a bounded memo of
 ``RELATION_SETS`` keys) for later calls.
 Each call compiles a relation only when it probes it, specializing each
-distinct term scalar once per batch.  The batch reads every word at its
-start state and builds each factor the relation terms share once, as a
-column over the probe states.  Numeric probing raises on a float overflow
-instead of reporting an inf or nan residual.
+distinct term scalar once per process per scalar domain (exact p and
+classical, or numeric q and p, per engine; ``weyl.domain_memo``), which
+also keeps the diagonal values and exact products for later calls.  The
+batch reads every word at its start state and builds each factor the
+relation terms share once, as a column over the probe states.  Numeric
+probing raises on a float overflow instead of reporting an inf or nan
+residual.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
@@ -263,8 +266,10 @@ def verify_all(
     if every probe coefficient is the exact zero.  In numeric mode every
     relation is probed, and the largest coefficient magnitude over (state,
     q sample) must stay within the tolerance.  All relations share one
-    probe batch, so a start-state factor their words share is built once.
-    The status strings are the same either way.
+    probe batch, so a start-state factor their words share is built once;
+    the term scalars, diagonal values and exact products are formed once
+    per process per scalar domain and reused by later calls over it.  The
+    status strings are the same either way.
     """
     if kind != DYSON:
         if q is None:

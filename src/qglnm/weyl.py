@@ -51,13 +51,17 @@ that keeps the running occupation offset, so each of its items (a
 diagonal factor or a ladder step) is a function of the start state: a
 batch builds each distinct item once, as a column over all probe states.
 A diagonal factor is named by an int64 key code, which holds arguments
-below 2**20 in magnitude, and each distinct key's value is built once per
-batch and kept in one memo by its code.  Numeric scalars are formed from
-the same factors in the same order as above, over a second axis of q
-samples, so they equal the per-state engine's.  Exact ones are formed
-once per distinct diagonal product; verification brings them over one
-common denominator as integer rows, int64 only under an explicit bound
-and Python ints past it.
+below 2**20 in magnitude.  What depends only on the scalar domain (exact
+p and classical, or numeric q and p, per engine) and the key codes is
+built once per process per scalar domain and shared by every batch over
+that domain (``domain_memo``): each distinct key's value, kept by its
+code, the specialized term scalars, and the exact diagonal products.
+Numeric scalars are formed from the same factors in the same order as
+above, over a second axis of q samples, so they equal the per-state
+engine's.  Exact ones are formed once per distinct diagonal product and
+term scalar; verification brings them over one common denominator as
+integer rows, int64 only under an explicit bound and Python ints past
+it.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -445,7 +449,7 @@ def _nonzero(kind: str, v: int) -> int:
 class ExactScalars:
     """Exact scalars (``CoeffExact``): q formal, p formal (None) or an integer.
     classical=True specializes q = 1, turning every bracket into its plain
-    affine argument."""
+    affine argument.  ``domain`` is what every value depends on."""
 
     mode = "exact"
 
@@ -454,6 +458,7 @@ class ExactScalars:
             raise EngineError("a formal q takes only a formal or integer p")
         self.p = p
         self.classical = classical
+        self.domain = ("exact", p, classical)
         self.one = CoeffExact.one()
 
     def from_coeff(self, c: CoeffExact) -> CoeffExact:
@@ -499,7 +504,8 @@ class ExactScalars:
 class NumericScalars:
     """Float/complex scalars at a finite real q > 0 (q = 1 takes the
     classical bracket limit) and a finite real p, which may stay unset
-    while no evaluation needs it."""
+    while no evaluation needs it.  ``domain`` is what every value depends
+    on."""
 
     mode = "numeric"
     one = 1.0
@@ -511,6 +517,7 @@ class NumericScalars:
             raise EngineError(f"p must be a finite number, not {p!r}")
         self.q = q
         self.p = p
+        self.domain = ("numeric", q, p)
 
     def from_coeff(self, c: CoeffExact) -> float:
         return c.eval_numeric(self.q, self._p_value(allow_missing=not c.mentions_p()))
@@ -708,40 +715,69 @@ def float_errors_raise():
     return np.errstate(over="raise", invalid="raise")
 
 
+class DomainMemo(NamedTuple):
+    """What probe batches build that depends only on their engines' scalar
+    domains and the key codes: not on the signature, the probe states or
+    the relation."""
+
+    # key code -> its exact value, or its values over the q samples (read-only)
+    values: dict
+    # sorted tuple of key codes -> product of their exact values
+    products: dict
+    # term scalar key -> its specialized value, None when zero
+    scalars: dict
+    # exact term scalar -> {sorted tuple of key codes -> X = scalar * product}
+    xs: dict
+
+
+# scalar domains (tuples of engine domains) whose memo a process keeps
+SCALAR_DOMAINS = 16
+
+
+@functools.lru_cache(maxsize=SCALAR_DOMAINS)
+def domain_memo(domains: tuple) -> DomainMemo:
+    """The memo shared by every probe batch whose engines have the scalar
+    domains ``domains`` (``ExactScalars.domain`` or ``NumericScalars.domain``),
+    in engine order; a process keeps ``SCALAR_DOMAINS`` of them."""
+    return DomainMemo({}, {}, {}, {})
+
+
 class ProbeBatch:
     """Engines applied to a fixed list of probe states at once: numeric
     engines, one per q sample, or a single exact engine.
 
-    ``compile`` specializes each distinct term scalar once per batch.  It
-    takes only an expression whose terms share one net occupation change,
-    so each probe state's image is a single state, the state shifted by
-    that change.  The states are the rows of an (S, modes) integer array,
-    and the q samples a second axis.  A word is read at its start state
-    (``start_form``), and the batch keeps one column over all probe states
-    per distinct item: for a ladder step a live mask and the per-row plain
-    numbers of ``Engine._ladder``, for a diagonal factor a live mask, key
-    codes and, numerically, values.  A word's live rows are the AND of its
-    masks, and what it yields is gathered at those rows, so no returned
-    array shares memory with a column.
+    ``compile`` specializes each distinct term scalar once per process per
+    scalar domain (``domain_memo``).  It takes only an expression whose
+    terms share one net occupation change, so each probe state's image is
+    a single state, the state shifted by that change.  The states are the
+    rows of an (S, modes) integer array, and the q samples a second axis.
+    A word is read at its start state (``start_form``), and the batch
+    keeps one column over all probe states per distinct item: for a ladder
+    step a live mask and the per-row plain numbers of ``Engine._ladder``,
+    for a diagonal factor a live mask, key codes and, numerically, values.
+    A word's live rows are the AND of its masks, and what it yields is
+    gathered at those rows, so no returned array shares memory with a
+    column.
 
     A factor's per-row code packs its key (``Engine._diag_key``) into one
     int64 that orders like it, for an argument and p coefficient below
-    2**20 in magnitude; each distinct key's value is formed once per batch
-    and kept in one memo by its code.  A column covers rows the word has
-    already killed, so a row whose argument is out of the code range or
-    whose value raises fails: it counts as dead, and a word raises only
-    where a failing row is live (``_raise_failing``).
+    2**20 in magnitude; each distinct key's value is formed once per
+    process per scalar domain and kept in the domain's memo by its code,
+    numerically as a read-only array over q.  A column covers rows the
+    word has already killed, so a row whose argument is out of the code
+    range or whose value raises fails: it counts as dead, and a word
+    raises only where a failing row is live (``_raise_failing``).
 
     Numeric scalars are multiplied per row, in the per-state engine's
     order, so they are its floats to the last bit.  Exact scalars are not
     multiplied per row at all: the rows of a term that share a sorted code
     tuple share ``X = c_t * product`` of the term scalar and the diagonal
-    values, whose product is formed once per batch, and a probe state's
-    image coefficient is the sum over terms of its integer ladder number
-    times ``X``.  ``images`` returns per row the one image state and its
-    coefficient (the module analysis), never a {state: coefficient} map;
-    ``exact_images`` and ``max_abs_images`` reduce the images to what
-    relation verification needs.
+    values; the product and ``X`` are formed once per process per scalar
+    domain, and a probe state's image coefficient is the sum over terms of
+    its integer ladder number times ``X``.  ``images`` returns per row the
+    one image state and its coefficient (the module analysis), never a
+    {state: coefficient} map; ``exact_images`` and ``max_abs_images``
+    reduce the images to what relation verification needs.
 
     Ladder numbers are int64 only while the bound of a word's atoms up to
     its last ladder number (largest occupation plus their count, to the
@@ -764,12 +800,8 @@ class ProbeBatch:
         self._all_rows = np.ones(len(self.states), dtype=bool)
         # start-state item (a ``Step`` or a ``Diag``) -> its column
         self._columns: dict = {}
-        # key code -> its exact value, or its values over the q samples
-        self._values: dict = {}
-        # sorted tuple of key codes -> product of their exact values
-        self._products: dict = {}
-        # term scalar key -> its specialized value, None when zero
-        self._scalars: dict = {}
+        self._values, self._products, self._scalars, self._xs = domain_memo(
+            tuple(e.scalars.domain for e in engines))
 
     def compile(self, expr: OperatorExpr) -> list:
         """Specialize the term scalars: a list of (value, word), the value
@@ -791,10 +823,11 @@ class ProbeBatch:
 
     def _scalar(self, c: CoeffExact):
         """A term scalar in the batch's domain, or None when it is zero (at
-        every q), each distinct scalar specialized once per batch.  The key
-        is the scalar's value with its terms in their stored order, which
-        is the order of the float sum in ``eval_numeric``, so a reused
-        value is bit for bit the one a fresh evaluation gives."""
+        every q), each distinct scalar specialized once per process per
+        scalar domain.  The key is the scalar's value with its terms in
+        their stored order, which is the order of the float sum in
+        ``eval_numeric``, so a reused value is bit for bit the one a fresh
+        evaluation gives."""
         key = (c.k, c.num.denom, *c.num.coeffs.items())
         if key in self._scalars:
             return self._scalars[key]
@@ -814,16 +847,22 @@ class ProbeBatch:
         return d.affine.const + self.states[:, : len(coeffs)] @ coeffs
 
     def _value(self, kind: str, v: int, pc: int):
-        """A diagonal key's value by the engines' scalar methods: exact, or over q."""
+        """A diagonal key's value by the engines' scalar methods: exact, or
+        over q as a read-only array."""
         values = [getattr(e.scalars, kind)(v, pc) for e in self.engines]
-        return values[0] if self.exact else np.array(values, dtype=complex)
+        if self.exact:
+            return values[0]
+        values = np.array(values, dtype=complex)
+        values.flags.writeable = False
+        return values
 
     def _diag_column(self, d: Diag):
         """Build and keep a diagonal factor's column over every probe row:
         (key codes, values (rows, q) or None when exact, live mask or None
         when no row dies, failing mask or None when no row fails).  Each
-        distinct argument is read from the memo or built, in ascending order;
-        one out of the code range, or whose build raises, is not kept."""
+        distinct argument is read from the domain's memo or built, in
+        ascending order; one out of the code range, or whose build raises,
+        is not kept."""
         kind, pc = d.kind, d.affine.p_coeff
         args = self._args(d)
         lo, hi = int(args.min()), int(args.max())
@@ -976,7 +1015,8 @@ class ProbeBatch:
 
     def _product(self, key: tuple) -> CoeffExact:
         """The product of the exact values behind a sorted code tuple, each
-        product formed once per batch from that of the tuple's prefix."""
+        product formed once per process per scalar domain from that of the
+        tuple's prefix."""
         product = self._products.get(key)
         if product is None:
             if len(key) > 1:
@@ -991,7 +1031,8 @@ class ProbeBatch:
         batch: (live rows, per-row ladder numbers or None when they are 1,
         the group of each row, ``X = c_t * product`` per group), where a
         group is the rows sharing a sorted key-code tuple and so one
-        diagonal product."""
+        diagonal product.  Each ``X`` is formed once per process per scalar
+        domain."""
         for c, w in compiled:
             rows, _, ladder, codes, _ = self._read(w)
             if not len(rows):
@@ -999,7 +1040,11 @@ class ProbeBatch:
             groups: dict = {}  # sorted code tuple -> group
             keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
             group = np.array([groups.setdefault(key, len(groups)) for key in keys])
-            yield rows, ladder, group, [c * self._product(key) for key in groups]
+            xs = self._xs.setdefault(c, {})
+            for key in groups:
+                if key not in xs:
+                    xs[key] = c * self._product(key)
+            yield rows, ladder, group, [xs[key] for key in groups]
 
     def images(self, compiled: list):
         """The image of a compiled expression on every probe state of a

@@ -92,8 +92,14 @@ class TestBracketAffine:
         assert bracket_affine(2, 0) == bracket_int(2)
 
     def test_rejects_bad_p_coefficient(self):
-        with pytest.raises(ValueError):
-            bracket_affine(0, 2)
+        # only a formal p needs its coefficient to be 0 or 1
+        for cp in (2, -1):
+            with pytest.raises(ValueError, match="formal p"):
+                bracket_affine(0, cp)
+
+    @pytest.mark.parametrize("c0, cp, p", [(1, 2, 3), (0, -1, 3), (5, -2, 2), (-4, 3, 0)])
+    def test_integer_p_takes_any_coefficient(self, c0, cp, p):
+        assert bracket_affine(c0, cp, p_value=p) == bracket_int(c0 + cp * p)
 
     @pytest.mark.parametrize("q,p,d", [(2.0, 3.0, 1), (1.3, 2.0, 4), (0.5, 1.0, 0)])
     def test_matches_direct_formula(self, q, p, d):

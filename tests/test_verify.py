@@ -15,7 +15,7 @@ from qglnm.verify import (
     substitute,
     verify_all,
 )
-from qglnm.weyl import Engine, EngineError, Lower, OperatorExpr, Raise
+from qglnm.weyl import Engine, EngineError, Lower, OperatorExpr, Raise, domain_memo
 
 SIG21 = Signature(2, 1)
 
@@ -218,9 +218,10 @@ SIG43 = Signature(4, 3)
 
 
 def fresh_rows(**kwargs) -> str:
-    """The report of a call made with no substituted relation set kept, as
-    in a fresh process."""
+    """The report of a call made with no substituted relation set and no
+    scalar-domain memo kept, as in a fresh process."""
     _relation_set.cache_clear()
+    domain_memo.cache_clear()
     return verify_all(**kwargs).format_machine()
 
 

@@ -20,8 +20,9 @@ from qglnm.coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, b
 from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import build_relations
 from qglnm.realize import MUTATIONS, realization
-from qglnm.verify import default_cap, probe_states, substitute
+from qglnm.verify import default_cap, probe_states, substitute, verify_all
 from qglnm.weyl import (
+    SCALAR_DOMAINS,
     Affine,
     Diag,
     Engine,
@@ -33,6 +34,7 @@ from qglnm.weyl import (
     _expand_affine,
     _key_code,
     affine_mode,
+    domain_memo,
     normal_form,
     normal_ordered,
     super_commutator,
@@ -319,6 +321,13 @@ class TestEngineValidation:
         assert eng.eval_diag(d, (1, 0)) == CoeffExact.from_int(2)
         ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(1))
         assert eng.eval_diag(ratio, (1, 0)) == CoeffExact.one()
+
+    def test_bracket_of_any_p_coefficient_at_integer_p(self):
+        # [2p + N_1] at p = 3 on (1, 0) is [7]; a formal p takes only 0 or 1
+        d = Diag("bracket", Affine(0, 2, (1, 0)))
+        assert Engine(SIG21, p=3).eval_diag(d, (1, 0)) == bracket_int(7)
+        with pytest.raises(ValueError, match="formal p"):
+            Engine(SIG21).eval_diag(d, (1, 0))
 
     def test_diag_kind_and_argument_checked_when_built(self):
         with pytest.raises(EngineError, match="unknown diagonal kind 'sqrt'"):
@@ -786,7 +795,9 @@ class TestProbeBatch:
                              ids=["exact", "numeric"])
     def test_diag_table_grows_both_ways(self, eng):
         # N_1 + shift over N_1 in 2..4: the arguments 2..4, then -3..-1 below
-        # them, 5..7 above them and 1..3 across the low end
+        # them, 5..7 above them and 1..3 across the low end; the memo is
+        # shared by the scalar domain, so earlier batches are cleared first
+        domain_memo.cache_clear()
         batch = ProbeBatch([eng], [(2, 0), (3, 1), (4, 0)])
         for shift in (0, -5, 3, -1):
             word = (Diag("bracket", affine=affine_mode(SIG21, 1).shift(shift)),)
@@ -803,6 +814,7 @@ class TestProbeBatch:
     def test_zero_division_leaves_table_usable(self, eng):
         # N_1 - 2 over N_1 in {0, 2, 3}: the column is built whole, so -2 and
         # 1 are kept before 0 raises, and the failing 0 never is
+        domain_memo.cache_clear()
         batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 1)])
         ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(-2))
 
@@ -856,6 +868,25 @@ class TestProbeBatch:
             batch = ProbeBatch([eng], states)
             with pytest.raises(error, match=match):
                 batch.images(batch.compile(OperatorExpr.from_word(Diag("bracket_ratio", ratio))))
+
+    def test_bracket_of_any_p_coefficient(self):
+        # [2p + N_1 - 7] read after raising N_1 in 0..2: at p = 3 the exact
+        # batch gives the engine's [0] = 0, [1] and [2]; with formal p every
+        # live row raises
+        word = (Diag("bracket", Affine(-7, 2, (1, 0))), Raise(1))
+        states = [(0, 0), (1, 0), (2, 1)]
+        eng = Engine(SIG21, p=3)
+        batch = ProbeBatch([eng], states)
+        compiled = batch.compile(OperatorExpr.from_word(*word))
+        rows, _, coeffs = batch.images(compiled)
+        assert rows.tolist() == [1, 2]
+        assert coeffs == [eng.apply_word(word, s)[0] for s in states[1:]] == [bracket_int(1),
+                                                                              bracket_int(2)]
+        assert eng.apply_word(word, (0, 0)) is None
+        assert batch.exact_images(compiled).any(axis=1).tolist() == [False, True, True]
+        formal = ProbeBatch([Engine(SIG21)], states)
+        with pytest.raises(ValueError, match="formal p"):
+            formal.images(formal.compile(OperatorExpr.from_word(*word)))
 
     @pytest.mark.parametrize("eng", [Engine(SIG21), numeric_engine(SIG21)],
                              ids=["exact", "numeric"])
@@ -1042,6 +1073,112 @@ class TestProbeBatch:
             exact.apply_word((Raise(1),))
         with pytest.raises(EngineError, match="exact batch"):
             ProbeBatch([numeric_engine(SIG21)], [(0, 0)]).exact_images([])
+
+
+class TestDomainMemo:
+    """What depends only on the scalar domain is built once per process per
+    domain and shared by every probe batch over it: reused across
+    signatures and probe states, kept apart between domains, bounded, and
+    invisible in every report."""
+
+    N1 = affine_mode(SIG21, 1)
+    # words in mode 1 only, which read the same on every signature
+    WORDS = [(Diag("bracket", N1), Diag("bracket", N1.shift(1)), Raise(1)),
+             (Diag("qpow", N1), Lower(1), Diag("bracket", N1.shift(-1))),
+             (Diag("bracket", Affine(0, 1, (-1,))), Diag("affine", N1.shift(2)), Lower(1))]
+
+    def test_second_signature_builds_nothing_formed(self, monkeypatch):
+        counts = {"values": 0, "muls": 0}
+
+        def counted(method, name):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ProbeBatch, "_value", counted(ProbeBatch._value, "values"))
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted(LaurentPoly.__mul__, "muls"))
+        domain_memo.cache_clear()
+        exprs = [OperatorExpr.from_word(*w, scalar=k) for k, w in enumerate(self.WORDS, 1)]
+        built = []
+        # the same occupations of mode 1, the other modes filled differently
+        for sig, rest in [(SIG21, (1,)), (Signature(4, 2), (2, 0, 1, 1, 0))]:
+            eng = Engine(sig)
+            states = [(k,) + rest[: sig.num_modes - 1] for k in range(6)]
+            batch = ProbeBatch([eng], states)
+            before = dict(counts)
+            images = [batch.images(batch.compile(expr)) for expr in exprs]
+            built.append({name: counts[name] - before[name] for name in counts})
+            for expr, (rows, _, coeffs) in zip(exprs, images):
+                assert dict(zip(rows.tolist(), coeffs)) == {
+                    r: v for r, s in enumerate(states) for v in eng.apply(expr, s).values()}
+        assert built[0]["values"] and built[0]["muls"], built
+        assert built[1] == {"values": 0, "muls": 0}, built
+
+    def test_domains_stay_apart(self):
+        states = probe(SIG21, 5)
+        exact = [[Engine(SIG21)], [Engine(SIG21, p=3)], [Engine(SIG21, classical=True)]]
+        numeric = [[Engine(SIG21, convention="monomial", q=q, p=p) for q in qs]
+                   for qs, p in [((0.7, 1.3), 3), ((1.3, 0.7), 3), ((0.7, 1.3), 4)]]
+        memos = set()
+        for engines in exact + numeric:
+            batch = ProbeBatch(engines, states)
+            memos.add(id(domain_memo(tuple(e.scalars.domain for e in engines))))
+            for word in self.WORDS:
+                if batch.exact:
+                    eng = engines[0]
+                    rows, _, coeffs = batch.images(batch.compile(OperatorExpr.from_word(*word)))
+                    values = [[c] for c in coeffs]
+                else:
+                    rows, _, values = batch.apply_word(word)
+                    values = values.tolist()
+                got = dict(zip(rows.tolist(), values))
+                for qi, eng in enumerate(engines):
+                    for r, s in enumerate(states):
+                        want = eng.apply_word(word, s)
+                        if want is None:
+                            assert r not in got, (eng.scalars.domain, word, s)
+                            continue
+                        v = got[r][qi]
+                        assert v == want[0] and scalar_str(v) == scalar_str(want[0]), (
+                            eng.scalars.domain, word, s)
+        assert len(memos) == len(exact) + len(numeric)
+
+    def test_kept_domains_are_bounded(self):
+        domain_memo.cache_clear()
+        for k in range(SCALAR_DOMAINS + 1):
+            ProbeBatch([Engine(SIG21, q=1.0 + k / 8, p=3)], [(0, 0)])
+        info = domain_memo.cache_info()
+        assert info.misses == SCALAR_DOMAINS + 1
+        assert info.currsize == info.maxsize == SCALAR_DOMAINS
+
+    def test_shared_numeric_arrays_are_read_only(self):
+        batch = ProbeBatch([numeric_engine(SIG21, q=q, convention="monomial") for q in (0.7, 1.3)],
+                           probe(SIG21))
+        for word in self.WORDS:
+            batch.compile(OperatorExpr.from_word(*word, scalar=bracket_affine(0, 1)))
+            batch.apply_word(word)
+        arrays = [*batch._values.values(), *(v for v in batch._scalars.values() if v is not None)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0] = 0
+
+    def test_reports_equal_cold_and_warm(self):
+        sig = Signature(3, 2)
+        calls = [*(dict(sig=sig, cap=4, mutation=m) for m in (None, *MUTATIONS)),
+                 dict(sig=sig, cap=4, classical=True), dict(sig=sig, cap=4, p=2),
+                 dict(sig=sig, kind="hp", p=3, q=[0.7, 1.3], cap=4)]
+        cold = []
+        for kwargs in calls:
+            domain_memo.cache_clear()
+            cold.append(verify_all(**kwargs).format_machine())
+        # other signatures over the same domains, and other domains, first
+        for other in (Signature(3, 1), Signature(4, 2)):
+            for kwargs in calls:
+                verify_all(**dict(kwargs, sig=other))
+        verify_all(sig, cap=4, p=3)
+        verify_all(sig, kind="hp", p=3, q=[1.3, 0.7], cap=4)
+        assert [verify_all(**kwargs).format_machine() for kwargs in calls] == cold
 
 
 class TestAtomHashing:
