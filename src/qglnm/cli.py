@@ -36,7 +36,7 @@ from .coeff import scalar_str
 from .fock import Signature
 from .presentation import H, GenSymbol, generators, render_relation, build_relations
 from .realize import DYSON, HP, HP_DEFORMED, Realization, realization
-from .verify import DEFAULT_Q_SAMPLES, verify_all
+from .verify import DEFAULT_Q_SAMPLES, proof_stages, verify_all
 from .weyl import Engine, OperatorExpr
 
 REALIZATIONS = (DYSON, HP, HP_DEFORMED)
@@ -284,6 +284,8 @@ def _cmd_verify(args) -> int:
         q = None if args.realization == DYSON else list(DEFAULT_Q_SAMPLES)
     else:
         q = _parse_q(args.q)
+    if args.prove:
+        return _prove(args, sig)
     _validate_realization(args.realization, p, q)
     report = verify_all(sig, kind=args.realization, p=p, q=q, cap=args.cap,
                         convention=_convention(args.convention) if args.convention else None,
@@ -293,6 +295,19 @@ def _cmd_verify(args) -> int:
     _write_out(args, report.format_machine())
     print(f"{'all relations pass' if report.all_pass else 'FAILURES: ' + str(len(report.failures))}")
     return 0 if report.all_pass else 1
+
+
+def _prove(args, sig: Signature) -> int:
+    """verify --prove: each relation's closing stage, one line each, with
+    no probing; 0 when every relation has a stage, else 1."""
+    if args.realization != DYSON:
+        raise UsageError(f"--prove: stages exist for the {DYSON} realization only, "
+                         f"not {args.realization}")
+    stages = proof_stages(sig, args.mutation)
+    text = "".join(f"{name.ljust(18)}{stage or 'unproved'}\n" for name, stage in stages)
+    sys.stdout.write(text)
+    _write_out(args, text)
+    return 0 if all(stage for _, stage in stages) else 1
 
 
 def _cmd_matrices(args) -> int:
@@ -500,6 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seeded defect for verifier sensitivity testing")
     p_ver.add_argument("--classical", action="store_true",
                        help="exact q = 1 limit (brackets become their arguments)")
+    p_ver.add_argument("--prove", action="store_true",
+                       help="print the stage of normal order that proves each Dyson "
+                            "relation (merge, affine, ring or unproved), probing nothing")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_mat = sub.add_parser("matrices", help="export generator matrices on a finite subspace")

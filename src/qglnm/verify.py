@@ -2,23 +2,27 @@
 defining relation and confirm the difference is the zero operator.
 
 Verification is exact for the Dyson realization (formal or integer p) and
-numeric for the Holstein-Primakoff realizations.  A substituted relation
-first goes to normal order (``weyl.normal_ordered``): every word becomes
-a shift times factors taken at the start state, and terms with equal
-shift and factors merge.  The affine stage then expands the integer
-``affine`` factors (the ladder numbers and arguments such as p - N) as
-polynomials in p and the occupations, keeps brackets and the other
-factors opaque, and merges again.  A Dyson relation whose merged terms
-all cancel holds on every state, for formal p and q, so exact
-verification passes it without probing: 62 of the 74 relations on (3,2)
-and 142 of 160 on (4,3), leaving the CK4, CK5 and S7-S9 families.  Every
-other relation is checked
-on probe states: all states up to a degree cap plus a deterministic
-sample of higher-degree states.  There a pass is evidence on those
-probes, not a proof for the whole space: the diagonal coefficients are
-exponential-polynomial in the occupations, so agreement on finitely many
-states does not extend by linearity.  Numeric verification probes every
-relation, closed or not, and reports its rounding residual.
+numeric for the Holstein-Primakoff realizations.  A substituted Dyson
+relation first goes through the stages of normal order
+(``weyl.closing_stage``).  The merge stage writes every word as a shift
+times factors taken at the start state and merges terms with equal shift
+and factors.  The affine stage expands the integer ``affine`` factors (the
+ladder numbers and arguments such as p - N) as polynomials in p and the
+occupations, keeps brackets and the other factors opaque, and merges
+again.  The ring stage evaluates what is left with P = q**p and Q_i =
+q**N_i as symbols (``ring``).  A relation that a stage closes holds on
+every state, for formal p and q, so exact verification passes it without
+probing.  On (3,2) the merge and affine stages close 62 of the 74
+relations and on (4,3) 142 of 160; the ring closes the rest, the CK4, CK5
+and S7-S9 families, so an unmutated realization probes nothing.  A seeded
+mutation leaves open exactly the relations it breaks, and those are
+checked on probe states: all states up to a degree cap plus a
+deterministic sample of higher-degree states.  There a pass is evidence
+on those probes, not a proof for the whole space: the diagonal
+coefficients are exponential-polynomial in the occupations, so agreement
+on finitely many states does not extend by linearity.  Numeric
+verification probes every relation, closed or not, and reports its
+rounding residual.
 Both regimes apply each probed relation to every probe state at once
 (``weyl.ProbeBatch``): numerically at every q sample, exactly as one
 integer row per probe state over the relation's monomials, which is
@@ -26,8 +30,8 @@ zero exactly when the state's image is.  The witness of an exact failure
 is the first such state, with its coefficient formed again by the
 per-state engine.
 
-The substituted relations, and whether each closes in normal order,
-depend only on the signature, the realization and the mutation, so they
+The substituted relations, and the stage that closes each, depend only
+on the signature, the realization and the mutation, so they
 are built once per process for each such key and kept (a bounded memo of
 ``RELATION_SETS`` keys) for later calls.
 Each call compiles a relation only when it probes it, specializing each
@@ -56,7 +60,7 @@ import numpy as np
 from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
-from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, float_errors_raise, normal_ordered
+from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, closing_stage, float_errors_raise
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
@@ -102,21 +106,37 @@ def _side_image(side, real: Realization) -> OperatorExpr:
 @functools.lru_cache(maxsize=RELATION_SETS)
 def _relation_set(sig: Signature, kind: str, mutation: str | None) -> tuple:
     """Every defining relation of the signature with its substituted
-    difference under the realization and whether that difference closes,
-    as a tuple of (Relation, OperatorExpr, bool).  A difference closes when
-    its normal-ordered terms cancel (``weyl.normal_ordered`` is empty,
-    after its merge by key and its affine stage): it is then the zero
-    operator for formal p and q, at every integer p and at q = 1, whatever
-    values the opaque brackets take.  Only exact verification
-    reads the flag, and only the Dyson realization is verified exactly, so
-    the flag is False for the others.  None of this depends on anything
-    else (not on p, q, the convention or the probes), so it is built, and
-    audited by ``substitute``, once per process per key; callers only read
-    it."""
+    difference under the realization and the stage of normal order that
+    closes that difference, as a tuple of (Relation, OperatorExpr, stage).
+    The stage is ``weyl.closing_stage``'s: "merge", "affine" or "ring"
+    when the difference is proved the zero operator for formal p and q,
+    hence at every integer p and at q = 1, or None when it stays open.
+
+    Why a stage is a proof: the merge and affine stages cancel terms
+    whatever values the opaque brackets take.  The ring stage evaluates
+    them with Q_i = q**N_i and the N_i as independent symbols, so a zero
+    sum is an identity and a nonzero one only leaves the relation open, to
+    be probed.  A bracket ratio [x]/x extends continuously to x = 0 for
+    q > 0, and on a start state where a term's word dies one of its
+    ladder factors is 0 (the dead-term rule), so the identity holds on the
+    hyperplanes x = 0 too (``ring`` has the whole argument).
+
+    Only exact verification reads the stage, and only the Dyson
+    realization is verified exactly, so no stage is computed for the
+    others: theirs is None.  None of this depends on anything else (not
+    on p, q, the convention or the probes), so it is built, and audited by
+    ``substitute``, once per process per key; callers only read it."""
     real = realization(kind, sig, mutation)
     diffs = [(rel, substitute(rel, real)) for rel in build_relations(sig)]
-    return tuple((rel, diff, kind == DYSON and not normal_ordered(sig, diff))
+    return tuple((rel, diff, closing_stage(sig, diff) if kind == DYSON else None)
                  for rel, diff in diffs)
+
+
+def proof_stages(sig: Signature, mutation: str | None = None) -> list[tuple[str, str | None]]:
+    """Each defining relation's name with the stage of normal order that
+    proves the Dyson realization (with the mutation) satisfies it, or None
+    when no stage does, in relation order; nothing is probed."""
+    return [(rel.name, stage) for rel, _, stage in _relation_set(sig, DYSON, mutation)]
 
 
 @dataclass
@@ -260,13 +280,14 @@ def verify_all(
     q may be None (formal; exact Dyson verification), a number, or a list
     of sample values.  The relations are substituted and normal-ordered
     once per process per (signature, realization, mutation) and reused by
-    later calls.  In exact mode a relation whose normal-ordered terms
-    cancel holds on every state, for formal p and q, and passes unprobed
-    and uncompiled; every other relation is compiled and passes only
-    if every probe coefficient is the exact zero.  In numeric mode every
-    relation is probed, and the largest coefficient magnitude over (state,
-    q sample) must stay within the tolerance.  All relations share one
-    probe batch, so a start-state factor their words share is built once;
+    later calls.  In exact mode a relation that a stage of normal order
+    closes holds on every state, for formal p and q, and passes unprobed
+    and uncompiled; every other relation is compiled and passes only if
+    every probe coefficient is the exact zero, and when there is none, no
+    probe state or batch is built.  In numeric mode every relation is
+    probed, and the largest coefficient magnitude over (state, q sample)
+    must stay within the tolerance.  All probed relations share one probe
+    batch, so a start-state factor their words share is built once;
     the term scalars, diagonal values and exact products are formed once
     per process per scalar domain and reused by later calls over it.  The
     status strings are the same either way.
@@ -282,20 +303,27 @@ def verify_all(
     if cap < 4:
         raise ValueError("probe cap must be at least 4 to cover the quartic relation words")
     engines = _engines(sig, kind, p, q, convention, classical)
-    states = probe_states(sig, cap)
-    batch = ProbeBatch(engines, states)
-    # On the extra high-degree probes coefficient magnitudes grow like
-    # bracket products, so the meaningful numeric measure there is the
-    # residual relative to the size of the individual term images.
-    above_cap = np.array([sum(s) > cap for s in states])
-    # A closed relation is exactly zero on every state, so an exact batch
-    # neither compiles nor probes it.  A numeric one does, and reports its
-    # rounding.
-    with float_errors_raise():
-        results = [RelationResult(rel.name, "exact-pass") if batch.exact and closed
-                   else _exact_result(rel.name, batch, batch.compile(diff)) if batch.exact
-                   else _numeric_result(rel.name, batch, batch.compile(diff), above_cap, tolerance)
-                   for rel, diff, closed in relations]
+    exact = engines[0].mode == "exact"
+    # A relation with a stage is zero on every state, so exact verification
+    # neither compiles nor probes it, and builds no batch when nothing is
+    # left to probe.  Numeric verification probes every relation, and
+    # reports its rounding.
+    results = [RelationResult(rel.name, "exact-pass") for rel, *_ in relations]
+    probed = [k for k, (*_, stage) in enumerate(relations) if not (exact and stage)]
+    if probed:
+        states = probe_states(sig, cap)
+        batch = ProbeBatch(engines, states)
+        # On the extra high-degree probes coefficient magnitudes grow like
+        # bracket products, so the meaningful numeric measure there is the
+        # residual relative to the size of the individual term images.
+        above_cap = np.array([sum(s) > cap for s in states])
+        with float_errors_raise():
+            for k in probed:
+                rel, diff, _ = relations[k]
+                compiled = batch.compile(diff)
+                results[k] = (_exact_result(rel.name, batch, compiled) if exact
+                              else _numeric_result(rel.name, batch, compiled, above_cap,
+                                                   tolerance))
     meta = {
         "realization": kind,
         "n": sig.n,
@@ -305,7 +333,7 @@ def verify_all(
         "convention": engines[0].convention,
         "mode": "classical" if classical else engines[0].mode,
         "cap": cap,
-        "tolerance": "exact" if batch.exact else tolerance,
+        "tolerance": "exact" if exact else tolerance,
     }
     if mutation:
         meta["mutation"] = mutation

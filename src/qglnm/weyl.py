@@ -67,10 +67,12 @@ it.
 (monomial convention).  ``normal_ordered`` merges the terms of an
 expression that share a shift and a factor multiset, then expands their
 ``affine`` factors as integer polynomials in p and the occupations (with
-N_f**2 = N_f on fermionic modes), keeps the other factors opaque and
-merges again.  An expression whose merged terms all cancel is the zero
-operator for formal p and q, which relation verification uses to pass a
-relation without probing it.
+N_f**2 = N_f on fermionic modes; ``ring.Poly``), keeps the other factors
+opaque and merges again.  ``closing_stage`` names the first stage after
+which an expression is the zero operator for formal p and q: the merge,
+the affine stage, or the ring stage (``ring.ring_closes``), which
+evaluates the brackets that the affine stage keeps opaque.  Relation
+verification uses it to pass a relation without probing it.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ import numpy as np
 from .coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value,
                     q_minus_qbar_power)
 from .fock import EVEN, FockState, Signature, mode_parity
+from .ring import Poly, Shape, ring_closes
 
 
 @dataclass(frozen=True)
@@ -363,26 +366,59 @@ def normal_form(sig: Signature, word: Word) -> NormalForm:
     return NormalForm(sign, change, mask, tuple(sorted(factors, key=_diag_order)))
 
 
+# distinct (signature, affine argument) pairs whose polynomial a process keeps
+AFFINE_POLYS = 4096
+
+
+@functools.lru_cache(maxsize=AFFINE_POLYS)
+def _affine_shape(sig: Signature) -> Shape:
+    """Positions p, N_1..N_b, with N_f**2 = N_f on every fermionic mode f."""
+    return Shape(1 + sig.num_modes, idempotent=tuple(
+        i for i in range(1, sig.num_modes + 1) if sig.is_fermionic(i)))
+
+
+@functools.lru_cache(maxsize=AFFINE_POLYS)
+def _affine_poly(sig: Signature, aff: Affine) -> Poly:
+    """An affine argument as a polynomial in p and the occupations."""
+    return Poly.linear(_affine_shape(sig), aff.const, dict(
+        enumerate((aff.p_coeff, *aff.mode_coeffs))))
+
+
 def _expand_affine(sig: Signature, factors) -> dict:
     """The product of ``affine`` factors as an integer polynomial in p and
     the occupations: {(power of p, exponent of N_1, ..., of N_b): coefficient},
     with N_f**2 = N_f on every fermionic mode f."""
-    fermionic = [False] + [sig.is_fermionic(i) for i in range(1, sig.num_modes + 1)]
-    poly = {(0,) * len(fermionic): 1}
-    for d in factors:
-        aff = d.affine
-        # the factor's nonconstant terms: p (index 0) and N_i (index i)
-        linear = [(j, c) for j, c in enumerate((aff.p_coeff, *aff.mode_coeffs)) if c]
-        out: dict = {}
-        for mono, v in poly.items():
-            if aff.const:
-                out[mono] = out.get(mono, 0) + v * aff.const
-            for j, c in linear:
-                bump = not (fermionic[j] and mono[j])
-                mono_j = mono[:j] + (mono[j] + 1,) + mono[j + 1 :] if bump else mono
-                out[mono_j] = out.get(mono_j, 0) + v * c
-        poly = {mono: v for mono, v in out.items() if v}
-    return poly
+    return Poly.product(_affine_shape(sig), [_affine_poly(sig, d.affine) for d in factors]).terms
+
+
+def _merged(sig: Signature, expr: OperatorExpr) -> dict:
+    """The merge stage: {``NormalForm.key``: sum of the signed scalars of
+    the terms with that key}, with every zero sum left out."""
+    merged: dict = {}
+    for c, w in expr.terms:
+        nf = normal_form(sig, w)
+        c = c if nf.sign == 1 else -c
+        acc = merged.get(nf.key)
+        merged[nf.key] = c if acc is None else acc + c
+    return {key: c for key, c in merged.items() if not c.is_zero()}
+
+
+def _expanded(sig: Signature, merged: dict) -> dict:
+    """The affine stage on the merge stage's output (see ``normal_ordered``)."""
+    expanded: dict = {}
+    for (change, factors), c in merged.items():
+        opaque = tuple(d for d in factors if d.kind != "affine")
+        # per occupation monomial, its polynomial in p
+        by_occupation: dict = {}
+        for (p_pow, *exponents), v in _expand_affine(
+                sig, [d for d in factors if d.kind == "affine"]).items():
+            by_occupation.setdefault(tuple(exponents), {})[0, 0, p_pow] = v
+        for exponents, in_p in by_occupation.items():
+            term = c * CoeffExact(LaurentPoly(in_p))
+            key = change, opaque, exponents
+            acc = expanded.get(key)
+            expanded[key] = term if acc is None else acc + term
+    return {key: c for key, c in expanded.items() if not c.is_zero()}
 
 
 def normal_ordered(sig: Signature, expr: OperatorExpr) -> dict:
@@ -402,29 +438,26 @@ def normal_ordered(sig: Signature, expr: OperatorExpr) -> dict:
     for any values of the opaque factors, and on a start state where a
     term's word dies, one of its ladder factors is 0, so the term's
     expanded product is 0 there whatever finite value a singular factor
-    (a bracket ratio at 0) is given."""
-    merged: dict = {}
-    for c, w in expr.terms:
-        nf = normal_form(sig, w)
-        c = c if nf.sign == 1 else -c
-        acc = merged.get(nf.key)
-        merged[nf.key] = c if acc is None else acc + c
-    expanded: dict = {}
-    for (change, factors), c in merged.items():
-        if c.is_zero():
-            continue
-        opaque = tuple(d for d in factors if d.kind != "affine")
-        # per occupation monomial, its polynomial in p
-        by_occupation: dict = {}
-        for (p_pow, *exponents), v in _expand_affine(
-                sig, [d for d in factors if d.kind == "affine"]).items():
-            by_occupation.setdefault(tuple(exponents), {})[0, 0, p_pow] = v
-        for exponents, in_p in by_occupation.items():
-            term = c * CoeffExact(LaurentPoly(in_p))
-            key = change, opaque, exponents
-            acc = expanded.get(key)
-            expanded[key] = term if acc is None else acc + term
-    return {key: c for key, c in expanded.items() if not c.is_zero()}
+    (a bracket ratio at 0) is given.  ``closing_stage`` adds a third stage
+    for what stays."""
+    return _expanded(sig, _merged(sig, expr))
+
+
+def closing_stage(sig: Signature, expr: OperatorExpr) -> str | None:
+    """The first stage of normal order after which the expression is the
+    zero operator for formal p and q: "merge" when the merge by key
+    cancels every term, "affine" when ``normal_ordered`` is empty, "ring"
+    when ``ring.ring_closes`` proves what the affine stage leaves (its
+    module docstring has the argument), and None when no stage closes it.
+    A stage's verdict holds at every integer p and at q = 1 too.  Stages
+    are sound, not complete: None proves nothing."""
+    merged = _merged(sig, expr)
+    if not merged:
+        return "merge"
+    ordered = _expanded(sig, merged)
+    if not ordered:
+        return "affine"
+    return "ring" if ring_closes(sig, ordered) else None
 
 
 def super_commutator(

@@ -328,6 +328,45 @@ class TestCommands:
         text = out.read_text()
         assert "CK4[i=1]\tfail" in text
 
+    def test_verify_prove_lists_every_stage(self, capsys, tmp_path):
+        out = tmp_path / "stages.txt"
+        assert run(["verify", "--n", "2", "--m", "1", "--prove", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert out.read_text() == text
+        assert run(["relations", "--n", "2", "--m", "1"]) == 0
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        rows = [line.split() for line in text.splitlines()]
+        assert [name for name, _ in rows] == names
+        assert {stage for _, stage in rows} == {"merge", "affine", "ring"}
+        assert text.splitlines()[names.index("CK5")] == "CK5".ljust(18) + "ring"
+
+    def test_verify_prove_on_4_3_ignores_p_and_q(self, capsys):
+        assert run(["verify", "--n", "4", "--m", "3", "--p", "formal", "--prove"]) == 0
+        formal = capsys.readouterr().out
+        assert len(formal.splitlines()) == 160 and "unproved" not in formal
+        assert run(["verify", "--n", "4", "--m", "3", "--p", "2", "--q", "1.3", "--prove"]) == 0
+        assert capsys.readouterr().out == formal
+
+    def test_verify_prove_mutation_leaves_failures_unproved(self, capsys):
+        code = run(["verify", "--n", "3", "--m", "2", "--prove", "--mutation",
+                    "drop_bracket_ratio"])
+        assert code == 1
+        unproved = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                    if line.endswith("unproved")]
+        assert unproved == ["CK3[i=2,j=3]", "CK4[i=2]", "S7e[i=2]", "S9e"]
+
+    @pytest.mark.parametrize("kind", ["hp", "hp-deformed"])
+    def test_verify_prove_is_dyson_only(self, kind, capsys):
+        code = run(["verify", "--n", "2", "--m", "1", "--realization", kind, "--p", "2",
+                    "--prove"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dyson realization only" in captured.err
+
+    def test_verify_prove_rejects_a_bad_p(self, capsys):
+        assert run(["verify", "--n", "2", "--m", "1", "--p", "two", "--prove"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_verify_hp(self, capsys):
         code = run(["verify", "--n", "2", "--m", "1", "--realization", "hp",
                     "--p", "1", "--q", "0.9,1.3", "--cap", "4"])

@@ -15,7 +15,9 @@ from qglnm.verify import (
     substitute,
     verify_all,
 )
-from qglnm.weyl import Engine, EngineError, Lower, OperatorExpr, Raise, domain_memo
+from qglnm.coeff import CoeffExact
+from qglnm.weyl import (Diag, Engine, EngineError, Lower, OperatorExpr, ProbeBatch, Raise,
+                        affine_mode, domain_memo)
 
 SIG21 = Signature(2, 1)
 
@@ -296,16 +298,16 @@ def rows_or_error(**kwargs) -> str:
 
 
 class TestClosedRelations:
-    """A relation whose normal-ordered terms cancel is not probed on an
+    """A relation that a stage of normal order closes is not probed on an
     exact batch; probing every relation stays the oracle for that."""
 
     @pytest.fixture
     def probe_all(self, monkeypatch):
-        """Run a call with every relation marked open, so every one is probed."""
+        """Run a call with every stage marked open, so every relation is probed."""
         kept = verify._relation_set
 
         def all_open(*key):
-            return tuple((rel, diff, False) for rel, diff, _ in kept(*key))
+            return tuple((rel, diff, None) for rel, diff, _ in kept(*key))
 
         def run(**kwargs):
             with monkeypatch.context() as m:
@@ -341,28 +343,78 @@ class TestClosedRelations:
 
     @pytest.mark.parametrize("mutation", MUTATIONS)
     def test_no_failing_relation_is_closed(self, mutation, probe_all):
+        # the relations no stage closes are exactly those probing fails
         for sig, want in zip((SIG32, SIG43), self.FAILING[mutation]):
-            closed = {rel.name for rel, _, shut in _relation_set(sig, "dyson", mutation) if shut}
+            unproved = {rel.name for rel, _, stage in _relation_set(sig, "dyson", mutation)
+                        if stage is None}
             failing = set()
             for p in (None, 0, 1, 2, 5):
                 rows = probe_all(sig=sig, kind="dyson", p=p, cap=4, mutation=mutation)
                 failing |= {ln.split("\t")[0] for ln in rows.splitlines() if "\tfail\t" in ln}
-            assert failing == want, sig
-            assert closed and not failing & closed, sig
+            assert failing == want == unproved, sig
 
     def test_closed_counts(self):
-        # Dyson relations that cancel in normal order, out of all relations
+        # Dyson relations that cancel in the merge or affine stage, out of all
+        # relations
         for sig, want in ((SIG21, (16, 20)), (SIG32, (62, 74)), (SIG43, (142, 160))):
-            flags = [shut for *_, shut in _relation_set(sig, "dyson", None)]
-            assert (sum(flags), len(flags)) == want
-        # what stays open on (3,2): the CK4, CK5 and S7-S9 families
-        assert [rel.name for rel, _, shut in _relation_set(SIG32, "dyson", None) if not shut] == [
+            stages = [stage for *_, stage in _relation_set(sig, "dyson", None)]
+            assert (sum(s in ("merge", "affine") for s in stages), len(stages)) == want
+        # what those stages leave open on (3,2): the CK4, CK5 and S7-S9 families
+        assert [rel.name for rel, _, stage in _relation_set(SIG32, "dyson", None)
+                if stage == "ring"] == [
             "CK4[i=1]", "CK4[i=2]", "CK4[i=4]", "CK5", "S7e[i=1]", "S7e[i=2]", "S8e[i=1]", "S9e",
             "S7f[i=1]", "S7f[i=2]", "S8f[i=1]", "S9f"]
+
+    @pytest.mark.parametrize("n, m", [(2, 0), (3, 0), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
+                                      (4, 2), (2, 3), (4, 3)])
+    def test_ring_closes_every_remaining_relation(self, n, m):
+        # without a mutation every Dyson relation has a stage, and the ring
+        # closes every one the merge and affine stages leave
+        stages = [stage for *_, stage in _relation_set(Signature(n, m), "dyson", None)]
+        assert None not in stages and "ring" in stages
+
+    def test_other_realizations_have_no_stage(self):
+        for kind in ("hp", "hp-deformed"):
+            assert {stage for *_, stage in _relation_set(SIG32, kind, None)} == {None}
+
+    def test_no_proved_relation_has_a_live_singular_factor(self):
+        # a proof covers the continuous extension of [x]/x to x = 0; the
+        # engine raises where such a ratio is live, so no proved relation
+        # may have one on a probe state (the batch raises only there)
+        singular = OperatorExpr.from_word(Diag("bracket_ratio", affine_mode(SIG21, 1)))
+        with pytest.raises(ZeroDivisionError):
+            ProbeBatch([Engine(SIG21)], [(0, 0)]).images([(CoeffExact.one(), w)
+                                                          for _, w in singular.terms])
+        for n, m in [(2, 0), (3, 0), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3),
+                     (4, 3)]:
+            sig = Signature(n, m)
+            batch = ProbeBatch([Engine(sig)], probe_states(sig, 4))
+            for mutation in (None, *MUTATIONS):
+                try:
+                    relations = _relation_set(sig, "dyson", mutation)
+                except ValueError:
+                    continue  # the mutation does not apply to the signature
+                words = {w for _, diff, stage in relations if stage for _, w in diff.terms}
+                for w in words:
+                    batch.images([(CoeffExact.one(), w)])
+
+    def test_warm_exact_call_probes_nothing(self, monkeypatch):
+        verify_all(SIG43, "dyson", None, cap=6)
+        compiled = []
+        compile_ = ProbeBatch.compile
+        monkeypatch.setattr(ProbeBatch, "compile",
+                            lambda self, expr: compiled.append(expr) or compile_(self, expr))
+        with monkeypatch.context() as m:
+            m.setattr(verify, "probe_states", lambda *a: pytest.fail("probe states built"))
+            report = verify_all(SIG43, "dyson", None, cap=6)
+        assert report.all_pass and not compiled
+        # a mutation probes only the relations no stage closes
+        report = verify_all(SIG32, "dyson", None, cap=4, mutation="drop_bracket_ratio")
+        assert len(compiled) == 4 and len(report.failures) == 4
 
     def test_numeric_batch_probes_closed_relations(self):
         # a numeric batch reports every relation's probed residual
         report = verify_all(SIG32, kind="dyson", p=3, q=[0.9, 1.3], cap=4)
-        closed = {rel.name for rel, _, shut in _relation_set(SIG32, "dyson", None) if shut}
-        assert closed and {r.status for r in report.results if r.name in closed} == {
+        closed = {rel.name for rel, _, stage in _relation_set(SIG32, "dyson", None) if stage}
+        assert len(closed) == len(report.results) and {r.status for r in report.results} == {
             "numeric-pass"}
