@@ -18,6 +18,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -476,7 +477,10 @@ def _tolerance_arg(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every call may share it."""
     parser = argparse.ArgumentParser(
         prog="qglnm",
         description="Oscillator realizations of the quantum superalgebra "

@@ -24,11 +24,11 @@ on finitely many states does not extend by linearity.  Numeric
 verification probes every relation, closed or not, and reports its
 rounding residual.
 Both regimes apply each probed relation to every probe state at once
-(``weyl.ProbeBatch``): numerically at every q sample, exactly as one
-integer row per probe state over the relation's monomials, which is
-zero exactly when the state's image is.  The witness of an exact failure
-is the first such state, with its coefficient formed again by the
-per-state engine.
+(``weyl.ProbeBatch``): numerically at every q sample, exactly through
+``nonzero_rows``, on which the exact ``images`` of module analysis is
+built, up to the first probe state with a nonzero image.  That state is
+the witness of an exact failure, with its coefficient formed again by
+the per-state engine.
 
 The substituted relations, and the stage that closes each, depend only
 on the signature, the realization and the mutation, so they
@@ -230,10 +230,10 @@ def _exact_result(name: str, batch: ProbeBatch, compiled: list) -> RelationResul
     """Exact pass only if every probe coefficient is the exact zero; the
     first probe state with a nonzero image is the witness, whose
     coefficient the per-state engine forms again for the report."""
-    failing = np.flatnonzero(batch.exact_images(compiled).any(axis=1))
-    if not len(failing):
+    first = next(batch.nonzero_rows(compiled), None)
+    if first is None:
         return RelationResult(name, "exact-pass")
-    state = tuple(batch.states[failing[0]].tolist())
+    state = tuple(batch.states[first[0]].tolist())
     coeff = next(iter(batch.engines[0].apply_compiled(compiled, state).values()))
     state_str = ",".join(map(str, state))
     return RelationResult(name, "fail", 0.0, f"state=({state_str}) coeff={coeff.canonical_str()}")

@@ -59,9 +59,8 @@ code, the specialized term scalars, and the exact diagonal products.
 Numeric scalars are formed from the same factors in the same order as
 above, over a second axis of q samples, so they equal the per-state
 engine's.  Exact ones are formed once per distinct diagonal product and
-term scalar; verification brings them over one common denominator as
-integer rows, int64 only under an explicit bound and Python ints past
-it.
+term scalar, and a probe state's coefficient is their sum weighted by its
+ladder numbers, formed once per call for the states that share it.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -88,8 +87,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value,
-                    q_minus_qbar_power)
+from .coeff import CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value
 from .fock import EVEN, FockState, Signature, mode_parity
 from .ring import Poly, Shape, ring_closes
 
@@ -807,10 +805,13 @@ class ProbeBatch:
     tuple share ``X = c_t * product`` of the term scalar and the diagonal
     values; the product and ``X`` are formed once per process per scalar
     domain, and a probe state's image coefficient is the sum over terms of
-    its integer ladder number times ``X``.  ``images`` returns per row the
-    one image state and its coefficient (the module analysis), never a
-    {state: coefficient} map; ``exact_images`` and ``max_abs_images``
-    reduce the images to what relation verification needs.
+    its integer ladder number times ``X``, formed once per call for all
+    the rows that share their groups and ladder numbers.  ``images``
+    returns per row the one image state and its coefficient (the module
+    analysis), never a {state: coefficient} map; exact verification reads
+    the rows of ``nonzero_rows``, on which exact ``images`` is built, up to
+    the first, and ``max_abs_images`` reduces the numeric images to what
+    it needs.
 
     Ladder numbers are int64 only while the bound of a word's atoms up to
     its last ladder number (largest occupation plus their count, to the
@@ -1010,7 +1011,7 @@ class ProbeBatch:
         order and the diagonal values in the order of their keys, so
         the scalars are the per-state engine's to the last bit."""
         if self.exact:
-            raise EngineError("an exact batch has no per-row scalars; use exact_images")
+            raise EngineError("an exact batch has no per-row scalars; use images")
         rows, change, ladder, codes, factors = self._read(word)
         if not factors:
             values = np.ones((len(rows), len(self.engines)), dtype=complex)
@@ -1059,25 +1060,42 @@ class ProbeBatch:
             self._products[key] = product
         return product
 
-    def _exact_terms(self, compiled: list):
-        """Per term of a compiled expression with a live row on an exact
-        batch: (live rows, per-row ladder numbers or None when they are 1,
-        the group of each row, ``X = c_t * product`` per group), where a
-        group is the rows sharing a sorted key-code tuple and so one
-        diagonal product.  Each ``X`` is formed once per process per scalar
-        domain."""
+    def nonzero_rows(self, compiled: list):
+        """Lazily, in ascending row order, each probe row of an exact batch
+        whose image under a compiled expression is not zero, with its
+        coefficient: (row, coefficient).  Per term, the rows that share a
+        sorted key-code tuple, and so one diagonal product, form a group
+        with one ``X = c_t * product``, formed once per process per scalar
+        domain.  A row's coefficient depends only on its (group, ladder
+        number) per live term, so each distinct pattern of them is summed,
+        and its zero test made, once per call; a caller that stops at the
+        first row sums only the patterns before it."""
+        if not self.exact:
+            raise EngineError("nonzero rows need an exact batch; use images")
+        # each term's groups are numbered after the earlier terms' in xs
+        xs, patterns = [], [[] for _ in self.states]
         for c, w in compiled:
             rows, _, ladder, codes, _ = self._read(w)
-            if not len(rows):
-                continue
             groups: dict = {}  # sorted code tuple -> group
             keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
-            group = np.array([groups.setdefault(key, len(groups)) for key in keys])
-            xs = self._xs.setdefault(c, {})
+            ks = itertools.repeat(1) if ladder is None else ladder.tolist()
+            for r, key, k in zip(rows.tolist(), keys, ks):
+                patterns[r].append((len(xs) + groups.setdefault(key, len(groups)), k))
+            known = self._xs.setdefault(c, {})
             for key in groups:
-                if key not in xs:
-                    xs[key] = c * self._product(key)
-            yield rows, ladder, group, [xs[key] for key in groups]
+                if key not in known:
+                    known[key] = c * self._product(key)
+            xs += [known[key] for key in groups]
+        memo: dict = {(): None}
+        for r, pattern in enumerate(map(tuple, patterns)):
+            if pattern not in memo:
+                v = None
+                for g, k in pattern:
+                    x = xs[g] if k == 1 else xs[g] * k
+                    v = x if v is None else v + x
+                memo[pattern] = None if v.is_zero() else v
+            if memo[pattern] is not None:
+                yield r, memo[pattern]
 
     def images(self, compiled: list):
         """The image of a compiled expression on every probe state of a
@@ -1086,70 +1104,21 @@ class ProbeBatch:
         state shifted by the one net occupation change) and a coefficient
         list.  A row's terms sum in term order from its first term, as in
         ``Engine.apply_compiled``, so numeric coefficients are the
-        per-state engine's to the last bit."""
+        per-state engine's to the last bit; exact ones are those of
+        ``nonzero_rows``."""
         if len(self.engines) > 1:
             raise EngineError("images need a single-engine batch")
-        terms = []  # (live rows, coefficient per row)
+        sums = [None] * len(self.states)
         if self.exact:
-            for rows, ladder, group, xs in self._exact_terms(compiled):
-                ks = itertools.repeat(1) if ladder is None else ladder.tolist()
-                terms.append((rows, [xs[g] if k == 1 else xs[g] * k
-                                     for g, k in zip(group.tolist(), ks)]))
+            for r, v in self.nonzero_rows(compiled):
+                sums[r] = v
         else:
             for c, w in compiled:
                 rows, _, values = self.apply_word(w)
-                terms.append((rows, (c[0] * values[:, 0]).tolist()))
-        sums = [None] * len(self.states)
-        for rows, values in terms:
-            for r, v in zip(rows.tolist(), values):
-                sums[r] = v if sums[r] is None else sums[r] + v
-        is_zero = self.engines[0].scalars.is_zero
-        rows = [r for r, v in enumerate(sums) if v is not None and not is_zero(v)]
+                for r, v in zip(rows.tolist(), (c[0] * values[:, 0]).tolist()):
+                    sums[r] = v if sums[r] is None else sums[r] + v
+            is_zero = self.engines[0].scalars.is_zero
+            sums = [None if v is None or is_zero(v) else v for v in sums]
+        rows = [r for r, v in enumerate(sums) if v is not None]
         change = word_change(self.sig, compiled[0][1]) if compiled else 0
         return np.array(rows, dtype=np.intp), self.states[rows] + change, [sums[r] for r in rows]
-
-    def exact_images(self, compiled: list) -> np.ndarray:
-        """Image coefficients of a compiled expression on every probe state
-        of an exact batch, as integer rows over the expression's monomials
-        (q, P and p exponents): shape (states, monomials).  ``compile``
-        lets through one net occupation change only, so every term sends a
-        state to the same image state and the terms' rows may be summed.
-        Every coefficient is scaled by one common nonzero factor, so a row
-        is all zero exactly when that state's image is the exact zero.
-
-        Each ``X`` of ``_exact_terms`` is brought over the largest power
-        of q - q**-1 among all the ``X`` and an integer lcm, and becomes
-        an integer row; a state's row is then the sum of ladder
-        number times ``X`` row over terms.
-        The sum is taken in int64 only when the sum over terms of the
-        largest ladder number times the largest row entry stays below
-        2**63, and with Python ints otherwise."""
-        if not self.exact:
-            raise EngineError("exact images need an exact batch")
-        terms = list(self._exact_terms(compiled))
-        # X = num / (q - q**-1)**k becomes num * (q - q**-1)**(power - k)
-        power = max((x.k for *_, xs in terms for x in xs), default=0)
-        polys = [[x.num if x.k == power else x.num * q_minus_qbar_power(power - x.k) for x in xs]
-                 for *_, xs in terms]
-        scale = math.lcm(*(f.denom for fs in polys for f in fs))
-        columns: dict = {}  # monomial -> column
-        bound = 0
-        for (_, ladder, _, _), fs in zip(terms, polys):
-            for f in fs:
-                for k in f.coeffs:
-                    columns.setdefault(k, len(columns))
-            top = max(max(map(abs, f.coeffs.values())) * (scale // f.denom) for f in fs)
-            bound += top * (1 if ladder is None else int(np.abs(ladder).max()))
-        dtype = np.int64 if bound < 1 << 63 else object
-        out = np.zeros((len(self.states), len(columns)), dtype=dtype)
-        for (rows, ladder, group, _), fs in zip(terms, polys):
-            table = np.zeros((len(fs), len(columns)), dtype=dtype)
-            for g, f in enumerate(fs):
-                m = scale // f.denom
-                for k, v in f.coeffs.items():
-                    table[g, columns[k]] = v * m
-            contrib = table[group]
-            if ladder is not None:
-                contrib = contrib * ladder.astype(dtype, copy=False)[:, None]
-            out[rows] += contrib
-        return out

@@ -7,6 +7,7 @@ import pytest
 
 from qglnm.cli import (
     ExprSyntaxError,
+    build_parser,
     format_matrix_export,
     parse_expr,
     parse_matrix_export,
@@ -492,6 +493,29 @@ class TestCommands:
         run(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_shared_parser_answers_as_a_fresh_one(self, capsys):
+        # the parser is built once per process: a usage error, a help page
+        # and a verify run in one process each give what they give alone
+        argvs = [["verify", "--n", "2"], ["verify", "--help"],
+                 ["verify", "--n", "2", "--m", "1", "--cap", "4", "--mutation",
+                  "shift_e1_bracket"]]
+
+        def call(argv):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, *capsys.readouterr()
+
+        alone = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            alone.append(call(argv))
+        assert [code for code, *_ in alone] == [2, 0, 1]
+        assert build_parser() is build_parser()
+        for order in ([0, 1, 2], [2, 1, 0], [0, 1, 2]):
+            assert [call(argvs[k]) for k in order] == [alone[k] for k in order]
 
     def test_subspace_leak_is_analysis_failure(self, capsys):
         code = run(["matrices", "--n", "2", "--m", "1", "--realization", "dyson", "--p", "2",

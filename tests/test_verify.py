@@ -418,3 +418,36 @@ class TestClosedRelations:
         closed = {rel.name for rel, _, stage in _relation_set(SIG32, "dyson", None) if stage}
         assert len(closed) == len(report.results) and {r.status for r in report.results} == {
             "numeric-pass"}
+
+
+class TestExactWitness:
+    """An exact failure's witness is the first probe state where the
+    per-state reference engine's image is not zero, with that engine's
+    coefficient."""
+
+    @pytest.mark.parametrize("sig", [SIG21, SIG32, SIG43], ids=str)
+    @pytest.mark.parametrize("p, classical", [(None, False), (2, False), (None, True)])
+    def test_witness_is_the_engines_first_nonzero_image(self, sig, p, classical):
+        states = probe_states(sig, 4)
+        eng = Engine(sig, p=p, classical=classical)
+        failures = 0
+        for mutation in MUTATIONS:
+            if mutation == "drop_bracket_ratio" and sig.n < 3:
+                continue  # the mutation needs a third even label
+            report = verify_all(sig, "dyson", p, cap=4, mutation=mutation, classical=classical)
+            results = {r.name: r for r in report.results}
+            for rel, diff, stage in _relation_set(sig, "dyson", mutation):
+                if stage:
+                    continue  # proved, so never probed
+                compiled = eng.compile(diff)
+                first = next(((s, image) for s in states
+                              if (image := eng.apply_compiled(compiled, s))), None)
+                if first is None:
+                    assert results[rel.name].status == "exact-pass", rel.name
+                    continue
+                (coeff,) = first[1].values()
+                state_str = ",".join(map(str, first[0]))
+                assert results[rel.name].witness == (
+                    f"state=({state_str}) coeff={coeff.canonical_str()}"), rel.name
+                failures += 1
+        assert failures

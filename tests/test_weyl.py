@@ -693,23 +693,16 @@ class TestProbeBatch:
         # the bracket ratio is 1 at q = 1, so that mutation changes nothing there
         assert failing == (mutation != "drop_bracket_ratio" or not classical)
 
-    @staticmethod
-    def _check_exact_verdicts(sig, cap, p, classical, mutation):
-        """Assert that a probe row of exact_images is nonzero exactly where
-        the per-state image is; returns whether any relation failed."""
-        eng = Engine(sig, p=p, classical=classical)
-        states = probe_states(sig, cap)
-        batch = ProbeBatch([eng], states)
+    def _check_exact_verdicts(self, sig, cap, p, classical, mutation):
+        """Assert that the exact image of every relation, coefficients
+        included, is the per-state engine's; returns whether any relation
+        failed."""
         real = realization("dyson", sig, mutation)
-        failing = False
-        for rel in build_relations(sig):
-            compiled = batch.compile(substitute(rel, real))
-            images = batch.exact_images(compiled)
-            assert images.dtype == np.int64
-            nonzero = images.any(axis=1).tolist()
-            assert nonzero == [bool(eng.apply_compiled(compiled, s)) for s in states], rel.name
-            failing = failing or any(nonzero)
-        return failing
+        rels = build_relations(sig)
+        states = probe_states(sig, cap)
+        empty = self._check_images(Engine(sig, p=p, classical=classical), states,
+                                   ((rel.name, substitute(rel, real)) for rel in rels))
+        return empty < len(states) * len(rels)
 
     @pytest.mark.parametrize("other, zero", [(-1, True), (-2, False)])
     def test_exact_terms_over_different_denominators(self, other, zero):
@@ -720,39 +713,35 @@ class TestProbeBatch:
         terms = [bp, bp * bp, bracket_int(2)]
         eng = exact_engine(SIG21)
         word = (Raise(1),)
-        batch = ProbeBatch([eng], [(0, 0), (3, 1)])
-        compiled = batch.compile(OperatorExpr([(c, word) for c in terms]
-                                              + [(sum(terms, CoeffExact.zero()) * other, word)]))
-        assert [c.k for c, _ in compiled] == [1, 2, 0, 2]
-        assert batch.exact_images(compiled).any(axis=1).tolist() == [not zero] * 2
-        assert (eng.apply_compiled(compiled, (0, 0)) == {}) == zero
+        expr = OperatorExpr([(c, word) for c in terms]
+                            + [(sum(terms, CoeffExact.zero()) * other, word)])
+        assert [c.k for c, _ in eng.compile(expr)] == [1, 2, 0, 2]
+        assert (self._check_images(eng, [(0, 0), (3, 1)], [("sum", expr)]) == 2) == zero
 
     def test_exact_python_int_fallback(self):
         # four lowerings from an occupation of 10**5 multiply past 2**63,
-        # so int64 would wrap; the Python-int rows hold the exact number
+        # so int64 would wrap; the Python-int ladder numbers hold the exact
+        # number
         top = 10**5
         eng = Engine(SIG21)
         batch = ProbeBatch([eng], [(top, 0), (top, 1), (2, 0)])
         word = (Lower(1),) * 4
-        images = batch.exact_images(eng.compile(OperatorExpr.from_word(*word)))
-        assert images.dtype == object
+        rows, _, coeffs = batch.images(eng.compile(OperatorExpr.from_word(*word)))
         want = top * (top - 1) * (top - 2) * (top - 3)
         assert want > 2**63
-        assert images[:, 0].tolist() == [want, want, 0]
+        assert rows.tolist() == [0, 1] and coeffs == [want, want]
         numeric = Engine(SIG21, convention="monomial", q=1.3, p=3)
         rows, _, values = ProbeBatch([numeric], [(top, 0)]).apply_word(word)
         assert values[0, 0] == numeric.apply_word(word, (top, 0))[0]
         # two words share the suffix of three lowerings, which stays below
-        # the bound in int64; only the word with a fourth lowering is wide
+        # the bound in int64; only the word with a fourth lowering passes it
         suffix = (Lower(1),) * 3
         words = [(Lower(1),) + suffix, (Raise(1),) + suffix]
         batch = ProbeBatch([eng], [(top, 0), (top, 1), (2, 0)])
         compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
-        images = [batch.exact_images(compiled[0])]
-        images.append(batch.exact_images(compiled[1]))
-        assert [a.dtype for a in images] == [object, np.int64]
-        assert [a[:, 0].tolist() for a in images] == [[want, want, 0],
-                                                      [top * (top - 1) * (top - 2)] * 2 + [0]]
+        images = [batch.images(c) for c in compiled]
+        assert [(rows.tolist(), coeffs) for rows, _, coeffs in images] == [
+            ([0, 1], [want, want]), ([0, 1], [top * (top - 1) * (top - 2)] * 2)]
         batch = ProbeBatch([numeric], [(top, 0)])
         compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
         for w in words:
@@ -764,15 +753,11 @@ class TestProbeBatch:
         for mutation in (None, "shift_e1_bracket"):
             real = realization("dyson", sig, mutation)
             eng = Engine(sig, p=3, classical=True)
-            batch = ProbeBatch([eng], states)
-            wide = 0
-            for rel in build_relations(sig):
-                compiled = batch.compile(substitute(rel, real))
-                images = batch.exact_images(compiled)
-                wide += images.dtype == object
-                nonzero = images.any(axis=1).tolist()
-                assert nonzero == [bool(eng.apply_compiled(compiled, s)) for s in states], rel.name
-            assert wide
+            exprs = [(rel.name, substitute(rel, real)) for rel in build_relations(sig)]
+            self._check_images(eng, states, exprs)
+            assert any(not eng.apply(expr, s) and any(
+                abs(v) >= 2**63 for c, w in eng.compile(expr) if (image := eng.apply_word(w, s))
+                for v in (c * image[0]).num.coeffs.values()) for _, expr in exprs for s in states)
 
     # at q = 1 a bracket of N_1 = 2**20 would take the bracket_ratio kind rank;
     # the exact check uses the affine kind, whose value stays small to build
@@ -783,12 +768,12 @@ class TestProbeBatch:
         expr = OperatorExpr.from_word(*word)
         inside = ProbeBatch([engine], [(2**20 - 1, 0)])
         if inside.exact:
-            assert inside.exact_images(inside.compile(expr)).tolist() == [[2**20 - 1]]
+            assert inside.images(inside.compile(expr))[2] == [2**20 - 1]
         else:
             assert inside.apply_word(word)[2][0, 0] == engine.apply_word(word, (2**20 - 1, 0))[0]
         batch = ProbeBatch([engine], [(1, 0), (2**20, 0)])
         with pytest.raises(EngineError, match="code range"):
-            batch.exact_images(batch.compile(expr)) if batch.exact else batch.apply_word(word)
+            batch.images(batch.compile(expr)) if batch.exact else batch.apply_word(word)
 
     @pytest.mark.parametrize("eng", [exact_engine(SIG21),
                                      numeric_engine(SIG21, convention="monomial")],
@@ -850,8 +835,6 @@ class TestProbeBatch:
             assert rows.tolist() == [1] and images.tolist() == [[0, 0]]
             assert coeffs == [eng.apply_word(word, (0, 1))[0]]
             assert eng.apply_word(word, (1, 0)) is None
-            if batch.exact:
-                assert batch.exact_images(compiled).any(axis=1).tolist() == [False, True]
         # the ratio is applied first, on the state (0, 0) that it sees
         word = (Lower(1), Diag("bracket_ratio", affine_mode(SIG21, 1)))
         batch = ProbeBatch([eng], [(2, 0), (0, 0)])
@@ -883,7 +866,6 @@ class TestProbeBatch:
         assert coeffs == [eng.apply_word(word, s)[0] for s in states[1:]] == [bracket_int(1),
                                                                               bracket_int(2)]
         assert eng.apply_word(word, (0, 0)) is None
-        assert batch.exact_images(compiled).any(axis=1).tolist() == [False, True, True]
         formal = ProbeBatch([Engine(SIG21)], states)
         with pytest.raises(ValueError, match="formal p"):
             formal.images(formal.compile(OperatorExpr.from_word(*word)))
@@ -898,8 +880,8 @@ class TestProbeBatch:
                      (Diag("bracket", affine=TOTAL21), Raise(1), Lower(2), Diag("qpow", TOTAL21))]:
             compiled = batch.compile(OperatorExpr.from_word(*word))
             calls = [lambda: batch.images(compiled)]
-            calls.append((lambda: (batch.exact_images(compiled),)) if batch.exact
-                         else (lambda: batch.apply_word(word)))
+            if not batch.exact:
+                calls.append(lambda: batch.apply_word(word))
             for call in calls:
                 first = call()
                 want = [copy.deepcopy(a) for a in first]
@@ -930,14 +912,14 @@ class TestProbeBatch:
         diffs = [substitute(rel, dyson_real) for rel in build_relations(sig)]
         runs = [(hp.max_abs_images, [hp.compile(substitute(rel, hp_real))
                                      for rel in build_relations(sig)]),
-                (dyson.exact_images, [dyson.compile(diff) for diff in diffs
-                                      if normal_ordered(sig, diff)])]
+                (dyson.images, [dyson.compile(diff) for diff in diffs
+                                if normal_ordered(sig, diff)])]
         dead = [(Diag("qpow", Affine(0, 0, (400, 0))), Lower(2)),
                 (Diag("affine", Affine(1, 0, (2**21, 0))), Lower(2))]
         for eng, words in [(Engine(SIG21, convention="monomial", q=10.0, p=3), dead),
                            (Engine(SIG21), dead[1:])]:
             batch = ProbeBatch([eng], [(1, 0), (0, 1)])
-            method = batch.exact_images if batch.exact else batch.max_abs_images
+            method = batch.images if batch.exact else batch.max_abs_images
             runs.append((method, [batch.compile(OperatorExpr.from_word(*w)) for w in words]))
         for method, relations in runs:
             passes, counts = [], []
@@ -946,16 +928,15 @@ class TestProbeBatch:
                 passes.append([method(compiled) for compiled in relations])
                 counts.append(calls - before)
             assert counts[0] and not counts[1], counts
-            assert all(np.array_equal(np.asarray(a), np.asarray(b)) for a, b in zip(*passes))
+            for first, second in zip(*passes):
+                assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
     def test_generator_images_on_no_states(self, sig):
         # every batch method on zero probe states returns empty results
         modes, exact = sig.num_modes, ProbeBatch([Engine(sig, p=3)], [])
         for name, expr in self._generator_images(sig, ["dyson"]):
-            compiled = exact.compile(expr)
-            assert exact.exact_images(compiled).shape[0] == 0, name
-            rows, images, coeffs = exact.images(compiled)
+            rows, images, coeffs = exact.images(exact.compile(expr))
             assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
         engines = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
         many, one = ProbeBatch(engines, []), ProbeBatch(engines[:1], [])
@@ -1058,6 +1039,62 @@ class TestProbeBatch:
         assert rows.tolist() == [0, 1, 3] and images.tolist() == [[0, 1], [2, 0], [1, 1]]
         assert [c == k for c, k in zip(coeffs, [1, 2, 2])] == [True] * 3
 
+    def test_exact_rows_apart_by_ladder_number(self):
+        # a lowering on (2, 0) and (3, 0): both rows have the one group of
+        # the empty code tuple, and their ladder numbers differ
+        eng = exact_engine(SIG21)
+        expr = OperatorExpr([(bracket_affine(0, 1), (Lower(1),)), (CoeffExact.one(), (Lower(1),))])
+        rows, _, coeffs = ProbeBatch([eng], [(2, 0), (3, 0)]).images(eng.compile(expr))
+        assert rows.tolist() == [0, 1]
+        assert coeffs == [next(iter(eng.apply(expr, s).values())) for s in [(2, 0), (3, 0)]]
+        assert coeffs[0] != coeffs[1]
+
+    def test_exact_shared_sum_formed_once(self, monkeypatch):
+        # [p] and 2 times a raising on four states: every row has the same
+        # group and ladder number in both terms, so one sum serves them all
+        eng = exact_engine(SIG21)
+        terms = [bracket_affine(0, 1), bracket_int(2)]
+        states = [(0, 0), (1, 0), (2, 1), (0, 1)]
+        batch = ProbeBatch([eng], states)
+        compiled = batch.compile(OperatorExpr([(c, (Raise(1),)) for c in terms]))
+        want = terms[0] + terms[1]
+        calls = 0
+        add = CoeffExact.__add__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return add(self, other)
+
+        monkeypatch.setattr(CoeffExact, "__add__", counted)
+        rows, _, coeffs = batch.images(compiled)
+        assert calls == 1
+        assert rows.tolist() == [0, 1, 2, 3] and coeffs == [want] * 4
+
+    def test_nonzero_rows_sum_lazily(self, monkeypatch):
+        # [p] and 1 times a lowering: (0, 0) dies, and the other rows differ
+        # in their ladder number, so each needs its own sum
+        eng = exact_engine(SIG21)
+        expr = OperatorExpr([(bracket_affine(0, 1), (Lower(1),)), (CoeffExact.one(), (Lower(1),))])
+        batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 0), (4, 0)])
+        compiled = batch.compile(expr)
+        calls = 0
+        add = CoeffExact.__add__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return add(self, other)
+
+        monkeypatch.setattr(CoeffExact, "__add__", counted)
+        row, coeff = next(batch.nonzero_rows(compiled))
+        assert calls == 1
+        rows, _, coeffs = batch.images(compiled)
+        assert calls == 4
+        assert row == 1 and coeff == next(iter(eng.apply(expr, (2, 0)).values()))
+        assert list(batch.nonzero_rows(compiled)) == list(zip(rows.tolist(), coeffs))
+        assert rows.tolist() == [1, 2, 3]
+
     def test_images_need_a_single_engine(self):
         batch = ProbeBatch([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)], [(0, 0)])
         with pytest.raises(EngineError, match="single-engine"):
@@ -1069,10 +1106,10 @@ class TestProbeBatch:
         with pytest.raises(EngineError, match="single exact engine"):
             ProbeBatch([exact_engine(SIG21), exact_engine(SIG21, p=3)], [(0, 0)])
         exact = ProbeBatch([exact_engine(SIG21)], [(0, 0)])
-        with pytest.raises(EngineError, match="exact_images"):
+        with pytest.raises(EngineError, match="use images"):
             exact.apply_word((Raise(1),))
         with pytest.raises(EngineError, match="exact batch"):
-            ProbeBatch([numeric_engine(SIG21)], [(0, 0)]).exact_images([])
+            next(ProbeBatch([numeric_engine(SIG21)], [(0, 0)]).nonzero_rows([]))
 
 
 class TestDomainMemo:
