@@ -23,25 +23,37 @@ coefficients are exponential-polynomial in the occupations, so agreement
 on finitely many states does not extend by linearity.  Numeric
 verification probes every relation, closed or not, and reports its
 rounding residual.
-Both regimes apply each probed relation to every probe state at once
-(``weyl.ProbeBatch``): numerically at every q sample, exactly through
-``nonzero_rows``, on which the exact ``images`` of module analysis is
-built, up to the first probe state with a nonzero image.  That state is
-the witness of an exact failure, with its coefficient formed again by
-the per-state engine.
+Both regimes apply each probed relation to every probe state at once.
+Exact verification goes through ``weyl.ProbeBatch.nonzero_rows``, on
+which the exact ``images`` of module analysis is built, up to the first
+probe state with a nonzero image.  That state is the witness of an exact
+failure, with its coefficient formed again by the per-state engine.
+Numeric verification goes through a probe plan (``weyl.ProbePlan``), at
+every q sample: the q-free layout of the relations' words on the probe
+states (per live term and row, its image slot, ladder number and sorted
+diagonal key codes), which a call evaluates in a few array operations
+per chunk of relations.  Its residuals and witnesses are those of the
+per-word path (``ProbeBatch.max_abs_images``) to the last bit, and a
+chunk that may raise is replayed on that path, so every error is its
+error too.
 
 The substituted relations, and the stage that closes each, depend only
 on the signature, the realization and the mutation, so they
 are built once per process for each such key and kept (a bounded memo of
-``RELATION_SETS`` keys) for later calls.
-Each call compiles a relation only when it probes it, specializing each
-distinct term scalar once per process per scalar domain (exact p and
-classical, or numeric q and p, per engine; ``weyl.domain_memo``), which
-also keeps the diagonal values and exact products for later calls.  The
-batch reads every word at its start state and builds each factor the
-relation terms share once, as a column over the probe states.  Numeric
-probing raises on a float overflow instead of reporting an inf or nan
-residual.
+``RELATION_SETS`` keys) for later calls.  The probe states depend only
+on the signature and the cap (``PROBE_STATE_LISTS`` keys), and a probe
+plan on the relations, the probe states and the convention, not on p or
+q: it is built once per process per (signature, realization, mutation,
+cap, convention) and kept, a bounded memo of ``PROBE_PLANS`` keys.  A
+plan takes about 0.5 MB on (4,2) at cap 7 and on (4,3) at cap 6, and
+about 10 MB on (7,5) at cap 6.
+Each call specializes each distinct term scalar, and builds each
+diagonal value, once per process per scalar domain (exact p and
+classical, or numeric q and p, per engine; ``weyl.domain_memo``).  An
+exact call compiles a relation only when it probes it; its batch reads
+every word at its start state and builds each factor the relation terms
+share once, as a column over the probe states.  Numeric probing raises
+on a float overflow instead of reporting an inf or nan residual.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
@@ -55,12 +67,11 @@ import functools
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
-from .weyl import Diag, Engine, OperatorExpr, ProbeBatch, closing_stage, float_errors_raise
+from .weyl import (Diag, Engine, OperatorExpr, ProbeBatch, ProbePlan, closing_stage,
+                   float_errors_raise)
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
@@ -68,6 +79,11 @@ EXTRA_PROBES = 4
 # substituted relation sets kept per process, one per (signature,
 # realization, mutation)
 RELATION_SETS = 16
+# probe state lists kept per process, one per (signature, cap)
+PROBE_STATE_LISTS = 16
+# numeric probe plans kept per process, one per (signature, realization,
+# mutation, cap, convention)
+PROBE_PLANS = 8
 
 
 def default_cap(p) -> int:
@@ -194,10 +210,28 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def probe_states(sig: Signature, cap: int) -> list[FockState]:
+@functools.lru_cache(maxsize=PROBE_STATE_LISTS)
+def probe_states(sig: Signature, cap: int) -> tuple[FockState, ...]:
     """All states of degree <= cap plus a deterministic random sample of
-    ``EXTRA_PROBES`` states with degree in (cap, cap + 4]."""
-    return list(enumerate_up_to(sig, cap)) + extra_probe_states(sig, cap)
+    ``EXTRA_PROBES`` states with degree in (cap, cap + 4], built once per
+    process per (signature, cap) and kept (a bounded memo of
+    ``PROBE_STATE_LISTS`` keys), so the value is a tuple."""
+    return tuple(enumerate_up_to(sig, cap)) + tuple(extra_probe_states(sig, cap))
+
+
+@functools.lru_cache(maxsize=PROBE_PLANS)
+def _probe_plan(sig: Signature, kind: str, mutation: str | None, cap: int,
+                convention: str) -> ProbePlan:
+    """The numeric probe plan of a relation set on the probe states of a
+    cap (``weyl.ProbePlan``).  It depends on neither q nor p, so it is
+    built once per process per key and kept, a bounded memo of
+    ``PROBE_PLANS`` keys."""
+    diffs = [diff for _, diff, _ in _relation_set(sig, kind, mutation)]
+    states = probe_states(sig, cap)
+    # On the extra high-degree probes coefficient magnitudes grow like
+    # bracket products, so the meaningful numeric measure there is the
+    # residual relative to the size of the individual term images.
+    return ProbePlan(sig, convention, states, diffs, [sum(s) > cap for s in states])
 
 
 def extra_probe_states(sig: Signature, cap: int) -> list[FockState]:
@@ -239,16 +273,12 @@ def _exact_result(name: str, batch: ProbeBatch, compiled: list) -> RelationResul
     return RelationResult(name, "fail", 0.0, f"state=({state_str}) coeff={coeff.canonical_str()}")
 
 
-def _numeric_result(name: str, batch: ProbeBatch, compiled: list, above_cap: np.ndarray,
+def _numeric_result(name: str, batch: ProbeBatch, worst: float, k: int,
                     tolerance: float) -> RelationResult:
-    """Numeric pass if the largest coefficient magnitude over every
-    (q sample, probe state) stays within the tolerance; above the cap the
-    magnitude is taken relative to the largest single-term image.  The
-    witness is the first worst pair in q-sample, then state order."""
-    peak, scale = batch.max_abs_images(compiled)
-    residual = np.where(above_cap, peak / np.maximum(1.0, scale), peak)
-    k = int(np.argmax(residual))
-    worst = float(residual.flat[k])
+    """Numeric pass if the worst residual over every (q sample, probe
+    state) stays within the tolerance (``ProbePlan.worst``); the witness is
+    its first (q sample, probe state) pair in q-sample, then state order,
+    numbered k."""
     if worst <= tolerance:
         return RelationResult(name, "numeric-pass", worst)
     qi, si = divmod(k, len(batch.states))
@@ -286,10 +316,12 @@ def verify_all(
     every probe coefficient is the exact zero, and when there is none, no
     probe state or batch is built.  In numeric mode every relation is
     probed, and the largest coefficient magnitude over (state, q sample)
-    must stay within the tolerance.  All probed relations share one probe
-    batch, so a start-state factor their words share is built once;
-    the term scalars, diagonal values and exact products are formed once
-    per process per scalar domain and reused by later calls over it.  The
+    must stay within the tolerance; the relations are read through the
+    probe plan of (signature, realization, mutation, cap, convention),
+    built on the first such call.  All probed relations share one probe
+    batch, so a start-state factor their words share is built once; the
+    term scalars, diagonal values and exact products are formed once per
+    process per scalar domain and reused by later calls over it.  The
     status strings are the same either way.
     """
     if kind != DYSON:
@@ -313,17 +345,17 @@ def verify_all(
     if probed:
         states = probe_states(sig, cap)
         batch = ProbeBatch(engines, states)
-        # On the extra high-degree probes coefficient magnitudes grow like
-        # bracket products, so the meaningful numeric measure there is the
-        # residual relative to the size of the individual term images.
-        above_cap = np.array([sum(s) > cap for s in states])
-        with float_errors_raise():
-            for k in probed:
-                rel, diff, _ = relations[k]
-                compiled = batch.compile(diff)
-                results[k] = (_exact_result(rel.name, batch, compiled) if exact
-                              else _numeric_result(rel.name, batch, compiled, above_cap,
-                                                   tolerance))
+        if exact:
+            with float_errors_raise():
+                for k in probed:
+                    rel, diff, _ = relations[k]
+                    results[k] = _exact_result(rel.name, batch, batch.compile(diff))
+        else:
+            plan = _probe_plan(sig, kind, mutation, cap, engines[0].convention)
+            with float_errors_raise():
+                worst = plan.worst(batch)
+            results = [_numeric_result(rel.name, batch, *w, tolerance)
+                       for (rel, *_), w in zip(relations, worst)]
     meta = {
         "realization": kind,
         "n": sig.n,

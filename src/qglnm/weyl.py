@@ -62,6 +62,19 @@ engine's.  Exact ones are formed once per distinct diagonal product and
 term scalar, and a probe state's coefficient is their sum weighted by its
 ladder numbers, formed once per call for the states that share it.
 
+Numeric relation verification applies one relation set to one list of
+probe states at every call and changes only q and p.  ``ProbePlan``
+reads each of its words once, with no scalar: the rows a term's word
+lives on under its ladder steps, and per row its ladder number and its
+diagonal key codes in the order their values multiply, grouped into
+triples (term, sorted key codes, ladder number).  A call builds one table
+of key values, the products and contributions of the triples, and each
+image slot's sum with ``np.bincount`` in term order, so the residuals are
+those of the per-word ``ProbeBatch.max_abs_images`` to the last bit; a
+chunk of relations that may raise goes through ``max_abs_images``, which
+keeps its errors.  Relation verification keeps one plan per (signature,
+realization, mutation, cap, convention), a bounded memo.
+
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
 expression that share a shift and a factor multiset, then expands their
@@ -149,8 +162,8 @@ class EngineError(ValueError):
 #                 place it on bosonic modes only
 #   sqrt_bracket  sqrt([x]), numeric only
 #   qpow          q ** x
-_KIND_RANK = {kind: rank for rank, kind in enumerate(
-    sorted(("affine", "bracket", "bracket_ratio", "angle", "sqrt_bracket", "qpow")))}
+_KINDS = tuple(sorted(("affine", "bracket", "bracket_ratio", "angle", "sqrt_bracket", "qpow")))
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 _CODE_BIAS = 1 << 20
 
 
@@ -158,6 +171,12 @@ def _key_code(kind: str, v: int, pc: int) -> int:
     """A diagonal key (kind, occupation part v, p coefficient pc) packed into
     one int64 that orders like the tuple, for v and pc in [-2**20, 2**20)."""
     return (_KIND_RANK[kind] << 42) + ((v + _CODE_BIAS) << 21) + pc + _CODE_BIAS
+
+
+def _key_of(code: int) -> tuple:
+    """The diagonal key (kind, v, pc) that ``_key_code`` packed into code."""
+    field = (1 << 21) - 1
+    return _KINDS[code >> 42], ((code >> 21) & field) - _CODE_BIAS, (code & field) - _CODE_BIAS
 
 
 @dataclass(frozen=True)
@@ -761,6 +780,11 @@ class DomainMemo(NamedTuple):
     xs: dict
 
 
+def _scalar_key(c: CoeffExact) -> tuple:
+    """What a term scalar is keyed by in ``DomainMemo.scalars``."""
+    return (c.k, c.num.denom, *c.num.coeffs.items())
+
+
 # scalar domains (tuples of engine domains) whose memo a process keeps
 SCALAR_DOMAINS = 16
 
@@ -773,7 +797,120 @@ def domain_memo(domains: tuple) -> DomainMemo:
     return DomainMemo({}, {}, {}, {})
 
 
-class ProbeBatch:
+class _Keys(NamedTuple):
+    """A diagonal factor's distinct keys over the probe rows, ascending."""
+
+    # their key codes and arguments
+    codes: list
+    args: list
+    # per row 0 where the argument or the p coefficient leaves the code
+    # range, j where the row has the j-th distinct argument
+    entry: np.ndarray
+    # per row its key code (a meaningless one out of the code range)
+    row_codes: np.ndarray
+    # whether some row leaves the code range
+    clipped: bool
+
+
+class ProbeRows:
+    """The probe states and what a word's ladder steps and diagonal keys
+    are on them: all of a word's action on the probe states that no scalar
+    domain changes.  The states are the rows of an (S, modes) integer
+    array.  A ladder step's column (``_ladder_column``) is kept per step; a
+    diagonal factor's keys (``_keys``) are its caller's to keep."""
+
+    def __init__(self, sig: Signature, convention: str, states):
+        self.sig = sig
+        self.convention = convention
+        self.states = np.array(states, dtype=np.int64).reshape(len(states), sig.num_modes)
+        self._top = int(self.states.max(initial=0))
+        self._all_rows = np.ones(len(self.states), dtype=bool)
+        # start-state item (a ``Step`` or a ``Diag``) -> its column
+        self._columns: dict = {}
+
+    def _args(self, d: Diag) -> np.ndarray:
+        """A diagonal factor's argument, less its p part, on every probe state."""
+        coeffs = np.array(d.affine.mode_coeffs, dtype=np.int64)
+        return d.affine.const + self.states[:, : len(coeffs)] @ coeffs
+
+    def _keys(self, d: Diag) -> _Keys:
+        """A diagonal factor's distinct keys over the probe rows (``_Keys``)."""
+        kind, pc = d.kind, d.affine.p_coeff
+        args = self._args(d)
+        lo, hi = int(args.min()), int(args.max())
+        inside = None  # or the mask of the rows inside the code range
+        if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
+            inside = (-_CODE_BIAS <= args) & (args < _CODE_BIAS) & (-_CODE_BIAS <= pc < _CODE_BIAS)
+            lo = int(args[inside].min(initial=0))
+            args = np.where(inside, args, lo)
+        at = args - lo
+        seen = np.bincount(at if inside is None else at[inside], minlength=1) > 0
+        entry = seen.cumsum()[at]
+        if inside is not None:
+            entry[~inside] = 0
+        base = _key_code(kind, lo, pc)
+        found = seen.nonzero()[0].tolist()
+        return _Keys([base + (k << 21) for k in found], [lo + k for k in found], entry,
+                     base + (at << 21), inside is not None)
+
+    def _ladder_column(self, step: Step):
+        """Build and keep a ladder step's column: (live mask or None when no
+        row dies, per-row plain number of ``Engine._ladder`` or None if 1)."""
+        i = step.mode - 1
+        occupation = self.states[:, i] + step.offset
+        if self.sig.is_fermionic(step.mode):
+            # raising needs an empty mode, lowering a filled one; the sign
+            # counts the occupied fermionic modes strictly left of i
+            left = self.states[:, self.sig.n - 1 : i].sum(axis=1) + step.parity
+            column = occupation == step.lower, 1 - 2 * (left % 2)
+        elif self.convention == "orthonormal":
+            # a row that died earlier may meet a negative occupation here
+            k = occupation if step.lower else occupation + 1
+            column = (occupation > 0 if step.lower else None), np.sqrt(np.maximum(k, 0))
+        else:
+            column = (occupation > 0, occupation) if step.lower else (None, None)
+        self._columns[step] = column
+        return column
+
+    def _walk(self, word: Word, diag):
+        """Read a word's start-state items in application order while some
+        probe row is live.  ``diag(factor, live)`` reads a diagonal factor
+        on the rows ``live`` before it and returns its live mask or None.
+        Returns (the rows live after every item, the net change, the ladder
+        number per row or None when it is 1).
+
+        Ladder numbers are int64 only while the bound of the word's atoms up
+        to its last ladder number (largest occupation plus their count, to
+        the number of lowerings) stays below 2**63, and Python ints in
+        object arrays past it."""
+        items, change = start_form(self.sig, word)
+        live = self._all_rows
+        numbers, lowerings = [], 0
+        for k, item in enumerate(items):
+            if not live.any():
+                break
+            if isinstance(item, Diag):
+                mask = diag(item, live)
+            else:
+                mask, number = self._columns.get(item) or self._ladder_column(item)
+                lowerings += item.lower
+                if number is not None:
+                    numbers.append(number)
+                    reach = self._top + k + 1, lowerings
+            if mask is not None:
+                live = live & mask
+        rows = np.flatnonzero(live)
+        ladder = None
+        if numbers:
+            ladder = numbers[0][rows]
+            if self.convention == "monomial" and reach[0] ** reach[1] >= 1 << 63:
+                ladder = ladder.astype(object)
+            for number in numbers[1:]:
+                ladder = ladder * number[rows]
+        return rows, change, ladder
+
+
+class ProbeBatch(ProbeRows):
     """Engines applied to a fixed list of probe states at once: numeric
     engines, one per q sample, or a single exact engine.
 
@@ -811,29 +948,23 @@ class ProbeBatch:
     analysis), never a {state: coefficient} map; exact verification reads
     the rows of ``nonzero_rows``, on which exact ``images`` is built, up to
     the first, and ``max_abs_images`` reduces the numeric images to what
-    it needs.
+    it needs.  ``max_abs_images`` and numeric ``apply_word`` are the
+    per-word reference: numeric verification reads a whole relation set
+    through a ``ProbePlan``, which replays a chunk of relations through
+    ``max_abs_images`` where only the per-word order of errors will do.
 
-    Ladder numbers are int64 only while the bound of a word's atoms up to
-    its last ladder number (largest occupation plus their count, to the
-    number of lowerings) stays below 2**63, and Python ints in object
-    arrays past it.  The engines share one signature and convention.
+    The engines share one signature and convention.
     """
 
-    def __init__(self, engines: list, states: list):
+    def __init__(self, engines: list, states):
         modes = {e.mode for e in engines}
         if modes == {"exact"} and len(engines) > 1:
             raise EngineError("a probe batch takes a single exact engine")
         if len(modes) > 1:
             raise EngineError("a probe batch takes numeric engines or one exact engine, not both")
+        super().__init__(engines[0].sig, engines[0].convention, states)
         self.exact = modes == {"exact"}
         self.engines = engines
-        self.sig = engines[0].sig
-        self.convention = engines[0].convention
-        self.states = np.array(states, dtype=np.int64).reshape(len(states), self.sig.num_modes)
-        self._top = int(self.states.max(initial=0))
-        self._all_rows = np.ones(len(self.states), dtype=bool)
-        # start-state item (a ``Step`` or a ``Diag``) -> its column
-        self._columns: dict = {}
         self._values, self._products, self._scalars, self._xs = domain_memo(
             tuple(e.scalars.domain for e in engines))
 
@@ -855,14 +986,14 @@ class ProbeBatch:
                 compiled.append((value, w))
         return compiled
 
-    def _scalar(self, c: CoeffExact):
+    def _scalar(self, c: CoeffExact, key: tuple | None = None):
         """A term scalar in the batch's domain, or None when it is zero (at
         every q), each distinct scalar specialized once per process per
-        scalar domain.  The key is the scalar's value with its terms in
-        their stored order, which is the order of the float sum in
-        ``eval_numeric``, so a reused value is bit for bit the one a fresh
-        evaluation gives."""
-        key = (c.k, c.num.denom, *c.num.coeffs.items())
+        scalar domain.  The key (``_scalar_key``) is the scalar's value with
+        its terms in their stored order, which is the order of the float
+        sum in ``eval_numeric``, so a reused value is bit for bit the one a
+        fresh evaluation gives."""
+        key = _scalar_key(c) if key is None else key
         if key in self._scalars:
             return self._scalars[key]
         if self.exact:
@@ -875,11 +1006,6 @@ class ProbeBatch:
         self._scalars[key] = value
         return value
 
-    def _args(self, d: Diag) -> np.ndarray:
-        """A diagonal factor's argument, less its p part, on every probe state."""
-        coeffs = np.array(d.affine.mode_coeffs, dtype=np.int64)
-        return d.affine.const + self.states[:, : len(coeffs)] @ coeffs
-
     def _value(self, kind: str, v: int, pc: int):
         """A diagonal key's value by the engines' scalar methods: exact, or
         over q as a read-only array."""
@@ -890,38 +1016,32 @@ class ProbeBatch:
         values.flags.writeable = False
         return values
 
+    def _key_value(self, code: int, kind: str, v: int, pc: int):
+        """A diagonal key's value from the domain's memo, built and kept
+        there on a miss, or None when its build raises (a failing key, which
+        is not kept)."""
+        value = self._values.get(code)
+        if value is None:
+            with contextlib.suppress(ArithmeticError, ValueError):
+                value = self._values[code] = self._value(kind, v, pc)
+        return value
+
     def _diag_column(self, d: Diag):
         """Build and keep a diagonal factor's column over every probe row:
         (key codes, values (rows, q) or None when exact, live mask or None
         when no row dies, failing mask or None when no row fails).  Each
-        distinct argument is read from the domain's memo or built, in
-        ascending order; one out of the code range, or whose build raises,
-        is not kept."""
-        kind, pc = d.kind, d.affine.p_coeff
-        args = self._args(d)
-        lo, hi = int(args.min()), int(args.max())
-        inside = None  # or the mask of the rows inside the code range
-        if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
-            inside = (-_CODE_BIAS <= args) & (args < _CODE_BIAS) & (-_CODE_BIAS <= pc < _CODE_BIAS)
-            lo = int(args[inside].min(initial=0))
-            args = np.where(inside, args, lo)
-        at = args - lo
-        seen = np.bincount(at if inside is None else at[inside], minlength=1) > 0
+        distinct key is read from the domain's memo or built, in ascending
+        order; one out of the code range, or whose build raises, fails."""
+        keys = self._keys(d)
+        kind, pc, entry = d.kind, d.affine.p_coeff, keys.entry
         # entry 0 stands for the rows out of the code range, entry j > 0 for
-        # the j-th distinct argument; a failing one has no value
-        base = _key_code(kind, lo, pc)
+        # the j-th distinct key; a failing one has no value
         values = [None]
-        for k in seen.nonzero()[0].tolist():
-            value = self._values.get(base + (k << 21))
-            if value is None:
-                with contextlib.suppress(ArithmeticError, ValueError):
-                    value = self._values[base + (k << 21)] = self._value(kind, lo + k, pc)
-            values.append(value)
-        entry = seen.cumsum()[at]
-        if inside is not None:
-            entry[~inside] = 0
+        for code, v in zip(keys.codes, keys.args):
+            value = self._values.get(code)
+            values.append(self._key_value(code, kind, v, pc) if value is None else value)
         fails = [v is None for v in values]
-        failing = np.array(fails)[entry] if inside is not None or True in fails[1:] else None
+        failing = np.array(fails)[entry] if keys.clipped or True in fails[1:] else None
         if self.exact:
             nonzero = np.array([v is not None and not v.is_zero() for v in values])
             values = None
@@ -931,7 +1051,7 @@ class ProbeBatch:
             nonzero = table.any(axis=1)
             values = table[entry]
         live = nonzero[entry]
-        self._columns[d] = base + (at << 21), values, None if live.all() else live, failing
+        self._columns[d] = keys.row_codes, values, None if live.all() else live, failing
         return self._columns[d]
 
     def _raise_failing(self, d: Diag, rows: np.ndarray):
@@ -944,61 +1064,24 @@ class ProbeBatch:
             raise EngineError(f"{d.kind} key out of the code range [-2**20, 2**20)")
         self._value(d.kind, lo, pc)
 
-    def _ladder_column(self, step: Step):
-        """Build and keep a ladder step's column: (live mask or None when no
-        row dies, per-row plain number of ``Engine._ladder`` or None if 1)."""
-        i = step.mode - 1
-        occupation = self.states[:, i] + step.offset
-        if self.sig.is_fermionic(step.mode):
-            # raising needs an empty mode, lowering a filled one; the sign
-            # counts the occupied fermionic modes strictly left of i
-            left = self.states[:, self.sig.n - 1 : i].sum(axis=1) + step.parity
-            column = occupation == step.lower, 1 - 2 * (left % 2)
-        elif self.convention == "orthonormal":
-            # a row that died earlier may meet a negative occupation here
-            k = occupation if step.lower else occupation + 1
-            column = (occupation > 0 if step.lower else None), np.sqrt(np.maximum(k, 0))
-        else:
-            column = (occupation > 0, occupation) if step.lower else (None, None)
-        self._columns[step] = column
-        return column
-
     def _read(self, word: Word):
         """A word over every probe state: (live rows, net change, ladder
         number per row or None when it is 1, and per diagonal factor the
         key codes and, numerically, values per row), gathered at the live
         rows from the columns of the word's start-state items, or raised
         where a factor's failing row is live."""
-        items, change = start_form(self.sig, word)
-        live = self._all_rows
-        numbers, codes, factors = [], [], []
-        lowerings = 0
-        for k, item in enumerate(items):
-            if not live.any():
-                break
-            if isinstance(item, Diag):
-                code, value, mask, failing = self._columns.get(item) or self._diag_column(item)
-                if failing is not None and (failing & live).any():
-                    self._raise_failing(item, failing & live)
-                codes.append(code)
-                if value is not None:
-                    factors.append(value)
-            else:
-                mask, number = self._columns.get(item) or self._ladder_column(item)
-                lowerings += item.lower
-                if number is not None:
-                    numbers.append(number)
-                    reach = self._top + k + 1, lowerings
-            if mask is not None:
-                live = live & mask
-        rows = np.flatnonzero(live)
-        ladder = None
-        if numbers:
-            ladder = numbers[0][rows]
-            if self.convention == "monomial" and reach[0] ** reach[1] >= 1 << 63:
-                ladder = ladder.astype(object)
-            for number in numbers[1:]:
-                ladder = ladder * number[rows]
+        codes, factors = [], []
+
+        def diag(item: Diag, live: np.ndarray):
+            code, value, mask, failing = self._columns.get(item) or self._diag_column(item)
+            if failing is not None and (failing & live).any():
+                self._raise_failing(item, failing & live)
+            codes.append(code)
+            if value is not None:
+                factors.append(value)
+            return mask
+
+        rows, change, ladder = self._walk(word, diag)
         return rows, change, ladder, [c[rows] for c in codes], [f[rows] for f in factors]
 
     def apply_word(self, word: Word):
@@ -1009,17 +1092,20 @@ class ProbeBatch:
 
         As in ``Engine.apply_word`` the ladder numbers multiply in word
         order and the diagonal values in the order of their keys, so
-        the scalars are the per-state engine's to the last bit."""
+        the scalars are the per-state engine's to the last bit.  The
+        values are sorted per row only where some row reads its keys out
+        of ascending order."""
         if self.exact:
             raise EngineError("an exact batch has no per-row scalars; use images")
         rows, change, ladder, codes, factors = self._read(word)
         if not factors:
             values = np.ones((len(rows), len(self.engines)), dtype=complex)
-        elif len(factors) == 1:
-            values = factors[0]
         else:
-            order = np.argsort(np.array(codes), axis=0, kind="stable")
-            factors = np.take_along_axis(np.array(factors), order[:, :, None], axis=0)
+            if len(factors) > 1:
+                codes = np.array(codes)
+                if (codes[1:] < codes[:-1]).any():
+                    order = np.argsort(codes, axis=0, kind="stable")
+                    factors = np.take_along_axis(np.array(factors), order[:, :, None], axis=0)
             values = factors[0]
             for f in factors[1:]:
                 values = values * f
@@ -1036,7 +1122,11 @@ class ProbeBatch:
         cancellation error is measured).  Both have shape (q, states).
 
         Every term moves a probe state to the same image state, so the
-        terms sum into one dense (states, q) array."""
+        terms sum into one dense (states, q) array, word by word.  This is
+        the per-word reference of ``ProbePlan``, which forms the same sums
+        in the same order for a whole relation set and replays a chunk of
+        it here where it may raise, and of the tests; the deformed
+        oscillator check calls it directly."""
         shape = (len(self.states), len(self.engines))
         image = np.zeros(shape, dtype=complex)
         scale = np.zeros(shape)
@@ -1122,3 +1212,358 @@ class ProbeBatch:
         rows = [r for r, v in enumerate(sums) if v is not None]
         change = word_change(self.sig, compiled[0][1]) if compiled else 0
         return np.array(rows, dtype=np.intp), self.states[rows] + change, [sums[r] for r in rows]
+
+
+# entries, and image slots (relations times probe states), that one chunk
+# of a probe plan holds at most; a relation past either bound takes a chunk
+# of its own
+PLAN_ENTRIES = 1 << 13
+PLAN_SLOTS = 1 << 20
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """A nonnegative integer array in the smallest of uint16 and int32
+    that holds it."""
+    return a.astype(np.uint16 if a.max(initial=0) < 1 << 16 else np.int32)
+
+
+def _distinct_rows(columns: list, n: int):
+    """The distinct rows of the n-row matrix whose columns are the
+    nonnegative integer arrays ``columns``, as an int64 matrix, and per row
+    the index of its distinct row among them."""
+    bases = [int(c.max(initial=0)) + 1 for c in columns]
+    if math.prod(bases) >= 1 << 62:
+        distinct, inverse = np.unique(np.stack(columns, axis=1).astype(np.int64), axis=0,
+                                      return_inverse=True)
+        return distinct, inverse.reshape(-1)
+    key = np.zeros(n, dtype=np.int64)
+    for c, base in zip(columns, bases):
+        key = key * base + c
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    distinct = np.array([c[first] for c in columns], dtype=np.int64)
+    return distinct.reshape(len(columns), len(first)).T, inverse.reshape(-1)
+
+
+class _Chunk(NamedTuple):
+    """Consecutive expressions of a probe plan, laid out in four levels:
+    the plan's keys, tuples of them, triples and entries."""
+
+    # the plan's expressions in the chunk, by index
+    exprs: range
+    # per term, in expression then term order: (scalar, ``_scalar_key``)
+    scalars: list
+    # a term and a plan key index it may read on a row live before the
+    # factor, per pair (see ``ProbePlan._read``)
+    guard_terms: np.ndarray
+    guard_keys: np.ndarray
+    # per factor count K: (first tuple id, (tuples, K) plan key indices,
+    # each row ascending)
+    tuples: list
+    # per triple (term, tuple, ladder number): its term, its tuple, and its
+    # ladder number (None when every triple's is 1)
+    triple_terms: np.ndarray
+    triple_tuples: np.ndarray
+    triple_ladders: np.ndarray | None
+    # per entry, in term order: its image slot and its triple
+    entry_slots: np.ndarray
+    entry_triples: np.ndarray
+    # per image slot some entry reaches, in (expression, row) order: its row
+    slot_rows: np.ndarray
+    # the first slot of each expression, and the end
+    expr_starts: np.ndarray
+    # the slots whose residual is relative to the term scale, and per entry
+    # on one of them: its position among them and its triple
+    scaled: np.ndarray
+    scaled_entries: np.ndarray
+    scaled_triples: np.ndarray
+class _Column(NamedTuple):
+    """A diagonal factor over the probe rows, as a probe plan reads it."""
+
+    # key code per entry of ``ProbeRows._keys``, where entry 0 (out of the
+    # code range) has ``_NO_CODE``, which sorts after every code
+    codes: np.ndarray
+    entry: np.ndarray
+    # the entries met on some row
+    every: np.ndarray
+    # whether an entry fails in every scalar domain
+    failing: bool
+
+
+_NO_CODE = np.iinfo(np.int64).max
+
+
+class _TermRead(NamedTuple):
+    """A term's word read q-free by ``ProbePlan._read``."""
+
+    # the rows live under the ladder masks after every item
+    rows: np.ndarray
+    # the diagonal factors read, and per factor the entries of its keys it
+    # may read on a row live before it
+    factors: list
+    guards: list
+    # per live row its ladder number as a float, or None when 1
+    ladder: np.ndarray | None
+
+
+class ProbePlan:
+    """The q-free layout of a list of expressions on a list of probe
+    states: every (term, probe row) on which a term's word lives under the
+    ladder masks, with what that row's scalar is made of.  It serves
+    numeric relation verification, which applies the same relation set to
+    the same probe states at every call and changes only the scalar domain.
+
+    A word's live rows under its ladder steps, its ladder number per row
+    and its diagonal key codes per row depend on the states and the
+    convention, never on q or the value of p.  The plan reads each word
+    once (``ProbeRows._walk``) and keeps four levels, in chunks of
+    consecutive expressions (at most ``PLAN_ENTRIES`` entries and
+    ``PLAN_SLOTS`` expressions times states, unless one expression is
+    larger):
+    - keys: the key codes read, ascending, plus one index for a key out of
+      the code range;
+    - tuples: the key indices of a row's diagonal factors, ascending, the
+      order in which ``Engine.apply_word`` multiplies their values;
+    - triples: (term, tuple, ladder number as a float);
+    - entries: per live (term, row), its image slot (expression in chunk
+      and row, numbered over the slots some entry reaches) and its
+      triple, in term order.
+    Per chunk it also keeps, per term, the keys that the raise rule needs:
+    those it reads on rows live before the factor.
+
+    ``worst`` takes a numeric ``ProbeBatch`` over the same states and
+    convention.  Per call it builds one value table over the keys from the
+    domain's memo; per chunk, the tuple products, the triple contributions
+    (term scalar times product times ladder number) and their magnitudes,
+    then per slot the image sum with ``np.bincount``, in term order, so
+    that the sums are those of ``ProbeBatch.max_abs_images`` to the last
+    bit.  A chunk goes through ``max_abs_images`` expression by expression
+    instead (a replay), so that every error is the per-word path's, in its
+    order and with its text, when a kept term may read a failing key on a
+    row live before its factor, when a sum is not finite, or when its
+    arithmetic raises.
+
+    Relation verification keeps a plan per (signature, realization,
+    mutation, cap, convention), a bounded memo (``verify.PROBE_PLANS``).
+    Its indices are uint16 where they fit: the HP plan of (4,2) at cap 7
+    takes 0.48 MB, of (4,3) at cap 6 0.51 MB and of (7,5) at cap 6 10.3 MB
+    (traced allocations)."""
+
+    def __init__(self, sig: Signature, convention: str, states, exprs, above):
+        rows = ProbeRows(sig, convention, states)
+        self.exprs = tuple(exprs)
+        self.size = len(rows.states)
+        self.above = np.array(above, dtype=bool).reshape(self.size)
+        columns: dict = {}  # factor -> its ``_Column``
+        chunks, reads, entries = [], [], 0
+        for e, expr in enumerate(self.exprs):
+            read = [self._read(rows, columns, w) for _, w in expr.terms]
+            n = sum(len(term.rows) for term in read)
+            if reads and (entries + n > PLAN_ENTRIES or (len(reads) + 1) * self.size > PLAN_SLOTS):
+                chunks.append(self._chunk(range(e - len(reads), e), reads, columns))
+                reads, entries = [], 0
+            reads.append(read)
+            entries += n
+        if reads:
+            chunks.append(self._chunk(range(len(self.exprs) - len(reads), len(self.exprs)),
+                                      reads, columns))
+        self.codes = sorted({code for c in columns.values() for code in c.codes[1:].tolist()})
+        codes = np.array(self.codes, dtype=np.int64)
+        self._chunks = [self._keyed(chunk, codes) for chunk in chunks]
+
+    @staticmethod
+    def _read(rows: ProbeRows, columns: dict, word: Word) -> _TermRead:
+        """A word read q-free.  A factor whose keys include one that fails
+        in every scalar domain (out of the code range, or a bracket ratio
+        or angle bracket at 0) keeps the entries it meets on rows live
+        before it; any other keeps all its entries, so that a key that
+        fails only in some domains may replay a chunk whose rows never
+        read it, which gives the same result."""
+        factors, guards = [], []
+
+        def diag(item: Diag, live: np.ndarray):
+            column = columns.get(item)
+            if column is None:
+                keys = rows._keys(item)
+                failing = keys.clipped or (item.kind in ("bracket_ratio", "angle")
+                                           and 0 in keys.args)
+                column = columns[item] = _Column(
+                    np.array([_NO_CODE] + keys.codes, dtype=np.int64), _compact(keys.entry),
+                    np.flatnonzero(np.bincount(keys.entry)), failing)
+            factors.append(item)
+            guards.append(np.flatnonzero(np.bincount(column.entry[live]))
+                          if column.failing and live is not rows._all_rows else column.every)
+
+        at, _, ladder = rows._walk(word, diag)
+        return _TermRead(at, factors, guards, None if ladder is None else ladder.astype(float))
+
+    def _chunk(self, exprs: range, reads: list, columns: dict) -> _Chunk:
+        """Lay out the expressions ``exprs`` as one chunk, with key codes
+        where ``_keyed`` puts plan key indices."""
+        scalars, guard_terms, guard_keys = [], [], []
+        slots, ladders = [], []
+        by_count: dict = {}  # factor count -> [(term, read, first entry)]
+        placed = 0
+        for r, e in enumerate(exprs):
+            for (c, _), read in zip(self.exprs[e].terms, reads[r]):
+                t = len(scalars)
+                scalars.append((c, _scalar_key(c)))
+                for d, met in zip(read.factors, read.guards):
+                    guard_keys.append(columns[d].codes[met])
+                    guard_terms.append(np.full(len(met), t))
+                n = len(read.rows)
+                if n:
+                    slots.append(r * self.size + read.rows)
+                    ladders.append(np.ones(n) if read.ladder is None else read.ladder)
+                    by_count.setdefault(len(read.factors), []).append((t, read, placed))
+                    placed += n
+        empty = np.zeros(0, dtype=np.intp)
+        slots = np.concatenate([empty] + slots)
+        numbers, number_of = np.unique(np.concatenate([np.ones(0)] + ladders),
+                                       return_inverse=True)
+        entry_triples = np.empty(placed, dtype=np.intp)
+        triple_terms, triple_ladders, tuples = [], [], []
+        for k, group in sorted(by_count.items()):
+            # per entry: its term, the entry of each factor's key, its
+            # ladder number among ``numbers``
+            positions = np.concatenate([np.arange(at, at + len(read.rows))
+                                        for _, read, at in group])
+            distinct, inverse = _distinct_rows(
+                [np.concatenate([np.full(len(read.rows), t, dtype=np.int32) for t, read, _ in group])]
+                + [np.concatenate([columns[read.factors[j]].entry[read.rows] for _, read, _ in group])
+                   for j in range(k)]
+                + [number_of.reshape(-1)[positions]], len(positions))
+            entry_triples[positions] = sum(len(t) for t in triple_terms) + inverse
+            # the triples come sorted by term: give each its key codes
+            ends = np.searchsorted(distinct[:, 0], [t for t, _, _ in group], side="right")
+            codes = np.zeros((len(distinct), k), dtype=np.int64)
+            for (_, read, _), lo, hi in zip(group, [0, *ends[:-1]], ends):
+                for j, d in enumerate(read.factors):
+                    codes[lo:hi, j] = columns[d].codes[distinct[lo:hi, 1 + j]]
+            codes.sort(axis=1)
+            triple_terms.append(distinct[:, 0])
+            triple_ladders.append(numbers[distinct[:, -1]])
+            tuples.append(codes)
+        triple_ladders = np.concatenate([np.ones(0)] + triple_ladders)
+        reached = np.zeros(len(exprs) * self.size, dtype=bool)
+        reached[slots] = True
+        touched = np.flatnonzero(reached)
+        slot_rows = touched % max(self.size, 1)
+        entry_slots = np.searchsorted(touched, slots)
+        scaled = np.flatnonzero(self.above[slot_rows])
+        on_scaled = np.flatnonzero(self.above[slot_rows[entry_slots]])
+        return _Chunk(
+            exprs, scalars,
+            _compact(np.concatenate([empty] + guard_terms)),
+            np.concatenate([np.zeros(0, np.int64)] + guard_keys),
+            tuples, _compact(np.concatenate([empty] + triple_terms)), None,
+            None if (triple_ladders == 1).all() else triple_ladders,
+            _compact(entry_slots), _compact(entry_triples), _compact(slot_rows),
+            np.searchsorted(touched, np.arange(len(exprs) + 1) * self.size),
+            scaled, np.searchsorted(scaled, entry_slots[on_scaled]), entry_triples[on_scaled])
+
+    @staticmethod
+    def _keyed(chunk: _Chunk, codes: np.ndarray) -> _Chunk:
+        """A chunk from ``_chunk`` with plan key indices in place of key
+        codes (``_NO_CODE`` takes the last index), and its tuples."""
+        tuples, tuple_of, count = [], [], 0
+        for mat in chunk.tuples:
+            distinct, inverse = _distinct_rows(list(np.searchsorted(codes, mat).T), len(mat))
+            tuples.append((count, _compact(distinct)))
+            tuple_of.append(count + inverse)
+            count += len(distinct)
+        return chunk._replace(
+            guard_keys=_compact(np.searchsorted(codes, chunk.guard_keys)), tuples=tuples,
+            triple_tuples=_compact(np.concatenate([np.zeros(0, np.intp)] + tuple_of)))
+
+    def _table(self, batch: ProbeBatch):
+        """The values of the plan's keys over q, (keys + 1, q), from the
+        batch's domain memo, with a zero row for a failing key and for the
+        last index (out of the code range), and the mask of failing keys."""
+        values = [batch._key_value(code, *_key_of(code)) for code in self.codes]
+        zero = np.zeros(len(batch.engines))
+        table = np.array([zero if v is None else v for v in values] + [zero], dtype=complex)
+        return table, np.array([v is None for v in values] + [True])
+
+    def _images(self, chunk: _Chunk, batch: ProbeBatch, table, failing):
+        """A chunk's image magnitudes over its slots, (q, slots), and its
+        term scales over its scaled slots, (q, scaled); None when the chunk
+        must be replayed."""
+        q = len(batch.engines)
+        values = [batch._scalar(c, key) for c, key in chunk.scalars]
+        kept = np.array([v is not None for v in values], dtype=bool)
+        if (failing[chunk.guard_keys] & kept[chunk.guard_terms]).any():
+            return None
+        zero = np.zeros(q)
+        scalars = np.array([zero if v is None else v for v in values],
+                           dtype=complex).reshape(len(values), q)
+        product = np.empty((sum(len(m) for _, m in chunk.tuples), q), dtype=complex)
+        for first, mat in chunk.tuples:
+            if mat.shape[1]:
+                value = table[mat[:, 0]]
+                for j in range(1, mat.shape[1]):
+                    value = value * table[mat[:, j]]
+            else:
+                value = 1
+            product[first : first + len(mat)] = value
+        value = product[chunk.triple_tuples]
+        if chunk.triple_ladders is not None:
+            value = value * chunk.triple_ladders[:, None]
+        contrib = (scalars[chunk.triple_terms] * value).T.copy()
+        size = np.abs(contrib)
+        n = len(chunk.slot_rows)
+        slots, triples = chunk.entry_slots.astype(np.intp), chunk.entry_triples.astype(np.intp)
+        peak = np.empty((q, n))
+        image = np.empty(n, dtype=complex)
+        for k in range(q):
+            for part, out in ((contrib[k].real, image.real), (contrib[k].imag, image.imag)):
+                out[...] = np.bincount(slots, part[triples], minlength=n)
+            if not np.isfinite(image).all():
+                return None
+            peak[k] = np.abs(image)
+        scale = np.zeros((q, len(chunk.scaled)))
+        for k in range(q):
+            np.maximum.at(scale[k], chunk.scaled_entries, size[k][chunk.scaled_triples])
+        return peak, scale
+
+    def _replayed(self, chunk: _Chunk, batch: ProbeBatch):
+        """The per-word path's (peak, scale) of each expression in a chunk."""
+        return [batch.max_abs_images(batch.compile(self.exprs[e])) for e in chunk.exprs]
+
+    def worst(self, batch: ProbeBatch) -> list:
+        """Per expression, in order: (its worst residual, the first position
+        of it in q-then-state order as q * states + state).  The residual on
+        a (q sample, probe state) is the peak image magnitude of
+        ``ProbeBatch.max_abs_images``, divided on the states ``above`` by
+        the larger of 1 and the term scale."""
+        if batch.exact:
+            raise EngineError("a probe plan takes a numeric batch")
+        table, failing = self._table(batch)
+        out = []
+        for chunk in self._chunks:
+            images = self._images(chunk, batch, table, failing)
+            if images is None:
+                out += [_worst(peak, scale, self.above) for peak, scale in self._replayed(chunk, batch)]
+                continue
+            residual, scale = images
+            residual[:, chunk.scaled] = residual[:, chunk.scaled] / np.maximum(1.0, scale)
+            starts = chunk.expr_starts
+            reached = np.flatnonzero(np.diff(starts))
+            worst = np.zeros(len(chunk.exprs))
+            at = np.zeros(len(chunk.exprs), dtype=np.int64)
+            if len(reached):
+                worst[reached] = np.maximum.reduceat(residual.max(axis=0), starts[reached])
+                hit = residual == np.repeat(worst, np.diff(starts))
+                # per slot, the first q sample where it reaches its worst
+                position = np.where(hit.any(axis=0), hit.argmax(axis=0) * self.size + chunk.slot_rows,
+                                    np.iinfo(np.int64).max)
+                first = np.minimum.reduceat(position, starts[reached])
+                at[reached] = np.where(worst[reached] > 0, first, 0)
+            out += [(float(w), int(k)) for w, k in zip(worst, at)]
+        return out
+
+
+def _worst(peak: np.ndarray, scale: np.ndarray, above: np.ndarray) -> tuple:
+    """``ProbePlan.worst`` of one expression from its (peak, scale)."""
+    residual = np.where(above, peak / np.maximum(1.0, scale), peak)
+    k = int(np.argmax(residual))
+    return float(residual.flat[k]), k

@@ -7,6 +7,7 @@ from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import GenSymbol, build_relations
 from qglnm.realize import MUTATIONS, dyson, hp
 from qglnm.verify import (
+    PROBE_STATE_LISTS,
     RELATION_SETS,
     _relation_set,
     default_cap,
@@ -87,6 +88,13 @@ class TestProbeStates:
 
     def test_deterministic(self):
         assert probe_states(SIG21, 4) == probe_states(SIG21, 4)
+
+    def test_built_once_as_a_tuple(self):
+        sig = Signature(4, 2)
+        states = probe_states(sig, 7)
+        assert isinstance(states, tuple) and probe_states(sig, 7) is states
+        assert states == tuple(enumerate_up_to(sig, 7)) + tuple(extra_probe_states(sig, 7))
+        assert probe_states.cache_info().maxsize == PROBE_STATE_LISTS
 
     def test_respects_fermionic_bound(self):
         for s in extra_probe_states(Signature(2, 2), 4):

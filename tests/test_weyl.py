@@ -20,7 +20,7 @@ from qglnm.coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, b
 from qglnm.fock import Signature, enumerate_up_to
 from qglnm.presentation import build_relations
 from qglnm.realize import MUTATIONS, realization
-from qglnm.verify import default_cap, probe_states, substitute, verify_all
+from qglnm.verify import PROBE_PLANS, _probe_plan, default_cap, probe_states, substitute, verify_all
 from qglnm.weyl import (
     SCALAR_DOMAINS,
     Affine,
@@ -30,11 +30,14 @@ from qglnm.weyl import (
     Lower,
     OperatorExpr,
     ProbeBatch,
+    ProbePlan,
     Raise,
     _expand_affine,
     _key_code,
+    _worst,
     affine_mode,
     domain_memo,
+    float_errors_raise,
     normal_form,
     normal_ordered,
     super_commutator,
@@ -1216,6 +1219,147 @@ class TestDomainMemo:
         verify_all(sig, cap=4, p=3)
         verify_all(sig, kind="hp", p=3, q=[1.3, 0.7], cap=4)
         assert [verify_all(**kwargs).format_machine() for kwargs in calls] == cold
+
+
+class TestNumericPlan:
+    """The probe plan of numeric verification against the per-word path
+    (``ProbeBatch.max_abs_images``), bit for bit: the peak image magnitude
+    and the term scale per (q sample, probe state), and the worst residual
+    and its position, over the realizations, mutations, conventions and a
+    grid of q and p; and every error the per-word path raises, in its
+    order and with its text."""
+
+    QS = (0.1, 0.2, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 5.0)
+    PS = (0, 2, 3, 8)
+    # (signature, realization, mutation, convention); the bracket ratio
+    # that drop_bracket_ratio drops needs n >= 3
+    CONFIGS = [(sig, kind, mutation, convention)
+               for sig in (SIG21, Signature(3, 2), Signature(4, 2))
+               for kind, mutation, convention in [
+                   ("hp", None, "orthonormal"), ("hp-deformed", None, "orthonormal"),
+                   *(("dyson", m, c) for m in (None, *MUTATIONS) for c in ("monomial", "orthonormal"))]
+               if mutation != "drop_bracket_ratio" or sig.n >= 3]
+
+    @staticmethod
+    def _images(plan, batch):
+        """Per expression, the plan's (peak, scale), each (q, states) with 0
+        where the plan forms no scale; asserts that no chunk is replayed."""
+        table, failing = plan._table(batch)
+        shape = (len(batch.engines), plan.size)
+        out = []
+        for chunk in plan._chunks:
+            images = plan._images(chunk, batch, table, failing)
+            assert images is not None, chunk.exprs
+            peak, scale = images
+            starts = chunk.expr_starts
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                dense_peak, dense_scale = np.zeros(shape), np.zeros(shape)
+                dense_peak[:, chunk.slot_rows[lo:hi]] = peak[:, lo:hi]
+                at = np.flatnonzero((lo <= chunk.scaled) & (chunk.scaled < hi))
+                dense_scale[:, chunk.slot_rows[chunk.scaled[at]]] = scale[:, at]
+                out.append((dense_peak, dense_scale))
+        return out
+
+    @staticmethod
+    def _plan(sig, exprs, states, above):
+        return ProbePlan(sig, "orthonormal", states, exprs, above)
+
+    @pytest.mark.parametrize("sig, kind, mutation, convention", CONFIGS,
+                             ids=["-".join(map(str, c)) for c in CONFIGS])
+    def test_matches_per_word_path(self, sig, kind, mutation, convention):
+        real = realization(kind, sig, mutation)
+        exprs = [substitute(rel, real) for rel in build_relations(sig)]
+        states = probe_states(sig, 4)
+        # the term scale everywhere for the images, above the cap for the
+        # residuals; one plan serves every q and p
+        plans = [ProbePlan(sig, convention, states, exprs, [True] * len(states)),
+                 ProbePlan(sig, convention, states, exprs, [sum(s) > 4 for s in states])]
+        for p in self.PS:
+            batch = ProbeBatch([Engine(sig, convention=convention, q=q, p=p) for q in self.QS],
+                               states)
+            with float_errors_raise():
+                want = [batch.max_abs_images(batch.compile(expr)) for expr in exprs]
+                got = self._images(plans[0], batch)
+                assert len(got) == len(want)
+                for (peak, scale), (ref_peak, ref_scale) in zip(got, want):
+                    assert peak.tobytes() == ref_peak.tobytes()
+                    assert scale.tobytes() == ref_scale.tobytes()
+                for plan in plans:
+                    assert plan.worst(batch) == [_worst(*w, plan.above) for w in want]
+
+    def test_failing_key_on_a_row_a_later_step_kills_raises(self):
+        # the ratio is read first, at N_1 = 0 on (0, 0), which the lowering
+        # kills only after it; the relation after it would raise otherwise
+        ratio = Diag("bracket_ratio", affine_mode(SIG21, 1))
+        exprs = [OperatorExpr.from_word(Raise(1)), OperatorExpr.from_word(Lower(1), ratio),
+                 OperatorExpr.from_word(Diag("angle", affine_mode(SIG21, 1)))]
+        states = [(2, 0), (0, 0)]
+        batch = ProbeBatch([numeric_engine(SIG21)], states)
+        plan = self._plan(SIG21, exprs, states, [False, False])
+        for evaluate in (plan.worst, lambda b: [b.max_abs_images(b.compile(e)) for e in exprs]):
+            with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
+                evaluate(batch)
+        # a failing key read only after the lowering killed the row does not
+        word = (Diag("bracket_ratio", affine_mode(SIG21, 1).shift(1)), Lower(1))
+        plan = self._plan(SIG21, [OperatorExpr.from_word(*word)], states, [False, False])
+        assert plan.worst(batch) == [_worst(*batch.max_abs_images(batch.compile(
+            OperatorExpr.from_word(*word))), plan.above)]
+
+    def test_zero_scalar_term_never_raises(self):
+        # [2] - 2 is 0 at q = 1, so its term drops and its failing word is
+        # never read; at q = 1.3 it is read and raises
+        zero_at_1 = bracket_int(2) - CoeffExact.from_int(2)
+        ratio = Diag("bracket_ratio", affine_mode(SIG21, 1))
+        expr = OperatorExpr([(CoeffExact.one(), (Diag("qpow", affine_mode(SIG21, 1)),)),
+                             (zero_at_1, (ratio,))])
+        states = [(0, 0), (1, 0)]
+        plan = self._plan(SIG21, [expr], states, [False, True])
+        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=1.0, p=2)], states)
+        with float_errors_raise():
+            assert plan.worst(batch) == [(1.0, 0)] == [
+                _worst(*batch.max_abs_images(batch.compile(expr)), plan.above)]
+        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=1.3, p=2)], states)
+        with pytest.raises(ZeroDivisionError, match="bracket ratio"):
+            plan.worst(batch)
+
+    def test_product_overflow_raises_the_per_word_error(self):
+        # every factor is finite at q = 1e20, their product is not
+        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+            verify_all(SIG21, "hp", 3, q=1e20)
+        exprs = [substitute(rel, realization("hp", SIG21)) for rel in build_relations(SIG21)]
+        states = probe_states(SIG21, default_cap(3))
+        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=1e20, p=3)], states)
+        with float_errors_raise(), pytest.raises(FloatingPointError) as per_word:
+            for expr in exprs:
+                batch.max_abs_images(batch.compile(expr))
+        plan = self._plan(SIG21, exprs, states, [False] * len(states))
+        with float_errors_raise(), pytest.raises(FloatingPointError) as planned:
+            plan.worst(batch)
+        assert str(planned.value) == str(per_word.value)
+
+    def test_refuses_an_exact_batch(self):
+        plan = self._plan(SIG21, [OperatorExpr.from_word(Raise(1))], [(0, 0)], [False])
+        with pytest.raises(EngineError, match="numeric batch"):
+            plan.worst(ProbeBatch([Engine(SIG21)], [(0, 0)]))
+
+    def test_reports_equal_cold_and_warm(self, monkeypatch):
+        calls = [dict(kind="hp", p=2, q=[0.5, 1.3]), dict(kind="hp-deformed", p=3, q=0.9),
+                 dict(kind="dyson", p=3, q=[0.7, 1.3], mutation="shift_e1_bracket")]
+        sig = Signature(3, 2)
+        _probe_plan.cache_clear()
+        cold = [verify_all(sig, cap=4, **kwargs).format_machine() for kwargs in calls]
+        builds = []
+        monkeypatch.setattr(ProbePlan, "__init__", lambda *a: builds.append(a))
+        assert [verify_all(sig, cap=4, **kwargs).format_machine() for kwargs in calls] == cold
+        assert not builds
+
+    def test_kept_plans_are_bounded(self):
+        _probe_plan.cache_clear()
+        for cap in range(4, 5 + PROBE_PLANS):
+            verify_all(SIG21, "hp", 2, q=1.3, cap=cap)
+        info = _probe_plan.cache_info()
+        assert info.misses == PROBE_PLANS + 1
+        assert info.currsize == info.maxsize == PROBE_PLANS
 
 
 class TestAtomHashing:
