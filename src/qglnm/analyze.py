@@ -6,11 +6,15 @@ the orthonormal basis, highest weights, the essentially-typical
 criterion on integer weights, inequivalence of different thresholds, and
 irreducibility as cyclicity of every basis vector, read off the support
 graph of the generator matrices (each weight space is a single state).
-The matrices, invariance and highest weights read generator images from
-one function, ``_images``: one engine and one probe batch
-(``weyl.ProbeBatch.images``, one image state per state) over the states
-they need.  Every analysis works on the sparse entries; the quotient
-relations carry one (row, coefficient) pair through each word.
+The matrices, cyclicity, invariance and highest weights read generator
+images from one function, ``_images``, as arrays per generator (rows,
+image states, coefficients): a probe plan (``weyl.ProbePlan``) of the
+realization on the states they need, read once per process, then
+evaluated at each q and p in a few array operations, equal to one probe
+batch over the states (``weyl.ProbeBatch.images``) to the last bit.  The
+deformed-oscillator check reads its residuals from two plans kept per
+(signature, cap).  Every analysis works on the sparse entries; the
+quotient relations carry one (row, coefficient) pair through each word.
 
 Matrix columns follow the graded-lex basis order, so the block structure
 by total degree is visible in the sparse pattern: the first e generator
@@ -20,16 +24,23 @@ every other generator is block-diagonal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coeff import CoeffExact, LaurentPoly, bracket_int, numeric_str, scalar_str
 from .fock import BasisIndex, Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
 from .presentation import E, F, H, GenSymbol, HBracket, build_relations, generators
 from .realize import DYSON, HP, HP_DEFORMED, realization, tilde_ops
-from .weyl import (Diag, Engine, OperatorExpr, ProbeBatch, affine_mode, float_errors_raise,
-                   super_commutator)
+from .weyl import (Diag, Engine, OperatorExpr, ProbePlan, ScalarDomain, affine_mode,
+                   float_errors_raise, super_commutator)
 
 SUBSPACES = ("F0", "F1-slice", "quotient-F0")
+# image plans kept per process; every check at three thresholds reads 14
+IMAGE_PLANS = 32
+# deformed-oscillator plan pairs kept per process, one per (signature, cap)
+DEFORMED_PLANS = 4
 
 
 class SubspaceLeakError(ValueError):
@@ -80,42 +91,63 @@ def materialize(
     restricts to the degree window p < total <= cap (p + 4 by default),
     dropping components above the cap.
     """
+    basis, columns = _matrix_columns(sig, kind, p, q, subspace, cap, convention, mutation)
+    out = {g: GeneratorMatrix(basis, {}) for g in generators(sig)}
+    for g, cols, rows, coeffs in columns:
+        out[g].entries.update(zip(zip(rows.tolist(), cols.tolist()), coeffs))
+    return out
+
+
+def _matrix_columns(sig: Signature, kind: str, p: int, q, subspace: str, cap: int | None,
+                    convention: str, mutation: str | None) -> tuple:
+    """The subspace's basis and, per generator in realization order, its
+    nonzero matrix entries as (generator, columns, rows, coefficients), in
+    column order; the first image component that leaves the subspace and
+    is not dropped raises ``SubspaceLeakError``."""
     if not isinstance(p, int) or p < 0:
         raise ValueError("materialization needs an integer p >= 0")
     if q is None and convention == "orthonormal":
         raise ValueError("orthonormal matrices need a numeric q")
     cap = _window_cap(p, cap)
     basis = _subspace_basis(sig, p, subspace, cap)
-    out = {g: GeneratorMatrix(basis, {}) for g in generators(sig)}
     top = {"quotient-F0": p, "F1-slice": cap}.get(subspace)  # components above it drop
-    for g, state, s, v in _images(sig, kind, p, q, convention, basis.states, mutation):
-        row = basis.index.get(s)
-        if row is None:
-            if top is not None and total(s) > top:
-                continue
+    columns = []
+    for g, cols, images, coeffs in _images(sig, kind, p, q, convention, basis.states, mutation):
+        rows = np.array([basis.index.get(s, -1) for s in map(tuple, images.tolist())],
+                        dtype=np.intp)
+        leaks = np.flatnonzero((rows < 0) & (top is None or images.sum(axis=1) <= top))
+        if len(leaks):
+            k = leaks[0]
             raise SubspaceLeakError(
-                f"image of {g} leaves the {subspace} subspace at state {state} "
-                f"(reached {s}); use quotient-F0 for the Dyson realization"
-            )
-        out[g].entries[(row, basis.index[state])] = v
-    return out
+                f"image of {g} leaves the {subspace} subspace at state {basis.states[cols[k]]} "
+                f"(reached {tuple(images[k].tolist())}); use quotient-F0 for the Dyson realization")
+        inside = rows >= 0
+        columns.append((g, cols[inside], rows[inside],
+                        [v for v, keep in zip(coeffs, inside.tolist()) if keep]))
+    return basis, columns
 
 
 def _images(sig: Signature, kind: str, p, q, convention: str, states, mutation=None) -> list:
-    """Every nonzero generator image of the realization on the states:
-    (generator, state, image state, coefficient), in realization order,
-    then state order, from one engine and one probe batch over the states,
-    with float errors raising.  Every module analysis reads its generator
-    images here."""
-    real = realization(kind, sig, mutation)
-    batch = ProbeBatch([Engine(sig, convention=convention, q=q, p=p)], states)
-    out = []
+    """Every nonzero generator image of the realization on the states, per
+    generator in realization order: (generator, ascending indices of the
+    states whose image is not zero, image states, coefficient list), read
+    from the states' image plan (``_image_plan``) with float errors raising,
+    equal to one probe batch's (``weyl.ProbeBatch.images``), errors too.
+    Every module analysis reads its generator images here."""
+    gens, plan = _image_plan(sig, kind, mutation, convention, tuple(states))
+    domain = ScalarDomain([Engine(sig, convention=convention, q=q, p=p)])
     with float_errors_raise():
-        for g, expr in real.images.items():
-            rows, images, coeffs = batch.images(batch.compile(expr))
-            out += [(g, states[r], tuple(s), v)
-                    for r, s, v in zip(rows.tolist(), images.tolist(), coeffs)]
-    return out
+        return [(g, *image) for g, image in zip(gens, plan.images(domain))]
+
+
+@functools.lru_cache(maxsize=IMAGE_PLANS)
+def _image_plan(sig: Signature, kind: str, mutation: str | None, convention: str,
+                states: tuple) -> tuple:
+    """The realization's generators, in order, and the probe plan of their
+    images on the states (``weyl.ProbePlan``), which depend on neither q
+    nor p: a bounded memo of ``IMAGE_PLANS`` keys."""
+    real = realization(kind, sig, mutation)
+    return tuple(real.images), ProbePlan(sig, convention, states, real.images.values())
 
 
 # -- invariance -------------------------------------------------------
@@ -166,12 +198,18 @@ def check_invariance(
     if cap < p + 1:
         raise ValueError("cap must be at least p + 1")
     window = enumerate_up_to(sig, cap).states
+    low = np.array([total(s) <= p for s in window], dtype=bool)
     witness = {True: "", False: ""}  # by whether the source state is low (degree <= p)
-    for g, state, s, v in _images(sig, kind, p, q, "monomial" if q is None else "orthonormal",
-                                  window):
-        low = total(state) <= p
-        if not witness[low] and (total(s) <= p) != low:
-            witness[low] = f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
+    for g, rows, images, coeffs in _images(sig, kind, p, q,
+                                           "monomial" if q is None else "orthonormal", window):
+        side = low[rows]
+        escapes = (images.sum(axis=1) <= p) != side
+        for is_low in (True, False):
+            hits = np.flatnonzero(escapes & (side == is_low))
+            if len(hits) and not witness[is_low]:
+                k = hits[0]
+                witness[is_low] = (f"{g} maps {window[rows[k]]} to {tuple(images[k].tolist())} "
+                                   f"with coefficient {scalar_str(coeffs[k])}")
     f0_wit, f1_wit = witness[True], witness[False]
     return InvarianceReport(kind, p, cap, not f1_wit, not f0_wit, f0_wit, f1_wit)
 
@@ -244,7 +282,8 @@ def check_unitarity(sig: Signature, p: int, q: float, tolerance: float = 1e-10) 
 def highest_weight(sig: Signature, p: int) -> tuple[int, ...]:
     """Eigenvalues of all h_i on the vacuum, which is a highest-weight
     vector: every e image annihilates it (each ends in a lowering atom)."""
-    images = {g: v for g, _, _, v in _images(sig, DYSON, p, None, "monomial", [vacuum(sig)])}
+    images = {g: coeffs[0] for g, _, _, coeffs in
+              _images(sig, DYSON, p, None, "monomial", [vacuum(sig)]) if coeffs}
     weights = []
     for i in range(1, sig.r + 1):
         c = images.get(GenSymbol(H, i), CoeffExact.zero())
@@ -344,26 +383,31 @@ def cyclicity(sig: Signature, p: int, q: float) -> CyclicityReport:
     rank is their number: an exact statement about the support of the
     matrices at this q, with no rank threshold.
     """
-    mats = materialize(sig, HP, p, q=q, subspace="F0")
-    dim = len(next(iter(mats.values())).basis)
-    return _reachability(dim, ((c, r) for m in mats.values() for r, c in m.entries))
+    basis, columns = _matrix_columns(sig, HP, p, q, "F0", None, "orthonormal", None)
+    return _reachability(len(basis), (edge for _, cols, rows, _ in columns
+                                      for edge in zip(cols.tolist(), rows.tolist())))
 
 
 def _reachability(dim: int, edges) -> CyclicityReport:
     """Cyclicity report of a support graph on states 0..dim-1 given by
     (source, target) edges: the rank from each start is the number of
-    states reachable from it, itself included."""
-    succ = [set() for _ in range(dim)]
+    states reachable from it, itself included.  When state 0 reaches every
+    state and every state reaches it, every rank is dim."""
+    succ, pred = [set() for _ in range(dim)], [set() for _ in range(dim)]
     for src, dst in edges:
         succ[src].add(dst)
-    ranks = {}
-    for start in range(dim):
+        pred[dst].add(src)
+
+    def reached(start, step) -> int:
         seen, todo = {start}, [start]
         while todo:
-            new = succ[todo.pop()] - seen
+            new = step[todo.pop()] - seen
             seen |= new
             todo += new
-        ranks[start] = len(seen)
+        return len(seen)
+
+    strong = dim and reached(0, succ) == reached(0, pred) == dim
+    ranks = {start: dim if strong else reached(start, succ) for start in range(dim)}
     return CyclicityReport(dim, ranks, all(r == dim for r in ranks.values()))
 
 
@@ -468,46 +512,13 @@ def deformed_ops_check(
     times max(1, the largest single-term image at that state), the scale
     of the cancellation error.
     """
-    eng = Engine(sig, convention="orthonormal", q=q, p=p)
-    ops = tilde_ops(sig)
-    states = list(enumerate_up_to(sig, cap))
-
-    def qpow_n(i, sign):
-        return OperatorExpr.from_word(Diag("qpow", affine=affine_mode(sig, i, sign)))
-
-    batch = ProbeBatch([eng], states)
-    # figure -> [largest residual, largest residual relative to the term scale]
-    worst = {"bosonic": [0.0, 0.0], "+": [0.0, 0.0], "-": [0.0, 0.0], "agreement": [0.0, 0.0]}
-
-    def measure(figure, expr):
-        peak, scale = batch.max_abs_images(batch.compile(expr))
-        w = worst[figure]
-        w[0] = max(w[0], float(peak.max()))
-        w[1] = max(w[1], float((peak / scale.clip(min=1.0)).max()))
-
-    qfac = CoeffExact(LaurentPoly.monomial(q_exp=1))  # specialized by the engine
+    domain = ScalarDomain([Engine(sig, convention="orthonormal", q=q, p=p)])
+    figures, plans = _deformed_plans(sig, cap)
     with float_errors_raise():
-        for i in range(1, sig.num_modes + 1):
-            bracket = super_commutator(sig, ops[("-", i)], ops[("+", i)], qfactor=qfac)
-            if sig.is_fermionic(i):
-                measure("-", bracket - qpow_n(i, -1))
-                measure("+", bracket - qpow_n(i, +1))
-            else:
-                measure("bosonic", bracket - qpow_n(i, -1))
-            for j in range(1, sig.num_modes + 1):
-                up, down = ops[("+", j)], ops[("-", j)]
-                measure("bosonic", ops[("N", i)] * up - up * ops[("N", i)]
-                        - (up if i == j else OperatorExpr.zero()))
-                measure("bosonic", ops[("N", i)] * down - down * ops[("N", i)]
-                        + (down if i == j else OperatorExpr.zero()))
-                if i != j:
-                    for a in ("+", "-"):
-                        for b in ("+", "-"):
-                            measure("bosonic", super_commutator(sig, ops[(a, i)], ops[(b, j)]))
-
-        deformed = realization(HP_DEFORMED, sig).images
-        for g, expr in realization(HP, sig).images.items():
-            measure("agreement", expr - deformed[g])
+        peak, relative = [np.array([w for w, _ in plan.worst(domain)]) for plan in plans]
+    # figure -> [largest residual, largest residual relative to the term scale]
+    worst = {f: [float(r[figures == f].max(initial=0.0)) for r in (peak, relative)]
+             for f in ("bosonic", "+", "-", "agreement")}
 
     def holds(figure):
         return worst[figure][1] <= tolerance
@@ -529,3 +540,40 @@ def deformed_ops_check(
         agreement_residual=worst["agreement"][0],
         agreement_pass=holds("agreement"),
     )
+
+
+@functools.lru_cache(maxsize=DEFORMED_PLANS)
+def _deformed_plans(sig: Signature, cap: int) -> tuple:
+    """The figure of each expression ``deformed_ops_check`` measures, and
+    two probe plans of them on the states up to the cap, the second with
+    every residual relative to the term scale; a bounded memo of
+    ``DEFORMED_PLANS`` keys."""
+    ops = tilde_ops(sig)
+    states = enumerate_up_to(sig, cap).states
+
+    def qpow_n(i, sign):
+        return OperatorExpr.from_word(Diag("qpow", affine=affine_mode(sig, i, sign)))
+
+    qfac = CoeffExact(LaurentPoly.monomial(q_exp=1))  # specialized by the engine
+    measured = []  # (figure, expression)
+    for i in range(1, sig.num_modes + 1):
+        bracket = super_commutator(sig, ops[("-", i)], ops[("+", i)], qfactor=qfac)
+        if sig.is_fermionic(i):
+            measured += [("-", bracket - qpow_n(i, -1)), ("+", bracket - qpow_n(i, +1))]
+        else:
+            measured.append(("bosonic", bracket - qpow_n(i, -1)))
+        for j in range(1, sig.num_modes + 1):
+            up, down = ops[("+", j)], ops[("-", j)]
+            measured += [
+                ("bosonic", ops[("N", i)] * up - up * ops[("N", i)]
+                 - (up if i == j else OperatorExpr.zero())),
+                ("bosonic", ops[("N", i)] * down - down * ops[("N", i)]
+                 + (down if i == j else OperatorExpr.zero()))]
+            if i != j:
+                measured += [("bosonic", super_commutator(sig, ops[(a, i)], ops[(b, j)]))
+                             for a in ("+", "-") for b in ("+", "-")]
+    deformed = realization(HP_DEFORMED, sig).images
+    measured += [("agreement", expr - deformed[g]) for g, expr in realization(HP, sig).images.items()]
+    figures, exprs = zip(*measured)
+    return np.array(figures), [ProbePlan(sig, "orthonormal", states, exprs, [scaled] * len(states))
+                               for scaled in (False, True)]

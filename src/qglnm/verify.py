@@ -24,18 +24,14 @@ on finitely many states does not extend by linearity.  Numeric
 verification probes every relation, closed or not, and reports its
 rounding residual.
 Both regimes apply each probed relation to every probe state at once.
-Exact verification goes through ``weyl.ProbeBatch.nonzero_rows``, on
-which the exact ``images`` of module analysis is built, up to the first
-probe state with a nonzero image.  That state is the witness of an exact
-failure, with its coefficient formed again by the per-state engine.
-Numeric verification goes through a probe plan (``weyl.ProbePlan``), at
-every q sample: the q-free layout of the relations' words on the probe
-states (per live term and row, its image slot, ladder number and sorted
-diagonal key codes), which a call evaluates in a few array operations
-per chunk of relations.  Its residuals and witnesses are those of the
-per-word path (``ProbeBatch.max_abs_images``) to the last bit, and a
-chunk that may raise is replayed on that path, so every error is its
-error too.
+Exact verification reads ``weyl.ProbeBatch.nonzero_rows`` up to the
+first probe state with a nonzero image, the witness of an exact failure,
+whose coefficient the per-state engine forms again.  Numeric
+verification reads a probe plan (``weyl.ProbePlan``) in the engines'
+scalar domain, with no probe batch: its residuals and witnesses are
+those of the per-word path (``ProbeBatch.max_abs_images``) to the last
+bit, and a chunk that may raise is replayed on that path, so every error
+is its error too.
 
 The substituted relations, and the stage that closes each, depend only
 on the signature, the realization and the mutation, so they
@@ -44,9 +40,8 @@ are built once per process for each such key and kept (a bounded memo of
 on the signature and the cap (``PROBE_STATE_LISTS`` keys), and a probe
 plan on the relations, the probe states and the convention, not on p or
 q: it is built once per process per (signature, realization, mutation,
-cap, convention) and kept, a bounded memo of ``PROBE_PLANS`` keys.  A
-plan takes about 0.5 MB on (4,2) at cap 7 and on (4,3) at cap 6, and
-about 10 MB on (7,5) at cap 6.
+cap, convention) and kept, a bounded memo of ``PROBE_PLANS`` keys (0.5
+MB on (4,2) at cap 7, 10 MB on (7,5) at cap 6).
 Each call specializes each distinct term scalar, and builds each
 diagonal value, once per process per scalar domain (exact p and
 classical, or numeric q and p, per engine; ``weyl.domain_memo``).  An
@@ -70,8 +65,8 @@ from dataclasses import dataclass, field
 from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
-from .weyl import (Diag, Engine, OperatorExpr, ProbeBatch, ProbePlan, closing_stage,
-                   float_errors_raise)
+from .weyl import (Diag, Engine, OperatorExpr, ProbeBatch, ProbePlan, ScalarDomain,
+                   closing_stage, float_errors_raise)
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
@@ -273,7 +268,7 @@ def _exact_result(name: str, batch: ProbeBatch, compiled: list) -> RelationResul
     return RelationResult(name, "fail", 0.0, f"state=({state_str}) coeff={coeff.canonical_str()}")
 
 
-def _numeric_result(name: str, batch: ProbeBatch, worst: float, k: int,
+def _numeric_result(name: str, states, engines: list, worst: float, k: int,
                     tolerance: float) -> RelationResult:
     """Numeric pass if the worst residual over every (q sample, probe
     state) stays within the tolerance (``ProbePlan.worst``); the witness is
@@ -281,9 +276,9 @@ def _numeric_result(name: str, batch: ProbeBatch, worst: float, k: int,
     numbered k."""
     if worst <= tolerance:
         return RelationResult(name, "numeric-pass", worst)
-    qi, si = divmod(k, len(batch.states))
-    state_str = ",".join(map(str, batch.states[si].tolist()))
-    witness = f"state=({state_str}) residual={worst!r} q={batch.engines[qi].q}"
+    qi, si = divmod(k, len(states))
+    state_str = ",".join(map(str, states[si]))
+    witness = f"state=({state_str}) residual={worst!r} q={engines[qi].q}"
     return RelationResult(name, "fail", worst, witness)
 
 
@@ -318,11 +313,10 @@ def verify_all(
     probed, and the largest coefficient magnitude over (state, q sample)
     must stay within the tolerance; the relations are read through the
     probe plan of (signature, realization, mutation, cap, convention),
-    built on the first such call.  All probed relations share one probe
-    batch, so a start-state factor their words share is built once; the
-    term scalars, diagonal values and exact products are formed once per
-    process per scalar domain and reused by later calls over it.  The
-    status strings are the same either way.
+    built on the first such call.  The term scalars, diagonal values and
+    exact products are formed once per process per scalar domain and
+    reused by later calls over it.  The status strings are the same
+    either way.
     """
     if kind != DYSON:
         if q is None:
@@ -342,20 +336,18 @@ def verify_all(
     # reports its rounding.
     results = [RelationResult(rel.name, "exact-pass") for rel, *_ in relations]
     probed = [k for k, (*_, stage) in enumerate(relations) if not (exact and stage)]
-    if probed:
-        states = probe_states(sig, cap)
-        batch = ProbeBatch(engines, states)
-        if exact:
-            with float_errors_raise():
-                for k in probed:
-                    rel, diff, _ = relations[k]
-                    results[k] = _exact_result(rel.name, batch, batch.compile(diff))
-        else:
-            plan = _probe_plan(sig, kind, mutation, cap, engines[0].convention)
-            with float_errors_raise():
-                worst = plan.worst(batch)
-            results = [_numeric_result(rel.name, batch, *w, tolerance)
-                       for (rel, *_), w in zip(relations, worst)]
+    if probed and exact:
+        batch = ProbeBatch(engines, probe_states(sig, cap))
+        with float_errors_raise():
+            for k in probed:
+                rel, diff, _ = relations[k]
+                results[k] = _exact_result(rel.name, batch, batch.compile(diff))
+    elif probed:
+        plan = _probe_plan(sig, kind, mutation, cap, engines[0].convention)
+        with float_errors_raise():
+            worst = plan.worst(ScalarDomain(engines))
+        results = [_numeric_result(rel.name, plan.states, engines, *w, tolerance)
+                   for (rel, *_), w in zip(relations, worst)]
     meta = {
         "realization": kind,
         "n": sig.n,

@@ -40,9 +40,8 @@ occupation part and p coefficient), and the product meets the ladder
 number once.
 
 ``Engine`` is the plain per-state reference: it serves the single-state
-callers (the witness of a failed exact relation, the vacuum weights,
-``qglnm eval``) and is the oracle for ``ProbeBatch``, which serves every
-multi-state caller (relation verification and the module analysis).  A
+callers (the witness of a failed exact relation, ``qglnm eval``) and is
+the oracle for ``ProbeBatch``, which serves every multi-state caller.  A
 batch takes only expressions whose terms share one net occupation change,
 so a probe state's image is a single state.  It applies words to a list
 of probe states, the rows of an integer array, at once with numpy.
@@ -62,18 +61,12 @@ engine's.  Exact ones are formed once per distinct diagonal product and
 term scalar, and a probe state's coefficient is their sum weighted by its
 ladder numbers, formed once per call for the states that share it.
 
-Numeric relation verification applies one relation set to one list of
-probe states at every call and changes only q and p.  ``ProbePlan``
-reads each of its words once, with no scalar: the rows a term's word
-lives on under its ladder steps, and per row its ladder number and its
-diagonal key codes in the order their values multiply, grouped into
-triples (term, sorted key codes, ladder number).  A call builds one table
-of key values, the products and contributions of the triples, and each
-image slot's sum with ``np.bincount`` in term order, so the residuals are
-those of the per-word ``ProbeBatch.max_abs_images`` to the last bit; a
-chunk of relations that may raise goes through ``max_abs_images``, which
-keeps its errors.  Relation verification keeps one plan per (signature,
-realization, mutation, cap, convention), a bounded memo.
+Numeric relation verification and module analysis apply one list of
+expressions to one list of states again at other q and p.  ``ProbePlan``
+reads each of their words once, with no scalar, and forms the images at
+each scalar domain (``ScalarDomain``) in a few array operations per chunk
+of expressions, the per-word path's to the last bit; a chunk that may
+raise goes through the per-word path, which keeps its errors.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -910,84 +903,24 @@ class ProbeRows:
         return rows, change, ladder
 
 
-class ProbeBatch(ProbeRows):
-    """Engines applied to a fixed list of probe states at once: numeric
-    engines, one per q sample, or a single exact engine.
+class ScalarDomain:
+    """Numeric engines, one per q sample, or a single exact engine, with
+    their domain's memo (``domain_memo``): the part of a probe batch that
+    no probe state changes, and all that a ``ProbePlan`` reads."""
 
-    ``compile`` specializes each distinct term scalar once per process per
-    scalar domain (``domain_memo``).  It takes only an expression whose
-    terms share one net occupation change, so each probe state's image is
-    a single state, the state shifted by that change.  The states are the
-    rows of an (S, modes) integer array, and the q samples a second axis.
-    A word is read at its start state (``start_form``), and the batch
-    keeps one column over all probe states per distinct item: for a ladder
-    step a live mask and the per-row plain numbers of ``Engine._ladder``,
-    for a diagonal factor a live mask, key codes and, numerically, values.
-    A word's live rows are the AND of its masks, and what it yields is
-    gathered at those rows, so no returned array shares memory with a
-    column.
-
-    A factor's per-row code packs its key (``Engine._diag_key``) into one
-    int64 that orders like it, for an argument and p coefficient below
-    2**20 in magnitude; each distinct key's value is formed once per
-    process per scalar domain and kept in the domain's memo by its code,
-    numerically as a read-only array over q.  A column covers rows the
-    word has already killed, so a row whose argument is out of the code
-    range or whose value raises fails: it counts as dead, and a word
-    raises only where a failing row is live (``_raise_failing``).
-
-    Numeric scalars are multiplied per row, in the per-state engine's
-    order, so they are its floats to the last bit.  Exact scalars are not
-    multiplied per row at all: the rows of a term that share a sorted code
-    tuple share ``X = c_t * product`` of the term scalar and the diagonal
-    values; the product and ``X`` are formed once per process per scalar
-    domain, and a probe state's image coefficient is the sum over terms of
-    its integer ladder number times ``X``, formed once per call for all
-    the rows that share their groups and ladder numbers.  ``images``
-    returns per row the one image state and its coefficient (the module
-    analysis), never a {state: coefficient} map; exact verification reads
-    the rows of ``nonzero_rows``, on which exact ``images`` is built, up to
-    the first, and ``max_abs_images`` reduces the numeric images to what
-    it needs.  ``max_abs_images`` and numeric ``apply_word`` are the
-    per-word reference: numeric verification reads a whole relation set
-    through a ``ProbePlan``, which replays a chunk of relations through
-    ``max_abs_images`` where only the per-word order of errors will do.
-
-    The engines share one signature and convention.
-    """
-
-    def __init__(self, engines: list, states):
+    def __init__(self, engines: list):
         modes = {e.mode for e in engines}
         if modes == {"exact"} and len(engines) > 1:
             raise EngineError("a probe batch takes a single exact engine")
         if len(modes) > 1:
             raise EngineError("a probe batch takes numeric engines or one exact engine, not both")
-        super().__init__(engines[0].sig, engines[0].convention, states)
         self.exact = modes == {"exact"}
         self.engines = engines
-        self._values, self._products, self._scalars, self._xs = domain_memo(
-            tuple(e.scalars.domain for e in engines))
-
-    def compile(self, expr: OperatorExpr) -> list:
-        """Specialize the term scalars: a list of (value, word), the value
-        being the exact engine's scalar or, numerically, the scalar's
-        values over q (read-only), where a term that is zero (at every q)
-        drops.  An expression whose words differ in their net occupation
-        change raises ``EngineError``: its terms would land on different
-        states, which the batch's reductions do not keep apart."""
-        changes = expr.changes(self.sig)
-        if len(changes) > 1:
-            raise EngineError(
-                f"a probe batch takes one net occupation change, not {sorted(changes)}")
-        compiled = []
-        for c, w in expr.terms:
-            value = self._scalar(c)
-            if value is not None:
-                compiled.append((value, w))
-        return compiled
+        self.domain = tuple(e.scalars.domain for e in engines)
+        self._values, self._products, self._scalars, self._xs = domain_memo(self.domain)
 
     def _scalar(self, c: CoeffExact, key: tuple | None = None):
-        """A term scalar in the batch's domain, or None when it is zero (at
+        """A term scalar in the engines' domain, or None when it is zero (at
         every q), each distinct scalar specialized once per process per
         scalar domain.  The key (``_scalar_key``) is the scalar's value with
         its terms in their stored order, which is the order of the float
@@ -1025,6 +958,83 @@ class ProbeBatch(ProbeRows):
             with contextlib.suppress(ArithmeticError, ValueError):
                 value = self._values[code] = self._value(kind, v, pc)
         return value
+
+    def _product(self, key: tuple) -> CoeffExact:
+        """The product of the exact values behind a sorted code tuple, each
+        product formed once per process per scalar domain from that of the
+        tuple's prefix."""
+        product = self._products.get(key)
+        if product is None:
+            if len(key) > 1:
+                product = self._product(key[:-1]) * self._values[key[-1]]
+            else:
+                product = self._values[key[0]] if key else self.engines[0].one()
+            self._products[key] = product
+        return product
+
+
+class ProbeBatch(ProbeRows, ScalarDomain):
+    """Engines applied to a fixed list of probe states at once: numeric
+    engines, one per q sample, or a single exact engine.
+
+    ``compile`` specializes each distinct term scalar once per process per
+    scalar domain (``domain_memo``).  It takes only an expression whose
+    terms share one net occupation change, so each probe state's image is
+    a single state, the state shifted by that change.  The states are the
+    rows of an (S, modes) integer array, and the q samples a second axis.
+    A word is read at its start state (``start_form``), and the batch
+    keeps one column over all probe states per distinct item: for a ladder
+    step a live mask and the per-row plain numbers of ``Engine._ladder``,
+    for a diagonal factor a live mask, key codes and, numerically, values.
+    A word's live rows are the AND of its masks, and what it yields is
+    gathered at those rows, so no returned array shares memory with a
+    column.
+
+    A factor's per-row code packs its key (``Engine._diag_key``) into one
+    int64 that orders like it, for an argument and p coefficient below
+    2**20 in magnitude; each distinct key's value is formed once per
+    process per scalar domain and kept in the domain's memo by its code,
+    numerically as a read-only array over q.  A column covers rows the
+    word has already killed, so a row whose argument is out of the code
+    range or whose value raises fails: it counts as dead, and a word
+    raises only where a failing row is live (``_raise_failing``).
+
+    Numeric scalars are multiplied per row, in the per-state engine's
+    order, so they are its floats to the last bit.  Exact scalars are not
+    multiplied per row at all: the rows of a term that share a sorted code
+    tuple share ``X = c_t * product`` of the term scalar and the diagonal
+    values; the product and ``X`` are formed once per process per scalar
+    domain, and a probe state's image coefficient is the sum over terms of
+    its integer ladder number times ``X``, formed once per call for all
+    the rows that share their groups and ladder numbers.  Exact
+    verification reads the rows of ``nonzero_rows`` up to the first.
+    ``images`` and ``max_abs_images`` are the per-word reference of
+    ``ProbePlan``, which replays a chunk through them.
+
+    The engines share one signature and convention.
+    """
+
+    def __init__(self, engines: list, states):
+        ScalarDomain.__init__(self, engines)
+        ProbeRows.__init__(self, engines[0].sig, engines[0].convention, states)
+
+    def compile(self, expr: OperatorExpr) -> list:
+        """Specialize the term scalars: a list of (value, word), the value
+        being the exact engine's scalar or, numerically, the scalar's
+        values over q (read-only), where a term that is zero (at every q)
+        drops.  An expression whose words differ in their net occupation
+        change raises ``EngineError``: its terms would land on different
+        states, which the batch's reductions do not keep apart."""
+        changes = expr.changes(self.sig)
+        if len(changes) > 1:
+            raise EngineError(
+                f"a probe batch takes one net occupation change, not {sorted(changes)}")
+        compiled = []
+        for c, w in expr.terms:
+            value = self._scalar(c)
+            if value is not None:
+                compiled.append((value, w))
+        return compiled
 
     def _diag_column(self, d: Diag):
         """Build and keep a diagonal factor's column over every probe row:
@@ -1122,11 +1132,8 @@ class ProbeBatch(ProbeRows):
         cancellation error is measured).  Both have shape (q, states).
 
         Every term moves a probe state to the same image state, so the
-        terms sum into one dense (states, q) array, word by word.  This is
-        the per-word reference of ``ProbePlan``, which forms the same sums
-        in the same order for a whole relation set and replays a chunk of
-        it here where it may raise, and of the tests; the deformed
-        oscillator check calls it directly."""
+        terms sum into one dense (states, q) array, word by word: the
+        per-word reference of ``ProbePlan.worst``."""
         shape = (len(self.states), len(self.engines))
         image = np.zeros(shape, dtype=complex)
         scale = np.zeros(shape)
@@ -1136,19 +1143,6 @@ class ProbeBatch(ProbeRows):
             image[rows] += contrib
             scale[rows] = np.maximum(scale[rows], np.abs(contrib))
         return np.abs(image).T, scale.T
-
-    def _product(self, key: tuple) -> CoeffExact:
-        """The product of the exact values behind a sorted code tuple, each
-        product formed once per process per scalar domain from that of the
-        tuple's prefix."""
-        product = self._products.get(key)
-        if product is None:
-            if len(key) > 1:
-                product = self._product(key[:-1]) * self._values[key[-1]]
-            else:
-                product = self._values[key[0]] if key else self.engines[0].one()
-            self._products[key] = product
-        return product
 
     def nonzero_rows(self, compiled: list):
         """Lazily, in ascending row order, each probe row of an exact batch
@@ -1189,13 +1183,13 @@ class ProbeBatch(ProbeRows):
 
     def images(self, compiled: list):
         """The image of a compiled expression on every probe state of a
-        single-engine batch: (rows, images, coefficients), the ascending
-        probe rows whose image is not zero, their image states (the row's
-        state shifted by the one net occupation change) and a coefficient
-        list.  A row's terms sum in term order from its first term, as in
-        ``Engine.apply_compiled``, so numeric coefficients are the
-        per-state engine's to the last bit; exact ones are those of
-        ``nonzero_rows``."""
+        single-engine batch, the per-word reference of ``ProbePlan.images``:
+        (rows, images, coefficients), the ascending probe rows whose image is
+        not zero, their image states (the row's state shifted by the one net
+        occupation change) and a coefficient list.  A row's terms sum in term
+        order from its first term, as in ``Engine.apply_compiled``, so
+        numeric coefficients are the per-state engine's to the last bit;
+        exact ones are those of ``nonzero_rows``."""
         if len(self.engines) > 1:
             raise EngineError("images need a single-engine batch")
         sums = [None] * len(self.states)
@@ -1260,10 +1254,11 @@ class _Chunk(NamedTuple):
     # each row ascending)
     tuples: list
     # per triple (term, tuple, ladder number): its term, its tuple, and its
-    # ladder number (None when every triple's is 1)
+    # ladder number as a float and exact (both None when every one is 1)
     triple_terms: np.ndarray
     triple_tuples: np.ndarray
     triple_ladders: np.ndarray | None
+    triple_numbers: np.ndarray | None
     # per entry, in term order: its image slot and its triple
     entry_slots: np.ndarray
     entry_triples: np.ndarray
@@ -1276,6 +1271,8 @@ class _Chunk(NamedTuple):
     scaled: np.ndarray
     scaled_entries: np.ndarray
     scaled_triples: np.ndarray
+
+
 class _Column(NamedTuple):
     """A diagonal factor over the probe rows, as a probe plan reads it."""
 
@@ -1301,62 +1298,62 @@ class _TermRead(NamedTuple):
     # may read on a row live before it
     factors: list
     guards: list
-    # per live row its ladder number as a float, or None when 1
+    # per live row its ladder number (``ProbeRows._walk``), or None when 1
     ladder: np.ndarray | None
 
 
 class ProbePlan:
     """The q-free layout of a list of expressions on a list of probe
-    states: every (term, probe row) on which a term's word lives under the
-    ladder masks, with what that row's scalar is made of.  It serves
-    numeric relation verification, which applies the same relation set to
-    the same probe states at every call and changes only the scalar domain.
-
-    A word's live rows under its ladder steps, its ladder number per row
-    and its diagonal key codes per row depend on the states and the
-    convention, never on q or the value of p.  The plan reads each word
-    once (``ProbeRows._walk``) and keeps four levels, in chunks of
-    consecutive expressions (at most ``PLAN_ENTRIES`` entries and
+    states, for callers that apply them again at other q and p: numeric
+    relation verification (``worst``) and module analysis (``images``).
+    A word's live rows under its ladder steps (the support of its image for
+    every q > 0 and formal q), its ladder numbers and its diagonal key codes
+    per row depend on the states and the convention only.  The plan reads
+    each word once (``ProbeRows._walk``) and keeps four levels, in chunks
+    of consecutive expressions (at most ``PLAN_ENTRIES`` entries and
     ``PLAN_SLOTS`` expressions times states, unless one expression is
     larger):
     - keys: the key codes read, ascending, plus one index for a key out of
       the code range;
     - tuples: the key indices of a row's diagonal factors, ascending, the
       order in which ``Engine.apply_word`` multiplies their values;
-    - triples: (term, tuple, ladder number as a float);
+    - triples: (term, tuple, ladder number), the number exact (int64, or
+      Python ints past the bound of ``_walk``) and as a float;
     - entries: per live (term, row), its image slot (expression in chunk
       and row, numbered over the slots some entry reaches) and its
-      triple, in term order.
-    Per chunk it also keeps, per term, the keys that the raise rule needs:
-    those it reads on rows live before the factor.
+      triple, in term order; and per term the keys the raise rule needs.
 
-    ``worst`` takes a numeric ``ProbeBatch`` over the same states and
-    convention.  Per call it builds one value table over the keys from the
-    domain's memo; per chunk, the tuple products, the triple contributions
-    (term scalar times product times ladder number) and their magnitudes,
-    then per slot the image sum with ``np.bincount``, in term order, so
-    that the sums are those of ``ProbeBatch.max_abs_images`` to the last
-    bit.  A chunk goes through ``max_abs_images`` expression by expression
-    instead (a replay), so that every error is the per-word path's, in its
-    order and with its text, when a kept term may read a failing key on a
-    row live before its factor, when a sum is not finite, or when its
-    arithmetic raises.
+    A call takes the engines' ``ScalarDomain``, whose values the plan
+    builds on its first call there and keeps (``_prepare``).  Numerically
+    it forms per chunk the tuple products, the triple contributions and
+    each slot's sum with ``np.bincount`` in term order, the per-word sums
+    to the last bit; exactly, it sums and tests each distinct sequence of
+    triples on a slot once.  A chunk is replayed through the per-word
+    ``ProbeBatch.max_abs_images`` or ``images``, so that every error is
+    theirs, in order and text, when a kept term may read a failing key on
+    a row live before its factor, when a sum is not finite, or when the
+    arithmetic raises.  Indices are uint16 where they fit: the HP plan of
+    (4,2) at cap 7 takes 0.48 MB and of (7,5) at cap 6 10.3 MB."""
 
-    Relation verification keeps a plan per (signature, realization,
-    mutation, cap, convention), a bounded memo (``verify.PROBE_PLANS``).
-    Its indices are uint16 where they fit: the HP plan of (4,2) at cap 7
-    takes 0.48 MB, of (4,3) at cap 6 0.51 MB and of (7,5) at cap 6 10.3 MB
-    (traced allocations)."""
-
-    def __init__(self, sig: Signature, convention: str, states, exprs, above):
+    def __init__(self, sig: Signature, convention: str, states, exprs, above=None):
         rows = ProbeRows(sig, convention, states)
+        self.states = states
         self.exprs = tuple(exprs)
         self.size = len(rows.states)
+        above = [False] * self.size if above is None else above
         self.above = np.array(above, dtype=bool).reshape(self.size)
+        self._array = rows.states
+        # per expression its one net occupation change
+        self.changes = []
         columns: dict = {}  # factor -> its ``_Column``
         chunks, reads, entries = [], [], 0
         for e, expr in enumerate(self.exprs):
             read = [self._read(rows, columns, w) for _, w in expr.terms]
+            changes = expr.changes(sig)
+            if len(changes) > 1:
+                raise EngineError(
+                    f"a probe batch takes one net occupation change, not {sorted(changes)}")
+            self.changes.append(changes.pop() if changes else (0,) * sig.num_modes)
             n = sum(len(term.rows) for term in read)
             if reads and (entries + n > PLAN_ENTRIES or (len(reads) + 1) * self.size > PLAN_SLOTS):
                 chunks.append(self._chunk(range(e - len(reads), e), reads, columns))
@@ -1369,6 +1366,7 @@ class ProbePlan:
         self.codes = sorted({code for c in columns.values() for code in c.codes[1:].tolist()})
         codes = np.array(self.codes, dtype=np.int64)
         self._chunks = [self._keyed(chunk, codes) for chunk in chunks]
+        self._prepared: dict = {}  # scalar domain -> what ``_prepare`` builds there
 
     @staticmethod
     def _read(rows: ProbeRows, columns: dict, word: Word) -> _TermRead:
@@ -1394,7 +1392,7 @@ class ProbePlan:
                           if column.failing and live is not rows._all_rows else column.every)
 
         at, _, ladder = rows._walk(word, diag)
-        return _TermRead(at, factors, guards, None if ladder is None else ladder.astype(float))
+        return _TermRead(at, factors, guards, ladder)
 
     def _chunk(self, exprs: range, reads: list, columns: dict) -> _Chunk:
         """Lay out the expressions ``exprs`` as one chunk, with key codes
@@ -1413,12 +1411,12 @@ class ProbePlan:
                 n = len(read.rows)
                 if n:
                     slots.append(r * self.size + read.rows)
-                    ladders.append(np.ones(n) if read.ladder is None else read.ladder)
+                    ladders.append(np.ones(n, dtype=np.int64) if read.ladder is None else read.ladder)
                     by_count.setdefault(len(read.factors), []).append((t, read, placed))
                     placed += n
         empty = np.zeros(0, dtype=np.intp)
         slots = np.concatenate([empty] + slots)
-        numbers, number_of = np.unique(np.concatenate([np.ones(0)] + ladders),
+        numbers, number_of = np.unique(np.concatenate([np.ones(0, dtype=np.int64)] + ladders),
                                        return_inverse=True)
         entry_triples = np.empty(placed, dtype=np.intp)
         triple_terms, triple_ladders, tuples = [], [], []
@@ -1443,7 +1441,9 @@ class ProbePlan:
             triple_terms.append(distinct[:, 0])
             triple_ladders.append(numbers[distinct[:, -1]])
             tuples.append(codes)
-        triple_ladders = np.concatenate([np.ones(0)] + triple_ladders)
+        triple_terms = np.concatenate([empty] + triple_terms)
+        triple_numbers = np.concatenate([numbers[:0]] + triple_ladders)
+        triple_numbers = None if (triple_numbers == 1).all() else triple_numbers
         reached = np.zeros(len(exprs) * self.size, dtype=bool)
         reached[slots] = True
         touched = np.flatnonzero(reached)
@@ -1455,8 +1455,8 @@ class ProbePlan:
             exprs, scalars,
             _compact(np.concatenate([empty] + guard_terms)),
             np.concatenate([np.zeros(0, np.int64)] + guard_keys),
-            tuples, _compact(np.concatenate([empty] + triple_terms)), None,
-            None if (triple_ladders == 1).all() else triple_ladders,
+            tuples, _compact(triple_terms), None,
+            None if triple_numbers is None else triple_numbers.astype(float), triple_numbers,
             _compact(entry_slots), _compact(entry_triples), _compact(slot_rows),
             np.searchsorted(touched, np.arange(len(exprs) + 1) * self.size),
             scaled, np.searchsorted(scaled, entry_slots[on_scaled]), entry_triples[on_scaled])
@@ -1475,27 +1475,88 @@ class ProbePlan:
             guard_keys=_compact(np.searchsorted(codes, chunk.guard_keys)), tuples=tuples,
             triple_tuples=_compact(np.concatenate([np.zeros(0, np.intp)] + tuple_of)))
 
-    def _table(self, batch: ProbeBatch):
-        """The values of the plan's keys over q, (keys + 1, q), from the
-        batch's domain memo, with a zero row for a failing key and for the
-        last index (out of the code range), and the mask of failing keys."""
-        values = [batch._key_value(code, *_key_of(code)) for code in self.codes]
-        zero = np.zeros(len(batch.engines))
-        table = np.array([zero if v is None else v for v in values] + [zero], dtype=complex)
-        return table, np.array([v is None for v in values] + [True])
+    def _prepare(self, domain: ScalarDomain) -> tuple:
+        """The plan's values in a scalar domain, kept for ``SCALAR_DOMAINS``
+        domains: numerically the key values, (keys + 1, q), zero for a
+        failing key and the last index; per chunk None where a term with a
+        nonzero scalar may read a failing key on a row live before its
+        factor (a replay), else numerically (the mask of live triples or
+        None, (terms, q) term scalars) and exactly (each triple's ``X =
+        c_t * product`` times its ladder number or None, the distinct
+        sequences of triples on a slot, in term order, and each slot's).  A
+        triple is dead where its scalar or a key is 0 at every q."""
+        if domain.domain in self._prepared:
+            return self._prepared[domain.domain]
+        values = [domain._key_value(code, *_key_of(code)) for code in self.codes]
+        codes = self.codes + [_NO_CODE]
+        failing = np.array([v is None for v in values] + [True])
+        zero = np.zeros(len(domain.engines))
+        table = None if domain.exact else np.array(
+            [zero if v is None else v for v in values] + [zero], dtype=complex)
+        parts = []
+        for k, chunk in enumerate(self._chunks):
+            scalars = [domain._scalar(c, key) for c, key in chunk.scalars]
+            kept = np.array([v is not None for v in scalars], dtype=bool)
+            if (failing[chunk.guard_keys] & kept[chunk.guard_terms]).any():
+                parts.append(None)
+            elif domain.exact:
+                tuples = [tuple(codes[i] for i in row) for _, m in chunk.tuples for row in m.tolist()]
+                xs, numbers = [], chunk.triple_numbers
+                for t, g, n in zip(chunk.triple_terms.tolist(), chunk.triple_tuples.tolist(),
+                                   itertools.repeat(1) if numbers is None else numbers.tolist()):
+                    c, key = scalars[t], tuples[g]
+                    known = domain._xs.setdefault(c, {}) if c is not None else None
+                    if known is not None and key not in known:
+                        known[key] = c * domain._product(key)
+                    xs.append(None if known is None else known[key] if n == 1 else known[key] * n)
+                by_slot = [[] for _ in chunk.slot_rows]
+                for slot, t in zip(chunk.entry_slots.tolist(), chunk.entry_triples.tolist()):
+                    by_slot[slot].append(t)
+                patterns: dict = {}  # sequence of triples -> its index
+                slot_patterns = [patterns.setdefault(tuple(p), len(patterns)) for p in by_slot]
+                parts.append((xs, list(patterns), np.array(slot_patterns, dtype=np.intp)))
+            else:
+                live = np.empty(sum(len(m) for _, m in chunk.tuples), dtype=bool)
+                for first, mat in chunk.tuples:
+                    live[first : first + len(mat)] = table[mat].any(axis=2).all(axis=1)
+                live = kept[chunk.triple_terms] & live[chunk.triple_tuples]
+                parts.append((None if live.all() else live, np.array(
+                    [zero if v is None else v for v in scalars], dtype=complex).reshape(
+                        len(scalars), len(zero))))
+        if len(self._prepared) >= SCALAR_DOMAINS:
+            del self._prepared[next(iter(self._prepared))]
+        self._prepared[domain.domain] = table, parts
+        return table, parts
 
-    def _images(self, chunk: _Chunk, batch: ProbeBatch, table, failing):
-        """A chunk's image magnitudes over its slots, (q, slots), and its
-        term scales over its scaled slots, (q, scaled); None when the chunk
-        must be replayed."""
-        q = len(batch.engines)
-        values = [batch._scalar(c, key) for c, key in chunk.scalars]
-        kept = np.array([v is not None for v in values], dtype=bool)
-        if (failing[chunk.guard_keys] & kept[chunk.guard_terms]).any():
-            return None
-        zero = np.zeros(q)
-        scalars = np.array([zero if v is None else v for v in values],
-                           dtype=complex).reshape(len(values), q)
+    def _evaluated(self, domain: ScalarDomain, evaluate) -> list:
+        """Per chunk ``evaluate(chunk index, table, part)`` of ``_prepare``'s
+        values, or None where ``_prepare`` says so, where the evaluation
+        returns None or raises, and on every chunk when ``_prepare`` raises."""
+        try:
+            table, parts = self._prepare(domain)
+        except (ArithmeticError, ValueError):
+            return [None] * len(self._chunks)
+        out = []
+        for k, part in enumerate(parts):
+            try:
+                out.append(None if part is None else evaluate(k, table, part))
+            except ArithmeticError:
+                out.append(None)
+        return out
+
+    def _replayed(self, chunk: _Chunk, domain: ScalarDomain, method: str) -> list:
+        batch = ProbeBatch(domain.engines, self.states)  # the per-word path
+        return [getattr(batch, method)(batch.compile(self.exprs[e])) for e in chunk.exprs]
+
+    def _sums(self, k: int, table, part, signed: bool = False):
+        """Chunk k's image sums, (q, slots), and triple contributions, (q,
+        triples), or None when a sum is not finite.  The live triples'
+        entries sum with ``np.bincount`` in term order: the per-word sums to
+        the last bit, but for a zero part, which the per-word sum leaves
+        -0.0 where every term's is; ``signed`` restores that sign."""
+        chunk = self._chunks[k]
+        live, scalars = part
+        q = scalars.shape[1]
         product = np.empty((sum(len(m) for _, m in chunk.tuples), q), dtype=complex)
         for first, mat in chunk.tuples:
             if mat.shape[1]:
@@ -1509,40 +1570,68 @@ class ProbePlan:
         if chunk.triple_ladders is not None:
             value = value * chunk.triple_ladders[:, None]
         contrib = (scalars[chunk.triple_terms] * value).T.copy()
-        size = np.abs(contrib)
-        n = len(chunk.slot_rows)
         slots, triples = chunk.entry_slots.astype(np.intp), chunk.entry_triples.astype(np.intp)
-        peak = np.empty((q, n))
-        image = np.empty(n, dtype=complex)
-        for k in range(q):
-            for part, out in ((contrib[k].real, image.real), (contrib[k].imag, image.imag)):
-                out[...] = np.bincount(slots, part[triples], minlength=n)
-            if not np.isfinite(image).all():
-                return None
-            peak[k] = np.abs(image)
-        scale = np.zeros((q, len(chunk.scaled)))
-        for k in range(q):
-            np.maximum.at(scale[k], chunk.scaled_entries, size[k][chunk.scaled_triples])
-        return peak, scale
+        if live is not None:
+            on = live[triples]
+            slots, triples = slots[on], triples[on]
+        n = len(chunk.slot_rows)
+        image = np.empty((q, n), dtype=complex)
+        for i in range(q):
+            for terms, out in ((contrib[i].real, image[i].real), (contrib[i].imag, image[i].imag)):
+                terms = terms[triples]
+                out[...] = np.bincount(slots, terms, minlength=n)
+                zero = out == 0
+                if signed and zero.any():
+                    out[zero & (np.bincount(slots, ~np.signbit(terms), minlength=n) == 0)] = -0.0
+        return (image, contrib) if np.isfinite(image).all() else None
 
-    def _replayed(self, chunk: _Chunk, batch: ProbeBatch):
-        """The per-word path's (peak, scale) of each expression in a chunk."""
-        return [batch.max_abs_images(batch.compile(self.exprs[e])) for e in chunk.exprs]
+    def _magnitudes(self, k: int, table, part):
+        """Chunk k's image magnitudes over its slots, (q, slots), and its
+        term scales over its scaled slots, (q, scaled), or None."""
+        sums = self._sums(k, table, part)
+        if sums is None:
+            return None
+        image, contrib = sums
+        size = np.abs(contrib)
+        chunk = self._chunks[k]
+        scale = np.zeros((len(image), len(chunk.scaled)))
+        for i in range(len(image)):
+            np.maximum.at(scale[i], chunk.scaled_entries, size[i][chunk.scaled_triples])
+        return np.abs(image), scale
 
-    def worst(self, batch: ProbeBatch) -> list:
+    def _numeric_sums(self, k: int, table, part):
+        """Chunk k's nonzero slots and per slot its one engine's image, or None."""
+        sums = self._sums(k, table, part, signed=True)
+        return None if sums is None else (sums[0][0] != 0, sums[0][0])
+
+    def _exact_sums(self, k: int, table, part):
+        """Chunk k's nonzero slots and per slot its exact image coefficient:
+        per distinct sequence of triples on a slot the sum of their ``X``
+        times ladder number, in term order, and one zero test, as in
+        ``ProbeBatch.nonzero_rows``."""
+        xs, patterns, slot_patterns = part
+        sums = np.empty(len(patterns), dtype=object)
+        for j, pattern in enumerate(patterns):
+            v = None
+            for x in map(xs.__getitem__, pattern):
+                if x is not None:
+                    v = x if v is None else v + x
+            sums[j] = None if v is None or v.is_zero() else v
+        values = sums[slot_patterns]
+        return np.not_equal(values, None), values
+
+    def worst(self, domain: ScalarDomain) -> list:
         """Per expression, in order: (its worst residual, the first position
         of it in q-then-state order as q * states + state).  The residual on
         a (q sample, probe state) is the peak image magnitude of
         ``ProbeBatch.max_abs_images``, divided on the states ``above`` by
         the larger of 1 and the term scale."""
-        if batch.exact:
+        if domain.exact:
             raise EngineError("a probe plan takes a numeric batch")
-        table, failing = self._table(batch)
         out = []
-        for chunk in self._chunks:
-            images = self._images(chunk, batch, table, failing)
+        for chunk, images in zip(self._chunks, self._evaluated(domain, self._magnitudes)):
             if images is None:
-                out += [_worst(peak, scale, self.above) for peak, scale in self._replayed(chunk, batch)]
+                out += [_worst(*r, self.above) for r in self._replayed(chunk, domain, "max_abs_images")]
                 continue
             residual, scale = images
             residual[:, chunk.scaled] = residual[:, chunk.scaled] / np.maximum(1.0, scale)
@@ -1559,6 +1648,27 @@ class ProbePlan:
                 first = np.minimum.reduceat(position, starts[reached])
                 at[reached] = np.where(worst[reached] > 0, first, 0)
             out += [(float(w), int(k)) for w, k in zip(worst, at)]
+        return out
+
+    def images(self, domain: ScalarDomain) -> list:
+        """Per expression, in order, ``ProbeBatch.images`` of a single engine
+        on the plan's states: (the ascending rows whose image is not zero,
+        their image states, their coefficients), numeric ones the per-word
+        path's to the last bit and exact ones its values."""
+        if len(domain.engines) > 1:
+            raise EngineError("images need a single-engine batch")
+        evaluate = self._exact_sums if domain.exact else self._numeric_sums
+        out = []
+        for chunk, sums in zip(self._chunks, self._evaluated(domain, evaluate)):
+            if sums is None:
+                out += self._replayed(chunk, domain, "images")
+                continue
+            nonzero, values = sums
+            starts = chunk.expr_starts
+            for j, e in enumerate(chunk.exprs):
+                at = starts[j] + np.flatnonzero(nonzero[starts[j] : starts[j + 1]])
+                rows = chunk.slot_rows[at].astype(np.intp)
+                out.append((rows, self._array[rows] + self.changes[e], values[at].tolist()))
         return out
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from qglnm import analyze
+from qglnm import analyze, weyl
 from qglnm.analyze import (
+    IMAGE_PLANS,
+    _image_plan,
     _images,
     _reachability,
     _relation_failures,
@@ -18,10 +20,13 @@ from qglnm.analyze import (
     materialize,
     quotient_relations_check,
 )
-from qglnm.coeff import CoeffExact, bracket_int, numeric_str, scalar_str
-from qglnm.fock import Signature, dim_F0, enumerate_up_to, split_F0_F1, total
+from qglnm.cli import run
+from qglnm.coeff import CoeffExact, bracket_affine, bracket_int, numeric_str, scalar_str
+from qglnm.fock import Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
 from qglnm.presentation import GenSymbol, HBracket, build_relations
-from qglnm.realize import MUTATIONS, h_affine
+from qglnm.realize import MUTATIONS, h_affine, realization
+from qglnm.weyl import (Affine, Diag, Engine, Lower, OperatorExpr, ProbeBatch, ProbePlan, Raise,
+                        ScalarDomain, affine_mode, float_errors_raise)
 
 SIG21 = Signature(2, 1)
 SIG22 = Signature(2, 2)
@@ -139,6 +144,7 @@ class TestInvariance:
 
     def test_first_escape_from_each_side(self, monkeypatch):
         # p = 1: (1, 0) is low, (2, 0) and (3, 0) are high
+        window = enumerate_up_to(SIG21, 5).states
         stream = [
             ("e1", (2, 0), (3, 0), 1.0),
             ("f1", (1, 0), (2, 0), 2.0),
@@ -146,7 +152,11 @@ class TestInvariance:
             ("f1", (0, 0), (2, 0), 4.0),
             ("e1", (2, 0), (0, 0), 5.0),
         ]
-        monkeypatch.setattr(analyze, "_images", lambda *args: iter(stream))
+        # one image per generator block, as (generator, rows, image states,
+        # coefficients) over the window
+        monkeypatch.setattr(analyze, "_images", lambda *args: iter([
+            (g, np.array([window.index(state)]), np.array([s]), [v])
+            for g, state, s, v in stream]))
         rep = check_invariance(SIG21, "dyson", 1)
         assert rep.f0_witness == "f1 maps (1, 0) to (2, 0) with coefficient 2.0"
         assert rep.f1_witness == "e1 maps (3, 0) to (1, 0) with coefficient 3.0"
@@ -160,8 +170,9 @@ def two_pass_witnesses(sig, kind, p, cap, q):
     convention = "monomial" if q is None else "orthonormal"
 
     def escape(states, keep) -> str:
-        return next((f"{g} maps {state} to {s} with coefficient {scalar_str(v)}"
-                     for g, state, s, v in _images(sig, kind, p, q, convention, states)
+        return next((f"{g} maps {states[r]} to {tuple(s)} with coefficient {scalar_str(v)}"
+                     for g, rows, images, coeffs in _images(sig, kind, p, q, convention, states)
+                     for r, s, v in zip(rows.tolist(), images.tolist(), coeffs)
                      if not keep(s)), "")
 
     return escape(low.states, lambda s: total(s) <= p), escape(high.states, lambda s: total(s) > p)
@@ -274,7 +285,8 @@ class TestWeights:
     def test_e_image_of_vacuum_raises(self, monkeypatch):
         images = analyze._images
         monkeypatch.setattr(analyze, "_images", lambda *args: [
-            *images(*args), (GenSymbol("e", 2), (0, 0), (0, 1), CoeffExact.one())])
+            *images(*args), (GenSymbol("e", 2), np.array([0]), np.array([(0, 1)]),
+                             [CoeffExact.one()])])
         with pytest.raises(AssertionError, match="e_2 does not annihilate the vacuum"):
             highest_weight(SIG21, 2)
 
@@ -359,9 +371,9 @@ class TestCyclicity:
         # states of degree > p span an invariant subspace
         sig = Signature(n, m)
         basis = enumerate_up_to(sig, p + 2)
-        edges = [(basis.index[state], basis.index[s])
-                 for _, state, s, _ in _images(sig, "dyson", p, None, "monomial", basis.states)
-                 if total(s) <= p + 2]
+        edges = [(r, basis.index[tuple(s)])
+                 for _, rows, images, _ in _images(sig, "dyson", p, None, "monomial", basis.states)
+                 for r, s in zip(rows.tolist(), images.tolist()) if total(s) <= p + 2]
         rep = _reachability(len(basis), edges)
         assert "NOT full" in rep.summary()
         assert rep.ranks[basis.index[(0,) * sig.num_modes]] == len(basis)
@@ -505,3 +517,251 @@ class TestDeformedOps:
         assert rep.fermionic_minus_residual > 1.0
         # the relative rule still fails a residual above the tolerance
         assert not deformed_ops_check(SIG21, p=3, q=5.0, tolerance=1e-17).bosonic_pass
+
+
+def batch_images(engine, states, exprs) -> list:
+    """Per expression, ``ProbeBatch.images`` on one batch over the states:
+    the per-word path that the image plans replace."""
+    batch = ProbeBatch([engine], states)
+    with float_errors_raise():
+        return [batch.images(batch.compile(expr)) for expr in exprs]
+
+
+def plan_images(engine, states, exprs) -> list:
+    with float_errors_raise():
+        return ProbePlan(engine.sig, engine.convention, states, exprs).images(
+            ScalarDomain([engine]))
+
+
+def assert_same_images(got, want, text):
+    """Rows, image states and coefficients equal, the coefficients by
+    ``text``: repr tells every double apart, and the sign of a zero."""
+    assert len(got) == len(want)
+    for (rows, images, coeffs), (ref_rows, ref_images, ref_coeffs) in zip(got, want):
+        assert rows.dtype == ref_rows.dtype and rows.tolist() == ref_rows.tolist()
+        assert images.tolist() == ref_images.tolist()
+        assert [text(v) for v in coeffs] == [text(v) for v in ref_coeffs]
+
+
+def no_replay(plan, chunk, *args):
+    raise AssertionError(f"chunk {chunk.exprs} replayed")
+
+
+class TestImagePlan:
+    """The generator images of module analysis read through a probe plan
+    (``weyl.ProbePlan.images``) against one probe batch over the same
+    states: numeric coefficients bit for bit, exact ones by canonical
+    string, on every state list the analysis reads; and the plans kept per
+    process (``analyze._image_plan``)."""
+
+    SIGS = [SIG21, Signature(3, 2), SIG22]
+    QS = (0.5, 1.3, 2.0, 1 - 1e-9, 1 + 1e-9)
+
+    @staticmethod
+    def state_lists(sig, p) -> list:
+        """Every state list module analysis reads at threshold p: the F0
+        basis, the F1 slice, the invariance window and the vacuum."""
+        low, high = split_F0_F1(sig, p, p + 4)
+        return [low.states, high.states, low.states + high.states, [vacuum(sig)]]
+
+    @pytest.mark.parametrize("kind, convention", [
+        ("hp", "orthonormal"), ("hp-deformed", "orthonormal"), ("dyson", "orthonormal"),
+        ("dyson", "monomial")])
+    @pytest.mark.parametrize("sig", SIGS, ids=lambda s: f"{s.n}-{s.m}")
+    def test_numeric_images_match_one_batch(self, sig, kind, convention, monkeypatch):
+        monkeypatch.setattr(ProbePlan, "_replayed", no_replay)
+        exprs = list(realization(kind, sig).images.values())
+        for p in (2, 3):
+            for states in self.state_lists(sig, p):
+                plan = ProbePlan(sig, convention, states, exprs)
+                for q in self.QS:
+                    engine = Engine(sig, convention=convention, q=q, p=p)
+                    with float_errors_raise():
+                        got = plan.images(ScalarDomain([engine]))
+                    assert_same_images(got, batch_images(engine, states, exprs), repr)
+                    assert all(type(v) is complex for _, _, coeffs in got for v in coeffs)
+
+    # the bracket ratio that drop_bracket_ratio drops needs n >= 3
+    EXACT = [(sig, mutation) for sig in (*SIGS, Signature(3, 1)) for mutation in (None, *MUTATIONS)
+             if mutation != "drop_bracket_ratio" or sig.n >= 3]
+
+    @pytest.mark.parametrize("sig, mutation", EXACT,
+                             ids=[f"{s.n}-{s.m}-{m}" for s, m in EXACT])
+    def test_exact_images_match_one_batch(self, sig, mutation, monkeypatch):
+        monkeypatch.setattr(ProbePlan, "_replayed", no_replay)
+        exprs = list(realization("dyson", sig, mutation).images.values())
+        for p in (2, 3):
+            for states in self.state_lists(sig, p):
+                plan = ProbePlan(sig, "monomial", states, exprs)
+                for engine in (Engine(sig), Engine(sig, p=p), Engine(sig, p=p, classical=True)):
+                    got = plan.images(ScalarDomain([engine]))
+                    assert_same_images(got, batch_images(engine, states, exprs),
+                                       CoeffExact.canonical_str)
+
+    @pytest.mark.parametrize("engine", [Engine(SIG22), Engine(SIG22, convention="orthonormal",
+                                                               q=0.9, p=3)], ids=["exact", "numeric"])
+    def test_images_match_across_chunks(self, engine, monkeypatch):
+        monkeypatch.setattr(weyl, "PLAN_ENTRIES", 40)
+        monkeypatch.setattr(ProbePlan, "_replayed", no_replay)
+        states = enumerate_up_to(SIG22, 6).states
+        exprs = list(realization("dyson", SIG22).images.values())
+        plan = ProbePlan(SIG22, engine.convention, states, exprs)
+        assert len(plan._chunks) > 3
+        text = repr if engine.mode == "numeric" else CoeffExact.canonical_str
+        with float_errors_raise():
+            got = plan.images(ScalarDomain([engine]))
+        assert_same_images(got, batch_images(engine, states, exprs), text)
+
+    @pytest.mark.parametrize("q", [10.0, 1.0, 0.5])
+    @pytest.mark.parametrize("convention", ["orthonormal", "monomial"])
+    def test_signs_of_zero_match_one_batch(self, convention, q):
+        # the batch sums a row's terms from its first, so a zero part is
+        # -0.0 where every term's is; it skips terms with a zero scalar (at
+        # q = 1, [2] - 2) and rows a zero factor kills (q**-160 * sqrt([0]))
+        n1, one = affine_mode(SIG21, 1), CoeffExact.one()
+
+        def term(scalar, *word):
+            return (scalar if isinstance(scalar, CoeffExact) else CoeffExact.from_int(scalar), word)
+
+        root = term(-1, Diag("sqrt_bracket", Affine(-2)))
+        exprs = [OperatorExpr([root]),
+                 OperatorExpr([root, term(bracket_int(2) - 2 * one, Diag("qpow", n1))]),
+                 OperatorExpr([term(-1, Diag("affine", Affine(-1)), Raise(1), Lower(1)),
+                               term(1, Lower(2), Raise(2), Diag("affine", Affine(-1)))]),
+                 OperatorExpr([term(-1, Lower(1), Raise(1), Diag("affine", n1.shift(-1))),
+                               term(-1, Diag("qpow", Affine(-160)), Diag("affine", Affine(2)),
+                                    Diag("sqrt_bracket", -n1))])]
+        states = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+        engine = Engine(SIG21, convention=convention, q=q, p=2)
+        assert_same_images(plan_images(engine, states, exprs),
+                           batch_images(engine, states, exprs), repr)
+
+    def test_warm_plans_build_nothing_at_new_q_or_p(self, monkeypatch):
+        sig = Signature(3, 2)
+
+        def reports(q, p):
+            return [cyclicity(sig, 3, q).summary(), check_unitarity(sig, 3, q).summary(),
+                    check_invariance(sig, "hp", p, cap=8, q=q).summary(),
+                    check_invariance(sig, "dyson", p, cap=8).summary(), highest_weight(sig, p),
+                    deformed_ops_check(SIG22, p, q).summary()]
+
+        builds = []
+        init = ProbePlan.__init__
+        monkeypatch.setattr(ProbePlan, "__init__",
+                            lambda self, *args: builds.append(args) or init(self, *args))
+        _image_plan.cache_clear()
+        analyze._deformed_plans.cache_clear()
+        reports(0.7, 3)
+        # HP F0 (shared by cyclicity and unitarity), Dyson quotient F0, the
+        # two invariance windows, the vacuum and the deformed-ops pair
+        assert len(builds) == 7
+        warm = [reports(q, p) for q, p in [(1.3, 3), (0.7, 4), (2.0, 5)]]
+        assert len(builds) == 7
+        cold = []
+        for q, p in [(1.3, 3), (0.7, 4), (2.0, 5)]:
+            _image_plan.cache_clear()
+            analyze._deformed_plans.cache_clear()
+            cold.append(reports(q, p))
+        assert warm == cold
+
+    def test_kept_plans_hold_a_module_analysis_pass(self):
+        def analysis_pass():
+            sig = Signature(3, 2)
+            for p in (3, 4, 5):
+                cyclicity(sig, p, 1.1)
+                check_invariance(sig, "dyson", p)
+                check_invariance(sig, "hp", p, q=1.1)
+                check_unitarity(sig, p, 1.1)
+                highest_weight(sig, p)
+            quotient_relations_check(Signature(3, 1), 3)
+
+        _image_plan.cache_clear()
+        analysis_pass()
+        info = _image_plan.cache_info()
+        assert info.currsize == info.misses <= IMAGE_PLANS
+        analysis_pass()
+        assert _image_plan.cache_info().misses == info.misses
+
+
+class TestImagePlanReplay:
+    """A chunk of generator images that may raise goes through one probe
+    batch (``ProbeBatch.images``), so every error of module analysis is
+    that path's, in its order and with its text."""
+
+    STATES = [(2, 0), (0, 0)]
+
+    @pytest.mark.parametrize("engine, kind, message", [
+        (Engine(SIG21), "bracket_ratio", "bracket ratio evaluated at argument 0"),
+        (Engine(SIG21, convention="orthonormal", q=1.3, p=2), "bracket_ratio",
+         "bracket ratio evaluated at argument 0"),
+        (Engine(SIG21, convention="orthonormal", q=1.3, p=2), "angle",
+         "angle bracket evaluated at argument 0")], ids=["exact-ratio", "ratio", "angle"])
+    def test_failing_key_on_a_live_row_raises_the_batch_error(self, engine, kind, message):
+        # the factor is read first, at N_1 = 0 on (0, 0), which the lowering
+        # kills only after it; the expression before it images fine
+        factor = Diag(kind, affine_mode(SIG21, 1))
+        exprs = [OperatorExpr.from_word(Raise(1)), OperatorExpr.from_word(Lower(1), factor)]
+        for images in (plan_images, batch_images):
+            with pytest.raises(ZeroDivisionError, match=f"^{message}$"):
+                images(engine, self.STATES, exprs)
+        # read only after the lowering killed the row, it raises nowhere
+        exprs = [OperatorExpr.from_word(Diag(kind, affine_mode(SIG21, 1).shift(1)), Lower(1))]
+        text = repr if engine.mode == "numeric" else CoeffExact.canonical_str
+        assert_same_images(plan_images(engine, self.STATES, exprs),
+                           batch_images(engine, self.STATES, exprs), text)
+
+    def test_errors_keep_the_batch_order(self):
+        # the first expression reads a ratio at 0 on a live row; the second
+        # has a term scalar in p, which needs a numeric p, and comes later
+        exprs = [OperatorExpr.from_word(Lower(1), Diag("bracket_ratio", affine_mode(SIG21, 1))),
+                 OperatorExpr.from_word(Raise(1), scalar=bracket_affine(0, 1))]
+        engine = Engine(SIG21, convention="orthonormal", q=1.3)
+        for images in (plan_images, batch_images):
+            with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
+                images(engine, self.STATES, exprs)
+        with pytest.raises(ValueError, match="needs a numeric value for p"):
+            plan_images(engine, self.STATES, exprs[1:])
+
+    def test_product_overflow_raises_the_batch_error(self):
+        # each factor is finite at q = 1e20, their product is not
+        expr = OperatorExpr.from_word(Diag("qpow", Affine(10)), Diag("qpow", Affine(11)))
+        engine = Engine(SIG21, convention="orthonormal", q=1e20, p=2)
+        errors = []
+        for images in (plan_images, batch_images):
+            with pytest.raises(FloatingPointError) as error:
+                images(engine, self.STATES, [expr])
+            errors.append(str(error.value))
+        assert errors == ["overflow encountered in multiply"] * 2
+
+    def test_product_on_a_row_a_zero_factor_kills_raises_nowhere(self):
+        # the batch never multiplies on a row sqrt([0]) kills; the plan
+        # forms the overflowing product and replays
+        expr = OperatorExpr.from_word(Diag("qpow", Affine(200)), Diag("qpow", Affine(201)),
+                                      Diag("sqrt_bracket", Affine(0)))
+        engine = Engine(SIG21, convention="orthonormal", q=10.0, p=2)
+        got = plan_images(engine, self.STATES, [expr])
+        assert_same_images(got, batch_images(engine, self.STATES, [expr]), repr)
+        assert not len(got[0][0])
+
+    def test_sum_past_the_largest_float_matches_the_batch(self):
+        # two finite terms of 1e308 sum to inf, which the batch keeps
+        expr = OperatorExpr.from_word(Diag("qpow", Affine(308)), scalar=1)
+        engine = Engine(SIG21, convention="orthonormal", q=10.0, p=2)
+        got = plan_images(engine, self.STATES, [expr + expr])
+        assert_same_images(got, batch_images(engine, self.STATES, [expr + expr]), repr)
+        assert repr(got[0][2][0]) == "(inf+0j)"
+
+    @pytest.mark.parametrize("argv, code, out", [
+        ("analyze --check deformed-ops --p 2 --q 1e20", 0,
+         "bosonic deformed-oscillator relations: max residual 2.8668732699875894e+104 (pass)\n"
+         "fermionic exponent variant: q^{+N} holds (+N residual 0.0, -N residual 1e+20)\n"
+         "two Holstein-Primakoff forms agree: max residual 0.0 (pass)\n"),
+        ("analyze --check deformed-ops --p 5 --q 1e150", 2, ""),
+        ("matrices --realization hp --p 5 --q 1e150", 2, ""),
+        ("analyze --check cyclicity --p 5 --q 1e150", 2, "")],
+        ids=["deformed-ops-1e20", "deformed-ops-1e150", "matrices-hp-1e150", "cyclicity-1e150"])
+    def test_overflow_keeps_exit_code_and_stderr(self, argv, code, out, capsys):
+        assert run(argv.split() + ["--n", "2", "--m", "1"]) == code
+        err = "" if code == 0 else (
+            "error: a numeric factor overflows at this q and p: Numerical result out of range\n")
+        assert capsys.readouterr() == (out, err)

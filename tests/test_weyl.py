@@ -32,6 +32,7 @@ from qglnm.weyl import (
     ProbeBatch,
     ProbePlan,
     Raise,
+    ScalarDomain,
     _expand_affine,
     _key_code,
     _worst,
@@ -1244,11 +1245,9 @@ class TestNumericPlan:
     def _images(plan, batch):
         """Per expression, the plan's (peak, scale), each (q, states) with 0
         where the plan forms no scale; asserts that no chunk is replayed."""
-        table, failing = plan._table(batch)
         shape = (len(batch.engines), plan.size)
         out = []
-        for chunk in plan._chunks:
-            images = plan._images(chunk, batch, table, failing)
+        for chunk, images in zip(plan._chunks, plan._evaluated(batch, plan._magnitudes)):
             assert images is not None, chunk.exprs
             peak, scale = images
             starts = chunk.expr_starts
@@ -1337,6 +1336,18 @@ class TestNumericPlan:
             plan.worst(batch)
         assert str(planned.value) == str(per_word.value)
 
+    def test_sum_overflow_raises_the_per_word_error(self):
+        # two finite terms of 1e308 sum past the largest float: the per-word
+        # path raises in its numpy sum, where np.bincount gives inf
+        expr = OperatorExpr.from_word(Diag("qpow", Affine(308)))
+        states = [(0, 0), (1, 0)]
+        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=10.0, p=2)], states)
+        plan = self._plan(SIG21, [expr + expr], states, [False, False])
+        for evaluate in (plan.worst, lambda b: b.max_abs_images(b.compile(expr + expr))):
+            with float_errors_raise(), pytest.raises(FloatingPointError,
+                                                     match="^overflow encountered in add$"):
+                evaluate(batch)
+
     def test_refuses_an_exact_batch(self):
         plan = self._plan(SIG21, [OperatorExpr.from_word(Raise(1))], [(0, 0)], [False])
         with pytest.raises(EngineError, match="numeric batch"):
@@ -1352,6 +1363,18 @@ class TestNumericPlan:
         monkeypatch.setattr(ProbePlan, "__init__", lambda *a: builds.append(a))
         assert [verify_all(sig, cap=4, **kwargs).format_machine() for kwargs in calls] == cold
         assert not builds
+
+    def test_warm_call_builds_no_batch_and_reads_no_term_scalar(self, monkeypatch):
+        # the plan reads the engines' domain; its term scalars and key
+        # values are kept per domain after the first call there
+        sig = Signature(3, 2)
+        cold = verify_all(sig, "hp", 3, q=[0.7, 1.3], cap=4).format_machine()
+        calls = []
+        monkeypatch.setattr(ProbeBatch, "__init__", lambda *a: calls.append("batch"))
+        for name in ("_scalar", "_key_value"):
+            monkeypatch.setattr(ScalarDomain, name, lambda *a, name=name: calls.append(name))
+        assert verify_all(sig, "hp", 3, q=[0.7, 1.3], cap=4).format_machine() == cold
+        assert not calls
 
     def test_kept_plans_are_bounded(self):
         _probe_plan.cache_clear()
