@@ -23,32 +23,32 @@ coefficients are exponential-polynomial in the occupations, so agreement
 on finitely many states does not extend by linearity.  Numeric
 verification probes every relation, closed or not, and reports its
 rounding residual.
-Both regimes apply each probed relation to every probe state at once.
-Exact verification reads ``weyl.ProbeBatch.nonzero_rows`` up to the
-first probe state with a nonzero image, the witness of an exact failure,
-whose coefficient the per-state engine forms again.  Numeric
-verification reads a probe plan (``weyl.ProbePlan``) in the engines'
-scalar domain, with no probe batch: its residuals and witnesses are
-those of the per-word path (``ProbeBatch.max_abs_images``) to the last
-bit, and a chunk that may raise is replayed on that path, so every error
-is its error too.
+Both regimes apply each probed relation to every probe state at once,
+through a probe plan (``weyl.ProbePlan``) read in the engines' scalar
+domain.  Exact verification reads its images: the first probe state with
+a nonzero image is the witness of an exact failure, whose coefficient the
+per-state engine forms again.  Numeric verification reads its worst
+residuals, which are those of the per-word path
+(``ProbeBatch.max_abs_images``) to the last bit.  A chunk of the plan
+that may raise is replayed on the per-word path, so every error is its
+error too.
 
 The substituted relations, and the stage that closes each, depend only
 on the signature, the realization and the mutation, so they
 are built once per process for each such key and kept (a bounded memo of
 ``RELATION_SETS`` keys) for later calls.  The probe states depend only
 on the signature and the cap (``PROBE_STATE_LISTS`` keys), and a probe
-plan on the relations, the probe states and the convention, not on p or
-q: it is built once per process per (signature, realization, mutation,
-cap, convention) and kept, a bounded memo of ``PROBE_PLANS`` keys (0.5
-MB on (4,2) at cap 7, 10 MB on (7,5) at cap 6).
+plan on the relations it probes, the probe states and the convention,
+not on p or q: it is built once per process per (signature,
+realization, mutation, cap, convention, probed relations) and kept, a
+bounded memo of ``PROBE_PLANS`` keys (0.5 MB on (4,2) at cap 7, 10 MB on
+(7,5) at cap 6).  An exact plan holds only the relations that no stage
+closes, a numeric one every relation.
 Each call specializes each distinct term scalar, and builds each
 diagonal value, once per process per scalar domain (exact p and
-classical, or numeric q and p, per engine; ``weyl.domain_memo``).  An
-exact call compiles a relation only when it probes it; its batch reads
-every word at its start state and builds each factor the relation terms
-share once, as a column over the probe states.  Numeric probing raises
-on a float overflow instead of reporting an inf or nan residual.
+classical, or numeric q and p, per engine; ``weyl.domain_memo``).
+Numeric probing raises on a float overflow instead of reporting an inf
+or nan residual.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
@@ -65,8 +65,8 @@ from dataclasses import dataclass, field
 from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
-from .weyl import (Diag, Engine, OperatorExpr, ProbeBatch, ProbePlan, ScalarDomain,
-                   closing_stage, float_errors_raise)
+from .weyl import (Diag, Engine, OperatorExpr, ProbePlan, ScalarDomain, closing_stage,
+                   float_errors_raise)
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
@@ -76,8 +76,8 @@ EXTRA_PROBES = 4
 RELATION_SETS = 16
 # probe state lists kept per process, one per (signature, cap)
 PROBE_STATE_LISTS = 16
-# numeric probe plans kept per process, one per (signature, realization,
-# mutation, cap, convention)
+# probe plans kept per process, one per (signature, realization, mutation,
+# cap, convention, probed relations)
 PROBE_PLANS = 8
 
 
@@ -216,12 +216,15 @@ def probe_states(sig: Signature, cap: int) -> tuple[FockState, ...]:
 
 @functools.lru_cache(maxsize=PROBE_PLANS)
 def _probe_plan(sig: Signature, kind: str, mutation: str | None, cap: int,
-                convention: str) -> ProbePlan:
-    """The numeric probe plan of a relation set on the probe states of a
-    cap (``weyl.ProbePlan``).  It depends on neither q nor p, so it is
-    built once per process per key and kept, a bounded memo of
-    ``PROBE_PLANS`` keys."""
-    diffs = [diff for _, diff, _ in _relation_set(sig, kind, mutation)]
+                convention: str, probed: tuple) -> ProbePlan:
+    """The probe plan of the relations of a relation set numbered
+    ``probed`` on the probe states of a cap (``weyl.ProbePlan``): every
+    relation numerically, and exactly those that no stage closes, so an
+    exact call and a numeric one get separate plans.  It depends on
+    neither q nor p, so it is built once per process per key and kept, a
+    bounded memo of ``PROBE_PLANS`` keys."""
+    relations = _relation_set(sig, kind, mutation)
+    diffs = [relations[k][1] for k in probed]
     states = probe_states(sig, cap)
     # On the extra high-degree probes coefficient magnitudes grow like
     # bracket products, so the meaningful numeric measure there is the
@@ -255,15 +258,16 @@ def extra_probe_states(sig: Signature, cap: int) -> list[FockState]:
     return out
 
 
-def _exact_result(name: str, batch: ProbeBatch, compiled: list) -> RelationResult:
-    """Exact pass only if every probe coefficient is the exact zero; the
-    first probe state with a nonzero image is the witness, whose
-    coefficient the per-state engine forms again for the report."""
-    first = next(batch.nonzero_rows(compiled), None)
-    if first is None:
+def _exact_result(name: str, diff: OperatorExpr, engine: Engine, states,
+                  rows) -> RelationResult:
+    """Exact pass only if every probe coefficient is the exact zero, that
+    is when ``rows``, the ascending probe rows with a nonzero image, is
+    empty; the first of them is the witness, whose coefficient the
+    per-state engine forms again for the report."""
+    if not len(rows):
         return RelationResult(name, "exact-pass")
-    state = tuple(batch.states[first[0]].tolist())
-    coeff = next(iter(batch.engines[0].apply_compiled(compiled, state).values()))
+    state = states[rows[0]]
+    coeff = next(iter(engine.apply(diff, state).values()))
     state_str = ",".join(map(str, state))
     return RelationResult(name, "fail", 0.0, f"state=({state_str}) coeff={coeff.canonical_str()}")
 
@@ -306,17 +310,16 @@ def verify_all(
     of sample values.  The relations are substituted and normal-ordered
     once per process per (signature, realization, mutation) and reused by
     later calls.  In exact mode a relation that a stage of normal order
-    closes holds on every state, for formal p and q, and passes unprobed
-    and uncompiled; every other relation is compiled and passes only if
-    every probe coefficient is the exact zero, and when there is none, no
-    probe state or batch is built.  In numeric mode every relation is
-    probed, and the largest coefficient magnitude over (state, q sample)
-    must stay within the tolerance; the relations are read through the
-    probe plan of (signature, realization, mutation, cap, convention),
-    built on the first such call.  The term scalars, diagonal values and
-    exact products are formed once per process per scalar domain and
-    reused by later calls over it.  The status strings are the same
-    either way.
+    closes holds on every state, for formal p and q, and passes unprobed;
+    every other relation passes only if every probe coefficient is the
+    exact zero, and when there is none, no probe state or plan is built.
+    In numeric mode every relation is probed, and the largest coefficient
+    magnitude over (state, q sample) must stay within the tolerance.  The
+    probed relations are read through the probe plan of (signature,
+    realization, mutation, cap, convention, probed relations), built on
+    the first such call.  The term scalars, diagonal values and exact
+    products are formed once per process per scalar domain and reused by
+    later calls over it.  The status strings are the same either way.
     """
     if kind != DYSON:
         if q is None:
@@ -331,23 +334,22 @@ def verify_all(
     engines = _engines(sig, kind, p, q, convention, classical)
     exact = engines[0].mode == "exact"
     # A relation with a stage is zero on every state, so exact verification
-    # neither compiles nor probes it, and builds no batch when nothing is
-    # left to probe.  Numeric verification probes every relation, and
-    # reports its rounding.
+    # does not probe it, and builds no plan when nothing is left to probe.
+    # Numeric verification probes every relation, and reports its rounding.
     results = [RelationResult(rel.name, "exact-pass") for rel, *_ in relations]
     probed = [k for k, (*_, stage) in enumerate(relations) if not (exact and stage)]
-    if probed and exact:
-        batch = ProbeBatch(engines, probe_states(sig, cap))
-        with float_errors_raise():
-            for k in probed:
+    if probed:
+        plan = _probe_plan(sig, kind, mutation, cap, engines[0].convention, tuple(probed))
+        domain = ScalarDomain(engines)
+        if exact:
+            for k, (rows, *_) in zip(probed, plan.images(domain)):
                 rel, diff, _ = relations[k]
-                results[k] = _exact_result(rel.name, batch, batch.compile(diff))
-    elif probed:
-        plan = _probe_plan(sig, kind, mutation, cap, engines[0].convention)
-        with float_errors_raise():
-            worst = plan.worst(ScalarDomain(engines))
-        results = [_numeric_result(rel.name, plan.states, engines, *w, tolerance)
-                   for (rel, *_), w in zip(relations, worst)]
+                results[k] = _exact_result(rel.name, diff, engines[0], plan.states, rows)
+        else:
+            with float_errors_raise():
+                worst = plan.worst(domain)
+            results = [_numeric_result(rel.name, plan.states, engines, *w, tolerance)
+                       for (rel, *_), w in zip(relations, worst)]
     meta = {
         "realization": kind,
         "n": sig.n,

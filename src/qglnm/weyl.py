@@ -41,32 +41,32 @@ number once.
 
 ``Engine`` is the plain per-state reference: it serves the single-state
 callers (the witness of a failed exact relation, ``qglnm eval``) and is
-the oracle for ``ProbeBatch``, which serves every multi-state caller.  A
-batch takes only expressions whose terms share one net occupation change,
-so a probe state's image is a single state.  It applies words to a list
-of probe states, the rows of an integer array, at once with numpy.
-``start_form`` reads a word at its start state in one right-to-left pass
-that keeps the running occupation offset, so each of its items (a
-diagonal factor or a ladder step) is a function of the start state: a
-batch builds each distinct item once, as a column over all probe states.
+the oracle for the multi-state paths.  ``ProbePlan`` serves every
+multi-state caller: relation verification, exact and numeric, and module
+analysis apply one list of expressions to one list of probe states, the
+rows of an integer array, again at other q and p.  A plan reads each of
+their words once, with no scalar, and forms the images at each scalar
+domain (``ScalarDomain``) in a few array operations per chunk of
+expressions.  ``ProbeBatch`` applies the expressions word by word: it is
+the plan's reference, and a chunk of a plan that may raise is replayed
+through it, which keeps its errors.  Both take only expressions whose
+terms share one net occupation change, so a probe state's image is a
+single state.  ``start_form`` reads a word at its start state in one
+right-to-left pass that keeps the running occupation offset, so each of
+its items (a diagonal factor or a ladder step) is a function of the start
+state, read once as a column over all probe states (``ProbeRows``).
 A diagonal factor is named by an int64 key code, which holds arguments
 below 2**20 in magnitude.  What depends only on the scalar domain (exact
 p and classical, or numeric q and p, per engine) and the key codes is
-built once per process per scalar domain and shared by every batch over
-that domain (``domain_memo``): each distinct key's value, kept by its
-code, the specialized term scalars, and the exact diagonal products.
-Numeric scalars are formed from the same factors in the same order as
-above, over a second axis of q samples, so they equal the per-state
-engine's.  Exact ones are formed once per distinct diagonal product and
+built once per process per scalar domain and shared by every plan and
+batch over that domain (``domain_memo``): each distinct key's value, kept
+by its code, the specialized term scalars, and the exact diagonal
+products.  Numeric scalars are formed from the same factors in the same
+order as above, over a second axis of q samples, so they equal the
+per-state engine's, and a plan's sums are the batch's to the last bit.
+Exact ones are formed in a plan once per distinct diagonal product and
 term scalar, and a probe state's coefficient is their sum weighted by its
 ladder numbers, formed once per call for the states that share it.
-
-Numeric relation verification and module analysis apply one list of
-expressions to one list of states again at other q and p.  ``ProbePlan``
-reads each of their words once, with no scalar, and forms the images at
-each scalar domain (``ScalarDomain``) in a few array operations per chunk
-of expressions, the per-word path's to the last bit; a chunk that may
-raise goes through the per-word path, which keeps its errors.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -612,7 +612,7 @@ class Engine:
     and therefore needs a numeric q.
 
     Words apply to one state at a time, with nothing cached between calls;
-    callers with many states use ``ProbeBatch``.
+    callers with many states use ``ProbePlan``.
     """
 
     def __init__(self, sig: Signature, convention="monomial", q=None, p=None,
@@ -759,9 +759,9 @@ def float_errors_raise():
 
 
 class DomainMemo(NamedTuple):
-    """What probe batches build that depends only on their engines' scalar
-    domains and the key codes: not on the signature, the probe states or
-    the relation."""
+    """What probe plans and batches build that depends only on their
+    engines' scalar domains and the key codes: not on the signature, the
+    probe states or the relation."""
 
     # key code -> its exact value, or its values over the q samples (read-only)
     values: dict
@@ -972,10 +972,21 @@ class ScalarDomain:
             self._products[key] = product
         return product
 
+    def _x(self, c: CoeffExact, key: tuple) -> CoeffExact:
+        """``X = c * product`` of an exact term scalar and the values behind
+        a sorted code tuple, formed once per process per scalar domain."""
+        known = self._xs.setdefault(c, {})
+        x = known.get(key)
+        if x is None:
+            x = known[key] = c * self._product(key)
+        return x
+
 
 class ProbeBatch(ProbeRows, ScalarDomain):
-    """Engines applied to a fixed list of probe states at once: numeric
-    engines, one per q sample, or a single exact engine.
+    """Engines applied to a fixed list of probe states at once, word by
+    word: numeric engines, one per q sample, or a single exact engine.  It
+    is the per-word reference of ``ProbePlan``, which replays a chunk that
+    may raise through ``images`` and ``max_abs_images``.
 
     ``compile`` specializes each distinct term scalar once per process per
     scalar domain (``domain_memo``).  It takes only an expression whose
@@ -1000,16 +1011,10 @@ class ProbeBatch(ProbeRows, ScalarDomain):
     raises only where a failing row is live (``_raise_failing``).
 
     Numeric scalars are multiplied per row, in the per-state engine's
-    order, so they are its floats to the last bit.  Exact scalars are not
-    multiplied per row at all: the rows of a term that share a sorted code
-    tuple share ``X = c_t * product`` of the term scalar and the diagonal
-    values; the product and ``X`` are formed once per process per scalar
-    domain, and a probe state's image coefficient is the sum over terms of
-    its integer ladder number times ``X``, formed once per call for all
-    the rows that share their groups and ladder numbers.  Exact
-    verification reads the rows of ``nonzero_rows`` up to the first.
-    ``images`` and ``max_abs_images`` are the per-word reference of
-    ``ProbePlan``, which replays a chunk through them.
+    order, so they are its floats to the last bit.  An exact row's value
+    is ``X = c_t * product`` of the term scalar and the diagonal values
+    times its ladder number, where the product and ``X`` are formed once
+    per process per scalar domain and sorted code tuple.
 
     The engines share one signature and convention.
     """
@@ -1125,6 +1130,16 @@ class ProbeBatch(ProbeRows, ScalarDomain):
                 values = values.astype(complex)
         return rows, self.states[rows] + change, values
 
+    def _exact_term(self, c: CoeffExact, word: Word):
+        """An exact term's live probe rows and per row its value, ``X =
+        c * product`` of its sorted key-code tuple times its ladder number;
+        each ``X`` is formed once per process per scalar domain."""
+        rows, _, ladder, codes, _ = self._read(word)
+        keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
+        xs = [self._x(c, key) for key in keys]
+        return rows, xs if ladder is None else [x if k == 1 else x * k
+                                                for x, k in zip(xs, ladder.tolist())]
+
     def max_abs_images(self, compiled: list):
         """For every (q sample, probe state): the largest coefficient
         magnitude of the image of a compiled expression, and the largest
@@ -1144,65 +1159,28 @@ class ProbeBatch(ProbeRows, ScalarDomain):
             scale[rows] = np.maximum(scale[rows], np.abs(contrib))
         return np.abs(image).T, scale.T
 
-    def nonzero_rows(self, compiled: list):
-        """Lazily, in ascending row order, each probe row of an exact batch
-        whose image under a compiled expression is not zero, with its
-        coefficient: (row, coefficient).  Per term, the rows that share a
-        sorted key-code tuple, and so one diagonal product, form a group
-        with one ``X = c_t * product``, formed once per process per scalar
-        domain.  A row's coefficient depends only on its (group, ladder
-        number) per live term, so each distinct pattern of them is summed,
-        and its zero test made, once per call; a caller that stops at the
-        first row sums only the patterns before it."""
-        if not self.exact:
-            raise EngineError("nonzero rows need an exact batch; use images")
-        # each term's groups are numbered after the earlier terms' in xs
-        xs, patterns = [], [[] for _ in self.states]
-        for c, w in compiled:
-            rows, _, ladder, codes, _ = self._read(w)
-            groups: dict = {}  # sorted code tuple -> group
-            keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
-            ks = itertools.repeat(1) if ladder is None else ladder.tolist()
-            for r, key, k in zip(rows.tolist(), keys, ks):
-                patterns[r].append((len(xs) + groups.setdefault(key, len(groups)), k))
-            known = self._xs.setdefault(c, {})
-            for key in groups:
-                if key not in known:
-                    known[key] = c * self._product(key)
-            xs += [known[key] for key in groups]
-        memo: dict = {(): None}
-        for r, pattern in enumerate(map(tuple, patterns)):
-            if pattern not in memo:
-                v = None
-                for g, k in pattern:
-                    x = xs[g] if k == 1 else xs[g] * k
-                    v = x if v is None else v + x
-                memo[pattern] = None if v.is_zero() else v
-            if memo[pattern] is not None:
-                yield r, memo[pattern]
-
     def images(self, compiled: list):
         """The image of a compiled expression on every probe state of a
         single-engine batch, the per-word reference of ``ProbePlan.images``:
         (rows, images, coefficients), the ascending probe rows whose image is
         not zero, their image states (the row's state shifted by the one net
         occupation change) and a coefficient list.  A row's terms sum in term
-        order from its first term, as in ``Engine.apply_compiled``, so
-        numeric coefficients are the per-state engine's to the last bit;
-        exact ones are those of ``nonzero_rows``."""
+        order from its first term, as in ``Engine.apply_compiled``, so the
+        coefficients are the per-state engine's, numeric ones to the last
+        bit."""
         if len(self.engines) > 1:
             raise EngineError("images need a single-engine batch")
         sums = [None] * len(self.states)
-        if self.exact:
-            for r, v in self.nonzero_rows(compiled):
-                sums[r] = v
-        else:
-            for c, w in compiled:
+        for c, w in compiled:
+            if self.exact:
+                rows, values = self._exact_term(c, w)
+            else:
                 rows, _, values = self.apply_word(w)
-                for r, v in zip(rows.tolist(), (c[0] * values[:, 0]).tolist()):
-                    sums[r] = v if sums[r] is None else sums[r] + v
-            is_zero = self.engines[0].scalars.is_zero
-            sums = [None if v is None or is_zero(v) else v for v in sums]
+                values = (c[0] * values[:, 0]).tolist()
+            for r, v in zip(rows.tolist(), values):
+                sums[r] = v if sums[r] is None else sums[r] + v
+        is_zero = self.engines[0].scalars.is_zero
+        sums = [None if v is None or is_zero(v) else v for v in sums]
         rows = [r for r, v in enumerate(sums) if v is not None]
         change = word_change(self.sig, compiled[0][1]) if compiled else 0
         return np.array(rows, dtype=np.intp), self.states[rows] + change, [sums[r] for r in rows]
@@ -1304,8 +1282,9 @@ class _TermRead(NamedTuple):
 
 class ProbePlan:
     """The q-free layout of a list of expressions on a list of probe
-    states, for callers that apply them again at other q and p: numeric
-    relation verification (``worst``) and module analysis (``images``).
+    states, for callers that apply them again at other q and p: relation
+    verification (``worst`` numerically, ``images`` exactly) and module
+    analysis (``images``).
     A word's live rows under its ladder steps (the support of its image for
     every q > 0 and formal q), its ladder numbers and its diagonal key codes
     per row depend on the states and the convention only.  The plan reads
@@ -1504,11 +1483,8 @@ class ProbePlan:
                 xs, numbers = [], chunk.triple_numbers
                 for t, g, n in zip(chunk.triple_terms.tolist(), chunk.triple_tuples.tolist(),
                                    itertools.repeat(1) if numbers is None else numbers.tolist()):
-                    c, key = scalars[t], tuples[g]
-                    known = domain._xs.setdefault(c, {}) if c is not None else None
-                    if known is not None and key not in known:
-                        known[key] = c * domain._product(key)
-                    xs.append(None if known is None else known[key] if n == 1 else known[key] * n)
+                    x = None if scalars[t] is None else domain._x(scalars[t], tuples[g])
+                    xs.append(x if x is None or n == 1 else x * n)
                 by_slot = [[] for _ in chunk.slot_rows]
                 for slot, t in zip(chunk.entry_slots.tolist(), chunk.entry_triples.tolist()):
                     by_slot[slot].append(t)
@@ -1607,8 +1583,7 @@ class ProbePlan:
     def _exact_sums(self, k: int, table, part):
         """Chunk k's nonzero slots and per slot its exact image coefficient:
         per distinct sequence of triples on a slot the sum of their ``X``
-        times ladder number, in term order, and one zero test, as in
-        ``ProbeBatch.nonzero_rows``."""
+        times ladder number, in term order, and one zero test."""
         xs, patterns, slot_patterns = part
         sums = np.empty(len(patterns), dtype=object)
         for j, pattern in enumerate(patterns):

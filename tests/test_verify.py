@@ -17,8 +17,8 @@ from qglnm.verify import (
     verify_all,
 )
 from qglnm.coeff import CoeffExact
-from qglnm.weyl import (Diag, Engine, EngineError, Lower, OperatorExpr, ProbeBatch, Raise,
-                        affine_mode, domain_memo)
+from qglnm.weyl import (Diag, Engine, EngineError, Lower, OperatorExpr, ProbeBatch, ProbeRows,
+                        Raise, affine_mode, domain_memo)
 
 SIG21 = Signature(2, 1)
 
@@ -408,17 +408,49 @@ class TestClosedRelations:
 
     def test_warm_exact_call_probes_nothing(self, monkeypatch):
         verify_all(SIG43, "dyson", None, cap=6)
-        compiled = []
-        compile_ = ProbeBatch.compile
-        monkeypatch.setattr(ProbeBatch, "compile",
-                            lambda self, expr: compiled.append(expr) or compile_(self, expr))
         with monkeypatch.context() as m:
             m.setattr(verify, "probe_states", lambda *a: pytest.fail("probe states built"))
+            m.setattr(verify, "_probe_plan", lambda *a: pytest.fail("probe plan built"))
             report = verify_all(SIG43, "dyson", None, cap=6)
-        assert report.all_pass and not compiled
-        # a mutation probes only the relations no stage closes
+        assert report.all_pass
+        # a mutation's plan holds only the relations no stage closes
+        plans = []
+        kept = verify._probe_plan
+        monkeypatch.setattr(verify, "_probe_plan", lambda *a: plans.append(kept(*a)) or plans[-1])
         report = verify_all(SIG32, "dyson", None, cap=4, mutation="drop_bracket_ratio")
-        assert len(compiled) == 4 and len(report.failures) == 4
+        relations = _relation_set(SIG32, "dyson", "drop_bracket_ratio")
+        (plan,) = plans
+        assert plan.exprs == tuple(diff for _, diff, stage in relations if stage is None)
+        assert len(plan.exprs) == 4 and [r.name for r in report.failures] == [
+            rel.name for rel, _, stage in relations if stage is None]
+
+    def test_warm_exact_mutation_call_reads_no_word(self, monkeypatch):
+        # the plan read every word on the first call; a warm one builds no
+        # probe batch and walks no word
+        call = dict(sig=SIG32, kind="dyson", p=None, cap=4, mutation="flip_fermion_sign")
+        cold = verify_all(**call).format_machine()
+        monkeypatch.setattr(ProbeBatch, "__init__", lambda *a: pytest.fail("probe batch built"))
+        monkeypatch.setattr(ProbeRows, "_walk", lambda *a: pytest.fail("word walked"))
+        assert verify_all(**call).format_machine() == cold
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_exact_and_numeric_calls_keep_separate_plans(self, mutation):
+        # an exact call probes the open relations and a numeric Dyson call
+        # in the same (monomial) convention every relation: in either order
+        # in one process, each report is the one a fresh process gives
+        exact = dict(sig=SIG32, kind="dyson", p=None, cap=4, mutation=mutation)
+        numeric = dict(exact, p=3, q=[0.7, 1.3])
+        fresh = []
+        for call in (exact, numeric):
+            verify._probe_plan.cache_clear()
+            fresh.append(verify_all(**call).format_machine())
+        for order in ((0, 1), (1, 0)):
+            verify._probe_plan.cache_clear()
+            for k in order:
+                assert verify_all(**(exact, numeric)[k]).format_machine() == fresh[k], k
+            assert verify._probe_plan.cache_info().currsize == 2
+            for k in order:
+                assert verify_all(**(exact, numeric)[k]).format_machine() == fresh[k], k
 
     def test_numeric_batch_probes_closed_relations(self):
         # a numeric batch reports every relation's probed residual

@@ -1054,14 +1054,20 @@ class TestProbeBatch:
         assert coeffs[0] != coeffs[1]
 
     def test_exact_shared_sum_formed_once(self, monkeypatch):
-        # [p] and 2 times a raising on four states: every row has the same
-        # group and ladder number in both terms, so one sum serves them all
+        # a warm plan call forms one sum per distinct triple sequence.  [p]
+        # and 2 times a raising: every state has the same sequence, so one
+        # sum serves them all.  [p] and 1 times a lowering: (0, 0) and
+        # (0, 1) die, and the other states differ in their ladder number
+        # but (2, 1) and (2, 0), so they need three sums
         eng = exact_engine(SIG21)
         terms = [bracket_affine(0, 1), bracket_int(2)]
-        states = [(0, 0), (1, 0), (2, 1), (0, 1)]
-        batch = ProbeBatch([eng], states)
-        compiled = batch.compile(OperatorExpr([(c, (Raise(1),)) for c in terms]))
-        want = terms[0] + terms[1]
+        raising = OperatorExpr([(c, (Raise(1),)) for c in terms])
+        lowering = OperatorExpr([(bracket_affine(0, 1), (Lower(1),)),
+                                 (CoeffExact.one(), (Lower(1),))])
+        states = [(0, 0), (1, 0), (2, 1), (0, 1), (2, 0), (3, 0)]
+        plan = ProbePlan(SIG21, "monomial", states, [raising, lowering])
+        domain = ScalarDomain([eng])
+        cold = plan.images(domain)
         calls = 0
         add = CoeffExact.__add__
 
@@ -1071,33 +1077,13 @@ class TestProbeBatch:
             return add(self, other)
 
         monkeypatch.setattr(CoeffExact, "__add__", counted)
-        rows, _, coeffs = batch.images(compiled)
-        assert calls == 1
-        assert rows.tolist() == [0, 1, 2, 3] and coeffs == [want] * 4
-
-    def test_nonzero_rows_sum_lazily(self, monkeypatch):
-        # [p] and 1 times a lowering: (0, 0) dies, and the other rows differ
-        # in their ladder number, so each needs its own sum
-        eng = exact_engine(SIG21)
-        expr = OperatorExpr([(bracket_affine(0, 1), (Lower(1),)), (CoeffExact.one(), (Lower(1),))])
-        batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 0), (4, 0)])
-        compiled = batch.compile(expr)
-        calls = 0
-        add = CoeffExact.__add__
-
-        def counted(self, other):
-            nonlocal calls
-            calls += 1
-            return add(self, other)
-
-        monkeypatch.setattr(CoeffExact, "__add__", counted)
-        row, coeff = next(batch.nonzero_rows(compiled))
-        assert calls == 1
-        rows, _, coeffs = batch.images(compiled)
-        assert calls == 4
-        assert row == 1 and coeff == next(iter(eng.apply(expr, (2, 0)).values()))
-        assert list(batch.nonzero_rows(compiled)) == list(zip(rows.tolist(), coeffs))
-        assert rows.tolist() == [1, 2, 3]
+        (rows, _, coeffs), (low_rows, _, low_coeffs) = plan.images(domain)
+        assert calls == 1 + 3
+        assert rows.tolist() == list(range(6)) and coeffs == [terms[0] + terms[1]] * 6
+        assert low_rows.tolist() == [1, 2, 4, 5] and low_coeffs == [
+            next(iter(eng.apply(lowering, states[r]).values())) for r in (1, 2, 4, 5)]
+        assert [(r.tolist(), c) for r, _, c in cold] == [(rows.tolist(), coeffs),
+                                                         (low_rows.tolist(), low_coeffs)]
 
     def test_images_need_a_single_engine(self):
         batch = ProbeBatch([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)], [(0, 0)])
@@ -1112,8 +1098,6 @@ class TestProbeBatch:
         exact = ProbeBatch([exact_engine(SIG21)], [(0, 0)])
         with pytest.raises(EngineError, match="use images"):
             exact.apply_word((Raise(1),))
-        with pytest.raises(EngineError, match="exact batch"):
-            next(ProbeBatch([numeric_engine(SIG21)], [(0, 0)]).nonzero_rows([]))
 
 
 class TestDomainMemo:
