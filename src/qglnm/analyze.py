@@ -10,8 +10,9 @@ The matrices, cyclicity, invariance and highest weights read generator
 images from one function, ``_images``, as arrays per generator (rows,
 image states, coefficients): a probe plan (``weyl.ProbePlan``) of the
 realization on the states they need, read once per process, then
-evaluated at each q and p in a few array operations, equal to one probe
-batch over the states (``weyl.ProbeBatch.images``) to the last bit.  The
+evaluated at each q and p in a few array operations, equal to the
+per-state engine's images to the last bit; a chunk that may raise is
+replayed word by word (``weyl.ProbePlan._replayed``).  The
 deformed-oscillator check reads its residuals from two plans kept per
 (signature, cap).  Every analysis works on the sparse entries; the
 quotient relations carry one (row, coefficient) pair through each word.
@@ -132,7 +133,8 @@ def _images(sig: Signature, kind: str, p, q, convention: str, states, mutation=N
     generator in realization order: (generator, ascending indices of the
     states whose image is not zero, image states, coefficient list), read
     from the states' image plan (``_image_plan``) with float errors raising,
-    equal to one probe batch's (``weyl.ProbeBatch.images``), errors too.
+    equal to the plan's word-by-word replay (``weyl.ProbePlan._replayed``),
+    errors too.
     Every module analysis reads its generator images here."""
     gens, plan = _image_plan(sig, kind, mutation, convention, tuple(states))
     domain = ScalarDomain([Engine(sig, convention=convention, q=q, p=p)])

@@ -28,10 +28,9 @@ through a probe plan (``weyl.ProbePlan``) read in the engines' scalar
 domain.  Exact verification reads its images: the first probe state with
 a nonzero image is the witness of an exact failure, whose coefficient the
 per-state engine forms again.  Numeric verification reads its worst
-residuals, which are those of the per-word path
-(``ProbeBatch.max_abs_images``) to the last bit.  A chunk of the plan
-that may raise is replayed on the per-word path, so every error is its
-error too.
+residuals, which are those of the plan's word-by-word replay
+(``ProbePlan._replayed``) to the last bit.  A chunk of the plan that may
+raise is replayed, so every error is the per-word path's error too.
 
 The substituted relations, and the stage that closes each, depend only
 on the signature, the realization and the mutation, so they
@@ -52,7 +51,7 @@ or nan residual.
 
 Each substituted difference is audited for weight homogeneity: all of
 its words must change every mode's occupation by the same amount (the
-one net occupation change a probe batch takes), which catches
+one net occupation change a probe plan takes), which catches
 substitution bugs before any state is probed.
 """
 

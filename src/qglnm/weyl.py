@@ -41,32 +41,31 @@ number once.
 
 ``Engine`` is the plain per-state reference: it serves the single-state
 callers (the witness of a failed exact relation, ``qglnm eval``) and is
-the oracle for the multi-state paths.  ``ProbePlan`` serves every
-multi-state caller: relation verification, exact and numeric, and module
-analysis apply one list of expressions to one list of probe states, the
-rows of an integer array, again at other q and p.  A plan reads each of
-their words once, with no scalar, and forms the images at each scalar
-domain (``ScalarDomain``) in a few array operations per chunk of
-expressions.  ``ProbeBatch`` applies the expressions word by word: it is
-the plan's reference, and a chunk of a plan that may raise is replayed
-through it, which keeps its errors.  Both take only expressions whose
-terms share one net occupation change, so a probe state's image is a
-single state.  ``start_form`` reads a word at its start state in one
-right-to-left pass that keeps the running occupation offset, so each of
-its items (a diagonal factor or a ladder step) is a function of the start
-state, read once as a column over all probe states (``ProbeRows``).
-A diagonal factor is named by an int64 key code, which holds arguments
-below 2**20 in magnitude.  What depends only on the scalar domain (exact
-p and classical, or numeric q and p, per engine) and the key codes is
-built once per process per scalar domain and shared by every plan and
-batch over that domain (``domain_memo``): each distinct key's value, kept
-by its code, the specialized term scalars, and the exact diagonal
-products.  Numeric scalars are formed from the same factors in the same
-order as above, over a second axis of q samples, so they equal the
-per-state engine's, and a plan's sums are the batch's to the last bit.
-Exact ones are formed in a plan once per distinct diagonal product and
-term scalar, and a probe state's coefficient is their sum weighted by its
-ladder numbers, formed once per call for the states that share it.
+the oracle for the multi-state path.  ``ProbePlan`` is the one
+multi-state evaluator: relation verification, exact and numeric, and
+module analysis apply one list of expressions to one list of probe
+states, the rows of an integer array, again at other q and p.  A plan
+reads each of their words once, with no scalar, and forms the images at
+each scalar domain (``ScalarDomain``) in a few array operations per chunk
+of expressions.  A chunk that may raise it replays word by word, which
+gives the same results and raises the per-word errors.  It takes only
+expressions whose terms share one net occupation change, so a probe
+state's image is a single state.  ``start_form`` reads a word at its
+start state in one right-to-left pass that keeps the running occupation
+offset, so each of its items (a diagonal factor or a ladder step) is a
+function of the start state, read as a column over all probe states
+(``ProbeRows``).  A diagonal factor is named by an int64 key code, which
+holds arguments below 2**20 in magnitude.  What depends only on the
+scalar domain (exact p and classical, or numeric q and p, per engine)
+and the key codes is built once per process per scalar domain and shared
+by every plan over that domain (``domain_memo``): each distinct key's
+value, kept by its code, the specialized term scalars, and the exact
+diagonal products.  Numeric scalars are formed from the same factors in
+the same order as above, over a second axis of q samples, so they equal
+the per-state engine's to the last bit.  Exact ones are formed in a plan
+once per distinct diagonal product and term scalar, and a probe state's
+coefficient is their sum weighted by its ladder numbers, formed once per
+plan and scalar domain for the states that share it.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -182,7 +181,7 @@ class Diag:
             raise EngineError(f"unknown diagonal kind {self.kind!r}")
         if self.kind in ("bracket_ratio", "angle") and self.affine.p_coeff:
             raise EngineError(f"a {self.kind} argument must not depend on p")
-        # Words key the ``start_form`` memo and factors key a probe batch's
+        # Words key the ``start_form`` memo and factors key a probe plan's
         # columns, so the hash is formed once, here, and from ints only, so
         # that it is the same in every process and survives copying and
         # pickling.
@@ -703,7 +702,7 @@ class Engine:
 
         The ladder numbers multiply as plain numbers, the diagonal values
         in the sorted order of their keys, and the two meet once at the
-        end: the order ``ProbeBatch`` keeps, so numeric scalars agree to
+        end: the order ``ProbePlan`` keeps, so numeric scalars agree to
         the last bit."""
         diags = []  # (key, value) per diagonal factor
         ladder = 1
@@ -759,9 +758,9 @@ def float_errors_raise():
 
 
 class DomainMemo(NamedTuple):
-    """What probe plans and batches build that depends only on their
-    engines' scalar domains and the key codes: not on the signature, the
-    probe states or the relation."""
+    """What probe plans build that depends only on their engines' scalar
+    domains and the key codes: not on the signature, the probe states or
+    the relation."""
 
     # key code -> its exact value, or its values over the q samples (read-only)
     values: dict
@@ -784,7 +783,7 @@ SCALAR_DOMAINS = 16
 
 @functools.lru_cache(maxsize=SCALAR_DOMAINS)
 def domain_memo(domains: tuple) -> DomainMemo:
-    """The memo shared by every probe batch whose engines have the scalar
+    """The memo shared by every ``ScalarDomain`` whose engines have the scalar
     domains ``domains`` (``ExactScalars.domain`` or ``NumericScalars.domain``),
     in engine order; a process keeps ``SCALAR_DOMAINS`` of them."""
     return DomainMemo({}, {}, {}, {})
@@ -905,8 +904,8 @@ class ProbeRows:
 
 class ScalarDomain:
     """Numeric engines, one per q sample, or a single exact engine, with
-    their domain's memo (``domain_memo``): the part of a probe batch that
-    no probe state changes, and all that a ``ProbePlan`` reads."""
+    their domain's memo (``domain_memo``): all that a ``ProbePlan`` reads
+    of a scalar domain, and that no probe state changes."""
 
     def __init__(self, engines: list):
         modes = {e.mode for e in engines}
@@ -980,210 +979,6 @@ class ScalarDomain:
         if x is None:
             x = known[key] = c * self._product(key)
         return x
-
-
-class ProbeBatch(ProbeRows, ScalarDomain):
-    """Engines applied to a fixed list of probe states at once, word by
-    word: numeric engines, one per q sample, or a single exact engine.  It
-    is the per-word reference of ``ProbePlan``, which replays a chunk that
-    may raise through ``images`` and ``max_abs_images``.
-
-    ``compile`` specializes each distinct term scalar once per process per
-    scalar domain (``domain_memo``).  It takes only an expression whose
-    terms share one net occupation change, so each probe state's image is
-    a single state, the state shifted by that change.  The states are the
-    rows of an (S, modes) integer array, and the q samples a second axis.
-    A word is read at its start state (``start_form``), and the batch
-    keeps one column over all probe states per distinct item: for a ladder
-    step a live mask and the per-row plain numbers of ``Engine._ladder``,
-    for a diagonal factor a live mask, key codes and, numerically, values.
-    A word's live rows are the AND of its masks, and what it yields is
-    gathered at those rows, so no returned array shares memory with a
-    column.
-
-    A factor's per-row code packs its key (``Engine._diag_key``) into one
-    int64 that orders like it, for an argument and p coefficient below
-    2**20 in magnitude; each distinct key's value is formed once per
-    process per scalar domain and kept in the domain's memo by its code,
-    numerically as a read-only array over q.  A column covers rows the
-    word has already killed, so a row whose argument is out of the code
-    range or whose value raises fails: it counts as dead, and a word
-    raises only where a failing row is live (``_raise_failing``).
-
-    Numeric scalars are multiplied per row, in the per-state engine's
-    order, so they are its floats to the last bit.  An exact row's value
-    is ``X = c_t * product`` of the term scalar and the diagonal values
-    times its ladder number, where the product and ``X`` are formed once
-    per process per scalar domain and sorted code tuple.
-
-    The engines share one signature and convention.
-    """
-
-    def __init__(self, engines: list, states):
-        ScalarDomain.__init__(self, engines)
-        ProbeRows.__init__(self, engines[0].sig, engines[0].convention, states)
-
-    def compile(self, expr: OperatorExpr) -> list:
-        """Specialize the term scalars: a list of (value, word), the value
-        being the exact engine's scalar or, numerically, the scalar's
-        values over q (read-only), where a term that is zero (at every q)
-        drops.  An expression whose words differ in their net occupation
-        change raises ``EngineError``: its terms would land on different
-        states, which the batch's reductions do not keep apart."""
-        changes = expr.changes(self.sig)
-        if len(changes) > 1:
-            raise EngineError(
-                f"a probe batch takes one net occupation change, not {sorted(changes)}")
-        compiled = []
-        for c, w in expr.terms:
-            value = self._scalar(c)
-            if value is not None:
-                compiled.append((value, w))
-        return compiled
-
-    def _diag_column(self, d: Diag):
-        """Build and keep a diagonal factor's column over every probe row:
-        (key codes, values (rows, q) or None when exact, live mask or None
-        when no row dies, failing mask or None when no row fails).  Each
-        distinct key is read from the domain's memo or built, in ascending
-        order; one out of the code range, or whose build raises, fails."""
-        keys = self._keys(d)
-        kind, pc, entry = d.kind, d.affine.p_coeff, keys.entry
-        # entry 0 stands for the rows out of the code range, entry j > 0 for
-        # the j-th distinct key; a failing one has no value
-        values = [None]
-        for code, v in zip(keys.codes, keys.args):
-            value = self._values.get(code)
-            values.append(self._key_value(code, kind, v, pc) if value is None else value)
-        fails = [v is None for v in values]
-        failing = np.array(fails)[entry] if keys.clipped or True in fails[1:] else None
-        if self.exact:
-            nonzero = np.array([v is not None and not v.is_zero() for v in values])
-            values = None
-        else:
-            zero = np.zeros(len(self.engines))
-            table = np.array([zero if v is None else v for v in values], dtype=complex)
-            nonzero = table.any(axis=1)
-            values = table[entry]
-        live = nonzero[entry]
-        self._columns[d] = keys.row_codes, values, None if live.all() else live, failing
-        return self._columns[d]
-
-    def _raise_failing(self, d: Diag, rows: np.ndarray):
-        """Raise for the failing rows ``rows`` of a factor's column: the code
-        range error if an argument there, or the p coefficient, lies outside
-        it, else the scalar method's own error, building the smallest again."""
-        args = self._args(d)[rows]
-        lo, hi, pc = int(args.min()), int(args.max()), d.affine.p_coeff
-        if not -_CODE_BIAS <= min(lo, pc) <= max(hi, pc) < _CODE_BIAS:
-            raise EngineError(f"{d.kind} key out of the code range [-2**20, 2**20)")
-        self._value(d.kind, lo, pc)
-
-    def _read(self, word: Word):
-        """A word over every probe state: (live rows, net change, ladder
-        number per row or None when it is 1, and per diagonal factor the
-        key codes and, numerically, values per row), gathered at the live
-        rows from the columns of the word's start-state items, or raised
-        where a factor's failing row is live."""
-        codes, factors = [], []
-
-        def diag(item: Diag, live: np.ndarray):
-            code, value, mask, failing = self._columns.get(item) or self._diag_column(item)
-            if failing is not None and (failing & live).any():
-                self._raise_failing(item, failing & live)
-            codes.append(code)
-            if value is not None:
-                factors.append(value)
-            return mask
-
-        rows, change, ladder = self._walk(word, diag)
-        return rows, change, ladder, [c[rows] for c in codes], [f[rows] for f in factors]
-
-    def apply_word(self, word: Word):
-        """Apply a word (atoms right to left) to every probe state at every
-        q sample of a numeric batch.  Returns (rows, images, values): the
-        indices of the probe states whose image is not zero at every q,
-        their image states, and the scalars, shape (rows, q).
-
-        As in ``Engine.apply_word`` the ladder numbers multiply in word
-        order and the diagonal values in the order of their keys, so
-        the scalars are the per-state engine's to the last bit.  The
-        values are sorted per row only where some row reads its keys out
-        of ascending order."""
-        if self.exact:
-            raise EngineError("an exact batch has no per-row scalars; use images")
-        rows, change, ladder, codes, factors = self._read(word)
-        if not factors:
-            values = np.ones((len(rows), len(self.engines)), dtype=complex)
-        else:
-            if len(factors) > 1:
-                codes = np.array(codes)
-                if (codes[1:] < codes[:-1]).any():
-                    order = np.argsort(codes, axis=0, kind="stable")
-                    factors = np.take_along_axis(np.array(factors), order[:, :, None], axis=0)
-            values = factors[0]
-            for f in factors[1:]:
-                values = values * f
-        if ladder is not None:
-            values = values * ladder[:, None]
-            if ladder.dtype == object:
-                values = values.astype(complex)
-        return rows, self.states[rows] + change, values
-
-    def _exact_term(self, c: CoeffExact, word: Word):
-        """An exact term's live probe rows and per row its value, ``X =
-        c * product`` of its sorted key-code tuple times its ladder number;
-        each ``X`` is formed once per process per scalar domain."""
-        rows, _, ladder, codes, _ = self._read(word)
-        keys = zip(*np.sort(np.array(codes), axis=0).tolist()) if codes else [()] * len(rows)
-        xs = [self._x(c, key) for key in keys]
-        return rows, xs if ladder is None else [x if k == 1 else x * k
-                                                for x, k in zip(xs, ladder.tolist())]
-
-    def max_abs_images(self, compiled: list):
-        """For every (q sample, probe state): the largest coefficient
-        magnitude of the image of a compiled expression, and the largest
-        magnitude any single term produces (the scale against which
-        cancellation error is measured).  Both have shape (q, states).
-
-        Every term moves a probe state to the same image state, so the
-        terms sum into one dense (states, q) array, word by word: the
-        per-word reference of ``ProbePlan.worst``."""
-        shape = (len(self.states), len(self.engines))
-        image = np.zeros(shape, dtype=complex)
-        scale = np.zeros(shape)
-        for c, w in compiled:
-            rows, _, values = self.apply_word(w)
-            contrib = c * values
-            image[rows] += contrib
-            scale[rows] = np.maximum(scale[rows], np.abs(contrib))
-        return np.abs(image).T, scale.T
-
-    def images(self, compiled: list):
-        """The image of a compiled expression on every probe state of a
-        single-engine batch, the per-word reference of ``ProbePlan.images``:
-        (rows, images, coefficients), the ascending probe rows whose image is
-        not zero, their image states (the row's state shifted by the one net
-        occupation change) and a coefficient list.  A row's terms sum in term
-        order from its first term, as in ``Engine.apply_compiled``, so the
-        coefficients are the per-state engine's, numeric ones to the last
-        bit."""
-        if len(self.engines) > 1:
-            raise EngineError("images need a single-engine batch")
-        sums = [None] * len(self.states)
-        for c, w in compiled:
-            if self.exact:
-                rows, values = self._exact_term(c, w)
-            else:
-                rows, _, values = self.apply_word(w)
-                values = (c[0] * values[:, 0]).tolist()
-            for r, v in zip(rows.tolist(), values):
-                sums[r] = v if sums[r] is None else sums[r] + v
-        is_zero = self.engines[0].scalars.is_zero
-        sums = [None if v is None or is_zero(v) else v for v in sums]
-        rows = [r for r, v in enumerate(sums) if v is not None]
-        change = word_change(self.sig, compiled[0][1]) if compiled else 0
-        return np.array(rows, dtype=np.intp), self.states[rows] + change, [sums[r] for r in rows]
 
 
 # entries, and image slots (relations times probe states), that one chunk
@@ -1306,10 +1101,10 @@ class ProbePlan:
     builds on its first call there and keeps (``_prepare``).  Numerically
     it forms per chunk the tuple products, the triple contributions and
     each slot's sum with ``np.bincount`` in term order, the per-word sums
-    to the last bit; exactly, it sums and tests each distinct sequence of
-    triples on a slot once.  A chunk is replayed through the per-word
-    ``ProbeBatch.max_abs_images`` or ``images``, so that every error is
-    theirs, in order and text, when a kept term may read a failing key on
+    to the last bit; exactly, ``_prepare`` sums and tests each distinct
+    sequence of triples on a slot once per domain.  A chunk is replayed
+    word by word (``_replayed``), so that every error is the per-word
+    path's, in order and text, when a kept term may read a failing key on
     a row live before its factor, when a sum is not finite, or when the
     arithmetic raises.  Indices are uint16 where they fit: the HP plan of
     (4,2) at cap 7 takes 0.48 MB and of (7,5) at cap 6 10.3 MB."""
@@ -1454,24 +1249,33 @@ class ProbePlan:
             guard_keys=_compact(np.searchsorted(codes, chunk.guard_keys)), tuples=tuples,
             triple_tuples=_compact(np.concatenate([np.zeros(0, np.intp)] + tuple_of)))
 
+    def _key_values(self, domain: ScalarDomain) -> tuple:
+        """The plan's keys in a scalar domain, over ``codes`` and a last index
+        for a key out of the code range: numerically their values, (keys + 1,
+        q), 0 where failing; the masks of failing keys and of zero ones."""
+        values = [domain._key_value(code, *_key_of(code)) for code in self.codes]
+        failing = np.array([v is None for v in values] + [True])
+        if domain.exact:
+            return None, failing, np.array([v is None or v.is_zero() for v in values] + [True])
+        zero = np.zeros(len(domain.engines))
+        table = np.array([zero if v is None else v for v in values] + [zero], dtype=complex)
+        return table, failing, ~table.any(axis=1)
+
     def _prepare(self, domain: ScalarDomain) -> tuple:
         """The plan's values in a scalar domain, kept for ``SCALAR_DOMAINS``
-        domains: numerically the key values, (keys + 1, q), zero for a
-        failing key and the last index; per chunk None where a term with a
-        nonzero scalar may read a failing key on a row live before its
-        factor (a replay), else numerically (the mask of live triples or
-        None, (terms, q) term scalars) and exactly (each triple's ``X =
-        c_t * product`` times its ladder number or None, the distinct
-        sequences of triples on a slot, in term order, and each slot's).  A
+        domains: numerically the key values (``_key_values``); per chunk None
+        where a term with a nonzero scalar may read a failing key on a row
+        live before its factor (a replay), else numerically (the mask of live
+        triples or None, (terms, q) term scalars) and exactly (the mask of
+        nonzero slots, and per slot its image coefficient or None: the sum,
+        in term order, of its triples' ``X = c_t * product`` times ladder
+        number, formed and tested once per distinct sequence of triples).  A
         triple is dead where its scalar or a key is 0 at every q."""
         if domain.domain in self._prepared:
             return self._prepared[domain.domain]
-        values = [domain._key_value(code, *_key_of(code)) for code in self.codes]
+        table, failing, dead = self._key_values(domain)
         codes = self.codes + [_NO_CODE]
-        failing = np.array([v is None for v in values] + [True])
         zero = np.zeros(len(domain.engines))
-        table = None if domain.exact else np.array(
-            [zero if v is None else v for v in values] + [zero], dtype=complex)
         parts = []
         for k, chunk in enumerate(self._chunks):
             scalars = [domain._scalar(c, key) for c, key in chunk.scalars]
@@ -1488,13 +1292,19 @@ class ProbePlan:
                 by_slot = [[] for _ in chunk.slot_rows]
                 for slot, t in zip(chunk.entry_slots.tolist(), chunk.entry_triples.tolist()):
                     by_slot[slot].append(t)
-                patterns: dict = {}  # sequence of triples -> its index
-                slot_patterns = [patterns.setdefault(tuple(p), len(patterns)) for p in by_slot]
-                parts.append((xs, list(patterns), np.array(slot_patterns, dtype=np.intp)))
+                sums: dict = {}  # sequence of triples -> its sum, None when zero
+                values = np.empty(len(by_slot), dtype=object)
+                for slot, pattern in enumerate(map(tuple, by_slot)):
+                    if pattern not in sums:
+                        terms = [xs[t] for t in pattern if xs[t] is not None]
+                        v = functools.reduce(operator.add, terms) if terms else None
+                        sums[pattern] = None if v is None or v.is_zero() else v
+                    values[slot] = sums[pattern]
+                parts.append((np.not_equal(values, None), values))
             else:
                 live = np.empty(sum(len(m) for _, m in chunk.tuples), dtype=bool)
                 for first, mat in chunk.tuples:
-                    live[first : first + len(mat)] = table[mat].any(axis=2).all(axis=1)
+                    live[first : first + len(mat)] = ~dead[mat].any(axis=1)
                 live = kept[chunk.triple_terms] & live[chunk.triple_tuples]
                 parts.append((None if live.all() else live, np.array(
                     [zero if v is None else v for v in scalars], dtype=complex).reshape(
@@ -1520,9 +1330,94 @@ class ProbePlan:
                 out.append(None)
         return out
 
-    def _replayed(self, chunk: _Chunk, domain: ScalarDomain, method: str) -> list:
-        batch = ProbeBatch(domain.engines, self.states)  # the per-word path
-        return [getattr(batch, method)(batch.compile(self.exprs[e])) for e in chunk.exprs]
+    def _terms(self, probe: ProbeRows, columns: dict, domain: ScalarDomain, keyed: tuple,
+               expr: OperatorExpr):
+        """An expression's terms with a nonzero scalar, word by word after
+        every scalar is specialized: (live rows, per row contribution), the
+        latter (rows, q), or exactly a list of ``X = c * product`` times
+        ladder number.  Diagonal values (``keyed``, of ``_key_values``)
+        multiply in ascending key code order, then the ladder number, then
+        the scalar, as in ``Engine.apply_word``.  A factor's keys are read
+        once per ``columns``; a key zero at every q kills its rows, and a
+        failing one read on a row live before its factor raises the code
+        range error, or else the scalar method's own error for the smallest
+        failing key."""
+        table, failing, zero = keyed
+        scalars = [domain._scalar(c) for c, _ in expr.terms]
+        for c, (_, word) in zip(scalars, expr.terms):
+            if c is None:
+                continue
+            read = []  # per diagonal factor read: its ``_Keys``, per row its key index
+
+            def diag(item: Diag, live: np.ndarray):
+                if item not in columns:
+                    keys = probe._keys(item)
+                    # entry 0 stands for the rows out of the code range
+                    index = np.append(len(self.codes), np.searchsorted(self.codes, keys.codes))
+                    columns[item] = keys, index[keys.entry]
+                keys, at = columns[item]
+                fails = failing[at] & live
+                if fails.any():
+                    entry = int(keys.entry[fails].min())
+                    if not entry:
+                        raise EngineError(f"{item.kind} key out of the code range [-2**20, 2**20)")
+                    domain._value(item.kind, keys.args[entry - 1], item.affine.p_coeff)
+                read.append((keys, at))
+                return ~zero[at]
+
+            rows, _, ladder = probe._walk(word, diag)
+            if domain.exact:
+                codes = np.sort([keys.row_codes[rows] for keys, _ in read], axis=0).tolist()
+                xs = [domain._x(c, key) for key in (zip(*codes) if read else [()] * len(rows))]
+                yield rows, xs if ladder is None else [x if k == 1 else x * k
+                                                       for x, k in zip(xs, ladder.tolist())]
+                continue
+            if read:
+                factors = [table[at[rows]] for _, at in read]
+                codes = np.array([keys.row_codes[rows] for keys, _ in read])
+                if (codes[1:] < codes[:-1]).any():
+                    order = np.argsort(codes, axis=0, kind="stable")
+                    factors = np.take_along_axis(np.array(factors), order[:, :, None], axis=0)
+                value = factors[0]
+                for f in factors[1:]:
+                    value = value * f
+            else:
+                value = np.ones((len(rows), len(domain.engines)), dtype=complex)
+            if ladder is not None:
+                value = value * ladder[:, None]
+                if ladder.dtype == object:
+                    value = value.astype(complex)
+            yield rows, c * value
+
+    def _replayed(self, chunk: _Chunk, domain: ScalarDomain, images: bool) -> list:
+        """A chunk's expressions applied word by word (``_terms``): the
+        results the fast path keeps to the last bit, and the plan's errors.
+        Per expression, numerically the image magnitude and the largest
+        single-term magnitude (the cancellation scale), both (q, states); or
+        its images, each row's terms summed in term order from its first, as
+        in ``Engine.apply_compiled``.  Probe rows and keys are not kept."""
+        engine = domain.engines[0]
+        probe = ProbeRows(engine.sig, engine.convention, self.states)
+        keyed = self._key_values(domain)
+        columns: dict = {}  # factor -> its keys and plan key index per row
+        shape = (self.size, len(domain.engines))
+        out = []
+        for e in chunk.exprs:
+            image, scale, sums = np.zeros(shape, dtype=complex), np.zeros(shape), [None] * self.size
+            for rows, contrib in self._terms(probe, columns, domain, keyed, self.exprs[e]):
+                if not images:
+                    image[rows] += contrib
+                    scale[rows] = np.maximum(scale[rows], np.abs(contrib))
+                    continue
+                for r, v in zip(rows.tolist(), contrib if domain.exact else contrib[:, 0].tolist()):
+                    sums[r] = v if sums[r] is None else sums[r] + v
+            if images:
+                rows = [r for r, v in enumerate(sums) if v is not None and not engine.scalars.is_zero(v)]
+                out.append((np.array(rows, dtype=np.intp), self._array[rows] + self.changes[e],
+                            [sums[r] for r in rows]))
+            else:
+                out.append((np.abs(image).T, scale.T))
+        return out
 
     def _sums(self, k: int, table, part, signed: bool = False):
         """Chunk k's image sums, (q, slots), and triple contributions, (q,
@@ -1580,33 +1475,18 @@ class ProbePlan:
         sums = self._sums(k, table, part, signed=True)
         return None if sums is None else (sums[0][0] != 0, sums[0][0])
 
-    def _exact_sums(self, k: int, table, part):
-        """Chunk k's nonzero slots and per slot its exact image coefficient:
-        per distinct sequence of triples on a slot the sum of their ``X``
-        times ladder number, in term order, and one zero test."""
-        xs, patterns, slot_patterns = part
-        sums = np.empty(len(patterns), dtype=object)
-        for j, pattern in enumerate(patterns):
-            v = None
-            for x in map(xs.__getitem__, pattern):
-                if x is not None:
-                    v = x if v is None else v + x
-            sums[j] = None if v is None or v.is_zero() else v
-        values = sums[slot_patterns]
-        return np.not_equal(values, None), values
-
     def worst(self, domain: ScalarDomain) -> list:
         """Per expression, in order: (its worst residual, the first position
         of it in q-then-state order as q * states + state).  The residual on
-        a (q sample, probe state) is the peak image magnitude of
-        ``ProbeBatch.max_abs_images``, divided on the states ``above`` by
-        the larger of 1 and the term scale."""
+        a (q sample, probe state) is its image's magnitude, divided on the
+        states ``above`` by the larger of 1 and the term scale, the largest
+        magnitude a single term gives there."""
         if domain.exact:
             raise EngineError("a probe plan takes a numeric batch")
         out = []
         for chunk, images in zip(self._chunks, self._evaluated(domain, self._magnitudes)):
             if images is None:
-                out += [_worst(*r, self.above) for r in self._replayed(chunk, domain, "max_abs_images")]
+                out += [_worst(*r, self.above) for r in self._replayed(chunk, domain, images=False)]
                 continue
             residual, scale = images
             residual[:, chunk.scaled] = residual[:, chunk.scaled] / np.maximum(1.0, scale)
@@ -1626,17 +1506,17 @@ class ProbePlan:
         return out
 
     def images(self, domain: ScalarDomain) -> list:
-        """Per expression, in order, ``ProbeBatch.images`` of a single engine
-        on the plan's states: (the ascending rows whose image is not zero,
-        their image states, their coefficients), numeric ones the per-word
-        path's to the last bit and exact ones its values."""
+        """Per expression, in order, its images under a single engine on the
+        plan's states: (the ascending rows whose image is not zero, their
+        image states, their coefficients), each the per-state engine's
+        (``Engine.apply_compiled``), numeric ones to the last bit."""
         if len(domain.engines) > 1:
             raise EngineError("images need a single-engine batch")
-        evaluate = self._exact_sums if domain.exact else self._numeric_sums
+        evaluate = (lambda k, table, part: part) if domain.exact else self._numeric_sums
         out = []
         for chunk, sums in zip(self._chunks, self._evaluated(domain, evaluate)):
             if sums is None:
-                out += self._replayed(chunk, domain, "images")
+                out += self._replayed(chunk, domain, images=True)
                 continue
             nonzero, values = sums
             starts = chunk.expr_starts

@@ -25,7 +25,7 @@ from qglnm.coeff import CoeffExact, bracket_affine, bracket_int, numeric_str, sc
 from qglnm.fock import Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
 from qglnm.presentation import GenSymbol, HBracket, build_relations
 from qglnm.realize import MUTATIONS, h_affine, realization
-from qglnm.weyl import (Affine, Diag, Engine, Lower, OperatorExpr, ProbeBatch, ProbePlan, Raise,
+from qglnm.weyl import (Affine, Diag, Engine, Lower, OperatorExpr, ProbePlan, Raise,
                         ScalarDomain, affine_mode, float_errors_raise)
 
 SIG21 = Signature(2, 1)
@@ -519,18 +519,34 @@ class TestDeformedOps:
         assert not deformed_ops_check(SIG21, p=3, q=5.0, tolerance=1e-17).bosonic_pass
 
 
-def batch_images(engine, states, exprs) -> list:
-    """Per expression, ``ProbeBatch.images`` on one batch over the states:
-    the per-word path that the image plans replace."""
-    batch = ProbeBatch([engine], states)
-    with float_errors_raise():
-        return [batch.images(batch.compile(expr)) for expr in exprs]
-
-
 def plan_images(engine, states, exprs) -> list:
     with float_errors_raise():
         return ProbePlan(engine.sig, engine.convention, states, exprs).images(
             ScalarDomain([engine]))
+
+
+def fast_images(plan, engine) -> list:
+    """``plan.images`` of one engine with float errors raising, on the fast
+    path alone: a replayed chunk fails the test."""
+    def no_replay(plan, chunk, *args):
+        raise AssertionError(f"chunk {chunk.exprs} replayed")
+
+    with pytest.MonkeyPatch.context() as m, float_errors_raise():
+        m.setattr(ProbePlan, "_replayed", no_replay)
+        return plan.images(ScalarDomain([engine]))
+
+
+def forced_replay(plan, engine) -> list:
+    """``plan.images`` of one engine with float errors raising, every chunk
+    forced through the word-by-word replay (``ProbePlan._replayed``): the
+    path whose results and errors the fast path keeps."""
+    with pytest.MonkeyPatch.context() as m, float_errors_raise():
+        m.setattr(ProbePlan, "_evaluated", lambda self, *a: [None] * len(self._chunks))
+        return plan.images(ScalarDomain([engine]))
+
+
+def replayed_images(engine, states, exprs) -> list:
+    return forced_replay(ProbePlan(engine.sig, engine.convention, states, exprs), engine)
 
 
 def assert_same_images(got, want, text):
@@ -543,14 +559,10 @@ def assert_same_images(got, want, text):
         assert [text(v) for v in coeffs] == [text(v) for v in ref_coeffs]
 
 
-def no_replay(plan, chunk, *args):
-    raise AssertionError(f"chunk {chunk.exprs} replayed")
-
-
 class TestImagePlan:
     """The generator images of module analysis read through a probe plan
-    (``weyl.ProbePlan.images``) against one probe batch over the same
-    states: numeric coefficients bit for bit, exact ones by canonical
+    (``weyl.ProbePlan.images``) against the same plan forced through its
+    word-by-word replay: numeric coefficients bit for bit, exact ones by canonical
     string, on every state list the analysis reads; and the plans kept per
     process (``analyze._image_plan``)."""
 
@@ -568,17 +580,15 @@ class TestImagePlan:
         ("hp", "orthonormal"), ("hp-deformed", "orthonormal"), ("dyson", "orthonormal"),
         ("dyson", "monomial")])
     @pytest.mark.parametrize("sig", SIGS, ids=lambda s: f"{s.n}-{s.m}")
-    def test_numeric_images_match_one_batch(self, sig, kind, convention, monkeypatch):
-        monkeypatch.setattr(ProbePlan, "_replayed", no_replay)
+    def test_numeric_images_match_one_batch(self, sig, kind, convention):
         exprs = list(realization(kind, sig).images.values())
         for p in (2, 3):
             for states in self.state_lists(sig, p):
                 plan = ProbePlan(sig, convention, states, exprs)
                 for q in self.QS:
                     engine = Engine(sig, convention=convention, q=q, p=p)
-                    with float_errors_raise():
-                        got = plan.images(ScalarDomain([engine]))
-                    assert_same_images(got, batch_images(engine, states, exprs), repr)
+                    got = fast_images(plan, engine)
+                    assert_same_images(got, forced_replay(plan, engine), repr)
                     assert all(type(v) is complex for _, _, coeffs in got for v in coeffs)
 
     # the bracket ratio that drop_bracket_ratio drops needs n >= 3
@@ -587,35 +597,30 @@ class TestImagePlan:
 
     @pytest.mark.parametrize("sig, mutation", EXACT,
                              ids=[f"{s.n}-{s.m}-{m}" for s, m in EXACT])
-    def test_exact_images_match_one_batch(self, sig, mutation, monkeypatch):
-        monkeypatch.setattr(ProbePlan, "_replayed", no_replay)
+    def test_exact_images_match_one_batch(self, sig, mutation):
         exprs = list(realization("dyson", sig, mutation).images.values())
         for p in (2, 3):
             for states in self.state_lists(sig, p):
                 plan = ProbePlan(sig, "monomial", states, exprs)
                 for engine in (Engine(sig), Engine(sig, p=p), Engine(sig, p=p, classical=True)):
-                    got = plan.images(ScalarDomain([engine]))
-                    assert_same_images(got, batch_images(engine, states, exprs),
+                    assert_same_images(fast_images(plan, engine), forced_replay(plan, engine),
                                        CoeffExact.canonical_str)
 
     @pytest.mark.parametrize("engine", [Engine(SIG22), Engine(SIG22, convention="orthonormal",
                                                                q=0.9, p=3)], ids=["exact", "numeric"])
     def test_images_match_across_chunks(self, engine, monkeypatch):
         monkeypatch.setattr(weyl, "PLAN_ENTRIES", 40)
-        monkeypatch.setattr(ProbePlan, "_replayed", no_replay)
         states = enumerate_up_to(SIG22, 6).states
         exprs = list(realization("dyson", SIG22).images.values())
         plan = ProbePlan(SIG22, engine.convention, states, exprs)
         assert len(plan._chunks) > 3
         text = repr if engine.mode == "numeric" else CoeffExact.canonical_str
-        with float_errors_raise():
-            got = plan.images(ScalarDomain([engine]))
-        assert_same_images(got, batch_images(engine, states, exprs), text)
+        assert_same_images(fast_images(plan, engine), forced_replay(plan, engine), text)
 
     @pytest.mark.parametrize("q", [10.0, 1.0, 0.5])
     @pytest.mark.parametrize("convention", ["orthonormal", "monomial"])
     def test_signs_of_zero_match_one_batch(self, convention, q):
-        # the batch sums a row's terms from its first, so a zero part is
+        # the replay sums a row's terms from its first, so a zero part is
         # -0.0 where every term's is; it skips terms with a zero scalar (at
         # q = 1, [2] - 2) and rows a zero factor kills (q**-160 * sqrt([0]))
         n1, one = affine_mode(SIG21, 1), CoeffExact.one()
@@ -634,7 +639,7 @@ class TestImagePlan:
         states = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
         engine = Engine(SIG21, convention=convention, q=q, p=2)
         assert_same_images(plan_images(engine, states, exprs),
-                           batch_images(engine, states, exprs), repr)
+                           replayed_images(engine, states, exprs), repr)
 
     def test_warm_plans_build_nothing_at_new_q_or_p(self, monkeypatch):
         sig = Signature(3, 2)
@@ -684,9 +689,9 @@ class TestImagePlan:
 
 
 class TestImagePlanReplay:
-    """A chunk of generator images that may raise goes through one probe
-    batch (``ProbeBatch.images``), so every error of module analysis is
-    that path's, in its order and with its text."""
+    """A chunk of generator images that may raise is replayed word by word
+    (``ProbePlan._replayed``), so every error of module analysis is that
+    path's, in its order and with its text."""
 
     STATES = [(2, 0), (0, 0)]
 
@@ -701,14 +706,14 @@ class TestImagePlanReplay:
         # kills only after it; the expression before it images fine
         factor = Diag(kind, affine_mode(SIG21, 1))
         exprs = [OperatorExpr.from_word(Raise(1)), OperatorExpr.from_word(Lower(1), factor)]
-        for images in (plan_images, batch_images):
+        for images in (plan_images, replayed_images):
             with pytest.raises(ZeroDivisionError, match=f"^{message}$"):
                 images(engine, self.STATES, exprs)
         # read only after the lowering killed the row, it raises nowhere
         exprs = [OperatorExpr.from_word(Diag(kind, affine_mode(SIG21, 1).shift(1)), Lower(1))]
         text = repr if engine.mode == "numeric" else CoeffExact.canonical_str
         assert_same_images(plan_images(engine, self.STATES, exprs),
-                           batch_images(engine, self.STATES, exprs), text)
+                           replayed_images(engine, self.STATES, exprs), text)
 
     def test_errors_keep_the_batch_order(self):
         # the first expression reads a ratio at 0 on a live row; the second
@@ -716,7 +721,7 @@ class TestImagePlanReplay:
         exprs = [OperatorExpr.from_word(Lower(1), Diag("bracket_ratio", affine_mode(SIG21, 1))),
                  OperatorExpr.from_word(Raise(1), scalar=bracket_affine(0, 1))]
         engine = Engine(SIG21, convention="orthonormal", q=1.3)
-        for images in (plan_images, batch_images):
+        for images in (plan_images, replayed_images):
             with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
                 images(engine, self.STATES, exprs)
         with pytest.raises(ValueError, match="needs a numeric value for p"):
@@ -727,28 +732,28 @@ class TestImagePlanReplay:
         expr = OperatorExpr.from_word(Diag("qpow", Affine(10)), Diag("qpow", Affine(11)))
         engine = Engine(SIG21, convention="orthonormal", q=1e20, p=2)
         errors = []
-        for images in (plan_images, batch_images):
+        for images in (plan_images, replayed_images):
             with pytest.raises(FloatingPointError) as error:
                 images(engine, self.STATES, [expr])
             errors.append(str(error.value))
         assert errors == ["overflow encountered in multiply"] * 2
 
     def test_product_on_a_row_a_zero_factor_kills_raises_nowhere(self):
-        # the batch never multiplies on a row sqrt([0]) kills; the plan
-        # forms the overflowing product and replays
+        # the replay never multiplies on a row sqrt([0]) kills; the fast
+        # path forms the overflowing product and replays
         expr = OperatorExpr.from_word(Diag("qpow", Affine(200)), Diag("qpow", Affine(201)),
                                       Diag("sqrt_bracket", Affine(0)))
         engine = Engine(SIG21, convention="orthonormal", q=10.0, p=2)
         got = plan_images(engine, self.STATES, [expr])
-        assert_same_images(got, batch_images(engine, self.STATES, [expr]), repr)
+        assert_same_images(got, replayed_images(engine, self.STATES, [expr]), repr)
         assert not len(got[0][0])
 
     def test_sum_past_the_largest_float_matches_the_batch(self):
-        # two finite terms of 1e308 sum to inf, which the batch keeps
+        # two finite terms of 1e308 sum to inf, which the replay keeps
         expr = OperatorExpr.from_word(Diag("qpow", Affine(308)), scalar=1)
         engine = Engine(SIG21, convention="orthonormal", q=10.0, p=2)
         got = plan_images(engine, self.STATES, [expr + expr])
-        assert_same_images(got, batch_images(engine, self.STATES, [expr + expr]), repr)
+        assert_same_images(got, replayed_images(engine, self.STATES, [expr + expr]), repr)
         assert repr(got[0][2][0]) == "(inf+0j)"
 
     @pytest.mark.parametrize("argv, code, out", [

@@ -16,9 +16,8 @@ from qglnm.verify import (
     substitute,
     verify_all,
 )
-from qglnm.coeff import CoeffExact
-from qglnm.weyl import (Diag, Engine, EngineError, Lower, OperatorExpr, ProbeBatch, ProbeRows,
-                        Raise, affine_mode, domain_memo)
+from qglnm.weyl import (Diag, Engine, EngineError, Lower, OperatorExpr, ProbePlan, ProbeRows,
+                        Raise, ScalarDomain, affine_mode, domain_memo)
 
 SIG21 = Signature(2, 1)
 
@@ -307,7 +306,7 @@ def rows_or_error(**kwargs) -> str:
 
 class TestClosedRelations:
     """A relation that a stage of normal order closes is not probed on an
-    exact batch; probing every relation stays the oracle for that."""
+    exact call; probing every relation stays the oracle for that."""
 
     @pytest.fixture
     def probe_all(self, monkeypatch):
@@ -388,23 +387,22 @@ class TestClosedRelations:
     def test_no_proved_relation_has_a_live_singular_factor(self):
         # a proof covers the continuous extension of [x]/x to x = 0; the
         # engine raises where such a ratio is live, so no proved relation
-        # may have one on a probe state (the batch raises only there)
+        # may have one on a probe state (the plan raises only there)
         singular = OperatorExpr.from_word(Diag("bracket_ratio", affine_mode(SIG21, 1)))
         with pytest.raises(ZeroDivisionError):
-            ProbeBatch([Engine(SIG21)], [(0, 0)]).images([(CoeffExact.one(), w)
-                                                          for _, w in singular.terms])
+            ProbePlan(SIG21, "monomial", [(0, 0)], [singular]).images(ScalarDomain([Engine(SIG21)]))
         for n, m in [(2, 0), (3, 0), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3),
                      (4, 3)]:
             sig = Signature(n, m)
-            batch = ProbeBatch([Engine(sig)], probe_states(sig, 4))
+            words = set()
             for mutation in (None, *MUTATIONS):
                 try:
                     relations = _relation_set(sig, "dyson", mutation)
                 except ValueError:
                     continue  # the mutation does not apply to the signature
-                words = {w for _, diff, stage in relations if stage for _, w in diff.terms}
-                for w in words:
-                    batch.images([(CoeffExact.one(), w)])
+                words |= {w for _, diff, stage in relations if stage for _, w in diff.terms}
+            ProbePlan(sig, "monomial", probe_states(sig, 4), [
+                OperatorExpr.from_word(*w) for w in words]).images(ScalarDomain([Engine(sig)]))
 
     def test_warm_exact_call_probes_nothing(self, monkeypatch):
         verify_all(SIG43, "dyson", None, cap=6)
@@ -426,10 +424,10 @@ class TestClosedRelations:
 
     def test_warm_exact_mutation_call_reads_no_word(self, monkeypatch):
         # the plan read every word on the first call; a warm one builds no
-        # probe batch and walks no word
+        # probe rows and walks no word
         call = dict(sig=SIG32, kind="dyson", p=None, cap=4, mutation="flip_fermion_sign")
         cold = verify_all(**call).format_machine()
-        monkeypatch.setattr(ProbeBatch, "__init__", lambda *a: pytest.fail("probe batch built"))
+        monkeypatch.setattr(ProbeRows, "__init__", lambda *a: pytest.fail("probe rows built"))
         monkeypatch.setattr(ProbeRows, "_walk", lambda *a: pytest.fail("word walked"))
         assert verify_all(**call).format_machine() == cold
 
@@ -453,7 +451,7 @@ class TestClosedRelations:
                 assert verify_all(**(exact, numeric)[k]).format_machine() == fresh[k], k
 
     def test_numeric_batch_probes_closed_relations(self):
-        # a numeric batch reports every relation's probed residual
+        # a numeric call reports every relation's probed residual
         report = verify_all(SIG32, kind="dyson", p=3, q=[0.9, 1.3], cap=4)
         closed = {rel.name for rel, _, stage in _relation_set(SIG32, "dyson", None) if stage}
         assert len(closed) == len(report.results) and {r.status for r in report.results} == {

@@ -29,12 +29,13 @@ from qglnm.weyl import (
     EngineError,
     Lower,
     OperatorExpr,
-    ProbeBatch,
     ProbePlan,
+    ProbeRows,
     Raise,
     ScalarDomain,
     _expand_affine,
     _key_code,
+    _key_of,
     _worst,
     affine_mode,
     domain_memo,
@@ -75,6 +76,20 @@ def expect_zero(eng, expr, states):
             assert not image, (s, image)
         else:
             assert max_abs(image) < 1e-12, (s, image)
+
+
+def plan_images(eng, states, exprs) -> list:
+    """Per expression, its images under one engine on the states, read
+    through a probe plan (``ProbePlan.images``)."""
+    return ProbePlan(eng.sig, eng.convention, states, exprs).images(ScalarDomain([eng]))
+
+
+def replayed(call, *args):
+    """``call(*args)`` with every chunk of a probe plan replayed word by
+    word: ``ProbePlan._evaluated`` gives no chunk a fast-path result."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ProbePlan, "_evaluated", lambda self, *a: [None] * len(self._chunks))
+        return call(*args)
 
 
 class TestApplyAtom:
@@ -609,14 +624,15 @@ class TestWordCaches:
         eng = numeric_engine(SIG21, q=2.0)
         assert eng.apply_word(angle, (0, 0)) == (1.0, (0, 0))  # <1> = 1
         assert eng.apply_word(angle, (0, 1)) == (math.sqrt(bracket_value(2, 2.0) / 2), (0, 1))
-        assert ProbeBatch([eng], [(0, 0), (0, 1)]).apply_word(angle)[2][:, 0].tolist() == [
-            1.0, math.sqrt(bracket_value(2, 2.0) / 2)]
+        (_, _, coeffs), = plan_images(eng, [(0, 0), (0, 1)], [OperatorExpr.from_word(*angle)])
+        assert coeffs == [1.0, math.sqrt(bracket_value(2, 2.0) / 2)]
 
 
 class TestProbeBatch:
-    """The batched path against the per-state engine as the oracle: every
-    numeric term image and summed relation residual, and every exact
-    zero verdict."""
+    """The multi-state path, a probe plan (``ProbePlan``), against the
+    per-state engine as the oracle: every numeric term image and relation
+    image bit for bit, every summed relation residual, and every exact
+    image and zero verdict."""
 
     QS = (0.7, 1.0, 1.3)
 
@@ -626,46 +642,62 @@ class TestProbeBatch:
         convention = "orthonormal" if kind == "hp" else "monomial"
         engines = [Engine(sig, convention=convention, q=q, p=3) for q in self.QS]
         for eng in engines:
-            # the residual pass below applies the same words again
+            # the passes below apply the same words again
             eng.apply_word = functools.cache(eng.apply_word)
         states = probe_states(sig, default_cap(3))
-        batch = ProbeBatch(engines, states)
+        rels = build_relations(sig)
         real = realization(kind, sig)
-        for rel in build_relations(sig):
-            compiled = batch.compile(substitute(rel, real))
-            for c, word in compiled:
-                rows, images, values = batch.apply_word(word)
-                got = {r: (tuple(img), v) for r, img, v in zip(rows.tolist(), images.tolist(),
-                                                              c * values)}
-                for qi, eng in enumerate(engines):
-                    for r, s in enumerate(states):
-                        want = eng.apply_word(word, s)
-                        if want is None:
-                            assert r not in got or got[r][1][qi] == 0, (rel.name, word, s)
-                            continue
-                        image, v = got[r]
-                        assert image == want[1], (rel.name, word, s)
-                        ref = c[qi] * want[0]
-                        assert abs(v[qi] - ref) <= 1e-14 * abs(ref), (rel.name, word, s, v, ref)
-            peak, scale = batch.max_abs_images(compiled)
-            for qi, eng in enumerate(engines):
-                single = [(c[qi], w) for c, w in compiled if c[qi] != 0]
+        diffs = [substitute(rel, real) for rel in rels]
+        # every term on its own, then every relation, with the term scale on
+        # every state; one plan serves every q
+        terms = [term for diff in diffs for term in diff.terms]
+        plan = ProbePlan(sig, convention, states, [OperatorExpr([t]) for t in terms] + diffs,
+                         [True] * len(states))
+        for eng in engines:
+            images = plan.images(ScalarDomain([eng]))
+            for (c, word), (rows, image_states, coeffs) in zip(terms, images):
+                got = dict(zip(rows.tolist(), zip(map(tuple, image_states.tolist()), coeffs)))
+                c = eng.scalars.from_coeff(c)
                 for r, s in enumerate(states):
-                    want = max_abs(eng.apply_compiled(single, s))
-                    bound = 1e-12 * max(1.0, scale[qi, r])
-                    assert abs(peak[qi, r] - want) <= bound, (rel.name, s, peak[qi, r], want)
+                    want = eng.apply_word(word, s)
+                    if want is None or c == 0:
+                        assert r not in got, (word, s)
+                        continue
+                    v = c * want[0]
+                    assert got[r][0] == want[1], (word, s)
+                    assert got[r][1] == v and scalar_str(got[r][1]) == scalar_str(v), (word, s)
+            self._check_images(eng, states, [(rel.name, diff) for rel, diff in zip(rels, diffs)],
+                               images[len(terms):])
+        domain = ScalarDomain(engines)
+        fast = TestNumericPlan._images(plan, domain)[-len(diffs):]
+        replay = [w for chunk in plan._chunks
+                  for w in plan._replayed(chunk, domain, images=False)][-len(diffs):]
+        for rel, diff, *images in zip(rels, diffs, fast, replay):
+            for qi, eng in enumerate(engines):
+                compiled = eng.compile(diff)
+                for r, s in enumerate(states):
+                    want = max_abs(eng.apply_compiled(compiled, s))
+                    want_scale = max((abs(c * res[0]) for c, w in compiled
+                                      if (res := eng.apply_word(w, s)) is not None), default=0.0)
+                    for peak, scale in images:
+                        assert abs(scale[qi, r] - want_scale) <= 1e-14 * want_scale, (
+                            rel.name, s, scale[qi, r], want_scale)
+                        bound = 1e-12 * max(1.0, scale[qi, r])
+                        assert abs(peak[qi, r] - want) <= bound, (rel.name, s, peak[qi, r], want)
+        # the worst residual and its first position, read from those arrays
+        assert plan.worst(domain)[-len(diffs):] == [_worst(*w, plan.above) for w in fast]
 
     def test_zero_argument_raises_only_on_live_rows(self):
         eng = numeric_engine(SIG21)
-        batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 1)])
+        states = [(0, 0), (2, 0), (3, 1)]
         ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1))
         with pytest.raises(ZeroDivisionError, match="bracket ratio evaluated at argument 0"):
-            batch.apply_word((ratio,))
+            plan_images(eng, states, [OperatorExpr.from_word(ratio)])
         with pytest.raises(ZeroDivisionError, match="angle bracket evaluated at argument 0"):
-            batch.apply_word((Diag("angle", affine=affine_mode(SIG21, 1)),))
+            plan_images(eng, states, [OperatorExpr.from_word(Diag("angle", affine_mode(SIG21, 1)))])
         # (0, 0) dies at the lowering, then at the zero value of N_1
         for killer in (Lower(1), Diag("affine", affine=affine_mode(SIG21, 1))):
-            rows, _, _ = batch.apply_word((ratio, killer))
+            (rows, _, _), = plan_images(eng, states, [OperatorExpr.from_word(ratio, killer)])
             assert rows.tolist() == [1, 2]
             assert eng.apply_word((ratio, killer), (0, 0)) is None
 
@@ -674,16 +706,10 @@ class TestProbeBatch:
         # three fermionic modes, so a sign can count an occupied mode that
         # the word does not touch
         sig = Signature(2, 3)
-        eng = numeric_engine(sig, convention=convention)
-        states = probe(sig, 4)
-        batch = ProbeBatch([eng], states)
         ladders = [a(i) for i in range(1, sig.num_modes + 1) for a in (Raise, Lower)]
-        for word in [(a,) for a in ladders] + [(a, b) for a in ladders for b in ladders]:
-            rows, images, values = batch.apply_word(word)
-            got = dict(zip(rows.tolist(), zip(map(tuple, images.tolist()), values[:, 0])))
-            for r, s in enumerate(states):
-                want = eng.apply_word(word, s)
-                assert got.get(r) == (None if want is None else (want[1], want[0])), (word, s)
+        words = [(a,) for a in ladders] + [(a, b) for a in ladders for b in ladders]
+        self._check_images(numeric_engine(sig, convention=convention), probe(sig, 4),
+                           [(word, OperatorExpr.from_word(*word)) for word in words])
 
     @pytest.mark.parametrize("sig, cap", [(SIG21, 6), (Signature(3, 2), 5)], ids=str)
     @pytest.mark.parametrize("p, classical", [(None, False), (3, False), (None, True)])
@@ -705,7 +731,7 @@ class TestProbeBatch:
         rels = build_relations(sig)
         states = probe_states(sig, cap)
         empty = self._check_images(Engine(sig, p=p, classical=classical), states,
-                                   ((rel.name, substitute(rel, real)) for rel in rels))
+                                   [(rel.name, substitute(rel, real)) for rel in rels])
         return empty < len(states) * len(rels)
 
     @pytest.mark.parametrize("other, zero", [(-1, True), (-2, False)])
@@ -728,28 +754,24 @@ class TestProbeBatch:
         # number
         top = 10**5
         eng = Engine(SIG21)
-        batch = ProbeBatch([eng], [(top, 0), (top, 1), (2, 0)])
+        states = [(top, 0), (top, 1), (2, 0)]
         word = (Lower(1),) * 4
-        rows, _, coeffs = batch.images(eng.compile(OperatorExpr.from_word(*word)))
+        (rows, _, coeffs), = plan_images(eng, states, [OperatorExpr.from_word(*word)])
         want = top * (top - 1) * (top - 2) * (top - 3)
         assert want > 2**63
         assert rows.tolist() == [0, 1] and coeffs == [want, want]
         numeric = Engine(SIG21, convention="monomial", q=1.3, p=3)
-        rows, _, values = ProbeBatch([numeric], [(top, 0)]).apply_word(word)
-        assert values[0, 0] == numeric.apply_word(word, (top, 0))[0]
+        (_, _, values), = plan_images(numeric, [(top, 0)], [OperatorExpr.from_word(*word)])
+        assert values[0] == numeric.apply_word(word, (top, 0))[0]
         # two words share the suffix of three lowerings, which stays below
         # the bound in int64; only the word with a fourth lowering passes it
         suffix = (Lower(1),) * 3
-        words = [(Lower(1),) + suffix, (Raise(1),) + suffix]
-        batch = ProbeBatch([eng], [(top, 0), (top, 1), (2, 0)])
-        compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
-        images = [batch.images(c) for c in compiled]
+        exprs = [OperatorExpr.from_word(*w) for w in [(Lower(1),) + suffix, (Raise(1),) + suffix]]
+        images = plan_images(eng, states, exprs)
         assert [(rows.tolist(), coeffs) for rows, _, coeffs in images] == [
             ([0, 1], [want, want]), ([0, 1], [top * (top - 1) * (top - 2)] * 2)]
-        batch = ProbeBatch([numeric], [(top, 0)])
-        compiled = [batch.compile(OperatorExpr.from_word(*w)) for w in words]
-        for w in words:
-            assert batch.apply_word(w)[2][0, 0] == numeric.apply_word(w, (top, 0))[0]
+        for expr, (_, _, values) in zip(exprs, plan_images(numeric, [(top, 0)], exprs)):
+            assert values[0] == numeric.apply_word(expr.terms[0][1], (top, 0))[0]
         # the Serre relations of (3,2) at two bosonic occupations near
         # 10**5 sum terms past 2**63 to an exact zero
         sig = Signature(3, 2)
@@ -770,14 +792,11 @@ class TestProbeBatch:
     def test_key_code_bound(self, engine, kind):
         word = (Diag(kind, affine=affine_mode(SIG21, 1)),)
         expr = OperatorExpr.from_word(*word)
-        inside = ProbeBatch([engine], [(2**20 - 1, 0)])
-        if inside.exact:
-            assert inside.images(inside.compile(expr))[2] == [2**20 - 1]
-        else:
-            assert inside.apply_word(word)[2][0, 0] == engine.apply_word(word, (2**20 - 1, 0))[0]
-        batch = ProbeBatch([engine], [(1, 0), (2**20, 0)])
+        (_, _, coeffs), = plan_images(engine, [(2**20 - 1, 0)], [expr])
+        assert coeffs == [engine.apply_word(word, (2**20 - 1, 0))[0]]
+        assert engine.mode == "numeric" or coeffs == [2**20 - 1]
         with pytest.raises(EngineError, match="code range"):
-            batch.images(batch.compile(expr)) if batch.exact else batch.apply_word(word)
+            plan_images(engine, [(1, 0), (2**20, 0)], [expr])
 
     @pytest.mark.parametrize("eng", [exact_engine(SIG21),
                                      numeric_engine(SIG21, convention="monomial")],
@@ -785,40 +804,43 @@ class TestProbeBatch:
     def test_diag_table_grows_both_ways(self, eng):
         # N_1 + shift over N_1 in 2..4: the arguments 2..4, then -3..-1 below
         # them, 5..7 above them and 1..3 across the low end; the memo is
-        # shared by the scalar domain, so earlier batches are cleared first
+        # shared by the scalar domain, so earlier plans' keys are cleared first
         domain_memo.cache_clear()
-        batch = ProbeBatch([eng], [(2, 0), (3, 1), (4, 0)])
+        states = [(2, 0), (3, 1), (4, 0)]
         for shift in (0, -5, 3, -1):
             word = (Diag("bracket", affine=affine_mode(SIG21, 1).shift(shift)),)
-            rows, _, coeffs = batch.images(batch.compile(OperatorExpr.from_word(*word)))
+            (rows, _, coeffs), = plan_images(eng, states, [OperatorExpr.from_word(*word)])
             assert rows.tolist() == [0, 1, 2]
-            for s, v in zip(batch.states.tolist(), coeffs):
-                want = eng.apply_word(word, tuple(s))[0]
+            for s, v in zip(states, coeffs):
+                want = eng.apply_word(word, s)[0]
                 assert v == want and scalar_str(v) == scalar_str(want), (shift, s)
         # one memo entry per argument met
-        assert set(batch._values) == {_key_code("bracket", v, 0) for v in range(-3, 8) if v}
+        assert set(ScalarDomain([eng])._values) == {
+            _key_code("bracket", v, 0) for v in range(-3, 8) if v}
 
     @pytest.mark.parametrize("eng", [exact_engine(SIG21), numeric_engine(SIG21)],
                              ids=["exact", "numeric"])
     def test_zero_division_leaves_table_usable(self, eng):
-        # N_1 - 2 over N_1 in {0, 2, 3}: the column is built whole, so -2 and
-        # 1 are kept before 0 raises, and the failing 0 never is
+        # N_1 - 2 over N_1 in {0, 2, 3}: the keys are read whole, so -2 and 1
+        # are kept before 0 raises, and the failing 0 never is
         domain_memo.cache_clear()
-        batch = ProbeBatch([eng], [(0, 0), (2, 0), (3, 1)])
+        states = [(0, 0), (2, 0), (3, 1)]
         ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(-2))
+        plan = ProbePlan(SIG21, eng.convention, states, [OperatorExpr.from_word(ratio)])
 
         def kept():
-            return [_key_code("bracket_ratio", v, 0) in batch._values for v in (-2, 0, 1)]
+            return [_key_code("bracket_ratio", v, 0) in ScalarDomain([eng])._values
+                    for v in (-2, 0, 1)]
 
         for _ in range(2):
             with pytest.raises(ZeroDivisionError, match="bracket ratio evaluated at argument 0"):
-                batch.images(batch.compile(OperatorExpr.from_word(ratio)))
+                plan.images(ScalarDomain([eng]))
             assert kept() == [True, False, True]
         word = (ratio, Raise(1))  # the arguments -1, 1 and 2
-        rows, _, coeffs = batch.images(batch.compile(OperatorExpr.from_word(*word)))
+        (rows, _, coeffs), = plan_images(eng, states, [OperatorExpr.from_word(*word)])
         assert rows.tolist() == [0, 1, 2]
-        for s, v in zip(batch.states.tolist(), coeffs):
-            want = eng.apply_word(word, tuple(s))[0]
+        for s, v in zip(states, coeffs):
+            want = eng.apply_word(word, s)[0]
             assert v == want and scalar_str(v) == scalar_str(want), s
         assert kept() == [True, False, True]
 
@@ -826,23 +848,21 @@ class TestProbeBatch:
                                      Engine(SIG21, convention="monomial", q=10.0, p=3)],
                              ids=["exact", "numeric"])
     def test_columns_raise_only_on_live_rows(self, eng):
-        # A column spans rows that a word killed before the factor, where
-        # the per-state engine never evaluates it: q**400 overflows a float
-        # on (1, 0), and 2**21 + 1 leaves the code range there, but Lower(2)
-        # has killed (1, 0) first
+        # A factor's keys span rows that a word killed before the factor,
+        # where the per-state engine never evaluates it: q**400 overflows a
+        # float on (1, 0), and 2**21 + 1 leaves the code range there, but
+        # Lower(2) has killed (1, 0) first
         states = [(1, 0), (0, 1)]
         for d in (Diag("qpow", Affine(0, 0, (400, 0))), Diag("affine", Affine(1, 0, (2**21, 0)))):
             word = (d, Lower(2))
-            batch = ProbeBatch([eng], states)
-            compiled = batch.compile(OperatorExpr.from_word(*word))
-            rows, images, coeffs = batch.images(compiled)
-            assert rows.tolist() == [1] and images.tolist() == [[0, 0]]
-            assert coeffs == [eng.apply_word(word, (0, 1))[0]]
+            for images in (plan_images, functools.partial(replayed, plan_images)):
+                (rows, images, coeffs), = images(eng, states, [OperatorExpr.from_word(*word)])
+                assert rows.tolist() == [1] and images.tolist() == [[0, 0]]
+                assert coeffs == [eng.apply_word(word, (0, 1))[0]]
             assert eng.apply_word(word, (1, 0)) is None
         # the ratio is applied first, on the state (0, 0) that it sees
         word = (Lower(1), Diag("bracket_ratio", affine_mode(SIG21, 1)))
-        batch = ProbeBatch([eng], [(2, 0), (0, 0)])
-        for apply in (lambda: batch.images(batch.compile(OperatorExpr.from_word(*word))),
+        for apply in (lambda: plan_images(eng, [(2, 0), (0, 0)], [OperatorExpr.from_word(*word)]),
                       lambda: eng.apply_word(word, (0, 0))):
             with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
                 apply()
@@ -852,122 +872,116 @@ class TestProbeBatch:
                 (Affine(0, 0, (2**20, 0)), [(0, 0), (1, 0)], EngineError, "code range"),
                 (affine_mode(SIG21, 1).shift(-2), [(0, 0), (2, 0), (3, 1)], ZeroDivisionError,
                  "^bracket ratio evaluated at argument 0$")]:
-            batch = ProbeBatch([eng], states)
             with pytest.raises(error, match=match):
-                batch.images(batch.compile(OperatorExpr.from_word(Diag("bracket_ratio", ratio))))
+                plan_images(eng, states, [OperatorExpr.from_word(Diag("bracket_ratio", ratio))])
 
     def test_bracket_of_any_p_coefficient(self):
         # [2p + N_1 - 7] read after raising N_1 in 0..2: at p = 3 the exact
-        # batch gives the engine's [0] = 0, [1] and [2]; with formal p every
+        # plan gives the engine's [0] = 0, [1] and [2]; with formal p every
         # live row raises
         word = (Diag("bracket", Affine(-7, 2, (1, 0))), Raise(1))
         states = [(0, 0), (1, 0), (2, 1)]
         eng = Engine(SIG21, p=3)
-        batch = ProbeBatch([eng], states)
-        compiled = batch.compile(OperatorExpr.from_word(*word))
-        rows, _, coeffs = batch.images(compiled)
+        (rows, _, coeffs), = plan_images(eng, states, [OperatorExpr.from_word(*word)])
         assert rows.tolist() == [1, 2]
         assert coeffs == [eng.apply_word(word, s)[0] for s in states[1:]] == [bracket_int(1),
                                                                               bracket_int(2)]
         assert eng.apply_word(word, (0, 0)) is None
-        formal = ProbeBatch([Engine(SIG21)], states)
         with pytest.raises(ValueError, match="formal p"):
-            formal.images(formal.compile(OperatorExpr.from_word(*word)))
+            plan_images(Engine(SIG21), states, [OperatorExpr.from_word(*word)])
 
     @pytest.mark.parametrize("eng", [Engine(SIG21), numeric_engine(SIG21)],
                              ids=["exact", "numeric"])
     def test_returned_arrays_are_copies(self, eng):
-        # mutating what a call returns does not reach the batch's columns,
-        # also where a word is one factor live on every row
-        batch = ProbeBatch([eng], probe(SIG21))
+        # mutating what a call returns reaches neither the plan nor its
+        # replay, also where a word is one factor live on every row
         for word in [(Diag("qpow", TOTAL21),),
                      (Diag("bracket", affine=TOTAL21), Raise(1), Lower(2), Diag("qpow", TOTAL21))]:
-            compiled = batch.compile(OperatorExpr.from_word(*word))
-            calls = [lambda: batch.images(compiled)]
-            if not batch.exact:
-                calls.append(lambda: batch.apply_word(word))
-            for call in calls:
-                first = call()
+            plan = ProbePlan(SIG21, eng.convention, probe(SIG21), [OperatorExpr.from_word(*word)])
+            domain = ScalarDomain([eng])
+            for call in (lambda: plan.images(domain), lambda: replayed(plan.images, domain)):
+                (first,) = call()
                 want = [copy.deepcopy(a) for a in first]
                 for a in first:
                     if isinstance(a, np.ndarray) and a.size:
                         a[...] = a.flat[-1] + 7
-                assert all(np.array_equal(a, b) for a, b in zip(call(), want)), word
+                assert all(np.array_equal(a, b) for a, b in zip(call()[0], want)), word
 
     def test_second_pass_builds_no_column(self, monkeypatch):
-        # every start-state factor is built once per batch: applying every
-        # relation again reads only kept columns, also a column that fails
-        # on a row its word has killed (q**400 overflows at q = 10, and
-        # 2**21 + 1 leaves the code range, on (1, 0))
+        # a plan reads every factor's keys when it is built: applying every
+        # relation again builds none, also where a factor fails on a row
+        # its word has killed (2**21 + 1 leaves the code range on (1, 0));
+        # a chunk replayed word by word reads each factor's keys once per
+        # call (q**400 overflows at q = 10 on (1, 0))
         calls = 0
-        diag = ProbeBatch._diag_column
+        keys = ProbeRows._keys
 
         def counted(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return diag(*args, **kwargs)
+            return keys(*args, **kwargs)
 
-        monkeypatch.setattr(ProbeBatch, "_diag_column", counted)
+        monkeypatch.setattr(ProbeRows, "_keys", counted)
         sig = Signature(3, 2)
         states = probe_states(sig, 5)
-        hp = ProbeBatch([Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS], states)
-        dyson = ProbeBatch([Engine(sig, p=3)], states)
+        hp = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
         hp_real, dyson_real = realization("hp", sig), realization("dyson", sig)
         diffs = [substitute(rel, dyson_real) for rel in build_relations(sig)]
-        runs = [(hp.max_abs_images, [hp.compile(substitute(rel, hp_real))
-                                     for rel in build_relations(sig)]),
-                (dyson.images, [dyson.compile(diff) for diff in diffs
-                                if normal_ordered(sig, diff)])]
-        dead = [(Diag("qpow", Affine(0, 0, (400, 0))), Lower(2)),
-                (Diag("affine", Affine(1, 0, (2**21, 0))), Lower(2))]
-        for eng, words in [(Engine(SIG21, convention="monomial", q=10.0, p=3), dead),
-                           (Engine(SIG21), dead[1:])]:
-            batch = ProbeBatch([eng], [(1, 0), (0, 1)])
-            method = batch.images if batch.exact else batch.max_abs_images
-            runs.append((method, [batch.compile(OperatorExpr.from_word(*w)) for w in words]))
-        for method, relations in runs:
+        dead = [OperatorExpr.from_word(Diag("qpow", Affine(0, 0, (400, 0))), Lower(2)),
+                OperatorExpr.from_word(Diag("affine", Affine(1, 0, (2**21, 0))), Lower(2))]
+        runs = [(ProbePlan(sig, "orthonormal", states,
+                           [substitute(rel, hp_real) for rel in build_relations(sig)]).worst, hp, 0),
+                (ProbePlan(sig, "monomial", states, [diff for diff in diffs
+                                                     if normal_ordered(sig, diff)]).images,
+                 [Engine(sig, p=3)], 0),
+                (ProbePlan(SIG21, "monomial", [(1, 0), (0, 1)], dead).images,
+                 [Engine(SIG21, convention="monomial", q=10.0, p=3)], 2),
+                (ProbePlan(SIG21, "monomial", [(1, 0), (0, 1)], dead[1:]).images,
+                 [Engine(SIG21)], 0)]
+        for method, engines, replayed_keys in runs:
             passes, counts = [], []
             for _ in range(2):
                 before = calls
-                passes.append([method(compiled) for compiled in relations])
+                passes.append(method(ScalarDomain(engines)))
                 counts.append(calls - before)
-            assert counts[0] and not counts[1], counts
+            assert counts == [replayed_keys] * 2
             for first, second in zip(*passes):
                 assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=str)
     def test_generator_images_on_no_states(self, sig):
-        # every batch method on zero probe states returns empty results
-        modes, exact = sig.num_modes, ProbeBatch([Engine(sig, p=3)], [])
-        for name, expr in self._generator_images(sig, ["dyson"]):
-            rows, images, coeffs = exact.images(exact.compile(expr))
-            assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
+        # every plan method on zero probe states returns empty results
+        modes = sig.num_modes
+        names, exprs = zip(*self._generator_images(sig, ["dyson"]))
+        for images in (plan_images(Engine(sig, p=3), [], exprs),
+                       replayed(plan_images, Engine(sig, p=3), [], exprs)):
+            for name, (rows, images, coeffs) in zip(names, images):
+                assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
         engines = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
-        many, one = ProbeBatch(engines, []), ProbeBatch(engines[:1], [])
-        for name, expr in self._generator_images(sig, ["dyson", "hp", "hp-deformed"]):
-            compiled = many.compile(expr)
-            for _, word in compiled:
-                rows, images, values = many.apply_word(word)
-                assert rows.shape == (0,) and images.shape == (0, modes), name
-                assert values.shape == (0, len(engines)), name
-            peak, scale = many.max_abs_images(compiled)
-            assert peak.shape == scale.shape == (len(engines), 0), name
-            rows, images, coeffs = one.images(one.compile(expr))
-            assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
+        names, exprs = zip(*self._generator_images(sig, ["dyson", "hp", "hp-deformed"]))
+        plan = ProbePlan(sig, "orthonormal", [], exprs)
+        assert plan.worst(ScalarDomain(engines)) == [(0.0, 0)] * len(exprs)
+        for images in (plan.images(ScalarDomain(engines[:1])),
+                       replayed(plan.images, ScalarDomain(engines[:1]))):
+            for name, (rows, images, coeffs) in zip(names, images):
+                assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
 
     @staticmethod
-    def _check_images(eng, states, exprs) -> int:
-        """Assert that ``images`` equals the per-state engine's image of
-        every (name, expression) on every state, with equal printed
-        coefficients (for floats, equal bits); returns the number of zero
-        images."""
-        batch = ProbeBatch([eng], states)
+    def _check_images(eng, states, exprs, images=None) -> int:
+        """Assert that ``ProbePlan.images`` equals the per-state engine's
+        image of every (name, expression) on every state, with equal
+        printed coefficients (for floats, equal bits); returns the number
+        of zero images.  ``images``, if given, are the expressions' images
+        read from a larger plan."""
+        names, exprs = zip(*exprs)
+        if images is None:
+            images = ProbePlan(eng.sig, eng.convention, states, exprs).images(ScalarDomain([eng]))
         empty = 0
-        for name, expr in exprs:
+        for name, expr, (rows, image_states, coeffs) in zip(names, exprs, images):
             compiled = eng.compile(expr)
-            rows, images, coeffs = batch.images(batch.compile(expr))
             assert (np.diff(rows) > 0).all(), name
-            got = {r: {tuple(s): v} for r, s, v in zip(rows.tolist(), images.tolist(), coeffs)}
+            got = {r: {tuple(s): v}
+                   for r, s, v in zip(rows.tolist(), image_states.tolist(), coeffs)}
             for r, s in enumerate(states):
                 image, want = got.get(r, {}), eng.apply_compiled(compiled, s)
                 assert list(image) == list(want), (name, s)
@@ -1008,7 +1022,7 @@ class TestProbeBatch:
             eng, real = Engine(sig, convention="orthonormal", q=q, p=3), realization("hp", sig)
         rels = build_relations(sig)
         states = probe(sig, 4)
-        empty = self._check_images(eng, states, ((r.name, substitute(r, real)) for r in rels))
+        empty = self._check_images(eng, states, [(r.name, substitute(r, real)) for r in rels])
         assert 0 < empty < len(states) * len(rels)
 
     def test_refuses_two_net_occupation_changes(self):
@@ -1020,15 +1034,16 @@ class TestProbeBatch:
         eng = exact_engine(sig)
         assert eng.apply(hops, (1, 1)) == {(2, 0): CoeffExact.one(),
                                            (0, 2): CoeffExact.from_int(-1)}
-        for batch in (ProbeBatch([eng], [(1, 1)]), ProbeBatch([numeric_engine(sig)], [(1, 1)])):
+        for convention in ("monomial", "orthonormal"):
             with pytest.raises(EngineError, match="one net occupation change"):
-                batch.compile(hops)
+                ProbePlan(sig, convention, [(1, 1)], [hops])
 
     @pytest.mark.parametrize("eng", [exact_engine(SIG21), numeric_engine(SIG21)],
                              ids=["exact", "numeric"])
     def test_images_of_nothing(self, eng):
-        rows, images, coeffs = ProbeBatch([eng], [(0, 0), (1, 1)]).images([])
-        assert rows.shape == (0,) and images.shape == (0, 2) and coeffs == []
+        for images in (plan_images, functools.partial(replayed, plan_images)):
+            (rows, images, coeffs), = images(eng, [(0, 0), (1, 1)], [OperatorExpr.zero()])
+            assert rows.shape == (0,) and images.shape == (0, 2) and coeffs == []
 
     @pytest.mark.parametrize("eng", [exact_engine(SIG21),
                                      numeric_engine(SIG21, convention="monomial")],
@@ -1038,27 +1053,28 @@ class TestProbeBatch:
         # 0 and 3, and on row 2 neither
         states = [(0, 1), (2, 0), (0, 0), (1, 1)]
         expr = OperatorExpr.from_word(Raise(1), Lower(1)) + OperatorExpr.from_word(Raise(2), Lower(2))
-        batch = ProbeBatch([eng], states)
-        rows, images, coeffs = batch.images(batch.compile(expr))
-        assert rows.tolist() == [0, 1, 3] and images.tolist() == [[0, 1], [2, 0], [1, 1]]
-        assert [c == k for c, k in zip(coeffs, [1, 2, 2])] == [True] * 3
+        for images in (plan_images, functools.partial(replayed, plan_images)):
+            (rows, images, coeffs), = images(eng, states, [expr])
+            assert rows.tolist() == [0, 1, 3] and images.tolist() == [[0, 1], [2, 0], [1, 1]]
+            assert [c == k for c, k in zip(coeffs, [1, 2, 2])] == [True] * 3
 
     def test_exact_rows_apart_by_ladder_number(self):
-        # a lowering on (2, 0) and (3, 0): both rows have the one group of
+        # a lowering on (2, 0) and (3, 0): both rows have the one tuple of
         # the empty code tuple, and their ladder numbers differ
         eng = exact_engine(SIG21)
         expr = OperatorExpr([(bracket_affine(0, 1), (Lower(1),)), (CoeffExact.one(), (Lower(1),))])
-        rows, _, coeffs = ProbeBatch([eng], [(2, 0), (3, 0)]).images(eng.compile(expr))
+        (rows, _, coeffs), = plan_images(eng, [(2, 0), (3, 0)], [expr])
         assert rows.tolist() == [0, 1]
         assert coeffs == [next(iter(eng.apply(expr, s).values())) for s in [(2, 0), (3, 0)]]
         assert coeffs[0] != coeffs[1]
 
     def test_exact_shared_sum_formed_once(self, monkeypatch):
-        # a warm plan call forms one sum per distinct triple sequence.  [p]
-        # and 2 times a raising: every state has the same sequence, so one
-        # sum serves them all.  [p] and 1 times a lowering: (0, 0) and
-        # (0, 1) die, and the other states differ in their ladder number
-        # but (2, 1) and (2, 0), so they need three sums
+        # a plan forms one sum per distinct triple sequence on its first
+        # call in a scalar domain, and none on a warm one.  [p] and 2 times a
+        # raising: every state has the same sequence, so one sum serves them
+        # all.  [p] and 1 times a lowering: (0, 0) and (0, 1) die, and the
+        # other states differ in their ladder number but (2, 1) and (2, 0),
+        # so they need three sums
         eng = exact_engine(SIG21)
         terms = [bracket_affine(0, 1), bracket_int(2)]
         raising = OperatorExpr([(c, (Raise(1),)) for c in terms])
@@ -1067,7 +1083,6 @@ class TestProbeBatch:
         states = [(0, 0), (1, 0), (2, 1), (0, 1), (2, 0), (3, 0)]
         plan = ProbePlan(SIG21, "monomial", states, [raising, lowering])
         domain = ScalarDomain([eng])
-        cold = plan.images(domain)
         calls = 0
         add = CoeffExact.__add__
 
@@ -1077,8 +1092,11 @@ class TestProbeBatch:
             return add(self, other)
 
         monkeypatch.setattr(CoeffExact, "__add__", counted)
+        cold = plan.images(domain)
+        assert calls == 1 + 3
         (rows, _, coeffs), (low_rows, _, low_coeffs) = plan.images(domain)
         assert calls == 1 + 3
+        monkeypatch.undo()
         assert rows.tolist() == list(range(6)) and coeffs == [terms[0] + terms[1]] * 6
         assert low_rows.tolist() == [1, 2, 4, 5] and low_coeffs == [
             next(iter(eng.apply(lowering, states[r]).values())) for r in (1, 2, 4, 5)]
@@ -1086,23 +1104,20 @@ class TestProbeBatch:
                                                          (low_rows.tolist(), low_coeffs)]
 
     def test_images_need_a_single_engine(self):
-        batch = ProbeBatch([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)], [(0, 0)])
+        plan = ProbePlan(SIG21, "orthonormal", [(0, 0)], [OperatorExpr.from_word(Raise(1))])
         with pytest.raises(EngineError, match="single-engine"):
-            batch.images(batch.compile(OperatorExpr.from_word(Raise(1))))
+            plan.images(ScalarDomain([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)]))
 
     def test_refuses_mixed_or_several_exact_engines(self):
         with pytest.raises(EngineError, match="not both"):
-            ProbeBatch([exact_engine(SIG21), numeric_engine(SIG21)], [(0, 0)])
+            ScalarDomain([exact_engine(SIG21), numeric_engine(SIG21)])
         with pytest.raises(EngineError, match="single exact engine"):
-            ProbeBatch([exact_engine(SIG21), exact_engine(SIG21, p=3)], [(0, 0)])
-        exact = ProbeBatch([exact_engine(SIG21)], [(0, 0)])
-        with pytest.raises(EngineError, match="use images"):
-            exact.apply_word((Raise(1),))
+            ScalarDomain([exact_engine(SIG21), exact_engine(SIG21, p=3)])
 
 
 class TestDomainMemo:
     """What depends only on the scalar domain is built once per process per
-    domain and shared by every probe batch over it: reused across
+    domain and shared by every probe plan over it: reused across
     signatures and probe states, kept apart between domains, bounded, and
     invisible in every report."""
 
@@ -1121,7 +1136,7 @@ class TestDomainMemo:
                 return method(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ProbeBatch, "_value", counted(ProbeBatch._value, "values"))
+        monkeypatch.setattr(ScalarDomain, "_value", counted(ScalarDomain._value, "values"))
         monkeypatch.setattr(LaurentPoly, "__mul__", counted(LaurentPoly.__mul__, "muls"))
         domain_memo.cache_clear()
         exprs = [OperatorExpr.from_word(*w, scalar=k) for k, w in enumerate(self.WORDS, 1)]
@@ -1130,9 +1145,8 @@ class TestDomainMemo:
         for sig, rest in [(SIG21, (1,)), (Signature(4, 2), (2, 0, 1, 1, 0))]:
             eng = Engine(sig)
             states = [(k,) + rest[: sig.num_modes - 1] for k in range(6)]
-            batch = ProbeBatch([eng], states)
             before = dict(counts)
-            images = [batch.images(batch.compile(expr)) for expr in exprs]
+            images = plan_images(eng, states, exprs)
             built.append({name: counts[name] - before[name] for name in counts})
             for expr, (rows, _, coeffs) in zip(exprs, images):
                 assert dict(zip(rows.tolist(), coeffs)) == {
@@ -1141,49 +1155,65 @@ class TestDomainMemo:
         assert built[1] == {"values": 0, "muls": 0}, built
 
     def test_domains_stay_apart(self):
+        # each domain's memo holds its own engines' values, exactly or over
+        # q in engine order, and its plan reads them: every word's value on
+        # every row and q sample is its engine's, bit for bit
         states = probe(SIG21, 5)
         exact = [[Engine(SIG21)], [Engine(SIG21, p=3)], [Engine(SIG21, classical=True)]]
         numeric = [[Engine(SIG21, convention="monomial", q=q, p=p) for q in qs]
                    for qs, p in [((0.7, 1.3), 3), ((1.3, 0.7), 3), ((0.7, 1.3), 4)]]
+        exprs = [OperatorExpr.from_word(*word) for word in self.WORDS]
+        plan = ProbePlan(SIG21, "monomial", states, exprs)
         memos = set()
         for engines in exact + numeric:
-            batch = ProbeBatch(engines, states)
+            domain = ScalarDomain(engines)
             memos.add(id(domain_memo(tuple(e.scalars.domain for e in engines))))
-            for word in self.WORDS:
-                if batch.exact:
-                    eng = engines[0]
-                    rows, _, coeffs = batch.images(batch.compile(OperatorExpr.from_word(*word)))
-                    values = [[c] for c in coeffs]
-                else:
-                    rows, _, values = batch.apply_word(word)
-                    values = values.tolist()
-                got = dict(zip(rows.tolist(), values))
-                for qi, eng in enumerate(engines):
-                    for r, s in enumerate(states):
+            if domain.exact:
+                values = [np.zeros((1, len(states)), dtype=object) for _ in exprs]
+                for image, (rows, _, coeffs) in zip(values, plan.images(domain)):
+                    image[0, rows] = coeffs
+            else:
+                values = []
+                for chunk, sums in zip(plan._chunks, plan._evaluated(
+                        domain, lambda k, table, part: plan._sums(k, table, part, signed=True))):
+                    assert sums is not None, chunk.exprs
+                    starts = chunk.expr_starts
+                    for lo, hi in zip(starts[:-1], starts[1:]):
+                        image = np.zeros((len(engines), len(states)), dtype=complex)
+                        image[:, chunk.slot_rows[lo:hi]] = sums[0][:, lo:hi]
+                        values.append(image)
+            for word, image in zip(self.WORDS, values):
+                for eng, row in zip(engines, image.tolist()):
+                    for s, v in zip(states, row):
                         want = eng.apply_word(word, s)
                         if want is None:
-                            assert r not in got, (eng.scalars.domain, word, s)
+                            assert v == 0, (eng.scalars.domain, word, s)
                             continue
-                        v = got[r][qi]
                         assert v == want[0] and scalar_str(v) == scalar_str(want[0]), (
                             eng.scalars.domain, word, s)
+            if domain.exact:
+                continue
+            for code in plan.codes:
+                kind, v, pc = _key_of(code)
+                want = [getattr(e.scalars, kind)(v, pc) for e in engines]
+                assert domain._values[code].tolist() == want, (domain.domain, kind, v)
         assert len(memos) == len(exact) + len(numeric)
 
     def test_kept_domains_are_bounded(self):
         domain_memo.cache_clear()
         for k in range(SCALAR_DOMAINS + 1):
-            ProbeBatch([Engine(SIG21, q=1.0 + k / 8, p=3)], [(0, 0)])
+            ScalarDomain([Engine(SIG21, q=1.0 + k / 8, p=3)])
         info = domain_memo.cache_info()
         assert info.misses == SCALAR_DOMAINS + 1
         assert info.currsize == info.maxsize == SCALAR_DOMAINS
 
     def test_shared_numeric_arrays_are_read_only(self):
-        batch = ProbeBatch([numeric_engine(SIG21, q=q, convention="monomial") for q in (0.7, 1.3)],
-                           probe(SIG21))
-        for word in self.WORDS:
-            batch.compile(OperatorExpr.from_word(*word, scalar=bracket_affine(0, 1)))
-            batch.apply_word(word)
-        arrays = [*batch._values.values(), *(v for v in batch._scalars.values() if v is not None)]
+        domain = ScalarDomain([numeric_engine(SIG21, q=q, convention="monomial")
+                               for q in (0.7, 1.3)])
+        ProbePlan(SIG21, "monomial", probe(SIG21), [
+            OperatorExpr.from_word(*word, scalar=bracket_affine(0, 1)) for word in self.WORDS
+        ]).worst(domain)
+        arrays = [*domain._values.values(), *(v for v in domain._scalars.values() if v is not None)]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             arrays[0][0] = 0
@@ -1207,8 +1237,8 @@ class TestDomainMemo:
 
 
 class TestNumericPlan:
-    """The probe plan of numeric verification against the per-word path
-    (``ProbeBatch.max_abs_images``), bit for bit: the peak image magnitude
+    """The probe plan of numeric verification against its word-by-word
+    replay (``ProbePlan._replayed``), bit for bit: the peak image magnitude
     and the term scale per (q sample, probe state), and the worst residual
     and its position, over the realizations, mutations, conventions and a
     grid of q and p; and every error the per-word path raises, in its
@@ -1226,12 +1256,12 @@ class TestNumericPlan:
                if mutation != "drop_bracket_ratio" or sig.n >= 3]
 
     @staticmethod
-    def _images(plan, batch):
+    def _images(plan, domain):
         """Per expression, the plan's (peak, scale), each (q, states) with 0
         where the plan forms no scale; asserts that no chunk is replayed."""
-        shape = (len(batch.engines), plan.size)
+        shape = (len(domain.engines), plan.size)
         out = []
-        for chunk, images in zip(plan._chunks, plan._evaluated(batch, plan._magnitudes)):
+        for chunk, images in zip(plan._chunks, plan._evaluated(domain, plan._magnitudes)):
             assert images is not None, chunk.exprs
             peak, scale = images
             starts = chunk.expr_starts
@@ -1258,17 +1288,32 @@ class TestNumericPlan:
         plans = [ProbePlan(sig, convention, states, exprs, [True] * len(states)),
                  ProbePlan(sig, convention, states, exprs, [sum(s) > 4 for s in states])]
         for p in self.PS:
-            batch = ProbeBatch([Engine(sig, convention=convention, q=q, p=p) for q in self.QS],
-                               states)
+            domain = ScalarDomain([Engine(sig, convention=convention, q=q, p=p) for q in self.QS])
             with float_errors_raise():
-                want = [batch.max_abs_images(batch.compile(expr)) for expr in exprs]
-                got = self._images(plans[0], batch)
+                want = [w for chunk in plans[0]._chunks
+                        for w in plans[0]._replayed(chunk, domain, images=False)]
+                got = self._images(plans[0], domain)
                 assert len(got) == len(want)
                 for (peak, scale), (ref_peak, ref_scale) in zip(got, want):
                     assert peak.tobytes() == ref_peak.tobytes()
                     assert scale.tobytes() == ref_scale.tobytes()
                 for plan in plans:
-                    assert plan.worst(batch) == [_worst(*w, plan.above) for w in want]
+                    assert plan.worst(domain) == [_worst(*w, plan.above) for w in want]
+
+    @pytest.mark.parametrize("sig, kind, mutation, convention", CONFIGS,
+                             ids=["-".join(map(str, c)) for c in CONFIGS])
+    def test_forced_replay_matches_fast_path(self, sig, kind, mutation, convention):
+        # every chunk forced through the replay gives the fast path's worst
+        # residuals and positions, with the term scale above the cap as in
+        # relation verification
+        real = realization(kind, sig, mutation)
+        exprs = [substitute(rel, real) for rel in build_relations(sig)]
+        states = probe_states(sig, 4)
+        plan = ProbePlan(sig, convention, states, exprs, [sum(s) > 4 for s in states])
+        for p in self.PS:
+            domain = ScalarDomain([Engine(sig, convention=convention, q=q, p=p) for q in self.QS])
+            with float_errors_raise():
+                assert replayed(plan.worst, domain) == plan.worst(domain)
 
     def test_failing_key_on_a_row_a_later_step_kills_raises(self):
         # the ratio is read first, at N_1 = 0 on (0, 0), which the lowering
@@ -1277,16 +1322,15 @@ class TestNumericPlan:
         exprs = [OperatorExpr.from_word(Raise(1)), OperatorExpr.from_word(Lower(1), ratio),
                  OperatorExpr.from_word(Diag("angle", affine_mode(SIG21, 1)))]
         states = [(2, 0), (0, 0)]
-        batch = ProbeBatch([numeric_engine(SIG21)], states)
+        batch = ScalarDomain([numeric_engine(SIG21)])
         plan = self._plan(SIG21, exprs, states, [False, False])
-        for evaluate in (plan.worst, lambda b: [b.max_abs_images(b.compile(e)) for e in exprs]):
+        for evaluate in (plan.worst, functools.partial(replayed, plan.worst)):
             with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
                 evaluate(batch)
         # a failing key read only after the lowering killed the row does not
         word = (Diag("bracket_ratio", affine_mode(SIG21, 1).shift(1)), Lower(1))
         plan = self._plan(SIG21, [OperatorExpr.from_word(*word)], states, [False, False])
-        assert plan.worst(batch) == [_worst(*batch.max_abs_images(batch.compile(
-            OperatorExpr.from_word(*word))), plan.above)]
+        assert plan.worst(batch) == replayed(plan.worst, batch)
 
     def test_zero_scalar_term_never_raises(self):
         # [2] - 2 is 0 at q = 1, so its term drops and its failing word is
@@ -1297,11 +1341,10 @@ class TestNumericPlan:
                              (zero_at_1, (ratio,))])
         states = [(0, 0), (1, 0)]
         plan = self._plan(SIG21, [expr], states, [False, True])
-        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=1.0, p=2)], states)
+        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=1.0, p=2)])
         with float_errors_raise():
-            assert plan.worst(batch) == [(1.0, 0)] == [
-                _worst(*batch.max_abs_images(batch.compile(expr)), plan.above)]
-        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=1.3, p=2)], states)
+            assert plan.worst(batch) == [(1.0, 0)] == replayed(plan.worst, batch)
+        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=1.3, p=2)])
         with pytest.raises(ZeroDivisionError, match="bracket ratio"):
             plan.worst(batch)
 
@@ -1311,10 +1354,10 @@ class TestNumericPlan:
             verify_all(SIG21, "hp", 3, q=1e20)
         exprs = [substitute(rel, realization("hp", SIG21)) for rel in build_relations(SIG21)]
         states = probe_states(SIG21, default_cap(3))
-        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=1e20, p=3)], states)
+        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=1e20, p=3)])
+        reference = self._plan(SIG21, exprs, states, [False] * len(states))
         with float_errors_raise(), pytest.raises(FloatingPointError) as per_word:
-            for expr in exprs:
-                batch.max_abs_images(batch.compile(expr))
+            replayed(reference.worst, batch)
         plan = self._plan(SIG21, exprs, states, [False] * len(states))
         with float_errors_raise(), pytest.raises(FloatingPointError) as planned:
             plan.worst(batch)
@@ -1325,9 +1368,9 @@ class TestNumericPlan:
         # path raises in its numpy sum, where np.bincount gives inf
         expr = OperatorExpr.from_word(Diag("qpow", Affine(308)))
         states = [(0, 0), (1, 0)]
-        batch = ProbeBatch([Engine(SIG21, convention="orthonormal", q=10.0, p=2)], states)
+        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=10.0, p=2)])
         plan = self._plan(SIG21, [expr + expr], states, [False, False])
-        for evaluate in (plan.worst, lambda b: b.max_abs_images(b.compile(expr + expr))):
+        for evaluate in (plan.worst, functools.partial(replayed, plan.worst)):
             with float_errors_raise(), pytest.raises(FloatingPointError,
                                                      match="^overflow encountered in add$"):
                 evaluate(batch)
@@ -1335,7 +1378,7 @@ class TestNumericPlan:
     def test_refuses_an_exact_batch(self):
         plan = self._plan(SIG21, [OperatorExpr.from_word(Raise(1))], [(0, 0)], [False])
         with pytest.raises(EngineError, match="numeric batch"):
-            plan.worst(ProbeBatch([Engine(SIG21)], [(0, 0)]))
+            plan.worst(ScalarDomain([Engine(SIG21)]))
 
     def test_reports_equal_cold_and_warm(self, monkeypatch):
         calls = [dict(kind="hp", p=2, q=[0.5, 1.3]), dict(kind="hp-deformed", p=3, q=0.9),
@@ -1354,7 +1397,7 @@ class TestNumericPlan:
         sig = Signature(3, 2)
         cold = verify_all(sig, "hp", 3, q=[0.7, 1.3], cap=4).format_machine()
         calls = []
-        monkeypatch.setattr(ProbeBatch, "__init__", lambda *a: calls.append("batch"))
+        monkeypatch.setattr(ProbePlan, "_replayed", lambda *a: calls.append("replay"))
         for name in ("_scalar", "_key_value"):
             monkeypatch.setattr(ScalarDomain, name, lambda *a, name=name: calls.append(name))
         assert verify_all(sig, "hp", 3, q=[0.7, 1.3], cap=4).format_machine() == cold
