@@ -35,17 +35,17 @@ raise is replayed, so every error is the per-word path's error too.
 The substituted relations, and the stage that closes each, depend only
 on the signature, the realization and the mutation, so they
 are built once per process for each such key and kept (a bounded memo of
-``RELATION_SETS`` keys) for later calls.  The probe states depend only
-on the signature and the cap (``PROBE_STATE_LISTS`` keys), and a probe
-plan on the relations it probes, the probe states and the convention,
-not on p or q: it is built once per process per (signature,
-realization, mutation, cap, convention, probed relations) and kept, a
-bounded memo of ``PROBE_PLANS`` keys (0.5 MB on (4,2) at cap 7, 10 MB on
-(7,5) at cap 6).  An exact plan holds only the relations that no stage
-closes, a numeric one every relation.
-Each call specializes each distinct term scalar, and builds each
-diagonal value, once per process per scalar domain (exact p and
-classical, or numeric q and p, per engine; ``weyl.domain_memo``).
+``RELATION_SETS`` keys) for later calls.  A probe plan depends on the
+relations it probes, the probe states (which depend only on the
+signature and the cap) and the convention, not on p or q: it is built,
+with its probe states, once per process per (signature, realization,
+mutation, cap, convention, probed relations) and kept, a bounded memo of
+``PROBE_PLANS`` keys (0.5 MB on (4,2) at cap 7, 10 MB on (7,5) at cap 6).
+An exact plan holds only the relations that no stage closes, a numeric
+one every relation.
+A call specializes each distinct term scalar, and builds each diagonal
+value, once, and the plan keeps them per scalar domain (exact p and
+classical, or numeric q and p, per engine; ``weyl.ProbePlan``).
 Numeric probing raises on a float overflow instead of reporting an inf
 or nan residual.
 
@@ -73,8 +73,6 @@ EXTRA_PROBES = 4
 # substituted relation sets kept per process, one per (signature,
 # realization, mutation)
 RELATION_SETS = 16
-# probe state lists kept per process, one per (signature, cap)
-PROBE_STATE_LISTS = 16
 # probe plans kept per process, one per (signature, realization, mutation,
 # cap, convention, probed relations)
 PROBE_PLANS = 8
@@ -204,12 +202,10 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-@functools.lru_cache(maxsize=PROBE_STATE_LISTS)
 def probe_states(sig: Signature, cap: int) -> tuple[FockState, ...]:
     """All states of degree <= cap plus a deterministic random sample of
-    ``EXTRA_PROBES`` states with degree in (cap, cap + 4], built once per
-    process per (signature, cap) and kept (a bounded memo of
-    ``PROBE_STATE_LISTS`` keys), so the value is a tuple."""
+    ``EXTRA_PROBES`` states with degree in (cap, cap + 4]; built when
+    ``_probe_plan`` builds a plan, which keeps them (``ProbePlan.states``)."""
     return tuple(enumerate_up_to(sig, cap)) + tuple(extra_probe_states(sig, cap))
 
 
@@ -317,8 +313,9 @@ def verify_all(
     probed relations are read through the probe plan of (signature,
     realization, mutation, cap, convention, probed relations), built on
     the first such call.  The term scalars, diagonal values and exact
-    products are formed once per process per scalar domain and reused by
-    later calls over it.  The status strings are the same either way.
+    products are formed once per call, and the plan keeps them per scalar
+    domain for later calls over it.  The status strings are the same
+    either way.
     """
     if kind != DYSON:
         if q is None:

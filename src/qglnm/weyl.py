@@ -55,17 +55,16 @@ start state in one right-to-left pass that keeps the running occupation
 offset, so each of its items (a diagonal factor or a ladder step) is a
 function of the start state, read as a column over all probe states
 (``ProbeRows``).  A diagonal factor is named by an int64 key code, which
-holds arguments below 2**20 in magnitude.  What depends only on the
-scalar domain (exact p and classical, or numeric q and p, per engine)
-and the key codes is built once per process per scalar domain and shared
-by every plan over that domain (``domain_memo``): each distinct key's
-value, kept by its code, the specialized term scalars, and the exact
-diagonal products.  Numeric scalars are formed from the same factors in
-the same order as above, over a second axis of q samples, so they equal
-the per-state engine's to the last bit.  Exact ones are formed in a plan
-once per distinct diagonal product and term scalar, and a probe state's
-coefficient is their sum weighted by its ladder numbers, formed once per
-plan and scalar domain for the states that share it.
+holds arguments below 2**20 in magnitude.  A call in a scalar domain
+(exact p and classical, or numeric q and p, per engine) forms each
+distinct key's value, specialized term scalar and exact diagonal product
+once, and the plan keeps what it reads of them per scalar domain
+(``ProbePlan._prepare``).  Numeric scalars are formed from the same
+factors in the same order as above, over a second axis of q samples, so
+they equal the per-state engine's to the last bit.  Exact ones are formed
+in a plan once per distinct diagonal product and term scalar, and a probe
+state's coefficient is their sum weighted by its ladder numbers, formed
+once per plan and scalar domain for the states that share it.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -757,36 +756,9 @@ def float_errors_raise():
     return np.errstate(over="raise", invalid="raise")
 
 
-class DomainMemo(NamedTuple):
-    """What probe plans build that depends only on their engines' scalar
-    domains and the key codes: not on the signature, the probe states or
-    the relation."""
-
-    # key code -> its exact value, or its values over the q samples (read-only)
-    values: dict
-    # sorted tuple of key codes -> product of their exact values
-    products: dict
-    # term scalar key -> its specialized value, None when zero
-    scalars: dict
-    # exact term scalar -> {sorted tuple of key codes -> X = scalar * product}
-    xs: dict
-
-
 def _scalar_key(c: CoeffExact) -> tuple:
-    """What a term scalar is keyed by in ``DomainMemo.scalars``."""
+    """What a term scalar is keyed by in ``ScalarDomain._scalars``."""
     return (c.k, c.num.denom, *c.num.coeffs.items())
-
-
-# scalar domains (tuples of engine domains) whose memo a process keeps
-SCALAR_DOMAINS = 16
-
-
-@functools.lru_cache(maxsize=SCALAR_DOMAINS)
-def domain_memo(domains: tuple) -> DomainMemo:
-    """The memo shared by every ``ScalarDomain`` whose engines have the scalar
-    domains ``domains`` (``ExactScalars.domain`` or ``NumericScalars.domain``),
-    in engine order; a process keeps ``SCALAR_DOMAINS`` of them."""
-    return DomainMemo({}, {}, {}, {})
 
 
 class _Keys(NamedTuple):
@@ -903,9 +875,11 @@ class ProbeRows:
 
 
 class ScalarDomain:
-    """Numeric engines, one per q sample, or a single exact engine, with
-    their domain's memo (``domain_memo``): all that a ``ProbePlan`` reads
-    of a scalar domain, and that no probe state changes."""
+    """Numeric engines, one per q sample, or a single exact engine: all
+    that a ``ProbePlan`` reads of a scalar domain, and that no probe state
+    changes.  It forms each distinct key value, term scalar and exact
+    product once and keeps them for as long as it lives, one call; a plan
+    keeps per scalar domain what it reads of them (``ProbePlan._prepare``)."""
 
     def __init__(self, engines: list):
         modes = {e.mode for e in engines}
@@ -916,15 +890,22 @@ class ScalarDomain:
         self.exact = modes == {"exact"}
         self.engines = engines
         self.domain = tuple(e.scalars.domain for e in engines)
-        self._values, self._products, self._scalars, self._xs = domain_memo(self.domain)
+        # key code -> its exact value, or its values over the q samples (read-only)
+        self._values: dict = {}
+        # sorted tuple of key codes -> product of their exact values
+        self._products: dict = {}
+        # term scalar key -> its specialized value, None when zero
+        self._scalars: dict = {}
+        # exact term scalar -> {sorted tuple of key codes -> X = scalar * product}
+        self._xs: dict = {}
 
     def _scalar(self, c: CoeffExact, key: tuple | None = None):
         """A term scalar in the engines' domain, or None when it is zero (at
-        every q), each distinct scalar specialized once per process per
-        scalar domain.  The key (``_scalar_key``) is the scalar's value with
-        its terms in their stored order, which is the order of the float
-        sum in ``eval_numeric``, so a reused value is bit for bit the one a
-        fresh evaluation gives."""
+        every q), each distinct scalar specialized once.  The key
+        (``_scalar_key``) is the scalar's value with its terms in their
+        stored order, which is the order of the float sum in
+        ``eval_numeric``, so a reused value is bit for bit the one a fresh
+        evaluation gives."""
         key = _scalar_key(c) if key is None else key
         if key in self._scalars:
             return self._scalars[key]
@@ -949,9 +930,8 @@ class ScalarDomain:
         return values
 
     def _key_value(self, code: int, kind: str, v: int, pc: int):
-        """A diagonal key's value from the domain's memo, built and kept
-        there on a miss, or None when its build raises (a failing key, which
-        is not kept)."""
+        """A diagonal key's value, built and kept on a miss, or None when its
+        build raises (a failing key, which is not kept)."""
         value = self._values.get(code)
         if value is None:
             with contextlib.suppress(ArithmeticError, ValueError):
@@ -960,8 +940,7 @@ class ScalarDomain:
 
     def _product(self, key: tuple) -> CoeffExact:
         """The product of the exact values behind a sorted code tuple, each
-        product formed once per process per scalar domain from that of the
-        tuple's prefix."""
+        product formed once from that of the tuple's prefix."""
         product = self._products.get(key)
         if product is None:
             if len(key) > 1:
@@ -973,7 +952,7 @@ class ScalarDomain:
 
     def _x(self, c: CoeffExact, key: tuple) -> CoeffExact:
         """``X = c * product`` of an exact term scalar and the values behind
-        a sorted code tuple, formed once per process per scalar domain."""
+        a sorted code tuple, formed once."""
         known = self._xs.setdefault(c, {})
         x = known.get(key)
         if x is None:
@@ -986,6 +965,8 @@ class ScalarDomain:
 # of its own
 PLAN_ENTRIES = 1 << 13
 PLAN_SLOTS = 1 << 20
+# scalar domains (tuples of engine domains) whose values a probe plan keeps
+SCALAR_DOMAINS = 16
 
 
 def _compact(a: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ from qglnm.weyl import (
     _key_of,
     _worst,
     affine_mode,
-    domain_memo,
     float_errors_raise,
     normal_form,
     normal_ordered,
@@ -803,41 +802,41 @@ class TestProbeBatch:
                              ids=["exact", "numeric"])
     def test_diag_table_grows_both_ways(self, eng):
         # N_1 + shift over N_1 in 2..4: the arguments 2..4, then -3..-1 below
-        # them, 5..7 above them and 1..3 across the low end; the memo is
-        # shared by the scalar domain, so earlier plans' keys are cleared first
-        domain_memo.cache_clear()
+        # them, 5..7 above them and 1..3 across the low end, each plan read
+        # through one scalar domain
+        domain = ScalarDomain([eng])
         states = [(2, 0), (3, 1), (4, 0)]
         for shift in (0, -5, 3, -1):
             word = (Diag("bracket", affine=affine_mode(SIG21, 1).shift(shift)),)
-            (rows, _, coeffs), = plan_images(eng, states, [OperatorExpr.from_word(*word)])
+            (rows, _, coeffs), = ProbePlan(SIG21, eng.convention, states, [
+                OperatorExpr.from_word(*word)]).images(domain)
             assert rows.tolist() == [0, 1, 2]
             for s, v in zip(states, coeffs):
                 want = eng.apply_word(word, s)[0]
                 assert v == want and scalar_str(v) == scalar_str(want), (shift, s)
-        # one memo entry per argument met
-        assert set(ScalarDomain([eng])._values) == {
-            _key_code("bracket", v, 0) for v in range(-3, 8) if v}
+        # one kept value per argument met
+        assert set(domain._values) == {_key_code("bracket", v, 0) for v in range(-3, 8) if v}
 
     @pytest.mark.parametrize("eng", [exact_engine(SIG21), numeric_engine(SIG21)],
                              ids=["exact", "numeric"])
     def test_zero_division_leaves_table_usable(self, eng):
         # N_1 - 2 over N_1 in {0, 2, 3}: the keys are read whole, so -2 and 1
         # are kept before 0 raises, and the failing 0 never is
-        domain_memo.cache_clear()
+        domain = ScalarDomain([eng])
         states = [(0, 0), (2, 0), (3, 1)]
         ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(-2))
         plan = ProbePlan(SIG21, eng.convention, states, [OperatorExpr.from_word(ratio)])
 
         def kept():
-            return [_key_code("bracket_ratio", v, 0) in ScalarDomain([eng])._values
-                    for v in (-2, 0, 1)]
+            return [_key_code("bracket_ratio", v, 0) in domain._values for v in (-2, 0, 1)]
 
         for _ in range(2):
             with pytest.raises(ZeroDivisionError, match="bracket ratio evaluated at argument 0"):
-                plan.images(ScalarDomain([eng]))
+                plan.images(domain)
             assert kept() == [True, False, True]
         word = (ratio, Raise(1))  # the arguments -1, 1 and 2
-        (rows, _, coeffs), = plan_images(eng, states, [OperatorExpr.from_word(*word)])
+        (rows, _, coeffs), = ProbePlan(SIG21, eng.convention, states, [
+            OperatorExpr.from_word(*word)]).images(domain)
         assert rows.tolist() == [0, 1, 2]
         for s, v in zip(states, coeffs):
             want = eng.apply_word(word, s)[0]
@@ -1115,11 +1114,11 @@ class TestProbeBatch:
             ScalarDomain([exact_engine(SIG21), exact_engine(SIG21, p=3)])
 
 
-class TestDomainMemo:
-    """What depends only on the scalar domain is built once per process per
-    domain and shared by every probe plan over it: reused across
-    signatures and probe states, kept apart between domains, bounded, and
-    invisible in every report."""
+class TestDomainValues:
+    """What depends only on the scalar domain a call forms once, and a
+    probe plan keeps it per domain: a second call on a kept plan forms
+    nothing, domains stay apart, a plan keeps a bounded number of them, and
+    none of it shows in a report."""
 
     N1 = affine_mode(SIG21, 1)
     # words in mode 1 only, which read the same on every signature
@@ -1127,8 +1126,9 @@ class TestDomainMemo:
              (Diag("qpow", N1), Lower(1), Diag("bracket", N1.shift(-1))),
              (Diag("bracket", Affine(0, 1, (-1,))), Diag("affine", N1.shift(2)), Lower(1))]
 
-    def test_second_signature_builds_nothing_formed(self, monkeypatch):
-        counts = {"values": 0, "muls": 0}
+    @pytest.mark.parametrize("numeric", [False, True], ids=["exact", "numeric"])
+    def test_second_call_on_a_kept_plan_forms_nothing(self, monkeypatch, numeric):
+        counts = {"values": 0, "scalars": 0, "muls": 0}
 
         def counted(method, name):
             def wrapper(*args, **kwargs):
@@ -1137,26 +1137,27 @@ class TestDomainMemo:
             return wrapper
 
         monkeypatch.setattr(ScalarDomain, "_value", counted(ScalarDomain._value, "values"))
+        monkeypatch.setattr(ScalarDomain, "_scalar", counted(ScalarDomain._scalar, "scalars"))
         monkeypatch.setattr(LaurentPoly, "__mul__", counted(LaurentPoly.__mul__, "muls"))
-        domain_memo.cache_clear()
         exprs = [OperatorExpr.from_word(*w, scalar=k) for k, w in enumerate(self.WORDS, 1)]
-        built = []
-        # the same occupations of mode 1, the other modes filled differently
-        for sig, rest in [(SIG21, (1,)), (Signature(4, 2), (2, 0, 1, 1, 0))]:
-            eng = Engine(sig)
-            states = [(k,) + rest[: sig.num_modes - 1] for k in range(6)]
+        plan = ProbePlan(SIG21, "monomial", probe(SIG21, 5), exprs)
+        formed, results = [], []
+        for _ in range(2):
             before = dict(counts)
-            images = plan_images(eng, states, exprs)
-            built.append({name: counts[name] - before[name] for name in counts})
-            for expr, (rows, _, coeffs) in zip(exprs, images):
-                assert dict(zip(rows.tolist(), coeffs)) == {
-                    r: v for r, s in enumerate(states) for v in eng.apply(expr, s).values()}
-        assert built[0]["values"] and built[0]["muls"], built
-        assert built[1] == {"values": 0, "muls": 0}, built
+            if numeric:
+                results.append(plan.worst(ScalarDomain([Engine(SIG21, q=q, p=3) for q in (0.7, 1.3)])))
+            else:
+                results.append([(rows.tolist(), states.tolist(), coeffs) for rows, states, coeffs
+                                in plan.images(ScalarDomain([Engine(SIG21)]))])
+            formed.append({name: counts[name] - before[name] for name in counts})
+        assert formed[0]["values"] and formed[0]["scalars"], formed
+        assert numeric or formed[0]["muls"], formed
+        assert formed[1] == {"values": 0, "scalars": 0, "muls": 0}, formed
+        assert results[1] == results[0]
 
     def test_domains_stay_apart(self):
-        # each domain's memo holds its own engines' values, exactly or over
-        # q in engine order, and its plan reads them: every word's value on
+        # each domain holds its own engines' values, exactly or over q in
+        # engine order, and the plan reads them: every word's value on
         # every row and q sample is its engine's, bit for bit
         states = probe(SIG21, 5)
         exact = [[Engine(SIG21)], [Engine(SIG21, p=3)], [Engine(SIG21, classical=True)]]
@@ -1164,10 +1165,8 @@ class TestDomainMemo:
                    for qs, p in [((0.7, 1.3), 3), ((1.3, 0.7), 3), ((0.7, 1.3), 4)]]
         exprs = [OperatorExpr.from_word(*word) for word in self.WORDS]
         plan = ProbePlan(SIG21, "monomial", states, exprs)
-        memos = set()
         for engines in exact + numeric:
             domain = ScalarDomain(engines)
-            memos.add(id(domain_memo(tuple(e.scalars.domain for e in engines))))
             if domain.exact:
                 values = [np.zeros((1, len(states)), dtype=object) for _ in exprs]
                 for image, (rows, _, coeffs) in zip(values, plan.images(domain)):
@@ -1197,15 +1196,20 @@ class TestDomainMemo:
                 kind, v, pc = _key_of(code)
                 want = [getattr(e.scalars, kind)(v, pc) for e in engines]
                 assert domain._values[code].tolist() == want, (domain.domain, kind, v)
-        assert len(memos) == len(exact) + len(numeric)
 
     def test_kept_domains_are_bounded(self):
-        domain_memo.cache_clear()
-        for k in range(SCALAR_DOMAINS + 1):
-            ScalarDomain([Engine(SIG21, q=1.0 + k / 8, p=3)])
-        info = domain_memo.cache_info()
-        assert info.misses == SCALAR_DOMAINS + 1
-        assert info.currsize == info.maxsize == SCALAR_DOMAINS
+        # the first domain is evicted, and a call there prepares it again
+        plan = ProbePlan(SIG21, "monomial", probe(SIG21), [
+            OperatorExpr.from_word(*word) for word in self.WORDS])
+
+        def domain(k):
+            return ScalarDomain([Engine(SIG21, q=1.0 + k / 8, p=3)])
+
+        first = [plan.worst(domain(k)) for k in range(SCALAR_DOMAINS + 1)]
+        assert len(plan._prepared) == SCALAR_DOMAINS
+        assert domain(0).domain not in plan._prepared
+        assert plan.worst(domain(0)) == first[0]
+        assert domain(0).domain in plan._prepared and len(plan._prepared) == SCALAR_DOMAINS
 
     def test_shared_numeric_arrays_are_read_only(self):
         domain = ScalarDomain([numeric_engine(SIG21, q=q, convention="monomial")
@@ -1225,7 +1229,7 @@ class TestDomainMemo:
                  dict(sig=sig, kind="hp", p=3, q=[0.7, 1.3], cap=4)]
         cold = []
         for kwargs in calls:
-            domain_memo.cache_clear()
+            _probe_plan.cache_clear()
             cold.append(verify_all(**kwargs).format_machine())
         # other signatures over the same domains, and other domains, first
         for other in (Signature(3, 1), Signature(4, 2)):
