@@ -15,7 +15,9 @@ per-state engine's images to the last bit; a chunk that may raise is
 replayed word by word (``weyl.ProbePlan._replayed``).  The
 deformed-oscillator check reads its residuals from two plans kept per
 (signature, cap).  Every analysis works on the sparse entries; the
-quotient relations carry one (row, coefficient) pair through each word.
+quotient relations check reads the images of the substituted Dyson
+relations on the low subspace from one plan kept per (signature, p,
+mutation).
 
 Matrix columns follow the graded-lex basis order, so the block structure
 by total degree is visible in the sparse pattern: the first e generator
@@ -30,15 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeff import CoeffExact, LaurentPoly, bracket_int, numeric_str, scalar_str
+from .coeff import CoeffExact, LaurentPoly, numeric_str, scalar_str
 from .fock import BasisIndex, Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
-from .presentation import E, F, H, GenSymbol, HBracket, build_relations, generators
+from .presentation import E, F, H, GenSymbol, build_relations, generators
 from .realize import DYSON, HP, HP_DEFORMED, realization, tilde_ops
+from .verify import substitute
 from .weyl import (Diag, Engine, OperatorExpr, ProbePlan, ScalarDomain, affine_mode,
                    float_errors_raise, super_commutator)
 
 SUBSPACES = ("F0", "F1-slice", "quotient-F0")
-# image plans kept per process; every check at three thresholds reads 14
+# image plans kept per process, and quotient relation plans in a memo of
+# their own; every check at three thresholds reads 13 image plans
 IMAGE_PLANS = 32
 # deformed-oscillator plan pairs kept per process, one per (signature, cap)
 DEFORMED_PLANS = 4
@@ -421,48 +425,40 @@ def quotient_relations_check(sig: Signature, p: int) -> list[str]:
     the low subspace satisfy every defining relation; returns the names of
     failing relations (empty when the quotient is a representation).
 
-    Each side of a relation is applied to every basis column by composing
-    the matrix columns right to left, which forms the columns of the same
-    matrix products without any dense product."""
-    return _relation_failures(
-        sig, p, materialize(sig, DYSON, p, subspace="quotient-F0", convention="monomial"))
+    It checks each relation R compressed to the low subspace, P R P with P
+    the projection onto degree <= p: R fails when some basis state's image
+    under the substituted relation has a nonzero coefficient at degree <=
+    p.  The compression equals the relation on the quotient matrices,
+    P g1 P g2 ... P = P g1 g2 ... P, whenever the high subspace is
+    invariant, P g (1 - P) = 0, which the unmutated Dyson realization keeps
+    at every p >= 0 (the boundary bracket [p - N] is exactly 0)."""
+    return _quotient_failures(sig, p, None)
 
 
-def _relation_failures(sig: Signature, p: int, mats: dict) -> list[str]:
-    """Names of the relations the given exact matrices violate.  A basis
-    state's image is one state, so a generator column holds at most one
-    entry, and from every start column a word carries one (row,
-    coefficient) pair through its letters, a bracket-of-h letter acting as
-    the q-bracket of its Cartan eigenvalue at threshold p."""
-    states = next(iter(mats.values())).basis.states
-    # generator -> column -> its one (row, coefficient)
-    columns = {g: {c: (r, v) for (r, c), v in m.entries.items()} for g, m in mats.items()}
-    real = realization(DYSON, sig)
+def _quotient_failures(sig: Signature, p: int, mutation: str | None) -> list[str]:
+    """Names of the relations whose substituted Dyson difference, with the
+    mutation, maps some state of degree <= p to a nonzero coefficient at
+    degree <= p, read from the kept plan (``_quotient_plan``)."""
+    if not isinstance(p, int) or p < 0:
+        raise ValueError("materialization needs an integer p >= 0")
+    # Built per call only so that a warm call still makes a traced
+    # presentation. and realize. call (ROADMAP item 5); only the names stay.
+    names = [rel.name for rel in build_relations(sig)]
+    realization(DYSON, sig)
+    images = _quotient_plan(sig, p, mutation).images(
+        ScalarDomain([Engine(sig, convention="monomial", p=p)]))
+    return [name for name, (_, reached, _) in zip(names, images)
+            if (reached.sum(axis=1) <= p).any()]
 
-    def image(scalar, word, r):
-        """Yield the word's image of column r as one (row, coefficient),
-        or nothing when it is zero."""
-        for letter in reversed(word):
-            if isinstance(letter, HBracket):
-                arg, pc = real.h_bracket(letter).eval_parts(states[r])
-                m = bracket_int(arg + pc * p)
-            elif r in columns[letter]:
-                r, m = columns[letter][r]
-            else:
-                return
-            scalar = m * scalar
-        yield r, scalar
 
-    def violated(rel, start) -> bool:
-        # keyed by row, so terms landing on different rows never cancel
-        residual: dict = {}
-        for scalar, word in [*rel.lhs, *((-scalar, word) for scalar, word in rel.rhs)]:
-            for r, v in image(scalar, word, start):
-                residual[r] = residual[r] + v if r in residual else v
-        return any(not v.is_zero() for v in residual.values())
-
-    return [rel.name for rel in build_relations(sig)
-            if any(violated(rel, start) for start in range(len(states)))]
+@functools.lru_cache(maxsize=IMAGE_PLANS)
+def _quotient_plan(sig: Signature, p: int, mutation: str | None) -> ProbePlan:
+    """The probe plan of every substituted Dyson relation, with the
+    mutation, on the states of degree <= p, monomial convention: a bounded
+    memo of ``IMAGE_PLANS`` keys."""
+    real = realization(DYSON, sig, mutation)
+    return ProbePlan(sig, "monomial", enumerate_up_to(sig, p).states,
+                     [substitute(rel, real) for rel in build_relations(sig)])
 
 
 # -- deformed oscillator checks ---------------------------------------

@@ -54,7 +54,9 @@ class _Terms(Mapping):
 
 
 def _poly(coeffs: dict[Monomial, int], denom: int) -> "LaurentPoly":
-    """The polynomial coeffs/denom from a pair already in lowest terms."""
+    """The polynomial coeffs/denom from a pair already in lowest terms, 1 and -1 shared."""
+    if denom == 1 and len(coeffs) == 1 and coeffs.get(_ONE_KEY) in (1, -1):
+        return _UNITS[coeffs[_ONE_KEY]]
     res = object.__new__(LaurentPoly)
     res.coeffs = coeffs
     res.denom = denom
@@ -218,6 +220,7 @@ class LaurentPoly:
 
 
 _LP_ZERO = LaurentPoly()
+_UNITS = {v: LaurentPoly({_ONE_KEY: v}) for v in (1, -1)}
 
 
 @functools.cache

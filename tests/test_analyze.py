@@ -8,8 +8,9 @@ from qglnm.analyze import (
     IMAGE_PLANS,
     _image_plan,
     _images,
+    _quotient_failures,
+    _quotient_plan,
     _reachability,
-    _relation_failures,
     check_invariance,
     check_unitarity,
     cyclicity,
@@ -21,7 +22,8 @@ from qglnm.analyze import (
     quotient_relations_check,
 )
 from qglnm.cli import run
-from qglnm.coeff import CoeffExact, bracket_affine, bracket_int, numeric_str, scalar_str
+from qglnm.coeff import (CoeffExact, LaurentPoly, bracket_affine, bracket_int, numeric_str,
+                         scalar_str)
 from qglnm.fock import Signature, dim_F0, enumerate_up_to, split_F0_F1, total, vacuum
 from qglnm.presentation import GenSymbol, HBracket, build_relations
 from qglnm.realize import MUTATIONS, h_affine, realization
@@ -412,7 +414,8 @@ def krylov_ranks(mats, threshold=1e-8):
 
 
 class TestQuotientConsistency:
-    @pytest.mark.parametrize("n,m,p", [(2, 1, 1), (2, 1, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("n,m,p", [(2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 3), (2, 1, 0),
+                                       (3, 2, 0), (3, 2, 3), (4, 3, 2)])
     def test_quotient_matrices_satisfy_relations_exactly(self, n, m, p):
         assert quotient_relations_check(Signature(n, m), p) == []
 
@@ -427,7 +430,7 @@ class TestQuotientConsistency:
         sig = Signature(n, m)
         mats = materialize(sig, "dyson", p, subspace="quotient-F0", convention="monomial",
                            mutation=mutation)
-        failures = _relation_failures(sig, p, mats)
+        failures = _quotient_failures(sig, p, mutation)
         assert failures == dense_relation_failures(sig, p, mats)
         # the negative controls fail; at p = 1 every bracket ratio the
         # quotient meets is [1]/1, so dropping one changes nothing
@@ -437,10 +440,63 @@ class TestQuotientConsistency:
     def test_case_count(self):
         assert len(self.CASES) == 42
 
+    @pytest.mark.parametrize("sig", [SIG21, Signature(3, 2)], ids=lambda s: f"{s.n}-{s.m}")
+    def test_compression_differs_where_the_high_subspace_is_not_invariant(self, sig):
+        # at p = 0 shift_e1_bracket's e_1 maps a degree-1 state to the
+        # vacuum, so P g1 P g2 P differs from P g1 g2 P: the compressed
+        # relation CK4[i=1] fails while the truncated products satisfy it
+        mutation = "shift_e1_bracket"
+        window = enumerate_up_to(sig, 4).states
+        assert any(total(window[r]) > 0 and total(image) == 0
+                   for _, rows, images, _ in _images(sig, "dyson", 0, None, "monomial", window,
+                                                     mutation)
+                   for r, image in zip(rows.tolist(), images.tolist()))
+        mats = materialize(sig, "dyson", 0, subspace="quotient-F0", convention="monomial",
+                           mutation=mutation)
+        assert _quotient_failures(sig, 0, mutation) == ["CK4[i=1]"]
+        assert dense_relation_failures(sig, 0, mats) == []
+
+    @pytest.mark.parametrize("p", [-1, 1.5])
+    def test_threshold_must_be_a_nonnegative_integer(self, p):
+        with pytest.raises(ValueError, match="needs an integer p >= 0"):
+            quotient_relations_check(SIG21, p)
+
+    def test_warm_call_forms_nothing(self, monkeypatch):
+        sig = Signature(3, 1)
+        _quotient_plan.cache_clear()
+        cold = quotient_relations_check(sig, 3)
+        counts = {"plans": 0, "values": 0, "products": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ProbePlan, "__init__", counted("plans", ProbePlan.__init__))
+        monkeypatch.setattr(ScalarDomain, "_value", counted("values", ScalarDomain._value))
+        monkeypatch.setattr(LaurentPoly, "__mul__", counted("products", LaurentPoly.__mul__))
+        assert quotient_relations_check(sig, 3) == cold == []
+        assert counts == {"plans": 0, "values": 0, "products": 0}
+
+    def test_kept_plans_are_bounded(self):
+        # IMAGE_PLANS + 1 keys on (2,1), each threshold with three mutations
+        sig = SIG21
+        keys = [(p, mutation) for p in range(IMAGE_PLANS)
+                for mutation in (None, "flip_fermion_sign", "shift_e1_bracket")][:IMAGE_PLANS + 1]
+        _quotient_plan.cache_clear()
+        first = [_quotient_failures(sig, p, mutation) for p, mutation in keys]
+        info = _quotient_plan.cache_info()
+        assert info.currsize == IMAGE_PLANS and info.misses == len(keys)
+        assert _quotient_failures(sig, *keys[0]) == first[0]
+        assert _quotient_plan.cache_info().misses == len(keys) + 1
+
 
 def dense_relation_failures(sig, p, mats):
     """Names of the relations the exact matrices violate, by dense matrix
-    products: the independent reference for the sparse column check."""
+    products: the independent reference for the compressed relations
+    (``_quotient_failures``), equal to them while the high subspace is
+    invariant."""
     basis = next(iter(mats.values())).basis
     size = len(basis)
     zero, one = CoeffExact.zero(), CoeffExact.one()
@@ -681,11 +737,14 @@ class TestImagePlan:
             quotient_relations_check(Signature(3, 1), 3)
 
         _image_plan.cache_clear()
+        _quotient_plan.cache_clear()
         analysis_pass()
         info = _image_plan.cache_info()
         assert info.currsize == info.misses <= IMAGE_PLANS
+        assert _quotient_plan.cache_info().currsize == _quotient_plan.cache_info().misses == 1
         analysis_pass()
         assert _image_plan.cache_info().misses == info.misses
+        assert _quotient_plan.cache_info().misses == 1
 
 
 class TestImagePlanReplay:

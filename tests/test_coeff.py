@@ -271,6 +271,15 @@ class TestHashing:
         # over (q - q^-1)^1 no polynomial is equal
         assert bracket_affine(0, 1) != bracket_affine(0, 1).num
 
+    def test_units_are_shared(self):
+        # 1 and -1 scale most words of the realizations and relations,
+        # which keep them; every way of forming them gives one object each
+        one, minus = CoeffExact.one(), CoeffExact.from_int(-1)
+        assert (-one).num is minus.num and (minus * minus).num is one.num
+        assert (one * one).num is LaurentPoly.monomial(coeff=1) is (-minus).num
+        assert (bracket_int(2) - bracket_affine(2, 0) + one).num is one.num
+        assert (one * 2).num is not one.num and (one * 2).num == 2
+
     def test_non_constants_differ_from_rationals(self):
         for x in (bracket_int(2), bracket_affine(0, 1), CoeffExact(LaurentPoly.monomial(p_pow=1))):
             assert x != 2 and x != Fraction(2) and 2 != x
