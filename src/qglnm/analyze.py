@@ -10,9 +10,10 @@ The matrices, cyclicity, invariance and highest weights read generator
 images from one function, ``_images``, as arrays per generator (rows,
 image states, coefficients): a probe plan (``weyl.ProbePlan``) of the
 realization on the states they need, read once per process, then
-evaluated at each q and p in a few array operations, equal to the
-per-state engine's images to the last bit; a chunk that may raise is
-replayed word by word (``weyl.ProbePlan._replayed``).  The
+evaluated in the scalar domain of each q and p (``weyl.ScalarDomain``)
+in a few array operations, equal to the per-state engine's images to the
+last bit; a chunk that may raise is replayed word by word
+(``weyl.ProbePlan._replayed``).  The
 deformed-oscillator check reads its residuals from two plans kept per
 (signature, cap).  Every analysis works on the sparse entries; the
 quotient relations check reads the images of the substituted Dyson
@@ -37,8 +38,8 @@ from .fock import BasisIndex, Signature, dim_F0, enumerate_up_to, split_F0_F1, t
 from .presentation import E, F, H, GenSymbol, build_relations, generators
 from .realize import DYSON, HP, HP_DEFORMED, realization, tilde_ops
 from .verify import substitute
-from .weyl import (Diag, Engine, OperatorExpr, ProbePlan, ScalarDomain, affine_mode,
-                   float_errors_raise, super_commutator)
+from .weyl import (Diag, OperatorExpr, ProbePlan, ScalarDomain, affine_mode, float_errors_raise,
+                   super_commutator)
 
 SUBSPACES = ("F0", "F1-slice", "quotient-F0")
 # image plans kept per process, and quotient relation plans in a memo of
@@ -140,8 +141,8 @@ def _images(sig: Signature, kind: str, p, q, convention: str, states, mutation=N
     equal to the plan's word-by-word replay (``weyl.ProbePlan._replayed``),
     errors too.
     Every module analysis reads its generator images here."""
+    domain = ScalarDomain(q, p)
     gens, plan = _image_plan(sig, kind, mutation, convention, tuple(states))
-    domain = ScalarDomain([Engine(sig, convention=convention, q=q, p=p)])
     with float_errors_raise():
         return [(g, *image) for g, image in zip(gens, plan.images(domain))]
 
@@ -445,8 +446,7 @@ def _quotient_failures(sig: Signature, p: int, mutation: str | None) -> list[str
     # presentation. and realize. call (ROADMAP item 5); only the names stay.
     names = [rel.name for rel in build_relations(sig)]
     realization(DYSON, sig)
-    images = _quotient_plan(sig, p, mutation).images(
-        ScalarDomain([Engine(sig, convention="monomial", p=p)]))
+    images = _quotient_plan(sig, p, mutation).images(ScalarDomain(None, p))
     return [name for name, (_, reached, _) in zip(names, images)
             if (reached.sum(axis=1) <= p).any()]
 
@@ -510,7 +510,7 @@ def deformed_ops_check(
     times max(1, the largest single-term image at that state), the scale
     of the cancellation error.
     """
-    domain = ScalarDomain([Engine(sig, convention="orthonormal", q=q, p=p)])
+    domain = ScalarDomain(q, p)
     figures, plans = _deformed_plans(sig, cap)
     with float_errors_raise():
         peak, relative = [np.array([w for w, _ in plan.worst(domain)]) for plan in plans]

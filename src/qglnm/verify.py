@@ -24,13 +24,14 @@ on finitely many states does not extend by linearity.  Numeric
 verification probes every relation, closed or not, and reports its
 rounding residual.
 Both regimes apply each probed relation to every probe state at once,
-through a probe plan (``weyl.ProbePlan``) read in the engines' scalar
-domain.  Exact verification reads its images: the first probe state with
-a nonzero image is the witness of an exact failure, whose coefficient the
-per-state engine forms again.  Numeric verification reads its worst
-residuals, which are those of the plan's word-by-word replay
-(``ProbePlan._replayed``) to the last bit.  A chunk of the plan that may
-raise is replayed, so every error is the per-word path's error too.
+through a probe plan (``weyl.ProbePlan``) read in the scalar domain of
+the q samples (``weyl.ScalarDomain``).  Exact verification reads its
+images: the first probe state with a nonzero image is the witness of an
+exact failure, whose coefficient the per-state engine forms again.
+Numeric verification reads its worst residuals, which are those of the
+plan's word-by-word replay (``ProbePlan._replayed``) to the last bit.  A
+chunk of the plan that may raise is replayed, so every error is the
+per-word path's error too.
 
 The substituted relations, and the stage that closes each, depend only
 on the signature, the realization and the mutation, so they
@@ -45,7 +46,7 @@ An exact plan holds only the relations that no stage closes, a numeric
 one every relation.
 A call specializes each distinct term scalar, and builds each diagonal
 value, once, and the plan keeps them per scalar domain (exact p and
-classical, or numeric q and p, per engine; ``weyl.ProbePlan``).
+classical, or numeric q and p, per q sample; ``weyl.ProbePlan``).
 Numeric probing raises on a float overflow instead of reporting an inf
 or nan residual.
 
@@ -267,7 +268,7 @@ def _exact_result(name: str, diff: OperatorExpr, engine: Engine, states,
     return RelationResult(name, "fail", 0.0, f"state=({state_str}) coeff={coeff.canonical_str()}")
 
 
-def _numeric_result(name: str, states, engines: list, worst: float, k: int,
+def _numeric_result(name: str, states, qs: list, worst: float, k: int,
                     tolerance: float) -> RelationResult:
     """Numeric pass if the worst residual over every (q sample, probe
     state) stays within the tolerance (``ProbePlan.worst``); the witness is
@@ -277,15 +278,8 @@ def _numeric_result(name: str, states, engines: list, worst: float, k: int,
         return RelationResult(name, "numeric-pass", worst)
     qi, si = divmod(k, len(states))
     state_str = ",".join(map(str, states[si]))
-    witness = f"state=({state_str}) residual={worst!r} q={engines[qi].q}"
+    witness = f"state=({state_str}) residual={worst!r} q={qs[qi]}"
     return RelationResult(name, "fail", worst, witness)
-
-
-def _engines(sig, kind, p, q, convention, classical):
-    """One engine per q sample (a single exact engine when q is formal)."""
-    qs = [None] if q is None else [float(q)] if isinstance(q, (int, float)) else [float(v) for v in q]
-    conv = convention or ("orthonormal" if kind != DYSON else "monomial")
-    return [Engine(sig, convention=conv, q=qv, p=p, classical=classical) for qv in qs]
 
 
 def verify_all(
@@ -327,24 +321,30 @@ def verify_all(
         cap = default_cap(p)
     if cap < 4:
         raise ValueError("probe cap must be at least 4 to cover the quartic relation words")
-    engines = _engines(sig, kind, p, q, convention, classical)
-    exact = engines[0].mode == "exact"
+    qs = None if q is None else [float(q)] if isinstance(q, (int, float)) else [float(v) for v in q]
+    if qs == []:
+        raise ValueError("q is an empty list of samples; give at least one")
+    convention = convention or ("orthonormal" if kind != DYSON else "monomial")
+    # the per-state engine checks the convention, the first q sample, p and
+    # the classical flag, in that order, and forms an exact failure's witness
+    engine = Engine(sig, convention, None if qs is None else qs[0], p, classical)
+    exact = engine.mode == "exact"
     # A relation with a stage is zero on every state, so exact verification
     # does not probe it, and builds no plan when nothing is left to probe.
     # Numeric verification probes every relation, and reports its rounding.
     results = [RelationResult(rel.name, "exact-pass") for rel, *_ in relations]
     probed = [k for k, (*_, stage) in enumerate(relations) if not (exact and stage)]
     if probed:
-        plan = _probe_plan(sig, kind, mutation, cap, engines[0].convention, tuple(probed))
-        domain = ScalarDomain(engines)
+        domain = ScalarDomain(qs, p, classical)
+        plan = _probe_plan(sig, kind, mutation, cap, convention, tuple(probed))
         if exact:
             for k, (rows, *_) in zip(probed, plan.images(domain)):
                 rel, diff, _ = relations[k]
-                results[k] = _exact_result(rel.name, diff, engines[0], plan.states, rows)
+                results[k] = _exact_result(rel.name, diff, engine, plan.states, rows)
         else:
             with float_errors_raise():
                 worst = plan.worst(domain)
-            results = [_numeric_result(rel.name, plan.states, engines, *w, tolerance)
+            results = [_numeric_result(rel.name, plan.states, qs, *w, tolerance)
                        for (rel, *_), w in zip(relations, worst)]
     meta = {
         "realization": kind,
@@ -352,8 +352,8 @@ def verify_all(
         "m": sig.m,
         "p": "formal" if p is None else p,
         "q": "formal" if q is None else (q if isinstance(q, (int, float)) else ",".join(map(repr, q))),
-        "convention": engines[0].convention,
-        "mode": "classical" if classical else engines[0].mode,
+        "convention": convention,
+        "mode": "classical" if classical else engine.mode,
         "cap": cap,
         "tolerance": "exact" if exact else tolerance,
     }

@@ -45,26 +45,28 @@ the oracle for the multi-state path.  ``ProbePlan`` is the one
 multi-state evaluator: relation verification, exact and numeric, and
 module analysis apply one list of expressions to one list of probe
 states, the rows of an integer array, again at other q and p.  A plan
-reads each of their words once, with no scalar, and forms the images at
-each scalar domain (``ScalarDomain``) in a few array operations per chunk
-of expressions.  A chunk that may raise it replays word by word, which
-gives the same results and raises the per-word errors.  It takes only
-expressions whose terms share one net occupation change, so a probe
+reads each of their words once, in its own convention and with no
+scalar, and forms the images at each scalar domain (``ScalarDomain``,
+which has no signature or convention) in a few array operations per
+chunk of expressions.  A chunk that may raise it replays word by word,
+which gives the same results and raises the per-word errors.  It takes
+only expressions whose terms share one net occupation change, so a probe
 state's image is a single state.  ``start_form`` reads a word at its
 start state in one right-to-left pass that keeps the running occupation
 offset, so each of its items (a diagonal factor or a ladder step) is a
 function of the start state, read as a column over all probe states
-(``ProbeRows``).  A diagonal factor is named by an int64 key code, which
-holds arguments below 2**20 in magnitude.  A call in a scalar domain
-(exact p and classical, or numeric q and p, per engine) forms each
-distinct key's value, specialized term scalar and exact diagonal product
-once, and the plan keeps what it reads of them per scalar domain
-(``ProbePlan._prepare``).  Numeric scalars are formed from the same
-factors in the same order as above, over a second axis of q samples, so
-they equal the per-state engine's to the last bit.  Exact ones are formed
-in a plan once per distinct diagonal product and term scalar, and a probe
-state's coefficient is their sum weighted by its ladder numbers, formed
-once per plan and scalar domain for the states that share it.
+(``ProbeRows``); a diagonal factor's column is one record of its keys
+(``_Column``), int64 codes that hold arguments below 2**20 in magnitude.
+A call in a scalar domain (exact p and classical, or numeric q and p,
+per q sample) forms each distinct key's value, specialized term scalar
+and exact diagonal product once, and the plan keeps what it reads of
+them per scalar domain (``ProbePlan._prepare``).  Numeric scalars are
+formed from the same factors in the same order as above, over a second
+axis of q samples, so they equal the per-state engine's to the last bit.
+Exact ones are formed in a plan once per distinct diagonal product and
+term scalar, and a probe state's coefficient is their sum weighted by
+its ladder numbers, formed once per plan and scalar domain for the
+states that share it.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -493,6 +495,7 @@ class ExactScalars:
     affine argument.  ``domain`` is what every value depends on."""
 
     mode = "exact"
+    one = CoeffExact.one()
 
     def __init__(self, p, classical):
         if p is not None and not isinstance(p, int):
@@ -500,7 +503,6 @@ class ExactScalars:
         self.p = p
         self.classical = classical
         self.domain = ("exact", p, classical)
-        self.one = CoeffExact.one()
 
     def from_coeff(self, c: CoeffExact) -> CoeffExact:
         if self.p is not None:
@@ -598,9 +600,29 @@ class NumericScalars:
         return self.q ** self.affine(c, pc)
 
 
+def _check_convention(convention: str, exact: bool) -> None:
+    """Raise unless the basis convention is known and, for the orthonormal
+    one's square roots, the scalars are numeric (``exact`` False)."""
+    if convention not in ("monomial", "orthonormal"):
+        raise EngineError(f"unknown convention {convention!r}")
+    if exact and convention == "orthonormal":
+        raise EngineError("orthonormal convention needs square roots; give a numeric q")
+
+
+def sample_scalars(q, p=None, classical=False) -> ExactScalars | NumericScalars:
+    """The scalars of one q sample: exact for formal q (None), with p
+    formal or an integer, else numeric; classical=True, exact only,
+    specializes q = 1.  ``Engine`` and ``ScalarDomain`` build theirs here."""
+    if q is None:
+        return ExactScalars(p, classical)
+    if classical:
+        raise EngineError("classical flag applies to exact mode; use q=1 numerically")
+    return NumericScalars(q, p)
+
+
 class Engine:
     """Evaluation context: basis convention, the values (or formal status)
-    of q and p, and the scalar domain they imply.
+    of q and p, and the scalars they imply (``sample_scalars``).
 
     Formal q (None) means exact arithmetic over the fraction field, with p
     formal or an integer; classical=True specializes q = 1 there, turning
@@ -610,21 +632,14 @@ class Engine:
     and therefore needs a numeric q.
 
     Words apply to one state at a time, with nothing cached between calls;
-    callers with many states use ``ProbePlan``.
+    callers with many states use ``ProbePlan``, which reads a
+    ``ScalarDomain`` of one ``sample_scalars`` per q sample.
     """
 
     def __init__(self, sig: Signature, convention="monomial", q=None, p=None,
                  classical=False):
-        if convention not in ("monomial", "orthonormal"):
-            raise EngineError(f"unknown convention {convention!r}")
-        if q is None:
-            if convention == "orthonormal":
-                raise EngineError("orthonormal convention needs square roots; give a numeric q")
-            self.scalars = ExactScalars(p, classical)
-        elif classical:
-            raise EngineError("classical flag applies to exact mode; use q=1 numerically")
-        else:
-            self.scalars = NumericScalars(q, p)
+        _check_convention(convention, q is None)
+        self.scalars = sample_scalars(q, p, classical)
         self.sig = sig
         self.convention = convention
         self.q = q
@@ -761,19 +776,23 @@ def _scalar_key(c: CoeffExact) -> tuple:
     return (c.k, c.num.denom, *c.num.coeffs.items())
 
 
-class _Keys(NamedTuple):
+class _Column(NamedTuple):
     """A diagonal factor's distinct keys over the probe rows, ascending."""
 
-    # their key codes and arguments
-    codes: list
-    args: list
+    # key code per entry, where entry 0 (out of the code range) has
+    # ``_NO_CODE``, which sorts after every code
+    codes: np.ndarray
     # per row 0 where the argument or the p coefficient leaves the code
     # range, j where the row has the j-th distinct argument
     entry: np.ndarray
-    # per row its key code (a meaningless one out of the code range)
-    row_codes: np.ndarray
-    # whether some row leaves the code range
-    clipped: bool
+    # the entries met on some row
+    every: np.ndarray
+    # whether an entry fails in every scalar domain: out of the code range,
+    # or a bracket ratio or angle bracket at 0
+    failing: bool
+
+
+_NO_CODE = np.iinfo(np.int64).max
 
 
 class ProbeRows:
@@ -797,8 +816,8 @@ class ProbeRows:
         coeffs = np.array(d.affine.mode_coeffs, dtype=np.int64)
         return d.affine.const + self.states[:, : len(coeffs)] @ coeffs
 
-    def _keys(self, d: Diag) -> _Keys:
-        """A diagonal factor's distinct keys over the probe rows (``_Keys``)."""
+    def _keys(self, d: Diag) -> _Column:
+        """A diagonal factor's distinct keys over the probe rows (``_Column``)."""
         kind, pc = d.kind, d.affine.p_coeff
         args = self._args(d)
         lo, hi = int(args.min()), int(args.max())
@@ -812,10 +831,11 @@ class ProbeRows:
         entry = seen.cumsum()[at]
         if inside is not None:
             entry[~inside] = 0
-        base = _key_code(kind, lo, pc)
-        found = seen.nonzero()[0].tolist()
-        return _Keys([base + (k << 21) for k in found], [lo + k for k in found], entry,
-                     base + (at << 21), inside is not None)
+        found = seen.nonzero()[0]
+        failing = inside is not None or (kind in ("bracket_ratio", "angle")
+                                         and bool((found == -lo).any()))
+        return _Column(np.append(_NO_CODE, _key_code(kind, lo, pc) + (found << 21)),
+                       _compact(entry), np.flatnonzero(np.bincount(entry)), failing)
 
     def _ladder_column(self, step: Step):
         """Build and keep a ladder step's column: (live mask or None when no
@@ -875,21 +895,16 @@ class ProbeRows:
 
 
 class ScalarDomain:
-    """Numeric engines, one per q sample, or a single exact engine: all
-    that a ``ProbePlan`` reads of a scalar domain, and that no probe state
-    changes.  It forms each distinct key value, term scalar and exact
-    product once and keeps them for as long as it lives, one call; a plan
-    keeps per scalar domain what it reads of them (``ProbePlan._prepare``)."""
+    """One ``sample_scalars`` of p and classical per q sample (a number or
+    a sequence of them), or of formal q (None): all that a ``ProbePlan``
+    reads of a scalar domain.  It forms each distinct key value, term
+    scalar and exact product once and keeps them for as long as it lives,
+    one call; a plan keeps per domain what it reads of them (``_prepare``)."""
 
-    def __init__(self, engines: list):
-        modes = {e.mode for e in engines}
-        if modes == {"exact"} and len(engines) > 1:
-            raise EngineError("a probe batch takes a single exact engine")
-        if len(modes) > 1:
-            raise EngineError("a probe batch takes numeric engines or one exact engine, not both")
-        self.exact = modes == {"exact"}
-        self.engines = engines
-        self.domain = tuple(e.scalars.domain for e in engines)
+    def __init__(self, q=None, p=None, classical=False):
+        self.exact = q is None
+        self.scalars = [sample_scalars(v, p, classical) for v in ([q] if np.ndim(q) == 0 else q)]
+        self.domain = tuple(s.domain for s in self.scalars)
         # key code -> its exact value, or its values over the q samples (read-only)
         self._values: dict = {}
         # sorted tuple of key codes -> product of their exact values
@@ -900,7 +915,7 @@ class ScalarDomain:
         self._xs: dict = {}
 
     def _scalar(self, c: CoeffExact, key: tuple | None = None):
-        """A term scalar in the engines' domain, or None when it is zero (at
+        """A term scalar in the domain, or None when it is zero (at
         every q), each distinct scalar specialized once.  The key
         (``_scalar_key``) is the scalar's value with its terms in their
         stored order, which is the order of the float sum in
@@ -910,19 +925,19 @@ class ScalarDomain:
         if key in self._scalars:
             return self._scalars[key]
         if self.exact:
-            value = self.engines[0].scalars.from_coeff(c)
+            value = self.scalars[0].from_coeff(c)
             value = None if value.is_zero() else value
         else:
-            value = np.array([e.scalars.from_coeff(c) for e in self.engines], dtype=complex)
+            value = np.array([s.from_coeff(c) for s in self.scalars], dtype=complex)
             value.flags.writeable = False
             value = value if value.any() else None
         self._scalars[key] = value
         return value
 
     def _value(self, kind: str, v: int, pc: int):
-        """A diagonal key's value by the engines' scalar methods: exact, or
-        over q as a read-only array."""
-        values = [getattr(e.scalars, kind)(v, pc) for e in self.engines]
+        """A diagonal key's value by the scalar methods: exact, or over q as
+        a read-only array."""
+        values = [getattr(s, kind)(v, pc) for s in self.scalars]
         if self.exact:
             return values[0]
         values = np.array(values, dtype=complex)
@@ -946,7 +961,7 @@ class ScalarDomain:
             if len(key) > 1:
                 product = self._product(key[:-1]) * self._values[key[-1]]
             else:
-                product = self._values[key[0]] if key else self.engines[0].one()
+                product = self._values[key[0]] if key else self.scalars[0].one
             self._products[key] = product
         return product
 
@@ -965,7 +980,7 @@ class ScalarDomain:
 # of its own
 PLAN_ENTRIES = 1 << 13
 PLAN_SLOTS = 1 << 20
-# scalar domains (tuples of engine domains) whose values a probe plan keeps
+# scalar domains (tuples of per-sample domains) whose values a probe plan keeps
 SCALAR_DOMAINS = 16
 
 
@@ -1027,22 +1042,6 @@ class _Chunk(NamedTuple):
     scaled_triples: np.ndarray
 
 
-class _Column(NamedTuple):
-    """A diagonal factor over the probe rows, as a probe plan reads it."""
-
-    # key code per entry of ``ProbeRows._keys``, where entry 0 (out of the
-    # code range) has ``_NO_CODE``, which sorts after every code
-    codes: np.ndarray
-    entry: np.ndarray
-    # the entries met on some row
-    every: np.ndarray
-    # whether an entry fails in every scalar domain
-    failing: bool
-
-
-_NO_CODE = np.iinfo(np.int64).max
-
-
 class _TermRead(NamedTuple):
     """A term's word read q-free by ``ProbePlan._read``."""
 
@@ -1078,20 +1077,24 @@ class ProbePlan:
       and row, numbered over the slots some entry reaches) and its
       triple, in term order; and per term the keys the raise rule needs.
 
-    A call takes the engines' ``ScalarDomain``, whose values the plan
-    builds on its first call there and keeps (``_prepare``).  Numerically
-    it forms per chunk the tuple products, the triple contributions and
-    each slot's sum with ``np.bincount`` in term order, the per-word sums
-    to the last bit; exactly, ``_prepare`` sums and tests each distinct
-    sequence of triples on a slot once per domain.  A chunk is replayed
-    word by word (``_replayed``), so that every error is the per-word
-    path's, in order and text, when a kept term may read a failing key on
-    a row live before its factor, when a sum is not finite, or when the
-    arithmetic raises.  Indices are uint16 where they fit: the HP plan of
-    (4,2) at cap 7 takes 0.48 MB and of (7,5) at cap 6 10.3 MB."""
+    A call takes a ``ScalarDomain``, the scalars per q sample, and reads
+    the signature and convention only from the plan, which builds the
+    domain's values on its first call there and keeps them (``_prepare``).
+    Numerically it forms per chunk the tuple products, the triple
+    contributions and each slot's sum with ``np.bincount`` in term order,
+    the per-word sums to the last bit; exactly, ``_prepare`` sums and tests
+    each distinct sequence of triples on a slot once per domain.  A chunk
+    is replayed word by word (``_replayed``), so that every error is the
+    per-word path's, in order and text, when a kept term may read a failing
+    key on a row live before its factor, when a sum is not finite, or when
+    the arithmetic raises.  Indices are uint16 where they fit: the HP plan of
+(4,2) at cap 7 takes 0.48 MB and of (7,5) at cap 6 10.3 MB."""
 
     def __init__(self, sig: Signature, convention: str, states, exprs, above=None):
+        _check_convention(convention, False)
         rows = ProbeRows(sig, convention, states)
+        self.sig = sig
+        self.convention = convention
         self.states = states
         self.exprs = tuple(exprs)
         self.size = len(rows.states)
@@ -1136,12 +1139,7 @@ class ProbePlan:
         def diag(item: Diag, live: np.ndarray):
             column = columns.get(item)
             if column is None:
-                keys = rows._keys(item)
-                failing = keys.clipped or (item.kind in ("bracket_ratio", "angle")
-                                           and 0 in keys.args)
-                column = columns[item] = _Column(
-                    np.array([_NO_CODE] + keys.codes, dtype=np.int64), _compact(keys.entry),
-                    np.flatnonzero(np.bincount(keys.entry)), failing)
+                column = columns[item] = rows._keys(item)
             factors.append(item)
             guards.append(np.flatnonzero(np.bincount(column.entry[live]))
                           if column.failing and live is not rows._all_rows else column.every)
@@ -1238,7 +1236,7 @@ class ProbePlan:
         failing = np.array([v is None for v in values] + [True])
         if domain.exact:
             return None, failing, np.array([v is None or v.is_zero() for v in values] + [True])
-        zero = np.zeros(len(domain.engines))
+        zero = np.zeros(len(domain.scalars))
         table = np.array([zero if v is None else v for v in values] + [zero], dtype=complex)
         return table, failing, ~table.any(axis=1)
 
@@ -1256,7 +1254,7 @@ class ProbePlan:
             return self._prepared[domain.domain]
         table, failing, dead = self._key_values(domain)
         codes = self.codes + [_NO_CODE]
-        zero = np.zeros(len(domain.engines))
+        zero = np.zeros(len(domain.scalars))
         parts = []
         for k, chunk in enumerate(self._chunks):
             scalars = [domain._scalar(c, key) for c, key in chunk.scalars]
@@ -1328,34 +1326,34 @@ class ProbePlan:
         for c, (_, word) in zip(scalars, expr.terms):
             if c is None:
                 continue
-            read = []  # per diagonal factor read: its ``_Keys``, per row its key index
+            read = []  # per diagonal factor read: its ``_Column``, per row its key index
 
             def diag(item: Diag, live: np.ndarray):
                 if item not in columns:
-                    keys = probe._keys(item)
-                    # entry 0 stands for the rows out of the code range
-                    index = np.append(len(self.codes), np.searchsorted(self.codes, keys.codes))
-                    columns[item] = keys, index[keys.entry]
-                keys, at = columns[item]
+                    # ``_NO_CODE``, entry 0, takes the last index
+                    column = probe._keys(item)
+                    columns[item] = column, np.searchsorted(self.codes, column.codes)[column.entry]
+                column, at = columns[item]
                 fails = failing[at] & live
                 if fails.any():
-                    entry = int(keys.entry[fails].min())
+                    entry = int(column.entry[fails].min())
                     if not entry:
                         raise EngineError(f"{item.kind} key out of the code range [-2**20, 2**20)")
-                    domain._value(item.kind, keys.args[entry - 1], item.affine.p_coeff)
-                read.append((keys, at))
+                    domain._value(*_key_of(int(column.codes[entry])))
+                read.append((column, at))
                 return ~zero[at]
 
             rows, _, ladder = probe._walk(word, diag)
             if domain.exact:
-                codes = np.sort([keys.row_codes[rows] for keys, _ in read], axis=0).tolist()
+                codes = np.sort([column.codes[column.entry[rows]] for column, _ in read],
+                                axis=0).tolist()
                 xs = [domain._x(c, key) for key in (zip(*codes) if read else [()] * len(rows))]
                 yield rows, xs if ladder is None else [x if k == 1 else x * k
                                                        for x, k in zip(xs, ladder.tolist())]
                 continue
             if read:
                 factors = [table[at[rows]] for _, at in read]
-                codes = np.array([keys.row_codes[rows] for keys, _ in read])
+                codes = np.array([column.codes[column.entry[rows]] for column, _ in read])
                 if (codes[1:] < codes[:-1]).any():
                     order = np.argsort(codes, axis=0, kind="stable")
                     factors = np.take_along_axis(np.array(factors), order[:, :, None], axis=0)
@@ -1363,7 +1361,7 @@ class ProbePlan:
                 for f in factors[1:]:
                     value = value * f
             else:
-                value = np.ones((len(rows), len(domain.engines)), dtype=complex)
+                value = np.ones((len(rows), len(domain.scalars)), dtype=complex)
             if ladder is not None:
                 value = value * ladder[:, None]
                 if ladder.dtype == object:
@@ -1377,11 +1375,10 @@ class ProbePlan:
         single-term magnitude (the cancellation scale), both (q, states); or
         its images, each row's terms summed in term order from its first, as
         in ``Engine.apply_compiled``.  Probe rows and keys are not kept."""
-        engine = domain.engines[0]
-        probe = ProbeRows(engine.sig, engine.convention, self.states)
+        probe = ProbeRows(self.sig, self.convention, self.states)
         keyed = self._key_values(domain)
-        columns: dict = {}  # factor -> its keys and plan key index per row
-        shape = (self.size, len(domain.engines))
+        columns: dict = {}  # factor -> its ``_Column`` and plan key index per row
+        shape = (self.size, len(domain.scalars))
         out = []
         for e in chunk.exprs:
             image, scale, sums = np.zeros(shape, dtype=complex), np.zeros(shape), [None] * self.size
@@ -1393,7 +1390,8 @@ class ProbePlan:
                 for r, v in zip(rows.tolist(), contrib if domain.exact else contrib[:, 0].tolist()):
                     sums[r] = v if sums[r] is None else sums[r] + v
             if images:
-                rows = [r for r, v in enumerate(sums) if v is not None and not engine.scalars.is_zero(v)]
+                rows = [r for r, v in enumerate(sums)
+                        if v is not None and not domain.scalars[0].is_zero(v)]
                 out.append((np.array(rows, dtype=np.intp), self._array[rows] + self.changes[e],
                             [sums[r] for r in rows]))
             else:
@@ -1452,7 +1450,7 @@ class ProbePlan:
         return np.abs(image), scale
 
     def _numeric_sums(self, k: int, table, part):
-        """Chunk k's nonzero slots and per slot its one engine's image, or None."""
+        """Chunk k's nonzero slots and per slot its one q sample's image, or None."""
         sums = self._sums(k, table, part, signed=True)
         return None if sums is None else (sums[0][0] != 0, sums[0][0])
 
@@ -1487,12 +1485,13 @@ class ProbePlan:
         return out
 
     def images(self, domain: ScalarDomain) -> list:
-        """Per expression, in order, its images under a single engine on the
-        plan's states: (the ascending rows whose image is not zero, their
-        image states, their coefficients), each the per-state engine's
-        (``Engine.apply_compiled``), numeric ones to the last bit."""
-        if len(domain.engines) > 1:
-            raise EngineError("images need a single-engine batch")
+        """Per expression, in order, its images at one q sample or formal q
+        on the plan's states: (the ascending rows whose image is not zero,
+        their image states, their coefficients), each the per-state
+        engine's (``Engine.apply_compiled``), numeric ones to the last bit."""
+        _check_convention(self.convention, domain.exact)
+        if len(domain.scalars) > 1:
+            raise EngineError("images need a single q sample")
         evaluate = (lambda k, table, part: part) if domain.exact else self._numeric_sums
         out = []
         for chunk, sums in zip(self._chunks, self._evaluated(domain, evaluate)):

@@ -575,10 +575,18 @@ class TestDeformedOps:
         assert not deformed_ops_check(SIG21, p=3, q=5.0, tolerance=1e-17).bosonic_pass
 
 
+def domain_of(engine) -> ScalarDomain:
+    """The scalar domain of the engine's q (formal when it is exact), p and
+    classical flag."""
+    scalars = engine.scalars
+    if engine.mode == "exact":
+        return ScalarDomain(None, scalars.p, scalars.classical)
+    return ScalarDomain(engine.q, scalars.p)
+
+
 def plan_images(engine, states, exprs) -> list:
     with float_errors_raise():
-        return ProbePlan(engine.sig, engine.convention, states, exprs).images(
-            ScalarDomain([engine]))
+        return ProbePlan(engine.sig, engine.convention, states, exprs).images(domain_of(engine))
 
 
 def fast_images(plan, engine) -> list:
@@ -589,7 +597,7 @@ def fast_images(plan, engine) -> list:
 
     with pytest.MonkeyPatch.context() as m, float_errors_raise():
         m.setattr(ProbePlan, "_replayed", no_replay)
-        return plan.images(ScalarDomain([engine]))
+        return plan.images(domain_of(engine))
 
 
 def forced_replay(plan, engine) -> list:
@@ -598,7 +606,7 @@ def forced_replay(plan, engine) -> list:
     path whose results and errors the fast path keeps."""
     with pytest.MonkeyPatch.context() as m, float_errors_raise():
         m.setattr(ProbePlan, "_evaluated", lambda self, *a: [None] * len(self._chunks))
-        return plan.images(ScalarDomain([engine]))
+        return plan.images(domain_of(engine))
 
 
 def replayed_images(engine, states, exprs) -> list:

@@ -1,5 +1,7 @@
 """Tests for the relation-verification engine."""
 
+import math
+
 import pytest
 
 from qglnm import verify
@@ -145,6 +147,19 @@ class TestVerifyAll:
         report = verify_all(SIG21, kind="dyson", p=None, cap=5, classical=True)
         assert report.all_pass
         assert report.meta["mode"] == "classical"
+
+    @pytest.mark.parametrize("q", [[], ()], ids=["list", "tuple"])
+    def test_rejects_an_empty_q_sample_list(self, q):
+        with pytest.raises(ValueError, match="^q is an empty list of samples; give at least one$"):
+            verify_all(SIG21, "hp", 3, q=q)
+        with pytest.raises(ValueError, match="empty list of samples"):
+            verify_all(SIG21, "dyson", 3, q=q, mutation="shift_e1_bracket")
+
+    def test_every_q_sample_is_checked_in_order(self):
+        # the first bad sample raises, with the per-state engine's text
+        for q, bad in [([0.5, -1.0, 0.0], "-1.0"), ([math.nan, 0.5], "nan")]:
+            with pytest.raises(EngineError, match=rf"^q must be a finite positive number, not {bad}$"):
+                verify_all(SIG21, "hp", 3, q=q)
 
     def test_classical_rejects_numeric_q(self):
         with pytest.raises(EngineError):
@@ -388,7 +403,7 @@ class TestClosedRelations:
         # may have one on a probe state (the plan raises only there)
         singular = OperatorExpr.from_word(Diag("bracket_ratio", affine_mode(SIG21, 1)))
         with pytest.raises(ZeroDivisionError):
-            ProbePlan(SIG21, "monomial", [(0, 0)], [singular]).images(ScalarDomain([Engine(SIG21)]))
+            ProbePlan(SIG21, "monomial", [(0, 0)], [singular]).images(ScalarDomain())
         for n, m in [(2, 0), (3, 0), (2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3),
                      (4, 3)]:
             sig = Signature(n, m)
@@ -400,7 +415,7 @@ class TestClosedRelations:
                     continue  # the mutation does not apply to the signature
                 words |= {w for _, diff, stage in relations if stage for _, w in diff.terms}
             ProbePlan(sig, "monomial", probe_states(sig, 4), [
-                OperatorExpr.from_word(*w) for w in words]).images(ScalarDomain([Engine(sig)]))
+                OperatorExpr.from_word(*w) for w in words]).images(ScalarDomain())
 
     def test_warm_exact_call_probes_nothing(self, monkeypatch):
         verify_all(SIG43, "dyson", None, cap=6)

@@ -77,10 +77,19 @@ def expect_zero(eng, expr, states):
             assert max_abs(image) < 1e-12, (s, image)
 
 
+def domain_of(*engines) -> ScalarDomain:
+    """The scalar domain of the engines' q samples (formal q when they are
+    exact), p and classical flag, with neither signature nor convention."""
+    first = engines[0].scalars
+    if first.mode == "exact":
+        return ScalarDomain(None, first.p, first.classical)
+    return ScalarDomain([e.q for e in engines], first.p)
+
+
 def plan_images(eng, states, exprs) -> list:
     """Per expression, its images under one engine on the states, read
     through a probe plan (``ProbePlan.images``)."""
-    return ProbePlan(eng.sig, eng.convention, states, exprs).images(ScalarDomain([eng]))
+    return ProbePlan(eng.sig, eng.convention, states, exprs).images(domain_of(eng))
 
 
 def replayed(call, *args):
@@ -653,7 +662,7 @@ class TestProbeBatch:
         plan = ProbePlan(sig, convention, states, [OperatorExpr([t]) for t in terms] + diffs,
                          [True] * len(states))
         for eng in engines:
-            images = plan.images(ScalarDomain([eng]))
+            images = plan.images(domain_of(eng))
             for (c, word), (rows, image_states, coeffs) in zip(terms, images):
                 got = dict(zip(rows.tolist(), zip(map(tuple, image_states.tolist()), coeffs)))
                 c = eng.scalars.from_coeff(c)
@@ -667,7 +676,7 @@ class TestProbeBatch:
                     assert got[r][1] == v and scalar_str(got[r][1]) == scalar_str(v), (word, s)
             self._check_images(eng, states, [(rel.name, diff) for rel, diff in zip(rels, diffs)],
                                images[len(terms):])
-        domain = ScalarDomain(engines)
+        domain = domain_of(*engines)
         fast = TestNumericPlan._images(plan, domain)[-len(diffs):]
         replay = [w for chunk in plan._chunks
                   for w in plan._replayed(chunk, domain, images=False)][-len(diffs):]
@@ -804,7 +813,7 @@ class TestProbeBatch:
         # N_1 + shift over N_1 in 2..4: the arguments 2..4, then -3..-1 below
         # them, 5..7 above them and 1..3 across the low end, each plan read
         # through one scalar domain
-        domain = ScalarDomain([eng])
+        domain = domain_of(eng)
         states = [(2, 0), (3, 1), (4, 0)]
         for shift in (0, -5, 3, -1):
             word = (Diag("bracket", affine=affine_mode(SIG21, 1).shift(shift)),)
@@ -822,7 +831,7 @@ class TestProbeBatch:
     def test_zero_division_leaves_table_usable(self, eng):
         # N_1 - 2 over N_1 in {0, 2, 3}: the keys are read whole, so -2 and 1
         # are kept before 0 raises, and the failing 0 never is
-        domain = ScalarDomain([eng])
+        domain = domain_of(eng)
         states = [(0, 0), (2, 0), (3, 1)]
         ratio = Diag("bracket_ratio", affine=affine_mode(SIG21, 1).shift(-2))
         plan = ProbePlan(SIG21, eng.convention, states, [OperatorExpr.from_word(ratio)])
@@ -897,7 +906,7 @@ class TestProbeBatch:
         for word in [(Diag("qpow", TOTAL21),),
                      (Diag("bracket", affine=TOTAL21), Raise(1), Lower(2), Diag("qpow", TOTAL21))]:
             plan = ProbePlan(SIG21, eng.convention, probe(SIG21), [OperatorExpr.from_word(*word)])
-            domain = ScalarDomain([eng])
+            domain = domain_of(eng)
             for call in (lambda: plan.images(domain), lambda: replayed(plan.images, domain)):
                 (first,) = call()
                 want = [copy.deepcopy(a) for a in first]
@@ -941,7 +950,7 @@ class TestProbeBatch:
             passes, counts = [], []
             for _ in range(2):
                 before = calls
-                passes.append(method(ScalarDomain(engines)))
+                passes.append(method(domain_of(*engines)))
                 counts.append(calls - before)
             assert counts == [replayed_keys] * 2
             for first, second in zip(*passes):
@@ -959,9 +968,9 @@ class TestProbeBatch:
         engines = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
         names, exprs = zip(*self._generator_images(sig, ["dyson", "hp", "hp-deformed"]))
         plan = ProbePlan(sig, "orthonormal", [], exprs)
-        assert plan.worst(ScalarDomain(engines)) == [(0.0, 0)] * len(exprs)
-        for images in (plan.images(ScalarDomain(engines[:1])),
-                       replayed(plan.images, ScalarDomain(engines[:1]))):
+        assert plan.worst(domain_of(*engines)) == [(0.0, 0)] * len(exprs)
+        for images in (plan.images(domain_of(engines[0])),
+                       replayed(plan.images, domain_of(engines[0]))):
             for name, (rows, images, coeffs) in zip(names, images):
                 assert rows.shape == (0,) and images.shape == (0, modes) and coeffs == [], name
 
@@ -974,7 +983,7 @@ class TestProbeBatch:
         read from a larger plan."""
         names, exprs = zip(*exprs)
         if images is None:
-            images = ProbePlan(eng.sig, eng.convention, states, exprs).images(ScalarDomain([eng]))
+            images = ProbePlan(eng.sig, eng.convention, states, exprs).images(domain_of(eng))
         empty = 0
         for name, expr, (rows, image_states, coeffs) in zip(names, exprs, images):
             compiled = eng.compile(expr)
@@ -1081,7 +1090,7 @@ class TestProbeBatch:
                                  (CoeffExact.one(), (Lower(1),))])
         states = [(0, 0), (1, 0), (2, 1), (0, 1), (2, 0), (3, 0)]
         plan = ProbePlan(SIG21, "monomial", states, [raising, lowering])
-        domain = ScalarDomain([eng])
+        domain = domain_of(eng)
         calls = 0
         add = CoeffExact.__add__
 
@@ -1102,16 +1111,41 @@ class TestProbeBatch:
         assert [(r.tolist(), c) for r, _, c in cold] == [(rows.tolist(), coeffs),
                                                          (low_rows.tolist(), low_coeffs)]
 
-    def test_images_need_a_single_engine(self):
+    def test_images_need_a_single_q_sample(self):
         plan = ProbePlan(SIG21, "orthonormal", [(0, 0)], [OperatorExpr.from_word(Raise(1))])
-        with pytest.raises(EngineError, match="single-engine"):
-            plan.images(ScalarDomain([numeric_engine(SIG21, q=q) for q in (0.7, 1.3)]))
+        with pytest.raises(EngineError, match="single q sample"):
+            plan.images(ScalarDomain((0.7, 1.3), 2.0))
 
-    def test_refuses_mixed_or_several_exact_engines(self):
-        with pytest.raises(EngineError, match="not both"):
-            ScalarDomain([exact_engine(SIG21), numeric_engine(SIG21)])
-        with pytest.raises(EngineError, match="single exact engine"):
-            ScalarDomain([exact_engine(SIG21), exact_engine(SIG21, p=3)])
+    def test_domain_has_no_signature_or_convention(self):
+        # a domain is its q samples (or formal q), p and classical flag
+        for domain in (ScalarDomain(), ScalarDomain(None, 3, classical=True),
+                       ScalarDomain(1.3, 3), ScalarDomain([0.7, 1.3], 3)):
+            assert not {"sig", "convention", "engines"} & set(vars(domain))
+            assert not any(isinstance(v, (Signature, Engine)) for v in vars(domain).values())
+        assert ScalarDomain(1.3, 3).domain == ScalarDomain([1.3], 3).domain == (
+            ("numeric", 1.3, 3),)
+        assert ScalarDomain(None, 3, classical=True).domain == (("exact", 3, True),)
+
+    def test_plan_evaluates_in_its_own_convention(self):
+        # a monomial plan at q = 1.3 gives the monomial engine's ladder
+        # numbers 2 and 3, never the orthonormal sqrt(2) and sqrt(3), on the
+        # fast path and on the forced replay alike
+        states = [(2, 0), (3, 1)]
+        exprs = [OperatorExpr.from_word(Lower(1))]
+        eng = Engine(SIG21, convention="monomial", q=1.3, p=3)
+        plan = ProbePlan(SIG21, "monomial", states, exprs)
+        domain = ScalarDomain(1.3, 3)
+        for images in (plan.images(domain), replayed(plan.images, domain)):
+            (rows, _, coeffs), = images
+            assert rows.tolist() == [0, 1] and coeffs == [2, 3]
+            self._check_images(eng, states, [("lower", exprs[0])], images)
+
+    def test_plan_checks_its_convention(self):
+        with pytest.raises(EngineError, match="^unknown convention 'unitary'$"):
+            ProbePlan(SIG21, "unitary", [(0, 0)], [OperatorExpr.from_word(Raise(1))])
+        plan = ProbePlan(SIG21, "orthonormal", [(0, 0)], [OperatorExpr.from_word(Raise(1))])
+        with pytest.raises(EngineError, match="square roots; give a numeric q$"):
+            plan.images(ScalarDomain())
 
 
 class TestDomainValues:
@@ -1145,10 +1179,10 @@ class TestDomainValues:
         for _ in range(2):
             before = dict(counts)
             if numeric:
-                results.append(plan.worst(ScalarDomain([Engine(SIG21, q=q, p=3) for q in (0.7, 1.3)])))
+                results.append(plan.worst(ScalarDomain((0.7, 1.3), 3)))
             else:
                 results.append([(rows.tolist(), states.tolist(), coeffs) for rows, states, coeffs
-                                in plan.images(ScalarDomain([Engine(SIG21)]))])
+                                in plan.images(ScalarDomain())])
             formed.append({name: counts[name] - before[name] for name in counts})
         assert formed[0]["values"] and formed[0]["scalars"], formed
         assert numeric or formed[0]["muls"], formed
@@ -1166,7 +1200,7 @@ class TestDomainValues:
         exprs = [OperatorExpr.from_word(*word) for word in self.WORDS]
         plan = ProbePlan(SIG21, "monomial", states, exprs)
         for engines in exact + numeric:
-            domain = ScalarDomain(engines)
+            domain = domain_of(*engines)
             if domain.exact:
                 values = [np.zeros((1, len(states)), dtype=object) for _ in exprs]
                 for image, (rows, _, coeffs) in zip(values, plan.images(domain)):
@@ -1203,7 +1237,7 @@ class TestDomainValues:
             OperatorExpr.from_word(*word) for word in self.WORDS])
 
         def domain(k):
-            return ScalarDomain([Engine(SIG21, q=1.0 + k / 8, p=3)])
+            return ScalarDomain(1.0 + k / 8, 3)
 
         first = [plan.worst(domain(k)) for k in range(SCALAR_DOMAINS + 1)]
         assert len(plan._prepared) == SCALAR_DOMAINS
@@ -1212,8 +1246,7 @@ class TestDomainValues:
         assert domain(0).domain in plan._prepared and len(plan._prepared) == SCALAR_DOMAINS
 
     def test_shared_numeric_arrays_are_read_only(self):
-        domain = ScalarDomain([numeric_engine(SIG21, q=q, convention="monomial")
-                               for q in (0.7, 1.3)])
+        domain = ScalarDomain((0.7, 1.3), 2.0)
         ProbePlan(SIG21, "monomial", probe(SIG21), [
             OperatorExpr.from_word(*word, scalar=bracket_affine(0, 1)) for word in self.WORDS
         ]).worst(domain)
@@ -1263,7 +1296,7 @@ class TestNumericPlan:
     def _images(plan, domain):
         """Per expression, the plan's (peak, scale), each (q, states) with 0
         where the plan forms no scale; asserts that no chunk is replayed."""
-        shape = (len(domain.engines), plan.size)
+        shape = (len(domain.scalars), plan.size)
         out = []
         for chunk, images in zip(plan._chunks, plan._evaluated(domain, plan._magnitudes)):
             assert images is not None, chunk.exprs
@@ -1292,7 +1325,7 @@ class TestNumericPlan:
         plans = [ProbePlan(sig, convention, states, exprs, [True] * len(states)),
                  ProbePlan(sig, convention, states, exprs, [sum(s) > 4 for s in states])]
         for p in self.PS:
-            domain = ScalarDomain([Engine(sig, convention=convention, q=q, p=p) for q in self.QS])
+            domain = ScalarDomain(self.QS, p)
             with float_errors_raise():
                 want = [w for chunk in plans[0]._chunks
                         for w in plans[0]._replayed(chunk, domain, images=False)]
@@ -1315,7 +1348,7 @@ class TestNumericPlan:
         states = probe_states(sig, 4)
         plan = ProbePlan(sig, convention, states, exprs, [sum(s) > 4 for s in states])
         for p in self.PS:
-            domain = ScalarDomain([Engine(sig, convention=convention, q=q, p=p) for q in self.QS])
+            domain = ScalarDomain(self.QS, p)
             with float_errors_raise():
                 assert replayed(plan.worst, domain) == plan.worst(domain)
 
@@ -1326,7 +1359,7 @@ class TestNumericPlan:
         exprs = [OperatorExpr.from_word(Raise(1)), OperatorExpr.from_word(Lower(1), ratio),
                  OperatorExpr.from_word(Diag("angle", affine_mode(SIG21, 1)))]
         states = [(2, 0), (0, 0)]
-        batch = ScalarDomain([numeric_engine(SIG21)])
+        batch = ScalarDomain(1.3, 2.0)
         plan = self._plan(SIG21, exprs, states, [False, False])
         for evaluate in (plan.worst, functools.partial(replayed, plan.worst)):
             with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
@@ -1345,10 +1378,10 @@ class TestNumericPlan:
                              (zero_at_1, (ratio,))])
         states = [(0, 0), (1, 0)]
         plan = self._plan(SIG21, [expr], states, [False, True])
-        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=1.0, p=2)])
+        batch = ScalarDomain(1.0, 2)
         with float_errors_raise():
             assert plan.worst(batch) == [(1.0, 0)] == replayed(plan.worst, batch)
-        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=1.3, p=2)])
+        batch = ScalarDomain(1.3, 2)
         with pytest.raises(ZeroDivisionError, match="bracket ratio"):
             plan.worst(batch)
 
@@ -1358,7 +1391,7 @@ class TestNumericPlan:
             verify_all(SIG21, "hp", 3, q=1e20)
         exprs = [substitute(rel, realization("hp", SIG21)) for rel in build_relations(SIG21)]
         states = probe_states(SIG21, default_cap(3))
-        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=1e20, p=3)])
+        batch = ScalarDomain(1e20, 3)
         reference = self._plan(SIG21, exprs, states, [False] * len(states))
         with float_errors_raise(), pytest.raises(FloatingPointError) as per_word:
             replayed(reference.worst, batch)
@@ -1372,7 +1405,7 @@ class TestNumericPlan:
         # path raises in its numpy sum, where np.bincount gives inf
         expr = OperatorExpr.from_word(Diag("qpow", Affine(308)))
         states = [(0, 0), (1, 0)]
-        batch = ScalarDomain([Engine(SIG21, convention="orthonormal", q=10.0, p=2)])
+        batch = ScalarDomain(10.0, 2)
         plan = self._plan(SIG21, [expr + expr], states, [False, False])
         for evaluate in (plan.worst, functools.partial(replayed, plan.worst)):
             with float_errors_raise(), pytest.raises(FloatingPointError,
@@ -1382,7 +1415,7 @@ class TestNumericPlan:
     def test_refuses_an_exact_batch(self):
         plan = self._plan(SIG21, [OperatorExpr.from_word(Raise(1))], [(0, 0)], [False])
         with pytest.raises(EngineError, match="numeric batch"):
-            plan.worst(ScalarDomain([Engine(SIG21)]))
+            plan.worst(ScalarDomain())
 
     def test_reports_equal_cold_and_warm(self, monkeypatch):
         calls = [dict(kind="hp", p=2, q=[0.5, 1.3]), dict(kind="hp-deformed", p=3, q=0.9),
