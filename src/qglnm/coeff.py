@@ -1,13 +1,20 @@
-"""Exact and numeric coefficient arithmetic for q-deformed algebra.
+"""Exact and numeric coefficient arithmetic for q-deformed algebra, on one
+sparse polynomial kernel.
+
+``Poly`` is a sparse polynomial over exponent tuples of a fixed ``Shape``,
+whose positions may be declared Laurent (negative exponents allowed) or
+idempotent (x**2 = x).  It holds plain integer coefficients over one
+positive integer denominator, kept in lowest terms, so its arithmetic is
+integer arithmetic with a single gcd per result.  Normal order
+(``weyl``) and its ring stage (``ring``) use it with shapes of their own.
 
 Exact scalars live in the ring of Laurent polynomials in the deformation
 parameter q and a formal unit P standing for q**p (p a free parameter that
 is never specialized), extended by polynomial powers of p itself and
-localized at q - q**(-1), each held in one canonical form.  A Laurent
-polynomial holds plain integer coefficients over one positive integer
-denominator, kept in lowest terms, so its arithmetic is integer arithmetic
-with a single gcd per result.  Numeric scalars are plain
-Python floats obtained by specializing q and p to real numbers.
+localized at q - q**(-1), each held in one canonical form.  Their
+numerators are ``LaurentPoly``, the ``Poly`` over (q, P, p).  Numeric
+scalars are plain Python floats obtained by specializing q and p to real
+numbers.
 
 The central quantity is the q-bracket
 
@@ -24,10 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
+from typing import NamedTuple
 
-# A monomial is keyed by (exponent of q, exponent of P, power of p).
+# A Laurent monomial is keyed by (exponent of q, exponent of P, power of p).
 # P = q**p is a unit (its inverse is P**-1); p itself only ever enters
 # polynomially, through eigenvalues of diagonal operators such as p - N.
 Monomial = tuple[int, int, int]
@@ -35,15 +44,25 @@ Monomial = tuple[int, int, int]
 _ONE_KEY: Monomial = (0, 0, 0)
 
 
+class Shape(NamedTuple):
+    """The exponent positions of a polynomial: ``size`` of them, where those
+    in ``laurent`` may hold negative exponents and those in ``idempotent``
+    name symbols x with x**2 = x, so hold 0 or 1."""
+
+    size: int
+    laurent: frozenset = frozenset()
+    idempotent: tuple = ()
+
+
 class _Terms(Mapping):
-    """Read-only {monomial: Fraction} view of a LaurentPoly."""
+    """Read-only {exponents: Fraction} view of a Poly."""
 
     __slots__ = ("_poly",)
 
-    def __init__(self, poly: "LaurentPoly"):
+    def __init__(self, poly: "Poly"):
         self._poly = poly
 
-    def __getitem__(self, key: Monomial) -> Fraction:
+    def __getitem__(self, key: tuple) -> Fraction:
         return Fraction(self._poly.coeffs[key], self._poly.denom)
 
     def __iter__(self):
@@ -53,75 +72,77 @@ class _Terms(Mapping):
         return len(self._poly.coeffs)
 
 
-def _poly(coeffs: dict[Monomial, int], denom: int) -> "LaurentPoly":
-    """The polynomial coeffs/denom from a pair already in lowest terms, 1 and -1 shared."""
-    if denom == 1 and len(coeffs) == 1 and coeffs.get(_ONE_KEY) in (1, -1):
-        return _UNITS[coeffs[_ONE_KEY]]
-    res = object.__new__(LaurentPoly)
-    res.coeffs = coeffs
-    res.denom = denom
-    return res
+class Poly:
+    """A sparse polynomial over the exponent tuples of its ``shape``.
 
-
-def _lowest(coeffs: dict[Monomial, int], denom: int) -> "LaurentPoly":
-    """The polynomial coeffs/denom (denom > 0, no zero coefficient stored)
-    with the common factor of coefficients and denominator divided out."""
-    if denom != 1:
-        g = math.gcd(denom, *coeffs.values())
-        if g != 1:
-            coeffs = {k: v // g for k, v in coeffs.items()}
-            denom //= g
-    return _poly(coeffs, denom)
-
-
-class LaurentPoly:
-    """Laurent polynomial in q and P = q**p with polynomial powers of p.
-
-    ``coeffs`` maps (q_exp, P_exp, p_pow) -> int and ``denom`` is one
-    positive int; the polynomial is coeffs/denom.  Zero coefficients are
-    never stored, the pair is in lowest terms (no prime divides the
-    denominator and every coefficient), and the zero polynomial is the
-    empty map over 1.  So equal polynomials have equal representations.
-    Values are immutable once built.  ``terms`` is the same polynomial
-    as a read-only {monomial: Fraction} map.
+    ``coeffs`` maps exponent tuples to ints and ``denom`` is one positive
+    int; the polynomial is coeffs/denom.  Zero coefficients are never
+    stored, the pair is in lowest terms (no prime divides the denominator
+    and every coefficient), and the zero polynomial is the empty map over
+    1.  So equal polynomials have equal representations.  A product adds
+    exponents and keeps every idempotent exponent at most 1.  Values are
+    immutable once built.  ``terms`` is the same polynomial as a read-only
+    {exponents: Fraction} map.
     """
 
-    __slots__ = ("coeffs", "denom")
+    __slots__ = ("shape", "coeffs", "denom")
 
-    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
-        fracs = {k: Fraction(v) for k, v in (terms or {}).items() if v}
-        denom = math.lcm(*(v.denominator for v in fracs.values()))
-        # over the lcm of reduced denominators the pair is already lowest
-        self.coeffs = {k: v.numerator * (denom // v.denominator) for k, v in fracs.items()}
+    def __init__(self, shape: Shape, coeffs: dict, denom: int = 1):
+        """The polynomial coeffs/denom from a pair already in lowest terms."""
+        self.shape = shape
+        self.coeffs = coeffs
         self.denom = denom
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[tuple, Fraction]:
         return _Terms(self)
 
-    @classmethod
-    def monomial(cls, q_exp: int = 0, P_exp: int = 0, p_pow: int = 0, coeff=1) -> "LaurentPoly":
-        coeff = Fraction(coeff)
-        key = (q_exp, P_exp, p_pow)
-        return _poly({key: coeff.numerator} if coeff else {}, coeff.denominator)
+    @staticmethod
+    def product(shape: Shape, factors) -> "Poly":
+        """The product of an iterable of polynomials, 1 when it is empty."""
+        out = None
+        for f in factors:
+            out = f if out is None else out * f
+        return Poly.monomial(shape, {}) if out is None else out
+
+    @staticmethod
+    def monomial(shape: Shape, exponents: dict) -> "Poly":
+        """The product of x_j**exponents[j]."""
+        key = [0] * shape.size
+        for j, e in exponents.items():
+            if e < 0 and j not in shape.laurent or e > 1 and j in shape.idempotent:
+                raise ValueError(f"exponent {e} at position {j} of {shape}")
+            key[j] = e
+        return Poly(shape, {tuple(key): 1})
+
+    @staticmethod
+    def linear(shape: Shape, const: int, coeffs: dict) -> "Poly":
+        """const + sum_j coeffs[j] * x_j."""
+        zero = (0,) * shape.size
+        terms = {zero: const} if const else {}
+        for j, c in coeffs.items():
+            if c:
+                terms[zero[:j] + (1,) + zero[j + 1:]] = c
+        return Poly(shape, terms)
+
+    def _make(self, coeffs: dict, denom: int) -> "Poly":
+        """A polynomial of this class and shape from a pair already in lowest terms."""
+        return Poly(self.shape, coeffs, denom)
+
+    def _lowest(self, coeffs: dict, denom: int) -> "Poly":
+        """The polynomial coeffs/denom (denom > 0, no zero coefficient stored)
+        with the common factor of coefficients and denominator divided out."""
+        if denom != 1:
+            g = math.gcd(denom, *coeffs.values())
+            if g != 1:
+                coeffs = {k: v // g for k, v in coeffs.items()}
+                denom //= g
+        return self._make(coeffs, denom)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.denom == other.denom and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.monomial(coeff=other)
-        return NotImplemented
-
-    def __hash__(self):
-        # a constant compares equal to its int or Fraction, so hashes like it
-        if self.coeffs.keys() <= {_ONE_KEY}:
-            return hash(Fraction(self.coeffs.get(_ONE_KEY, 0), self.denom))
-        return hash((frozenset(self.coeffs.items()), self.denom))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other: "Poly") -> "Poly":
         d1, d2 = self.denom, other.denom
         if d1 == d2:
             out = dict(self.coeffs)
@@ -137,35 +158,99 @@ class LaurentPoly:
                 out[k] = s
             else:
                 del out[k]
-        return _lowest(out, d1)
+        return self._lowest(out, d1)
 
-    def __neg__(self) -> "LaurentPoly":
-        return _poly({k: -v for k, v in self.coeffs.items()}, self.denom)
+    def __neg__(self) -> "Poly":
+        return self._make({k: -v for k, v in self.coeffs.items()}, self.denom)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[Monomial, int] = {}
+    def scaled(self, value) -> "Poly":
+        if not isinstance(value, int):
+            value = Fraction(value)
+        if not value:
+            return self._make({}, 1)
+        n = value.numerator
+        return self._lowest({k: v * n for k, v in self.coeffs.items()},
+                            self.denom * value.denominator)
+
+    def __mul__(self, other: "Poly") -> "Poly":
+        # self's terms on the outer loop and other's on the inner one, and a
+        # key whose sum cancels is deleted, so it comes back at the end: the
+        # order of the result's terms is the float summation order of
+        # LaurentPoly.eval
+        idempotent = self.shape.idempotent
+        out: dict = {}
         get = out.get
         terms2 = other.coeffs.items()
-        for (a1, b1, c1), v1 in self.coeffs.items():
-            for (a2, b2, c2), v2 in terms2:
-                k = (a1 + a2, b1 + b2, c1 + c2)
+        for k1, v1 in self.coeffs.items():
+            for k2, v2 in terms2:
+                k = tuple(map(operator.add, k1, k2))
+                for j in idempotent:
+                    if k[j] > 1:
+                        k = k[:j] + (1,) + k[j + 1:]
                 s = get(k, 0) + v1 * v2
                 if s:
                     out[k] = s
                 else:
                     del out[k]
-        return _lowest(out, self.denom * other.denom)
+        return self._lowest(out, self.denom * other.denom)
 
-    def scaled(self, value) -> "LaurentPoly":
-        if not isinstance(value, int):
-            value = Fraction(value)
-        if not value:
-            return _LP_ZERO
-        n = value.numerator
-        return _lowest({k: v * n for k, v in self.coeffs.items()}, self.denom * value.denominator)
+
+_LAURENT = Shape(3, frozenset({0, 1}))
+
+
+def _poly(coeffs: dict[Monomial, int], denom: int) -> "LaurentPoly":
+    """The Laurent polynomial coeffs/denom from a pair already in lowest
+    terms, 1 and -1 shared."""
+    if denom == 1 and len(coeffs) == 1 and coeffs.get(_ONE_KEY) in (1, -1):
+        return _UNITS[coeffs[_ONE_KEY]]
+    res = object.__new__(LaurentPoly)
+    res.shape = _LAURENT
+    res.coeffs = coeffs
+    res.denom = denom
+    return res
+
+
+class LaurentPoly(Poly):
+    """Laurent polynomial in q and P = q**p with polynomial powers of p: the
+    ``Poly`` whose exponent tuples are Monomial keys (q_exp, P_exp, p_pow).
+    A constant compares equal to its int or Fraction and hashes like it."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        fracs = {k: Fraction(v) for k, v in (terms or {}).items() if v}
+        denom = math.lcm(*(v.denominator for v in fracs.values()))
+        # over the lcm of reduced denominators the pair is already lowest
+        super().__init__(_LAURENT, {k: v.numerator * (denom // v.denominator)
+                                    for k, v in fracs.items()}, denom)
+
+    @classmethod
+    def monomial(cls, q_exp: int = 0, P_exp: int = 0, p_pow: int = 0, coeff=1) -> "LaurentPoly":
+        coeff = Fraction(coeff)
+        key = (q_exp, P_exp, p_pow)
+        return _poly({key: coeff.numerator} if coeff else {}, coeff.denominator)
+
+    def _make(self, coeffs: dict[Monomial, int], denom: int) -> "LaurentPoly":
+        return _poly(coeffs, denom)
+
+    # perfbench/tracing.py counts Laurent products by wrapping this class's own __mul__
+    __mul__ = Poly.__mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self.denom == other.denom and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == LaurentPoly.monomial(coeff=other)
+        return NotImplemented
+
+    def __hash__(self):
+        # a constant compares equal to its int or Fraction, so hashes like it
+        if self.coeffs.keys() <= {_ONE_KEY}:
+            return hash(Fraction(self.coeffs.get(_ONE_KEY, 0), self.denom))
+        return hash((frozenset(self.coeffs.items()), self.denom))
 
     def eval(self, q: float, p: float) -> float:
         """Specialize q and p to real numbers (P becomes q**p).  Each
@@ -186,7 +271,7 @@ class LaurentPoly:
                 out[k] = s
             else:
                 del out[k]
-        return _lowest(out, self.denom)
+        return self._lowest(out, self.denom)
 
     def subst_p_int(self, p: int) -> "LaurentPoly":
         """Substitute an integer value for p (P becomes q**p)."""
@@ -198,7 +283,7 @@ class LaurentPoly:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return _lowest(out, self.denom)
+        return self._lowest(out, self.denom)
 
     def canonical_str(self) -> str:
         """Render terms as ``c*q^a`` (with ``*P^b``, ``*p^c`` when nonzero),

@@ -1,13 +1,9 @@
-"""Normal order's one sparse polynomial, and its ring stage.
+"""The ring stage of normal order.
 
-``Poly`` is a sparse integer polynomial over exponent tuples of a fixed
-``Shape``, whose positions may be declared Laurent (negative exponents
-allowed) or idempotent (x**2 = x).  The affine stage of
-``weyl.normal_ordered`` expands its ``affine`` factors as a ``Poly`` in p
-and the occupations, and the ring stage below evaluates what the affine
-stage leaves open as a ``Poly`` in
+What the affine stage of ``weyl.normal_ordered`` leaves open is evaluated
+here as a ``coeff.Poly`` in
 
-    Z[q**+-1, P**+-1, Q_i**+-1][p, N_i],
+    Q[q**+-1, P**+-1, Q_i**+-1][p, N_i],
 
 with P = q**p and Q_i = q**N_i on every bosonic mode i.  A fermionic
 occupation N_f stays a symbol with N_f**2 = N_f, and q**(a*N_f) is written
@@ -59,120 +55,10 @@ Only the Dyson kinds enter the ring (``bracket``, ``bracket_ratio``,
 
 from __future__ import annotations
 
-import math
-import operator
 from collections import Counter
-from typing import NamedTuple
 
+from .coeff import Poly, Shape, q_minus_qbar_power
 from .fock import Signature
-
-
-class Shape(NamedTuple):
-    """The exponent positions of a polynomial: ``size`` of them, where those
-    in ``laurent`` may hold negative exponents and those in ``idempotent``
-    name symbols x with x**2 = x, so hold 0 or 1."""
-
-    size: int
-    laurent: frozenset = frozenset()
-    idempotent: tuple = ()
-
-
-class Poly:
-    """A sparse integer polynomial: ``terms`` maps exponent tuples of the
-    ``shape`` to nonzero ints.  A product adds exponents and keeps every
-    idempotent exponent at most 1.  Values are not changed once built."""
-
-    __slots__ = ("shape", "terms", "_moves")
-
-    def __init__(self, shape: Shape, terms: dict):
-        self.shape = shape
-        self.terms = terms
-        self._moves = None
-
-    def moves(self) -> list:
-        """Per term, (exponents, coefficient, the positions of its nonzero
-        exponents), built on first use: what a product reads of its right
-        factor."""
-        if self._moves is None:
-            self._moves = [(k, v, [j for j, e in enumerate(k) if e]) for k, v in self.terms.items()]
-        return self._moves
-
-    @classmethod
-    def product(cls, shape: Shape, factors) -> "Poly":
-        """The product of an iterable of polynomials, 1 when it is empty."""
-        out = None
-        for f in factors:
-            out = f if out is None else out * f
-        return cls.monomial(shape, {}) if out is None else out
-
-    @classmethod
-    def monomial(cls, shape: Shape, exponents: dict) -> "Poly":
-        """The product of x_j**exponents[j]."""
-        key = [0] * shape.size
-        for j, e in exponents.items():
-            if e < 0 and j not in shape.laurent or e > 1 and j in shape.idempotent:
-                raise ValueError(f"exponent {e} at position {j} of {shape}")
-            key[j] = e
-        return cls(shape, {tuple(key): 1})
-
-    @classmethod
-    def linear(cls, shape: Shape, const: int, coeffs: dict) -> "Poly":
-        """const + sum_j coeffs[j] * x_j."""
-        zero = (0,) * shape.size
-        terms = {zero: const} if const else {}
-        for j, c in coeffs.items():
-            if c:
-                terms[zero[:j] + (1,) + zero[j + 1:]] = c
-        return cls(shape, terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return Poly(self.shape, out)
-
-    def __neg__(self) -> "Poly":
-        return self.scaled(-1)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def scaled(self, value: int) -> "Poly":
-        return Poly(self.shape, {k: v * value for k, v in self.terms.items()} if value else {})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        idempotent = self.shape.idempotent
-        out: dict = {}
-        get = out.get
-        items = self.terms.items()
-        # per term of other, the cheapest way to add its exponents: none to
-        # add, one position to bump, or the whole tuple
-        for k2, v2, moved in other.moves():
-            if not moved:
-                for k1, v1 in items:
-                    out[k1] = get(k1, 0) + v1 * v2
-            elif len(moved) == 1:
-                j = moved[0]
-                e, capped = k2[j], j in idempotent
-                for k1, v1 in items:
-                    k = k1 if capped and k1[j] else k1[:j] + (k1[j] + e,) + k1[j + 1:]
-                    out[k] = get(k, 0) + v1 * v2
-            else:
-                ones = [j for j in idempotent if k2[j]]
-                for k1, v1 in items:
-                    k = tuple(map(operator.add, k1, k2))
-                    for j in ones:
-                        if k1[j]:
-                            k = k[:j] + (1,) + k[j + 1:]
-                    out[k] = get(k, 0) + v1 * v2
-        return Poly(self.shape, {k: v for k, v in out.items() if v})
 
 
 class _Ring:
@@ -190,20 +76,11 @@ class _Ring:
                            frozenset((0, 1, *self.q_of.values())),
                            tuple(self.n_at(f) for f in self.fermionic))
         self.one = Poly.monomial(self.shape, {})
-        self._q_minus_qbar = [self.one, (Poly.monomial(self.shape, {0: 1})
-                                         - Poly.monomial(self.shape, {0: -1}))]
 
     @staticmethod
     def n_at(i: int) -> int:
         """The position of N_i."""
         return 2 + i
-
-    def q_minus_qbar(self, k: int) -> Poly:
-        """(q - q**-1)**k."""
-        powers = self._q_minus_qbar
-        while len(powers) <= k:
-            powers.append(powers[-1] * powers[1])
-        return powers[k]
 
     def _coeffs(self, aff) -> tuple:
         """An argument's occupation coefficients over all b modes."""
@@ -243,12 +120,11 @@ class _Ring:
         return Poly.linear(self.shape, aff.const,
                            {self.n_at(i): a for i, a in enumerate(coeffs, 1)})
 
-    def scalar(self, c, exponents) -> Poly:
-        """A normal-ordered term's exact scalar num / (q - q**-1)**k times its
-        occupation monomial N**exponents, as num * N**exponents without the
-        integer denominator of num: the caller brings every term over one."""
-        tail = (*exponents, *[0] * len(self.bosonic))
-        return Poly(self.shape, {(a, b, pp, *tail): v for (a, b, pp), v in c.num.coeffs.items()})
+    def lift(self, num, exponents: tuple = ()) -> Poly:
+        """A Laurent polynomial in q, P and p (a ``coeff.LaurentPoly``) times
+        the occupation monomial N**exponents."""
+        tail = (*exponents, *[0] * (self.shape.size - 3 - len(exponents)))
+        return Poly(self.shape, {(*k, *tail): v for k, v in num.coeffs.items()}, num.denom)
 
 
 def ring_closes(sig: Signature, ordered: dict) -> bool:
@@ -281,7 +157,6 @@ def ring_closes(sig: Signature, ordered: dict) -> bool:
     arguments = {aff: ring.argument(aff) for aff in lcm}
     if None in numerators.values() or None in arguments.values():
         return False
-    scale = math.lcm(*(c.num.denom for terms in groups.values() for c, _ in terms))
     # the power of q - q**-1 under each group's terms, and the largest
     depth = {factors: max(c.k for c, _ in terms) + sum(numerators[d][1] for d in factors)
              for factors, terms in groups.items()}
@@ -291,11 +166,12 @@ def ring_closes(sig: Signature, ordered: dict) -> bool:
         kmax = max(c.k for c, _ in terms)
         coeff = Poly(ring.shape, {})
         for c, exponents in terms:
-            num = ring.scalar(c, exponents).scaled(scale // c.num.denom)
-            coeff = coeff + (num * ring.q_minus_qbar(kmax - c.k) if c.k < kmax else num)
+            # num / (q - q**-1)**k as a numerator over (q - q**-1)**kmax
+            num = ring.lift(c.num, exponents)
+            coeff = coeff + (num * ring.lift(q_minus_qbar_power(kmax - c.k)) if c.k < kmax else num)
         cofactor = Poly.product(ring.shape, [
             *(numerators[d][0] for d in factors),
             *(arguments[aff] for aff in (lcm - ratios[factors]).elements()),
-            ring.q_minus_qbar(top - depth[factors])])
+            ring.lift(q_minus_qbar_power(top - depth[factors]))])
         total = total + coeff * cofactor
-    return not total
+    return total.is_zero()

@@ -72,7 +72,7 @@ states that share it.
 (monomial convention).  ``normal_ordered`` merges the terms of an
 expression that share a shift and a factor multiset, then expands their
 ``affine`` factors as integer polynomials in p and the occupations (with
-N_f**2 = N_f on fermionic modes; ``ring.Poly``), keeps the other factors
+N_f**2 = N_f on fermionic modes; ``coeff.Poly``), keeps the other factors
 opaque and merges again.  ``closing_stage`` names the first stage after
 which an expression is the zero operator for formal p and q: the merge,
 the affine stage, or the ring stage (``ring.ring_closes``), which
@@ -93,9 +93,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coeff import CoeffExact, LaurentPoly, bracket_affine, bracket_int, bracket_value
+from .coeff import (CoeffExact, LaurentPoly, Poly, Shape, bracket_affine, bracket_int,
+                    bracket_value)
 from .fock import EVEN, FockState, Signature, mode_parity
-from .ring import Poly, Shape, ring_closes
+from .ring import ring_closes
 
 
 @dataclass(frozen=True)
@@ -398,7 +399,7 @@ def _expand_affine(sig: Signature, factors) -> dict:
     """The product of ``affine`` factors as an integer polynomial in p and
     the occupations: {(power of p, exponent of N_1, ..., of N_b): coefficient},
     with N_f**2 = N_f on every fermionic mode f."""
-    return Poly.product(_affine_shape(sig), [_affine_poly(sig, d.affine) for d in factors]).terms
+    return Poly.product(_affine_shape(sig), [_affine_poly(sig, d.affine) for d in factors]).coeffs
 
 
 def _merged(sig: Signature, expr: OperatorExpr) -> dict:

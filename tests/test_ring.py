@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qglnm.coeff import CoeffExact, LaurentPoly
+from qglnm.coeff import CoeffExact, LaurentPoly, Poly, Shape
 from qglnm.fock import Signature
-from qglnm.ring import Poly, Shape, _Ring
+from qglnm.ring import _Ring
 from qglnm.weyl import (Affine, Diag, ExactScalars, OperatorExpr, Raise, _expand_affine,
                         affine_mode, closing_stage, normal_ordered)
 
@@ -21,9 +21,11 @@ SIGS = [Signature(2, 0), SIG21, SIG22, Signature(3, 2)]
 # -- the kernel -----------------------------------------------------------
 
 SHAPE = Shape(3, laurent=frozenset({0}), idempotent=(2,))
-poly = st.dictionaries(
-    st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)),
-    st.integers(-3, 3).filter(bool), max_size=5).map(lambda terms: Poly(SHAPE, terms))
+poly = st.builds(
+    lambda terms, d: Poly(SHAPE, terms).scaled(Fraction(1, d)),
+    st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 1)),
+                    st.integers(-3, 3).filter(bool), max_size=5),
+    st.integers(1, 6))
 point = st.tuples(st.sampled_from([Fraction(-2), Fraction(1, 2), Fraction(3)]),
                   st.integers(-2, 3), st.integers(0, 1))
 
@@ -42,6 +44,10 @@ def test_poly_arithmetic_matches_evaluation(a, b, x):
     assert value(a + b, x) == value(a, x) + value(b, x)
     assert value(a - b, x) == value(a, x) - value(b, x)
     assert all(k[2] in (0, 1) and v for k, v in (a * b).terms.items())
+    # every result is in lowest terms, and zero is over 1
+    for f in (a, b, a * b, a + b, a - b, a - a):
+        assert f.denom > 0 and math.gcd(f.denom, *f.coeffs.values()) == 1
+        assert f.denom == 1 or not f.is_zero()
 
 
 def test_poly_product_keeps_idempotent_exponents():
@@ -49,7 +55,7 @@ def test_poly_product_keeps_idempotent_exponents():
     assert (n_f * n_f).terms == n_f.terms
     x = Poly.linear(SHAPE, 0, {1: 1})
     assert (x * x).terms == {(0, 2, 0): 1}
-    assert not (n_f * n_f - n_f)
+    assert (n_f * n_f - n_f).is_zero()
 
 
 def test_monomial_rejects_exponents_outside_its_positions():
@@ -168,6 +174,34 @@ def test_bracket_shift_identity_closes_in_the_ring(mode):
     assert normal_ordered(SIG21, expr)
     assert closing_stage(SIG21, expr) == "ring"
     assert closing_stage(SIG21, expr - bracket(n)) is None
+
+
+def shift_identity(mode: int, qpow: bool = True) -> OperatorExpr:
+    """[N + 1] - q [N] - q**-N on a mode, without its q**-N term when not qpow."""
+    n = affine_mode(SIG21, mode)
+    expr = bracket(n.shift(1)) - bracket(n).scaled(Q)
+    if qpow:
+        expr = expr - OperatorExpr.from_word(Diag("qpow", affine_mode(SIG21, mode, -1)))
+    return expr
+
+
+def test_mixed_denominators_close_in_the_ring():
+    # terms over 2 and over 3 meet in one ring sum
+    half, third = CoeffExact.one() / 2, CoeffExact.one() / 3
+    expr = shift_identity(1).scaled(half) + shift_identity(2).scaled(third)
+    assert closing_stage(SIG21, expr) == "ring"
+    wrong = shift_identity(1).scaled(half) + shift_identity(2, qpow=False).scaled(third)
+    assert closing_stage(SIG21, wrong) is None
+    # 1/2 [N_1 + 1] + 1/3 [N_1 + 1]/(N_1 + 1) * (N_1 + 1) = 5/6 (q [N_1] + q**-N_1):
+    # three keys whose scalars cancel only over their common denominator 6
+    n1 = affine_mode(SIG21, 1)
+    rest = shift_identity(1) - bracket(n1.shift(1))
+    mixed = (bracket(n1.shift(1)).scaled(half)
+             + OperatorExpr.from_word(Diag("bracket_ratio", n1.shift(1)),
+                                      Diag("affine", n1.shift(1)), scalar=third)
+             + rest.scaled(CoeffExact.from_int(5) / 6))
+    assert closing_stage(SIG21, mixed) == "ring"
+    assert closing_stage(SIG21, mixed + rest.scaled(CoeffExact.one() / 6)) is None
 
 
 def test_fermionic_occupation_is_idempotent_in_the_ring():
