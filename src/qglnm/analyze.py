@@ -14,7 +14,7 @@ evaluated in the scalar domain of each q and p (``weyl.ScalarDomain``)
 in a few array operations, equal to the per-state engine's images to the
 last bit; a chunk that may raise is replayed word by word
 (``weyl.ProbePlan._replayed``).  The
-deformed-oscillator check reads its residuals from two plans kept per
+deformed-oscillator check reads its residuals from one plan kept per
 (signature, cap).  Every analysis works on the sparse entries; the
 quotient relations check reads the images of the substituted Dyson
 relations on the low subspace from one plan kept per (signature, p,
@@ -45,7 +45,7 @@ SUBSPACES = ("F0", "F1-slice", "quotient-F0")
 # image plans kept per process, and quotient relation plans in a memo of
 # their own; every check at three thresholds reads 13 image plans
 IMAGE_PLANS = 32
-# deformed-oscillator plan pairs kept per process, one per (signature, cap)
+# deformed-oscillator plans kept per process, one per (signature, cap)
 DEFORMED_PLANS = 4
 
 
@@ -506,45 +506,41 @@ def deformed_ops_check(
     one holds rather than silently choosing.  The number-operator and
     cross-mode relations are exponent-independent; their residuals are
     folded into the first figure.  The report prints each figure's largest
-    residual; a figure holds when every residual is within the tolerance
-    times max(1, the largest single-term image at that state), the scale
-    of the cancellation error.
+    image magnitude, and a figure holds when every expression's residual
+    (``ProbePlan.worst``, read once) is within the tolerance: its image
+    magnitude divided by max(1, the largest single-term image at that
+    state), the scale of the cancellation error.
     """
-    domain = ScalarDomain(q, p)
-    figures, plans = _deformed_plans(sig, cap)
+    figures, plan = _deformed_plans(sig, cap)
     with float_errors_raise():
-        peak, relative = [np.array([w for w, _ in plan.worst(domain)]) for plan in plans]
-    # figure -> [largest residual, largest residual relative to the term scale]
-    worst = {f: [float(r[figures == f].max(initial=0.0)) for r in (peak, relative)]
+        peak, residual, _ = np.array(plan.worst(ScalarDomain(q, p), tolerance)).T
+    # per figure its largest image magnitude, and whether it holds
+    shown = {f: float(peak[figures == f].max(initial=0.0))
              for f in ("bosonic", "+", "-", "agreement")}
-
-    def holds(figure):
-        return worst[figure][1] <= tolerance
-
+    holds = {f: bool(residual[figures == f].max(initial=0.0) <= tolerance) for f in shown}
     if sig.m == 0:
         exponent = "n/a"
-    elif holds("+") and not holds("-"):
+    elif holds["+"] and not holds["-"]:
         exponent = "+"
-    elif holds("-") and not holds("+"):
+    elif holds["-"] and not holds["+"]:
         exponent = "-"
     else:
         exponent = "neither"
     return DeformedOpsReport(
-        bosonic_max_residual=worst["bosonic"][0],
-        bosonic_pass=holds("bosonic"),
-        fermionic_plus_residual=worst["+"][0],
-        fermionic_minus_residual=worst["-"][0],
+        bosonic_max_residual=shown["bosonic"],
+        bosonic_pass=holds["bosonic"],
+        fermionic_plus_residual=shown["+"],
+        fermionic_minus_residual=shown["-"],
         fermionic_exponent=exponent,
-        agreement_residual=worst["agreement"][0],
-        agreement_pass=holds("agreement"),
+        agreement_residual=shown["agreement"],
+        agreement_pass=holds["agreement"],
     )
 
 
 @functools.lru_cache(maxsize=DEFORMED_PLANS)
 def _deformed_plans(sig: Signature, cap: int) -> tuple:
     """The figure of each expression ``deformed_ops_check`` measures, and
-    two probe plans of them on the states up to the cap, the second with
-    every residual relative to the term scale; a bounded memo of
+    the probe plan of them on the states up to the cap; a bounded memo of
     ``DEFORMED_PLANS`` keys."""
     ops = tilde_ops(sig)
     states = enumerate_up_to(sig, cap).states
@@ -573,5 +569,4 @@ def _deformed_plans(sig: Signature, cap: int) -> tuple:
     deformed = realization(HP_DEFORMED, sig).images
     measured += [("agreement", expr - deformed[g]) for g, expr in realization(HP, sig).images.items()]
     figures, exprs = zip(*measured)
-    return np.array(figures), [ProbePlan(sig, "orthonormal", states, exprs, [scaled] * len(states))
-                               for scaled in (False, True)]
+    return np.array(figures), ProbePlan(sig, "orthonormal", states, exprs)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import signal
 import sys
 
 from .analyze import (
@@ -564,6 +565,9 @@ def run(argv=None) -> int:
 
 
 def main():
+    # a closed pipe ends the process silently, as it ends cat
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

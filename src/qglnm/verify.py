@@ -22,13 +22,13 @@ on those probes, not a proof for the whole space: the diagonal
 coefficients are exponential-polynomial in the occupations, so agreement
 on finitely many states does not extend by linearity.  Numeric
 verification probes every relation, closed or not, and reports its
-rounding residual.
+residual relative to the term scale (``ProbePlan.worst``).
 Both regimes apply each probed relation to every probe state at once,
 through a probe plan (``weyl.ProbePlan``) read in the scalar domain of
 the q samples (``weyl.ScalarDomain``).  Exact verification reads its
 images: the first probe state with a nonzero image is the witness of an
 exact failure, whose coefficient the per-state engine forms again.
-Numeric verification reads its worst residuals, which are those of the
+Numeric verification reads its worst residuals, equal to those of the
 plan's word-by-word replay (``ProbePlan._replayed``) to the last bit.  A
 chunk of the plan that may raise is replayed, so every error is the
 per-word path's error too.
@@ -221,11 +221,7 @@ def _probe_plan(sig: Signature, kind: str, mutation: str | None, cap: int,
     bounded memo of ``PROBE_PLANS`` keys."""
     relations = _relation_set(sig, kind, mutation)
     diffs = [relations[k][1] for k in probed]
-    states = probe_states(sig, cap)
-    # On the extra high-degree probes coefficient magnitudes grow like
-    # bracket products, so the meaningful numeric measure there is the
-    # residual relative to the size of the individual term images.
-    return ProbePlan(sig, convention, states, diffs, [sum(s) > cap for s in states])
+    return ProbePlan(sig, convention, probe_states(sig, cap), diffs)
 
 
 def extra_probe_states(sig: Signature, cap: int) -> list[FockState]:
@@ -271,9 +267,9 @@ def _exact_result(name: str, diff: OperatorExpr, engine: Engine, states,
 def _numeric_result(name: str, states, qs: list, worst: float, k: int,
                     tolerance: float) -> RelationResult:
     """Numeric pass if the worst residual over every (q sample, probe
-    state) stays within the tolerance (``ProbePlan.worst``); the witness is
-    its first (q sample, probe state) pair in q-sample, then state order,
-    numbered k."""
+    state), relative to the term scale (``ProbePlan.worst``), is within the
+    tolerance; the witness is its first (q sample, probe state) pair in
+    q-sample, then state order, numbered k."""
     if worst <= tolerance:
         return RelationResult(name, "numeric-pass", worst)
     qi, si = divmod(k, len(states))
@@ -302,14 +298,14 @@ def verify_all(
     closes holds on every state, for formal p and q, and passes unprobed;
     every other relation passes only if every probe coefficient is the
     exact zero, and when there is none, no probe state or plan is built.
-    In numeric mode every relation is probed, and the largest coefficient
-    magnitude over (state, q sample) must stay within the tolerance.  The
-    probed relations are read through the probe plan of (signature,
-    realization, mutation, cap, convention, probed relations), built on
-    the first such call.  The term scalars, diagonal values and exact
-    products are formed once per call, and the plan keeps them per scalar
-    domain for later calls over it.  The status strings are the same
-    either way.
+    In numeric mode every relation is probed, and its worst residual
+    relative to the term scale (``ProbePlan.worst``) must stay within the
+    tolerance.  The probed relations are read through the probe plan of
+    (signature, realization, mutation, cap, convention, probed relations),
+    built on the first such call.  The term scalars, diagonal values and
+    exact products are formed once per call, and the plan keeps them per
+    scalar domain for later calls over it.  The status strings are the
+    same either way.
     """
     if kind != DYSON:
         if q is None:
@@ -343,9 +339,9 @@ def verify_all(
                 results[k] = _exact_result(rel.name, diff, engine, plan.states, rows)
         else:
             with float_errors_raise():
-                worst = plan.worst(domain)
+                worst = plan.worst(domain, tolerance)
             results = [_numeric_result(rel.name, plan.states, qs, *w, tolerance)
-                       for (rel, *_), w in zip(relations, worst)]
+                       for (rel, *_), (_, *w) in zip(relations, worst)]
     meta = {
         "realization": kind,
         "n": sig.n,

@@ -1036,11 +1036,6 @@ class _Chunk(NamedTuple):
     slot_rows: np.ndarray
     # the first slot of each expression, and the end
     expr_starts: np.ndarray
-    # the slots whose residual is relative to the term scale, and per entry
-    # on one of them: its position among them and its triple
-    scaled: np.ndarray
-    scaled_entries: np.ndarray
-    scaled_triples: np.ndarray
 
 
 class _TermRead(NamedTuple):
@@ -1083,15 +1078,16 @@ class ProbePlan:
     domain's values on its first call there and keeps them (``_prepare``).
     Numerically it forms per chunk the tuple products, the triple
     contributions and each slot's sum with ``np.bincount`` in term order,
-    the per-word sums to the last bit; exactly, ``_prepare`` sums and tests
-    each distinct sequence of triples on a slot once per domain.  A chunk
+    the per-word sums to the last bit, which ``worst`` reduces to figures per
+    expression chunk by chunk; exactly, ``_prepare`` sums and tests each
+    distinct sequence of triples on a slot once per domain.  A chunk
     is replayed word by word (``_replayed``), so that every error is the
     per-word path's, in order and text, when a kept term may read a failing
     key on a row live before its factor, when a sum is not finite, or when
     the arithmetic raises.  Indices are uint16 where they fit: the HP plan of
 (4,2) at cap 7 takes 0.48 MB and of (7,5) at cap 6 10.3 MB."""
 
-    def __init__(self, sig: Signature, convention: str, states, exprs, above=None):
+    def __init__(self, sig: Signature, convention: str, states, exprs):
         _check_convention(convention, False)
         rows = ProbeRows(sig, convention, states)
         self.sig = sig
@@ -1099,8 +1095,6 @@ class ProbePlan:
         self.states = states
         self.exprs = tuple(exprs)
         self.size = len(rows.states)
-        above = [False] * self.size if above is None else above
-        self.above = np.array(above, dtype=bool).reshape(self.size)
         self._array = rows.states
         # per expression its one net occupation change
         self.changes = []
@@ -1198,22 +1192,15 @@ class ProbePlan:
         triple_terms = np.concatenate([empty] + triple_terms)
         triple_numbers = np.concatenate([numbers[:0]] + triple_ladders)
         triple_numbers = None if (triple_numbers == 1).all() else triple_numbers
-        reached = np.zeros(len(exprs) * self.size, dtype=bool)
-        reached[slots] = True
-        touched = np.flatnonzero(reached)
-        slot_rows = touched % max(self.size, 1)
-        entry_slots = np.searchsorted(touched, slots)
-        scaled = np.flatnonzero(self.above[slot_rows])
-        on_scaled = np.flatnonzero(self.above[slot_rows[entry_slots]])
+        touched, entry_slots = np.unique(slots, return_inverse=True)
         return _Chunk(
             exprs, scalars,
             _compact(np.concatenate([empty] + guard_terms)),
             np.concatenate([np.zeros(0, np.int64)] + guard_keys),
             tuples, _compact(triple_terms), None,
             None if triple_numbers is None else triple_numbers.astype(float), triple_numbers,
-            _compact(entry_slots), _compact(entry_triples), _compact(slot_rows),
-            np.searchsorted(touched, np.arange(len(exprs) + 1) * self.size),
-            scaled, np.searchsorted(scaled, entry_slots[on_scaled]), entry_triples[on_scaled])
+            _compact(entry_slots), _compact(entry_triples), _compact(touched % max(self.size, 1)),
+            np.searchsorted(touched, np.arange(len(exprs) + 1) * self.size))
 
     @staticmethod
     def _keyed(chunk: _Chunk, codes: np.ndarray) -> _Chunk:
@@ -1297,7 +1284,7 @@ class ProbePlan:
     def _evaluated(self, domain: ScalarDomain, evaluate) -> list:
         """Per chunk ``evaluate(chunk index, table, part)`` of ``_prepare``'s
         values, or None where ``_prepare`` says so, where the evaluation
-        returns None or raises, and on every chunk when ``_prepare`` raises."""
+        raises, and on every chunk when ``_prepare`` raises."""
         try:
             table, parts = self._prepare(domain)
         except (ArithmeticError, ValueError):
@@ -1401,10 +1388,10 @@ class ProbePlan:
 
     def _sums(self, k: int, table, part, signed: bool = False):
         """Chunk k's image sums, (q, slots), and triple contributions, (q,
-        triples), or None when a sum is not finite.  The live triples'
-        entries sum with ``np.bincount`` in term order: the per-word sums to
-        the last bit, but for a zero part, which the per-word sum leaves
-        -0.0 where every term's is; ``signed`` restores that sign."""
+        triples); a sum that is not finite raises, so the chunk is replayed.
+        The live triples' entries sum with ``np.bincount`` in term order: the
+        per-word sums to the last bit, but for a zero part, which the per-word
+        sum leaves -0.0 where every term's is; ``signed`` restores that sign."""
         chunk = self._chunks[k]
         live, scalars = part
         q = scalars.shape[1]
@@ -1434,55 +1421,60 @@ class ProbePlan:
                 zero = out == 0
                 if signed and zero.any():
                     out[zero & (np.bincount(slots, ~np.signbit(terms), minlength=n) == 0)] = -0.0
-        return (image, contrib) if np.isfinite(image).all() else None
+        if not np.isfinite(image).all():
+            raise FloatingPointError("a sum is not finite")
+        return image, contrib
 
-    def _magnitudes(self, k: int, table, part):
-        """Chunk k's image magnitudes over its slots, (q, slots), and its
-        term scales over its scaled slots, (q, scaled), or None."""
-        sums = self._sums(k, table, part)
-        if sums is None:
-            return None
-        image, contrib = sums
-        size = np.abs(contrib)
+    def _residuals(self, k: int, table, part, tolerance: float):
+        """Chunk k's largest image magnitude per expression, and its
+        residuals, (q, slots), by the rule of ``worst``."""
+        image, contrib = self._sums(k, table, part)
         chunk = self._chunks[k]
-        scale = np.zeros((len(image), len(chunk.scaled)))
-        for i in range(len(image)):
-            np.maximum.at(scale[i], chunk.scaled_entries, size[i][chunk.scaled_triples])
-        return np.abs(image), scale
+        magnitude = np.abs(image)
+        largest = _per_expr(np.maximum, magnitude.max(axis=0, initial=0.0), chunk.expr_starts)
+        scaled = np.repeat(largest > tolerance, np.diff(chunk.expr_starts))
+        if not scaled.any():
+            return largest, magnitude
+        on = scaled[chunk.entry_slots]
+        slots, size = chunk.entry_slots[on], np.abs(contrib[:, chunk.entry_triples[on]])
+        scale = np.ones(magnitude.shape)
+        for i, row in enumerate(scale):
+            np.maximum.at(row, slots, size[i])
+        return largest, magnitude / scale
+
+    def _chunk_worst(self, k: int, table, part, tolerance: float) -> list:
+        """Chunk k's ``worst`` per expression."""
+        largest, residual = self._residuals(k, table, part, tolerance)
+        chunk = self._chunks[k]
+        starts = chunk.expr_starts
+        worst = _per_expr(np.maximum, residual.max(axis=0, initial=0.0), starts)
+        hit = residual == np.repeat(worst, np.diff(starts))
+        # per slot, the first q sample where it reaches its worst
+        position = np.where(hit.any(axis=0), hit.argmax(axis=0) * self.size + chunk.slot_rows,
+                            np.iinfo(np.int64).max)
+        at = np.where(worst > 0, _per_expr(np.minimum, position, starts), 0)
+        return [(float(m), float(w), int(a)) for m, w, a in zip(largest, worst, at)]
 
     def _numeric_sums(self, k: int, table, part):
-        """Chunk k's nonzero slots and per slot its one q sample's image, or None."""
-        sums = self._sums(k, table, part, signed=True)
-        return None if sums is None else (sums[0][0] != 0, sums[0][0])
+        """Chunk k's nonzero slots and per slot its one q sample's image."""
+        image = self._sums(k, table, part, signed=True)[0][0]
+        return image != 0, image
 
-    def worst(self, domain: ScalarDomain) -> list:
-        """Per expression, in order: (its worst residual, the first position
-        of it in q-then-state order as q * states + state).  The residual on
-        a (q sample, probe state) is its image's magnitude, divided on the
-        states ``above`` by the larger of 1 and the term scale, the largest
-        magnitude a single term gives there."""
+    def worst(self, domain: ScalarDomain, tolerance: float) -> list:
+        """Per expression, in order: (its largest image magnitude, its worst
+        residual, that residual's first position in q-then-state order as
+        q * states + state).  The residual on a (q sample, probe state) is
+        the image magnitude over max(1, term scale), the largest magnitude
+        one term gives there.  An expression whose largest magnitude is within
+        the tolerance forms no term scale and reports its magnitudes, which
+        bound its relative residuals: either way it passes exactly when they do."""
         if domain.exact:
             raise EngineError("a probe plan takes a numeric batch")
         out = []
-        for chunk, images in zip(self._chunks, self._evaluated(domain, self._magnitudes)):
-            if images is None:
-                out += [_worst(*r, self.above) for r in self._replayed(chunk, domain, images=False)]
-                continue
-            residual, scale = images
-            residual[:, chunk.scaled] = residual[:, chunk.scaled] / np.maximum(1.0, scale)
-            starts = chunk.expr_starts
-            reached = np.flatnonzero(np.diff(starts))
-            worst = np.zeros(len(chunk.exprs))
-            at = np.zeros(len(chunk.exprs), dtype=np.int64)
-            if len(reached):
-                worst[reached] = np.maximum.reduceat(residual.max(axis=0), starts[reached])
-                hit = residual == np.repeat(worst, np.diff(starts))
-                # per slot, the first q sample where it reaches its worst
-                position = np.where(hit.any(axis=0), hit.argmax(axis=0) * self.size + chunk.slot_rows,
-                                    np.iinfo(np.int64).max)
-                first = np.minimum.reduceat(position, starts[reached])
-                at[reached] = np.where(worst[reached] > 0, first, 0)
-            out += [(float(w), int(k)) for w, k in zip(worst, at)]
+        evaluate = functools.partial(self._chunk_worst, tolerance=tolerance)
+        for chunk, worst in zip(self._chunks, self._evaluated(domain, evaluate)):
+            out += worst if worst is not None else [
+                _worst(*r, tolerance) for r in self._replayed(chunk, domain, images=False)]
         return out
 
     def images(self, domain: ScalarDomain) -> list:
@@ -1508,8 +1500,20 @@ class ProbePlan:
         return out
 
 
-def _worst(peak: np.ndarray, scale: np.ndarray, above: np.ndarray) -> tuple:
-    """``ProbePlan.worst`` of one expression from its (peak, scale)."""
-    residual = np.where(above, peak / np.maximum(1.0, scale), peak)
+def _per_expr(reduce: np.ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per expression of a chunk, ``reduce`` over the values of its slots
+    ``starts[j]:starts[j + 1]``, or 0 where it has none."""
+    out = np.zeros(len(starts) - 1, dtype=values.dtype)
+    reached = np.flatnonzero(np.diff(starts))
+    if len(reached):
+        out[reached] = reduce.reduceat(values, starts[reached])
+    return out
+
+
+def _worst(peak: np.ndarray, scale: np.ndarray, tolerance: float) -> tuple:
+    """``ProbePlan.worst`` of one expression from its image magnitudes and
+    term scales, each (q, states)."""
+    largest = float(peak.max(initial=0.0))
+    residual = peak / np.maximum(1.0, scale) if largest > tolerance else peak
     k = int(np.argmax(residual))
-    return float(residual.flat[k]), k
+    return largest, float(residual.flat[k]), k

@@ -722,10 +722,10 @@ class TestImagePlan:
         analyze._deformed_plans.cache_clear()
         reports(0.7, 3)
         # HP F0 (shared by cyclicity and unitarity), Dyson quotient F0, the
-        # two invariance windows, the vacuum and the deformed-ops pair
-        assert len(builds) == 7
+        # two invariance windows, the vacuum and the deformed-ops plan
+        assert len(builds) == 6
         warm = [reports(q, p) for q, p in [(1.3, 3), (0.7, 4), (2.0, 5)]]
-        assert len(builds) == 7
+        assert len(builds) == 6
         cold = []
         for q, p in [(1.3, 3), (0.7, 4), (2.0, 5)]:
             _image_plan.cache_clear()

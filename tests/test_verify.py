@@ -14,6 +14,7 @@ from qglnm.verify import (
     default_cap,
     extra_probe_states,
     probe_states,
+    proof_stages,
     substitute,
     verify_all,
 )
@@ -502,3 +503,37 @@ class TestExactWitness:
                     f"state=({state_str}) coeff={coeff.canonical_str()}"), rel.name
                 failures += 1
         assert failures
+
+
+class TestExtremeQ:
+    """Numeric verdicts at q far from 1 and next to it: every residual is
+    judged against the term scale of its state, so rounding in large terms
+    fails no relation, and a seeded mutation fails on exactly the
+    relations that no stage of normal order proves."""
+
+    GRID_Q = (1e-5, 0.05, 0.1, 0.2, 1 - 1e-9, 1 + 1e-9, 5.0, 20.0, 40.0)
+    MUTATION_Q = (1e-5, 0.05, 0.1, 0.5, 2.0, 5.0, 20.0, 40.0)
+    SIGS = [Signature(2, 1), Signature(3, 2), Signature(4, 3)]
+
+    @pytest.mark.parametrize("kind", ["dyson", "hp"])
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_no_false_fail_on_the_grid(self, sig, kind):
+        for p in range(9):
+            report = verify_all(sig, kind, p, q=list(self.GRID_Q), cap=5)
+            assert report.all_pass, (p, [(r.name, r.residual) for r in report.failures])
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    @pytest.mark.parametrize("sig", SIGS[1:], ids=str)
+    def test_mutations_fail_on_exactly_the_unproved_relations(self, sig, mutation):
+        unproved = [name for name, stage in proof_stages(sig, mutation) if stage is None]
+        assert unproved
+        for q in self.MUTATION_Q + (1 - 1e-9, 1 + 1e-9):
+            report = verify_all(sig, "dyson", 3, q=q, cap=4, mutation=mutation)
+            if mutation == "drop_bracket_ratio" and abs(q - 1) < 1e-6:
+                # [x]/x evaluates to exactly 1 there, so dropping it changes
+                # nothing, as at the classical limit
+                assert report.all_pass, q
+                continue
+            assert [r.name for r in report.failures] == unproved, q
+            # an open relation fails by a wide margin
+            assert min(r.residual for r in report.failures) >= 0.1, q

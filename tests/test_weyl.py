@@ -656,11 +656,9 @@ class TestProbeBatch:
         rels = build_relations(sig)
         real = realization(kind, sig)
         diffs = [substitute(rel, real) for rel in rels]
-        # every term on its own, then every relation, with the term scale on
-        # every state; one plan serves every q
+        # every term on its own, then every relation; one plan serves every q
         terms = [term for diff in diffs for term in diff.terms]
-        plan = ProbePlan(sig, convention, states, [OperatorExpr([t]) for t in terms] + diffs,
-                         [True] * len(states))
+        plan = ProbePlan(sig, convention, states, [OperatorExpr([t]) for t in terms] + diffs)
         for eng in engines:
             images = plan.images(domain_of(eng))
             for (c, word), (rows, image_states, coeffs) in zip(terms, images):
@@ -676,24 +674,24 @@ class TestProbeBatch:
                     assert got[r][1] == v and scalar_str(got[r][1]) == scalar_str(v), (word, s)
             self._check_images(eng, states, [(rel.name, diff) for rel, diff in zip(rels, diffs)],
                                images[len(terms):])
+        # the replay's image magnitudes and term scales against the engine's,
+        # and the plan's residuals against the replay's, bit for bit
         domain = domain_of(*engines)
-        fast = TestNumericPlan._images(plan, domain)[-len(diffs):]
         replay = [w for chunk in plan._chunks
                   for w in plan._replayed(chunk, domain, images=False)][-len(diffs):]
-        for rel, diff, *images in zip(rels, diffs, fast, replay):
+        for rel, diff, (peak, scale) in zip(rels, diffs, replay):
             for qi, eng in enumerate(engines):
                 compiled = eng.compile(diff)
                 for r, s in enumerate(states):
                     want = max_abs(eng.apply_compiled(compiled, s))
                     want_scale = max((abs(c * res[0]) for c, w in compiled
                                       if (res := eng.apply_word(w, s)) is not None), default=0.0)
-                    for peak, scale in images:
-                        assert abs(scale[qi, r] - want_scale) <= 1e-14 * want_scale, (
-                            rel.name, s, scale[qi, r], want_scale)
-                        bound = 1e-12 * max(1.0, scale[qi, r])
-                        assert abs(peak[qi, r] - want) <= bound, (rel.name, s, peak[qi, r], want)
-        # the worst residual and its first position, read from those arrays
-        assert plan.worst(domain)[-len(diffs):] == [_worst(*w, plan.above) for w in fast]
+                    assert abs(scale[qi, r] - want_scale) <= 1e-14 * want_scale, (
+                        rel.name, s, scale[qi, r], want_scale)
+                    bound = 1e-12 * max(1.0, scale[qi, r])
+                    assert abs(peak[qi, r] - want) <= bound, (rel.name, s, peak[qi, r], want)
+        for tolerance in TestNumericPlan.TOLERANCES:
+            TestNumericPlan._check_residuals(plan, domain, tolerance)
 
     def test_zero_argument_raises_only_on_live_rows(self):
         eng = numeric_engine(SIG21)
@@ -937,8 +935,9 @@ class TestProbeBatch:
         diffs = [substitute(rel, dyson_real) for rel in build_relations(sig)]
         dead = [OperatorExpr.from_word(Diag("qpow", Affine(0, 0, (400, 0))), Lower(2)),
                 OperatorExpr.from_word(Diag("affine", Affine(1, 0, (2**21, 0))), Lower(2))]
-        runs = [(ProbePlan(sig, "orthonormal", states,
-                           [substitute(rel, hp_real) for rel in build_relations(sig)]).worst, hp, 0),
+        hp_plan = ProbePlan(sig, "orthonormal", states,
+                            [substitute(rel, hp_real) for rel in build_relations(sig)])
+        runs = [(functools.partial(hp_plan.worst, tolerance=1e-10), hp, 0),
                 (ProbePlan(sig, "monomial", states, [diff for diff in diffs
                                                      if normal_ordered(sig, diff)]).images,
                  [Engine(sig, p=3)], 0),
@@ -968,7 +967,7 @@ class TestProbeBatch:
         engines = [Engine(sig, convention="orthonormal", q=q, p=3) for q in self.QS]
         names, exprs = zip(*self._generator_images(sig, ["dyson", "hp", "hp-deformed"]))
         plan = ProbePlan(sig, "orthonormal", [], exprs)
-        assert plan.worst(domain_of(*engines)) == [(0.0, 0)] * len(exprs)
+        assert plan.worst(domain_of(*engines), 1e-10) == [(0.0, 0.0, 0)] * len(exprs)
         for images in (plan.images(domain_of(engines[0])),
                        replayed(plan.images, domain_of(engines[0]))):
             for name, (rows, images, coeffs) in zip(names, images):
@@ -1179,7 +1178,7 @@ class TestDomainValues:
         for _ in range(2):
             before = dict(counts)
             if numeric:
-                results.append(plan.worst(ScalarDomain((0.7, 1.3), 3)))
+                results.append(plan.worst(ScalarDomain((0.7, 1.3), 3), 1e-10))
             else:
                 results.append([(rows.tolist(), states.tolist(), coeffs) for rows, states, coeffs
                                 in plan.images(ScalarDomain())])
@@ -1239,17 +1238,17 @@ class TestDomainValues:
         def domain(k):
             return ScalarDomain(1.0 + k / 8, 3)
 
-        first = [plan.worst(domain(k)) for k in range(SCALAR_DOMAINS + 1)]
+        first = [plan.worst(domain(k), 1e-10) for k in range(SCALAR_DOMAINS + 1)]
         assert len(plan._prepared) == SCALAR_DOMAINS
         assert domain(0).domain not in plan._prepared
-        assert plan.worst(domain(0)) == first[0]
+        assert plan.worst(domain(0), 1e-10) == first[0]
         assert domain(0).domain in plan._prepared and len(plan._prepared) == SCALAR_DOMAINS
 
     def test_shared_numeric_arrays_are_read_only(self):
         domain = ScalarDomain((0.7, 1.3), 2.0)
         ProbePlan(SIG21, "monomial", probe(SIG21), [
             OperatorExpr.from_word(*word, scalar=bracket_affine(0, 1)) for word in self.WORDS
-        ]).worst(domain)
+        ]).worst(domain, 1e-10)
         arrays = [*domain._values.values(), *(v for v in domain._scalars.values() if v is not None)]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
@@ -1275,14 +1274,16 @@ class TestDomainValues:
 
 class TestNumericPlan:
     """The probe plan of numeric verification against its word-by-word
-    replay (``ProbePlan._replayed``), bit for bit: the peak image magnitude
-    and the term scale per (q sample, probe state), and the worst residual
-    and its position, over the realizations, mutations, conventions and a
-    grid of q and p; and every error the per-word path raises, in its
-    order and with its text."""
+    replay (``ProbePlan._replayed``), bit for bit: the residual per (q
+    sample, probe state) and each expression's largest image magnitude,
+    worst residual and its position, over the realizations, mutations,
+    conventions and a grid of q and p, at a tolerance of 0, where every
+    expression forms its term scale, and at one where few do; and every
+    error the per-word path raises, in its order and with its text."""
 
     QS = (0.1, 0.2, 0.5, 1 - 1e-9, 1 + 1e-9, 2.0, 5.0)
     PS = (0, 2, 3, 8)
+    TOLERANCES = (0.0, 1e-10)
     # (signature, realization, mutation, convention); the bracket ratio
     # that drop_bracket_ratio drops needs n >= 3
     CONFIGS = [(sig, kind, mutation, convention)
@@ -1293,64 +1294,59 @@ class TestNumericPlan:
                if mutation != "drop_bracket_ratio" or sig.n >= 3]
 
     @staticmethod
-    def _images(plan, domain):
-        """Per expression, the plan's (peak, scale), each (q, states) with 0
-        where the plan forms no scale; asserts that no chunk is replayed."""
-        shape = (len(domain.scalars), plan.size)
-        out = []
-        for chunk, images in zip(plan._chunks, plan._evaluated(domain, plan._magnitudes)):
-            assert images is not None, chunk.exprs
-            peak, scale = images
+    def _check_residuals(plan, domain, tolerance):
+        """Assert that no chunk is replayed, and that per expression the
+        plan's largest image magnitude and its residuals, (q, states) with 0
+        where no entry reaches, are the replay's; and so is ``worst``."""
+        want = [w for chunk in plan._chunks for w in plan._replayed(chunk, domain, images=False)]
+        got = []
+        evaluate = functools.partial(plan._residuals, tolerance=tolerance)
+        for chunk, residuals in zip(plan._chunks, plan._evaluated(domain, evaluate)):
+            assert residuals is not None, chunk.exprs
+            largest, residual = residuals
             starts = chunk.expr_starts
-            for lo, hi in zip(starts[:-1], starts[1:]):
-                dense_peak, dense_scale = np.zeros(shape), np.zeros(shape)
-                dense_peak[:, chunk.slot_rows[lo:hi]] = peak[:, lo:hi]
-                at = np.flatnonzero((lo <= chunk.scaled) & (chunk.scaled < hi))
-                dense_scale[:, chunk.slot_rows[chunk.scaled[at]]] = scale[:, at]
-                out.append((dense_peak, dense_scale))
-        return out
+            for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+                dense = np.zeros((len(domain.scalars), plan.size))
+                dense[:, chunk.slot_rows[lo:hi]] = residual[:, lo:hi]
+                got.append((largest[j], dense))
+        assert len(got) == len(want)
+        for (largest, residual), (peak, scale) in zip(got, want):
+            assert largest == peak.max(initial=0.0)
+            ref = peak / np.maximum(1.0, scale) if largest > tolerance else peak
+            assert residual.tobytes() == ref.tobytes()
+        assert plan.worst(domain, tolerance) == [_worst(*w, tolerance) for w in want]
 
     @staticmethod
-    def _plan(sig, exprs, states, above):
-        return ProbePlan(sig, "orthonormal", states, exprs, above)
+    def _plan(sig, exprs, states):
+        return ProbePlan(sig, "orthonormal", states, exprs)
 
     @pytest.mark.parametrize("sig, kind, mutation, convention", CONFIGS,
                              ids=["-".join(map(str, c)) for c in CONFIGS])
     def test_matches_per_word_path(self, sig, kind, mutation, convention):
         real = realization(kind, sig, mutation)
         exprs = [substitute(rel, real) for rel in build_relations(sig)]
-        states = probe_states(sig, 4)
-        # the term scale everywhere for the images, above the cap for the
-        # residuals; one plan serves every q and p
-        plans = [ProbePlan(sig, convention, states, exprs, [True] * len(states)),
-                 ProbePlan(sig, convention, states, exprs, [sum(s) > 4 for s in states])]
+        # one plan serves every q, p and tolerance
+        plan = ProbePlan(sig, convention, probe_states(sig, 4), exprs)
         for p in self.PS:
             domain = ScalarDomain(self.QS, p)
             with float_errors_raise():
-                want = [w for chunk in plans[0]._chunks
-                        for w in plans[0]._replayed(chunk, domain, images=False)]
-                got = self._images(plans[0], domain)
-                assert len(got) == len(want)
-                for (peak, scale), (ref_peak, ref_scale) in zip(got, want):
-                    assert peak.tobytes() == ref_peak.tobytes()
-                    assert scale.tobytes() == ref_scale.tobytes()
-                for plan in plans:
-                    assert plan.worst(domain) == [_worst(*w, plan.above) for w in want]
+                for tolerance in self.TOLERANCES:
+                    self._check_residuals(plan, domain, tolerance)
 
     @pytest.mark.parametrize("sig, kind, mutation, convention", CONFIGS,
                              ids=["-".join(map(str, c)) for c in CONFIGS])
     def test_forced_replay_matches_fast_path(self, sig, kind, mutation, convention):
-        # every chunk forced through the replay gives the fast path's worst
-        # residuals and positions, with the term scale above the cap as in
-        # relation verification
+        # every chunk forced through the replay gives the fast path's
+        # largest magnitudes, worst residuals and positions
         real = realization(kind, sig, mutation)
         exprs = [substitute(rel, real) for rel in build_relations(sig)]
-        states = probe_states(sig, 4)
-        plan = ProbePlan(sig, convention, states, exprs, [sum(s) > 4 for s in states])
+        plan = ProbePlan(sig, convention, probe_states(sig, 4), exprs)
         for p in self.PS:
             domain = ScalarDomain(self.QS, p)
             with float_errors_raise():
-                assert replayed(plan.worst, domain) == plan.worst(domain)
+                for tolerance in self.TOLERANCES:
+                    assert (replayed(plan.worst, domain, tolerance)
+                            == plan.worst(domain, tolerance))
 
     def test_failing_key_on_a_row_a_later_step_kills_raises(self):
         # the ratio is read first, at N_1 = 0 on (0, 0), which the lowering
@@ -1360,14 +1356,14 @@ class TestNumericPlan:
                  OperatorExpr.from_word(Diag("angle", affine_mode(SIG21, 1)))]
         states = [(2, 0), (0, 0)]
         batch = ScalarDomain(1.3, 2.0)
-        plan = self._plan(SIG21, exprs, states, [False, False])
+        plan = self._plan(SIG21, exprs, states)
         for evaluate in (plan.worst, functools.partial(replayed, plan.worst)):
             with pytest.raises(ZeroDivisionError, match="^bracket ratio evaluated at argument 0$"):
-                evaluate(batch)
+                evaluate(batch, 1e-10)
         # a failing key read only after the lowering killed the row does not
         word = (Diag("bracket_ratio", affine_mode(SIG21, 1).shift(1)), Lower(1))
-        plan = self._plan(SIG21, [OperatorExpr.from_word(*word)], states, [False, False])
-        assert plan.worst(batch) == replayed(plan.worst, batch)
+        plan = self._plan(SIG21, [OperatorExpr.from_word(*word)], states)
+        assert plan.worst(batch, 1e-10) == replayed(plan.worst, batch, 1e-10)
 
     def test_zero_scalar_term_never_raises(self):
         # [2] - 2 is 0 at q = 1, so its term drops and its failing word is
@@ -1377,13 +1373,13 @@ class TestNumericPlan:
         expr = OperatorExpr([(CoeffExact.one(), (Diag("qpow", affine_mode(SIG21, 1)),)),
                              (zero_at_1, (ratio,))])
         states = [(0, 0), (1, 0)]
-        plan = self._plan(SIG21, [expr], states, [False, True])
+        plan = self._plan(SIG21, [expr], states)
         batch = ScalarDomain(1.0, 2)
         with float_errors_raise():
-            assert plan.worst(batch) == [(1.0, 0)] == replayed(plan.worst, batch)
+            assert plan.worst(batch, 1e-10) == [(1.0, 1.0, 0)] == replayed(plan.worst, batch, 1e-10)
         batch = ScalarDomain(1.3, 2)
         with pytest.raises(ZeroDivisionError, match="bracket ratio"):
-            plan.worst(batch)
+            plan.worst(batch, 1e-10)
 
     def test_product_overflow_raises_the_per_word_error(self):
         # every factor is finite at q = 1e20, their product is not
@@ -1392,12 +1388,12 @@ class TestNumericPlan:
         exprs = [substitute(rel, realization("hp", SIG21)) for rel in build_relations(SIG21)]
         states = probe_states(SIG21, default_cap(3))
         batch = ScalarDomain(1e20, 3)
-        reference = self._plan(SIG21, exprs, states, [False] * len(states))
+        reference = self._plan(SIG21, exprs, states)
         with float_errors_raise(), pytest.raises(FloatingPointError) as per_word:
-            replayed(reference.worst, batch)
-        plan = self._plan(SIG21, exprs, states, [False] * len(states))
+            replayed(reference.worst, batch, 1e-10)
+        plan = self._plan(SIG21, exprs, states)
         with float_errors_raise(), pytest.raises(FloatingPointError) as planned:
-            plan.worst(batch)
+            plan.worst(batch, 1e-10)
         assert str(planned.value) == str(per_word.value)
 
     def test_sum_overflow_raises_the_per_word_error(self):
@@ -1406,16 +1402,16 @@ class TestNumericPlan:
         expr = OperatorExpr.from_word(Diag("qpow", Affine(308)))
         states = [(0, 0), (1, 0)]
         batch = ScalarDomain(10.0, 2)
-        plan = self._plan(SIG21, [expr + expr], states, [False, False])
+        plan = self._plan(SIG21, [expr + expr], states)
         for evaluate in (plan.worst, functools.partial(replayed, plan.worst)):
             with float_errors_raise(), pytest.raises(FloatingPointError,
                                                      match="^overflow encountered in add$"):
-                evaluate(batch)
+                evaluate(batch, 1e-10)
 
     def test_refuses_an_exact_batch(self):
-        plan = self._plan(SIG21, [OperatorExpr.from_word(Raise(1))], [(0, 0)], [False])
+        plan = self._plan(SIG21, [OperatorExpr.from_word(Raise(1))], [(0, 0)])
         with pytest.raises(EngineError, match="numeric batch"):
-            plan.worst(ScalarDomain())
+            plan.worst(ScalarDomain(), 1e-10)
 
     def test_reports_equal_cold_and_warm(self, monkeypatch):
         calls = [dict(kind="hp", p=2, q=[0.5, 1.3]), dict(kind="hp-deformed", p=3, q=0.9),
