@@ -1,0 +1,6 @@
+"""``python -m qglnm``: the ``qglnm`` command line (``cli.main``)."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

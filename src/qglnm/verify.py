@@ -41,7 +41,7 @@ relations it probes, the probe states (which depend only on the
 signature and the cap) and the convention, not on p or q: it is built,
 with its probe states, once per process per (signature, realization,
 mutation, cap, convention, probed relations) and kept, a bounded memo of
-``PROBE_PLANS`` keys (0.5 MB on (4,2) at cap 7, 10 MB on (7,5) at cap 6).
+``PROBE_PLANS`` keys (0.5 MB on (4,2) at cap 7, 6 MB on (7,5) at cap 6).
 An exact plan holds only the relations that no stage closes, a numeric
 one every relation.
 A call specializes each distinct term scalar, and builds each diagonal

@@ -42,31 +42,20 @@ number once.
 ``Engine`` is the plain per-state reference: it serves the single-state
 callers (the witness of a failed exact relation, ``qglnm eval``) and is
 the oracle for the multi-state path.  ``ProbePlan`` is the one
-multi-state evaluator: relation verification, exact and numeric, and
-module analysis apply one list of expressions to one list of probe
-states, the rows of an integer array, again at other q and p.  A plan
-reads each of their words once, in its own convention and with no
-scalar, and forms the images at each scalar domain (``ScalarDomain``,
-which has no signature or convention) in a few array operations per
-chunk of expressions.  A chunk that may raise it replays word by word,
-which gives the same results and raises the per-word errors.  It takes
-only expressions whose terms share one net occupation change, so a probe
-state's image is a single state.  ``start_form`` reads a word at its
-start state in one right-to-left pass that keeps the running occupation
-offset, so each of its items (a diagonal factor or a ladder step) is a
-function of the start state, read as a column over all probe states
-(``ProbeRows``); a diagonal factor's column is one record of its keys
-(``_Column``), int64 codes that hold arguments below 2**20 in magnitude.
-A call in a scalar domain (exact p and classical, or numeric q and p,
-per q sample) forms each distinct key's value, specialized term scalar
-and exact diagonal product once, and the plan keeps what it reads of
-them per scalar domain (``ProbePlan._prepare``).  Numeric scalars are
-formed from the same factors in the same order as above, over a second
-axis of q samples, so they equal the per-state engine's to the last bit.
-Exact ones are formed in a plan once per distinct diagonal product and
-term scalar, and a probe state's coefficient is their sum weighted by
-its ladder numbers, formed once per plan and scalar domain for the
-states that share it.
+multi-state evaluator: relation verification and module analysis apply
+one list of expressions, whose terms share one net occupation change, to
+one list of probe states, the rows of an integer array, again at other q
+and p.  ``start_form`` reads a word at its start state in one
+right-to-left pass that keeps the running occupation offset, so each of
+its items (a diagonal factor or a ladder step) is a function of the start
+state, read as a column over all probe states (``ProbeRows``); a diagonal
+factor's column is one record of its keys (``_Column``), int64 codes that
+hold arguments below 2**20 in magnitude.  In each scalar domain
+(``ScalarDomain``: exact p and classical, or numeric q and p per q
+sample) a plan forms each distinct key value, term scalar and exact
+diagonal product once, numeric ones from the same factors in the same
+order as above, so that they equal the per-state engine's to the last bit,
+and sums each distinct sequence of terms read on a probe state once.
 
 ``normal_form`` writes the start-state form as one shift times factors
 (monomial convention).  ``normal_ordered`` merges the terms of an
@@ -976,9 +965,9 @@ class ScalarDomain:
         return x
 
 
-# entries, and image slots (relations times probe states), that one chunk
-# of a probe plan holds at most; a relation past either bound takes a chunk
-# of its own
+# entries (live term and probe state pairs), and image slots (relations
+# times probe states), that one chunk of a probe plan lays out at most; a
+# relation past either bound takes a chunk of its own
 PLAN_ENTRIES = 1 << 13
 PLAN_SLOTS = 1 << 20
 # scalar domains (tuples of per-sample domains) whose values a probe plan keeps
@@ -991,26 +980,56 @@ def _compact(a: np.ndarray) -> np.ndarray:
     return a.astype(np.uint16 if a.max(initial=0) < 1 << 16 else np.int32)
 
 
+def _changes(a: np.ndarray) -> np.ndarray:
+    """The mask of the entries of an array that differ from the one before."""
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
+
+
 def _distinct_rows(columns: list, n: int):
-    """The distinct rows of the n-row matrix whose columns are the
-    nonnegative integer arrays ``columns``, as an int64 matrix, and per row
-    the index of its distinct row among them."""
-    bases = [int(c.max(initial=0)) + 1 for c in columns]
-    if math.prod(bases) >= 1 << 62:
-        distinct, inverse = np.unique(np.stack(columns, axis=1).astype(np.int64), axis=0,
-                                      return_inverse=True)
-        return distinct, inverse.reshape(-1)
-    key = np.zeros(n, dtype=np.int64)
-    for c, base in zip(columns, bases):
-        key = key * base + c
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    distinct = np.array([c[first] for c in columns], dtype=np.int64)
-    return distinct.reshape(len(columns), len(first)).T, inverse.reshape(-1)
+    """The distinct rows of the n-row matrix of nonnegative integer
+    ``columns``, numbered in order of their first rows: those rows, and per
+    row its number.  A row's key packs its columns and then its index
+    (renumbered where the next would pass 62 bits), so that one sort puts
+    equal rows together in row order."""
+    key, bound = np.zeros(n, dtype=np.int64), 1
+    for c in [*columns, np.arange(n)]:
+        base = int(c.max(initial=0)) + 1
+        if bound * base >= 1 << 62:
+            key, bound = np.unique(key, return_inverse=True)[1], n
+        key, bound = key * base + c, bound * base
+    order = np.argsort(key)
+    new = _changes(key[order] // max(n, 1))
+    by_first = np.argsort(order[new])
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.argsort(by_first)[new.cumsum() - 1]
+    return order[new][by_first], inverse
+
+
+def _patterns(slots: np.ndarray, triples: np.ndarray) -> tuple:
+    """The distinct sequences of triples (patterns) on the slots, from each
+    entry's slot and triple in term order: per pattern entry its pattern
+    and triple; per slot reached, ascending, its number and its pattern;
+    per pattern its first slot reached."""
+    order = np.argsort(slots, kind="stable")
+    slots, ordered = slots[order], triples[order]
+    start = np.flatnonzero(_changes(slots))
+    count = np.diff(start, append=len(slots))
+    # per j, each slot's j-th triple plus 1, or 0 past its last
+    first, slot_patterns = _distinct_rows(
+        [np.where(count > j, ordered[np.minimum(start + j, len(ordered) - 1)] + 1, 0)
+         for j in range(int(count.max(initial=0)))], len(start))
+    size = count[first]
+    at = np.repeat(start[first] - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    return np.repeat(np.arange(len(first)), size), ordered[at], slots[start], slot_patterns, first
 
 
 class _Chunk(NamedTuple):
     """Consecutive expressions of a probe plan, laid out in four levels:
-    the plan's keys, tuples of them, triples and entries."""
+    the plan's keys, tuples of them, triples, and patterns, the distinct
+    sequences of triples on an image slot, each summed once."""
 
     # the plan's expressions in the chunk, by index
     exprs: range
@@ -1029,13 +1048,19 @@ class _Chunk(NamedTuple):
     triple_tuples: np.ndarray
     triple_ladders: np.ndarray | None
     triple_numbers: np.ndarray | None
-    # per entry, in term order: its image slot and its triple
-    entry_slots: np.ndarray
+    # per pattern entry, in pattern then term order: its pattern and its
+    # triple; patterns are numbered by their first slot
+    entry_patterns: np.ndarray
     entry_triples: np.ndarray
-    # per image slot some entry reaches, in (expression, row) order: its row
+    # per image slot some entry reaches, in (expression, row) order: its
+    # row and its pattern, its sequence of triples in term order
     slot_rows: np.ndarray
-    # the first slot of each expression, and the end
+    slot_patterns: np.ndarray
+    # per pattern, the row of its first slot
+    pattern_rows: np.ndarray
+    # the first slot, and the first pattern, of each expression, and the ends
     expr_starts: np.ndarray
+    pattern_starts: np.ndarray
 
 
 class _TermRead(NamedTuple):
@@ -1055,37 +1080,26 @@ class ProbePlan:
     """The q-free layout of a list of expressions on a list of probe
     states, for callers that apply them again at other q and p: relation
     verification (``worst`` numerically, ``images`` exactly) and module
-    analysis (``images``).
-    A word's live rows under its ladder steps (the support of its image for
-    every q > 0 and formal q), its ladder numbers and its diagonal key codes
-    per row depend on the states and the convention only.  The plan reads
-    each word once (``ProbeRows._walk``) and keeps four levels, in chunks
-    of consecutive expressions (at most ``PLAN_ENTRIES`` entries and
-    ``PLAN_SLOTS`` expressions times states, unless one expression is
-    larger):
-    - keys: the key codes read, ascending, plus one index for a key out of
-      the code range;
-    - tuples: the key indices of a row's diagonal factors, ascending, the
-      order in which ``Engine.apply_word`` multiplies their values;
-    - triples: (term, tuple, ladder number), the number exact (int64, or
-      Python ints past the bound of ``_walk``) and as a float;
-    - entries: per live (term, row), its image slot (expression in chunk
-      and row, numbered over the slots some entry reaches) and its
-      triple, in term order; and per term the keys the raise rule needs.
+    analysis (``images``).  A word's live rows under its ladder steps (the
+    support of its image for every q > 0 and formal q), its ladder numbers
+    and its diagonal key codes per row depend on the states and the
+    convention only.  The plan reads each word once (``ProbeRows._walk``)
+    and lays the expressions out in chunks (``_Chunk``; at most
+    ``PLAN_ENTRIES`` entries and ``PLAN_SLOTS`` expressions times states,
+    unless one expression is larger) of key codes, tuples of them in the
+    order in which ``Engine.apply_word`` multiplies their values, triples
+    (term, tuple, ladder number) and patterns, the distinct sequences of
+    triples on an image slot (expression, row).
 
-    A call takes a ``ScalarDomain``, the scalars per q sample, and reads
-    the signature and convention only from the plan, which builds the
-    domain's values on its first call there and keeps them (``_prepare``).
-    Numerically it forms per chunk the tuple products, the triple
-    contributions and each slot's sum with ``np.bincount`` in term order,
-    the per-word sums to the last bit, which ``worst`` reduces to figures per
-    expression chunk by chunk; exactly, ``_prepare`` sums and tests each
-    distinct sequence of triples on a slot once per domain.  A chunk
-    is replayed word by word (``_replayed``), so that every error is the
-    per-word path's, in order and text, when a kept term may read a failing
-    key on a row live before its factor, when a sum is not finite, or when
-    the arithmetic raises.  Indices are uint16 where they fit: the HP plan of
-(4,2) at cap 7 takes 0.48 MB and of (7,5) at cap 6 10.3 MB."""
+    A call takes a ``ScalarDomain``, whose values the plan builds on its
+    first call there and keeps (``_prepare``).  Each pattern is summed once,
+    in term order, for all the slots that share it: numerically with
+    ``np.bincount``, the per-word sums to the last bit, and exactly in
+    ``_prepare``.  A chunk is replayed word by word (``_replayed``), so that
+    every error is the per-word path's, in order and text, when a kept term
+    may read a failing key on a row live before its factor, when a sum is
+    not finite, or when the arithmetic raises.  Indices are uint16 where
+    they fit."""
 
     def __init__(self, sig: Signature, convention: str, states, exprs):
         _check_convention(convention, False)
@@ -1173,11 +1187,13 @@ class ProbePlan:
             # ladder number among ``numbers``
             positions = np.concatenate([np.arange(at, at + len(read.rows))
                                         for _, read, at in group])
-            distinct, inverse = _distinct_rows(
-                [np.concatenate([np.full(len(read.rows), t, dtype=np.int32) for t, read, _ in group])]
+            entries = np.stack(
+                [np.concatenate([np.full(len(read.rows), t) for t, read, _ in group])]
                 + [np.concatenate([columns[read.factors[j]].entry[read.rows] for _, read, _ in group])
                    for j in range(k)]
-                + [number_of.reshape(-1)[positions]], len(positions))
+                + [number_of.reshape(-1)[positions]], axis=1)
+            first, inverse = _distinct_rows(list(entries.T), len(positions))
+            distinct = entries[first]
             entry_triples[positions] = sum(len(t) for t in triple_terms) + inverse
             # the triples come sorted by term: give each its key codes
             ends = np.searchsorted(distinct[:, 0], [t for t, _, _ in group], side="right")
@@ -1192,15 +1208,18 @@ class ProbePlan:
         triple_terms = np.concatenate([empty] + triple_terms)
         triple_numbers = np.concatenate([numbers[:0]] + triple_ladders)
         triple_numbers = None if (triple_numbers == 1).all() else triple_numbers
-        touched, entry_slots = np.unique(slots, return_inverse=True)
+        entry_patterns, entry_triples, touched, slot_patterns, first = _patterns(slots, entry_triples)
+        slot_rows = touched % max(self.size, 1)
+        expr_starts = np.searchsorted(touched, np.arange(len(exprs) + 1) * self.size)
         return _Chunk(
             exprs, scalars,
             _compact(np.concatenate([empty] + guard_terms)),
             np.concatenate([np.zeros(0, np.int64)] + guard_keys),
             tuples, _compact(triple_terms), None,
             None if triple_numbers is None else triple_numbers.astype(float), triple_numbers,
-            _compact(entry_slots), _compact(entry_triples), _compact(touched % max(self.size, 1)),
-            np.searchsorted(touched, np.arange(len(exprs) + 1) * self.size))
+            _compact(entry_patterns), _compact(entry_triples),
+            _compact(slot_rows), _compact(slot_patterns), _compact(slot_rows[first]),
+            expr_starts, np.searchsorted(first, expr_starts))
 
     @staticmethod
     def _keyed(chunk: _Chunk, codes: np.ndarray) -> _Chunk:
@@ -1208,10 +1227,11 @@ class ProbePlan:
         codes (``_NO_CODE`` takes the last index), and its tuples."""
         tuples, tuple_of, count = [], [], 0
         for mat in chunk.tuples:
-            distinct, inverse = _distinct_rows(list(np.searchsorted(codes, mat).T), len(mat))
-            tuples.append((count, _compact(distinct)))
+            keys = np.searchsorted(codes, mat)
+            first, inverse = _distinct_rows(list(keys.T), len(mat))
+            tuples.append((count, _compact(keys[first])))
             tuple_of.append(count + inverse)
-            count += len(distinct)
+            count += len(first)
         return chunk._replace(
             guard_keys=_compact(np.searchsorted(codes, chunk.guard_keys)), tuples=tuples,
             triple_tuples=_compact(np.concatenate([np.zeros(0, np.intp)] + tuple_of)))
@@ -1234,10 +1254,10 @@ class ProbePlan:
         where a term with a nonzero scalar may read a failing key on a row
         live before its factor (a replay), else numerically (the mask of live
         triples or None, (terms, q) term scalars) and exactly (the mask of
-        nonzero slots, and per slot its image coefficient or None: the sum,
-        in term order, of its triples' ``X = c_t * product`` times ladder
-        number, formed and tested once per distinct sequence of triples).  A
-        triple is dead where its scalar or a key is 0 at every q."""
+        nonzero patterns, and per pattern its image coefficient or None: the
+        sum, in term order, of its triples' ``X = c_t * product`` times
+        ladder number).  A triple is dead where its scalar or a key is 0 at
+        every q."""
         if domain.domain in self._prepared:
             return self._prepared[domain.domain]
         table, failing, dead = self._key_values(domain)
@@ -1256,17 +1276,13 @@ class ProbePlan:
                                    itertools.repeat(1) if numbers is None else numbers.tolist()):
                     x = None if scalars[t] is None else domain._x(scalars[t], tuples[g])
                     xs.append(x if x is None or n == 1 else x * n)
-                by_slot = [[] for _ in chunk.slot_rows]
-                for slot, t in zip(chunk.entry_slots.tolist(), chunk.entry_triples.tolist()):
-                    by_slot[slot].append(t)
-                sums: dict = {}  # sequence of triples -> its sum, None when zero
-                values = np.empty(len(by_slot), dtype=object)
-                for slot, pattern in enumerate(map(tuple, by_slot)):
-                    if pattern not in sums:
-                        terms = [xs[t] for t in pattern if xs[t] is not None]
-                        v = functools.reduce(operator.add, terms) if terms else None
-                        sums[pattern] = None if v is None or v.is_zero() else v
-                    values[slot] = sums[pattern]
+                values = np.empty(len(chunk.pattern_rows), dtype=object)
+                for p, entries in itertools.groupby(
+                        zip(chunk.entry_patterns.tolist(), chunk.entry_triples.tolist()),
+                        operator.itemgetter(0)):
+                    terms = [xs[t] for _, t in entries if xs[t] is not None]
+                    v = functools.reduce(operator.add, terms) if terms else None
+                    values[p] = None if v is None or v.is_zero() else v
                 parts.append((np.not_equal(values, None), values))
             else:
                 live = np.empty(sum(len(m) for _, m in chunk.tuples), dtype=bool)
@@ -1387,11 +1403,12 @@ class ProbePlan:
         return out
 
     def _sums(self, k: int, table, part, signed: bool = False):
-        """Chunk k's image sums, (q, slots), and triple contributions, (q,
-        triples); a sum that is not finite raises, so the chunk is replayed.
-        The live triples' entries sum with ``np.bincount`` in term order: the
-        per-word sums to the last bit, but for a zero part, which the per-word
-        sum leaves -0.0 where every term's is; ``signed`` restores that sign."""
+        """Chunk k's image sums, (q, patterns), and triple contributions,
+        (q, triples); a sum that is not finite raises, so the chunk is
+        replayed.  Each pattern's live entries sum with ``np.bincount`` in
+        term order: the per-word sums of its slots to the last bit, but for
+        a zero part, which the per-word sum leaves -0.0 where every term's
+        is; ``signed`` restores that sign."""
         chunk = self._chunks[k]
         live, scalars = part
         q = scalars.shape[1]
@@ -1408,55 +1425,56 @@ class ProbePlan:
         if chunk.triple_ladders is not None:
             value = value * chunk.triple_ladders[:, None]
         contrib = (scalars[chunk.triple_terms] * value).T.copy()
-        slots, triples = chunk.entry_slots.astype(np.intp), chunk.entry_triples.astype(np.intp)
+        patterns, triples = chunk.entry_patterns, chunk.entry_triples
         if live is not None:
             on = live[triples]
-            slots, triples = slots[on], triples[on]
-        n = len(chunk.slot_rows)
+            patterns, triples = patterns[on], triples[on]
+        n = len(chunk.pattern_rows)
         image = np.empty((q, n), dtype=complex)
         for i in range(q):
             for terms, out in ((contrib[i].real, image[i].real), (contrib[i].imag, image[i].imag)):
                 terms = terms[triples]
-                out[...] = np.bincount(slots, terms, minlength=n)
+                out[...] = np.bincount(patterns, terms, minlength=n)
                 zero = out == 0
                 if signed and zero.any():
-                    out[zero & (np.bincount(slots, ~np.signbit(terms), minlength=n) == 0)] = -0.0
+                    out[zero & (np.bincount(patterns, ~np.signbit(terms), minlength=n) == 0)] = -0.0
         if not np.isfinite(image).all():
             raise FloatingPointError("a sum is not finite")
         return image, contrib
 
     def _residuals(self, k: int, table, part, tolerance: float):
         """Chunk k's largest image magnitude per expression, and its
-        residuals, (q, slots), by the rule of ``worst``."""
+        residuals, (q, patterns), by the rule of ``worst``."""
         image, contrib = self._sums(k, table, part)
         chunk = self._chunks[k]
         magnitude = np.abs(image)
-        largest = _per_expr(np.maximum, magnitude.max(axis=0, initial=0.0), chunk.expr_starts)
-        scaled = np.repeat(largest > tolerance, np.diff(chunk.expr_starts))
+        largest = _per_expr(np.maximum, magnitude.max(axis=0, initial=0.0), chunk.pattern_starts)
+        scaled = np.repeat(largest > tolerance, np.diff(chunk.pattern_starts))
         if not scaled.any():
             return largest, magnitude
-        on = scaled[chunk.entry_slots]
-        slots, size = chunk.entry_slots[on], np.abs(contrib[:, chunk.entry_triples[on]])
+        on = scaled[chunk.entry_patterns]
+        patterns, size = chunk.entry_patterns[on], np.abs(contrib[:, chunk.entry_triples[on]])
         scale = np.ones(magnitude.shape)
         for i, row in enumerate(scale):
-            np.maximum.at(row, slots, size[i])
+            np.maximum.at(row, patterns, size[i])
         return largest, magnitude / scale
 
     def _chunk_worst(self, k: int, table, part, tolerance: float) -> list:
         """Chunk k's ``worst`` per expression."""
         largest, residual = self._residuals(k, table, part, tolerance)
         chunk = self._chunks[k]
-        starts = chunk.expr_starts
+        starts = chunk.pattern_starts
         worst = _per_expr(np.maximum, residual.max(axis=0, initial=0.0), starts)
         hit = residual == np.repeat(worst, np.diff(starts))
-        # per slot, the first q sample where it reaches its worst
-        position = np.where(hit.any(axis=0), hit.argmax(axis=0) * self.size + chunk.slot_rows,
+        # per pattern, the first q sample where it reaches its worst, on its
+        # first slot, whose row is the least of its slots'
+        position = np.where(hit.any(axis=0), hit.argmax(axis=0) * self.size + chunk.pattern_rows,
                             np.iinfo(np.int64).max)
         at = np.where(worst > 0, _per_expr(np.minimum, position, starts), 0)
         return [(float(m), float(w), int(a)) for m, w, a in zip(largest, worst, at)]
 
     def _numeric_sums(self, k: int, table, part):
-        """Chunk k's nonzero slots and per slot its one q sample's image."""
+        """Chunk k's nonzero patterns and per pattern its one q sample's image."""
         image = self._sums(k, table, part, signed=True)[0][0]
         return image != 0, image
 
@@ -1467,7 +1485,8 @@ class ProbePlan:
         the image magnitude over max(1, term scale), the largest magnitude
         one term gives there.  An expression whose largest magnitude is within
         the tolerance forms no term scale and reports its magnitudes, which
-        bound its relative residuals: either way it passes exactly when they do."""
+        bound its relative residuals: either way it passes exactly when they do.
+        Each is formed once per pattern, for every probe state that shares it."""
         if domain.exact:
             raise EngineError("a probe plan takes a numeric batch")
         out = []
@@ -1491,7 +1510,7 @@ class ProbePlan:
             if sums is None:
                 out += self._replayed(chunk, domain, images=True)
                 continue
-            nonzero, values = sums
+            nonzero, values = (v.take(chunk.slot_patterns) for v in sums)
             starts = chunk.expr_starts
             for j, e in enumerate(chunk.exprs):
                 at = starts[j] + np.flatnonzero(nonzero[starts[j] : starts[j + 1]])
@@ -1501,8 +1520,8 @@ class ProbePlan:
 
 
 def _per_expr(reduce: np.ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per expression of a chunk, ``reduce`` over the values of its slots
-    ``starts[j]:starts[j + 1]``, or 0 where it has none."""
+    """Per expression of a chunk, ``reduce`` over the values of its
+    patterns ``starts[j]:starts[j + 1]``, or 0 where it has none."""
     out = np.zeros(len(starts) - 1, dtype=values.dtype)
     reached = np.flatnonzero(np.diff(starts))
     if len(reached):

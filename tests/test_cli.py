@@ -331,6 +331,17 @@ class TestCommands:
         assert proc.wait(timeout=60) == -signal.SIGPIPE
         assert stderr == b""
 
+    def test_module_runs_the_command_line(self, capsys):
+        # `python -m qglnm` from a checkout, with only src on the path,
+        # exits and prints as the command line does in process
+        src = str(Path(qglnm.__file__).parents[1])
+        argv = ["verify", "--n", "2", "--m", "1"]
+        proc = subprocess.run([sys.executable, "-m", "qglnm", *argv], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+        assert run(argv) == 0
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == capsys.readouterr().out
+
     def test_relations_lists_all(self, capsys):
         assert run(["relations", "--n", "2", "--m", "1"]) == 0
         out = capsys.readouterr().out

@@ -1212,7 +1212,7 @@ class TestDomainValues:
                     starts = chunk.expr_starts
                     for lo, hi in zip(starts[:-1], starts[1:]):
                         image = np.zeros((len(engines), len(states)), dtype=complex)
-                        image[:, chunk.slot_rows[lo:hi]] = sums[0][:, lo:hi]
+                        image[:, chunk.slot_rows[lo:hi]] = sums[0][:, chunk.slot_patterns[lo:hi]]
                         values.append(image)
             for word, image in zip(self.WORDS, values):
                 for eng, row in zip(engines, image.tolist()):
@@ -1285,13 +1285,15 @@ class TestNumericPlan:
     PS = (0, 2, 3, 8)
     TOLERANCES = (0.0, 1e-10)
     # (signature, realization, mutation, convention); the bracket ratio
-    # that drop_bracket_ratio drops needs n >= 3
+    # that drop_bracket_ratio drops needs n >= 3.  HP on (4,3) is the
+    # benchmark's other signature
     CONFIGS = [(sig, kind, mutation, convention)
                for sig in (SIG21, Signature(3, 2), Signature(4, 2))
                for kind, mutation, convention in [
                    ("hp", None, "orthonormal"), ("hp-deformed", None, "orthonormal"),
                    *(("dyson", m, c) for m in (None, *MUTATIONS) for c in ("monomial", "orthonormal"))]
-               if mutation != "drop_bracket_ratio" or sig.n >= 3]
+               if mutation != "drop_bracket_ratio" or sig.n >= 3] + [
+        (Signature(4, 3), "hp", None, "orthonormal")]
 
     @staticmethod
     def _check_residuals(plan, domain, tolerance):
@@ -1307,7 +1309,7 @@ class TestNumericPlan:
             starts = chunk.expr_starts
             for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
                 dense = np.zeros((len(domain.scalars), plan.size))
-                dense[:, chunk.slot_rows[lo:hi]] = residual[:, lo:hi]
+                dense[:, chunk.slot_rows[lo:hi]] = residual[:, chunk.slot_patterns[lo:hi]]
                 got.append((largest[j], dense))
         assert len(got) == len(want)
         for (largest, residual), (peak, scale) in zip(got, want):
@@ -1443,6 +1445,88 @@ class TestNumericPlan:
         info = _probe_plan.cache_info()
         assert info.misses == PROBE_PLANS + 1
         assert info.currsize == info.maxsize == PROBE_PLANS
+
+
+class TestPatternLayout:
+    """A probe plan's patterns, the distinct sequences of triples on its
+    image slots, against the per-word read (``ProbePlan._read``): each
+    slot's sequence rebuilt from its pattern is the read's, an
+    expression's patterns are consecutive and numbered by their first
+    slot, and no chunk has more patterns than slots."""
+
+    CONFIGS = [(SIG21, "hp", None, "orthonormal"),
+               (Signature(3, 2), "dyson", None, "monomial"),
+               (Signature(3, 2), "dyson", "shift_e1_bracket", "orthonormal"),
+               (Signature(4, 3), "hp", None, "orthonormal")]
+
+    @staticmethod
+    def _read_sequences(plan, chunk, rows, columns) -> dict:
+        """Per (expression in the chunk, row) the (term, ascending plan key
+        indices, ladder number) of each term live there, in term order, by
+        the per-word read."""
+        sequences, t = {}, 0
+        for r, e in enumerate(chunk.exprs):
+            for _, word in plan.exprs[e].terms:
+                read = ProbePlan._read(rows, columns, word)
+                keys = [np.searchsorted(plan.codes, columns[d].codes[columns[d].entry[read.rows]])
+                        for d in read.factors]
+                ladder = [1] * len(read.rows) if read.ladder is None else read.ladder.tolist()
+                for i, row in enumerate(read.rows.tolist()):
+                    key = tuple(sorted(int(k[i]) for k in keys))
+                    sequences.setdefault((r, row), []).append((t, key, ladder[i]))
+                t += 1
+        return sequences
+
+    @pytest.mark.parametrize("sig, kind, mutation, convention", CONFIGS,
+                             ids=["-".join(map(str, c)) for c in CONFIGS])
+    def test_patterns_rebuild_the_read(self, sig, kind, mutation, convention):
+        exprs = [substitute(rel, realization(kind, sig, mutation)) for rel in build_relations(sig)]
+        states = probe_states(sig, 4)
+        plan = ProbePlan(sig, convention, states, exprs)
+        rows, columns = ProbeRows(sig, convention, states), {}
+        slots = patterns = 0
+        for chunk in plan._chunks:
+            tuples = [tuple(row) for _, m in chunk.tuples for row in m.tolist()]
+            numbers = ([1] * len(chunk.triple_terms) if chunk.triple_numbers is None
+                       else chunk.triple_numbers.tolist())
+            sequences = [[] for _ in chunk.pattern_rows]
+            for p, t in zip(chunk.entry_patterns.tolist(), chunk.entry_triples.tolist()):
+                sequences[p].append((int(chunk.triple_terms[t]),
+                                     tuples[chunk.triple_tuples[t]], numbers[t]))
+            starts, pattern_starts = chunk.expr_starts, chunk.pattern_starts
+            rebuilt = {(r, int(chunk.slot_rows[j])): sequences[chunk.slot_patterns[j]]
+                       for r in range(len(chunk.exprs)) for j in range(starts[r], starts[r + 1])}
+            assert rebuilt == self._read_sequences(plan, chunk, rows, columns)
+            for r in range(len(chunk.exprs)):
+                # an expression's slots take exactly its patterns
+                assert (set(chunk.slot_patterns[starts[r] : starts[r + 1]].tolist())
+                        == set(range(pattern_starts[r], pattern_starts[r + 1])))
+            # numbered by their first slot, each pattern's row that slot's
+            _, first = np.unique(chunk.slot_patterns, return_index=True)
+            assert (np.diff(first) > 0).all()
+            assert (chunk.pattern_rows == chunk.slot_rows[first]).all()
+            assert pattern_starts[-1] == len(chunk.pattern_rows) <= len(chunk.slot_rows)
+            slots += len(chunk.slot_rows)
+            patterns += len(chunk.pattern_rows)
+        if sig.num_modes > 3:
+            # past (2,1) most slots share their sequence with another
+            assert patterns < slots / 2, (patterns, slots)
+
+    def test_sequence_apart_from_its_prefix(self):
+        # (1, 0) reads only the qpow term, (1, 1) the qpow term and then the
+        # ladder-only term, whose one triple the plan numbers 0: the longer
+        # sequence is its prefix and triple 0, and still its own pattern
+        expr = OperatorExpr([(CoeffExact.one(), (Diag("qpow", affine_mode(SIG21, 1)),)),
+                             (CoeffExact.one(), (Raise(2), Lower(2)))])
+        states = [(1, 0), (1, 1)]
+        plan = ProbePlan(SIG21, "monomial", states, [expr])
+        (chunk,) = plan._chunks
+        assert chunk.triple_terms.tolist()[0] == 1
+        assert chunk.slot_patterns.tolist() == [0, 1]
+        eng = exact_engine(SIG21)
+        ((rows, _, coeffs),) = plan.images(domain_of(eng))
+        assert rows.tolist() == [0, 1]
+        assert coeffs == [next(iter(eng.apply(expr, s).values())) for s in states]
 
 
 class TestAtomHashing:
