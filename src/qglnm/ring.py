@@ -1,7 +1,7 @@
 """The ring stage of normal order.
 
-What the affine stage of ``weyl.normal_ordered`` leaves open is evaluated
-here as a ``coeff.Poly`` in
+What the affine stage (``weyl._expanded``) leaves open is evaluated here
+as a ``coeff.Poly`` in
 
     Q[q**+-1, P**+-1, Q_i**+-1][p, N_i],
 
@@ -10,10 +10,10 @@ occupation N_f stays a symbol with N_f**2 = N_f, and q**(a*N_f) is written
 1 + (q**a - 1)*N_f, which holds at N_f = 0 and 1, so no case split over
 the fermionic occupations is needed.
 
-``ring_closes`` decides a Dyson relation from ``weyl.normal_ordered``'s
-output, {(change, opaque factors, exponents of N_1..N_b): scalar}.  Terms
-with different changes send a state to different states, so each change
-is decided alone; the terms of one change share their fermionic sign.  It
+``ring_closes`` decides a Dyson relation from the affine stage's output,
+{(change, opaque factors, exponents of N_1..N_b): scalar}.  Terms with
+different changes send a state to different states, so each change is
+decided alone; the terms of one change share their fermionic sign.  It
 strips the opaque factors that every term shares, since they multiply the
 whole sum.  It then writes each term over
 (q - q**-1)**K * prod(x), where
@@ -128,10 +128,10 @@ class _Ring:
 
 
 def ring_closes(sig: Signature, ordered: dict) -> bool:
-    """Whether the normal-ordered expression ``ordered`` (the output of
-    ``weyl.normal_ordered``, nonempty) is the zero operator by the ring
-    stage: see the module docstring for the evaluation and why a True is a
-    proof."""
+    """Whether the normal-ordered expression ``ordered`` (the affine
+    stage's output, ``weyl._expanded``, nonempty) is the zero operator by
+    the ring stage: see the module docstring for the evaluation and why a
+    True is a proof."""
     by_change: dict = {}
     for key, c in ordered.items():
         by_change.setdefault(key[0], {})[key] = c

@@ -41,7 +41,7 @@ relations it probes, the probe states (which depend only on the
 signature and the cap) and the convention, not on p or q: it is built,
 with its probe states, once per process per (signature, realization,
 mutation, cap, convention, probed relations) and kept, a bounded memo of
-``PROBE_PLANS`` keys (0.5 MB on (4,2) at cap 7, 6 MB on (7,5) at cap 6).
+``PROBE_PLANS`` keys (0.5 MB on (4,2) at cap 7, 6.5 MB on (7,5) at cap 6).
 An exact plan holds only the relations that no stage closes, a numeric
 one every relation.
 A call specializes each distinct term scalar, and builds each diagonal
@@ -66,7 +66,7 @@ from .fock import FockState, Signature, enumerate_up_to
 from .presentation import HBracket, Relation, build_relations
 from .realize import DYSON, Realization, realization
 from .weyl import (Diag, Engine, OperatorExpr, ProbePlan, ScalarDomain, closing_stage,
-                   float_errors_raise)
+                   float_errors_raise, q_samples)
 
 DEFAULT_TOLERANCE = 1e-10
 DEFAULT_Q_SAMPLES = (0.5, 0.9, 1.3, 2.0)
@@ -317,7 +317,7 @@ def verify_all(
         cap = default_cap(p)
     if cap < 4:
         raise ValueError("probe cap must be at least 4 to cover the quartic relation words")
-    qs = None if q is None else [float(q)] if isinstance(q, (int, float)) else [float(v) for v in q]
+    qs = None if q is None else [float(v) for v in q_samples(q)]
     if qs == []:
         raise ValueError("q is an empty list of samples; give at least one")
     convention = convention or ("orthonormal" if kind != DYSON else "monomial")
@@ -347,7 +347,7 @@ def verify_all(
         "n": sig.n,
         "m": sig.m,
         "p": "formal" if p is None else p,
-        "q": "formal" if q is None else (q if isinstance(q, (int, float)) else ",".join(map(repr, q))),
+        "q": "formal" if q is None else ",".join(map(str, q_samples(q))),
         "convention": convention,
         "mode": "classical" if classical else engine.mode,
         "cap": cap,

@@ -58,13 +58,13 @@ order as above, so that they equal the per-state engine's to the last bit,
 and sums each distinct sequence of terms read on a probe state once.
 
 ``normal_form`` writes the start-state form as one shift times factors
-(monomial convention).  ``normal_ordered`` merges the terms of an
-expression that share a shift and a factor multiset, then expands their
-``affine`` factors as integer polynomials in p and the occupations (with
-N_f**2 = N_f on fermionic modes; ``coeff.Poly``), keeps the other factors
-opaque and merges again.  ``closing_stage`` names the first stage after
-which an expression is the zero operator for formal p and q: the merge,
-the affine stage, or the ring stage (``ring.ring_closes``), which
+(monomial convention).  ``closing_stage`` names the first stage of normal
+order after which an expression is the zero operator for formal p and q:
+the merge (``_merged``) of the terms that share a shift and a factor
+multiset; the affine stage (``_expanded``), which expands their ``affine``
+factors as integer polynomials in p and the occupations (with N_f**2 =
+N_f on fermionic modes; ``coeff.Poly``), keeps the other factors opaque
+and merges again; or the ring stage (``ring.ring_closes``), which
 evaluates the brackets that the affine stage keeps opaque.  Relation
 verification uses it to pass a relation without probing it.
 """
@@ -404,7 +404,13 @@ def _merged(sig: Signature, expr: OperatorExpr) -> dict:
 
 
 def _expanded(sig: Signature, merged: dict) -> dict:
-    """The affine stage on the merge stage's output (see ``normal_ordered``)."""
+    """The affine stage on the merge stage's output: each merged term's
+    ``affine`` factors (the ladder factors and arguments such as p - N)
+    expanded as an integer polynomial in p and the occupations, with
+    N_f**2 = N_f on fermionic modes, the powers of p folded into the scalar
+    and every other factor kept opaque.  The result is {(change, opaque
+    factors, exponents of N_1..N_b): scalar}, with every key whose sum is
+    zero left out; it is the same whatever order the factors expand in."""
     expanded: dict = {}
     for (change, factors), c in merged.items():
         opaque = tuple(d for d in factors if d.kind != "affine")
@@ -421,36 +427,20 @@ def _expanded(sig: Signature, merged: dict) -> dict:
     return {key: c for key, c in expanded.items() if not c.is_zero()}
 
 
-def normal_ordered(sig: Signature, expr: OperatorExpr) -> dict:
-    """An expression merged in normal form, in two stages.
-
-    The merge by key sums the signed scalars of the terms that share a
-    ``NormalForm.key``.  The affine stage then expands each merged term's
-    ``affine`` factors (the ladder factors and arguments such as p - N) as
-    an integer polynomial in p and the occupations, with N_f**2 = N_f on
-    fermionic modes, folds the powers of p into the scalar and keeps every
-    other factor opaque.  The result is {(change, opaque factors, exponents
-    of N_1..N_b): scalar}, with every key whose sum is zero left out; it is
-    the same whatever order the factors expand in.
-
-    An empty result means the expression is the zero operator for formal p
-    and q, hence also at every integer p and q = 1: the cancellation holds
-    for any values of the opaque factors, and on a start state where a
-    term's word dies, one of its ladder factors is 0, so the term's
-    expanded product is 0 there whatever finite value a singular factor
-    (a bracket ratio at 0) is given.  ``closing_stage`` adds a third stage
-    for what stays."""
-    return _expanded(sig, _merged(sig, expr))
-
-
 def closing_stage(sig: Signature, expr: OperatorExpr) -> str | None:
     """The first stage of normal order after which the expression is the
     zero operator for formal p and q: "merge" when the merge by key
-    cancels every term, "affine" when ``normal_ordered`` is empty, "ring"
-    when ``ring.ring_closes`` proves what the affine stage leaves (its
-    module docstring has the argument), and None when no stage closes it.
-    A stage's verdict holds at every integer p and at q = 1 too.  Stages
-    are sound, not complete: None proves nothing."""
+    (``_merged``) cancels every term, "affine" when the affine stage
+    (``_expanded``) leaves nothing, "ring" when ``ring.ring_closes`` proves
+    what the affine stage leaves (its module docstring has the argument),
+    and None when no stage closes it.
+
+    A stage's verdict holds at every integer p and at q = 1 too: the
+    cancellation holds for any values of the opaque factors, and on a start
+    state where a term's word dies, one of its ladder factors is 0, so the
+    term's expanded product is 0 there whatever finite value a singular
+    factor (a bracket ratio at 0) is given.  Stages are sound, not
+    complete: None proves nothing."""
     merged = _merged(sig, expr)
     if not merged:
         return "merge"
@@ -597,6 +587,14 @@ def _check_convention(convention: str, exact: bool) -> None:
         raise EngineError(f"unknown convention {convention!r}")
     if exact and convention == "orthonormal":
         raise EngineError("orthonormal convention needs square roots; give a numeric q")
+
+
+def q_samples(q) -> list:
+    """The samples of q, one number or a sequence of them, as a list."""
+    try:
+        return list(q)
+    except TypeError:
+        return [q]
 
 
 def sample_scalars(q, p=None, classical=False) -> ExactScalars | NumericScalars:
@@ -893,7 +891,7 @@ class ScalarDomain:
 
     def __init__(self, q=None, p=None, classical=False):
         self.exact = q is None
-        self.scalars = [sample_scalars(v, p, classical) for v in ([q] if np.ndim(q) == 0 else q)]
+        self.scalars = [sample_scalars(v, p, classical) for v in q_samples(q)]
         self.domain = tuple(s.domain for s in self.scalars)
         # key code -> its exact value, or its values over the q samples (read-only)
         self._values: dict = {}
@@ -1009,10 +1007,10 @@ def _distinct_rows(columns: list, n: int):
 
 
 def _patterns(slots: np.ndarray, triples: np.ndarray) -> tuple:
-    """The distinct sequences of triples (patterns) on the slots, from each
-    entry's slot and triple in term order: per pattern entry its pattern
-    and triple; per slot reached, ascending, its number and its pattern;
-    per pattern its first slot reached."""
+    """The distinct sequences of triples (term, tuple, ladder number), the
+    patterns, on the slots, from each entry's slot and triple number in term
+    order: per pattern entry its pattern and triple; per slot reached,
+    ascending, its number and its pattern; per pattern its first slot."""
     order = np.argsort(slots, kind="stable")
     slots, ordered = slots[order], triples[order]
     start = np.flatnonzero(_changes(slots))
@@ -1027,9 +1025,9 @@ def _patterns(slots: np.ndarray, triples: np.ndarray) -> tuple:
 
 
 class _Chunk(NamedTuple):
-    """Consecutive expressions of a probe plan, laid out in four levels:
-    the plan's keys, tuples of them, triples, and patterns, the distinct
-    sequences of triples on an image slot, each summed once."""
+    """Consecutive expressions of a probe plan, laid out in three levels:
+    the plan's keys, tuples of them, and patterns, the distinct sequences
+    of (term, tuple, ladder number) on an image slot, each summed once."""
 
     # the plan's expressions in the chunk, by index
     exprs: range
@@ -1042,25 +1040,27 @@ class _Chunk(NamedTuple):
     # per factor count K: (first tuple id, (tuples, K) plan key indices,
     # each row ascending)
     tuples: list
-    # per triple (term, tuple, ladder number): its term, its tuple, and its
-    # ladder number as a float and exact (both None when every one is 1)
-    triple_terms: np.ndarray
-    triple_tuples: np.ndarray
-    triple_ladders: np.ndarray | None
-    triple_numbers: np.ndarray | None
-    # per pattern entry, in pattern then term order: its pattern and its
-    # triple; patterns are numbered by their first slot
+    # per pattern entry, in pattern then term order: its pattern, its term,
+    # its tuple, and its ladder number as a float and exact (both None when
+    # every one is 1); patterns are numbered by their first slot
     entry_patterns: np.ndarray
-    entry_triples: np.ndarray
+    entry_terms: np.ndarray
+    entry_tuples: np.ndarray
+    entry_ladders: np.ndarray | None
+    entry_numbers: np.ndarray | None
     # per image slot some entry reaches, in (expression, row) order: its
-    # row and its pattern, its sequence of triples in term order
+    # row and its pattern
     slot_rows: np.ndarray
     slot_patterns: np.ndarray
     # per pattern, the row of its first slot
     pattern_rows: np.ndarray
-    # the first slot, and the first pattern, of each expression, and the ends
+    # the first slot of each expression, and the end
     expr_starts: np.ndarray
-    pattern_starts: np.ndarray
+    # per expression its number of patterns; the expressions with some
+    # pattern, and the first pattern of each
+    pattern_counts: np.ndarray
+    reached: np.ndarray
+    reached_starts: np.ndarray
 
 
 class _TermRead(NamedTuple):
@@ -1087,19 +1087,19 @@ class ProbePlan:
     and lays the expressions out in chunks (``_Chunk``; at most
     ``PLAN_ENTRIES`` entries and ``PLAN_SLOTS`` expressions times states,
     unless one expression is larger) of key codes, tuples of them in the
-    order in which ``Engine.apply_word`` multiplies their values, triples
-    (term, tuple, ladder number) and patterns, the distinct sequences of
-    triples on an image slot (expression, row).
+    order in which ``Engine.apply_word`` multiplies their values, and
+    patterns, the distinct sequences of (term, tuple, ladder number) on an
+    image slot (expression, row), one pattern entry each.
 
     A call takes a ``ScalarDomain``, whose values the plan builds on its
-    first call there and keeps (``_prepare``).  Each pattern is summed once,
-    in term order, for all the slots that share it: numerically with
-    ``np.bincount``, the per-word sums to the last bit, and exactly in
-    ``_prepare``.  A chunk is replayed word by word (``_replayed``), so that
-    every error is the per-word path's, in order and text, when a kept term
-    may read a failing key on a row live before its factor, when a sum is
-    not finite, or when the arithmetic raises.  Indices are uint16 where
-    they fit."""
+    first call there and keeps (``_prepare``).  Each pattern's entries are
+    summed once, in term order, for all the slots that share it:
+    numerically with ``np.bincount``, the per-word sums to the last bit,
+    and exactly in ``_prepare``.  A chunk is replayed word by word
+    (``_replayed``), so that every error is the per-word path's, in order
+    and text, when a kept term may read a failing key on a row live before
+    its factor, when a sum is not finite, or when the arithmetic raises.
+    Indices are uint16 where they fit."""
 
     def __init__(self, sig: Signature, convention: str, states, exprs):
         _check_convention(convention, False)
@@ -1180,8 +1180,10 @@ class ProbePlan:
         slots = np.concatenate([empty] + slots)
         numbers, number_of = np.unique(np.concatenate([np.ones(0, dtype=np.int64)] + ladders),
                                        return_inverse=True)
+        # per entry the number of its triple (term, tuple, ladder number),
+        # which numbers the patterns; per triple its term, tuple and number
         entry_triples = np.empty(placed, dtype=np.intp)
-        triple_terms, triple_ladders, tuples = [], [], []
+        triples, tuples, count = [], [], 0
         for k, group in sorted(by_count.items()):
             # per entry: its term, the entry of each factor's key, its
             # ladder number among ``numbers``
@@ -1194,7 +1196,7 @@ class ProbePlan:
                 + [number_of.reshape(-1)[positions]], axis=1)
             first, inverse = _distinct_rows(list(entries.T), len(positions))
             distinct = entries[first]
-            entry_triples[positions] = sum(len(t) for t in triple_terms) + inverse
+            entry_triples[positions] = sum(len(t) for t, _, _ in triples) + inverse
             # the triples come sorted by term: give each its key codes
             ends = np.searchsorted(distinct[:, 0], [t for t, _, _ in group], side="right")
             codes = np.zeros((len(distinct), k), dtype=np.int64)
@@ -1202,39 +1204,36 @@ class ProbePlan:
                 for j, d in enumerate(read.factors):
                     codes[lo:hi, j] = columns[d].codes[distinct[lo:hi, 1 + j]]
             codes.sort(axis=1)
-            triple_terms.append(distinct[:, 0])
-            triple_ladders.append(numbers[distinct[:, -1]])
-            tuples.append(codes)
-        triple_terms = np.concatenate([empty] + triple_terms)
-        triple_numbers = np.concatenate([numbers[:0]] + triple_ladders)
-        triple_numbers = None if (triple_numbers == 1).all() else triple_numbers
+            # the distinct code tuples, numbered by their first triple
+            ranks = np.unique(codes, return_inverse=True)[1].reshape(codes.shape)
+            at, tuple_ids = _distinct_rows(list(ranks.T), len(codes))
+            tuples.append((count, codes[at]))
+            triples.append((distinct[:, 0], count + tuple_ids, numbers[distinct[:, -1]]))
+            count += len(at)
         entry_patterns, entry_triples, touched, slot_patterns, first = _patterns(slots, entry_triples)
+        terms, tuple_of, ladder = (np.concatenate(c)[entry_triples]
+                                   for c in (zip(*triples) if triples else [[empty]] * 3))
+        ladder = None if (ladder == 1).all() else ladder
         slot_rows = touched % max(self.size, 1)
         expr_starts = np.searchsorted(touched, np.arange(len(exprs) + 1) * self.size)
+        pattern_starts = np.searchsorted(first, expr_starts)
+        reached = np.flatnonzero(np.diff(pattern_starts))
         return _Chunk(
             exprs, scalars,
             _compact(np.concatenate([empty] + guard_terms)),
             np.concatenate([np.zeros(0, np.int64)] + guard_keys),
-            tuples, _compact(triple_terms), None,
-            None if triple_numbers is None else triple_numbers.astype(float), triple_numbers,
-            _compact(entry_patterns), _compact(entry_triples),
+            tuples, _compact(entry_patterns), _compact(terms), _compact(tuple_of),
+            None if ladder is None else ladder.astype(float), ladder,
             _compact(slot_rows), _compact(slot_patterns), _compact(slot_rows[first]),
-            expr_starts, np.searchsorted(first, expr_starts))
+            expr_starts, np.diff(pattern_starts), reached, pattern_starts[reached])
 
     @staticmethod
     def _keyed(chunk: _Chunk, codes: np.ndarray) -> _Chunk:
         """A chunk from ``_chunk`` with plan key indices in place of key
-        codes (``_NO_CODE`` takes the last index), and its tuples."""
-        tuples, tuple_of, count = [], [], 0
-        for mat in chunk.tuples:
-            keys = np.searchsorted(codes, mat)
-            first, inverse = _distinct_rows(list(keys.T), len(mat))
-            tuples.append((count, _compact(keys[first])))
-            tuple_of.append(count + inverse)
-            count += len(first)
+        codes (``_NO_CODE`` takes the last index)."""
         return chunk._replace(
-            guard_keys=_compact(np.searchsorted(codes, chunk.guard_keys)), tuples=tuples,
-            triple_tuples=_compact(np.concatenate([np.zeros(0, np.intp)] + tuple_of)))
+            guard_keys=_compact(np.searchsorted(codes, chunk.guard_keys)),
+            tuples=[(first, _compact(np.searchsorted(codes, mat))) for first, mat in chunk.tuples])
 
     def _key_values(self, domain: ScalarDomain) -> tuple:
         """The plan's keys in a scalar domain, over ``codes`` and a last index
@@ -1252,12 +1251,12 @@ class ProbePlan:
         """The plan's values in a scalar domain, kept for ``SCALAR_DOMAINS``
         domains: numerically the key values (``_key_values``); per chunk None
         where a term with a nonzero scalar may read a failing key on a row
-        live before its factor (a replay), else numerically (the mask of live
-        triples or None, (terms, q) term scalars) and exactly (the mask of
-        nonzero patterns, and per pattern its image coefficient or None: the
-        sum, in term order, of its triples' ``X = c_t * product`` times
-        ladder number).  A triple is dead where its scalar or a key is 0 at
-        every q."""
+        live before its factor (a replay), else numerically (the pattern,
+        term, tuple and float ladder number of each live pattern entry, and
+        the (terms, q) term scalars) and exactly (the mask of nonzero
+        patterns, and per pattern its image coefficient or None: the sum, in
+        term order, of its entries' ``X = c_t * product`` times ladder
+        number).  An entry is dead where its scalar or a key is 0 at every q."""
         if domain.domain in self._prepared:
             return self._prepared[domain.domain]
         table, failing, dead = self._key_values(domain)
@@ -1271,25 +1270,31 @@ class ProbePlan:
                 parts.append(None)
             elif domain.exact:
                 tuples = [tuple(codes[i] for i in row) for _, m in chunk.tuples for row in m.tolist()]
-                xs, numbers = [], chunk.triple_numbers
-                for t, g, n in zip(chunk.triple_terms.tolist(), chunk.triple_tuples.tolist(),
-                                   itertools.repeat(1) if numbers is None else numbers.tolist()):
-                    x = None if scalars[t] is None else domain._x(scalars[t], tuples[g])
-                    xs.append(x if x is None or n == 1 else x * n)
+                numbers = chunk.entry_numbers
                 values = np.empty(len(chunk.pattern_rows), dtype=object)
-                for p, entries in itertools.groupby(
-                        zip(chunk.entry_patterns.tolist(), chunk.entry_triples.tolist()),
+                for p, entries in itertools.groupby(zip(
+                        chunk.entry_patterns.tolist(), chunk.entry_terms.tolist(),
+                        chunk.entry_tuples.tolist(),
+                        itertools.repeat(1) if numbers is None else numbers.tolist()),
                         operator.itemgetter(0)):
-                    terms = [xs[t] for _, t in entries if xs[t] is not None]
-                    v = functools.reduce(operator.add, terms) if terms else None
+                    v = None
+                    for _, t, g, n in entries:
+                        if scalars[t] is not None:
+                            x = domain._x(scalars[t], tuples[g])
+                            x = x if n == 1 else x * n
+                            v = x if v is None else v + x
                     values[p] = None if v is None or v.is_zero() else v
                 parts.append((np.not_equal(values, None), values))
             else:
                 live = np.empty(sum(len(m) for _, m in chunk.tuples), dtype=bool)
                 for first, mat in chunk.tuples:
                     live[first : first + len(mat)] = ~dead[mat].any(axis=1)
-                live = kept[chunk.triple_terms] & live[chunk.triple_tuples]
-                parts.append((None if live.all() else live, np.array(
+                live = kept[chunk.entry_terms] & live[chunk.entry_tuples]
+                entries = (chunk.entry_patterns, chunk.entry_terms, chunk.entry_tuples,
+                           chunk.entry_ladders)
+                if not live.all():
+                    entries = tuple(None if a is None else a[live] for a in entries)
+                parts.append((*entries, np.array(
                     [zero if v is None else v for v in scalars], dtype=complex).reshape(
                         len(scalars), len(zero))))
         if len(self._prepared) >= SCALAR_DOMAINS:
@@ -1403,14 +1408,14 @@ class ProbePlan:
         return out
 
     def _sums(self, k: int, table, part, signed: bool = False):
-        """Chunk k's image sums, (q, patterns), and triple contributions,
-        (q, triples); a sum that is not finite raises, so the chunk is
-        replayed.  Each pattern's live entries sum with ``np.bincount`` in
-        term order: the per-word sums of its slots to the last bit, but for
-        a zero part, which the per-word sum leaves -0.0 where every term's
-        is; ``signed`` restores that sign."""
+        """Chunk k's image sums, (q, patterns), and the contributions of its
+        live pattern entries (``_prepare``), (q, entries); a sum that is not
+        finite raises, so the chunk is replayed.  Each pattern's live entries
+        sum with ``np.bincount`` in term order: the per-word sums of its
+        slots to the last bit, but for a zero part, which the per-word sum
+        leaves -0.0 where every term's is; ``signed`` restores that sign."""
         chunk = self._chunks[k]
-        live, scalars = part
+        patterns, entry_terms, tuples, ladders, scalars = part
         q = scalars.shape[1]
         product = np.empty((sum(len(m) for _, m in chunk.tuples), q), dtype=complex)
         for first, mat in chunk.tuples:
@@ -1421,19 +1426,14 @@ class ProbePlan:
             else:
                 value = 1
             product[first : first + len(mat)] = value
-        value = product[chunk.triple_tuples]
-        if chunk.triple_ladders is not None:
-            value = value * chunk.triple_ladders[:, None]
-        contrib = (scalars[chunk.triple_terms] * value).T.copy()
-        patterns, triples = chunk.entry_patterns, chunk.entry_triples
-        if live is not None:
-            on = live[triples]
-            patterns, triples = patterns[on], triples[on]
+        value = product[tuples]
+        if ladders is not None:
+            value = value * ladders[:, None]
+        contrib = (scalars[entry_terms] * value).T.copy()
         n = len(chunk.pattern_rows)
         image = np.empty((q, n), dtype=complex)
         for i in range(q):
             for terms, out in ((contrib[i].real, image[i].real), (contrib[i].imag, image[i].imag)):
-                terms = terms[triples]
                 out[...] = np.bincount(patterns, terms, minlength=n)
                 zero = out == 0
                 if signed and zero.any():
@@ -1444,16 +1444,17 @@ class ProbePlan:
 
     def _residuals(self, k: int, table, part, tolerance: float):
         """Chunk k's largest image magnitude per expression, and its
-        residuals, (q, patterns), by the rule of ``worst``."""
+        residuals, (q, patterns), by the rule of ``worst``: the term scale
+        is the largest magnitude of a live entry of the pattern."""
         image, contrib = self._sums(k, table, part)
         chunk = self._chunks[k]
         magnitude = np.abs(image)
-        largest = _per_expr(np.maximum, magnitude.max(axis=0, initial=0.0), chunk.pattern_starts)
-        scaled = np.repeat(largest > tolerance, np.diff(chunk.pattern_starts))
+        largest = _per_expr(np.maximum, magnitude.max(axis=0, initial=0.0), chunk)
+        scaled = np.repeat(largest > tolerance, chunk.pattern_counts)
         if not scaled.any():
             return largest, magnitude
-        on = scaled[chunk.entry_patterns]
-        patterns, size = chunk.entry_patterns[on], np.abs(contrib[:, chunk.entry_triples[on]])
+        on = scaled[part[0]]
+        patterns, size = part[0][on], np.abs(contrib[:, on])
         scale = np.ones(magnitude.shape)
         for i, row in enumerate(scale):
             np.maximum.at(row, patterns, size[i])
@@ -1463,14 +1464,13 @@ class ProbePlan:
         """Chunk k's ``worst`` per expression."""
         largest, residual = self._residuals(k, table, part, tolerance)
         chunk = self._chunks[k]
-        starts = chunk.pattern_starts
-        worst = _per_expr(np.maximum, residual.max(axis=0, initial=0.0), starts)
-        hit = residual == np.repeat(worst, np.diff(starts))
+        worst = _per_expr(np.maximum, residual.max(axis=0, initial=0.0), chunk)
+        hit = residual == np.repeat(worst, chunk.pattern_counts)
         # per pattern, the first q sample where it reaches its worst, on its
         # first slot, whose row is the least of its slots'
         position = np.where(hit.any(axis=0), hit.argmax(axis=0) * self.size + chunk.pattern_rows,
                             np.iinfo(np.int64).max)
-        at = np.where(worst > 0, _per_expr(np.minimum, position, starts), 0)
+        at = np.where(worst > 0, _per_expr(np.minimum, position, chunk), 0)
         return [(float(m), float(w), int(a)) for m, w, a in zip(largest, worst, at)]
 
     def _numeric_sums(self, k: int, table, part):
@@ -1519,13 +1519,11 @@ class ProbePlan:
         return out
 
 
-def _per_expr(reduce: np.ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _per_expr(reduce: np.ufunc, values: np.ndarray, chunk: _Chunk) -> np.ndarray:
     """Per expression of a chunk, ``reduce`` over the values of its
-    patterns ``starts[j]:starts[j + 1]``, or 0 where it has none."""
-    out = np.zeros(len(starts) - 1, dtype=values.dtype)
-    reached = np.flatnonzero(np.diff(starts))
-    if len(reached):
-        out[reached] = reduce.reduceat(values, starts[reached])
+    patterns, or 0 where it has none."""
+    out = np.zeros(len(chunk.exprs), dtype=values.dtype)
+    out[chunk.reached] = reduce.reduceat(values, chunk.reached_starts)
     return out
 
 

@@ -293,6 +293,9 @@ class TestGoldenAnalysis:
         ("eval-hp-3-2-p3-q1.3", ["eval", "--n", "3", "--m", "2", "--realization", "hp", "--p", "3",
                                  "--q", "1.3", "--expr", "f1*e2*f2 + e1*f1*f3 + f4*e1 - 2*h2*f1",
                                  "--state", "2,1,0,1"]),
+        # the numeric kernel's residuals, pinned to the last bit
+        ("verify-hp-4-3-p2-q0.5-2.0", ["verify", "--n", "4", "--m", "3", "--realization", "hp",
+                                       "--p", "2", "--q", "0.5,0.9,1.3,2.0"]),
     ]
 
     @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qglnm import verify
@@ -161,6 +162,16 @@ class TestVerifyAll:
         for q, bad in [([0.5, -1.0, 0.0], "-1.0"), ([math.nan, 0.5], "nan")]:
             with pytest.raises(EngineError, match=rf"^q must be a finite positive number, not {bad}$"):
                 verify_all(SIG21, "hp", 3, q=q)
+
+    def test_numpy_q_samples_read_as_numbers(self):
+        # a numpy number or 0-d array is one sample and an array a list of
+        # them, as in the scalar domain; the header prints their numbers
+        for q, samples, header in [(np.float32(1.3), [float(np.float32(1.3))], "1.3"),
+                                   (np.float64(0.7), [0.7], "0.7"), (np.array(2.0), [2.0], "2.0"),
+                                   (np.array([0.5, 1.3]), [0.5, 1.3], "0.5,1.3")]:
+            report, plain = verify_all(SIG21, "hp", 2, q=q), verify_all(SIG21, "hp", 2, q=samples)
+            assert report.results == plain.results
+            assert report.meta == dict(plain.meta, q=header)
 
     def test_classical_rejects_numeric_q(self):
         with pytest.raises(EngineError):

@@ -34,13 +34,14 @@ from qglnm.weyl import (
     Raise,
     ScalarDomain,
     _expand_affine,
+    _expanded,
     _key_code,
     _key_of,
+    _merged,
     _worst,
     affine_mode,
     float_errors_raise,
     normal_form,
-    normal_ordered,
     super_commutator,
     word_change,
 )
@@ -48,6 +49,11 @@ from qglnm.weyl import (
 SIG21 = Signature(2, 1)
 SIG22 = Signature(2, 2)
 TOTAL21 = Affine(0, 0, (1, 1))  # N = N_1 + N_2 on (2,1)
+
+
+def affine_stage(sig, expr):
+    """What the affine stage of normal order leaves of an expression."""
+    return _expanded(sig, _merged(sig, expr))
 
 
 def exact_engine(sig, p=None):
@@ -500,23 +506,23 @@ class TestNormalForm:
         n1 = Diag("affine", affine_mode(SIG21, 1))
         same = OperatorExpr.from_word(n1, Raise(1)) - OperatorExpr.from_word(
             Raise(1), Diag("affine", affine_mode(SIG21, 1).shift(1)))
-        assert normal_ordered(SIG21, same) == {}
+        assert affine_stage(SIG21, same) == {}
         # N_1 A_1^+ - A_1^+ N_1 has two keys, and the affine stage takes
         # (N_1 + 1) - N_1 to the single term A_1^+
         differ = OperatorExpr.from_word(n1, Raise(1)) - OperatorExpr.from_word(Raise(1), n1)
-        assert normal_ordered(SIG21, differ) == {((1, 0), (), (0, 0)): CoeffExact.one()}
-        assert normal_ordered(SIG21, differ - OperatorExpr.from_word(Raise(1))) == {}
+        assert affine_stage(SIG21, differ) == {((1, 0), (), (0, 0)): CoeffExact.one()}
+        assert affine_stage(SIG21, differ - OperatorExpr.from_word(Raise(1))) == {}
         # the fermionic sign merges in: A_3^+ and A_2^+ anticommute
         swap = (OperatorExpr.from_word(Raise(3), Raise(2))
                 + OperatorExpr.from_word(Raise(2), Raise(3)))
-        assert normal_ordered(SIG22, swap) == {}
+        assert affine_stage(SIG22, swap) == {}
 
     def test_fermionic_square_is_the_number(self):
         # N_f N_f - N_f closes on a fermionic mode, not on a bosonic one
         for mode, closes in ((2, True), (1, False)):
             n = Diag("affine", affine_mode(SIG21, mode))
             expr = OperatorExpr.from_word(n, n) - OperatorExpr.from_word(n)
-            assert (normal_ordered(SIG21, expr) == {}) == closes, mode
+            assert (affine_stage(SIG21, expr) == {}) == closes, mode
 
     def test_p_folds_into_the_scalar(self):
         # (p - N_1) A_1^- cancels against its parts p A_1^- and N_1 A_1^-
@@ -524,10 +530,10 @@ class TestNormalForm:
         p_minus = OperatorExpr.from_word(Diag("affine", Affine(0, 1, (-1, 0))), Lower(1))
         parts = (OperatorExpr.from_word(Diag("affine", Affine(0, 1)), Lower(1))
                  - OperatorExpr.from_word(n1, Lower(1)))
-        assert normal_ordered(SIG21, p_minus - parts) == {}
+        assert affine_stage(SIG21, p_minus - parts) == {}
         # (p - N_1) A_1^- + N_1 A_1^- is N_1 (p - N_1 + 1) + N_1 (N_1 - 1) = p N_1
         # at the start state, with p in the scalar
-        assert normal_ordered(SIG21, p_minus + OperatorExpr.from_word(n1, Lower(1))) == {
+        assert affine_stage(SIG21, p_minus + OperatorExpr.from_word(n1, Lower(1))) == {
             ((-1, 0), (), (1, 0)): CoeffExact(LaurentPoly.monomial(p_pow=1))}
 
     def test_opaque_bracket_identity_stays_open(self):
@@ -537,7 +543,7 @@ class TestNormalForm:
         expr = (OperatorExpr.from_word(Diag("bracket", affine_mode(SIG21, 1).shift(1)))
                 - OperatorExpr.from_word(Diag("bracket", affine_mode(SIG21, 1)), scalar=q)
                 - OperatorExpr.from_word(Diag("qpow", affine_mode(SIG21, 1, -1))))
-        assert len(normal_ordered(SIG21, expr)) == 3
+        assert len(affine_stage(SIG21, expr)) == 3
         expect_zero(exact_engine(SIG21), expr, probe(SIG21))
 
     def test_singular_ratio_on_a_dead_term_closes(self):
@@ -549,7 +555,7 @@ class TestNormalForm:
         expr = (OperatorExpr.from_word(ratio, Lower(1), Diag("affine", n1.shift(1)))
                 - OperatorExpr.from_word(ratio, Lower(1), Diag("affine", n1))
                 - OperatorExpr.from_word(ratio, Lower(1)))
-        assert normal_ordered(SIG21, expr) == {}
+        assert affine_stage(SIG21, expr) == {}
         eng = exact_engine(SIG21)
         with pytest.raises(ZeroDivisionError):
             eng.eval_diag(Diag("bracket_ratio", n1), (0, 0))
@@ -939,7 +945,7 @@ class TestProbeBatch:
                             [substitute(rel, hp_real) for rel in build_relations(sig)])
         runs = [(functools.partial(hp_plan.worst, tolerance=1e-10), hp, 0),
                 (ProbePlan(sig, "monomial", states, [diff for diff in diffs
-                                                     if normal_ordered(sig, diff)]).images,
+                                                     if affine_stage(sig, diff)]).images,
                  [Engine(sig, p=3)], 0),
                 (ProbePlan(SIG21, "monomial", [(1, 0), (0, 1)], dead).images,
                  [Engine(SIG21, convention="monomial", q=10.0, p=3)], 2),
@@ -1076,12 +1082,12 @@ class TestProbeBatch:
         assert coeffs[0] != coeffs[1]
 
     def test_exact_shared_sum_formed_once(self, monkeypatch):
-        # a plan forms one sum per distinct triple sequence on its first
-        # call in a scalar domain, and none on a warm one.  [p] and 2 times a
-        # raising: every state has the same sequence, so one sum serves them
-        # all.  [p] and 1 times a lowering: (0, 0) and (0, 1) die, and the
-        # other states differ in their ladder number but (2, 1) and (2, 0),
-        # so they need three sums
+        # a plan forms one sum per pattern on its first call in a scalar
+        # domain, and none on a warm one.  [p] and 2 times a raising: every
+        # state has the same sequence, so one sum serves them all.  [p] and
+        # 1 times a lowering: (0, 0) and (0, 1) die, and the other states
+        # differ in their ladder number but (2, 1) and (2, 0), so they need
+        # three sums
         eng = exact_engine(SIG21)
         terms = [bracket_affine(0, 1), bracket_int(2)]
         raising = OperatorExpr([(c, (Raise(1),)) for c in terms])
@@ -1448,11 +1454,12 @@ class TestNumericPlan:
 
 
 class TestPatternLayout:
-    """A probe plan's patterns, the distinct sequences of triples on its
-    image slots, against the per-word read (``ProbePlan._read``): each
-    slot's sequence rebuilt from its pattern is the read's, an
-    expression's patterns are consecutive and numbered by their first
-    slot, and no chunk has more patterns than slots."""
+    """A probe plan's patterns, the distinct sequences of (term, tuple,
+    ladder number) on its image slots, against the per-word read
+    (``ProbePlan._read``): each slot's sequence rebuilt from its pattern's
+    entries is the read's, an expression's patterns are consecutive and
+    numbered by their first slot, and no chunk has more patterns than
+    slots."""
 
     CONFIGS = [(SIG21, "hp", None, "orthonormal"),
                (Signature(3, 2), "dyson", None, "monomial"),
@@ -1487,13 +1494,22 @@ class TestPatternLayout:
         slots = patterns = 0
         for chunk in plan._chunks:
             tuples = [tuple(row) for _, m in chunk.tuples for row in m.tolist()]
-            numbers = ([1] * len(chunk.triple_terms) if chunk.triple_numbers is None
-                       else chunk.triple_numbers.tolist())
+            numbers = ([1] * len(chunk.entry_terms) if chunk.entry_numbers is None
+                       else chunk.entry_numbers.tolist())
+            if chunk.entry_numbers is None:
+                assert chunk.entry_ladders is None
+            else:
+                assert chunk.entry_ladders.tolist() == [float(n) for n in numbers]
+            # each pattern's entries are consecutive, in term order
+            assert (np.diff(chunk.entry_patterns.astype(int)) >= 0).all()
             sequences = [[] for _ in chunk.pattern_rows]
-            for p, t in zip(chunk.entry_patterns.tolist(), chunk.entry_triples.tolist()):
-                sequences[p].append((int(chunk.triple_terms[t]),
-                                     tuples[chunk.triple_tuples[t]], numbers[t]))
-            starts, pattern_starts = chunk.expr_starts, chunk.pattern_starts
+            for p, t, g, n in zip(chunk.entry_patterns.tolist(), chunk.entry_terms.tolist(),
+                                  chunk.entry_tuples.tolist(), numbers):
+                sequences[p].append((t, tuples[g], n))
+            starts = chunk.expr_starts
+            pattern_starts = np.concatenate([[0], np.cumsum(chunk.pattern_counts)])
+            assert chunk.reached.tolist() == np.flatnonzero(chunk.pattern_counts).tolist()
+            assert chunk.reached_starts.tolist() == pattern_starts[chunk.reached].tolist()
             rebuilt = {(r, int(chunk.slot_rows[j])): sequences[chunk.slot_patterns[j]]
                        for r in range(len(chunk.exprs)) for j in range(starts[r], starts[r + 1])}
             assert rebuilt == self._read_sequences(plan, chunk, rows, columns)
@@ -1514,15 +1530,18 @@ class TestPatternLayout:
 
     def test_sequence_apart_from_its_prefix(self):
         # (1, 0) reads only the qpow term, (1, 1) the qpow term and then the
-        # ladder-only term, whose one triple the plan numbers 0: the longer
-        # sequence is its prefix and triple 0, and still its own pattern
+        # ladder-only term, whose one (term, tuple, ladder number) the plan
+        # numbers 0, for it reads no factor: the longer sequence is its
+        # prefix and number 0, and still its own pattern
         expr = OperatorExpr([(CoeffExact.one(), (Diag("qpow", affine_mode(SIG21, 1)),)),
                              (CoeffExact.one(), (Raise(2), Lower(2)))])
         states = [(1, 0), (1, 1)]
         plan = ProbePlan(SIG21, "monomial", states, [expr])
         (chunk,) = plan._chunks
-        assert chunk.triple_terms.tolist()[0] == 1
+        assert chunk.tuples[0][1].shape == (1, 0)
         assert chunk.slot_patterns.tolist() == [0, 1]
+        assert chunk.entry_patterns.tolist() == [0, 1, 1]
+        assert chunk.entry_terms.tolist() == [0, 0, 1]
         eng = exact_engine(SIG21)
         ((rows, _, coeffs),) = plan.images(domain_of(eng))
         assert rows.tolist() == [0, 1]
